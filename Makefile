@@ -2,8 +2,9 @@
 # suite, the race detector over every package that spawns goroutines
 # (the scheduler, the window prefetcher and the engines that consume it,
 # the parallel sort, and the gsnpd service), the service integration
-# tests against a real gsnpd binary, and a short fuzz pass over every
-# parser-facing fuzz target.
+# tests against a real gsnpd binary, a short fuzz pass over every
+# parser-facing fuzz target, and the benchmark's own modules (bench/),
+# which `go build ./... && go test ./...` does not enter.
 
 GO ?= go
 
@@ -25,9 +26,9 @@ FUZZ_TIME ?= 10s
 # offline build environment skips it gracefully. See tools.go.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci lint vet fmt-check vuln build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench bench-json
+.PHONY: ci lint vet fmt-check vuln build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-check bench bench-compare
 
-ci: lint fmt-check build test race service-e2e serve-recovery fastq-e2e fuzz-smoke vuln
+ci: lint fmt-check build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-check vuln
 
 # Standard vet plus the project multichecker (cmd/gsnplint): the seven
 # GSNP invariant analyzers — determinism, arenalifetime, closecheck,
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzAlignReads$$' -fuzztime $(FUZZ_TIME) ./internal/align
 	$(GO) test -fuzz 'FuzzBlockReader$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzTempReader$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
+	$(GO) test -fuzz 'FuzzAppendFixed$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzJobSpec$$' -fuzztime $(FUZZ_TIME) ./internal/service
 	$(GO) test -fuzz 'FuzzRLEDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzSparseDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
@@ -116,12 +118,18 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Window-level pipeline benchmarks (one op = one window) plus the gsnpd
-# serving benchmarks (cache hit vs cold execution) recorded as JSON:
-# ns/op, B/op, allocs/op per configuration, the perf trajectory
-# artifact. Compare BENCH_pipeline.json across commits.
-bench-json:
-	{ $(GO) test -run xxx -bench BenchmarkRunWindow -benchmem ./internal/gsnp ./internal/gpu ; \
-	  $(GO) test -run xxx -bench 'BenchmarkServe' -benchmem ./internal/service ; \
-	  $(GO) test -run xxx -bench 'BenchmarkAlignReads' -benchmem ./internal/align ; } \
-		| $(GO) run ./cmd/gsnp-benchjson > BENCH_pipeline.json
+# The benchmark lives in two modules of its own. Its tests check the
+# command against BENCHMARK.json, and bench/layerprobe calls the leaf
+# packages' public functions directly: if a change to one of those breaks
+# its build, a traced benchmark run reports zeros for every per-layer
+# metric instead of failing, so the build is checked here.
+bench-check:
+	cd bench && $(GO) test ./...
+	cd bench/layerprobe && $(GO) build -o /dev/null .
+
+# The whole benchmark (five workloads, ten seeds, then one traced pass;
+# about an hour on a two-core host) against the committed baseline set: one verdict
+# per metric and workload, exit 1 on any `worse`. See bench/README.md.
+bench-compare:
+	bash bench/run.sh all --out bench/out/new.json
+	bash bench/run.sh compare bench/results/set1.json bench/out/new.json

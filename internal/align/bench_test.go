@@ -8,7 +8,7 @@ import (
 
 // BenchmarkAlignReads measures alignment-stage throughput (one op = one
 // full read-set alignment over a 200 kb reference) serially and sharded,
-// the FASTQ-to-VCF pipeline's added stage in BENCH_pipeline.json.
+// the FASTQ-to-VCF pipeline's added stage.
 func BenchmarkAlignReads(b *testing.B) {
 	ref := seqsim.GenerateReference(seqsim.GenomeSpec{Name: "bench", Length: 200_000, Seed: 21})
 	dip := seqsim.MakeDiploid(ref, seqsim.DefaultDiploidSpec(21))

@@ -73,19 +73,21 @@ func NewPMatrixFromPhred() PMatrix {
 	p := make(PMatrix, PMatrixSize)
 	for q := dna.Quality(0); q < NQ; q++ {
 		e := q.ErrorProbability()
-		for coord := 0; coord < MaxReadLen; coord++ {
-			for allele := dna.Base(0); allele < dna.NBases; allele++ {
-				for base := dna.Base(0); base < dna.NBases; base++ {
-					v := e / 3
-					if base == allele {
-						v = 1 - e
-					}
-					if v < minProb {
-						v = minProb
-					}
-					p[PMatrixIndex(q, coord, allele, base)] = v
+		first := p[PMatrixIndex(q, 0, 0, 0):PMatrixIndex(q, 1, 0, 0)]
+		for allele := dna.Base(0); allele < dna.NBases; allele++ {
+			for base := dna.Base(0); base < dna.NBases; base++ {
+				v := e / 3
+				if base == allele {
+					v = 1 - e
 				}
+				if v < minProb {
+					v = minProb
+				}
+				first[PMatrixIndex(0, 0, allele, base)] = v
 			}
+		}
+		for coord := 1; coord < MaxReadLen; coord++ {
+			copy(p[PMatrixIndex(q, coord, 0, 0):], first)
 		}
 	}
 	return p
@@ -109,23 +111,56 @@ func (p PMatrix) At(q dna.Quality, coord int, allele, base dna.Base) float64 {
 // logarithms.
 type NewPMatrix []float64
 
-// BuildNewPMatrix expands p into the ten-genotype table. Like the paper, it
-// is computed once on the CPU so GPU and CPU consume identical values.
-func BuildNewPMatrix(p PMatrix) NewPMatrix {
-	np := make(NewPMatrix, NewPMatrixSize)
+// BuildNewPMatrix expands p into a freshly allocated ten-genotype table;
+// see BuildInto.
+func BuildNewPMatrix(p PMatrix) NewPMatrix { return NewPMatrix(nil).BuildInto(p) }
+
+// BuildInto expands p into the ten-genotype table, written over np when np
+// has the capacity and allocated otherwise. Like the paper, the table is
+// computed once on the CPU so GPU and CPU consume identical values.
+//
+// The 40 entries of a (quality, coordinate) slot are a function of that
+// slot's 16 p_matrix entries alone, and p_matrix repeats one slot over
+// every coordinate a quality has no observations at (all of them, for a
+// quality the input never used). A slot whose inputs equal the preceding
+// coordinate's bit for bit therefore copies that coordinate's outputs
+// instead of taking 40 logarithms of the same numbers again.
+func (np NewPMatrix) BuildInto(p PMatrix) NewPMatrix {
+	if cap(np) < NewPMatrixSize {
+		np = make(NewPMatrix, NewPMatrixSize)
+	}
+	np = np[:NewPMatrixSize]
 	gs := dna.Genotypes()
+	const pSlot, npSlot = dna.NBases * dna.NBases, dna.NBases * dna.NGenotypes
 	for q := dna.Quality(0); q < NQ; q++ {
 		for coord := 0; coord < MaxReadLen; coord++ {
+			in := PMatrixIndex(q, coord, 0, 0)
+			out := NewPMatrixIndex(q, coord, 0, 0)
+			if coord > 0 && sameBits(p[in:in+pSlot], p[in-pSlot:in]) {
+				copy(np[out:out+npSlot], np[out-npSlot:out])
+				continue
+			}
 			for base := dna.Base(0); base < dna.NBases; base++ {
 				for rank, g := range gs {
 					a1, a2 := g.Alleles()
-					v := 0.5*p.At(q, coord, a1, base) + 0.5*p.At(q, coord, a2, base)
-					np[NewPMatrixIndex(q, coord, base, rank)] = math.Log10(v)
+					v := 0.5*p[in+int(a1)<<2+int(base)] + 0.5*p[in+int(a2)<<2+int(base)]
+					np[out+int(base)*dna.NGenotypes+rank] = math.Log10(v)
 				}
 			}
 		}
 	}
 	return np
+}
+
+// sameBits reports whether a and b (of equal length) hold identical
+// float64 bit patterns — stricter than ==, which equates +0 with -0.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // At reads the table with named coordinates.
@@ -151,13 +186,21 @@ type Tables struct {
 	NewP   NewPMatrix
 }
 
-// BuildTables assembles the table set from a calibrated p_matrix.
+// BuildTables assembles a new table set from a calibrated p_matrix.
 func BuildTables(p PMatrix) *Tables {
-	lt := BuildLogTable()
-	return &Tables{
-		Log:    lt,
-		Adjust: BuildAdjustTable(lt),
-		P:      p,
-		NewP:   BuildNewPMatrix(p),
+	t := new(Tables)
+	t.Build(p)
+	return t
+}
+
+// Build assembles the table set from a calibrated p_matrix in place: t
+// takes p as its P, NewP is rebuilt over its existing storage, and the
+// input-independent log and adjust tables are computed on first use only.
+func (t *Tables) Build(p PMatrix) {
+	if t.Log == nil {
+		t.Log = BuildLogTable()
+		t.Adjust = BuildAdjustTable(t.Log)
 	}
+	t.P = p
+	t.NewP = t.NewP.BuildInto(p)
 }

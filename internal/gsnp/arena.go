@@ -1,8 +1,11 @@
 package gsnp
 
 import (
+	"bufio"
+	"io"
 	"sync"
 
+	"gsnp/internal/bayes"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
 )
@@ -12,7 +15,9 @@ import (
 // needs (observation arrays, base_word Batches, counts, likelihoods,
 // rank/quality arrays, result rows, GPU host staging) lives here and is
 // grow-only: a window resets lengths, never releases capacity, so
-// steady-state windows allocate nothing.
+// steady-state windows allocate nothing. The per-run storage of
+// cal_p_matrix lives here too — the calibration counters, p_matrix and
+// new_p_matrix, 9.4 MB that each run rebuilds in place.
 //
 // An Arena serves one Engine.Run at a time but may be handed from run to
 // run — including across engines and modes — which is how the concurrent
@@ -31,6 +36,30 @@ type Arena struct {
 
 	// readBuf backs the serial read_site path's per-window read slice.
 	readBuf []reads.AlignedRead
+
+	// cal and tables are cal_p_matrix's counters and output. A run resets
+	// and refills them, so they describe the arena's latest run only.
+	cal    *bayes.Calibration
+	tables bayes.Tables
+
+	// out is the run's output buffer; see output.
+	out *bufio.Writer
+}
+
+// outBufBytes is the buffer size the snpio result codecs ask bufio for.
+const outBufBytes = 1 << 20
+
+// output returns the arena's output buffer, emptied and pointed at w. The
+// result codecs wrap their sink with bufio.NewWriterSize, which adopts a
+// bufio.Writer that is already large enough instead of stacking a second
+// one, so constructing a codec over this buffer allocates none of its own.
+func (a *Arena) output(w io.Writer) *bufio.Writer {
+	if a.out == nil {
+		a.out = bufio.NewWriterSize(w, outBufBytes)
+	} else {
+		a.out.Reset(w)
+	}
+	return a.out
 }
 
 // NewArena returns an empty arena; buffers grow on first use.

@@ -409,3 +409,51 @@ func BenchmarkRunWindowGPU(b *testing.B) {
 	}
 	b.ReportMetric(float64(sites)/b.Elapsed().Seconds(), "sites/s")
 }
+
+// TestRunContextWarmArena pins the per-run half of the recycle contract.
+// An arena that has served one chromosome carries that chromosome's
+// calibration counters, score tables and output buffer into the next run,
+// which must rebuild all of them in place: the bytes of a run on a warm
+// arena equal those of the same run on a fresh one, in every output mode,
+// and the warm run allocates less than 1 MB in total — so in particular
+// none of the 2 MB counters, the 2 MB p_matrix, the 5.2 MB new_p_matrix
+// and the 1 MB output buffer a run used to allocate for itself.
+func TestRunContextWarmArena(t *testing.T) {
+	first := testDataset(t, 3000, 12, 71)
+	second := testDataset(t, 2000, 7, 72)
+	for _, mode := range []Config{
+		{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1},
+		{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1, VCFOutput: true},
+		{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1, CompressOutput: true},
+	} {
+		_, want := runGSNP(t, second, mode)
+		warm := mode
+		warm.Arena = NewArena()
+		runGSNP(t, first, warm)
+		if _, got := runGSNP(t, second, warm); !bytes.Equal(got, want) {
+			t.Errorf("%+v: output on an arena warmed by another chromosome differs from a fresh arena's", mode)
+		}
+	}
+
+	cfg := Config{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1, Arena: NewArena()}
+	cfg.Chr, cfg.Ref = first.Spec.Name, first.Ref.Seq
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := eng.Run(pipeline.MemSource(first.Reads), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a run on a warm arena allocated %d bytes, want < 1 MB", got)
+	} else {
+		t.Logf("warm-arena run: %d bytes in %d allocations", got, after.Mallocs-before.Mallocs)
+	}
+}

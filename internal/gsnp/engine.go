@@ -71,7 +71,10 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Tables exposes the calibrated tables after a run.
+// Tables exposes the calibrated tables after a run. They live in the run's
+// Arena and are rebuilt in place by that arena's next run, so only a run
+// given a Config.Arena leaves them behind; after a run on a pooled arena
+// Tables returns nil.
 func (e *Engine) Tables() *bayes.Tables { return e.tables }
 
 // minShardSites is the smallest per-shard site count worth handing to a
@@ -131,7 +134,7 @@ func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Write
 		e.arena = arenaPool.Get().(*Arena)
 		defer func() {
 			arenaPool.Put(e.arena)
-			e.arena = nil
+			e.arena, e.tables = nil, nil
 		}()
 	}
 	if cfg.Mode == ModeCPU && cfg.ComputeWorkers > 1 {
@@ -178,7 +181,11 @@ func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Write
 			return pipeline.NewTolerantIter(it, func(pipeline.RecordError) { rep.CalSkipped++ }), nil
 		})
 	}
-	cal, meanDepth, err := pipeline.CalibrationPass(calSrc, cfg.Ref, sink)
+	ar := e.arena
+	if ar.cal == nil {
+		ar.cal = bayes.NewCalibration()
+	}
+	meanDepth, err := pipeline.Calibrate(ar.cal, calSrc, cfg.Ref, sink)
 	if err != nil {
 		return nil, fmt.Errorf("gsnp: cal_p_matrix: %w", err)
 	}
@@ -197,8 +204,9 @@ func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Write
 		})
 	}
 	rep.MeanDepth = meanDepth
-	rep.Observations = int64(cal.Observations())
-	e.tables = bayes.BuildTables(cal.Build())
+	rep.Observations = int64(ar.cal.Observations())
+	ar.tables.Build(ar.cal.BuildInto(ar.tables.P))
+	e.tables = &ar.tables
 	for b := dna.Base(0); b < dna.NBases; b++ {
 		e.novelPriors[b] = cfg.Priors.LogPriors(b, nil)
 	}
@@ -209,18 +217,21 @@ func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Write
 	}
 	rep.Times.CalP = time.Since(t0)
 
-	// Output sink.
+	// Output sink, buffered in the arena. The buffer lets go of the
+	// caller's writer when the run ends.
+	out := ar.output(cw)
+	defer out.Reset(io.Discard)
 	switch {
 	case cfg.CompressOutput:
 		if cfg.Mode == ModeGPU {
-			e.blockOut = snpio.NewBlockWriterGPU(cw, cfg.Device)
+			e.blockOut = snpio.NewBlockWriterGPU(out, cfg.Device)
 		} else {
-			e.blockOut = snpio.NewBlockWriter(cw)
+			e.blockOut = snpio.NewBlockWriter(out)
 		}
 	case cfg.VCFOutput:
-		e.textOut = snpio.NewVCFWriter(cw)
+		e.textOut = snpio.NewVCFWriter(out)
 	default:
-		e.textOut = snpio.NewResultWriter(cw)
+		e.textOut = snpio.NewResultWriter(out)
 	}
 
 	// Pass two: windowed per-site computation.

@@ -290,7 +290,8 @@ func TestTableIIICounterTrends(t *testing.T) {
 func TestDenseGPULikelihoodMatchesSparse(t *testing.T) {
 	ds := testDataset(t, 300, 9, 108)
 	d := gpu.NewDevice(gpu.M2050())
-	cfg := Config{Mode: ModeGPU, Device: d, Window: 300}
+	// An explicit arena keeps the run's calibrated tables readable below.
+	cfg := Config{Mode: ModeGPU, Device: d, Window: 300, Arena: NewArena()}
 	cfg.Chr = ds.Spec.Name
 	cfg.Ref = ds.Ref.Seq
 	eng, err := New(cfg)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"io"
+	"math"
 	"testing"
 
 	"gsnp/internal/bayes"
@@ -306,5 +307,71 @@ func TestWindowerCoversAllObservations(t *testing.T) {
 	}
 	if total != want {
 		t.Errorf("windowed observations = %d, want %d", total, want)
+	}
+}
+
+// TestCalibrateMatchesObsOf holds Calibrate's inlined observation loop to
+// the rule ObsOf defines — which bases of a read count, at which cycle —
+// on reads of both strands, reads hanging over either end of the reference,
+// a read beyond it and reads longer than the model's cycle range, and checks that a recycled calibration carries
+// nothing over from its previous input.
+func TestCalibrateMatchesObsOf(t *testing.T) {
+	ds := seqsim.BuildDataset(seqsim.ChromosomeSpec{Name: "t", Length: 5000, Depth: 6, Seed: 9})
+	ref := ds.Ref.Seq
+	rs := append([]reads.AlignedRead(nil), ds.Reads...)
+	for _, i := range []int{0, 1, len(rs) - 2, len(rs) - 1} {
+		r := rs[i]
+		r.Strand = uint8(i & 1)
+		r.Pos = -len(r.Bases) / 3
+		rs = append(rs, r)
+		r.Pos = len(ref) - len(r.Bases)/2
+		rs = append(rs, r)
+		r.Pos = len(ref) + 10
+		rs = append(rs, r)
+	}
+	// Longer than the model's 256 cycles: the overhang is not observed.
+	for strand := uint8(0); strand < 2; strand++ {
+		long := reads.AlignedRead{Pos: 40, Strand: strand, Hits: 1}
+		for len(long.Bases) < bayes.MaxReadLen+44 {
+			long.Bases = append(long.Bases, rs[0].Bases...)
+			long.Quals = append(long.Quals, rs[0].Quals...)
+		}
+		rs = append(rs, long)
+	}
+
+	want := bayes.NewCalibration()
+	var bases int64
+	for i := range rs {
+		for off := range rs[i].Bases {
+			pos := rs[i].Pos + off
+			if pos < 0 || pos >= len(ref) {
+				continue
+			}
+			if o, ok := ObsOf(&rs[i], pos); ok {
+				want.Observe(dna.ClampQuality(int(o.Qual)), int(o.Coord), ref[pos], o.Base)
+				bases++
+			}
+		}
+	}
+
+	cal := bayes.NewCalibration()
+	if _, err := Calibrate(cal, MemSource(ds.Reads[:len(ds.Reads)/2]), ref, nil); err != nil {
+		t.Fatal(err)
+	}
+	mean, err := Calibrate(cal, MemSource(rs), ref, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.Observations() != want.Observations() || cal.Observations() != uint64(bases) {
+		t.Fatalf("Observations = %d, ObsOf rule gives %d", cal.Observations(), bases)
+	}
+	if wantMean := float64(bases) / float64(len(ref)); mean != wantMean {
+		t.Errorf("mean depth = %v, want %v", mean, wantMean)
+	}
+	got, ref2 := cal.Build(), want.Build()
+	for i := range ref2 {
+		if math.Float64bits(got[i]) != math.Float64bits(ref2[i]) {
+			t.Fatalf("p_matrix[%d] = %v, ObsOf rule gives %v", i, got[i], ref2[i])
+		}
 	}
 }

@@ -82,41 +82,56 @@ func BuildRow(in *RowInputs) snpio.Row {
 	return row
 }
 
-// CalibrationPass is the shared pass-one logic of cal_p_matrix: it streams
-// the whole input once, feeding every observation into the calibration
-// against the reference and counting aligned bases for the mean-depth
-// estimate. The caller may supply a sink that sees every read (GSNP uses it
-// to write the compressed temporary input during the same pass).
+// CalibrationPass is the shared pass-one logic of cal_p_matrix over a
+// calibration of its own; see Calibrate.
 func CalibrationPass(src Source, ref dna.Sequence, sink func(*reads.AlignedRead) error) (*bayes.Calibration, float64, error) {
-	it, err := src.Open()
+	cal := bayes.NewCalibration()
+	mean, err := Calibrate(cal, src, ref, sink)
 	if err != nil {
 		return nil, 0, err
 	}
-	cal := bayes.NewCalibration()
+	return cal, mean, nil
+}
+
+// Calibrate resets cal and streams the whole input once into it, feeding
+// every observation into the calibration against the reference and counting
+// aligned bases for the mean-depth estimate it returns. The caller may
+// supply a sink that sees every read (GSNP uses it to write the compressed
+// temporary input during the same pass). Taking the calibration from the
+// caller lets an engine reuse one set of counters for every input it runs.
+func Calibrate(cal *bayes.Calibration, src Source, ref dna.Sequence, sink func(*reads.AlignedRead) error) (float64, error) {
+	cal.Reset()
+	it, err := src.Open()
+	if err != nil {
+		return 0, err
+	}
 	var bases int64
+	// One record for the whole pass: the sink takes its address, and a
+	// record declared per iteration would be heap-allocated per read.
+	var r reads.AlignedRead
 	for {
-		r, err := it.Next()
+		r, err = it.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		for off := range r.Bases {
-			pos := r.Pos + off
-			if pos < 0 || pos >= len(ref) {
+		// The observations of ObsOf over the read's span of the reference,
+		// without building an Obs per base: this loop runs once per aligned
+		// base of the input (TestCalibrateMatchesObsOf ties the two).
+		lo, hi := max(0, -r.Pos), min(len(r.Bases), len(ref)-r.Pos)
+		for off := lo; off < hi; off++ {
+			cyc := r.Cycle(off)
+			if cyc >= bayes.MaxReadLen {
 				continue
 			}
-			o, ok := ObsOf(&r, pos)
-			if !ok {
-				continue
-			}
-			cal.Observe(dna.ClampQuality(int(o.Qual)), int(o.Coord), ref[pos], o.Base)
+			cal.Observe(dna.ClampQuality(int(r.Quals[off])), cyc, ref[r.Pos+off], r.Bases[off])
 			bases++
 		}
 		if sink != nil {
 			if err := sink(&r); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
 	}
@@ -124,5 +139,5 @@ func CalibrationPass(src Source, ref dna.Sequence, sink func(*reads.AlignedRead)
 	if len(ref) > 0 {
 		mean = float64(bases) / float64(len(ref))
 	}
-	return cal, mean, nil
+	return mean, nil
 }

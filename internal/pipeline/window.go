@@ -12,8 +12,12 @@ import (
 type Windower struct {
 	it    ReadIter
 	carry []reads.AlignedRead
-	next  *reads.AlignedRead
-	done  bool
+	// next is a read pulled for a previous window that starts beyond it,
+	// held by value (with hasNext) so that pulling a read never moves it
+	// to the heap.
+	next    reads.AlignedRead
+	hasNext bool
+	done    bool
 }
 
 // NewWindower wraps a position-sorted read iterator.
@@ -43,9 +47,9 @@ func (w *Windower) AppendReads(out []reads.AlignedRead, start, end int) ([]reads
 	w.carry = keep
 
 	// A read pulled for a previous window that starts beyond it.
-	if w.next != nil && w.next.Pos < end {
-		r := *w.next
-		w.next = nil
+	if w.hasNext && w.next.Pos < end {
+		r := w.next
+		w.next, w.hasNext = reads.AlignedRead{}, false
 		if r.Pos+len(r.Bases) > start {
 			out = append(out, r)
 		}
@@ -54,7 +58,7 @@ func (w *Windower) AppendReads(out []reads.AlignedRead, start, end int) ([]reads
 		}
 	}
 
-	for !w.done && w.next == nil {
+	for !w.done && !w.hasNext {
 		r, err := w.it.Next()
 		if err == io.EOF {
 			w.done = true
@@ -64,7 +68,7 @@ func (w *Windower) AppendReads(out []reads.AlignedRead, start, end int) ([]reads
 			return nil, err
 		}
 		if r.Pos >= end {
-			w.next = &r
+			w.next, w.hasNext = r, true
 			break
 		}
 		if r.Pos+len(r.Bases) > start {

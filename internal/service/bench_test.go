@@ -15,7 +15,7 @@ func benchGenome(b *testing.B) (string, map[string]any) {
 
 // BenchmarkServeColdJob measures end-to-end job serving with the result
 // cache disabled: every iteration executes the engine. This is the
-// baseline the cached path is compared against in BENCH_pipeline.json.
+// baseline the cached path is compared against.
 func BenchmarkServeColdJob(b *testing.B) {
 	_, spec := benchGenome(b)
 	_, ts := newTestServer(b, Config{Workers: 2, CacheOff: true})

@@ -49,7 +49,7 @@ func WriteKnownSNPs(w io.Writer, chr string, snps KnownSNPs) error {
 // chromosome in the stream.
 func ReadKnownSNPs(r io.Reader) (map[string]KnownSNPs, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, lineBufBytes), maxLineBytes)
 	out := map[string]KnownSNPs{}
 	line := 0
 	for sc.Scan() {

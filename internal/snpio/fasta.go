@@ -48,7 +48,7 @@ func WriteFASTA(w io.Writer, recs ...FASTARecord) error {
 // the pipeline treats Ns as unusable reference anyway.
 func ReadFASTA(r io.Reader) ([]FASTARecord, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, lineBufBytes), maxLineBytes)
 	var recs []FASTARecord
 	var cur *FASTARecord
 	var body strings.Builder

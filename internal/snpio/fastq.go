@@ -32,22 +32,16 @@ func WriteFASTQ(w io.Writer, raws []align.RawRead) error {
 
 // ReadFASTQ parses a FASTQ stream.
 func ReadFASTQ(r io.Reader) ([]align.RawRead, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	ls := newLineScanner(r)
 	var raws []align.RawRead
-	line := 0
-	var off, cur int64 // byte offsets: next line / line just read
 	next := func() (string, bool) {
-		if !sc.Scan() {
+		if !ls.scan() {
 			return "", false
 		}
-		line++
-		cur = off
-		off += int64(len(sc.Bytes())) + 1
-		return sc.Text(), true
+		return ls.text(), true
 	}
 	errf := func(field, format string, args ...any) *ParseError {
-		return &ParseError{Format: "fastq", Line: line, Offset: cur,
+		return &ParseError{Format: "fastq", Line: ls.line, Offset: ls.start,
 			Field: field, Msg: fmt.Sprintf(format, args...)}
 	}
 	for {
@@ -95,7 +89,7 @@ func ReadFASTQ(r io.Reader) ([]align.RawRead, error) {
 		}
 		raws = append(raws, raw)
 	}
-	if err := sc.Err(); err != nil {
+	if err := ls.err(); err != nil {
 		return nil, err
 	}
 	return raws, nil

@@ -14,7 +14,7 @@ type ParseError struct {
 	// Line is the 1-based line number of the offending record.
 	Line int
 	// Offset is the byte offset of the start of that line, or -1 when the
-	// reader cannot track it. Offsets assume \n line endings.
+	// reader cannot track it.
 	Offset int64
 	// Field names the offending column ("position", "FLAG", ...); empty
 	// for structural errors (wrong field count, truncated record).

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -87,13 +88,49 @@ func (r *Row) appendText(buf []byte) []byte {
 	buf = append(buf, '\t')
 	buf = strconv.AppendUint(buf, uint64(r.Depth), 10)
 	buf = append(buf, '\t')
-	buf = strconv.AppendFloat(buf, r.RankSumP, 'f', 5, 64)
+	buf = appendFixed(buf, r.RankSumP, rankSumScale)
 	buf = append(buf, '\t')
-	buf = strconv.AppendFloat(buf, r.CopyNum, 'f', 3, 64)
+	buf = appendFixed(buf, r.CopyNum, copyNumScale)
 	buf = append(buf, '\t')
 	buf = strconv.AppendUint(buf, uint64(r.IsDbSNP), 10)
 	buf = append(buf, '\n')
 	return buf
+}
+
+// fixedLimitBits is the bit pattern of 2^36, the bound below which
+// appendFixed's integer path is exact. Compared as integers, the patterns
+// of non-negative finite floats order like their values and every other
+// float — negative, -0, Inf, NaN — has a larger pattern.
+const fixedLimitBits = (1023 + 36) << 52
+
+// appendFixed appends v in fixed-point notation with log10(scale) decimals,
+// exactly as strconv.AppendFloat(buf, v, 'f', decimals, 64) does; scale is
+// a power of ten, at most 1e5. QuantizeRow has made every value that
+// reaches a writer the float nearest to k/scale for an integer k, and the
+// digits of such a value are the digits of k: below 2^36 it lies within
+// 2^-18 of k/scale, far nearer than half a unit of the last decimal, so
+// the correctly rounded expansion strconv computes is k itself. Printing k
+// costs two integer conversions where strconv takes its arbitrary-
+// precision path for every 'f' format with a fixed number of decimals. A
+// value that is not such a k/scale falls back to strconv.
+func appendFixed(buf []byte, v float64, scale uint64) []byte {
+	if math.Float64bits(v) < fixedLimitBits {
+		k := uint64(v*float64(scale) + 0.5)
+		if float64(k)/float64(scale) == v {
+			buf = strconv.AppendUint(buf, k/scale, 10)
+			buf = append(buf, '.')
+			frac := k % scale
+			for d := scale / 10; d > 0; d /= 10 {
+				buf = append(buf, byte('0'+frac/d%10))
+			}
+			return buf
+		}
+	}
+	decimals := 0
+	for d := scale; d > 1; d /= 10 {
+		decimals++
+	}
+	return strconv.AppendFloat(buf, v, 'f', decimals, 64)
 }
 
 // RowWriter is a streaming sink for result rows. ResultWriter (the
@@ -111,9 +148,8 @@ type RowWriter interface {
 // ResultWriter streams result rows as plain text, the SOAPsnp output
 // format.
 type ResultWriter struct {
-	bw  *bufio.Writer
-	buf []byte
-	n   int64
+	bw *bufio.Writer
+	n  int64
 }
 
 // NewResultWriter wraps w.
@@ -121,10 +157,10 @@ func NewResultWriter(w io.Writer) *ResultWriter {
 	return &ResultWriter{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
-// Write emits one row.
+// Write emits one row, formatted in place in the buffer's free space (a
+// row that does not fit spills to a slice of its own and Write flushes).
 func (rw *ResultWriter) Write(r *Row) error {
-	rw.buf = r.appendText(rw.buf[:0])
-	_, err := rw.bw.Write(rw.buf)
+	_, err := rw.bw.Write(r.appendText(rw.bw.AvailableBuffer()))
 	if err == nil {
 		rw.n++
 	}

@@ -27,19 +27,14 @@ const (
 
 // SAMReader streams alignment records from SAM text.
 type SAMReader struct {
-	sc      *bufio.Scanner
-	line    int
-	off     int64 // byte offset of the next line (assumes \n endings)
-	cur     int64 // byte offset of the line being parsed
+	ls      *lineScanner
 	chr     string
 	skipped int64
 }
 
 // NewSAMReader wraps r.
 func NewSAMReader(r io.Reader) *SAMReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	return &SAMReader{sc: sc}
+	return &SAMReader{ls: newLineScanner(r)}
 }
 
 // Chromosome returns the reference name of the last record read.
@@ -51,17 +46,8 @@ func (sr *SAMReader) Skipped() int64 { return sr.skipped }
 
 // Next parses the next usable record, returning io.EOF at end of stream.
 func (sr *SAMReader) Next() (reads.AlignedRead, error) {
-	for {
-		if !sr.sc.Scan() {
-			if err := sr.sc.Err(); err != nil {
-				return reads.AlignedRead{}, err
-			}
-			return reads.AlignedRead{}, io.EOF
-		}
-		sr.line++
-		sr.cur = sr.off
-		sr.off += int64(len(sr.sc.Bytes())) + 1
-		text := sr.sc.Text()
+	for sr.ls.scan() {
+		text := sr.ls.text()
 		if text == "" || strings.HasPrefix(text, "@") {
 			continue // header or blank
 		}
@@ -75,11 +61,15 @@ func (sr *SAMReader) Next() (reads.AlignedRead, error) {
 		}
 		return r, nil
 	}
+	if err := sr.ls.err(); err != nil {
+		return reads.AlignedRead{}, err
+	}
+	return reads.AlignedRead{}, io.EOF
 }
 
 // errf builds a positioned parse error for the line being parsed.
 func (sr *SAMReader) errf(field, format string, args ...any) *ParseError {
-	return &ParseError{Format: "sam", Line: sr.line, Offset: sr.cur,
+	return &ParseError{Format: "sam", Line: sr.ls.line, Offset: sr.ls.start,
 		Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 

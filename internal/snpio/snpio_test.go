@@ -49,7 +49,7 @@ func TestFASTAErrors(t *testing.T) {
 	}
 }
 
-func makeReads(t *testing.T) []reads.AlignedRead {
+func makeReads(t testing.TB) []reads.AlignedRead {
 	t.Helper()
 	ref := seqsim.GenerateReference(seqsim.GenomeSpec{Name: "chrT", Length: 5000, Seed: 1})
 	d := seqsim.MakeDiploid(ref, seqsim.DefaultDiploidSpec(2))

@@ -2,10 +2,10 @@ package snpio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"gsnp/internal/dna"
 	"gsnp/internal/reads"
@@ -82,18 +82,13 @@ func WriteSOAP(w io.Writer, chr string, rs []reads.AlignedRead) error {
 
 // SOAPReader streams alignment records from text.
 type SOAPReader struct {
-	sc   *bufio.Scanner
-	line int
-	off  int64 // byte offset of the next line (assumes \n endings)
-	cur  int64 // byte offset of the line being parsed
-	chr  string
+	ls  *lineScanner
+	chr string
 }
 
 // NewSOAPReader wraps r.
 func NewSOAPReader(r io.Reader) *SOAPReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	return &SOAPReader{sc: sc}
+	return &SOAPReader{ls: newLineScanner(r)}
 }
 
 // Chromosome returns the chromosome name of the last record read.
@@ -101,82 +96,102 @@ func (sr *SOAPReader) Chromosome() string { return sr.chr }
 
 // Next parses the next record. It returns io.EOF at end of stream.
 func (sr *SOAPReader) Next() (reads.AlignedRead, error) {
-	for {
-		if !sr.sc.Scan() {
-			if err := sr.sc.Err(); err != nil {
-				return reads.AlignedRead{}, err
-			}
-			return reads.AlignedRead{}, io.EOF
+	for sr.ls.scan() {
+		if line := bytes.TrimSpace(sr.ls.bytes()); len(line) > 0 {
+			return sr.parse(line)
 		}
-		sr.line++
-		sr.cur = sr.off
-		sr.off += int64(len(sr.sc.Bytes())) + 1
-		text := strings.TrimSpace(sr.sc.Text())
-		if text == "" {
-			continue
-		}
-		return sr.parse(text)
 	}
+	if err := sr.ls.err(); err != nil {
+		return reads.AlignedRead{}, err
+	}
+	return reads.AlignedRead{}, io.EOF
 }
 
 // errf builds a positioned parse error for the line being parsed.
 func (sr *SOAPReader) errf(field, format string, args ...any) *ParseError {
-	return &ParseError{Format: "soap", Line: sr.line, Offset: sr.cur,
+	return &ParseError{Format: "soap", Line: sr.ls.line, Offset: sr.ls.start,
 		Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (sr *SOAPReader) parse(text string) (reads.AlignedRead, error) {
-	f := strings.Split(text, "\t")
-	if len(f) != 8 {
-		return reads.AlignedRead{}, sr.errf("", "%d fields, want 8", len(f))
+// soapFields is the column count of a SOAP record.
+const soapFields = 8
+
+// baseOfASCII is dna.ParseBase as a table: the base code of every byte,
+// with characters outside ACGT (N) decoding as A, the way ParseSequence
+// callers that ignore its error have always read them.
+var baseOfASCII = func() (t [256]dna.Base) {
+	for c := range t {
+		t[c], _ = dna.ParseBase(byte(c))
 	}
+	return t
+}()
+
+// parse decodes one record from the scanner's line buffer. The record is
+// the hot loop of both input passes, so it allocates only what it returns:
+// the fields are sub-slices of line, the numeric columns convert through
+// string(field) arguments that never leave strconv (no copy), and bases
+// and qualities are decoded straight into reference orientation.
+func (sr *SOAPReader) parse(line []byte) (reads.AlignedRead, error) {
+	if n := bytes.Count(line, []byte{'\t'}) + 1; n != soapFields {
+		return reads.AlignedRead{}, sr.errf("", "%d fields, want 8", n)
+	}
+	var f [soapFields][]byte
+	rest := line
+	for i := 0; i < soapFields-1; i++ {
+		tab := bytes.IndexByte(rest, '\t')
+		f[i], rest = rest[:tab], rest[tab+1:]
+	}
+	f[soapFields-1] = rest
+
 	var r reads.AlignedRead
-	idStr := strings.TrimPrefix(f[0], "read_")
-	id, err := strconv.ParseInt(idStr, 10, 64)
+	id, err := strconv.ParseInt(string(bytes.TrimPrefix(f[0], []byte("read_"))), 10, 64)
 	if err != nil {
 		return r, sr.errf("id", "bad read id %q", f[0])
 	}
 	r.ID = id
-	seq, _ := dna.ParseSequence(f[1])
-	hits, err := strconv.Atoi(f[3])
+	seq, qual := f[1], f[2]
+	hits, err := strconv.Atoi(string(f[3]))
 	if err != nil || hits < 1 || hits > 255 {
 		return r, sr.errf("hits", "bad hit count %q", f[3])
 	}
 	r.Hits = uint8(hits)
-	length, err := strconv.Atoi(f[4])
-	if err != nil || length != len(seq) || length != len(f[2]) {
+	length, err := strconv.Atoi(string(f[4]))
+	if err != nil || length != len(seq) || length != len(qual) {
 		return r, sr.errf("length", "length %q inconsistent with sequence", f[4])
 	}
-	switch f[5] {
-	case "+":
+	switch {
+	case len(f[5]) == 1 && f[5][0] == '+':
 		r.Strand = 0
-	case "-":
+	case len(f[5]) == 1 && f[5][0] == '-':
 		r.Strand = 1
 	default:
 		return r, sr.errf("strand", "bad strand %q", f[5])
 	}
-	sr.chr = f[6]
-	pos, err := strconv.Atoi(f[7])
+	if sr.chr != string(f[6]) {
+		sr.chr = string(f[6])
+	}
+	pos, err := strconv.Atoi(string(f[7]))
 	if err != nil || pos < 1 {
 		return r, sr.errf("position", "bad position %q", f[7])
 	}
 	r.Pos = pos - 1
 
+	// The file holds sequencing orientation; a '-' strand read is stored
+	// reverse-complemented, its qualities reversed.
+	bases := make(dna.Sequence, length)
 	quals := make([]dna.Quality, length)
 	for i := 0; i < length; i++ {
-		c := f[2][i]
+		c := qual[i]
 		if c < qualOffset {
 			return r, sr.errf("quality", "bad quality character %q", c)
 		}
-		quals[i] = dna.ClampQuality(int(c) - qualOffset)
-	}
-	if r.Strand == 1 {
-		seq = seq.ReverseComplement()
-		for i, j := 0, len(quals)-1; i < j; i, j = i+1, j-1 {
-			quals[i], quals[j] = quals[j], quals[i]
+		at, b := i, baseOfASCII[seq[i]]
+		if r.Strand == 1 {
+			at, b = length-1-i, b.Complement()
 		}
+		bases[at], quals[at] = b, dna.ClampQuality(int(c)-qualOffset)
 	}
-	r.Bases = seq
+	r.Bases = bases
 	r.Quals = quals
 	return r, nil
 }
