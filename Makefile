@@ -10,14 +10,15 @@ GO ?= go
 
 # Every goroutine-spawning package runs under the race detector: the
 # schedulers, the prefetcher and its consumers, the parallel sort, the
-# simulated GPU device, the fault/checkpoint machinery, the gsnpd
+# simulated GPU device, the block writer that encodes its RLE-DICT columns
+# on it concurrently, the fault/checkpoint machinery, the gsnpd
 # service with its result cache and job journal, the shared genome-job
 # decomposition both front-ends use, and the gsnpd daemon itself (its
 # serve/signal goroutines). The list is audited against the tree:
 # `gsnplint -go-pkgs ./...` prints every package containing a go
 # statement, and TestRacePkgsCoverSpawningPackages fails when one is
 # missing here.
-RACE_PKGS = ./internal/pipeline ./internal/sched ./internal/gsnp ./internal/soapsnp ./internal/sortnet ./internal/faults ./internal/checkpoint ./internal/service ./internal/resultcache ./internal/genomejob ./internal/gpu ./internal/journal ./internal/align ./cmd/gsnpd
+RACE_PKGS = ./internal/pipeline ./internal/sched ./internal/gsnp ./internal/soapsnp ./internal/sortnet ./internal/faults ./internal/checkpoint ./internal/service ./internal/resultcache ./internal/genomejob ./internal/gpu ./internal/journal ./internal/align ./internal/snpio ./cmd/gsnpd
 
 # Per-target budget for the fuzz smoke pass.
 FUZZ_TIME ?= 10s
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzAppendFixed$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzJobSpec$$' -fuzztime $(FUZZ_TIME) ./internal/service
 	$(GO) test -fuzz 'FuzzRLEDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
+	$(GO) test -fuzz 'FuzzRLEDictEncodeGPU$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzSparseDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzUnpack2Bit$$' -fuzztime $(FUZZ_TIME) ./internal/compress

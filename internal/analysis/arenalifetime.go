@@ -17,10 +17,19 @@ import (
 // statement), which is exactly the compute-pool / runSharded shape.
 // Methods on the Arena itself are exempt — handing out grow-only
 // buffers is its API.
+//
+// The simulated GPU's lane cursor is held to the same rules as a pointer:
+// the *gpu.Thread a kernel is handed lives inside the recycled block
+// scratch — the one context stepped through every lane of a barrier-free
+// block, or a per-lane context reset for the next block — so a kernel
+// that parks it anywhere that outlives its own invocation — a field, a
+// channel, a variable of the function around the kernel — reads another
+// lane's, block's or launch's state through it.
 var ArenaLifetime = &Analyzer{
 	Name: "arenalifetime",
-	Doc: "flag arena-owned slices escaping the window lifetime: field " +
-		"stores, exported returns, channel sends, unscoped goroutine capture",
+	Doc: "flag arena-owned slices and the GPU lane cursor escaping their " +
+		"lifetime: field stores, exported returns, channel sends, " +
+		"unscoped goroutine capture, stores to variables outside the kernel",
 	Run: runArenaLifetime,
 }
 
@@ -65,6 +74,45 @@ func arenaRooted(info *types.Info, e ast.Expr, derived map[types.Object]bool) bo
 // arenaDerivedSlice reports whether e is a slice borrowed from the arena.
 func arenaDerivedSlice(info *types.Info, e ast.Expr, derived map[types.Object]bool) bool {
 	return isSlice(info.TypeOf(e)) && arenaRooted(info, e, derived)
+}
+
+// isLaneCursor reports whether e is a *gpu.Thread: the cursor inside a
+// block scratch (&sc.cur), a lane context of a kernel with barriers
+// (&sc.lanes[l]), or the parameter through which a kernel received either.
+func isLaneCursor(info *types.Info, e ast.Expr) bool {
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	p, ok := types.Unalias(t).(*types.Pointer)
+	return ok && isNamed(p.Elem(), "gpu", "Thread")
+}
+
+// borrowed names what e lends out of recycled memory — an arena-owned
+// slice or the lane cursor — or returns "" when it is neither.
+func borrowed(info *types.Info, e ast.Expr, derived map[types.Object]bool) string {
+	switch {
+	case isLaneCursor(info, e):
+		return "lane cursor"
+	case arenaDerivedSlice(info, e, derived):
+		return "arena-owned slice"
+	}
+	return ""
+}
+
+// outlivesFunc reports whether the variable id names is declared outside
+// the innermost function on the stack: a package-level variable, or one a
+// function literal captured from the function around it.
+func outlivesFunc(info *types.Info, id *ast.Ident, stack []ast.Node) bool {
+	v, ok := objOf(info, id).(*types.Var)
+	if !ok || v.IsField() {
+		return false
+	}
+	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		return true
+	}
+	lit, ok := enclosingFunc(stack).(*ast.FuncLit)
+	return ok && (v.Pos() < lit.Pos() || v.Pos() >= lit.End())
 }
 
 func runArenaLifetime(pass *Pass) {
@@ -121,25 +169,37 @@ func checkArenaFunc(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			for _, res := range n.Results {
-				if arenaDerivedSlice(info, res, derived) {
+				if what := borrowed(info, res, derived); what != "" {
 					pass.Reportf(res.Pos(),
-						"arena-owned slice returned from exported %s: the caller's view is overwritten when the next window recycles the arena", fd.Name.Name)
+						"%s returned from exported %s: the caller's view is overwritten when the next window recycles the arena", what, fd.Name.Name)
 				}
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
-				if len(n.Lhs) <= i || !arenaDerivedSlice(info, rhs, derived) {
+				if len(n.Lhs) <= i {
 					continue
 				}
-				if sel, ok := ast.Unparen(n.Lhs[i]).(*ast.SelectorExpr); ok && !arenaRooted(info, sel.X, derived) {
-					pass.Reportf(n.Pos(),
-						"arena-owned slice stored in field %s: the struct outlives the window that owns the memory", sel.Sel.Name)
+				what := borrowed(info, rhs, derived)
+				if what == "" {
+					continue
+				}
+				switch lhs := ast.Unparen(n.Lhs[i]).(type) {
+				case *ast.SelectorExpr:
+					if !arenaRooted(info, lhs.X, derived) {
+						pass.Reportf(n.Pos(),
+							"%s stored in field %s: the struct outlives the window that owns the memory", what, lhs.Sel.Name)
+					}
+				case *ast.Ident:
+					if what == "lane cursor" && outlivesFunc(info, lhs, stack) {
+						pass.Reportf(n.Pos(),
+							"lane cursor stored in %s, which outlives the kernel invocation: the Thread is reused for the next lane or block and recycled by the next launch", lhs.Name)
+					}
 				}
 			}
 		case *ast.SendStmt:
-			if arenaDerivedSlice(info, n.Value, derived) {
+			if what := borrowed(info, n.Value, derived); what != "" {
 				pass.Reportf(n.Pos(),
-					"arena-owned slice sent on a channel escapes the window lifetime")
+					"%s sent on a channel escapes the window lifetime", what)
 			}
 		case *ast.GoStmt:
 			checkArenaGo(pass, fd, n, derived)

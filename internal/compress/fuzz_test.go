@@ -3,6 +3,8 @@ package compress
 import (
 	"bytes"
 	"testing"
+
+	"gsnp/internal/gpu"
 )
 
 // Fuzz targets: the decoders must never panic or loop on adversarial
@@ -72,6 +74,48 @@ func FuzzUnpack2Bit(f *testing.F) {
 		// consumed prefix's payload bits.
 		if got, _, err := Unpack2Bit(Pack2Bit(vals)); err != nil || !bytes.Equal(got, vals) {
 			t.Fatalf("2-bit re-pack not canonical: %v", err)
+		}
+	})
+}
+
+// FuzzRLEDictEncodeGPU is differential: whatever the column, the device
+// encoder must produce the CPU encoder's bytes, and they must decode to the
+// input. The fuzzer's bytes are read as little-endian 16-bit values (the
+// width of the widest result column), so short inputs already produce runs,
+// repeated run lengths and dictionaries of more than one entry.
+func FuzzRLEDictEncodeGPU(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7, 0})
+	f.Add([]byte{1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 3, 0})
+	f.Add(bytes.Repeat([]byte{40, 0, 40, 0, 40, 0, 12, 0}, 90)) // spans two 256-lane blocks
+	// One device for every execution, as in a run: the encoder then also
+	// works on buffers and launch scratch recycled from other columns.
+	d := gpu.NewDevice(gpu.M2050())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<11 {
+			data = data[:1<<11] // a launch per bitonic pass: keep executions short
+		}
+		vals := make([]uint32, len(data)/2)
+		for i := range vals {
+			vals[i] = uint32(data[2*i]) | uint32(data[2*i+1])<<8
+		}
+		cpu := RLEDictEncode(vals)
+		d.ResetStats() // keep the launch log from growing
+		dev := RLEDictEncodeGPU(d, vals)
+		if !bytes.Equal(dev, cpu) {
+			t.Fatalf("GPU encoding (%d bytes) differs from CPU encoding (%d bytes) of %v", len(dev), len(cpu), vals)
+		}
+		back, n, err := RLEDictDecode(dev)
+		if err != nil || n != len(dev) {
+			t.Fatalf("decode: %v, consumed %d of %d bytes", err, n, len(dev))
+		}
+		if len(back) != len(vals) {
+			t.Fatalf("decoded %d values, want %d", len(back), len(vals))
+		}
+		for i := range vals {
+			if back[i] != vals[i] {
+				t.Fatalf("value %d decodes to %d, want %d", i, back[i], vals[i])
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 )
@@ -100,4 +101,82 @@ func BenchmarkRunWindowSimKernels(b *testing.B) {
 		sites += windowSites
 	}
 	b.ReportMetric(float64(sites)/b.Elapsed().Seconds(), "sites/s")
+}
+
+// BenchmarkLaunchOverhead measures what the simulator itself charges the
+// host for a launch whose kernels do nothing: 64 blocks of 256 lanes, in
+// the async and the phased (two-phase) form. ns/op divided by 16,384 is the
+// host cost of stepping one lane. Run at -cpu 1,2 to see what the dispatch
+// rule does with a second core.
+func BenchmarkLaunchOverhead(b *testing.B) {
+	cfg := LaunchConfig{Name: "empty", Grid: 64, Block: 256}
+	b.Run("async", func(b *testing.B) {
+		d := NewDevice(M2050())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.MustLaunch(cfg, func(t *Thread) {})
+		}
+	})
+	b.Run("phased", func(b *testing.B) {
+		d := NewDevice(M2050())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.MustLaunchPhased(cfg, 2, func(t *Thread, p int) bool { return p == 0 })
+		}
+	})
+}
+
+// BenchmarkSortU32 sorts 32 K keys with the device-wide bitonic network:
+// 120 bitonic_global launches of 64 blocks each, the launch shape that
+// dominates the RLE-DICT encoder of the compressed output path.
+func BenchmarkSortU32(b *testing.B) {
+	const n = 32 << 10
+	d := NewDevice(M2050())
+	keys := make([]uint32, n)
+	x := uint32(2463534242)
+	for i := range keys {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		keys[i] = x
+	}
+	buf := Alloc[uint32](d, n)
+	defer buf.Free()
+	b.ReportAllocs()
+	b.SetBytes(4 * n)
+	for i := 0; i < b.N; i++ {
+		copy(buf.Host(), keys)
+		SortU32(d, buf)
+	}
+}
+
+// BenchmarkFanoutBreakEven is the measurement behind minFanoutLanes: one
+// pass of a cheap load/compare/store kernel at three launch sizes, run
+// inline and forced onto two goroutines. Meaningful at -cpu 2 or more.
+func BenchmarkFanoutBreakEven(b *testing.B) {
+	for _, lanes := range []int{16 << 10, 64 << 10, 256 << 10} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("lanes=%dK/workers=%d", lanes>>10, workers), func(b *testing.B) {
+				d := NewDevice(M2050())
+				d.forceWorkers = workers
+				buf := Alloc[uint32](d, 2*lanes)
+				defer buf.Free()
+				cfg := LaunchConfig{Name: "compare_exchange", Grid: lanes / primBlock, Block: primBlock}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					d.MustLaunch(cfg, func(t *Thread) {
+						i := 2 * t.GlobalID()
+						t.Exec(5)
+						if x, y := Ld(t, buf, i), Ld(t, buf, i+1); x > y {
+							St(t, buf, i, y)
+							St(t, buf, i+1, x)
+						}
+					})
+					if i%64 == 63 {
+						d.ResetStats() // keep the launch log from growing
+					}
+				}
+			})
+		}
+	}
 }

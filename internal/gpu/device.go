@@ -28,9 +28,18 @@ type Device struct {
 	// between launches can never be polluted by in-flight work.
 	gen uint64
 
+	// inflight counts the launches currently executing; a launch that
+	// finds another one running does not fan out (see fanout).
+	inflight atomic.Int32
+	// forceWorkers pins the host goroutine count of every launch,
+	// bypassing the fanout rule (1 = always inline). Test seam: the
+	// helper path must be exercisable on a one-core host and on launches
+	// below minFanoutLanes.
+	forceWorkers int
+
 	// scratch and bufFree are the device-side arena of the recycle
-	// component: scratch recycles per-block execution state (thread
-	// contexts, shared memory, sample storage) across launches, and
+	// component: scratch recycles per-block execution state (the lane
+	// cursor, shared memory, per-lane side arrays) across launches, and
 	// bufFree recycles buffer backing storage keyed by element size.
 	// Steady-state launches and allocations touch neither the Go heap
 	// nor the garbage collector.
@@ -165,6 +174,45 @@ func (d *Device) MustLaunchPhased(cfg LaunchConfig, phases int, kernel PhasedKer
 	return ls
 }
 
+// launchSpec is one validated launch: its geometry and exactly one of the
+// two kernel forms.
+type launchSpec struct {
+	LaunchConfig
+	kernel Kernel
+	phased PhasedKernel
+	phases int
+}
+
+// minFanoutLanes is the launch size, in lane invocations (grid x block x
+// phases), from which a launch is spread over the host's cores; anything
+// smaller runs inline on the launching goroutine. BenchmarkFanoutBreakEven
+// on the 2-core bench host, a cheap kernel (~8 ns a lane) inline against
+// two goroutines: 16 K lanes 129 against 151-164 us, 64 K lanes 506
+// against 374-384 us, 256 K lanes 2.02 against 1.19-1.25 ms. The
+// break-even is near 32 K lanes, a launch of about 250 us: waking a parked
+// core and joining the helper costs tens of microseconds, and when the
+// host has taken the second core away the helper waits a millisecond or
+// more. The constant sits at twice the break-even. Every bitonic_global
+// launch of the output codec at the bench's window size falls below it,
+// every kernel of the window pipeline above it.
+const minFanoutLanes = 1 << 16
+
+// fanout decides how many host goroutines run the blocks of a launch. A
+// launch fans out only when it is large (minFanoutLanes) and alone on the
+// device: when several goroutines are launching — the concurrent column
+// encoders of snpio.BlockWriter — they already occupy the cores, and
+// helpers would only queue behind them.
+func (d *Device) fanout(sp *launchSpec, alone bool) int {
+	w := d.forceWorkers
+	if w == 0 {
+		w = 1
+		if alone && sp.Grid*sp.Block*max(sp.phases, 1) >= minFanoutLanes {
+			w = runtime.GOMAXPROCS(0)
+		}
+	}
+	return min(w, sp.Grid)
+}
+
 // launch is the common body of Launch and LaunchPhased: exactly one of
 // kernel and phased is non-nil.
 func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, phases int) (LaunchStats, error) {
@@ -185,39 +233,32 @@ func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, ph
 	gen := d.gen
 	d.mu.Unlock()
 
+	alone := d.inflight.Add(1) == 1
+	defer d.inflight.Add(-1)
+
+	sp := &launchSpec{LaunchConfig: cfg, kernel: kernel, phased: phased, phases: phases}
 	var acc launchAccumulator
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Grid {
-		workers = cfg.Grid
-	}
-	if workers <= 1 {
-		// Single-worker fast path: blocks run inline on the launching
-		// goroutine with one recycled scratch — the steady state on a
-		// single-CPU host is completely goroutine- and allocation-free.
-		sc := d.getScratch()
-		for bid := 0; bid < cfg.Grid; bid++ {
-			d.runBlockCaught(cfg, kernel, phased, phases, bid, &acc, sc)
-		}
-		d.putScratch(sc)
+	if workers := d.fanout(sp, alone); workers <= 1 {
+		d.runRange(sp, 0, cfg.Grid, &acc)
 	} else {
-		var next atomic.Int64
+		// Static contiguous block ranges, one private accumulator each.
+		// The launching goroutine takes range 0 (and with it block 0, the
+		// coalescing sample); helpers take the rest and are joined before
+		// their accumulators are merged, in range order.
+		helpers := make([]launchAccumulator, workers-1)
 		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		wg.Add(len(helpers))
+		for w := range helpers {
 			go func() {
 				defer wg.Done()
-				sc := d.getScratch()
-				defer d.putScratch(sc)
-				for {
-					bid := int(next.Add(1)) - 1
-					if bid >= cfg.Grid {
-						return
-					}
-					d.runBlockCaught(cfg, kernel, phased, phases, bid, &acc, sc)
-				}
+				d.runRange(sp, (w+1)*cfg.Grid/workers, (w+2)*cfg.Grid/workers, &helpers[w])
 			}()
 		}
+		d.runRange(sp, 0, cfg.Grid/workers, &acc)
 		wg.Wait()
+		for w := range helpers {
+			acc.merge(&helpers[w])
+		}
 	}
 	if acc.panicked != nil {
 		panic(acc.panicked)
@@ -227,36 +268,48 @@ func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, ph
 	return ls, nil
 }
 
-// launchAccumulator gathers counters and the coalescing sample across
-// blocks of a single launch.
+// launchAccumulator gathers counters and the coalescing sample across the
+// blocks one host goroutine ran. It is owned by that goroutine; the
+// launcher merges the helpers' accumulators after joining them.
 type launchAccumulator struct {
-	mu           sync.Mutex
 	stats        Stats
 	sampleTrans  int64 // transactions observed in the sample block
 	sampleWarpMI int64 // warp memory instructions observed in the sample block
-	panicked     any   // first kernel panic, re-raised by Launch
+	panicked     any   // first kernel panic, re-raised by launch
 }
 
-func (a *launchAccumulator) add(s Stats, trans, warpMI int64) {
-	a.mu.Lock()
-	a.stats.Add(s)
-	a.sampleTrans += trans
-	a.sampleWarpMI += warpMI
-	a.mu.Unlock()
+func (a *launchAccumulator) merge(o *launchAccumulator) {
+	a.stats.Add(o.stats)
+	a.sampleTrans += o.sampleTrans
+	a.sampleWarpMI += o.sampleWarpMI
+	if a.panicked == nil {
+		a.panicked = o.panicked
+	}
 }
 
-// blockScratch is the recycled per-block execution state: the thread
-// contexts, shared-memory arrays, coalescing-sample storage (block 0) and
-// the legacy sync barrier. One scratch serves one host worker at a time
-// and returns to the device free-list after the launch, so steady-state
-// launches allocate nothing. Everything a scratch owns is valid only while
-// its block runs — nothing may escape the launch.
+// blockScratch is the recycled per-block execution state. A barrier-free
+// kernel runs through cur, the lane cursor: one Thread stepped through all
+// lanes of the block, where only the issued-instruction count (instr, for
+// the warp accounting) and the coalescing-sample stream of block 0 are kept
+// per lane. Kernels with barriers suspend every lane at every barrier, so
+// they get a Thread per lane (lanes): the phased runner walks them in
+// lockstep, the Sync runner gives each its goroutine. One scratch serves
+// one host goroutine at a time and returns to the device free-list after
+// the launch, so steady-state launches allocate nothing. Everything a
+// scratch owns — the Thread a kernel is handed included — is valid only
+// while its block runs; nothing may escape the launch.
 type blockScratch struct {
 	rt      blockRT
-	threads []Thread
+	cur     Thread
+	instr   []int64
 	samples [][]int64
-	retired []bool
-	bar     *barrier
+
+	lanes []Thread
+	// lanesSet reports that the block-invariant fields of lanes hold this
+	// launch's values; runRange clears it when it takes the scratch.
+	lanesSet bool
+	retired  []bool
+	bar      *barrier
 }
 
 // getScratch pops a recycled block scratch, or makes an empty one.
@@ -288,113 +341,147 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// runRange runs blocks [lo, hi) of the launch on one recycled scratch.
+func (d *Device) runRange(sp *launchSpec, lo, hi int, acc *launchAccumulator) {
+	sc := d.getScratch()
+	defer d.putScratch(sc)
+	sc.lanesSet = false
+	for bid := lo; bid < hi; bid++ {
+		d.runBlockCaught(sp, bid, acc, sc)
+	}
+}
+
 // runBlockCaught runs one block, trapping a kernel panic in acc so it
 // surfaces on the launching goroutine after the remaining blocks drain,
 // not on an anonymous worker.
-func (d *Device) runBlockCaught(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, phases, bid int, acc *launchAccumulator, sc *blockScratch) {
+func (d *Device) runBlockCaught(sp *launchSpec, bid int, acc *launchAccumulator, sc *blockScratch) {
 	defer func() {
-		if r := recover(); r != nil {
-			acc.mu.Lock()
-			if acc.panicked == nil {
-				acc.panicked = r
-			}
-			acc.mu.Unlock()
+		if r := recover(); r != nil && acc.panicked == nil {
+			acc.panicked = r
 		}
 	}()
-	d.runBlock(cfg, kernel, phased, phases, bid, acc, sc)
+	d.runBlock(sp, bid, acc, sc)
 }
 
 // runBlock executes one block of the launch on the recycled scratch.
-func (d *Device) runBlock(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, phases, bid int, acc *launchAccumulator, sc *blockScratch) {
+func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *blockScratch) {
 	rt := &sc.rt
 	rt.dev = d
 	// Blocks observe freshly zeroed shared memory, exactly as the
 	// per-block make calls used to guarantee.
-	rt.sharedF64 = grow(rt.sharedF64, cfg.SharedF64)
+	rt.sharedF64 = grow(rt.sharedF64, sp.SharedF64)
 	clear(rt.sharedF64)
-	rt.sharedU32 = grow(rt.sharedU32, cfg.SharedU32)
+	rt.sharedU32 = grow(rt.sharedU32, sp.SharedU32)
 	clear(rt.sharedU32)
 
-	sc.threads = grow(sc.threads, cfg.Block)
-	threads := sc.threads
+	n := sp.Block
+	sc.instr = grow(sc.instr, n)
 	// Block 0 is the coalescing sample, as in a sampling profiler.
 	sampling := bid == 0
 	if sampling {
-		for len(sc.samples) < cfg.Block {
-			sc.samples = append(sc.samples, nil)
+		for len(sc.samples) < n {
+			sc.samples = append(sc.samples, make([]int64, 0, 256))
 		}
-	}
-	for l := range threads {
-		t := &threads[l]
-		*t = Thread{Dev: d, Block: bid, Lane: l, BlockDim: cfg.Block, GridDim: cfg.Grid, block: rt}
-		if sampling {
-			if sc.samples[l] == nil {
-				sc.samples[l] = make([]int64, 0, 256)
-			}
-			t.sample = sc.samples[l][:0]
-		}
-	}
-
-	switch {
-	case phased != nil:
-		// Sequential lockstep: all live lanes run phase p before any lane
-		// sees phase p+1 — the barrier is the iteration order. A lane
-		// returning true pays the barrier cost it just arrived at; a lane
-		// returning false retires silently, like a kernel body returning.
-		sc.retired = grow(sc.retired, cfg.Block)
-		clear(sc.retired)
-		alive := cfg.Block
-		for p := 0; p < phases && alive > 0; p++ {
-			for l := range threads {
-				if sc.retired[l] {
-					continue
-				}
-				t := &threads[l]
-				if phased(t, p) {
-					t.instr += syncCost
-				} else {
-					sc.retired[l] = true
-					alive--
-				}
-			}
-		}
-	case cfg.Sync:
-		if sc.bar == nil {
-			sc.bar = newBarrier(cfg.Block)
-		} else {
-			sc.bar.reset(cfg.Block)
-		}
-		rt.bar = sc.bar
-		var wg sync.WaitGroup
-		wg.Add(cfg.Block)
-		for l := range threads {
-			go func(t *Thread) {
-				defer wg.Done()
-				defer rt.bar.leave()
-				defer func() {
-					if r := recover(); r != nil {
-						acc.mu.Lock()
-						if acc.panicked == nil {
-							acc.panicked = r
-						}
-						acc.mu.Unlock()
-					}
-				}()
-				kernel(t)
-			}(&threads[l])
-		}
-		wg.Wait()
-		rt.bar = nil
-	default:
-		for l := range threads {
-			kernel(&threads[l])
+		for l := range sc.samples[:n] {
+			sc.samples[l] = sc.samples[l][:0]
 		}
 	}
 
 	var s Stats
-	for l := range threads {
-		t := &threads[l]
-		s.Instructions += t.instr
+	switch {
+	case sp.phased != nil:
+		d.resetLanes(sp, bid, sc, sampling)
+		runLanesPhased(sp, sc)
+		s = sumLanes(sc, sampling)
+	case sp.Sync:
+		d.resetLanes(sp, bid, sc, sampling)
+		runLanesSync(sp.kernel, sc)
+		s = sumLanes(sc, sampling)
+	default:
+		sc.cur = Thread{Dev: d, Block: bid, BlockDim: n, GridDim: sp.Grid, block: rt}
+		runLanesAsync(sp.kernel, sc, n, sampling)
+		t := &sc.cur
+		s = Stats{
+			GlobalLoads: t.gld, GlobalStores: t.gst,
+			GlobalLoadBytes: t.gldB, GlobalStoreBytes: t.gstB,
+			SharedLoads: t.sld, SharedStores: t.sst,
+			ConstLoads: t.cld,
+		}
+	}
+
+	// SIMT issue accounting: a warp occupies its issue slots for as long
+	// as its longest-running lane.
+	ws := d.cfg.WarpSize
+	var instr, warpInstr int64
+	for w0 := 0; w0 < n; w0 += ws {
+		var maxInstr int64
+		for _, in := range sc.instr[w0:min(w0+ws, n)] {
+			instr += in
+			maxInstr = max(maxInstr, in)
+		}
+		warpInstr += maxInstr
+	}
+	s.Instructions, s.WarpInstructions = instr, warpInstr
+	acc.stats.Add(s)
+	if sampling {
+		trans, warpMI := d.coalesce(sc.samples[:n])
+		acc.sampleTrans += trans
+		acc.sampleWarpMI += warpMI
+	}
+}
+
+// runLanesAsync runs a barrier-free kernel over the lanes of one block, in
+// lane order, through the cursor: the block-invariant fields were set by
+// the caller, Lane is stepped here, and the sum-only counters simply keep
+// counting across lanes.
+func runLanesAsync(kernel Kernel, sc *blockScratch, n int, sampling bool) {
+	t := &sc.cur
+	for l := 0; l < n; l++ {
+		t.Lane = l
+		t.Reg = [2]uint64{}
+		t.instr = 0
+		if sampling {
+			t.sample = sc.samples[l]
+		}
+		kernel(t)
+		sc.instr[l] = t.instr
+		if sampling {
+			sc.samples[l] = t.sample
+		}
+	}
+}
+
+// resetLanes readies one Thread per lane for a block of a kernel with
+// barriers. The block-invariant fields are written once per range; a block
+// then costs a dozen stores a lane, not a copy of the whole context.
+func (d *Device) resetLanes(sp *launchSpec, bid int, sc *blockScratch, sampling bool) {
+	if !sc.lanesSet {
+		sc.lanes = grow(sc.lanes, sp.Block)
+		for l := range sc.lanes {
+			sc.lanes[l] = Thread{Dev: d, Lane: l, BlockDim: sp.Block, GridDim: sp.Grid, block: &sc.rt}
+		}
+		sc.lanesSet = true
+	}
+	for l := range sc.lanes {
+		t := &sc.lanes[l]
+		t.Block = bid
+		t.Reg = [2]uint64{}
+		t.instr, t.gld, t.gst, t.gldB, t.gstB, t.sld, t.sst, t.cld = 0, 0, 0, 0, 0, 0, 0, 0
+		t.sample = nil
+		if sampling {
+			t.sample = sc.samples[l]
+		}
+	}
+}
+
+// sumLanes collects what the lanes of a finished block metered: the
+// per-lane instruction counts and sample streams into the scratch's side
+// arrays, the sum-only counters into the returned Stats.
+func sumLanes(sc *blockScratch, sampling bool) Stats {
+	var s Stats
+	for l := range sc.lanes {
+		t := &sc.lanes[l]
+		sc.instr[l] = t.instr
 		s.GlobalLoads += t.gld
 		s.GlobalStores += t.gst
 		s.GlobalLoadBytes += t.gldB
@@ -402,60 +489,99 @@ func (d *Device) runBlock(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, 
 		s.SharedLoads += t.sld
 		s.SharedStores += t.sst
 		s.ConstLoads += t.cld
-	}
-	// SIMT issue accounting: a warp occupies its issue slots for as long
-	// as its longest-running lane.
-	ws := d.cfg.WarpSize
-	for w0 := 0; w0 < len(threads); w0 += ws {
-		w1 := w0 + ws
-		if w1 > len(threads) {
-			w1 = len(threads)
-		}
-		var maxInstr int64
-		for l := w0; l < w1; l++ {
-			if threads[l].instr > maxInstr {
-				maxInstr = threads[l].instr
-			}
-		}
-		s.WarpInstructions += maxInstr
-	}
-	var trans, warpMI int64
-	if sampling {
-		trans, warpMI = d.coalesce(threads)
-		for l := range threads {
-			// Keep any capacity the sample streams grew for the next
-			// sampled block.
-			sc.samples[l] = threads[l].sample
+		if sampling {
+			sc.samples[l] = t.sample
 		}
 	}
-	acc.add(s, trans, warpMI)
+	return s
 }
 
-// coalesce analyses the sampled global-access address streams of one block.
-// The k-th access of each lane in a warp forms one SIMT memory instruction;
+// runLanesPhased runs a phased kernel in sequential lockstep: all live
+// lanes run phase p before any lane sees phase p+1 — the barrier is the
+// iteration order. A lane returning true pays the barrier cost it just
+// arrived at; a lane returning false retires silently, like a kernel body
+// returning.
+func runLanesPhased(sp *launchSpec, sc *blockScratch) {
+	lanes := sc.lanes
+	sc.retired = grow(sc.retired, len(lanes))
+	retired := sc.retired
+	clear(retired)
+	alive := len(lanes)
+	for p := 0; p < sp.phases && alive > 0; p++ {
+		for l := range lanes {
+			if retired[l] {
+				continue
+			}
+			t := &lanes[l]
+			if sp.phased(t, p) {
+				t.instr += syncCost
+			} else {
+				retired[l] = true
+				alive--
+			}
+		}
+	}
+}
+
+// runLanesSync runs a Thread.Sync kernel with one goroutine per lane,
+// joined by a cyclic barrier. No production kernel uses it; it stays as
+// the accounting oracle the other two runners are tested against.
+func runLanesSync(kernel Kernel, sc *blockScratch) {
+	if sc.bar == nil {
+		sc.bar = newBarrier(len(sc.lanes))
+	} else {
+		sc.bar.reset(len(sc.lanes))
+	}
+	sc.rt.bar = sc.bar
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	)
+	wg.Add(len(sc.lanes))
+	for l := range sc.lanes {
+		go func(t *Thread) {
+			defer wg.Done()
+			defer sc.bar.leave()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = r
+					}
+					mu.Unlock()
+				}
+			}()
+			kernel(t)
+		}(&sc.lanes[l])
+	}
+	wg.Wait()
+	sc.rt.bar = nil
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
+// coalesce analyses the sampled global-access address streams of one block,
+// one stream per lane. The k-th access of each lane in a warp forms one SIMT memory instruction;
 // its cost is the number of distinct SegmentBytes-sized segments touched.
-func (d *Device) coalesce(threads []Thread) (transactions, warpMemInst int64) {
+func (d *Device) coalesce(samples [][]int64) (transactions, warpMemInst int64) {
 	ws := d.cfg.WarpSize
 	seg := int64(d.cfg.SegmentBytes)
-	for w0 := 0; w0 < len(threads); w0 += ws {
-		w1 := w0 + ws
-		if w1 > len(threads) {
-			w1 = len(threads)
-		}
+	for w0 := 0; w0 < len(samples); w0 += ws {
+		warp := samples[w0:min(w0+ws, len(samples))]
 		maxLen := 0
-		for l := w0; l < w1; l++ {
-			if len(threads[l].sample) > maxLen {
-				maxLen = len(threads[l].sample)
-			}
+		for _, lane := range warp {
+			maxLen = max(maxLen, len(lane))
 		}
 		var segs [64]int64 // distinct segments of one warp instruction
 		for k := 0; k < maxLen; k++ {
 			n := 0
-			for l := w0; l < w1; l++ {
-				if k >= len(threads[l].sample) {
+			for _, lane := range warp {
+				if k >= len(lane) {
 					continue
 				}
-				s := threads[l].sample[k] / seg
+				s := lane[k] / seg
 				dup := false
 				for i := 0; i < n; i++ {
 					if segs[i] == s {

@@ -175,9 +175,10 @@ func AtomicAddU32(t *Thread, b *Buffer[uint32], i int, delta uint32) uint32 {
 // memory is cached on-chip; loads are metered as instructions and constant
 // loads but never contribute global-memory transactions.
 type ConstBuffer[T any] struct {
-	dev   *Device
-	data  []T
-	freed bool
+	dev       *Device
+	data      []T
+	freed     bool
+	transient bool
 }
 
 // NewConst uploads data to constant memory. It returns an error when the
@@ -185,6 +186,17 @@ type ConstBuffer[T any] struct {
 // whether to fall back to global memory, as GSNP's DICT dictionaries do.
 // Like Alloc, it recycles freed backing storage from the device free-list.
 func NewConst[T any](dev *Device, data []T) (*ConstBuffer[T], error) {
+	return newConst(dev, data, false)
+}
+
+// newConst uploads data to constant memory. A transient buffer is resident
+// only for the launch it is uploaded for (the DICT search dictionary): it
+// must fit beside the persistent allocations, but it is not charged against
+// other uploads. Launches execute one after another on the simulated
+// device, so two host goroutines searching at once are not two dictionaries
+// resident at once, and whether a search gets constant memory must not
+// depend on how the host scheduled them.
+func newConst[T any](dev *Device, data []T, transient bool) (*ConstBuffer[T], error) {
 	var zero T
 	es := int64(unsafe.Sizeof(zero))
 	bytes := int(es) * len(data)
@@ -194,7 +206,9 @@ func NewConst[T any](dev *Device, data []T) (*ConstBuffer[T], error) {
 		dev.mu.Unlock()
 		return nil, fmt.Errorf("gpu: constant memory exhausted: %d B requested, %d/%d B in use", bytes, used, dev.cfg.ConstMemBytes)
 	}
-	dev.constUsed += bytes
+	if !transient {
+		dev.constUsed += bytes
+	}
 	cp := takeStorage[T](dev, es, len(data))
 	dev.mu.Unlock()
 	if cp == nil {
@@ -202,7 +216,7 @@ func NewConst[T any](dev *Device, data []T) (*ConstBuffer[T], error) {
 	}
 	copy(cp, data)
 	dev.advanceCopy(int64(bytes), true)
-	return &ConstBuffer[T]{dev: dev, data: cp}, nil
+	return &ConstBuffer[T]{dev: dev, data: cp, transient: transient}, nil
 }
 
 // Free releases the constant-memory accounting of cb exactly once and
@@ -218,7 +232,9 @@ func (cb *ConstBuffer[T]) Free() {
 	es := int64(unsafe.Sizeof(zero))
 	bytes := int(es) * len(cb.data)
 	cb.dev.mu.Lock()
-	cb.dev.constUsed -= bytes
+	if !cb.transient {
+		cb.dev.constUsed -= bytes
+	}
 	if cap(cb.data) > 0 {
 		cb.dev.putStorage(es, cb.data)
 	}

@@ -251,7 +251,7 @@ func BatchBinarySearchU32(d *Device, keys *Buffer[uint32], dict []uint32, out *B
 	}
 	grid := (n + primBlock - 1) / primBlock
 
-	cb, err := NewConst(d, dict)
+	cb, err := newConst(d, dict, true)
 	if err == nil {
 		defer cb.Free()
 		d.MustLaunch(LaunchConfig{Name: "dict_search_const", Grid: grid, Block: primBlock}, func(t *Thread) {

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -215,17 +214,26 @@ func TestLaunchPhasedValidation(t *testing.T) {
 // channel so the interleaving is deterministic; run with -race this also
 // exercises the locking of the handoff.
 func TestResetStatsInFlightLaunch(t *testing.T) {
+	// Inline, and with the gated block on a helper goroutine.
+	for _, workers := range []int{1, 2} {
+		testResetStatsInFlight(t, workers)
+	}
+}
+
+func testResetStatsInFlight(t *testing.T, workers int) {
 	d := testDevice()
+	d.forceWorkers = workers
 	started := make(chan struct{})
 	release := make(chan struct{})
-	var once sync.Once
 	var ls LaunchStats
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ls = d.MustLaunch(LaunchConfig{Name: "gated", Grid: 1, Block: 1}, func(t *Thread) {
+		ls = d.MustLaunch(LaunchConfig{Name: "gated", Grid: workers, Block: 1}, func(t *Thread) {
 			t.Exec(3)
-			once.Do(func() { close(started) })
+			if t.Block == workers-1 {
+				close(started)
+			}
 			<-release
 		})
 	}()
@@ -234,8 +242,8 @@ func TestResetStatsInFlightLaunch(t *testing.T) {
 	close(release)
 	<-done
 
-	if got := ls.Stats.Instructions; got != 3 {
-		t.Errorf("in-flight launch returned Instructions=%d, want 3", got)
+	if got := ls.Stats.Instructions; got != int64(3*workers) {
+		t.Errorf("in-flight launch returned Instructions=%d, want %d", got, 3*workers)
 	}
 	after := d.Stats()
 	if after.Kernels != 0 || after.Instructions != 0 {

@@ -751,11 +751,11 @@ func (s *Server) follow(js *jobState) {
 	}
 }
 
-// finalize moves a job to its final state: the terminating stream record
-// is appended, waiters wake, the done channel closes, the terminal state
-// is journaled (when a journal is active), and the job's spool/work
-// directories are removed. Exactly one finalize happens per job, whatever
-// path resolved it.
+// finalize moves a job to its final state: the terminal state is journaled
+// (when a journal is active), the job's spool/work directories are removed,
+// the terminating stream record is appended, waiters wake and the done
+// channel closes. Exactly one finalize happens per job, whatever path
+// resolved it.
 func (s *Server) finalize(js *jobState, state string) {
 	// Durable-before-visible, and before done closes: Drain treats a
 	// closed done channel as "this job is settled" and may then close the
@@ -770,6 +770,13 @@ func (s *Server) finalize(js *jobState, state string) {
 			keepDirs = true
 		}
 	}
+	// Clean-before-visible: a client that has read the final record must
+	// not find the job's directories still there. Every output it can ask
+	// for is already in js.stream; nothing reads the dirs after this.
+	if !keepDirs {
+		s.removeDir("job "+js.id+" spool dir", js.dir)
+		s.removeDir("job "+js.id+" work dir", js.workdir)
+	}
 	js.mu.Lock()
 	js.state = state
 	js.finished = true
@@ -783,10 +790,6 @@ func (s *Server) finalize(js *jobState, state string) {
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()
-	}
-	if !keepDirs {
-		s.removeDir("job "+js.id+" spool dir", js.dir)
-		s.removeDir("job "+js.id+" work dir", js.workdir)
 	}
 	s.cfg.Logf("job %s: %s", js.id, state)
 }

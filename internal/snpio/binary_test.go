@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gsnp/internal/gpu"
@@ -125,6 +128,96 @@ func TestBlockWriterGPUByteIdentical(t *testing.T) {
 	if !bytes.Equal(cpu.Bytes(), dev.Bytes()) {
 		t.Error("GPU-compressed container differs from CPU-compressed container")
 	}
+}
+
+// writeBlocks runs windows through w and returns the container bytes.
+func writeBlocks(t *testing.T, w *BlockWriter, buf *bytes.Buffer, windows [][]Row) []byte {
+	t.Helper()
+	for _, rows := range windows {
+		if err := w.WriteBlock(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBlockWriterGPUConcurrentColumns: with a device the six RLE-DICT
+// columns are encoded on up to GOMAXPROCS goroutines. At every setting the
+// container equals the CPU writer's byte for byte, and the device has run
+// the same program as a serial encode: equal integer counters, equal launch
+// counts per kernel. The windows shrink and grow again, so the writer's
+// grow-only column staging is reused with stale contents behind it (the
+// genotype column is written only where it differs from the reference).
+func TestBlockWriterGPUConcurrentColumns(t *testing.T) {
+	windows := [][]Row{
+		makeRows("chr7", 1, 3000, 21),
+		makeRows("chr7", 3001, 700, 22),
+		makeRows("chr7", 3701, 5200, 23),
+	}
+	for i := range windows[0] { // a SNP-dense first window: stale genotypes for the next two
+		if i%3 == 0 {
+			windows[0][i].Genotype = 'Y'
+		}
+	}
+	var cpu bytes.Buffer
+	want := writeBlocks(t, NewBlockWriter(&cpu), &cpu, windows)
+	decoded, err := ReadAllBlocks(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all := slices.Concat(windows...); !slices.Equal(decoded, all) {
+		t.Fatal("container written through reused column staging does not decode to its rows")
+	}
+
+	type deviceProgram struct {
+		counters gpu.Stats
+		launches map[string]int
+	}
+	encode := func(procs int) deviceProgram {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d := gpu.NewDevice(gpu.M2050())
+		var buf bytes.Buffer
+		if got := writeBlocks(t, NewBlockWriterGPU(&buf, d), &buf, windows); !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: GPU-compressed container differs from the CPU-compressed one", procs)
+		}
+		p := deviceProgram{counters: d.Stats(), launches: map[string]int{}}
+		// Simulated seconds are a float sum over the launches, and the
+		// order of the summands follows the host schedule.
+		p.counters.SimSeconds = 0
+		for _, ls := range d.Launches() {
+			p.launches[ls.Name]++
+		}
+		return p
+	}
+	serial := encode(1)
+	if serial.counters.Kernels == 0 || serial.launches["bitonic_global"] == 0 {
+		t.Fatalf("serial encode ran nothing on the device: %+v", serial)
+	}
+	for _, procs := range []int{2, 4} {
+		if got := encode(procs); !reflect.DeepEqual(got, serial) {
+			t.Errorf("GOMAXPROCS=%d: device program differs from the serial encode:\n got %+v\nwant %+v", procs, got, serial)
+		}
+	}
+}
+
+// TestBlockWriterGPUPanicReachesCaller: a device failure inside a column
+// goroutine must surface in WriteBlock's caller, where the engine's window
+// quarantine can contain it.
+func TestBlockWriterGPUPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// Too little device memory for the codec's buffers: Alloc panics.
+	d := gpu.NewDevice(gpu.Config{GlobalMemBytes: 1 << 10})
+	var buf bytes.Buffer
+	w := NewBlockWriterGPU(&buf, d)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("WriteBlock returned normally on a device that cannot hold a column")
+		}
+	}()
+	w.WriteBlock(makeRows("chr7", 1, 2000, 5))
 }
 
 func TestBlockWriterValidation(t *testing.T) {

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"gsnp/internal/compress"
 	"gsnp/internal/dna"
@@ -61,6 +64,56 @@ type BlockWriter struct {
 	dev    *gpu.Device
 	wrote  bool
 	blocks int
+
+	// Column staging and the assembled payload of the block being
+	// written. Grow-only, like gsnp.Arena: capacity persists from one
+	// window's block to the next.
+	cols    blockCols
+	payload []byte
+}
+
+// blockCols holds one block's rows transposed into columns.
+type blockCols struct {
+	ref, best []uint8
+	geno      []uint32 // 0 = hom-ref default, else IUPAC byte
+	second    []uint32
+	avgQ2     []uint32
+	cnt2      []uint32
+	uniq2     []uint32
+	rank      []uint32
+	db        []uint32
+	// rleDict are the six quality-related columns, in payload order:
+	// consensus quality, avg quality best, count best, count-uniq best,
+	// depth, copy number.
+	rleDict [6][]uint32
+}
+
+const (
+	colQual = iota
+	colAvgQ1
+	colCnt1
+	colUniq1
+	colDepth
+	colCopy
+)
+
+// grow returns s with length n, reusing capacity when possible. Contents
+// are unspecified; every column is overwritten in full.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (c *blockCols) resize(n int) {
+	c.ref, c.best = grow(c.ref, n), grow(c.best, n)
+	for _, col := range []*[]uint32{&c.geno, &c.second, &c.avgQ2, &c.cnt2, &c.uniq2, &c.rank, &c.db} {
+		*col = grow(*col, n)
+	}
+	for i := range c.rleDict {
+		c.rleDict[i] = grow(c.rleDict[i], n)
+	}
 }
 
 // NewBlockWriter creates a CPU-compressing writer.
@@ -77,12 +130,62 @@ func NewBlockWriterGPU(w io.Writer, dev *gpu.Device) *BlockWriter {
 // Blocks returns the number of blocks written.
 func (w *BlockWriter) Blocks() int { return w.blocks }
 
-// rleDict dispatches a quality-related column to the CPU or GPU encoder.
-func (w *BlockWriter) rleDict(vals []uint32) []byte {
+// encodeRLEDict encodes the six quality-related columns. On the device
+// each column is a chain of dependent launches (run flags, scan, scatter,
+// then sort + unique + search for the run values and again for the run
+// lengths; some 270 of them for a 100,000-site window), nearly all too
+// small to be worth spreading over the host's cores — but the six chains
+// are independent, so they run on up to GOMAXPROCS goroutines, joined
+// before the payload is assembled in column order. The encoded bytes do
+// not depend on the interleaving, and neither do the device's counters,
+// which are sums over the launches.
+func (w *BlockWriter) encodeRLEDict(cols *[6][]uint32) (enc [6][]byte) {
+	encode, workers := compress.RLEDictEncode, 1
 	if w.dev != nil {
-		return compress.RLEDictEncodeGPU(w.dev, vals)
+		encode = func(col []uint32) []byte { return compress.RLEDictEncodeGPU(w.dev, col) }
+		workers = min(runtime.GOMAXPROCS(0), len(cols))
 	}
-	return compress.RLEDictEncode(vals)
+	if workers <= 1 {
+		for i, col := range cols {
+			enc[i] = encode(col)
+		}
+		return enc
+	}
+	var (
+		next     atomic.Int32
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			// A kernel panic must reach WriteBlock's caller, which may
+			// quarantine the window, not kill the process from here.
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = r
+					}
+					mu.Unlock()
+				}
+			}()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cols) {
+					return
+				}
+				enc[i] = encode(cols[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return enc
 }
 
 // baseCode converts a base letter to its 2-bit code; N and other letters
@@ -131,62 +234,53 @@ func (w *BlockWriter) WriteBlock(rows []Row) error {
 	}
 
 	n := len(rows)
-	refCol := make([]uint8, n)
-	bestCol := make([]uint8, n)
-	genoCol := make([]uint32, n) // 0 = hom-ref default, else IUPAC byte
-	qualCol := make([]uint32, n)
-	avgQ1Col := make([]uint32, n)
-	cnt1Col := make([]uint32, n)
-	uniq1Col := make([]uint32, n)
-	secondCol := make([]uint32, n)
-	avgQ2Col := make([]uint32, n)
-	cnt2Col := make([]uint32, n)
-	uniq2Col := make([]uint32, n)
-	depthCol := make([]uint32, n)
-	rankCol := make([]uint32, n)
-	copyCol := make([]uint32, n)
-	dbCol := make([]uint32, n)
+	c := &w.cols
+	c.resize(n)
+	rd := &c.rleDict
 	for i := range rows {
 		r := &rows[i]
-		refCol[i] = baseCode(r.Ref)
-		bestCol[i] = baseCode(r.BestBase)
+		c.ref[i] = baseCode(r.Ref)
+		c.best[i] = baseCode(r.BestBase)
+		c.geno[i] = 0
 		if r.Genotype != r.Ref {
-			genoCol[i] = uint32(r.Genotype)
+			c.geno[i] = uint32(r.Genotype)
 		}
-		qualCol[i] = uint32(r.Quality)
-		avgQ1Col[i] = uint32(r.AvgQualBest)
-		cnt1Col[i] = uint32(r.CountBest)
-		uniq1Col[i] = uint32(r.CountUniqBest)
-		secondCol[i] = secondCode(r.SecondBase)
-		avgQ2Col[i] = uint32(r.AvgQualSecond)
-		cnt2Col[i] = uint32(r.CountSecond)
-		uniq2Col[i] = uint32(r.CountUniqSecond)
-		depthCol[i] = uint32(r.Depth)
-		rankCol[i] = uint32(math.Round(r.RankSumP * rankSumScale))
-		copyCol[i] = uint32(math.Round(r.CopyNum * copyNumScale))
-		dbCol[i] = uint32(r.IsDbSNP)
+		rd[colQual][i] = uint32(r.Quality)
+		rd[colAvgQ1][i] = uint32(r.AvgQualBest)
+		rd[colCnt1][i] = uint32(r.CountBest)
+		rd[colUniq1][i] = uint32(r.CountUniqBest)
+		c.second[i] = secondCode(r.SecondBase)
+		c.avgQ2[i] = uint32(r.AvgQualSecond)
+		c.cnt2[i] = uint32(r.CountSecond)
+		c.uniq2[i] = uint32(r.CountUniqSecond)
+		rd[colDepth][i] = uint32(r.Depth)
+		c.rank[i] = uint32(math.Round(r.RankSumP * rankSumScale))
+		rd[colCopy][i] = uint32(math.Round(r.CopyNum * copyNumScale))
+		c.db[i] = uint32(r.IsDbSNP)
 	}
+	enc := w.encodeRLEDict(rd)
 
-	var payload []byte
+	payload := w.payload[:0]
 	payload = appendUvarint(payload, uint64(len(chr)))
 	payload = append(payload, chr...)
 	payload = appendUvarint(payload, uint64(start))
 	payload = appendUvarint(payload, uint64(n))
-	payload = append(payload, compress.Pack2Bit(refCol)...)
-	payload = append(payload, compress.SparseEncode(genoCol, 0)...)
-	payload = append(payload, w.rleDict(qualCol)...)
-	payload = append(payload, compress.Pack2Bit(bestCol)...)
-	payload = append(payload, w.rleDict(avgQ1Col)...)
-	payload = append(payload, w.rleDict(cnt1Col)...)
-	payload = append(payload, w.rleDict(uniq1Col)...)
-	payload = append(payload, compress.SparseEncode(secondCol, 4)...)
-	payload = append(payload, compress.SparseEncode(avgQ2Col, 0)...)
-	payload = append(payload, compress.SparseEncode(cnt2Col, 0)...)
-	payload = append(payload, compress.SparseEncode(uniq2Col, 0)...)
-	payload = append(payload, w.rleDict(depthCol)...)
-	payload = append(payload, compress.SparseEncode(rankCol, rankSumScale)...)
-	payload = append(payload, w.rleDict(copyCol)...)
-	payload = append(payload, compress.SparseEncode(dbCol, 0)...)
+	payload = append(payload, compress.Pack2Bit(c.ref)...)
+	payload = append(payload, compress.SparseEncode(c.geno, 0)...)
+	payload = append(payload, enc[colQual]...)
+	payload = append(payload, compress.Pack2Bit(c.best)...)
+	payload = append(payload, enc[colAvgQ1]...)
+	payload = append(payload, enc[colCnt1]...)
+	payload = append(payload, enc[colUniq1]...)
+	payload = append(payload, compress.SparseEncode(c.second, 4)...)
+	payload = append(payload, compress.SparseEncode(c.avgQ2, 0)...)
+	payload = append(payload, compress.SparseEncode(c.cnt2, 0)...)
+	payload = append(payload, compress.SparseEncode(c.uniq2, 0)...)
+	payload = append(payload, enc[colDepth]...)
+	payload = append(payload, compress.SparseEncode(c.rank, rankSumScale)...)
+	payload = append(payload, enc[colCopy]...)
+	payload = append(payload, compress.SparseEncode(c.db, 0)...)
+	w.payload = payload
 
 	frame := appendUvarint(nil, uint64(len(payload)))
 	if _, err := w.bw.Write(frame); err != nil {
