@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gsnp/internal/gpu"
@@ -43,6 +45,46 @@ func BenchmarkRLEDictEncodeGPU(b *testing.B) {
 	b.SetBytes(int64(len(vals) * 4))
 	for i := 0; i < b.N; i++ {
 		RLEDictEncodeGPU(d, vals)
+	}
+}
+
+// BenchmarkDictBuild is the measurement behind dictPresenceRangePerKey: the
+// two dictionary builds over 32 K keys (a column of the bench's chr1 window
+// has 18 K to 43 K runs) drawn from a small, a moderate and a wide value
+// range, and from the two ranges around the rule: 4 and 8 times the keys.
+func BenchmarkDictBuild(b *testing.B) {
+	const n = 32 << 10
+	for _, limit := range []int{64, 10_000, 4 * n, 8 * n, 1_000_000} {
+		rng := rand.New(rand.NewSource(int64(limit)))
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = uint32(rng.Intn(limit))
+		}
+		vals[0] = uint32(limit - 1)
+		d := gpu.NewDevice(gpu.M2050())
+		builds := []struct {
+			name  string
+			build func() *gpu.Buffer[uint32]
+		}{
+			{"sort_unique", func() *gpu.Buffer[uint32] { return sortUniqueGPU(d, vals) }},
+			{"presence", func() *gpu.Buffer[uint32] {
+				keys := gpu.Alloc[uint32](d, n)
+				defer keys.Free()
+				keys.CopyIn(vals)
+				return gpu.DistinctU32(d, keys, int(gpu.ReduceMaxU32(d, keys))+1)
+			}},
+		}
+		for _, bb := range builds {
+			b.Run(fmt.Sprintf("%s/range=%d", bb.name, limit), func(b *testing.B) {
+				var sim float64
+				for i := 0; i < b.N; i++ {
+					bb.build().Free()
+					sim += d.SimTime()
+					d.ResetStats() // keep the launch log from growing
+				}
+				b.ReportMetric(sim/float64(b.N)*1e6, "sim-us/op")
+			})
+		}
 	}
 }
 

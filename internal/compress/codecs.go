@@ -194,10 +194,10 @@ func decodeDictBlock(buf []byte, n int) ([]uint32, int, error) {
 		return nil, 0, err
 	}
 	off += m
-	packedLen := int(packedLen64)
-	if off+packedLen > len(buf) {
+	if packedLen64 > uint64(len(buf)-off) { // compared unsigned: a length past 2^63 is negative as an int
 		return nil, 0, fmt.Errorf("compress: truncated packed indexes")
 	}
+	packedLen := int(packedLen64)
 	br := NewBitReader(buf[off : off+packedLen])
 	out := make([]uint32, n)
 	for i := range out {
@@ -364,10 +364,10 @@ func SparseDecode(buf []byte) ([]uint32, int, error) {
 			return nil, 0, err
 		}
 		off += m
-		pos += int(d)
-		if pos >= len(out) {
-			return nil, 0, fmt.Errorf("compress: sparse exception at %d beyond length %d", pos, len(out))
+		if d >= uint64(len(out)-pos) { // compared unsigned: a delta past 2^63 is negative as an int
+			return nil, 0, fmt.Errorf("compress: sparse exception %d past %d beyond length %d", d, pos, len(out))
 		}
+		pos += int(d)
 		out[pos] = uint32(v)
 	}
 	return out, off, nil

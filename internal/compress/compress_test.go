@@ -3,6 +3,8 @@ package compress
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -331,5 +333,115 @@ func TestRLEDictBeatsGzipOnQualityColumns(t *testing.T) {
 	}
 	if len(custom) >= len(z) {
 		t.Errorf("RLE-DICT (%d B) not smaller than gzip (%d B) on a quality column", len(custom), len(z))
+	}
+}
+
+// launchCounts tallies the device's launch log by kernel name.
+func launchCounts(d *gpu.Device) map[string]int {
+	counts := map[string]int{}
+	for _, ls := range d.Launches() {
+		counts[ls.Name]++
+	}
+	return counts
+}
+
+// TestDictBuildPathsAgree: the presence table and sort + unique find the
+// same dictionary, dictEncodeGPU takes the table exactly when the largest
+// key is below dictPresenceRangePerKey times the column length, and the
+// indexes point at the keys either way.
+func TestDictBuildPathsAgree(t *testing.T) {
+	withMax := func(n int, maxV uint32) []uint32 {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = uint32(i*7919) % max(maxV, 1)
+		}
+		vals[n/2] = maxV
+		return vals
+	}
+	const n = 100
+	const bound = dictPresenceRangePerKey * n
+	allEqual := func(v uint32) []uint32 {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = v
+		}
+		return vals
+	}
+	cases := []struct {
+		name     string
+		vals     []uint32
+		presence bool
+	}{
+		{"one key, zero", []uint32{0}, true},
+		{"one key below the bound", []uint32{dictPresenceRangePerKey - 1}, true},
+		{"one key at the bound", []uint32{dictPresenceRangePerKey}, false},
+		{"all equal", allEqual(7), true},
+		{"all zero", allEqual(0), true},
+		{"max at bound-1", withMax(n, bound-1), true},
+		{"max at bound", withMax(n, bound), false},
+		{"max at bound+1", withMax(n, bound+1), false},
+		{"max+1 overflows", withMax(1000, ^uint32(0)), false},
+		{"small range, tiny column", []uint32{40, 12, 40}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := buildDict(c.vals)
+			d := gpu.NewDevice(gpu.M2050())
+			dict, indexes := dictEncodeGPU(d, c.vals)
+			if !slices.Equal(dict, want) {
+				t.Fatalf("dictionary %v, want %v", dict, want)
+			}
+			for i, v := range c.vals {
+				if dict[indexes[i]] != v {
+					t.Fatalf("key %d (%d) indexed as %d", i, v, dict[indexes[i]])
+				}
+			}
+			ran := launchCounts(d)
+			if ran["dict_mark"]+ran["unique_flag"] != 1 {
+				t.Fatalf("dictionary not built exactly once: %v", ran)
+			}
+			if got := ran["dict_mark"] == 1; got != c.presence {
+				t.Errorf("presence table used: %v, want %v (launches %v)", got, c.presence, ran)
+			}
+
+			// Both builds on this column, whichever the rule picked.
+			sorted := sortUniqueGPU(d, c.vals)
+			defer sorted.Free()
+			if !slices.Equal(sorted.Host(), want) {
+				t.Errorf("sort + unique found %v, want %v", sorted.Host(), want)
+			}
+			if maxV := slices.Max(c.vals); maxV < 1<<20 {
+				keys := gpu.Alloc[uint32](d, len(c.vals))
+				defer keys.Free()
+				keys.CopyIn(c.vals)
+				marked := gpu.DistinctU32(d, keys, int(maxV)+1)
+				defer marked.Free()
+				if !slices.Equal(marked.Host(), want) {
+					t.Errorf("presence table found %v, want %v", marked.Host(), want)
+				}
+			}
+		})
+	}
+}
+
+// TestRLEDictGPULaunchBudget pins the device program of one encode of the
+// bench column: launches per kernel and global accesses. They are counts of
+// the simulated program and repeat exactly, so this is the regression gate
+// for the codec's cost that a timing cannot be — above all that a column of
+// small values never enters the device-wide sort.
+func TestRLEDictGPULaunchBudget(t *testing.T) {
+	d := gpu.NewDevice(gpu.M2050())
+	RLEDictEncodeGPU(d, benchColumn(100000))
+	want := map[string]int{
+		"rle_flag": 1, "rle_scatter": 1, "rle_lengths": 1,
+		"reduce_max_u32": 2, "dict_mark": 2, "dict_compact": 2, "dict_search_const": 2,
+		"scan_u32": 3, "scan_carry": 3,
+	}
+	if got := launchCounts(d); !reflect.DeepEqual(got, want) {
+		t.Errorf("launches per kernel %v, want %v", got, want)
+	}
+	st := d.Stats()
+	if got, want := st.GlobalLoads+st.GlobalStores, int64(977090); got != want {
+		t.Errorf("%d global loads and stores, want %d", got, want)
 	}
 }

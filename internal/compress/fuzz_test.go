@@ -80,24 +80,35 @@ func FuzzUnpack2Bit(f *testing.F) {
 
 // FuzzRLEDictEncodeGPU is differential: whatever the column, the device
 // encoder must produce the CPU encoder's bytes, and they must decode to the
-// input. The fuzzer's bytes are read as little-endian 16-bit values (the
-// width of the widest result column), so short inputs already produce runs,
-// repeated run lengths and dictionaries of more than one entry.
+// input. The first byte picks how the rest is read: as little-endian 16-bit
+// values (the width of the widest result column), so short inputs already
+// produce runs, repeated run lengths and dictionaries of more than one
+// entry, or as 32-bit values, which reach past any presence table. The
+// committed corpus has columns on both sides of dictPresenceRangePerKey in
+// both widths.
 func FuzzRLEDictEncodeGPU(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{7, 0})
-	f.Add([]byte{1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 3, 0})
-	f.Add(bytes.Repeat([]byte{40, 0, 40, 0, 40, 0, 12, 0}, 90)) // spans two 256-lane blocks
+	f.Add([]byte{0, 7, 0})
+	f.Add([]byte{0, 1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 3, 0})
+	f.Add(append([]byte{0}, bytes.Repeat([]byte{40, 0, 40, 0, 40, 0, 12, 0}, 90)...)) // spans two 256-lane blocks
+	f.Add([]byte{1, 7, 0, 0, 0, 7, 0, 0, 0, 255, 255, 255, 255})
 	// One device for every execution, as in a run: the encoder then also
 	// works on buffers and launch scratch recycled from other columns.
 	d := gpu.NewDevice(gpu.M2050())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		width := 2
+		if len(data) > 0 {
+			width += 2 * int(data[0]&1)
+			data = data[1:]
+		}
 		if len(data) > 1<<11 {
 			data = data[:1<<11] // a launch per bitonic pass: keep executions short
 		}
-		vals := make([]uint32, len(data)/2)
+		vals := make([]uint32, len(data)/width)
 		for i := range vals {
-			vals[i] = uint32(data[2*i]) | uint32(data[2*i+1])<<8
+			for k := width - 1; k >= 0; k-- {
+				vals[i] = vals[i]<<8 | uint32(data[width*i+k])
+			}
 		}
 		cpu := RLEDictEncode(vals)
 		d.ResetStats() // keep the launch log from growing

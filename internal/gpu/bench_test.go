@@ -127,8 +127,9 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 }
 
 // BenchmarkSortU32 sorts 32 K keys with the device-wide bitonic network:
-// 120 bitonic_global launches of 64 blocks each, the launch shape that
-// dominates the RLE-DICT encoder of the compressed output path.
+// 120 bitonic_global launches of 64 blocks each, what the RLE-DICT encoder
+// of the compressed output path pays for the dictionary of a column whose
+// values range too widely for a presence table.
 func BenchmarkSortU32(b *testing.B) {
 	const n = 32 << 10
 	d := NewDevice(M2050())

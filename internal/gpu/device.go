@@ -192,9 +192,11 @@ type launchSpec struct {
 // break-even is near 32 K lanes, a launch of about 250 us: waking a parked
 // core and joining the helper costs tens of microseconds, and when the
 // host has taken the second core away the helper waits a millisecond or
-// more. The constant sits at twice the break-even. Every bitonic_global
-// launch of the output codec at the bench's window size falls below it,
-// every kernel of the window pipeline above it.
+// more. The constant sits at twice the break-even. At the bench's window
+// size the output codec's launches over run values and run lengths (and
+// every bitonic_global pass, when a column is sorted) fall below it; its
+// launches over the window's sites and every kernel of the window pipeline
+// are above it.
 const minFanoutLanes = 1 << 16
 
 // fanout decides how many host goroutines run the blocks of a launch. A

@@ -171,6 +171,14 @@ func AtomicAddU32(t *Thread, b *Buffer[uint32], i int, delta uint32) uint32 {
 	return atomicAddU32(&b.data[i], delta)
 }
 
+// AtomicExchU32 performs a metered atomic exchange on element i, returning
+// the old value; host-atomic and charged like AtomicAddU32.
+func AtomicExchU32(t *Thread, b *Buffer[uint32], i int, v uint32) uint32 {
+	t.recordGlobal(b.addr(i), b.elemSize, false)
+	t.recordGlobal(b.addr(i), b.elemSize, true)
+	return atomicExchU32(&b.data[i], v)
+}
+
 // ConstBuffer is a read-only array in simulated constant memory. Constant
 // memory is cached on-chip; loads are metered as instructions and constant
 // loads but never contribute global-memory transactions.

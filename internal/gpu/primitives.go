@@ -1,12 +1,16 @@
 package gpu
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file provides the classic data-parallel primitives GSNP's
 // GPU compression path is built from (Section V-B of the paper): reduction,
-// exclusive prefix scan, device-wide bitonic sort, unique, and batched
-// binary search. They are written as kernels against the simulator so their
-// memory behaviour is metered like any other device code.
+// exclusive prefix scan, device-wide bitonic sort, unique, presence-table
+// distinct, and batched binary search. They are written as kernels against
+// the simulator so their memory behaviour is metered like any other device
+// code.
 
 // primBlock is the thread-block size used by the primitive kernels, and
 // primLog its base-2 logarithm (the number of stride rounds in the
@@ -17,24 +21,55 @@ var primLog = bits.Len(uint(primBlock)) - 1
 
 // ReduceU32 sums the device buffer with a shared-memory tree reduction per
 // block followed by a host combine of the per-block partials, the standard
-// two-level GPU reduction. The barrier structure is static (load, primLog
-// halving strides, store), so it runs as a phased launch: identical
-// metering to the synchronous form, no per-thread goroutines.
+// two-level GPU reduction.
 func ReduceU32(d *Device, in *Buffer[uint32]) uint64 {
-	n := in.Len()
-	if n == 0 {
+	if in.Len() == 0 {
 		return 0
 	}
-	grid := (n + primBlock - 1) / primBlock
-	partial := Alloc[uint32](d, grid)
+	partial := blockReduceU32(d, in, "reduce_u32", func(a, b uint32) uint32 { return a + b })
 	defer partial.Free()
-	d.MustLaunchPhased(LaunchConfig{Name: "reduce_u32", Grid: grid, Block: primBlock, SharedU32: primBlock}, primLog+2, func(t *Thread, p int) bool {
+	var sum uint64
+	for _, p := range partial.Host() {
+		sum += uint64(p)
+	}
+	return sum
+}
+
+// ReduceMaxU32 returns the largest element of the device buffer (0 for an
+// empty one): the same two-level reduction as ReduceU32 under max.
+func ReduceMaxU32(d *Device, in *Buffer[uint32]) uint32 {
+	if in.Len() == 0 {
+		return 0
+	}
+	partial := blockReduceU32(d, in, "reduce_max_u32", func(a, b uint32) uint32 { return max(a, b) })
+	defer partial.Free()
+	return slices.Max(partial.Host())
+}
+
+// reduceLoads is the number of elements a lane of the reduce kernels folds
+// in registers, at block stride so the loads coalesce, before the tree in
+// shared memory starts: a lane that only loads one element spends the
+// primLog strides after it mostly idle.
+const reduceLoads = 8
+
+// blockReduceU32 folds every block's slice of in with op, which must be
+// associative and commutative with identity 0, and returns the per-block
+// partials (caller frees). The barrier structure is static (load, primLog
+// halving strides, store), so it runs as a phased launch: identical
+// metering to the synchronous form, no per-thread goroutines.
+func blockReduceU32(d *Device, in *Buffer[uint32], name string, op func(a, b uint32) uint32) *Buffer[uint32] {
+	n := in.Len()
+	const tile = primBlock * reduceLoads
+	grid := (n + tile - 1) / tile
+	partial := Alloc[uint32](d, grid)
+	d.MustLaunchPhased(LaunchConfig{Name: name, Grid: grid, Block: primBlock, SharedU32: primBlock}, primLog+2, func(t *Thread, p int) bool {
 		switch {
 		case p == 0:
-			i := t.GlobalID()
 			v := uint32(0)
-			if i < n {
-				v = Ld(t, in, i)
+			end := min(n, (t.Block+1)*tile)
+			for i := t.Block*tile + t.Lane; i < end; i += primBlock {
+				t.Exec(1)
+				v = op(v, Ld(t, in, i))
 			}
 			t.SetSharedU32(t.Lane, v)
 			return true
@@ -42,7 +77,7 @@ func ReduceU32(d *Device, in *Buffer[uint32]) uint64 {
 			stride := primBlock >> p
 			if t.Lane < stride {
 				t.Exec(1)
-				t.SetSharedU32(t.Lane, t.SharedU32(t.Lane)+t.SharedU32(t.Lane+stride))
+				t.SetSharedU32(t.Lane, op(t.SharedU32(t.Lane), t.SharedU32(t.Lane+stride)))
 			}
 			return true
 		default:
@@ -52,11 +87,7 @@ func ReduceU32(d *Device, in *Buffer[uint32]) uint64 {
 			return false
 		}
 	})
-	var sum uint64
-	for _, p := range partial.Host() {
-		sum += uint64(p)
-	}
-	return sum
+	return partial
 }
 
 // ExclusiveScanU32 computes the exclusive prefix sum of in into out
@@ -230,6 +261,37 @@ func UniqueU32(d *Device, in *Buffer[uint32]) *Buffer[uint32] {
 		}
 		if Ld(t, flags, i) == 1 {
 			St(t, out, int(Ld(t, dst, i)), Ld(t, in, i))
+		}
+	})
+	return out
+}
+
+// DistinctU32 returns the distinct values of in, ascending, in a new buffer
+// (caller frees), for a column whose values are all below limit. Where
+// SortU32 + UniqueU32 order the keys to find the distinct ones, this marks
+// each value in a limit-sized presence table, scans the table for
+// destinations and emits the marked slots: O(n + limit) work in four
+// launches whatever n is, and sorted by construction. Many lanes mark the
+// same slot, so the mark is an atomic exchange.
+func DistinctU32(d *Device, in *Buffer[uint32], limit int) *Buffer[uint32] {
+	n := in.Len()
+	if n == 0 {
+		return Alloc[uint32](d, 0)
+	}
+	present := Alloc[uint32](d, limit)
+	defer present.Free()
+	d.MustLaunch(LaunchConfig{Name: "dict_mark", Grid: (n + primBlock - 1) / primBlock, Block: primBlock}, func(t *Thread) {
+		if i := t.GlobalID(); i < n {
+			AtomicExchU32(t, present, int(Ld(t, in, i)), 1)
+		}
+	})
+	dst := Alloc[uint32](d, limit)
+	defer dst.Free()
+	total := ExclusiveScanU32(d, present, dst)
+	out := Alloc[uint32](d, int(total))
+	d.MustLaunch(LaunchConfig{Name: "dict_compact", Grid: (limit + primBlock - 1) / primBlock, Block: primBlock}, func(t *Thread) {
+		if v := t.GlobalID(); v < limit && Ld(t, present, v) == 1 {
+			St(t, out, int(Ld(t, dst, v)), uint32(v))
 		}
 	})
 	return out

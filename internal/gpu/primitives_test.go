@@ -2,26 +2,41 @@ package gpu
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// TestReduceU32 covers the sum and the max reduction at lengths around the
+// block size and around the tile a block folds (primBlock x reduceLoads).
 func TestReduceU32(t *testing.T) {
 	d := testDevice()
-	for _, n := range []int{0, 1, 255, 256, 257, 10000} {
+	const tile = primBlock * reduceLoads
+	for _, n := range []int{0, 1, 255, 256, 257, tile - 1, tile, tile + 1, 10000} {
 		src := make([]uint32, n)
-		var want uint64
+		var wantSum uint64
+		var wantMax uint32
 		for i := range src {
-			src[i] = uint32(i % 97)
-			want += uint64(src[i])
+			src[i] = uint32(i*7919) % 9973
+			wantSum += uint64(src[i])
+			wantMax = max(wantMax, src[i])
 		}
 		buf := Alloc[uint32](d, n)
 		buf.CopyIn(src)
-		if got := ReduceU32(d, buf); got != want {
-			t.Errorf("n=%d: ReduceU32 = %d, want %d", n, got, want)
+		if got := ReduceU32(d, buf); got != wantSum {
+			t.Errorf("n=%d: ReduceU32 = %d, want %d", n, got, wantSum)
+		}
+		if got := ReduceMaxU32(d, buf); got != wantMax {
+			t.Errorf("n=%d: ReduceMaxU32 = %d, want %d", n, got, wantMax)
 		}
 		buf.Free()
+	}
+	top := Alloc[uint32](d, 3)
+	defer top.Free()
+	top.CopyIn([]uint32{5, ^uint32(0), 0})
+	if got := ReduceMaxU32(d, top); got != ^uint32(0) {
+		t.Errorf("ReduceMaxU32 = %d, want the largest uint32", got)
 	}
 }
 
@@ -137,6 +152,62 @@ func TestUniqueU32(t *testing.T) {
 	empty := Alloc[uint32](d, 0)
 	if got := UniqueU32(d, empty); got.Len() != 0 {
 		t.Error("unique of empty not empty")
+	}
+}
+
+// TestDistinctU32 holds the presence table against sort + unique, and its
+// device program against the host schedule: dict_mark stores to the same
+// slot from many lanes, so with its blocks forced onto helper goroutines
+// the result, every counter and the launch log must equal the inline run's
+// (and the race detector must stay quiet).
+func TestDistinctU32(t *testing.T) {
+	const n, limit = 5000, 300
+	src := make([]uint32, n)
+	for i := range src {
+		src[i] = uint32(rand.Intn(limit/3)) * 3
+	}
+	src[n-1] = limit - 1
+	run := func(workers int) ([]uint32, Stats, []string) {
+		d := testDevice()
+		d.forceWorkers = workers
+		in := Alloc[uint32](d, n)
+		defer in.Free()
+		in.CopyIn(src)
+		out := DistinctU32(d, in, limit)
+		defer out.Free()
+		st := d.Stats()
+		st.SimSeconds = 0 // a float sum, not a count
+		var names []string
+		for _, ls := range d.Launches() {
+			names = append(names, ls.Name)
+		}
+		return append([]uint32(nil), out.Host()...), st, names
+	}
+	got, stats, names := run(1)
+
+	d := testDevice()
+	sorted := Alloc[uint32](d, n)
+	defer sorted.Free()
+	sorted.CopyIn(src)
+	SortU32(d, sorted)
+	want := UniqueU32(d, sorted)
+	defer want.Free()
+	if !reflect.DeepEqual(got, want.Host()) {
+		t.Fatalf("presence table found %v, sort + unique %v", got, want.Host())
+	}
+	if wantNames := []string{"dict_mark", "scan_u32", "scan_carry", "dict_compact"}; !reflect.DeepEqual(names, wantNames) {
+		t.Errorf("launches %v, want %v", names, wantNames)
+	}
+	for _, workers := range []int{2, 4} {
+		g, st, nm := run(workers)
+		if !reflect.DeepEqual(g, got) || st != stats || !reflect.DeepEqual(nm, names) {
+			t.Errorf("%d workers: device program differs from the inline run:\n got %v %+v %v\nwant %v %+v %v", workers, g, st, nm, got, stats, names)
+		}
+	}
+
+	empty := Alloc[uint32](d, 0)
+	if got := DistinctU32(d, empty, 1); got.Len() != 0 {
+		t.Error("distinct of empty not empty")
 	}
 }
 

@@ -193,8 +193,14 @@ func TestBlockWriterGPUConcurrentColumns(t *testing.T) {
 		return p
 	}
 	serial := encode(1)
-	if serial.counters.Kernels == 0 || serial.launches["bitonic_global"] == 0 {
+	if serial.counters.Kernels == 0 || serial.launches["rle_flag"] == 0 {
 		t.Fatalf("serial encode ran nothing on the device: %+v", serial)
+	}
+	// The quality and count columns build their dictionaries from a
+	// presence table; the copy-number column is one run of 1001 and is
+	// sorted. Both builds must hold under concurrent columns.
+	if serial.launches["dict_mark"] == 0 || serial.launches["unique_flag"] == 0 {
+		t.Fatalf("windows do not reach both dictionary builds: %v", serial.launches)
 	}
 	for _, procs := range []int{2, 4} {
 		if got := encode(procs); !reflect.DeepEqual(got, serial) {

@@ -132,11 +132,12 @@ func (w *BlockWriter) Blocks() int { return w.blocks }
 
 // encodeRLEDict encodes the six quality-related columns. On the device
 // each column is a chain of dependent launches (run flags, scan, scatter,
-// then sort + unique + search for the run values and again for the run
-// lengths; some 270 of them for a 100,000-site window), nearly all too
-// small to be worth spreading over the host's cores — but the six chains
-// are independent, so they run on up to GOMAXPROCS goroutines, joined
-// before the payload is assembled in column order. The encoded bytes do
+// then dictionary build + search for the run values and again for the run
+// lengths: 17 of them when both dictionaries come from a presence table,
+// hundreds when a wide-range column is sorted), most too small to be
+// worth spreading over the host's cores — but the six chains are
+// independent, so they run on up to GOMAXPROCS goroutines, joined before
+// the payload is assembled in column order. The encoded bytes do
 // not depend on the interleaving, and neither do the device's counters,
 // which are sums over the launches.
 func (w *BlockWriter) encodeRLEDict(cols *[6][]uint32) (enc [6][]byte) {
