@@ -214,18 +214,18 @@ func BenchmarkWholeGenomeParallel(b *testing.B) {
 		workers := workers
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tasks := make([]sched.Task[int], len(dss))
+				tasks := make([]sched.Task[int, struct{}], len(dss))
 				for k, ds := range dss {
 					ds := ds
-					tasks[k] = sched.Task[int]{
+					tasks[k] = sched.Task[int, struct{}]{
 						Name: ds.Spec.Name,
-						Run: func(ctx context.Context) (int, error) {
+						Run: func(ctx context.Context, _ struct{}) (int, error) {
 							rep, _ := s.RunGSNP(ds, harness.GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
 							return rep.Sites, nil
 						},
 					}
 				}
-				if _, _, err := sched.Run(context.Background(), workers, tasks); err != nil {
+				if _, _, err := sched.Run(context.Background(), workers, sched.Policy{}, nil, tasks); err != nil {
 					b.Fatal(err)
 				}
 			}

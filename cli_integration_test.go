@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"gsnp/internal/checkpoint"
+	"gsnp/internal/seqsim"
+	"gsnp/internal/snpio"
 )
 
 // buildTools compiles the command-line tools once per test binary run.
@@ -154,6 +156,55 @@ func TestCLIFullChain(t *testing.T) {
 		"-engine", "gsnp-cpu", "-stats", "-out", os.DevNull)
 	if !strings.Contains(statsErr, "gsnp-cpu:") {
 		t.Errorf("-stats output missing: %q", statsErr)
+	}
+}
+
+// TestCLILongReads calls 150 bp reads — longer than SOAPsnp's historical
+// 100, well inside the model's 256 — through the built binary: every engine
+// exits 0 and they write identical rows and identical VCF. (The read length
+// used to be an engine setting nothing set: gsnp-cpu indexed out of range,
+// and soapsnp and gsnp-gpu disagreed on most rows.)
+func TestCLILongReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	dir := t.TempDir()
+	ref := seqsim.GenerateReference(seqsim.GenomeSpec{Name: "chrL", Length: 12000, Seed: 150})
+	rspec := seqsim.DefaultReadSpec(12, 152)
+	rspec.ReadLen = 150
+	rs, _ := seqsim.SampleReads(seqsim.MakeDiploid(ref, seqsim.DefaultDiploidSpec(151)), rspec)
+	fa, soap := filepath.Join(dir, "chrL.fa"), filepath.Join(dir, "chrL.soap")
+	for path, write := range map[string]func(f *os.File) error{
+		fa:   func(f *os.File) error { return snpio.WriteFASTA(f, snpio.FASTARecord{Name: "chrL", Seq: ref.Seq}) },
+		soap: func(f *os.File) error { return snpio.WriteSOAP(f, "chrL", rs) },
+	} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, format := range []string{"rows", "vcf"} {
+		var outputs [][]byte
+		for _, engine := range []string{"soapsnp", "gsnp-cpu", "gsnp-gpu"} {
+			out := filepath.Join(dir, engine+"."+format)
+			run(t, "gsnp", "-ref", fa, "-aln", soap, "-engine", engine,
+				"-window", "1000", "-output-format", format, "-out", out)
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outputs = append(outputs, data)
+		}
+		if len(outputs[0]) == 0 || !bytes.Equal(outputs[0], outputs[1]) || !bytes.Equal(outputs[0], outputs[2]) {
+			t.Errorf("%s: engine outputs differ on 150 bp reads (%d, %d, %d bytes)",
+				format, len(outputs[0]), len(outputs[1]), len(outputs[2]))
+		}
 	}
 }
 

@@ -239,7 +239,7 @@ func runGenome(dir string, opts options) error {
 	// chromosomes get their report entry up front and never enter the pool.
 	reports := make([]checkpoint.TaskReport, 0, len(units))
 	var taskRep []int
-	var tasks []sched.LocalTask[chrOutput, *gsnp.Arena]
+	var tasks []sched.Task[chrOutput, *gsnp.Arena]
 	for _, unit := range units {
 		name := unit.Name
 		if e, ok := cp.Done(name); ok {
@@ -251,7 +251,7 @@ func runGenome(dir string, opts options) error {
 		reports = append(reports, checkpoint.TaskReport{Name: name})
 		taskRep = append(taskRep, len(reports)-1)
 		unit := unit
-		tasks = append(tasks, sched.LocalTask[chrOutput, *gsnp.Arena]{
+		tasks = append(tasks, sched.Task[chrOutput, *gsnp.Arena]{
 			Name: name,
 			Run: func(ctx context.Context, arena *gsnp.Arena) (chrOutput, error) {
 				var diag strings.Builder
@@ -298,7 +298,7 @@ func runGenome(dir string, opts options) error {
 			return !errors.As(err, &re)
 		},
 	}
-	results, stats, _ := sched.RunLocalPolicy(context.Background(), opts.workers, pol,
+	results, stats, _ := sched.Run(context.Background(), opts.workers, pol,
 		func(int) *gsnp.Arena { return gsnp.NewArena() }, tasks)
 
 	var okN, partialN, failedN, quarantinedN int

@@ -41,17 +41,17 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent chromosomes (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	var tasks []sched.Task[chrTimes]
+	var tasks []sched.Task[chrTimes, struct{}]
 	for _, spec := range seqsim.ScaledHumanGenome(*scale, 7) {
 		spec := spec
-		tasks = append(tasks, sched.Task[chrTimes]{
+		tasks = append(tasks, sched.Task[chrTimes, struct{}]{
 			Name: spec.Name,
-			Run: func(ctx context.Context) (chrTimes, error) {
+			Run: func(ctx context.Context, _ struct{}) (chrTimes, error) {
 				return runChromosome(spec)
 			},
 		})
 	}
-	results, stats, err := sched.Run(context.Background(), *workers, tasks)
+	results, stats, err := sched.Run(context.Background(), *workers, sched.Policy{}, nil, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -294,7 +294,8 @@ func (r Result) Partial() bool { return len(r.Quarantined) > 0 || r.CalSkipped >
 
 // Call runs one unit through the selected engine, writing result rows to
 // out and (with Options.Stats) diagnostics to diag. arena, when non-nil,
-// supplies the recycled window working set (gsnp engines only).
+// supplies the recycled storage: the driver's scratch for every engine, the
+// window working set for the gsnp engines.
 func Call(ctx context.Context, o Options, u Unit, out, diag io.Writer, arena *gsnp.Arena) (Result, error) {
 	var zero Result
 	refFile, err := os.Open(u.Ref)
@@ -379,64 +380,53 @@ func Call(ctx context.Context, o Options, u Unit, out, diag io.Writer, arena *gs
 		hook = st.WindowHook
 	}
 
-	switch o.Engine {
-	case "soapsnp":
-		eng := soapsnp.New(soapsnp.Config{
-			Chr: ref.Name, Ref: ref.Seq, Known: known,
-			Window: o.Window, Prefetch: o.Prefetch,
-			Quarantine: o.Quarantine, WindowHook: hook,
-			VCFOutput: o.VCF(),
-		})
-		rep, err := eng.RunContext(ctx, src, out)
-		if err != nil {
-			return zero, err
-		}
-		if o.Stats {
-			fmt.Fprintf(diag, "soapsnp: %d sites, %d SNPs, mean depth %.1fX\n%v\n",
-				rep.Sites, rep.SNPs, rep.MeanDepth, rep.Times)
-			if o.Prefetch {
-				fmt.Fprintf(diag, "prefetch: %v\n", rep.Prefetch)
-			}
-		}
-		return Result{Sites: rep.Sites, CalSkipped: rep.CalSkipped, Quarantined: rep.Quarantined}, nil
-	default: // gsnp-cpu, gsnp-gpu
-		cfg := gsnp.Config{
-			Chr: ref.Name, Ref: ref.Seq, Known: known,
-			Window: o.Window, CompressOutput: o.Compress,
-			VCFOutput: o.VCF(),
-			Prefetch:  o.Prefetch, ComputeWorkers: o.ComputeWorkers,
-			Arena:      arena,
-			Quarantine: o.Quarantine, WindowHook: hook,
-		}
+	// One engine run: the shared settings once, a window kernel picked by
+	// engine name, the two-pass driver over both. The arena lends the driver
+	// its scratch whichever kernel runs.
+	cfg := pipeline.Config{
+		Chr: ref.Name, Ref: ref.Seq, Known: known, Window: o.Window,
+		Prefetch: o.Prefetch, Quarantine: o.Quarantine, WindowHook: hook,
+		VCFOutput: o.VCF(), CompressOutput: o.Compress,
+	}
+	if arena != nil {
+		cfg.Scratch = arena.Scratch()
+	}
+	var kernel pipeline.Kernel
+	var dev *gpu.Device
+	defaultWindow := gsnp.DefaultWindow
+	if o.Engine == "soapsnp" {
+		kernel, defaultWindow = soapsnp.New(soapsnp.Config{}), soapsnp.DefaultWindow
+	} else {
+		kc := gsnp.Config{Mode: gsnp.ModeCPU, ComputeWorkers: o.ComputeWorkers, Arena: arena}
 		if o.Engine == "gsnp-gpu" {
-			cfg.Mode = gsnp.ModeGPU
 			// One device per call: units scheduled concurrently must not
 			// share simulated-device state.
-			cfg.Device = gpu.NewDevice(gpu.M2050())
-		} else {
-			cfg.Mode = gsnp.ModeCPU
+			dev = gpu.NewDevice(gpu.M2050())
+			kc.Mode, kc.Device = gsnp.ModeGPU, dev
 		}
-		eng, err := gsnp.New(cfg)
-		if err != nil {
+		if kernel, err = gsnp.New(kc); err != nil {
 			return zero, err
 		}
-		rep, err := eng.RunContext(ctx, src, out)
-		if err != nil {
-			return zero, err
-		}
-		if o.Stats {
-			fmt.Fprintf(diag, "%s: %d sites, %d SNPs, mean depth %.1fX, %d output bytes\n%v\n",
-				o.Engine, rep.Sites, rep.SNPs, rep.MeanDepth, rep.OutputBytes, rep.Times)
-			if o.Prefetch {
-				fmt.Fprintf(diag, "prefetch: %v\n", rep.Prefetch)
-			}
-			if cfg.Device != nil {
-				fmt.Fprintf(diag, "\nsimulated device profile (%s):\n%s",
-					cfg.Device.Config().Name, cfg.Device.FormatProfile())
-			}
-		}
-		return Result{Sites: rep.Sites, CalSkipped: rep.CalSkipped, Quarantined: rep.Quarantined}, nil
 	}
+	if cfg.Window == 0 {
+		cfg.Window = defaultWindow
+	}
+	rep, err := pipeline.Run(ctx, cfg, src, out, kernel)
+	if err != nil {
+		return zero, err
+	}
+	if o.Stats {
+		fmt.Fprintf(diag, "%s: %d sites, %d SNPs, mean depth %.1fX, %d output bytes\n%v\n",
+			o.Engine, rep.Sites, rep.SNPs, rep.MeanDepth, rep.OutputBytes, rep.Times)
+		if o.Prefetch {
+			fmt.Fprintf(diag, "prefetch: %v\n", rep.Prefetch)
+		}
+		if dev != nil {
+			fmt.Fprintf(diag, "\nsimulated device profile (%s):\n%s",
+				dev.Config().Name, dev.FormatProfile())
+		}
+	}
+	return Result{Sites: rep.Sites, CalSkipped: rep.CalSkipped, Quarantined: rep.Quarantined}, nil
 }
 
 // alignUnit runs the alignment stage of a fastq unit: parse the raw

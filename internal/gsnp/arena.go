@@ -1,13 +1,10 @@
 package gsnp
 
 import (
-	"bufio"
-	"io"
 	"sync"
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/pipeline"
-	"gsnp/internal/reads"
 )
 
 // Arena is the reusable per-window working set — the storage side of the
@@ -15,9 +12,11 @@ import (
 // needs (observation arrays, base_word Batches, counts, likelihoods,
 // rank/quality arrays, result rows, GPU host staging) lives here and is
 // grow-only: a window resets lengths, never releases capacity, so
-// steady-state windows allocate nothing. The per-run storage of
-// cal_p_matrix lives here too — the calibration counters, p_matrix and
-// new_p_matrix, 9.4 MB that each run rebuilds in place.
+// steady-state windows allocate nothing. The per-run storage lives here
+// too: the score tables (p_matrix and new_p_matrix, 7.3 MB that each run
+// rebuilds in place) and the two-pass driver's own Scratch (calibration
+// counters, read buffer, output buffer), which the arena lends to whichever
+// engine — sparse or dense — runs the chromosome.
 //
 // An Arena serves one Engine.Run at a time but may be handed from run to
 // run — including across engines and modes — which is how the concurrent
@@ -34,33 +33,15 @@ type Arena struct {
 	// single arithmetic operation.
 	workers []depWorker
 
-	// readBuf backs the serial read_site path's per-window read slice.
-	readBuf []reads.AlignedRead
-
-	// cal and tables are cal_p_matrix's counters and output. A run resets
-	// and refills them, so they describe the arena's latest run only.
-	cal    *bayes.Calibration
+	// tables is cal_p_matrix's output. A run rebuilds it in place, so it
+	// describes the arena's latest run only.
 	tables bayes.Tables
 
-	// out is the run's output buffer; see output.
-	out *bufio.Writer
+	scratch pipeline.Scratch
 }
 
-// outBufBytes is the buffer size the snpio result codecs ask bufio for.
-const outBufBytes = 1 << 20
-
-// output returns the arena's output buffer, emptied and pointed at w. The
-// result codecs wrap their sink with bufio.NewWriterSize, which adopts a
-// bufio.Writer that is already large enough instead of stacking a second
-// one, so constructing a codec over this buffer allocates none of its own.
-func (a *Arena) output(w io.Writer) *bufio.Writer {
-	if a.out == nil {
-		a.out = bufio.NewWriterSize(w, outBufBytes)
-	} else {
-		a.out.Reset(w)
-	}
-	return a.out
-}
+// Scratch returns the driver storage the arena carries from run to run.
+func (a *Arena) Scratch() *pipeline.Scratch { return &a.scratch }
 
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
@@ -78,7 +59,8 @@ type depWorker struct {
 	epoch uint32
 }
 
-// ensureWorkers sizes the per-worker scratch for k workers at readLen.
+// ensureWorkers sizes the per-worker scratch for k workers at dep_count
+// stride readLen.
 func (a *Arena) ensureWorkers(k, readLen int) {
 	if len(a.workers) < k {
 		a.workers = append(a.workers, make([]depWorker, k-len(a.workers))...)
@@ -222,7 +204,7 @@ func (e *Engine) runSharded(w *window, kind uint8) {
 		k = w.n
 	}
 	if kind == jobLikelihood {
-		e.ar().ensureWorkers(max(k, 1), e.cfg.ReadLen)
+		e.ar().ensureWorkers(max(k, 1), e.run.Stride)
 	}
 	if k <= 1 {
 		computeJob{eng: e, w: w, kind: kind, lo: 0, hi: w.n}.run()
@@ -250,11 +232,13 @@ func (e *Engine) runSharded(w *window, kind uint8) {
 	}
 }
 
-// ar returns the engine's arena, creating a private one for direct kernel
-// calls that bypass Run (tests, benchmarks).
+// ar returns the engine's arena: Config.Arena when given, else a private
+// one created on first use (RunContext installs a pooled one instead).
 func (e *Engine) ar() *Arena {
 	if e.arena == nil {
-		e.arena = NewArena()
+		if e.arena = e.cfg.Arena; e.arena == nil {
+			e.arena = NewArena()
+		}
 	}
 	return e.arena
 }

@@ -2,11 +2,9 @@ package gsnp
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -19,13 +17,13 @@ import (
 	"gsnp/internal/snpio"
 )
 
-// directWin is one pre-fetched window for direct runWindow calls.
+// directWin is one pre-fetched window for direct Window calls.
 type directWin struct {
 	rs         []reads.AlignedRead
 	start, end int
 }
 
-// newDirectEngine builds an engine ready for direct runWindow calls —
+// newDirectEngine builds an engine ready for direct Window calls —
 // the setup Run normally performs (tables, priors, output sink, compute
 // pool) — plus the dataset's windows with their reads pre-fetched, so
 // tests and benchmarks can measure components 3-7 in isolation.
@@ -38,11 +36,10 @@ func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, cfg Config) (*Engine, []
 		tb.Fatal(err)
 	}
 	eng.tables = testTables()
+	eng.run = directRun(eng, io.Discard)
 	for b := dna.Base(0); b < dna.NBases; b++ {
-		eng.novelPriors[b] = eng.cfg.Priors.LogPriors(b, nil)
+		eng.novelPriors[b] = eng.run.Priors.LogPriors(b, nil)
 	}
-	eng.rep = &Report{Sites: len(eng.cfg.Ref), NonZeroHist: make([]int64, sparsityHistSize)}
-	eng.textOut = snpio.NewResultWriter(io.Discard)
 	if eng.cfg.Mode == ModeGPU {
 		if err := eng.loadTables(); err != nil {
 			tb.Fatal(err)
@@ -146,20 +143,20 @@ func TestComputeWorkersNoRegression(t *testing.T) {
 		sd := &side{best: math.Inf(1)}
 		sd.pass = func() {
 			for _, dw := range wins {
-				if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+				if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		// The first pass warms the arena and is the one whose bytes are kept.
 		var buf bytes.Buffer
-		eng.textOut = snpio.NewResultWriter(&buf)
+		eng.run.Out = pipeline.RowSink(snpio.NewResultWriter(&buf))
 		sd.pass()
-		if err := eng.textOut.Flush(); err != nil {
+		if err := eng.run.Out.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		sd.out = buf.Bytes()
-		eng.textOut = snpio.NewResultWriter(io.Discard)
+		eng.run.Out = pipeline.RowSink(snpio.NewResultWriter(io.Discard))
 		return sd
 	}
 	s1, s4 := setup(1), setup(4)
@@ -231,7 +228,7 @@ func TestRunWindowSteadyStateAllocsCPU(t *testing.T) {
 
 	runAll := func() {
 		for _, dw := range wins {
-			if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+			if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -261,7 +258,7 @@ func TestRunWindowSteadyStateAllocsGPU(t *testing.T) {
 
 	runAll := func() {
 		for _, dw := range wins {
-			if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+			if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -287,7 +284,7 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 
 	runAll := func() {
 		for _, dw := range wins {
-			if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+			if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -347,36 +344,6 @@ func TestCountCPUStripsUniqBit(t *testing.T) {
 	}
 }
 
-func TestTempIterClosesOnReadError(t *testing.T) {
-	// A corrupt temporary input must not leak the descriptor: the iterator
-	// closes the file on any error, not only io.EOF.
-	f, err := os.CreateTemp(t.TempDir(), "gsnp-bad-*.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("NOTMAGIC-and-then-garbage"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	it := &tempIter{f: f, tr: snpio.NewTempReader(f)}
-	_, nerr := it.Next()
-	if nerr == nil || errors.Is(nerr, io.EOF) {
-		t.Fatalf("corrupt stream returned %v, want a parse error", nerr)
-	}
-	if it.f != nil {
-		t.Error("iterator kept the file handle after a read error")
-	}
-	if cerr := f.Close(); !errors.Is(cerr, os.ErrClosed) {
-		t.Errorf("file was not closed on read error (second Close: %v)", cerr)
-	}
-	// Further Next calls must not panic on the released handle.
-	if _, again := it.Next(); again == nil {
-		t.Error("Next after failure returned nil error")
-	}
-}
-
 // BenchmarkRunWindowCPU measures components 3-7 of one CPU window (one op
 // = one window, so ns/op is ns/window) with the arena warm, at the
 // single-threaded paper configuration and with site-parallel compute.
@@ -388,7 +355,7 @@ func BenchmarkRunWindowCPU(b *testing.B) {
 			})
 			eng, wins := newDirectEngine(b, ds, Config{Mode: ModeCPU, Window: 8000, SortWorkers: 1, ComputeWorkers: cw})
 			for _, dw := range wins { // warm the arena
-				if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+				if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -397,7 +364,7 @@ func BenchmarkRunWindowCPU(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dw := wins[i%len(wins)]
-				if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+				if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 					b.Fatal(err)
 				}
 				sites += dw.end - dw.start
@@ -417,7 +384,7 @@ func BenchmarkRunWindowGPU(b *testing.B) {
 	})
 	eng, wins := newDirectEngine(b, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 8000})
 	for _, dw := range wins {
-		if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+		if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -426,7 +393,7 @@ func BenchmarkRunWindowGPU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dw := wins[i%len(wins)]
-		if err := eng.runWindow(dw.rs, dw.start, dw.end); err != nil {
+		if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 			b.Fatal(err)
 		}
 		sites += dw.end - dw.start

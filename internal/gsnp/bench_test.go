@@ -2,6 +2,7 @@ package gsnp
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"gsnp/internal/gpu"
@@ -75,7 +76,7 @@ func BenchmarkSparseLikelihoodCPUWindow(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng.tables = testTables()
-	eng.rep = &Report{NonZeroHist: make([]int64, sparsityHistSize)}
+	eng.run = directRun(eng, io.Discard)
 	w := buildTestWindow(ds, 10000)
 	eng.countCPU(w)
 	sortWindowWords(w)

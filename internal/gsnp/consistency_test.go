@@ -1,12 +1,14 @@
 package gsnp
 
 import (
+	"io"
 	"testing"
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/seqsim"
+	"gsnp/internal/snpio"
 )
 
 // buildTestWindow reconstructs one window's observation arrays directly
@@ -45,7 +47,7 @@ func likelihoodOnDevice(t *testing.T, ds *seqsim.Dataset, dev *gpu.Device, varia
 	// Minimal table setup (cal_p_matrix from a Phred prior keeps the
 	// comparison focused on the kernels).
 	eng.tables = testTables()
-	eng.rep = &Report{NonZeroHist: make([]int64, sparsityHistSize)}
+	eng.run = directRun(eng, io.Discard)
 	if err := eng.loadTables(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func likelihoodOnHost(t *testing.T, ds *seqsim.Dataset) []float64 {
 		t.Fatal(err)
 	}
 	eng.tables = testTables()
-	eng.rep = &Report{NonZeroHist: make([]int64, sparsityHistSize)}
+	eng.run = directRun(eng, io.Discard)
 	w := buildTestWindow(ds, n)
 	eng.countCPU(w)
 	sortWindowWords(w)
@@ -130,6 +132,20 @@ func runtimeLogHost(t *testing.T, ds *seqsim.Dataset) []float64 {
 	// The table path is proven equal to runtime LikelyUpdate in the bayes
 	// package tests; reuse the host sparse path.
 	return likelihoodOnHost(t, ds)
+}
+
+// directRun is the driver state Prepare would be handed — settings, the
+// historical stride, an empty report, a row sink over w — for tests that
+// call an engine's kernel methods without a run.
+func directRun(eng *Engine, w io.Writer) *pipeline.RunState {
+	st := &pipeline.RunState{
+		Config: eng.cfg.settings(),
+		Stride: pipeline.MinStride,
+		Report: &pipeline.Report{Sites: len(eng.cfg.Ref), NonZeroHist: make([]int64, pipeline.SparsityHistSize)},
+		Out:    pipeline.RowSink(snpio.NewResultWriter(w)),
+	}
+	st.Priors = bayes.DefaultPriors()
+	return st
 }
 
 // testTables builds the fixed Phred-model tables used by the consistency

@@ -16,7 +16,7 @@ import (
 // Config.ComputeWorkers; each shard writes a disjoint index range, so
 // output is byte-identical at every worker count.
 func (e *Engine) runWindowCPU(w *window) error {
-	rep := e.rep
+	rep := e.run.Report
 
 	// Component 3: counting — pack the observations into per-site
 	// base_word segments (two-pass: count, then scatter) and accumulate
@@ -31,7 +31,7 @@ func (e *Engine) runWindowCPU(w *window) error {
 	t0 = time.Now()
 	sortnet.ParallelQuicksort(&w.words, e.cfg.SortWorkers)
 	rep.Times.LikeliSort += time.Since(t0)
-	rep.SortStats.ElementsSorted += int64(len(w.words.Data))
+	e.sortStats.ElementsSorted += int64(len(w.words.Data))
 
 	// Component 4b: likelihood_comp — Algorithm 4 with the new score
 	// table, sharded over sites.
@@ -107,7 +107,7 @@ func (e *Engine) countCPU(w *window) {
 // kernel (likelihoodRange) across compute workers instead.
 func (e *Engine) likelihoodCompCPU(w *window) {
 	w.typeLikely = grow(w.typeLikely, w.n*dna.NGenotypes)
-	e.ar().ensureWorkers(1, e.cfg.ReadLen)
+	e.ar().ensureWorkers(1, e.run.Stride)
 	e.likelihoodRange(w, 0, w.n, 0)
 }
 
@@ -120,7 +120,7 @@ func (e *Engine) likelihoodCompCPU(w *window) {
 // run concurrently with bit-identical results.
 func (e *Engine) likelihoodRange(w *window, lo, hi, worker int) {
 	wk := &e.arena.workers[worker]
-	readLen := e.cfg.ReadLen
+	readLen := e.run.Stride
 	newP := e.tables.NewP
 	adj := e.tables.Adjust
 
@@ -166,7 +166,7 @@ func (e *Engine) likelihoodRange(w *window, lo, hi, worker int) {
 // genotype log-likelihoods with the log priors — computed here per site,
 // fused into the pass — and select the best and second-best genotypes.
 func (e *Engine) posteriorRange(w *window, lo, hi int) {
-	cfg := &e.cfg
+	cfg := &e.run.Config
 	for site := lo; site < hi; site++ {
 		pos := w.start + site
 		ref := cfg.Ref[pos]

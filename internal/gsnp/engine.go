@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -17,11 +16,23 @@ import (
 	"gsnp/internal/sortnet"
 )
 
-// Engine executes the GSNP pipeline. Create one with New and invoke Run;
-// an Engine may be reused for several runs with the same configuration.
+// Engine is the sparse window kernel of the GSNP pipeline — components 3-7
+// over the base_word representation, on the host or the simulated device —
+// behind the two-pass driver (pipeline.Run). Create one with New and invoke
+// Run; an Engine may be reused for several runs with the same
+// configuration.
 type Engine struct {
 	cfg    Config
 	tables *bayes.Tables
+
+	// run is the driver's side of the current run, handed over in Prepare:
+	// the shared settings, the dep_count stride, the report and the sink.
+	run *pipeline.RunState
+
+	// Device-side measurements of the current run (Report's own fields).
+	sortStats       sortnet.Stats
+	likeliStats     gpu.Stats
+	peakDeviceBytes int64
 
 	// Device-resident tables (GPU mode), uploaded by load_table.
 	gNewP *gpu.Buffer[float64]
@@ -33,8 +44,8 @@ type Engine struct {
 	novelPriors [dna.NBases][dna.NGenotypes]float64
 
 	// arena holds the recycled per-window working set plus the per-worker
-	// dep_count scratch. Run takes it from Config.Arena or the process
-	// pool; direct kernel calls (tests) lazily create a private one.
+	// dep_count scratch: Config.Arena, the process pool's (RunContext), or
+	// a private one created on first use.
 	arena *Arena
 
 	// pool runs likelihood/posterior shards when ComputeWorkers > 1
@@ -45,25 +56,14 @@ type Engine struct {
 	// buffer and its window epoch.
 	gDep     *gpu.Buffer[uint32]
 	winEpoch uint32
-
-	// Output sinks (exactly one non-nil during Run). textOut is the
-	// row-codec sink — the 17-column result table by default, the VCF
-	// writer under Config.VCFOutput.
-	textOut  snpio.RowWriter
-	blockOut *snpio.BlockWriter
-
-	rep *Report
 }
 
 // New creates an engine. It returns an error for inconsistent
-// configurations (ModeGPU without a device, oversized read length).
+// configurations (ModeGPU without a device, two output codecs).
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Mode == ModeGPU && cfg.Device == nil {
 		return nil, fmt.Errorf("gsnp: ModeGPU requires a Device")
-	}
-	if cfg.ReadLen > bayes.MaxReadLen {
-		return nil, fmt.Errorf("gsnp: read length %d exceeds the model maximum %d", cfg.ReadLen, bayes.MaxReadLen)
 	}
 	if cfg.VCFOutput && cfg.CompressOutput {
 		return nil, fmt.Errorf("gsnp: VCFOutput and CompressOutput are mutually exclusive")
@@ -117,210 +117,74 @@ func (e *Engine) Run(src pipeline.Source, w io.Writer) (*Report, error) {
 	return e.RunContext(context.Background(), src, w)
 }
 
-// RunContext is Run with cooperative cancellation: the engine checks ctx
-// at every window boundary and every ~1K input records, so a per-task
-// deadline (sched.Policy.Timeout) cuts a wedged chromosome short instead
-// of letting it run forever.
+// RunContext is Run with cooperative cancellation; see pipeline.Run.
 func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Writer) (*Report, error) {
-	cfg := e.cfg
-	rep := &Report{Sites: len(cfg.Ref), NonZeroHist: make([]int64, sparsityHistSize)}
-	e.rep = rep
-
 	// Component 7 storage: the window working set is recycled across
 	// windows, runs and (via Config.Arena or the process pool) engines.
-	if cfg.Arena != nil {
-		e.arena = cfg.Arena
-	} else {
+	if e.cfg.Arena == nil {
 		e.arena = arenaPool.Get().(*Arena)
 		defer func() {
 			arenaPool.Put(e.arena)
 			e.arena, e.tables = nil, nil
 		}()
 	}
-	if cfg.Mode == ModeCPU && cfg.ComputeWorkers > 1 {
-		e.pool = newComputePool(cfg.ComputeWorkers)
-		defer func() {
-			e.pool.stop()
-			e.pool = nil
-		}()
-	}
-
-	cw := &countingWriter{w: w}
-
-	// Component 1: cal_p_matrix + load_table — one pass over the input to
-	// calibrate the score matrix, then build the log table, the adjust
-	// table and the new score table on the CPU (Section IV-G) and load
-	// them into device memory.
-	t0 := time.Now()
-	var tempPath string
-	var sink func(*reads.AlignedRead) error
-	var tw *snpio.TempWriter
-	if cfg.UseTempInput {
-		f, err := os.CreateTemp(cfg.TempDir, "gsnp-temp-*.bin")
-		if err != nil {
-			return nil, fmt.Errorf("gsnp: cal_p_matrix: %w", err)
-		}
-		tempPath = f.Name()
-		defer os.Remove(tempPath)
-		defer f.Close()
-		tw = snpio.NewTempWriter(f, cfg.Chr)
-		sink = tw.Write
-	}
-	// Quarantine mode tolerates malformed records in this pass: the scan
-	// must see the whole input, so a corrupt line is skipped and counted
-	// rather than aborting the run. Window-level containment happens in
-	// pass two, where the failure has a site range to attach to.
-	calSrc := pipeline.SourceWithContext(ctx, src)
-	if cfg.Quarantine {
-		inner := calSrc
-		calSrc = pipeline.FuncSource(func() (pipeline.ReadIter, error) {
-			it, err := inner.Open()
-			if err != nil {
-				return nil, err
-			}
-			return pipeline.NewTolerantIter(it, func(pipeline.RecordError) { rep.CalSkipped++ }), nil
-		})
-	}
-	ar := e.arena
-	if ar.cal == nil {
-		ar.cal = bayes.NewCalibration()
-	}
-	meanDepth, err := pipeline.Calibrate(ar.cal, calSrc, cfg.Ref, sink)
+	cfg := e.cfg.settings()
+	cfg.Scratch = e.ar().Scratch()
+	rep, err := pipeline.Run(ctx, cfg, src, w, e)
 	if err != nil {
-		return nil, fmt.Errorf("gsnp: cal_p_matrix: %w", err)
+		return nil, err
 	}
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			return nil, fmt.Errorf("gsnp: cal_p_matrix: temp input: %w", err)
-		}
-		// The windowed pass reads the compressed temporary file instead
-		// of the original input (Section V-A).
-		src = pipeline.FuncSource(func() (pipeline.ReadIter, error) {
-			f, err := os.Open(tempPath)
-			if err != nil {
-				return nil, err
-			}
-			return &tempIter{f: f, tr: snpio.NewTempReader(f)}, nil
-		})
-	}
-	rep.MeanDepth = meanDepth
-	rep.Observations = int64(ar.cal.Observations())
-	ar.tables.Build(ar.cal.BuildInto(ar.tables.P))
+	return &Report{Report: *rep, SortStats: e.sortStats, LikeliStats: e.likeliStats, PeakDeviceBytes: e.peakDeviceBytes}, nil
+}
+
+// Prepare implements pipeline.Kernel: build the log table, the adjust table
+// and the new score table on the CPU (Section IV-G), in the arena, and load
+// them into device memory.
+func (e *Engine) Prepare(st *pipeline.RunState) error {
+	e.run = st
+	e.sortStats, e.likeliStats, e.peakDeviceBytes = sortnet.Stats{}, gpu.Stats{}, 0
+	ar := e.ar()
+	ar.tables.Build(st.Cal.BuildInto(ar.tables.P))
 	e.tables = &ar.tables
 	for b := dna.Base(0); b < dna.NBases; b++ {
-		e.novelPriors[b] = cfg.Priors.LogPriors(b, nil)
+		e.novelPriors[b] = st.Priors.LogPriors(b, nil)
 	}
-	if cfg.Mode == ModeGPU {
-		if err := e.loadTables(); err != nil {
-			return nil, err
-		}
+	if e.cfg.Mode == ModeGPU {
+		return e.loadTables()
 	}
-	rep.Times.CalP = time.Since(t0)
+	if e.cfg.ComputeWorkers > 1 {
+		e.pool = newComputePool(e.cfg.ComputeWorkers)
+	}
+	return nil
+}
 
-	// Output sink, buffered in the arena. The buffer lets go of the
-	// caller's writer when the run ends.
-	out := ar.output(cw)
-	defer out.Reset(io.Discard)
-	switch {
-	case cfg.CompressOutput:
-		if cfg.Mode == ModeGPU {
-			e.blockOut = snpio.NewBlockWriterGPU(out, cfg.Device)
-		} else {
-			e.blockOut = snpio.NewBlockWriter(out)
-		}
-	case cfg.VCFOutput:
-		e.textOut = snpio.NewVCFWriter(out)
-	default:
-		e.textOut = snpio.NewResultWriter(out)
-	}
+// Abandon implements pipeline.Kernel. The sparse window leaves nothing to
+// restore: lengths reset at the next window and the tagged dep_count
+// entries invalidate by epoch.
+func (e *Engine) Abandon(start, end int) {}
 
-	// Pass two: windowed per-site computation.
-	it, err := pipeline.SourceWithContext(ctx, src).Open()
-	if err != nil {
-		return nil, fmt.Errorf("gsnp: read_site: %w", err)
+// Finish implements pipeline.Kernel: stop the compute pool and release the
+// device tables, on failed runs too.
+func (e *Engine) Finish() {
+	if e.pool != nil {
+		e.pool.stop()
+		e.pool = nil
 	}
-	win := pipeline.NewWindower(it)
-	if cfg.Prefetch {
-		// read_site for window i+1 overlaps components 3-7 of window i;
-		// windows arrive strictly in order, so output bytes are identical
-		// to the serial path. Quarantine mode uses the resilient variant,
-		// whose producer keeps fetching past a record-level failure.
-		var pf *pipeline.WindowPrefetcher
-		if cfg.Quarantine {
-			pf = pipeline.NewResilientWindowPrefetcher(win, len(cfg.Ref), cfg.Window, 1)
-		} else {
-			pf = pipeline.NewWindowPrefetcher(win, len(cfg.Ref), cfg.Window, 1)
-		}
-		defer pf.Stop()
-		for {
-			pw, ok := pf.Next()
-			if !ok {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			werr := pw.Err
-			if werr == nil {
-				werr = e.windowAttempt(ctx, pw.Reads, pw.Start, pw.End)
-			}
-			if werr != nil {
-				if ferr := e.quarantineOrFail(pw.Start, pw.End, werr); ferr != nil {
-					return nil, ferr
-				}
-			}
-		}
-		rep.Prefetch = pf.Stats()
-		rep.Times.Read += rep.Prefetch.Wait
-	} else {
-		for start := 0; start < len(cfg.Ref); start += cfg.Window {
-			end := start + cfg.Window
-			if end > len(cfg.Ref) {
-				end = len(cfg.Ref)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			// Component 2: read_site, into the arena's recycled read
-			// buffer (the prefetch path allocates instead: it runs ahead
-			// of the consumer, so its windows can't share one buffer).
-			t0 = time.Now()
-			rs, werr := win.AppendReads(e.arena.readBuf[:0], start, end)
-			if rs != nil {
-				e.arena.readBuf = rs[:0]
-			}
-			rep.Times.Read += time.Since(t0)
-			if werr == nil {
-				werr = e.windowAttempt(ctx, rs, start, end)
-			}
-			if werr != nil {
-				if ferr := e.quarantineOrFail(start, end, werr); ferr != nil {
-					return nil, ferr
-				}
-			}
-		}
-	}
-
-	t0 = time.Now()
-	if e.textOut != nil {
-		if err := e.textOut.Flush(); err != nil {
-			return nil, fmt.Errorf("gsnp: output: %w", err)
-		}
-	} else {
-		if err := e.blockOut.Flush(); err != nil {
-			return nil, fmt.Errorf("gsnp: output: %w", err)
-		}
-	}
-	rep.Times.Output += time.Since(t0)
-	rep.OutputBytes = cw.n
-
-	if cfg.Mode == ModeGPU {
-		if rep.PeakDeviceBytes < cfg.Device.AllocatedBytes() {
-			rep.PeakDeviceBytes = cfg.Device.AllocatedBytes()
+	if e.cfg.Mode == ModeGPU {
+		if ab := e.cfg.Device.AllocatedBytes(); ab > e.peakDeviceBytes {
+			e.peakDeviceBytes = ab
 		}
 		e.unloadTables()
 	}
-	return rep, nil
+}
+
+// BlockWriter supplies the driver's container codec: on the GPU engine the
+// RLE-DICT columns are compressed by device kernels.
+func (e *Engine) BlockWriter(w io.Writer) *snpio.BlockWriter {
+	if e.cfg.Mode == ModeGPU {
+		return snpio.NewBlockWriterGPU(w, e.cfg.Device)
+	}
+	return snpio.NewBlockWriter(w)
 }
 
 // loadTables uploads the precomputed tables (load_table in Figure 2). The
@@ -340,13 +204,20 @@ func (e *Engine) loadTables() error {
 	return nil
 }
 
-// unloadTables releases device table memory.
+// unloadTables releases device table memory — whatever part of it a
+// failed loadTables got to allocate, too.
 func (e *Engine) unloadTables() {
 	if e.gNewP != nil {
 		e.gNewP.Free()
+		e.gNewP = nil
+	}
+	if e.gP != nil {
 		e.gP.Free()
+		e.gP = nil
+	}
+	if e.cAdj != nil {
 		e.cAdj.Free()
-		e.gNewP, e.gP, e.cAdj = nil, nil, nil
+		e.cAdj = nil
 	}
 	if e.gDep != nil {
 		e.gDep.Free()
@@ -396,11 +267,10 @@ type window struct {
 	hostQual   []uint32
 }
 
-// runWindow executes components 3-7 for one window whose reads have
-// already been fetched (serially or by the prefetcher).
-func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int) error {
-	cfg := e.cfg
-	rep := e.rep
+// Window implements pipeline.Kernel: components 3-7 for one window whose
+// reads have already been fetched (serially or by the prefetcher).
+func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
+	rep := e.run.Report
 	w := &e.ar().w
 	w.reset(start, end)
 
@@ -429,7 +299,7 @@ func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int) error {
 
 	// Components 3-7.
 	var err error
-	if cfg.Mode == ModeGPU {
+	if e.cfg.Mode == ModeGPU {
 		err = e.runWindowGPU(w)
 	} else {
 		err = e.runWindowCPU(w)
@@ -440,11 +310,7 @@ func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int) error {
 
 	// Sparsity histogram (Figure 4(b)): base_word length per site.
 	for site := 0; site < w.n; site++ {
-		h := w.words.SizeOf(site)
-		if h >= sparsityHistSize {
-			h = sparsityHistSize - 1
-		}
-		rep.NonZeroHist[h]++
+		rep.NonZeroHist[min(w.words.SizeOf(site), pipeline.SparsityHistSize-1)]++
 	}
 	return nil
 }
@@ -453,7 +319,7 @@ func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int) error {
 // kernel input; the CPU path computes priors inside posteriorRange and
 // never materialises this array).
 func (e *Engine) buildPriors(w *window) []float64 {
-	cfg := e.cfg
+	cfg := &e.run.Config
 	w.priors = grow(w.priors, w.n*dna.NGenotypes)
 	pri := w.priors
 	for site := 0; site < w.n; site++ {
@@ -477,8 +343,8 @@ func (e *Engine) output(w *window) error {
 // quality lists are rebuilt from the sorted base_word segments, whose
 // canonical order matches the dense engine's iteration order.
 func (e *Engine) buildRows(w *window) []snpio.Row {
-	cfg := e.cfg
-	rep := e.rep
+	cfg := &e.run.Config
+	rep := e.run.Report
 
 	w.rows = grow(w.rows, w.n)
 	rows := w.rows
@@ -516,52 +382,12 @@ func (e *Engine) buildRows(w *window) []snpio.Row {
 	return rows
 }
 
-// writeRows pushes assembled rows to the configured sink; with compressed
+// writeRows pushes assembled rows to the run's sink; with compressed
 // output on the GPU engine this is where the device compression kernels
 // run.
 func (e *Engine) writeRows(rows []snpio.Row) error {
-	if e.textOut != nil {
-		for i := range rows {
-			if err := e.textOut.Write(&rows[i]); err != nil {
-				return fmt.Errorf("gsnp: output: %w", err)
-			}
-		}
-		return nil
-	}
-	if err := e.blockOut.WriteBlock(rows); err != nil {
+	if err := e.run.Out.WriteBlock(rows); err != nil {
 		return fmt.Errorf("gsnp: output: %w", err)
 	}
 	return nil
-}
-
-// tempIter streams the compressed temporary input file, closing it when
-// the stream ends — at EOF or on any read error, so an aborted run does
-// not leak the descriptor.
-type tempIter struct {
-	f  *os.File
-	tr *snpio.TempReader
-}
-
-func (it *tempIter) Next() (reads.AlignedRead, error) {
-	r, err := it.tr.Next()
-	if err != nil && it.f != nil {
-		cerr := it.f.Close()
-		it.f = nil
-		if err == io.EOF && cerr != nil {
-			err = cerr
-		}
-	}
-	return r, err
-}
-
-// countingWriter tracks bytes written to the sink.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
 )
@@ -188,6 +189,85 @@ func TestQuarantineCorruptRecord(t *testing.T) {
 	}
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Error("serial and prefetch quarantine outputs differ")
+	}
+}
+
+// TestDeviceMemoryReleasedOnEveryExit: the device tables and the dep_count
+// buffer are freed however the run ends — a failed run used to return with
+// 7.9 MB still allocated and the next run on the engine overwrote the
+// handles. The same engine then completes a clean run.
+func TestDeviceMemoryReleasedOnEveryExit(t *testing.T) {
+	ds := testDataset(t, 3000, 8, 21)
+	_, clean := runGSNP(t, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 1000})
+
+	for _, tc := range []struct {
+		name       string
+		quarantine bool
+		hook       func(cancel context.CancelFunc) func(ctx context.Context, win, start, end int) error
+		wantErr    bool
+	}{
+		{"failed", false, func(context.CancelFunc) func(context.Context, int, int, int) error {
+			return func(_ context.Context, win, _, _ int) error {
+				if win == 1 {
+					return errors.New("injected window failure")
+				}
+				return nil
+			}
+		}, true},
+		{"cancelled", true, func(cancel context.CancelFunc) func(context.Context, int, int, int) error {
+			return func(_ context.Context, win, _, _ int) error {
+				if win == 1 {
+					cancel()
+				}
+				return nil
+			}
+		}, true},
+		{"quarantined", true, func(context.CancelFunc) func(context.Context, int, int, int) error {
+			return func(_ context.Context, win, _, _ int) error {
+				if win == 1 {
+					panic("injected window panic")
+				}
+				return nil
+			}
+		}, false},
+	} {
+		dev := gpu.NewDevice(gpu.M2050())
+		before := dev.AllocatedBytes()
+		ctx, cancel := context.WithCancel(context.Background())
+		armed := true
+		hook := tc.hook(cancel)
+		eng, err := New(Config{
+			Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: knownFromDataset(ds),
+			Mode: ModeGPU, Device: dev, Window: 1000, Quarantine: tc.quarantine,
+			WindowHook: func(ctx context.Context, win, start, end int) error {
+				if !armed {
+					return nil
+				}
+				return hook(ctx, win, start, end)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := eng.RunContext(ctx, pipeline.MemSource(ds.Reads), &bytes.Buffer{})
+		cancel()
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want failure %t", tc.name, err, tc.wantErr)
+		}
+		if err == nil && len(rep.Quarantined) != 1 {
+			t.Errorf("%s: %d windows quarantined, want 1", tc.name, len(rep.Quarantined))
+		}
+		if got := dev.AllocatedBytes(); got != before {
+			t.Errorf("%s: %d bytes still allocated on the device after the run, %d before it", tc.name, got, before)
+		}
+		armed = false
+		var buf bytes.Buffer
+		if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil || !bytes.Equal(buf.Bytes(), clean) {
+			t.Errorf("%s: the engine's next run: err = %v, output identical to a fresh engine's = %t", tc.name, err, bytes.Equal(buf.Bytes(), clean))
+		}
+		if got := dev.AllocatedBytes(); got != before {
+			t.Errorf("%s: %d bytes allocated after the follow-up run, %d before", tc.name, got, before)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ const likeliBlock = 256
 // runWindowGPU executes components 3-7 of one window on the simulated
 // device.
 func (e *Engine) runWindowGPU(w *window) error {
-	rep := e.rep
+	rep := e.run.Report
 	d := e.cfg.Device
 
 	// Component 3: counting — build the per-site base_word segments with
@@ -38,9 +38,9 @@ func (e *Engine) runWindowGPU(w *window) error {
 	default:
 		st = sortnet.MultipassBitonic(d, &w.words)
 	}
-	rep.SortStats.Launches += st.Launches
-	rep.SortStats.SimSeconds += st.SimSeconds
-	rep.SortStats.ElementsSorted += st.ElementsSorted
+	e.sortStats.Launches += st.Launches
+	e.sortStats.SimSeconds += st.SimSeconds
+	e.sortStats.ElementsSorted += st.ElementsSorted
 	rep.Times.LikeliSort += time.Duration(st.SimSeconds * float64(time.Second))
 
 	// Component 4b: likelihood_comp.
@@ -48,7 +48,7 @@ func (e *Engine) runWindowGPU(w *window) error {
 	sim = e.simSpan(func() { e.likelihoodCompGPU(w) })
 	delta := d.Stats().Sub(before)
 	delta.SimSeconds = 0
-	rep.LikeliStats.Add(delta)
+	e.likeliStats.Add(delta)
 	rep.Times.LikeliComp += sim
 
 	// Component 5: posterior.
@@ -78,8 +78,8 @@ func (e *Engine) runWindowGPU(w *window) error {
 	w.obsSite, w.obsWord = w.obsSite[:0], w.obsWord[:0]
 	rep.Times.Recycle += time.Since(t0)
 
-	if ab := d.AllocatedBytes(); ab > rep.PeakDeviceBytes {
-		rep.PeakDeviceBytes = ab
+	if ab := d.AllocatedBytes(); ab > e.peakDeviceBytes {
+		e.peakDeviceBytes = ab
 	}
 	return nil
 }
@@ -179,7 +179,7 @@ func (e *Engine) countGPU(w *window) {
 func (e *Engine) likelihoodCompGPU(w *window) {
 	d := e.cfg.Device
 	n := w.n
-	readLen := e.cfg.ReadLen
+	readLen := e.run.Stride
 
 	words := gpu.Alloc[uint32](d, len(w.words.Data))
 	defer words.Free()
@@ -340,7 +340,7 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 
 // ensureDep sizes the device-resident tagged dep_count buffer.
 func (e *Engine) ensureDep(n int) {
-	need := n * 2 * e.cfg.ReadLen
+	need := n * 2 * e.run.Stride
 	if e.gDep == nil || e.gDep.Len() < need {
 		if e.gDep != nil {
 			e.gDep.Free()

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/dna"
@@ -81,7 +80,10 @@ const (
 	SortNonEq
 )
 
-// Config parameterises a run.
+// Config parameterises a run: the settings every engine shares (Chr through
+// Priors, the output codec, UseTempInput, TempDir, Prefetch, Quarantine and
+// WindowHook — see pipeline.Config, which Run maps them onto) and the
+// sparse kernel's own.
 type Config struct {
 	// Chr names the chromosome in output rows.
 	Chr string
@@ -92,8 +94,6 @@ type Config struct {
 	// Window is the number of sites per window; GSNP's default is
 	// 256,000 (Section VI-A).
 	Window int
-	// ReadLen is the maximum read length.
-	ReadLen int
 	// Priors configures the genotype prior model.
 	Priors bayes.Priors
 	// Mode selects GPU or CPU execution.
@@ -108,19 +108,15 @@ type Config struct {
 	// plain result text.
 	CompressOutput bool
 	// VCFOutput writes VCFv4.2 variant records instead of the 17-column
-	// result table (SNP rows only — homozygous-reference sites are
-	// filtered by the codec). Mutually exclusive with CompressOutput.
+	// result table. Mutually exclusive with CompressOutput.
 	VCFOutput bool
-	// UseTempInput makes cal_p_matrix write the compressed temporary
-	// input file during its pass and the windowed pass read it back
-	// (Section V-A: the second read costs roughly a third of the bytes).
+	// UseTempInput routes pass two through the compressed temporary input
+	// file (Section V-A), created in TempDir (default os.TempDir()).
 	UseTempInput bool
-	// TempDir locates the temporary input file (default os.TempDir()).
-	TempDir string
+	TempDir      string
 	// Prefetch overlaps read_site I/O for window i+1 with components 3-7
-	// of window i (double buffering). Output is byte-identical either
-	// way; the serial path remains the default so the Table IV component
-	// timings are unaffected.
+	// of window i. The serial path remains the default so the Table IV
+	// component timings are unaffected.
 	Prefetch bool
 	// SortWorkers bounds the host worker count of likelihood_sort in CPU
 	// mode. Zero selects GOMAXPROCS; the Figure 6/paper-comparison
@@ -146,20 +142,11 @@ type Config struct {
 	// each of its workers a private Arena so consecutive chromosome runs
 	// reuse one working set.
 	Arena *Arena
-	// Quarantine contains window-level failures instead of aborting the
-	// run: a malformed alignment record or a panicking window computation
-	// is recorded in Report.Quarantined (window index, site range, input
-	// position, cause) and the run continues with the next window. The
-	// calibration pass skips malformed records, counted in
-	// Report.CalSkipped. Output on the success path is byte-identical
-	// with or without quarantine; a quarantined window emits no rows.
-	// Non-containable failures — I/O errors, output-sink errors, context
-	// cancellation — still abort the run.
+	// Quarantine contains window-level failures (malformed records,
+	// panicking windows) instead of aborting the run.
 	Quarantine bool
-	// WindowHook, when non-nil, runs before each window's computation
-	// with the window index and site range. A returned error or a panic
-	// is treated exactly like a failure of the window itself — the seam
-	// internal/faults uses to inject worker panics and stalls.
+	// WindowHook, when non-nil, runs before each window's computation —
+	// the fault-injection seam (see internal/faults).
 	WindowHook func(ctx context.Context, window, start, end int) error
 }
 
@@ -170,12 +157,6 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = DefaultWindow
 	}
-	if c.ReadLen == 0 {
-		c.ReadLen = 100
-	}
-	if c.Priors == (bayes.Priors{}) {
-		c.Priors = bayes.DefaultPriors()
-	}
 	if c.SortWorkers <= 0 {
 		c.SortWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -185,78 +166,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Times is the per-component breakdown of Table IV. GPU components combine
-// the simulated device time of their kernels and copies with the host time
-// of their host-side work.
-type Times struct {
-	CalP       time.Duration
-	Read       time.Duration
-	Count      time.Duration
-	LikeliSort time.Duration
-	LikeliComp time.Duration
-	Post       time.Duration
-	Output     time.Duration
-	Recycle    time.Duration
+// settings maps the configuration onto the two-pass driver's.
+func (c *Config) settings() pipeline.Config {
+	return pipeline.Config{
+		Chr: c.Chr, Ref: c.Ref, Known: c.Known, Priors: c.Priors, Window: c.Window,
+		Prefetch: c.Prefetch, Quarantine: c.Quarantine, WindowHook: c.WindowHook,
+		VCFOutput: c.VCFOutput, CompressOutput: c.CompressOutput,
+		UseTempInput: c.UseTempInput, TempDir: c.TempDir,
+	}
 }
 
-// Likeli is the combined likelihood component (sort + comp), comparable
-// with SOAPsnp's likelihood column.
-func (t Times) Likeli() time.Duration { return t.LikeliSort + t.LikeliComp }
-
-// Total sums the components.
-func (t Times) Total() time.Duration {
-	return t.CalP + t.Read + t.Count + t.LikeliSort + t.LikeliComp + t.Post + t.Output + t.Recycle
-}
-
-func (t Times) String() string {
-	return fmt.Sprintf("cal_p=%v read=%v count=%v likeli=%v(sort=%v,comp=%v) post=%v output=%v recycle=%v total=%v",
-		t.CalP.Round(time.Microsecond), t.Read.Round(time.Microsecond), t.Count.Round(time.Microsecond),
-		t.Likeli().Round(time.Microsecond), t.LikeliSort.Round(time.Microsecond), t.LikeliComp.Round(time.Microsecond),
-		t.Post.Round(time.Microsecond), t.Output.Round(time.Microsecond), t.Recycle.Round(time.Microsecond),
-		t.Total().Round(time.Microsecond))
-}
-
-// Report summarises a run.
+// Report summarises a run: the driver's report plus the device-side
+// measurements only this engine takes.
 type Report struct {
-	// Times is the component breakdown.
-	Times Times
-	// Sites, SNPs, MeanDepth and Observations as in the SOAPsnp report.
-	Sites        int
-	SNPs         int64
-	MeanDepth    float64
-	Observations int64
-	// NonZeroHist is the Figure 4(b) sparsity histogram (length of the
-	// base_word array per site).
-	NonZeroHist []int64
+	pipeline.Report
 	// SortStats aggregates the likelihood_sort work (GPU mode).
 	SortStats sortnet.Stats
 	// LikeliStats aggregates the device counters of the likelihood_comp
 	// kernels only — the Table III measurement (GPU mode).
 	LikeliStats gpu.Stats
-	// OutputBytes is the number of result bytes written.
-	OutputBytes int64
 	// PeakDeviceBytes is the high-water device memory use (GPU mode).
 	PeakDeviceBytes int64
-	// Prefetch reports the window-prefetch counters when Config.Prefetch
-	// is set (zero otherwise): Fetch is read_site work that overlapped
-	// computation, Wait the residual blocking left in Times.Read.
-	Prefetch pipeline.PrefetchStats
-	// Quarantined lists the windows abandoned under Config.Quarantine; a
-	// non-empty list marks the run's output as partial.
-	Quarantined []pipeline.Quarantine
-	// CalSkipped counts malformed records skipped during the calibration
-	// pass under Config.Quarantine.
-	CalSkipped int
 }
-
-// Partial reports whether the run degraded: any quarantined window or
-// skipped calibration record means the output is incomplete.
-func (r *Report) Partial() bool {
-	return len(r.Quarantined) > 0 || r.CalSkipped > 0
-}
-
-// sparsityHistSize caps the sparsity histogram domain.
-const sparsityHistSize = 257
 
 // PackWord encodes an observation as a 32-bit base_word. The quality field
 // stores 63-score so that sorting words ascending yields Algorithm 1's

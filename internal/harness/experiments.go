@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"gsnp/internal/gsnp"
-	"gsnp/internal/soapsnp"
+	"gsnp/internal/pipeline"
 )
 
 // experiment is one reproducible table or figure.
@@ -68,10 +68,10 @@ func (s *Session) Table1() *Result {
 	for _, name := range []string{"chr1", "chr21"} {
 		rep, _ := s.RunSOAPsnp(name)
 		tm := rep.Times
-		r.AddRow(name, seconds(tm.CalP), seconds(tm.Read), seconds(tm.Count), seconds(tm.Likeli),
+		r.AddRow(name, seconds(tm.CalP), seconds(tm.Read), seconds(tm.Count), seconds(tm.Likeli()),
 			seconds(tm.Post), seconds(tm.Output), seconds(tm.Recycle), seconds(tm.Total()))
 
-		share := tm.Likeli.Seconds() / tm.Total().Seconds()
+		share := tm.Likeli().Seconds() / tm.Total().Seconds()
 		r.Notef("%s: likelihood is %.0f%% of total (paper: ~56%%); recycle ranks %s (paper: 2nd)",
 			name, share*100, componentRank(rep, "recycle"))
 		p := PaperTable1[name]
@@ -83,10 +83,10 @@ func (s *Session) Table1() *Result {
 
 // componentRank reports the rank of a component within the run's
 // non-cal_p components.
-func componentRank(rep *soapsnp.Report, comp string) string {
+func componentRank(rep *pipeline.Report, comp string) string {
 	vals := map[string]float64{
 		"read": rep.Times.Read.Seconds(), "count": rep.Times.Count.Seconds(),
-		"likeli": rep.Times.Likeli.Seconds(), "post": rep.Times.Post.Seconds(),
+		"likeli": rep.Times.Likeli().Seconds(), "post": rep.Times.Post.Seconds(),
 		"output": rep.Times.Output.Seconds(), "recycle": rep.Times.Recycle.Seconds(),
 	}
 	type kv struct {
@@ -194,7 +194,7 @@ func (s *Session) Table4() *Result {
 			seconds(tm.CalP),
 			cell(tm.Read.Seconds(), bt.Read.Seconds()),
 			cell(tm.Count.Seconds(), bt.Count.Seconds()),
-			cell(tm.Likeli().Seconds(), bt.Likeli.Seconds()),
+			cell(tm.Likeli().Seconds(), bt.Likeli().Seconds()),
 			cell(tm.Post.Seconds(), bt.Post.Seconds()),
 			cell(tm.Output.Seconds(), bt.Output.Seconds()),
 			cell(tm.Recycle.Seconds(), bt.Recycle.Seconds()),
@@ -202,7 +202,7 @@ func (s *Session) Table4() *Result {
 		r.Notef("%s: total speedup %.0fx (paper: %.0fx); likelihood %.0fx (paper: %.0fx); recycle %.0fx (paper: %.0fx)",
 			name,
 			bt.Total().Seconds()/tm.Total().Seconds(), PaperTable4Speedups[name]["total"],
-			bt.Likeli.Seconds()/tm.Likeli().Seconds(), PaperTable4Speedups[name]["likeli"],
+			bt.Likeli().Seconds()/tm.Likeli().Seconds(), PaperTable4Speedups[name]["likeli"],
 			bt.Recycle.Seconds()/tm.Recycle.Seconds(), PaperTable4Speedups[name]["recycle"])
 	}
 	r.Notef("cells show seconds(speedup vs SOAPsnp); GPU components are simulated device time")

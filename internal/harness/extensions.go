@@ -40,7 +40,7 @@ func (s *Session) ExtThreads() *Result {
 		if err != nil {
 			panic(err)
 		}
-		li := rep.Times.Likeli.Seconds()
+		li := rep.Times.Likeli().Seconds()
 		if th == 1 {
 			base = li
 		}
@@ -166,18 +166,18 @@ func (s *Session) ExtParallel() *Result {
 	var baseline [][]byte
 	var baseWall float64
 	for _, workers := range []int{1, 2, 4} {
-		tasks := make([]sched.Task[[]byte], len(dss))
+		tasks := make([]sched.Task[[]byte, struct{}], len(dss))
 		for i, ds := range dss {
 			ds := ds
-			tasks[i] = sched.Task[[]byte]{
+			tasks[i] = sched.Task[[]byte, struct{}]{
 				Name: ds.Spec.Name,
-				Run: func(ctx context.Context) ([]byte, error) {
+				Run: func(ctx context.Context, _ struct{}) ([]byte, error) {
 					_, out := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
 					return out, nil
 				},
 			}
 		}
-		res, stats, err := sched.Run(context.Background(), workers, tasks)
+		res, stats, err := sched.Run(context.Background(), workers, sched.Policy{}, nil, tasks)
 		if err != nil {
 			panic(err)
 		}

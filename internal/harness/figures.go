@@ -52,7 +52,7 @@ func (s *Session) Fig4a() *Result {
 	for _, name := range []string{"chr1", "chr21"} {
 		rep, _ := s.RunSOAPsnp(name)
 		est := float64(rep.Sites) * float64(bayes.BaseOccSize) / bw
-		li := rep.Times.Likeli.Seconds()
+		li := rep.Times.Likeli().Seconds()
 		re := rep.Times.Recycle.Seconds()
 		r.AddRow(name, fmt.Sprintf("%.2f", est), fmt.Sprintf("%.2f", li),
 			fmt.Sprintf("%.0f%%", 100*est/li), fmt.Sprintf("%.2f", re), fmt.Sprintf("%.0f%%", 100*est/re))
@@ -117,7 +117,7 @@ func (s *Session) Fig5() *Result {
 		gpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU})
 
 		denseSec := s.denseGPUSeconds(ds)
-		soap := base.Times.Likeli.Seconds()
+		soap := base.Times.Likeli().Seconds()
 		cpuS := cpuRep.Times.Likeli().Seconds()
 		gpuS := gpuRep.Times.Likeli().Seconds()
 		r.AddRow(name,

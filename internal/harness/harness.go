@@ -56,7 +56,7 @@ type Session struct {
 
 // soapRun caches a SOAPsnp execution.
 type soapRun struct {
-	report *soapsnp.Report
+	report *pipeline.Report
 	output []byte
 }
 
@@ -118,7 +118,7 @@ func KnownSNPs(ds *seqsim.Dataset) snpio.KnownSNPs {
 
 // RunSOAPsnp executes (or returns the cached) dense baseline for a
 // dataset.
-func (s *Session) RunSOAPsnp(name string) (*soapsnp.Report, []byte) {
+func (s *Session) RunSOAPsnp(name string) (*pipeline.Report, []byte) {
 	s.mu.Lock()
 	if r, ok := s.soapRuns[name]; ok {
 		s.mu.Unlock()

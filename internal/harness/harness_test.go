@@ -117,7 +117,7 @@ func TestShapeTable4Speedups(t *testing.T) {
 	ds := s.Dataset("chr21")
 	rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Compress: true})
 
-	likeliSpeedup := base.Times.Likeli.Seconds() / rep.Times.Likeli().Seconds()
+	likeliSpeedup := base.Times.Likeli().Seconds() / rep.Times.Likeli().Seconds()
 	if likeliSpeedup < 10 {
 		t.Errorf("likelihood speedup = %.1fx, want >> 10x (paper: 231x)", likeliSpeedup)
 	}
@@ -144,7 +144,7 @@ func TestShapeFig5(t *testing.T) {
 	gpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU})
 	dense := s.denseGPUSeconds(ds)
 
-	soap := base.Times.Likeli.Seconds()
+	soap := base.Times.Likeli().Seconds()
 	sparseCPU := cpuRep.Times.Likeli().Seconds()
 	sparseGPU := gpuRep.Times.Likeli().Seconds()
 	if !(sparseCPU < soap) {

@@ -1,10 +1,11 @@
 // Package pipeline holds the machinery shared by the SOAPsnp baseline and
-// the GSNP engine: alignment sources that can be read twice (pass one for
-// cal_p_matrix, pass two for the windowed per-site computation), per-site
-// observation records and counts, and the construction of result rows from
-// genotype likelihoods. Both engines build rows through this package with
-// identical arithmetic, which is what makes their outputs byte-identical —
-// the consistency requirement of Section IV-G of the paper.
+// the GSNP engine: the two-pass driver itself (Run, which every engine sits
+// behind as a window Kernel), alignment sources that can be read twice (pass
+// one for cal_p_matrix, pass two for the windowed per-site computation),
+// per-site observation records and counts, and the construction of result
+// rows from genotype likelihoods. Both engines build rows through this
+// package with identical arithmetic, which is what makes their outputs
+// byte-identical — the consistency requirement of Section IV-G of the paper.
 package pipeline
 
 import (

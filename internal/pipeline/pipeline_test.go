@@ -355,10 +355,10 @@ func TestCalibrateMatchesObsOf(t *testing.T) {
 	}
 
 	cal := bayes.NewCalibration()
-	if _, err := Calibrate(cal, MemSource(ds.Reads[:len(ds.Reads)/2]), ref, nil); err != nil {
+	if _, _, err := Calibrate(cal, MemSource(ds.Reads[:len(ds.Reads)/2]), ref, nil); err != nil {
 		t.Fatal(err)
 	}
-	mean, err := Calibrate(cal, MemSource(rs), ref, nil)
+	mean, _, err := Calibrate(cal, MemSource(rs), ref, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

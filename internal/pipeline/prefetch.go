@@ -59,29 +59,16 @@ type WindowPrefetcher struct {
 }
 
 // NewWindowPrefetcher starts prefetching windows of size window over
-// [0, total) from win. depth is the number of windows the producer may run
-// ahead of the consumer; depth <= 0 selects 1 (double buffering). The
-// Windower must not be used by anyone else while the prefetcher is live.
-// The producer stops after delivering the first failed window.
-func NewWindowPrefetcher(win *Windower, total, window, depth int) *WindowPrefetcher {
-	return startPrefetcher(win, total, window, depth, false)
-}
-
-// NewResilientWindowPrefetcher is NewWindowPrefetcher for quarantine mode:
-// after delivering a window whose fetch failed with a record-level error
-// (see RecordError), the producer keeps going with the next window — the
-// Windower remains usable past a parse failure, the bad record is simply
-// absent. Non-record errors (I/O failures) still stop the producer.
-func NewResilientWindowPrefetcher(win *Windower, total, window, depth int) *WindowPrefetcher {
-	return startPrefetcher(win, total, window, depth, true)
-}
-
-func startPrefetcher(win *Windower, total, window, depth int, resilient bool) *WindowPrefetcher {
-	if depth <= 0 {
-		depth = 1
-	}
+// [0, total) from win, one window ahead of the consumer (double
+// buffering). The Windower must not be used by anyone else while the
+// prefetcher is live. The producer stops after delivering the first failed
+// window — unless resilient is set (quarantine mode) and the failure is
+// record-level (see RecordError): the Windower remains usable past a parse
+// failure, the bad record is simply absent, so the producer keeps going
+// with the next window. Non-record errors (I/O failures) always stop it.
+func NewWindowPrefetcher(win *Windower, total, window int, resilient bool) *WindowPrefetcher {
 	p := &WindowPrefetcher{
-		ch:   make(chan PrefetchedWindow, depth),
+		ch:   make(chan PrefetchedWindow, 1),
 		stop: make(chan struct{}),
 	}
 	go func() {

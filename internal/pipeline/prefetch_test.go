@@ -23,12 +23,7 @@ func TestWindowPrefetcherNoGoroutineLeakOnAbort(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		it, _ := MemSource(ds.Reads).Open()
-		var pf *WindowPrefetcher
-		if i%2 == 0 {
-			pf = NewWindowPrefetcher(NewWindower(it), 20000, 100, 2)
-		} else {
-			pf = NewResilientWindowPrefetcher(NewWindower(it), 20000, 100, 2)
-		}
+		pf := NewWindowPrefetcher(NewWindower(it), 20000, 100, i%2 != 0)
 		if _, ok := pf.Next(); !ok {
 			t.Fatal("first window missing")
 		}
@@ -74,12 +69,7 @@ func TestResilientPrefetcherContinuesPastRecordError(t *testing.T) {
 	const total, window = 1000, 100
 	run := func(resilient bool) (windows, failed int) {
 		it := &flakyIter{total: 50, badEvery: 20}
-		var pf *WindowPrefetcher
-		if resilient {
-			pf = NewResilientWindowPrefetcher(NewWindower(it), total, window, 1)
-		} else {
-			pf = NewWindowPrefetcher(NewWindower(it), total, window, 1)
-		}
+		pf := NewWindowPrefetcher(NewWindower(it), total, window, resilient)
 		defer pf.Stop()
 		for {
 			pw, ok := pf.Next()

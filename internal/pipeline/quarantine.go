@@ -81,7 +81,7 @@ func NewQuarantine(chr string, window, start, end int, cause error) Quarantine {
 }
 
 // PanicError is a panic converted to an error, with the goroutine stack
-// captured at the recovery point. Engines use it to contain a panicking
+// captured at the recovery point. The driver uses it to contain a panicking
 // window; the scheduler's Policy produces the analogous sched.PanicError
 // for whole-task panics.
 type PanicError struct {
@@ -136,27 +136,18 @@ func SourceWithContext(ctx context.Context, src Source) Source {
 		if err != nil {
 			return nil, err
 		}
-		return WithContext(ctx, it), nil
+		return &ctxIter{it: it, ctx: ctx}, nil
 	})
 }
 
-// ctxIter aborts a read stream when its context ends, checking every 1024
-// records so cancellation latency stays bounded without measurable
-// per-record overhead.
+// ctxIter aborts a read stream with its context's error when the context
+// ends — what makes per-task deadlines effective inside a long calibration
+// or window pass — checking every 1024 records so cancellation latency
+// stays bounded without measurable per-record overhead.
 type ctxIter struct {
 	it  ReadIter
-	ctx interface{ Err() error }
+	ctx context.Context
 	n   int
-}
-
-// WithContext wraps it so that a cancelled or expired ctx aborts the
-// stream with the context's error — what makes per-task deadlines
-// effective inside a long calibration or window pass.
-func WithContext(ctx interface{ Err() error }, it ReadIter) ReadIter {
-	if ctx == nil {
-		return it
-	}
-	return &ctxIter{it: it, ctx: ctx}
 }
 
 func (c *ctxIter) Next() (reads.AlignedRead, error) {
@@ -172,11 +163,10 @@ func (c *ctxIter) Next() (reads.AlignedRead, error) {
 // surfacing them — the calibration-pass behaviour of quarantine mode,
 // where a corrupt record must not abort the whole-input scan. Non-record
 // errors (I/O failures, truncated streams) still propagate. Each skip is
-// reported through onSkip when non-nil.
+// reported through onSkip.
 type TolerantIter struct {
-	it      ReadIter
-	onSkip  func(err RecordError)
-	skipped int
+	it     ReadIter
+	onSkip func(err RecordError)
 }
 
 // maxRecordSkips bounds consecutive record skips so a pathological input
@@ -184,14 +174,10 @@ type TolerantIter struct {
 // consuming input) cannot spin forever.
 const maxRecordSkips = 1 << 20
 
-// NewTolerantIter wraps it. onSkip, when non-nil, observes every skipped
-// record error.
+// NewTolerantIter wraps it; onSkip observes every skipped record error.
 func NewTolerantIter(it ReadIter, onSkip func(err RecordError)) *TolerantIter {
 	return &TolerantIter{it: it, onSkip: onSkip}
 }
-
-// Skipped reports how many records were skipped so far.
-func (t *TolerantIter) Skipped() int { return t.skipped }
 
 // Next returns the next parseable record, skipping records whose errors
 // are record-scoped.
@@ -205,9 +191,6 @@ func (t *TolerantIter) Next() (reads.AlignedRead, error) {
 		if !errors.As(err, &re) || skips >= maxRecordSkips {
 			return r, err
 		}
-		t.skipped++
-		if t.onSkip != nil {
-			t.onSkip(re)
-		}
+		t.onSkip(re)
 	}
 }

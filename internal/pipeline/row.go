@@ -86,7 +86,7 @@ func BuildRow(in *RowInputs) snpio.Row {
 // calibration of its own; see Calibrate.
 func CalibrationPass(src Source, ref dna.Sequence, sink func(*reads.AlignedRead) error) (*bayes.Calibration, float64, error) {
 	cal := bayes.NewCalibration()
-	mean, err := Calibrate(cal, src, ref, sink)
+	mean, _, err := Calibrate(cal, src, ref, sink)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -95,15 +95,17 @@ func CalibrationPass(src Source, ref dna.Sequence, sink func(*reads.AlignedRead)
 
 // Calibrate resets cal and streams the whole input once into it, feeding
 // every observation into the calibration against the reference and counting
-// aligned bases for the mean-depth estimate it returns. The caller may
-// supply a sink that sees every read (GSNP uses it to write the compressed
-// temporary input during the same pass). Taking the calibration from the
-// caller lets an engine reuse one set of counters for every input it runs.
-func Calibrate(cal *bayes.Calibration, src Source, ref dna.Sequence, sink func(*reads.AlignedRead) error) (float64, error) {
+// aligned bases for the mean-depth estimate it returns, along with the
+// length of the longest read it saw (the dep_count stride of pass two
+// follows from it; see Run). The caller may supply a sink that sees every
+// read (it writes the compressed temporary input during the same pass).
+// Taking the calibration from the caller lets the driver reuse one set of
+// counters for every input it runs.
+func Calibrate(cal *bayes.Calibration, src Source, ref dna.Sequence, sink func(*reads.AlignedRead) error) (meanDepth float64, longest int, err error) {
 	cal.Reset()
 	it, err := src.Open()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var bases int64
 	// One record for the whole pass: the sink takes its address, and a
@@ -115,8 +117,9 @@ func Calibrate(cal *bayes.Calibration, src Source, ref dna.Sequence, sink func(*
 			break
 		}
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
+		longest = max(longest, len(r.Bases))
 		// The observations of ObsOf over the read's span of the reference,
 		// without building an Obs per base: this loop runs once per aligned
 		// base of the input (TestCalibrateMatchesObsOf ties the two).
@@ -131,13 +134,12 @@ func Calibrate(cal *bayes.Calibration, src Source, ref dna.Sequence, sink func(*
 		}
 		if sink != nil {
 			if err := sink(&r); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 	}
-	mean := 0.0
 	if len(ref) > 0 {
-		mean = float64(bases) / float64(len(ref))
+		meanDepth = float64(bases) / float64(len(ref))
 	}
-	return mean, nil
+	return meanDepth, longest, nil
 }

@@ -121,7 +121,7 @@ func TestWindowPrefetcherMatchesSerial(t *testing.T) {
 	}
 
 	it2, _ := MemSource(ds.Reads).Open()
-	pf := NewWindowPrefetcher(NewWindower(it2), total, window, 1)
+	pf := NewWindowPrefetcher(NewWindower(it2), total, window, false)
 	defer pf.Stop()
 	i := 0
 	for {
@@ -161,7 +161,7 @@ func TestWindowPrefetcherMatchesSerial(t *testing.T) {
 func TestWindowPrefetcherError(t *testing.T) {
 	boom := errors.New("boom")
 	it := &errAfterIter{n: 2, err: boom}
-	pf := NewWindowPrefetcher(NewWindower(it), 1000, 100, 1)
+	pf := NewWindowPrefetcher(NewWindower(it), 1000, 100, false)
 	defer pf.Stop()
 	pw, ok := pf.Next()
 	if !ok {
@@ -180,7 +180,7 @@ func TestWindowPrefetcherError(t *testing.T) {
 func TestWindowPrefetcherStop(t *testing.T) {
 	ds := seqsim.BuildDataset(seqsim.ChromosomeSpec{Name: "t", Length: 5000, Depth: 6, Seed: 9})
 	it, _ := MemSource(ds.Reads).Open()
-	pf := NewWindowPrefetcher(NewWindower(it), 5000, 100, 1)
+	pf := NewWindowPrefetcher(NewWindower(it), 5000, 100, false)
 	if _, ok := pf.Next(); !ok {
 		t.Fatal("first window missing")
 	}

@@ -29,12 +29,12 @@ func TestRunPolicyResultOrderingMixedFailures(t *testing.T) {
 			return "ok"
 		}
 	}
-	tasks := make([]Task[string], n)
+	tasks := make([]Task[string, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[string]{
+		tasks[i] = Task[string, struct{}]{
 			Name: fmt.Sprintf("task-%02d", i),
-			Run: func(ctx context.Context) (string, error) {
+			Run: func(ctx context.Context, _ struct{}) (string, error) {
 				switch kind(i) {
 				case "panic":
 					panic(fmt.Sprintf("boom-%d", i))
@@ -54,7 +54,7 @@ func TestRunPolicyResultOrderingMixedFailures(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			results, stats, err := RunPolicy(context.Background(), workers, pol, tasks)
+			results, stats, err := Run(context.Background(), workers, pol, nil, tasks)
 			if len(results) != n {
 				t.Fatalf("got %d results, want %d", len(results), n)
 			}
@@ -105,8 +105,8 @@ func TestRunPolicyLowestIndexErrorBeatsEarlierCompletion(t *testing.T) {
 	lowStarted := make(chan struct{})
 	highFailed := make(chan struct{})
 	var highDone atomic.Bool
-	tasks := []Task[int]{
-		{Name: "low-fail", Run: func(ctx context.Context) (int, error) {
+	tasks := []Task[int, struct{}]{
+		{Name: "low-fail", Run: func(ctx context.Context, _ struct{}) (int, error) {
 			close(lowStarted)
 			<-highFailed // guarantee the high-index failure completes first
 			if !highDone.Load() {
@@ -114,15 +114,15 @@ func TestRunPolicyLowestIndexErrorBeatsEarlierCompletion(t *testing.T) {
 			}
 			return 0, errors.New("low error")
 		}},
-		{Name: "ok", Run: func(ctx context.Context) (int, error) { return 1, nil }},
-		{Name: "high-fail", Run: func(ctx context.Context) (int, error) {
+		{Name: "ok", Run: func(ctx context.Context, _ struct{}) (int, error) { return 1, nil }},
+		{Name: "high-fail", Run: func(ctx context.Context, _ struct{}) (int, error) {
 			<-lowStarted
 			highDone.Store(true)
 			defer close(highFailed)
 			return 0, errors.New("high error")
 		}},
 	}
-	_, _, err := RunPolicy(context.Background(), 3, Policy{ContinueOnError: true}, tasks)
+	_, _, err := Run(context.Background(), 3, Policy{ContinueOnError: true}, nil, tasks)
 	if err == nil || !strings.Contains(err.Error(), "low error") {
 		t.Fatalf("run error %v, want the lowest-index failure (low error)", err)
 	}

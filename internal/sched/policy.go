@@ -128,7 +128,7 @@ func (p *Policy) sleepCtx(ctx context.Context, d time.Duration) error {
 
 // runAttempt executes one attempt under the policy's deadline and panic
 // containment.
-func runAttempt[R, L any](ctx context.Context, p *Policy, t LocalTask[R, L], local L) (v R, err error, panicked bool) {
+func runAttempt[R, L any](ctx context.Context, p *Policy, t Task[R, L], local L) (v R, err error, panicked bool) {
 	actx := ctx
 	if p.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -154,7 +154,7 @@ func runAttempt[R, L any](ctx context.Context, p *Policy, t LocalTask[R, L], loc
 
 // execute runs one task to completion under the policy: attempts, backoff,
 // and retry classification.
-func execute[R, L any](ctx context.Context, p *Policy, idx int, t LocalTask[R, L], local L) (v R, err error, attempts int, panicked bool) {
+func execute[R, L any](ctx context.Context, p *Policy, idx int, t Task[R, L], local L) (v R, err error, attempts int, panicked bool) {
 	for attempt := 0; ; attempt++ {
 		attempts++
 		v, err, panicked = runAttempt(ctx, p, t, local)

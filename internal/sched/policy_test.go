@@ -16,14 +16,14 @@ import (
 func TestPolicyRetrySucceedsOnAttemptN(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		var calls atomic.Int32
-		tasks := []Task[int]{{Name: "flaky", Run: func(ctx context.Context) (int, error) {
+		tasks := []Task[int, struct{}]{{Name: "flaky", Run: func(ctx context.Context, _ struct{}) (int, error) {
 			if int(calls.Add(1)) < n {
 				return 0, errors.New("transient")
 			}
 			return 42, nil
 		}}}
 		pol := Policy{Retries: 4}
-		results, _, err := RunPolicy(context.Background(), 1, pol, tasks)
+		results, _, err := Run(context.Background(), 1, pol, nil, tasks)
 		if err != nil {
 			t.Fatalf("n=%d: run failed: %v", n, err)
 		}
@@ -39,11 +39,11 @@ func TestPolicyRetrySucceedsOnAttemptN(t *testing.T) {
 func TestPolicyRetriesExhausted(t *testing.T) {
 	var calls atomic.Int32
 	boom := errors.New("boom")
-	tasks := []Task[int]{{Name: "broken", Run: func(ctx context.Context) (int, error) {
+	tasks := []Task[int, struct{}]{{Name: "broken", Run: func(ctx context.Context, _ struct{}) (int, error) {
 		calls.Add(1)
 		return 0, boom
 	}}}
-	_, _, err := RunPolicy(context.Background(), 1, Policy{Retries: 3}, tasks)
+	_, _, err := Run(context.Background(), 1, Policy{Retries: 3}, nil, tasks)
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -65,10 +65,10 @@ func TestPolicyBackoffSchedule(t *testing.T) {
 			return nil
 		},
 	}
-	tasks := []Task[int]{{Name: "t", Run: func(ctx context.Context) (int, error) {
+	tasks := []Task[int, struct{}]{{Name: "t", Run: func(ctx context.Context, _ struct{}) (int, error) {
 		return 0, errors.New("always")
 	}}}
-	if _, _, err := RunPolicy(context.Background(), 1, pol, tasks); err == nil {
+	if _, _, err := Run(context.Background(), 1, pol, nil, tasks); err == nil {
 		t.Fatal("want error")
 	}
 	want := []time.Duration{10, 20, 40, 40} // ms: doubling, then clamped
@@ -99,7 +99,7 @@ func TestPolicyBackoffSchedule(t *testing.T) {
 // TestPolicyDeadlineFiresMidTask: a task that honours its context is cut
 // short by the per-attempt deadline and the error says so.
 func TestPolicyDeadlineFiresMidTask(t *testing.T) {
-	tasks := []Task[int]{{Name: "wedged", Run: func(ctx context.Context) (int, error) {
+	tasks := []Task[int, struct{}]{{Name: "wedged", Run: func(ctx context.Context, _ struct{}) (int, error) {
 		select {
 		case <-ctx.Done():
 			return 0, ctx.Err()
@@ -108,7 +108,7 @@ func TestPolicyDeadlineFiresMidTask(t *testing.T) {
 		}
 	}}}
 	start := time.Now()
-	_, _, err := RunPolicy(context.Background(), 1, Policy{Timeout: 20 * time.Millisecond}, tasks)
+	_, _, err := Run(context.Background(), 1, Policy{Timeout: 20 * time.Millisecond}, nil, tasks)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline error, got %v", err)
 	}
@@ -124,15 +124,15 @@ func TestPolicyDeadlineFiresMidTask(t *testing.T) {
 // faster second attempt succeeds.
 func TestPolicyDeadlineRetry(t *testing.T) {
 	var calls atomic.Int32
-	tasks := []Task[int]{{Name: "slow-once", Run: func(ctx context.Context) (int, error) {
+	tasks := []Task[int, struct{}]{{Name: "slow-once", Run: func(ctx context.Context, _ struct{}) (int, error) {
 		if calls.Add(1) == 1 {
 			<-ctx.Done() // first attempt stalls until the deadline
 			return 0, ctx.Err()
 		}
 		return 7, nil
 	}}}
-	results, _, err := RunPolicy(context.Background(), 1,
-		Policy{Timeout: 20 * time.Millisecond, Retries: 1}, tasks)
+	results, _, err := Run(context.Background(), 1,
+		Policy{Timeout: 20 * time.Millisecond, Retries: 1}, nil, tasks)
 	if err != nil || results[0].Value != 7 || results[0].Attempts != 2 {
 		t.Fatalf("got value %d attempts %d err %v, want 7/2/nil",
 			results[0].Value, results[0].Attempts, err)
@@ -143,10 +143,10 @@ func TestPolicyDeadlineRetry(t *testing.T) {
 // *PanicError with the stack captured, and sibling tasks are unaffected.
 func TestPolicyPanicBecomesError(t *testing.T) {
 	ran := make([]atomic.Bool, 3)
-	tasks := make([]Task[int], 3)
+	tasks := make([]Task[int, struct{}], 3)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context, _ struct{}) (int, error) {
 			ran[i].Store(true)
 			if i == 1 {
 				panic("kaboom")
@@ -155,7 +155,7 @@ func TestPolicyPanicBecomesError(t *testing.T) {
 		}}
 	}
 	pol := Policy{RecoverPanics: true, ContinueOnError: true}
-	results, _, err := RunPolicy(context.Background(), 2, pol, tasks)
+	results, _, err := Run(context.Background(), 2, pol, nil, tasks)
 
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -182,17 +182,17 @@ func TestPolicyPanicBecomesError(t *testing.T) {
 // is skipped, and the returned error is still the lowest-index failure.
 func TestPolicyContinueOnError(t *testing.T) {
 	const n = 12
-	tasks := make([]Task[int], n)
+	tasks := make([]Task[int, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context, _ struct{}) (int, error) {
 			if i == 3 || i == 7 {
 				return 0, fmt.Errorf("fail-%d", i)
 			}
 			return i, nil
 		}}
 	}
-	results, stats, err := RunPolicy(context.Background(), 4, Policy{ContinueOnError: true}, tasks)
+	results, stats, err := Run(context.Background(), 4, Policy{ContinueOnError: true}, nil, tasks)
 	if err == nil || !strings.Contains(err.Error(), "fail-3") {
 		t.Fatalf("run error %v, want the lowest-index failure fail-3", err)
 	}
@@ -211,10 +211,10 @@ func TestPolicyContinueOnError(t *testing.T) {
 func TestPolicyZeroMatchesLegacy(t *testing.T) {
 	const n = 64
 	block := make(chan struct{})
-	tasks := make([]Task[int], n)
+	tasks := make([]Task[int, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context) (int, error) {
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context, _ struct{}) (int, error) {
 			if i == 0 {
 				close(block)
 				return 0, errors.New("first fails")
@@ -223,7 +223,7 @@ func TestPolicyZeroMatchesLegacy(t *testing.T) {
 			return i, nil
 		}}
 	}
-	_, stats, err := RunPolicy(context.Background(), 2, Policy{}, tasks)
+	_, stats, err := Run(context.Background(), 2, Policy{}, nil, tasks)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -237,12 +237,12 @@ func TestPolicyZeroMatchesLegacy(t *testing.T) {
 func TestPolicyRetryIf(t *testing.T) {
 	var calls atomic.Int32
 	perm := errors.New("permanent")
-	tasks := []Task[int]{{Name: "t", Run: func(ctx context.Context) (int, error) {
+	tasks := []Task[int, struct{}]{{Name: "t", Run: func(ctx context.Context, _ struct{}) (int, error) {
 		calls.Add(1)
 		return 0, perm
 	}}}
 	pol := Policy{Retries: 5, RetryIf: func(err error) bool { return !errors.Is(err, perm) }}
-	if _, _, err := RunPolicy(context.Background(), 1, pol, tasks); !errors.Is(err, perm) {
+	if _, _, err := Run(context.Background(), 1, pol, nil, tasks); !errors.Is(err, perm) {
 		t.Fatalf("want permanent, got %v", err)
 	}
 	if calls.Load() != 1 {

@@ -16,7 +16,7 @@ type PoolConfig struct {
 	Workers int
 	// Policy is the fault-tolerance contract applied to every task of every
 	// job: deadlines, panic containment and retries, exactly as in
-	// RunLocalPolicy. ContinueOnError is implied — one job's failure never
+	// Run. ContinueOnError is implied — one job's failure never
 	// cancels another job, and within a job every task still runs.
 	Policy Policy
 	// OnDequeue, when set, observes dispatch order: it is called under the
@@ -27,7 +27,7 @@ type PoolConfig struct {
 	OnDequeue func(job string, index int)
 }
 
-// Pool is the long-lived counterpart of RunLocal: a fixed set of workers
+// Pool is the long-lived counterpart of Run: a fixed set of workers
 // (each with its own worker-local state, e.g. a gsnp.Arena) serving many
 // jobs submitted over time. Scheduling is fair across jobs by round-robin:
 // a worker looking for work takes ONE task from the least-recently-served
@@ -55,7 +55,7 @@ type Pool[R, L any] struct {
 // poolJob is the pool-internal state of one submitted job.
 type poolJob[R, L any] struct {
 	id      string
-	tasks   []LocalTask[R, L]
+	tasks   []Task[R, L]
 	next    int // next undispatched task index
 	pending int // tasks not yet resolved (running, queued or undelivered)
 	inRing  bool
@@ -101,7 +101,7 @@ func (j *Job[R]) Done() <-chan struct{} { return j.done }
 func (j *Job[R]) Cancel(cause error) { j.cancelFn(cause) }
 
 // NewPool starts the workers and returns the pool. newLocal runs once in
-// each worker goroutine before it takes tasks, exactly as in RunLocal.
+// each worker goroutine before it takes tasks, exactly as in Run.
 func NewPool[R, L any](cfg PoolConfig, newLocal func(worker int) L) *Pool[R, L] {
 	if cfg.Workers <= 0 {
 		cfg.Workers = Clamp(cfg.Workers, 1<<30)
@@ -118,7 +118,7 @@ func NewPool[R, L any](cfg PoolConfig, newLocal func(worker int) L) *Pool[R, L] 
 // Submit enqueues a job's tasks behind every currently-active job's next
 // turn and returns its handle. An empty task slice yields an
 // already-finished job. Submit fails only after Close has begun.
-func (p *Pool[R, L]) Submit(id string, tasks []LocalTask[R, L]) (*Job[R], error) {
+func (p *Pool[R, L]) Submit(id string, tasks []Task[R, L]) (*Job[R], error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {

@@ -73,10 +73,10 @@ func TestPoolFairnessSmallJobNotStarved(t *testing.T) {
 	defer p.Close()
 
 	const longN = 6
-	long := make([]LocalTask[int, struct{}], longN)
+	long := make([]Task[int, struct{}], longN)
 	for i := range long {
 		i := i
-		long[i] = LocalTask[int, struct{}]{Name: fmt.Sprintf("long-%d", i),
+		long[i] = Task[int, struct{}]{Name: fmt.Sprintf("long-%d", i),
 			Run: func(ctx context.Context, _ struct{}) (int, error) {
 				if i == 0 {
 					close(firstStarted)
@@ -93,7 +93,7 @@ func TestPoolFairnessSmallJobNotStarved(t *testing.T) {
 	// The single worker is now inside long:0; everything else the long job
 	// owns is still queued. Submit the small job, then let long:0 finish.
 	<-firstStarted
-	sj, err := p.Submit("small", []LocalTask[int, struct{}]{{Name: "small-0",
+	sj, err := p.Submit("small", []Task[int, struct{}]{{Name: "small-0",
 		Run: func(ctx context.Context, _ struct{}) (int, error) { return 100, nil }}})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestPoolRoundRobinAcrossThreeJobs(t *testing.T) {
 	defer p.Close()
 
 	// A gate job holds the worker while the three real jobs queue up.
-	gate, err := p.Submit("gate", []LocalTask[int, struct{}]{{Name: "gate",
+	gate, err := p.Submit("gate", []Task[int, struct{}]{{Name: "gate",
 		Run: func(ctx context.Context, _ struct{}) (int, error) {
 			close(gateStarted)
 			<-release
@@ -139,11 +139,11 @@ func TestPoolRoundRobinAcrossThreeJobs(t *testing.T) {
 	}
 	<-gateStarted
 
-	mk := func(n int) []LocalTask[int, struct{}] {
-		ts := make([]LocalTask[int, struct{}], n)
+	mk := func(n int) []Task[int, struct{}] {
+		ts := make([]Task[int, struct{}], n)
 		for i := range ts {
 			i := i
-			ts[i] = LocalTask[int, struct{}]{Name: fmt.Sprint(i),
+			ts[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
 				Run: func(ctx context.Context, _ struct{}) (int, error) { return i, nil }}
 		}
 		return ts
@@ -173,10 +173,10 @@ func TestPoolResultsCompleteAndIndexed(t *testing.T) {
 	defer p.Close()
 
 	const n = 64
-	tasks := make([]LocalTask[int, struct{}], n)
+	tasks := make([]Task[int, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = LocalTask[int, struct{}]{Name: fmt.Sprint(i),
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
 			Run: func(ctx context.Context, _ struct{}) (int, error) { return i * i, nil }}
 	}
 	j, err := p.Submit("job", tasks)
@@ -209,10 +209,10 @@ func TestPoolCancelSkipsQueuedOnly(t *testing.T) {
 	defer p.Close()
 
 	const n = 5
-	tasks := make([]LocalTask[int, struct{}], n)
+	tasks := make([]Task[int, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = LocalTask[int, struct{}]{Name: fmt.Sprint(i),
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
 			Run: func(ctx context.Context, _ struct{}) (int, error) {
 				if i == 0 {
 					close(started)
@@ -227,7 +227,7 @@ func TestPoolCancelSkipsQueuedOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	bystander, err := p.Submit("bystander", []LocalTask[int, struct{}]{{Name: "b",
+	bystander, err := p.Submit("bystander", []Task[int, struct{}]{{Name: "b",
 		Run: func(ctx context.Context, _ struct{}) (int, error) { return 42, nil }}})
 	if err != nil {
 		t.Fatal(err)
@@ -264,10 +264,10 @@ func TestPoolCloseDrainsQueuedTasks(t *testing.T) {
 	p := NewPool[int, struct{}](PoolConfig{Workers: 2},
 		func(int) struct{} { return struct{}{} })
 	const n = 16
-	tasks := make([]LocalTask[int, struct{}], n)
+	tasks := make([]Task[int, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = LocalTask[int, struct{}]{Name: fmt.Sprint(i),
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
 			Run: func(ctx context.Context, _ struct{}) (int, error) { return i, nil }}
 	}
 	j, err := p.Submit("job", tasks)
@@ -302,7 +302,7 @@ func TestPoolEmptyJob(t *testing.T) {
 }
 
 // TestPoolPolicyAppliesPerTask: the pool's Policy converts panics and
-// retries transient failures exactly like RunLocalPolicy, and one job's
+// retries transient failures exactly like Run, and one job's
 // failures never cancel a sibling job.
 func TestPoolPolicyAppliesPerTask(t *testing.T) {
 	var attempts sync.Map
@@ -312,7 +312,7 @@ func TestPoolPolicyAppliesPerTask(t *testing.T) {
 	}, func(int) struct{} { return struct{}{} })
 	defer p.Close()
 
-	tasks := []LocalTask[int, struct{}]{
+	tasks := []Task[int, struct{}]{
 		{Name: "panics", Run: func(ctx context.Context, _ struct{}) (int, error) {
 			panic("boom")
 		}},

@@ -21,17 +21,6 @@ import (
 	"time"
 )
 
-// Task is one unit of work: an independent job (typically one chromosome)
-// with a name for reporting.
-type Task[R any] struct {
-	// Name identifies the task in results and stats.
-	Name string
-	// Run executes the task. It should honour ctx cancellation for early
-	// exit, but the scheduler never interrupts a task that has started —
-	// cancellation only prevents queued tasks from starting.
-	Run func(ctx context.Context) (R, error)
-}
-
 // Result is the outcome of one task, in input order.
 type Result[R any] struct {
 	// Name echoes the task name.
@@ -105,60 +94,33 @@ func Clamp(n, tasks int) int {
 	return n
 }
 
-// LocalTask is a Task whose Run also receives worker-local state of type
-// L, created once per worker by RunLocal: a scratch arena, a connection, a
-// reusable buffer — anything worth amortising across the tasks one worker
-// processes.
-type LocalTask[R, L any] struct {
+// Task is one unit of work: an independent job (typically one chromosome)
+// with a name for reporting. Its Run receives worker-local state of type L,
+// created once per worker by Run's newLocal: a scratch arena, a connection,
+// a reusable buffer — anything worth amortising across the tasks one worker
+// processes. Tasks without such state use struct{}.
+type Task[R, L any] struct {
 	// Name identifies the task in results and stats.
 	Name string
-	// Run executes the task with the worker's local state. The same
-	// cancellation contract as Task.Run applies.
+	// Run executes the task with the worker's local state. It should
+	// honour ctx cancellation for early exit, but the scheduler never
+	// interrupts a task that has started — cancellation only prevents
+	// queued tasks from starting.
 	Run func(ctx context.Context, local L) (R, error)
 }
 
 // Run executes tasks on a pool of bounded size. workers <= 0 selects
 // GOMAXPROCS. Tasks start in input order; results come back indexed by
-// input position. The first failure (lowest task index among failures)
-// cancels the pool: queued tasks are skipped, already-running tasks finish,
-// and Run returns that error alongside the full result slice.
-func Run[R any](ctx context.Context, workers int, tasks []Task[R]) ([]Result[R], Stats, error) {
-	lt := make([]LocalTask[R, struct{}], len(tasks))
-	for i, t := range tasks {
-		run := t.Run
-		lt[i] = LocalTask[R, struct{}]{Name: t.Name, Run: func(ctx context.Context, _ struct{}) (R, error) {
-			return run(ctx)
-		}}
-	}
-	return RunLocal(ctx, workers, func(int) struct{} { return struct{}{} }, lt)
-}
-
-// RunPolicy is Run with a fault-tolerance Policy applied to every task.
-func RunPolicy[R any](ctx context.Context, workers int, pol Policy, tasks []Task[R]) ([]Result[R], Stats, error) {
-	lt := make([]LocalTask[R, struct{}], len(tasks))
-	for i, t := range tasks {
-		run := t.Run
-		lt[i] = LocalTask[R, struct{}]{Name: t.Name, Run: func(ctx context.Context, _ struct{}) (R, error) {
-			return run(ctx)
-		}}
-	}
-	return RunLocalPolicy(ctx, workers, pol, func(int) struct{} { return struct{}{} }, lt)
-}
-
-// RunLocal is Run with per-worker local state: newLocal runs once in each
-// worker goroutine before it takes tasks, and every task that worker
-// executes receives the same L value. Scheduling semantics are identical
-// to Run.
-func RunLocal[R, L any](ctx context.Context, workers int, newLocal func(worker int) L, tasks []LocalTask[R, L]) ([]Result[R], Stats, error) {
-	return RunLocalPolicy(ctx, workers, Policy{}, newLocal, tasks)
-}
-
-// RunLocalPolicy is RunLocal with a fault-tolerance Policy: each task runs
-// under the policy's deadline, panic containment and retry schedule, and
-// ContinueOnError selects whether a failure cancels the remaining queue.
-// The in-order dispatch, in-order results and lowest-index-error guarantees
-// of RunLocal are preserved at every policy setting.
-func RunLocalPolicy[R, L any](ctx context.Context, workers int, pol Policy, newLocal func(worker int) L, tasks []LocalTask[R, L]) ([]Result[R], Stats, error) {
+// input position. newLocal runs once in each worker goroutine before it
+// takes tasks, and every task that worker executes receives the same L
+// value; nil leaves L at its zero value. Each task runs under pol's
+// deadline, panic containment and retry schedule. With the zero Policy the
+// first failure (lowest task index among failures) cancels the pool: queued
+// tasks are skipped, already-running tasks finish, and Run returns that
+// error alongside the full result slice; Policy.ContinueOnError runs every
+// task instead. The in-order dispatch, in-order results and
+// lowest-index-error guarantees hold at every policy setting.
+func Run[R, L any](ctx context.Context, workers int, pol Policy, newLocal func(worker int) L, tasks []Task[R, L]) ([]Result[R], Stats, error) {
 	results := make([]Result[R], len(tasks))
 	if len(tasks) == 0 {
 		return results, Stats{}, ctx.Err()
@@ -188,7 +150,10 @@ func RunLocalPolicy[R, L any](ctx context.Context, workers int, pol Policy, newL
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			local := newLocal(worker)
+			var local L
+			if newLocal != nil {
+				local = newLocal(worker)
+			}
 			for i := range next {
 				if ctx.Err() != nil {
 					// Cancelled after dispatch: drain without running so

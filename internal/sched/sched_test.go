@@ -14,12 +14,12 @@ import (
 // matter which worker finishes first.
 func TestRunOrderedResults(t *testing.T) {
 	const n = 50
-	tasks := make([]Task[int], n)
+	tasks := make([]Task[int, struct{}], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[int]{
+		tasks[i] = Task[int, struct{}]{
 			Name: fmt.Sprintf("t%d", i),
-			Run: func(context.Context) (int, error) {
+			Run: func(context.Context, struct{}) (int, error) {
 				if i%7 == 0 {
 					time.Sleep(time.Millisecond) // scramble completion order
 				}
@@ -27,7 +27,7 @@ func TestRunOrderedResults(t *testing.T) {
 			},
 		}
 	}
-	res, stats, err := Run(context.Background(), 8, tasks)
+	res, stats, err := Run(context.Background(), 8, Policy{}, nil, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestRunOrderedResults(t *testing.T) {
 func TestRunBoundedWorkers(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	tasks := make([]Task[struct{}], 24)
+	tasks := make([]Task[struct{}, struct{}], 24)
 	for i := range tasks {
-		tasks[i] = Task[struct{}]{
+		tasks[i] = Task[struct{}, struct{}]{
 			Name: "t",
-			Run: func(context.Context) (struct{}, error) {
+			Run: func(context.Context, struct{}) (struct{}, error) {
 				c := cur.Add(1)
 				for {
 					p := peak.Load()
@@ -67,7 +67,7 @@ func TestRunBoundedWorkers(t *testing.T) {
 			},
 		}
 	}
-	if _, _, err := Run(context.Background(), workers, tasks); err != nil {
+	if _, _, err := Run(context.Background(), workers, Policy{}, nil, tasks); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
@@ -84,23 +84,23 @@ func TestRunFirstErrorCancels(t *testing.T) {
 	// until cancellation, task 1 fails on worker B, so tasks 2..9 can only
 	// ever be drained as skipped.
 	t0started := make(chan struct{})
-	tasks := make([]Task[int], 10)
-	tasks[0] = Task[int]{Name: "t0", Run: func(ctx context.Context) (int, error) {
+	tasks := make([]Task[int, struct{}], 10)
+	tasks[0] = Task[int, struct{}]{Name: "t0", Run: func(ctx context.Context, _ struct{}) (int, error) {
 		close(t0started)
 		<-ctx.Done() // release only once the pool is cancelled
 		return 0, nil
 	}}
-	tasks[1] = Task[int]{Name: "t1", Run: func(context.Context) (int, error) {
+	tasks[1] = Task[int, struct{}]{Name: "t1", Run: func(context.Context, struct{}) (int, error) {
 		<-t0started // fail only after task 0 is definitely running
 		return 0, boom
 	}}
 	for i := 2; i < len(tasks); i++ {
-		tasks[i] = Task[int]{Name: fmt.Sprintf("t%d", i), Run: func(context.Context) (int, error) {
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprintf("t%d", i), Run: func(context.Context, struct{}) (int, error) {
 			lateRan.Add(1)
 			return 0, nil
 		}}
 	}
-	res, stats, err := Run(context.Background(), 2, tasks)
+	res, stats, err := Run(context.Background(), 2, Policy{}, nil, tasks)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -128,12 +128,12 @@ func TestRunLowestIndexError(t *testing.T) {
 	// task 0's, by index.
 	var gate sync.WaitGroup
 	gate.Add(4)
-	tasks := make([]Task[int], 4)
+	tasks := make([]Task[int, struct{}], 4)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task[int]{
+		tasks[i] = Task[int, struct{}]{
 			Name: fmt.Sprintf("t%d", i),
-			Run: func(context.Context) (int, error) {
+			Run: func(context.Context, struct{}) (int, error) {
 				gate.Done()
 				gate.Wait()
 				if i == 0 {
@@ -143,7 +143,7 @@ func TestRunLowestIndexError(t *testing.T) {
 			},
 		}
 	}
-	_, _, err := Run(context.Background(), 4, tasks)
+	_, _, err := Run(context.Background(), 4, Policy{}, nil, tasks)
 	if err == nil || err.Error() != "t0: err0" {
 		t.Fatalf("err = %v, want t0: err0", err)
 	}
@@ -154,8 +154,8 @@ func TestRunLowestIndexError(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tasks := []Task[int]{{Name: "t0", Run: func(context.Context) (int, error) { return 1, nil }}}
-	res, _, err := Run(ctx, 1, tasks)
+	tasks := []Task[int, struct{}]{{Name: "t0", Run: func(context.Context, struct{}) (int, error) { return 1, nil }}}
+	res, _, err := Run(ctx, 1, Policy{}, nil, tasks)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -165,7 +165,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestRunEmptyAndClamp(t *testing.T) {
-	res, stats, err := Run[int](context.Background(), 4, nil)
+	res, stats, err := Run[int, struct{}](context.Background(), 4, Policy{}, nil, nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty run: %v %v", res, err)
 	}
@@ -184,14 +184,14 @@ func TestRunEmptyAndClamp(t *testing.T) {
 }
 
 func TestStatsSpeedup(t *testing.T) {
-	tasks := make([]Task[struct{}], 8)
+	tasks := make([]Task[struct{}, struct{}], 8)
 	for i := range tasks {
-		tasks[i] = Task[struct{}]{Name: "t", Run: func(context.Context) (struct{}, error) {
+		tasks[i] = Task[struct{}, struct{}]{Name: "t", Run: func(context.Context, struct{}) (struct{}, error) {
 			time.Sleep(2 * time.Millisecond)
 			return struct{}{}, nil
 		}}
 	}
-	_, st, err := Run(context.Background(), 4, tasks)
+	_, st, err := Run(context.Background(), 4, Policy{}, nil, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +224,10 @@ func TestRunLocalWorkerState(t *testing.T) {
 		return l
 	}
 	const n = 12
-	tasks := make([]LocalTask[int, *local], n)
+	tasks := make([]Task[int, *local], n)
 	for i := range tasks {
 		i := i
-		tasks[i] = LocalTask[int, *local]{
+		tasks[i] = Task[int, *local]{
 			Name: fmt.Sprintf("t%d", i),
 			Run: func(_ context.Context, l *local) (int, error) {
 				l.uses++ // worker-confined: no lock needed
@@ -235,7 +235,7 @@ func TestRunLocalWorkerState(t *testing.T) {
 			},
 		}
 	}
-	results, stats, err := RunLocal(context.Background(), 3, newLocal, tasks)
+	results, stats, err := Run(context.Background(), 3, Policy{}, newLocal, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -508,11 +508,11 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 // buildTasks maps units onto pool tasks. For recovered jobs the slice
 // may cover only the unfinished units; js.taskUnit records the mapping
 // back to unit indices.
-func (s *Server) buildTasks(js *jobState, opts genomejob.Options, units []genomejob.Unit) []sched.LocalTask[chromResult, *gsnp.Arena] {
-	tasks := make([]sched.LocalTask[chromResult, *gsnp.Arena], len(units))
+func (s *Server) buildTasks(js *jobState, opts genomejob.Options, units []genomejob.Unit) []sched.Task[chromResult, *gsnp.Arena] {
+	tasks := make([]sched.Task[chromResult, *gsnp.Arena], len(units))
 	for i, u := range units {
 		u := u
-		tasks[i] = sched.LocalTask[chromResult, *gsnp.Arena]{
+		tasks[i] = sched.Task[chromResult, *gsnp.Arena]{
 			Name: u.Name,
 			Run: func(ctx context.Context, arena *gsnp.Arena) (chromResult, error) {
 				var buf bytes.Buffer

@@ -82,10 +82,10 @@ func TestQuarantineWindowPanic(t *testing.T) {
 // crashing the process) after every worker has drained. A nil tables
 // pointer makes the first non-zero site panic inside DenseLikelihood.
 func TestLikelihoodParallelTrapsPanic(t *testing.T) {
-	eng := New(Config{Window: 8, ReadLen: 4, Threads: 4})
-	eng.allocWindow()
-	eng.baseOcc[0] = 1 // site 0 has coverage; eng.tables == nil => panic
-	rep := &Report{NonZeroHist: make([]int64, sparsityHistSize)}
+	eng := New(Config{Window: 8, Threads: 4})
+	eng.allocWindow(8, 4)
+	eng.baseOcc[0] = 1 // site 0 has coverage; the tables are unbuilt => panic
+	rep := &pipeline.Report{NonZeroHist: make([]int64, pipeline.SparsityHistSize)}
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -99,7 +99,7 @@ func TestLikelihoodParallelTrapsPanic(t *testing.T) {
 			t.Error("re-raised panic carries no stack")
 		}
 	}()
-	eng.likelihoodParallel(8, rep)
+	eng.likelihoodParallel(8, 4, rep)
 }
 
 // TestRunContextCancelled checks cooperative cancellation on the baseline

@@ -1,13 +1,11 @@
 // Package soapsnp is a from-scratch implementation of the CPU-based
-// SOAPsnp baseline the paper compares against: the seven-component pipeline
-// of Figure 1 (cal_p_matrix, read_site, counting, likelihood, posterior,
-// output, recycle) with the dense per-site aligned-base matrix base_occ and
-// the likelihood computation of Algorithms 1-2, processed window by window
-// with a default window of 4,000 sites.
-//
-// The engine instruments each component with wall-clock timers, producing
-// the Table I breakdown, and reports the base_occ sparsity histogram of
-// Figure 4(b).
+// SOAPsnp baseline the paper compares against: components 3-7 of Figure 1
+// (counting, likelihood, posterior, output, recycle) over the dense per-site
+// aligned-base matrix base_occ, with the likelihood computation of
+// Algorithms 1-2, window by window with a default window of 4,000 sites.
+// The two passes over the input and the window loop are the shared driver's
+// (pipeline.Run); its report carries the Table I breakdown and the base_occ
+// sparsity histogram of Figure 4(b).
 package soapsnp
 
 import (
@@ -25,7 +23,9 @@ import (
 	"gsnp/internal/snpio"
 )
 
-// Config parameterises a run.
+// Config parameterises a run: the settings every engine shares (all but
+// Threads — see pipeline.Config, which Run maps them onto) and the dense
+// kernel's own.
 type Config struct {
 	// Chr names the chromosome in output rows.
 	Chr string
@@ -36,8 +36,6 @@ type Config struct {
 	// Window is the number of sites per window; SOAPsnp's default is
 	// 4,000 (Section VI-A).
 	Window int
-	// ReadLen is the maximum read length (<= bayes.MaxReadLen).
-	ReadLen int
 	// Priors configures the genotype prior model.
 	Priors bayes.Priors
 	// Threads parallelises the likelihood calculation across the sites
@@ -48,266 +46,106 @@ type Config struct {
 	// baseline.
 	Threads int
 	// Prefetch overlaps read_site I/O for window i+1 with the
-	// computation of window i (double buffering). Output is
-	// byte-identical either way; the serial path remains the default so
+	// computation of window i. The serial path remains the default so
 	// the Table I component timings are unaffected.
 	Prefetch bool
-	// Quarantine contains window-level failures instead of aborting the
-	// run, with the same semantics as gsnp.Config.Quarantine: malformed
-	// records and panicking windows are recorded in Report.Quarantined
-	// and the run continues; calibration-pass parse errors are skipped
-	// and counted. Output on the success path is unchanged.
+	// Quarantine contains window-level failures (malformed records,
+	// panicking windows) instead of aborting the run.
 	Quarantine bool
 	// WindowHook, when non-nil, runs before each window's computation —
 	// the fault-injection seam (see internal/faults).
 	WindowHook func(ctx context.Context, window, start, end int) error
 	// VCFOutput writes VCFv4.2 variant records instead of the 17-column
-	// result table, matching gsnp.Config.VCFOutput so either engine can
-	// serve the FASTQ-to-VCF workload.
+	// result table, so either engine can serve the FASTQ-to-VCF workload.
 	VCFOutput bool
 }
 
 // DefaultWindow is SOAPsnp's window size from the paper's setup.
 const DefaultWindow = 4000
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = DefaultWindow
-	}
-	if c.ReadLen == 0 {
-		c.ReadLen = 100
-	}
-	if c.Priors == (bayes.Priors{}) {
-		c.Priors = bayes.DefaultPriors()
-	}
-	return c
-}
-
-// Times is the per-component wall-clock breakdown of Table I.
-type Times struct {
-	CalP    time.Duration
-	Read    time.Duration
-	Count   time.Duration
-	Likeli  time.Duration
-	Post    time.Duration
-	Output  time.Duration
-	Recycle time.Duration
-}
-
-// Total sums the components.
-func (t Times) Total() time.Duration {
-	return t.CalP + t.Read + t.Count + t.Likeli + t.Post + t.Output + t.Recycle
-}
-
-func (t Times) String() string {
-	return fmt.Sprintf("cal_p=%v read=%v count=%v likeli=%v post=%v output=%v recycle=%v total=%v",
-		t.CalP.Round(time.Millisecond), t.Read.Round(time.Millisecond),
-		t.Count.Round(time.Millisecond), t.Likeli.Round(time.Millisecond),
-		t.Post.Round(time.Millisecond), t.Output.Round(time.Millisecond),
-		t.Recycle.Round(time.Millisecond), t.Total().Round(time.Millisecond))
-}
-
-// Report summarises a run.
-type Report struct {
-	// Times is the component breakdown.
-	Times Times
-	// Sites is the number of sites processed (= len(Ref)).
-	Sites int
-	// SNPs is the number of non-reference calls emitted.
-	SNPs int64
-	// MeanDepth is the pass-one average depth.
-	MeanDepth float64
-	// NonZeroHist[k] counts sites whose base_occ held k non-zero
-	// elements (k capped at len-1) — the sparsity data of Figure 4(b).
-	NonZeroHist []int64
-	// Observations is the total number of aligned bases processed.
-	Observations int64
-	// Prefetch reports the window-prefetch counters when Config.Prefetch
-	// is set (zero otherwise): Fetch is read_site work that overlapped
-	// computation, Wait the residual blocking left in Times.Read.
-	Prefetch pipeline.PrefetchStats
-	// Quarantined lists the windows abandoned under Config.Quarantine.
-	Quarantined []pipeline.Quarantine
-	// CalSkipped counts malformed records skipped during the calibration
-	// pass under Config.Quarantine.
-	CalSkipped int
-}
-
-// Partial reports whether the run degraded: any quarantined window or
-// skipped calibration record means the output is incomplete.
-func (r *Report) Partial() bool {
-	return len(r.Quarantined) > 0 || r.CalSkipped > 0
-}
-
-// sparsityHistSize caps the non-zero histogram domain.
-const sparsityHistSize = 257
-
-// Engine runs the dense pipeline. One Engine may be reused for several
-// runs; it owns the large window buffers.
+// Engine is the dense window kernel — components 3-7 over base_occ —
+// behind the two-pass driver (pipeline.Run). One Engine may be reused for
+// several runs; it owns the large window buffers, the score tables and,
+// for its own Run, the driver's scratch, so a second run allocates next to
+// nothing.
 type Engine struct {
-	cfg    Config
-	tables *bayes.Tables
+	cfg     Config
+	tables  bayes.Tables
+	scratch pipeline.Scratch
 
-	// Window state, allocated once in Run.
+	// run is the driver's side of the current run, handed over in Prepare:
+	// the shared settings, the dep_count stride, the report and the sink.
+	run *pipeline.RunState
+
+	// Window state, sized in Prepare.
 	baseOcc  []uint8
 	counts   []pipeline.SiteCounts
 	quals    [][dna.NBases][]float64
 	likely   [][bayes.TypeLikelySize]float64
+	calls    []bayes.Call
+	rows     []snpio.Row
 	depCount []uint16
 }
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg.withDefaults()}
+	if cfg.Window == 0 {
+		cfg.Window = DefaultWindow
+	}
+	return &Engine{cfg: cfg}
 }
-
-// Tables exposes the calibrated tables after a run (for tests and the
-// consistency checks).
-func (e *Engine) Tables() *bayes.Tables { return e.tables }
 
 // Run executes the seven-component pipeline over src, writing the result
 // table as text to w.
-func (e *Engine) Run(src pipeline.Source, w io.Writer) (*Report, error) {
+func (e *Engine) Run(src pipeline.Source, w io.Writer) (*pipeline.Report, error) {
 	return e.RunContext(context.Background(), src, w)
 }
 
-// RunContext is Run with cooperative cancellation: the engine checks ctx
-// at every window boundary and every ~1K input records, mirroring the GSNP
-// engine so per-task deadlines work against either engine.
-func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Writer) (*Report, error) {
-	cfg := e.cfg
-	rep := &Report{Sites: len(cfg.Ref), NonZeroHist: make([]int64, sparsityHistSize)}
-
-	// Component 1: cal_p_matrix — read everything once, calibrate the
-	// score matrix, derive the log/adjust tables. Quarantine mode skips
-	// and counts malformed records here (the scan must see the whole
-	// input); window-level containment happens in pass two, where a
-	// failure has a site range to attach to.
-	t0 := time.Now()
-	calSrc := pipeline.SourceWithContext(ctx, src)
-	if cfg.Quarantine {
-		inner := calSrc
-		calSrc = pipeline.FuncSource(func() (pipeline.ReadIter, error) {
-			it, err := inner.Open()
-			if err != nil {
-				return nil, err
-			}
-			return pipeline.NewTolerantIter(it, func(pipeline.RecordError) { rep.CalSkipped++ }), nil
-		})
-	}
-	cal, meanDepth, err := pipeline.CalibrationPass(calSrc, cfg.Ref, nil)
-	if err != nil {
-		return nil, fmt.Errorf("soapsnp: cal_p_matrix: %w", err)
-	}
-	rep.MeanDepth = meanDepth
-	rep.Observations = int64(cal.Observations())
-	lt := bayes.BuildLogTable()
-	e.tables = &bayes.Tables{
-		Log:    lt,
-		Adjust: bayes.BuildAdjustTable(lt),
-		P:      cal.Build(),
-	}
-	rep.Times.CalP = time.Since(t0)
-
-	// Pass two: windowed per-site computation.
-	it, err := pipeline.SourceWithContext(ctx, src).Open()
-	if err != nil {
-		return nil, fmt.Errorf("soapsnp: read_site: %w", err)
-	}
-	win := pipeline.NewWindower(it)
-	e.allocWindow()
-	var out snpio.RowWriter
-	if cfg.VCFOutput {
-		out = snpio.NewVCFWriter(w)
-	} else {
-		out = snpio.NewResultWriter(w)
-	}
-
-	if cfg.Prefetch {
-		// read_site for window i+1 overlaps components 3-7 of window i;
-		// windows still arrive strictly in order, so output bytes are
-		// identical to the serial path. Times.Read records only the
-		// residual blocking wait. Quarantine mode uses the resilient
-		// variant, whose producer keeps fetching past record failures.
-		var pf *pipeline.WindowPrefetcher
-		if cfg.Quarantine {
-			pf = pipeline.NewResilientWindowPrefetcher(win, len(cfg.Ref), cfg.Window, 1)
-		} else {
-			pf = pipeline.NewWindowPrefetcher(win, len(cfg.Ref), cfg.Window, 1)
-		}
-		defer pf.Stop()
-		for {
-			pw, ok := pf.Next()
-			if !ok {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			werr := pw.Err
-			if werr == nil {
-				werr = e.windowAttempt(ctx, pw.Reads, pw.Start, pw.End, out, rep)
-			}
-			if werr != nil {
-				if ferr := e.quarantineOrFail(rep, pw.Start, pw.End, werr); ferr != nil {
-					return nil, ferr
-				}
-			}
-		}
-		rep.Prefetch = pf.Stats()
-		rep.Times.Read += rep.Prefetch.Wait
-	} else {
-		for start := 0; start < len(cfg.Ref); start += cfg.Window {
-			end := start + cfg.Window
-			if end > len(cfg.Ref) {
-				end = len(cfg.Ref)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			// Component 2: read_site.
-			t0 = time.Now()
-			rs, werr := win.Reads(start, end)
-			rep.Times.Read += time.Since(t0)
-			if werr == nil {
-				werr = e.windowAttempt(ctx, rs, start, end, out, rep)
-			}
-			if werr != nil {
-				if ferr := e.quarantineOrFail(rep, start, end, werr); ferr != nil {
-					return nil, ferr
-				}
-			}
-		}
-	}
-
-	t0 = time.Now()
-	if err := out.Flush(); err != nil {
-		return nil, fmt.Errorf("soapsnp: output: %w", err)
-	}
-	rep.Times.Output += time.Since(t0)
-	return rep, nil
+// RunContext is Run with cooperative cancellation; see pipeline.Run.
+func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Writer) (*pipeline.Report, error) {
+	c := &e.cfg
+	return pipeline.Run(ctx, pipeline.Config{
+		Chr: c.Chr, Ref: c.Ref, Known: c.Known, Priors: c.Priors, Window: c.Window,
+		Prefetch: c.Prefetch, Quarantine: c.Quarantine, WindowHook: c.WindowHook,
+		VCFOutput: c.VCFOutput, Scratch: &e.scratch,
+	}, src, w, e)
 }
 
-// allocWindow sizes the per-window buffers.
-func (e *Engine) allocWindow() {
-	n := e.cfg.Window
+// Prepare implements pipeline.Kernel: derive p_matrix and the log/adjust
+// tables from the calibration — the dense likelihood takes its logarithms
+// at run time, so no new_p_matrix — and size the window buffers.
+func (e *Engine) Prepare(st *pipeline.RunState) error {
+	e.run = st
+	if e.tables.Log == nil {
+		e.tables.Log = bayes.BuildLogTable()
+		e.tables.Adjust = bayes.BuildAdjustTable(e.tables.Log)
+	}
+	e.tables.P = st.Cal.BuildInto(e.tables.P)
+	e.allocWindow(st.Window, st.Stride)
+	return nil
+}
+
+// allocWindow sizes the per-window buffers for n sites at dep_count stride
+// stride.
+func (e *Engine) allocWindow(n, stride int) {
 	if len(e.baseOcc) != n*bayes.BaseOccSize {
 		e.baseOcc = make([]uint8, n*bayes.BaseOccSize)
 		e.counts = make([]pipeline.SiteCounts, n)
 		e.quals = make([][dna.NBases][]float64, n)
 		e.likely = make([][bayes.TypeLikelySize]float64, n)
+		e.calls = make([]bayes.Call, n)
+		e.rows = make([]snpio.Row, n)
 	}
-	if len(e.depCount) != 2*e.cfg.ReadLen {
-		e.depCount = make([]uint16, 2*e.cfg.ReadLen)
+	if len(e.depCount) != 2*stride {
+		e.depCount = make([]uint16, 2*stride)
 	}
 }
 
-// runWindow executes components 3-7 for one window [start, end) whose
-// reads were already fetched (component 2 runs in the caller, serially or
-// via the prefetcher).
-func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int, out snpio.RowWriter, rep *Report) error {
-	cfg := e.cfg
+// Window implements pipeline.Kernel: components 3-7 for one window
+// [start, end) whose reads were already fetched.
+func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
+	cfg := &e.run.Config
+	rep := e.run.Report
 	n := end - start
 
 	// Component 3: counting — scatter every aligned base into the dense
@@ -342,51 +180,47 @@ func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int, out snpio.Row
 	// optionally parallelised across sites (the paper's multi-threaded
 	// SOAPsnp port, which saturates on memory bandwidth).
 	t0 = time.Now()
-	if cfg.Threads > 1 {
-		e.likelihoodParallel(n, rep)
+	if e.cfg.Threads > 1 {
+		e.likelihoodParallel(n, e.run.Stride, rep)
 	} else {
 		for site := 0; site < n; site++ {
 			nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
-				e.tables, cfg.ReadLen, e.depCount, &e.likely[site])
-			h := nz
-			if h >= sparsityHistSize {
-				h = sparsityHistSize - 1
-			}
-			rep.NonZeroHist[h]++
+				&e.tables, e.run.Stride, e.depCount, &e.likely[site])
+			rep.NonZeroHist[min(nz, pipeline.SparsityHistSize-1)]++
 		}
 	}
-	rep.Times.Likeli += time.Since(t0)
+	rep.Times.LikeliComp += time.Since(t0)
 
 	// Component 5: posterior.
 	t0 = time.Now()
-	calls := make([]bayes.Call, n)
 	for site := 0; site < n; site++ {
 		ref := cfg.Ref[start+site]
 		known := cfg.Known[start+site]
 		lp := cfg.Priors.LogPriors(ref, known)
-		calls[site] = bayes.Posterior(&e.likely[site], &lp)
+		e.calls[site] = bayes.Posterior(&e.likely[site], &lp)
 	}
 	rep.Times.Post += time.Since(t0)
 
 	// Component 6: output.
 	t0 = time.Now()
-	for site := 0; site < n; site++ {
-		row := pipeline.BuildRow(&pipeline.RowInputs{
+	rows := e.rows[:n]
+	for site := range rows {
+		rows[site] = pipeline.BuildRow(&pipeline.RowInputs{
 			Chr:         cfg.Chr,
 			Pos:         start + site,
 			Ref:         cfg.Ref[start+site],
-			Call:        calls[site],
+			Call:        e.calls[site],
 			Counts:      &e.counts[site],
 			AlleleQuals: &e.quals[site],
 			MeanDepth:   rep.MeanDepth,
 			Known:       cfg.Known[start+site],
 		})
-		if row.IsSNP() {
+		if rows[site].IsSNP() {
 			rep.SNPs++
 		}
-		if err := out.Write(&row); err != nil {
-			return fmt.Errorf("soapsnp: output: %w", err)
-		}
+	}
+	if err := e.run.Out.WriteBlock(rows); err != nil {
+		return fmt.Errorf("soapsnp: output: %w", err)
 	}
 	rep.Times.Output += time.Since(t0)
 
@@ -399,10 +233,13 @@ func (e *Engine) runWindow(rs []reads.AlignedRead, start, end int, out snpio.Row
 	return nil
 }
 
+// Abandon implements pipeline.Kernel: recycle after a quarantined window
+// too, so that a window abandoned mid-counting cannot leak observations
+// into its successor.
+func (e *Engine) Abandon(start, end int) { e.resetWindow(end - start) }
+
 // resetWindow clears the dense per-site state for the first n sites — the
-// recycle component, also invoked after a quarantined window so that a
-// window abandoned mid-counting cannot leak observations into its
-// successor.
+// recycle component.
 func (e *Engine) resetWindow(n int) {
 	clear(e.baseOcc[:n*bayes.BaseOccSize])
 	for site := 0; site < n; site++ {
@@ -413,38 +250,9 @@ func (e *Engine) resetWindow(n int) {
 	}
 }
 
-// windowAttempt runs the window hook and components 3-7 for one window,
-// converting a panic into a *pipeline.PanicError when quarantine is
-// enabled (without quarantine, panics propagate and crash as before).
-func (e *Engine) windowAttempt(ctx context.Context, rs []reads.AlignedRead, start, end int, out snpio.RowWriter, rep *Report) (err error) {
-	if e.cfg.Quarantine {
-		defer func() {
-			if pe := pipeline.Recovered(recover()); pe != nil {
-				err = pe
-			}
-		}()
-	}
-	if e.cfg.WindowHook != nil {
-		if herr := e.cfg.WindowHook(ctx, start/e.cfg.Window, start, end); herr != nil {
-			return herr
-		}
-	}
-	return e.runWindow(rs, start, end, out, rep)
-}
-
-// quarantineOrFail records a containable window failure, resets the dense
-// window state the abandoned window may have half-filled, and lets the run
-// continue (nil return); non-containable failures, or any failure without
-// Config.Quarantine, come back wrapped for the caller to abort with.
-func (e *Engine) quarantineOrFail(rep *Report, start, end int, err error) error {
-	if e.cfg.Quarantine && pipeline.Containable(err) {
-		rep.Quarantined = append(rep.Quarantined,
-			pipeline.NewQuarantine(e.cfg.Chr, start/e.cfg.Window, start, end, err))
-		e.resetWindow(end - start)
-		return nil
-	}
-	return fmt.Errorf("soapsnp: window [%d,%d): %w", start, end, err)
-}
+// Finish implements pipeline.Kernel; the dense kernel holds nothing that
+// outlives a run.
+func (e *Engine) Finish() {}
 
 // DenseLikelihood is Algorithm 1: the likelihood calculation for one site
 // over the dense base_occ matrix, accessing all 131,072 elements in the
@@ -525,7 +333,7 @@ func DenseLikelihood(baseOcc []uint8, t *bayes.Tables, readLen int, depCount []u
 // the same base_occ buffer, the aggregate rate is capped by the machine's
 // memory bandwidth — the reason the paper's 16-thread port only reached
 // 3-4x.
-func (e *Engine) likelihoodParallel(n int, rep *Report) {
+func (e *Engine) likelihoodParallel(n, stride int, rep *pipeline.Report) {
 	workers := e.cfg.Threads
 	if workers > n {
 		workers = n
@@ -561,15 +369,12 @@ func (e *Engine) likelihoodParallel(n int, rep *Report) {
 				}
 				wg.Done()
 			}()
-			dep := make([]uint16, 2*e.cfg.ReadLen)
-			hist := make([]int64, sparsityHistSize)
+			dep := make([]uint16, 2*stride)
+			hist := make([]int64, pipeline.SparsityHistSize)
 			for site := lo; site < hi; site++ {
 				nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
-					e.tables, e.cfg.ReadLen, dep, &e.likely[site])
-				if nz >= sparsityHistSize {
-					nz = sparsityHistSize - 1
-				}
-				hist[nz]++
+					&e.tables, stride, dep, &e.likely[site])
+				hist[min(nz, pipeline.SparsityHistSize-1)]++
 			}
 			hists[wkr] = hist
 		}(wkr, lo, hi)

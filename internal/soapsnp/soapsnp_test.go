@@ -2,6 +2,8 @@ package soapsnp
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"testing"
 
 	"gsnp/internal/bayes"
@@ -36,7 +38,7 @@ func knownFromDataset(ds *seqsim.Dataset) snpio.KnownSNPs {
 	return known
 }
 
-func runEngine(t *testing.T, ds *seqsim.Dataset, window int) (*Report, []snpio.Row, *Engine) {
+func runEngine(t *testing.T, ds *seqsim.Dataset, window int) (*pipeline.Report, []snpio.Row, *Engine) {
 	t.Helper()
 	eng := New(Config{
 		Chr:    ds.Spec.Name,
@@ -144,7 +146,7 @@ func TestTimesPopulated(t *testing.T) {
 	ds := testDataset(t, 2000, 8, 41)
 	rep, _, _ := runEngine(t, ds, 500)
 	tm := rep.Times
-	if tm.Likeli <= 0 || tm.Recycle <= 0 || tm.CalP <= 0 || tm.Output <= 0 {
+	if tm.Likeli() <= 0 || tm.Recycle <= 0 || tm.CalP <= 0 || tm.Output <= 0 {
 		t.Errorf("component times missing: %v", tm)
 	}
 	if tm.Total() <= 0 {
@@ -154,8 +156,8 @@ func TestTimesPopulated(t *testing.T) {
 		t.Error("Times.String empty")
 	}
 	// The dense design makes likelihood the dominant component (Table I).
-	if tm.Likeli < tm.Post {
-		t.Errorf("likelihood (%v) not dominating posterior (%v)", tm.Likeli, tm.Post)
+	if tm.Likeli() < tm.Post {
+		t.Errorf("likelihood (%v) not dominating posterior (%v)", tm.Likeli(), tm.Post)
 	}
 }
 
@@ -314,5 +316,50 @@ func TestMultithreadedLikelihoodIdenticalOutput(t *testing.T) {
 	}
 	if sites != 4000 {
 		t.Errorf("parallel histogram covers %d sites", sites)
+	}
+}
+
+// TestRunContextWarmScratch is the dense engine's half of the recycle
+// contract gsnp pins with TestRunContextWarmArena: an engine that has served
+// one run keeps the driver's scratch (calibration counters, read buffer,
+// output buffer), its p_matrix and its window buffers, and rebuilds them in
+// place. The bytes of a run on a warm engine equal a fresh engine's, and the
+// warm run allocates a small fraction of the 5 MB of counters, matrix and
+// output buffer a run used to allocate for itself.
+func TestRunContextWarmScratch(t *testing.T) {
+	first := testDataset(t, 3000, 12, 71)
+	second := testDataset(t, 2000, 7, 72)
+	for _, vcf := range []bool{false, true} {
+		run := func(eng *Engine, ds *seqsim.Dataset) []byte {
+			eng.cfg.Chr, eng.cfg.Ref, eng.cfg.Known = ds.Spec.Name, ds.Ref.Seq, knownFromDataset(ds)
+			var buf bytes.Buffer
+			if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		want := run(New(Config{Window: 800, VCFOutput: vcf}), second)
+		warm := New(Config{Window: 800, VCFOutput: vcf})
+		run(warm, first)
+		if got := run(warm, second); !bytes.Equal(got, want) {
+			t.Errorf("vcf=%t: output of an engine warmed by another chromosome differs from a fresh engine's", vcf)
+		}
+	}
+
+	eng := New(Config{Chr: first.Spec.Name, Ref: first.Ref.Seq, Window: 800})
+	run := func() {
+		if _, err := eng.Run(pipeline.MemSource(first.Reads), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("a run on a warm engine allocated %d bytes, want < 1 MB", got)
+	} else {
+		t.Logf("warm run: %d bytes in %d allocations", got, after.Mallocs-before.Mallocs)
 	}
 }
