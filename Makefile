@@ -75,7 +75,12 @@ race:
 
 # End-to-end service checks: the in-process HTTP tests under the race
 # detector, then the black-box tests against a built gsnpd binary
-# (concurrent jobs byte-identical to serial runs, SIGTERM drain).
+# (concurrent jobs byte-identical to serial runs, SIGTERM drain, the
+# listener's header timeout). Tests are selected by name: every in-process
+# service test is called TestService*, so the lifecycle tests
+# (lifecycle_test.go: finish's order on all four source combinations, no
+# goroutine left after Drain, spool failure, shed stream subscriber) run
+# here too.
 service-e2e:
 	$(GO) test -race -run 'TestService' ./internal/service
 	$(GO) test -run 'TestGsnpd' .
@@ -84,6 +89,10 @@ service-e2e:
 # detector, the in-process recovery/backpressure tests, then the
 # black-box kill -9 test — gsnpd is SIGKILLed mid-job and a restarted
 # daemon must resume from the journal and produce byte-identical output.
+# Selected by name as well: a test that needs a journal is called
+# TestServiceJournal* (the lifecycle order test, identical pending jobs
+# recovering once, a full recovery reaching the cache), so it runs under
+# both gates.
 serve-recovery:
 	$(GO) test -race ./internal/journal
 	$(GO) test -race -run 'TestServiceJournal|TestServiceMaxQueued' ./internal/service

@@ -70,7 +70,6 @@ import (
 	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
 	"gsnp/internal/gsnp"
-	"gsnp/internal/pipeline"
 	"gsnp/internal/sched"
 )
 
@@ -284,20 +283,8 @@ func runGenome(dir string, opts options) error {
 
 	// One window arena per pool worker: every chromosome a worker runs
 	// recycles the same working set (outputs are unaffected — the arena
-	// only carries buffer capacity between runs). The policy keeps the pool
-	// going past failures, converts task panics to errors, and retries
-	// everything except permanent record-level corruption.
-	pol := sched.Policy{
-		Retries:         opts.retries,
-		Backoff:         opts.retryBackoff,
-		Timeout:         opts.taskTimeout,
-		RecoverPanics:   true,
-		ContinueOnError: true,
-		RetryIf: func(err error) bool {
-			var re pipeline.RecordError
-			return !errors.As(err, &re)
-		},
-	}
+	// only carries buffer capacity between runs).
+	pol := genomejob.Policy(opts.retries, opts.retryBackoff, opts.taskTimeout)
 	results, stats, _ := sched.Run(context.Background(), opts.workers, pol,
 		func(int) *gsnp.Arena { return gsnp.NewArena() }, tasks)
 

@@ -21,8 +21,10 @@
 // every interrupted job — completed chromosomes replay from their
 // checkpoints (digest-verified) instead of re-executing, output bytes
 // stay identical to an uninterrupted run, and recovered jobs carry a
-// "recovered" marker in GET /jobs. -max-queued bounds admission: beyond
-// that many unfinished jobs, submissions get 429 + Retry-After.
+// "recovered" marker in GET /jobs (a recovered job that duplicates another
+// pending one is served by it and ends "cached", like a fresh duplicate).
+// -max-queued bounds admission: beyond that many unfinished executing
+// jobs, submissions get 429 + Retry-After.
 //
 // Usage:
 //
@@ -69,6 +71,17 @@ import (
 	"time"
 
 	"gsnp/internal/service"
+)
+
+// The listener's timeouts. A client gets readHeaderTimeout to send its
+// request header and an idle keep-alive connection is closed after
+// idleTimeout, so half-open connections cannot pile up. There is no body
+// read timeout — an upload may be 256 MiB — and no whole-response write
+// timeout — a stream lasts as long as its job; internal/service bounds each
+// stream write instead.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -119,7 +132,11 @@ func run() error {
 	// test) can discover the bound port under -addr :0.
 	fmt.Printf("gsnpd: listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -697,5 +698,29 @@ func TestGsnpdCrashRecoveryFASTQ(t *testing.T) {
 	case <-time.After(time.Minute):
 		cmdB.Process.Kill()
 		t.Fatalf("recovered gsnpd did not drain\nstderr:\n%s", stderrB.String())
+	}
+}
+
+// TestGsnpdSlowHeaderClosed: a client that sends half a request header and
+// stops is disconnected by the server's header timeout instead of holding
+// its connection (and goroutine) for the life of the process.
+func TestGsnpdSlowHeaderClosed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service integration in -short mode")
+	}
+	_, base, _ := startGsnpd(t, "-workers", "1")
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: gsnpd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The server's header timeout is 5 s; a read that is still blocked well
+	// past it means the connection was never shed.
+	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection with a half-sent header still open after 20s: %v", err)
 	}
 }

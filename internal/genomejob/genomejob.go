@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"gsnp/internal/align"
 	"gsnp/internal/checkpoint"
@@ -28,6 +29,7 @@ import (
 	"gsnp/internal/gsnp"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
+	"gsnp/internal/sched"
 	"gsnp/internal/snpio"
 	"gsnp/internal/soapsnp"
 )
@@ -291,6 +293,24 @@ type Result struct {
 // Partial reports whether the unit completed degraded: output exists but
 // some windows or calibration records were lost to quarantine.
 func (r Result) Partial() bool { return len(r.Quarantined) > 0 || r.CalSkipped > 0 }
+
+// Policy is the fault-tolerance contract both front-ends run their
+// chromosomes under: the pool keeps going past failures, task panics
+// become errors, and everything is retried except permanent record-level
+// corruption — reparsing the same bytes cannot succeed.
+func Policy(retries int, backoff, timeout time.Duration) sched.Policy {
+	return sched.Policy{
+		Retries:         retries,
+		Backoff:         backoff,
+		Timeout:         timeout,
+		RecoverPanics:   true,
+		ContinueOnError: true,
+		RetryIf: func(err error) bool {
+			var re pipeline.RecordError
+			return !errors.As(err, &re)
+		},
+	}
+}
 
 // Call runs one unit through the selected engine, writing result rows to
 // out and (with Options.Stats) diagnostics to diag. arena, when non-nil,

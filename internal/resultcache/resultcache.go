@@ -125,21 +125,6 @@ func (c *Cache[V]) Put(key string, v V, size int64) bool {
 	return true
 }
 
-// Invalidate removes key if present, returning whether it was.
-func (c *Cache[V]) Invalidate(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry[V])
-	c.ll.Remove(el)
-	delete(c.index, e.key)
-	c.bytes -= e.size
-	return true
-}
-
 // Stats snapshots the counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

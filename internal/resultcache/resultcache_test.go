@@ -112,23 +112,6 @@ func TestCacheReplaceRecharges(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	c := New[string](30)
-	c.Put("a", "va", 10)
-	if !c.Invalidate("a") {
-		t.Fatal("Invalidate missed a live entry")
-	}
-	if c.Invalidate("a") {
-		t.Fatal("Invalidate hit a removed entry")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry survived Invalidate")
-	}
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("stats %+v, want empty", st)
-	}
-}
-
 func TestFlightsSingleLeader(t *testing.T) {
 	f := NewFlights[int]()
 	lead, joined := f.Begin("k", 1)
@@ -177,9 +160,9 @@ func TestConcurrency(t *testing.T) {
 }
 
 // TestConcurrentEvictionChurn keeps the cache permanently over-subscribed
-// (64 hot keys, budget for 4 entries) while goroutines Put, Get and
-// Invalidate concurrently, so the race detector audits the eviction path
-// itself and the stats invariants hold at every interleaving.
+// (64 hot keys, budget for 4 entries) while goroutines Put and Get
+// concurrently, so the race detector audits the eviction path itself and
+// the stats invariants hold at every interleaving.
 func TestConcurrentEvictionChurn(t *testing.T) {
 	const budget = 256 // 4 entries of 64 bytes
 	c := New[int](budget)
@@ -192,9 +175,6 @@ func TestConcurrentEvictionChurn(t *testing.T) {
 				k := fmt.Sprintf("k%d", (g*31+i)%64)
 				c.Put(k, i, 64)
 				c.Get(k)
-				if i%17 == 0 {
-					c.Invalidate(k)
-				}
 				if i%29 == 0 {
 					c.Stats()
 				}

@@ -10,31 +10,21 @@ import (
 
 // Policy is the pool's fault-tolerance contract: how a task failure is
 // contained (panic→error conversion), bounded (per-attempt deadlines),
-// retried (exponential backoff with deterministic jitter) and propagated
-// (first-error cancellation vs. run-everything). The zero Policy reproduces
-// the original scheduler semantics exactly: one attempt, no deadline,
-// panics propagate, the first failure cancels queued tasks.
+// retried (exponential backoff) and propagated (first-error cancellation
+// vs. run-everything). The zero Policy reproduces the original scheduler
+// semantics exactly: one attempt, no deadline, panics propagate, the first
+// failure cancels queued tasks.
 //
 // Determinism: the scheduler's ordering guarantees are unchanged — tasks
 // dispatch in input order, results land at their input index, and the
-// error returned by the run is the lowest-index failure. Jitter is derived
-// from (Seed, task index, attempt), not from a global RNG, so a rerun with
-// the same policy waits the same delays.
+// error returned by the run is the lowest-index failure.
 type Policy struct {
 	// Retries is the number of re-executions allowed after the first
 	// attempt (0 = single attempt).
 	Retries int
 	// Backoff is the delay before the first retry; retry k waits
-	// Backoff << (k-1), capped at MaxBackoff when set. Zero retries
-	// immediately.
+	// Backoff << (k-1). Zero retries immediately.
 	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = uncapped).
-	MaxBackoff time.Duration
-	// Jitter extends each delay by a deterministic fraction in
-	// [0, Jitter) of itself, decorrelating retry storms across tasks.
-	Jitter float64
-	// Seed feeds the jitter hash.
-	Seed uint64
 	// Timeout is the per-attempt deadline, applied to the context each
 	// attempt receives (0 = none). Deadlines are cooperative: a task that
 	// ignores its context runs to completion, but the engines check their
@@ -70,10 +60,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("task panicked: %v", e.Value)
 }
 
-// Delay reports the backoff before retry k (1-based) of task idx,
-// including the deterministic jitter — exposed so tests and operators can
-// predict a policy's schedule.
-func (p *Policy) Delay(idx, k int) time.Duration {
+// Delay reports the backoff before retry k (1-based) — exposed so tests
+// and operators can predict a policy's schedule.
+func (p *Policy) Delay(k int) time.Duration {
 	if p.Backoff <= 0 {
 		return 0
 	}
@@ -81,23 +70,7 @@ func (p *Policy) Delay(idx, k int) time.Duration {
 	for i := 1; i < k && d < (1<<62); i++ {
 		d <<= 1
 	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 {
-		d += time.Duration(float64(d) * p.Jitter * jitterFrac(p.Seed, idx, k))
-	}
 	return d
-}
-
-// jitterFrac hashes (seed, task, attempt) to [0, 1) with splitmix64.
-func jitterFrac(seed uint64, idx, attempt int) float64 {
-	x := seed ^ uint64(idx)<<32 ^ uint64(attempt)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
 }
 
 // shouldRetry applies RetryIf or the default rule.
@@ -154,7 +127,7 @@ func runAttempt[R, L any](ctx context.Context, p *Policy, t Task[R, L], local L)
 
 // execute runs one task to completion under the policy: attempts, backoff,
 // and retry classification.
-func execute[R, L any](ctx context.Context, p *Policy, idx int, t Task[R, L], local L) (v R, err error, attempts int, panicked bool) {
+func execute[R, L any](ctx context.Context, p *Policy, t Task[R, L], local L) (v R, err error, attempts int, panicked bool) {
 	for attempt := 0; ; attempt++ {
 		attempts++
 		v, err, panicked = runAttempt(ctx, p, t, local)
@@ -164,7 +137,7 @@ func execute[R, L any](ctx context.Context, p *Policy, idx int, t Task[R, L], lo
 		if !p.shouldRetry(err, panicked) {
 			return v, err, attempts, panicked
 		}
-		if serr := p.sleepCtx(ctx, p.Delay(idx, attempt+1)); serr != nil {
+		if serr := p.sleepCtx(ctx, p.Delay(attempt+1)); serr != nil {
 			return v, err, attempts, panicked
 		}
 	}

@@ -52,14 +52,12 @@ func TestPolicyRetriesExhausted(t *testing.T) {
 	}
 }
 
-// TestPolicyBackoffSchedule: delays grow exponentially from Backoff, clamp
-// at MaxBackoff, and jitter is deterministic for a given seed.
+// TestPolicyBackoffSchedule: delays grow exponentially from Backoff.
 func TestPolicyBackoffSchedule(t *testing.T) {
 	var slept []time.Duration
 	pol := Policy{
-		Retries:    4,
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 40 * time.Millisecond,
+		Retries: 4,
+		Backoff: 10 * time.Millisecond,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -71,7 +69,7 @@ func TestPolicyBackoffSchedule(t *testing.T) {
 	if _, _, err := Run(context.Background(), 1, pol, nil, tasks); err == nil {
 		t.Fatal("want error")
 	}
-	want := []time.Duration{10, 20, 40, 40} // ms: doubling, then clamped
+	want := []time.Duration{10, 20, 40, 80} // ms: doubling
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want 4 delays", slept)
 	}
@@ -79,20 +77,6 @@ func TestPolicyBackoffSchedule(t *testing.T) {
 		if slept[i] != d*time.Millisecond {
 			t.Errorf("delay %d = %v, want %v", i+1, slept[i], d*time.Millisecond)
 		}
-	}
-
-	// Jitter is a deterministic function of (seed, task, attempt) in
-	// [0, Jitter) of the base delay.
-	j := Policy{Backoff: time.Second, Jitter: 0.5, Seed: 7}
-	d1, d2 := j.Delay(3, 1), j.Delay(3, 1)
-	if d1 != d2 {
-		t.Errorf("jittered delay not deterministic: %v vs %v", d1, d2)
-	}
-	if d1 < time.Second || d1 >= 1500*time.Millisecond {
-		t.Errorf("jittered delay %v outside [1s, 1.5s)", d1)
-	}
-	if other := j.Delay(4, 1); other == d1 {
-		t.Errorf("jitter identical across tasks: %v", other)
 	}
 }
 

@@ -75,14 +75,10 @@ type JobResult[R any] struct {
 
 // Job is the caller's handle on a submitted job.
 type Job[R any] struct {
-	id       string
 	results  chan JobResult[R]
 	done     chan struct{}
 	cancelFn func(cause error)
 }
-
-// ID echoes the id passed to Submit.
-func (j *Job[R]) ID() string { return j.id }
 
 // Results streams task outcomes in completion order. The channel is
 // buffered to the job's task count — workers never block on a slow
@@ -142,7 +138,7 @@ func (p *Pool[R, L]) Submit(id string, tasks []Task[R, L]) (*Job[R], error) {
 		p.cond.Broadcast()
 	}
 	return &Job[R]{
-		id: id, results: j.results, done: j.done,
+		results: j.results, done: j.done,
 		cancelFn: func(cause error) { p.cancelJob(j, cause) },
 	}, nil
 }
@@ -180,9 +176,7 @@ func (p *Pool[R, L]) worker(w int) {
 		if j, idx, ok := p.pickLocked(); ok {
 			p.mu.Unlock()
 			t0 := time.Now()
-			pol := p.cfg.Policy
-			pol.ContinueOnError = true // job isolation; failures never cancel siblings
-			v, err, attempts, panicked := execute(j.ctx, &pol, idx, j.tasks[idx], local)
+			v, err, attempts, panicked := execute(j.ctx, &p.cfg.Policy, j.tasks[idx], local)
 			p.mu.Lock()
 			//gsnplint:ignore lockhold each job's results channel is buffered to its full task count, so deliverLocked's send can never block
 			p.deliverLocked(j, JobResult[R]{Index: idx, Result: Result[R]{

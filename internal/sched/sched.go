@@ -164,7 +164,7 @@ func Run[R, L any](ctx context.Context, workers int, pol Policy, newLocal func(w
 				started[i] = true
 				mu.Unlock()
 				t0 := time.Now()
-				v, err, attempts, panicked := execute(ctx, &pol, i, tasks[i], local)
+				v, err, attempts, panicked := execute(ctx, &pol, tasks[i], local)
 				results[i] = Result[R]{
 					Name:     tasks[i].Name,
 					Value:    v,

@@ -6,9 +6,20 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"time"
 
 	"gsnp/internal/sched"
 )
+
+// maxBodyBytes caps POST /jobs bodies: inline inputs are whole chromosomes.
+const maxBodyBytes = 256 << 20
+
+// streamWriteTimeout bounds the write of one batch of stream records. A
+// subscriber that stops reading for this long is shed — its handler
+// returns and its connection closes — so a stalled client cannot hold a
+// goroutine and a socket for the life of the process. The job itself never
+// depends on its subscribers.
+const streamWriteTimeout = 30 * time.Second
 
 // Handler returns the service's HTTP API:
 //
@@ -54,7 +65,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
@@ -76,9 +87,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// itself was fine — tell the client when to come back.
 			code = http.StatusTooManyRequests
 			w.Header().Set("Retry-After", retryAfter)
-		case errors.Is(err, ErrJournal):
-			// Durability could not be guaranteed for this job; the server
-			// itself keeps serving.
+		case errors.Is(err, ErrJournal) || errors.Is(err, ErrSpool):
+			// The job could not be made durable, or its inputs could not
+			// be written: the server's disk failed, not the request, and
+			// the server itself keeps serving.
 			code = http.StatusInternalServerError
 		}
 		writeError(w, code, err)
@@ -150,8 +162,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // handleStream replays the job's stream records from the beginning, then
 // follows live completions until the Final record. Every connected client
 // gets the full record sequence regardless of when it attached, and a
-// client disconnect never affects the job (results are collected by the
-// server, not the response writer).
+// client disconnect or stall never affects the job (its sources feed the
+// server's log, not the response writer).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	js := s.lookup(w, r)
 	if js == nil {
@@ -159,37 +171,22 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-
-	next := 0
-	for {
-		js.mu.Lock()
-		recs := js.stream[next:]
-		finished := js.finished
-		notify := js.notify
-		js.mu.Unlock()
-
+	// The error is the stream's end either way: the Final record went out,
+	// or the client went away or stalled.
+	_ = js.followLog(r.Context(), func(recs []StreamRecord) error {
+		// A writer without deadlines (a test recorder) is merely never shed.
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		for _, rec := range recs {
 			if err := enc.Encode(rec); err != nil {
-				return // client went away
+				return err
 			}
 		}
-		next += len(recs)
-		if flusher != nil && len(recs) > 0 {
-			flusher.Flush()
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return err
 		}
-		if finished && len(recs) == 0 {
-			return
-		}
-		if finished {
-			continue // pick up records appended alongside the final state
-		}
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		return nil
+	})
 }

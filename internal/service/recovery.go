@@ -3,73 +3,68 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"gsnp/internal/checkpoint"
 	"gsnp/internal/genomejob"
 	"gsnp/internal/journal"
 )
 
 // recoverPending replays the journal after a restart: every job a
-// previous process accepted but never finalized is re-validated against
-// its recorded input digests and re-enqueued, with chromosomes the crash
-// already completed served straight from their durable checkpoints. It
-// runs from New, after the pool exists and before the HTTP listener can
-// accept anything, so recovered ids never race fresh submissions.
+// previous process accepted but never finished is re-validated against
+// its recorded input digests and handed to start, like a fresh submission
+// past its journaling. It runs from New, after the pool exists and before
+// the HTTP listener can accept anything, so recovered ids never race fresh
+// submissions.
 func (s *Server) recoverPending() {
 	pending := s.journal.Pending()
 	keep := make(map[string]bool, len(pending))
 	for _, e := range pending {
 		keep[e.Job] = true
 	}
-	// Spool/work dirs of jobs that are not pending are debris (finalized
-	// right before the crash, or never fully admitted): sweep them first.
+	// Spool/work dirs of jobs that are not pending are debris (finished
+	// right before the crash, or never fully accepted): sweep them first.
 	s.journal.Sweep(keep)
 	for _, e := range pending {
-		s.recoverJob(e)
+		js := newJob(e.Job, e.Created)
+		js.journalSeq, js.recovered = e.Seq, true
+		// Whatever serves the job now, the previous incarnation may have
+		// been executing it: finish removes the work dir that left behind.
+		js.workdir = s.journal.WorkDir(e.Job)
+		if err := s.recoverJob(js, e); err != nil {
+			// Registered and finished as failed: the failure is visible over
+			// the API (and journaled terminally) instead of the job silently
+			// vanishing from the WAL's pending set.
+			s.cfg.Logf("job %s: recovery failed: %v", js.id, err)
+			if js.spec == nil {
+				js.spec = &JobSpec{}
+			}
+			_ = s.admit(js, false) // a recovered job bypasses the admission rules: admit cannot refuse it
+			s.finish(js, StateFailed)
+		}
 	}
 	if len(pending) > 0 {
 		s.cfg.Logf("journal: recovered %d interrupted job(s)", len(pending))
 	}
 }
 
-// recoverJob re-enqueues one journaled job. The recorded spec is
-// re-validated, the inputs are re-hashed against the journaled digests
-// (drifted inputs fail the job rather than silently producing different
-// bytes), and checkpointed chromosomes are streamed as already-complete
-// records — their bytes digest-verified — while the rest go back to the
-// pool. Byte identity with an uninterrupted run is preserved on every
-// path.
-func (s *Server) recoverJob(e journal.Entry) {
-	js := &jobState{
-		id: e.Job, created: e.Created,
-		notify:     make(chan struct{}),
-		ready:      make(chan struct{}),
-		stopJoin:   make(chan struct{}),
-		done:       make(chan struct{}),
-		state:      StateQueued,
-		journalSeq: e.Seq,
-		recovered:  true,
-	}
-
+// recoverJob re-validates one journaled job and starts it. The recorded
+// spec is re-checked and the inputs are re-hashed against the journaled
+// digests: drifted inputs fail the job rather than silently producing
+// different bytes. An error means the job never reached start.
+func (s *Server) recoverJob(js *jobState, e journal.Entry) error {
 	var spec JobSpec
 	if err := json.Unmarshal(e.Spec, &spec); err != nil {
-		s.failRecovered(js, fmt.Errorf("journaled spec: %w", err))
-		return
+		return fmt.Errorf("journaled spec: %w", err)
 	}
 	js.spec = &spec
 	// Uploaded input bodies were stripped from the journaled spec — the
 	// spool directory is their durable home — so only the input-independent
 	// option invariants can be (and need to be) re-checked.
 	if err := spec.validateOptions(); err != nil {
-		s.failRecovered(js, fmt.Errorf("journaled spec: %w", err))
-		return
+		return fmt.Errorf("journaled spec: %w", err)
 	}
 	opts := spec.Options()
 	if got := opts.Fingerprint(); got != e.Fingerprint {
-		s.failRecovered(js, fmt.Errorf("fingerprint drift: journaled %q, recomputed %q", e.Fingerprint, got))
-		return
+		return fmt.Errorf("fingerprint drift: journaled %q, recomputed %q", e.Fingerprint, got)
 	}
 
 	dir := spec.GenomeDir
@@ -78,141 +73,26 @@ func (s *Server) recoverJob(e journal.Entry) {
 		dir = js.dir
 	}
 	if dir == "" {
-		s.failRecovered(js, fmt.Errorf("journaled spec names neither a genome dir nor a spool"))
-		return
+		return fmt.Errorf("journaled spec names neither a genome dir nor a spool")
 	}
 	units, _, err := genomejob.Discover(dir, opts)
 	if err != nil {
-		s.failRecovered(js, err)
-		return
+		return err
 	}
 	digests, err := genomejob.UnitDigests(units)
 	if err != nil {
-		s.failRecovered(js, fmt.Errorf("re-hashing inputs: %w", err))
-		return
+		return fmt.Errorf("re-hashing inputs: %w", err)
 	}
 	if len(digests) != len(e.Digests) {
-		s.failRecovered(js, fmt.Errorf("input set changed: %d chromosomes journaled, %d found", len(e.Digests), len(units)))
-		return
+		return fmt.Errorf("input set changed: %d chromosomes journaled, %d found", len(e.Digests), len(units))
 	}
 	for i, d := range digests {
 		if d != e.Digests[i] {
-			s.failRecovered(js, fmt.Errorf("input %s changed since the job was journaled", units[i].Name))
-			return
+			return fmt.Errorf("input %s changed since the job was journaled", units[i].Name)
 		}
 	}
-
-	// Resume the checkpoint manifest. A corrupt or mismatched manifest
-	// costs durability, not correctness: wipe it and recompute everything.
-	if err := s.openWorkdir(js, opts); err != nil {
-		s.cfg.Logf("job %s: recovery checkpoint: %v (recomputing all chromosomes)", js.id, err)
-		if rerr := os.Remove(checkpoint.Path(s.journal.WorkDir(js.id))); rerr != nil && !os.IsNotExist(rerr) {
-			s.failRecovered(js, fmt.Errorf("removing bad checkpoint: %w", rerr))
-			return
-		}
-		if err := s.openWorkdir(js, opts); err != nil {
-			s.failRecovered(js, err)
-			return
-		}
+	if err := s.start(js, opts, units, digests); err != nil {
+		s.cfg.Logf("job %s: recovery: %v", js.id, err) // start has already finished it as failed
 	}
-
-	// Partition units: checkpointed chromosomes replay from their durable
-	// outputs (Done re-verifies the recorded digest before we trust the
-	// bytes); the rest re-enqueue, with taskUnit mapping pool task indices
-	// back to chromosome indices.
-	js.units = units
-	js.chroms = make([]ChromStatus, len(units))
-	var remaining []genomejob.Unit
-	var taskUnit []int
-	for i, u := range units {
-		js.chroms[i] = ChromStatus{Name: u.Name, State: StatePending}
-		ce, ok := js.cp.Done(u.Name)
-		if ok {
-			out, rerr := os.ReadFile(filepath.Join(js.workdir, ce.Output))
-			if rerr == nil {
-				rec := StreamRecord{
-					Job: js.id, Index: i, Name: u.Name, State: StateOK,
-					Sites: ce.Sites, OutputB64: out, Recovered: true,
-				}
-				js.chroms[i] = chromStatusOf(rec)
-				js.stream = append(js.stream, rec)
-				continue
-			}
-			s.cfg.Logf("job %s: checkpointed output %s unreadable (%v), recomputing", js.id, u.Name, rerr)
-		}
-		remaining = append(remaining, u)
-		taskUnit = append(taskUnit, i)
-	}
-	js.taskUnit = taskUnit
-
-	// A recovered job that still has work to run is a normal execution of
-	// its content key: register it as a flight leader so its completed
-	// result lands in the cache (a resubmission of the same inputs after
-	// recovery is a hit, not a recompute). Jobs served fully from
-	// checkpoints skip this — they never pass through collect, which is
-	// where the flight is closed. Two identical journaled jobs can race
-	// here; the loser simply runs uncached rather than joining mid-recovery.
-	if s.cache != nil && len(remaining) > 0 {
-		key := jobKey(opts, digests)
-		if _, joined := s.flights.Begin(key, js); !joined {
-			js.key = key
-		}
-	}
-
-	s.mu.Lock()
-	s.jobs[js.id] = js
-	s.active++
-	js.counted = true
-	s.recoveredN++
-	s.mu.Unlock()
-
-	if len(remaining) == 0 {
-		close(js.ready)
-		s.cfg.Logf("job %s: recovered fully from checkpoints (%d chromosomes)", js.id, len(units))
-		s.finalize(js, StateDone)
-		return
-	}
-	handle, err := s.pool.Submit(js.id, s.buildTasks(js, opts, remaining))
-	if err != nil {
-		close(js.ready)
-		s.mu.Lock()
-		delete(s.jobs, js.id)
-		s.mu.Unlock()
-		s.finalize(js, StateFailed)
-		if js.key != "" {
-			s.flights.End(js.key)
-		}
-		s.cfg.Logf("job %s: recovery re-enqueue: %v", js.id, err)
-		return
-	}
-	js.handle = handle
-	close(js.ready)
-	go s.collect(js)
-	s.cfg.Logf("job %s: recovered (%d of %d chromosomes from checkpoints, %d re-enqueued)",
-		js.id, len(units)-len(remaining), len(units), len(remaining))
-}
-
-// failRecovered registers a journaled job the service could not recover
-// and finalizes it as failed: the failure is visible over the API (and
-// journaled terminally) instead of the job silently vanishing from the
-// WAL's pending set.
-func (s *Server) failRecovered(js *jobState, err error) {
-	s.cfg.Logf("job %s: recovery failed: %v", js.id, err)
-	if js.spec == nil {
-		js.spec = &JobSpec{}
-	}
-	js.mu.Lock()
-	for i := range js.chroms {
-		if js.chroms[i].State == StatePending {
-			js.chroms[i].State = StateFailed
-			js.chroms[i].Error = "job recovery failed"
-		}
-	}
-	js.mu.Unlock()
-	s.mu.Lock()
-	s.jobs[js.id] = js
-	s.recoveredN++
-	s.mu.Unlock()
-	close(js.ready)
-	s.finalize(js, StateFailed)
+	return nil
 }

@@ -30,7 +30,6 @@ import (
 	"gsnp/internal/genomejob"
 	"gsnp/internal/gsnp"
 	"gsnp/internal/journal"
-	"gsnp/internal/pipeline"
 	"gsnp/internal/resultcache"
 	"gsnp/internal/sched"
 )
@@ -48,8 +47,6 @@ type Config struct {
 	// fresh temporary directory. Ignored when JournalDir is set — the
 	// journal owns the spool so uploads survive restarts.
 	SpoolDir string
-	// MaxBodyBytes caps POST /jobs bodies (0 = 256 MiB).
-	MaxBodyBytes int64
 	// JournalDir enables crash durability: every accepted job is
 	// journaled (write-ahead, fsync'd) before it is acknowledged,
 	// uploaded inputs spool under the journal so they survive restarts,
@@ -133,16 +130,13 @@ type Server struct {
 	jobs     map[string]*jobState
 	seq      int
 	draining bool
-	// active counts admitted jobs that have not finalized — the
+	// active counts admitted jobs that execute and have not finished — the
 	// MaxQueued admission bound. Cache replays and single-flight
 	// followers never count (they occupy no pool capacity).
 	active int
-	// recoveredN counts jobs re-enqueued from the journal this process.
+	// recoveredN counts jobs re-admitted from the journal this process.
 	recoveredN uint64
 }
-
-// errJobCancelled is the cancellation cause DELETE /jobs/{id} installs.
-var errJobCancelled = errors.New("job cancelled by client")
 
 // ErrQueueFull is returned to submissions when MaxQueued unfinished jobs
 // are already admitted; clients should back off and retry (HTTP 429).
@@ -152,11 +146,13 @@ var ErrQueueFull = errors.New("job queue is full")
 // cleanly (HTTP 500) while the server keeps serving every other job.
 var ErrJournal = errors.New("job journal write failed")
 
+// ErrSpool wraps failures to write a job's uploaded inputs to the spool
+// (disk full, unwritable directory): the request was fine, the server's
+// disk was not (HTTP 500), and nothing of the job is left behind.
+var ErrSpool = errors.New("spooling job inputs failed")
+
 // New builds the server and starts its worker pool.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 256 << 20
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -202,73 +198,15 @@ func New(cfg Config) (*Server, error) {
 		s.spool = dir
 		s.ownSpool = true
 	}
-	pol := sched.Policy{
-		Retries:         cfg.Retries,
-		Backoff:         cfg.RetryBackoff,
-		Timeout:         cfg.TaskTimeout,
-		RecoverPanics:   true,
-		ContinueOnError: true,
-		RetryIf: func(err error) bool {
-			var re pipeline.RecordError
-			return !errors.As(err, &re)
-		},
-	}
 	s.pool = sched.NewPool[chromResult, *gsnp.Arena](sched.PoolConfig{
 		Workers:   cfg.Workers,
-		Policy:    pol,
+		Policy:    genomejob.Policy(cfg.Retries, cfg.RetryBackoff, cfg.TaskTimeout),
 		OnDequeue: s.onDequeue,
 	}, func(int) *gsnp.Arena { return gsnp.NewArena() })
 	if s.journal != nil {
 		s.recoverPending()
 	}
 	return s, nil
-}
-
-// jobState is the registry entry for one job. The pool delivers results to
-// the collector goroutine, which appends stream records and updates the
-// per-chromosome statuses; stream readers wait on notify.
-type jobState struct {
-	id      string
-	spec    *JobSpec
-	created time.Time
-	units   []genomejob.Unit
-	handle  *sched.Job[chromResult] // set once, published by closing ready
-	ready   chan struct{}
-	dir     string // per-job spool dir for uploaded inputs ("" for genome_dir jobs)
-
-	// key is the job's content-addressed cache key ("" when caching is
-	// off or an input could not be hashed). leader, when non-nil, is the
-	// in-flight identical job this one mirrors instead of executing
-	// (single-flight dedup); stopJoin detaches the mirror on cancel.
-	// done closes when the job reaches a final state, whatever the path
-	// (pool execution, cache replay, or mirrored stream).
-	key      string
-	leader   *jobState
-	stopJoin chan struct{}
-	done     chan struct{}
-
-	// Journal state (zero-valued when the server runs without a
-	// journal). journalSeq is the WAL sequence the job was accepted
-	// under; workdir holds the durable per-chromosome outputs plus the
-	// checkpoint manifest cp maintains; recovered marks a job re-enqueued
-	// from the journal after a restart; counted marks a job charged
-	// against the MaxQueued admission bound; taskUnit maps pool task
-	// indices back to unit indices for recovered jobs that re-enqueued
-	// only their unfinished chromosomes (nil = identity).
-	journalSeq int
-	workdir    string
-	cp         *checkpoint.Writer
-	recovered  bool
-	counted    bool
-	taskUnit   []int
-
-	mu        sync.Mutex
-	chroms    []ChromStatus
-	stream    []StreamRecord
-	notify    chan struct{}
-	state     string // queued | running | done | partial | failed | cancelled | cached
-	cancelled bool
-	finished  bool
 }
 
 // Job/chromosome states reported over the API.
@@ -349,63 +287,39 @@ type StreamRecord struct {
 	Recovered bool `json:"recovered,omitempty"`
 }
 
-// submit registers and enqueues one parsed job spec. Caller must not hold
-// s.mu.
+// submit accepts one parsed job spec: its inputs are materialised, hashed
+// and journaled, then start launches it. Caller must not hold s.mu.
 func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	opts := spec.Options()
 
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	// Admission backpressure: shed before spooling and hashing, not
-	// after. The registration block below re-checks authoritatively.
-	if s.cfg.MaxQueued > 0 && s.active >= s.cfg.MaxQueued {
-		s.mu.Unlock()
-		return nil, ErrQueueFull
-	}
 	s.seq++
 	seq := s.seq
-	id := fmt.Sprintf("j%d", seq)
 	s.mu.Unlock()
-
-	js := &jobState{
-		//gsnplint:ignore determinism arrival timestamp is job metadata for listing order, never part of a result stream
-		id: id, spec: spec, created: time.Now(),
-		notify:   make(chan struct{}),
-		ready:    make(chan struct{}),
-		stopJoin: make(chan struct{}),
-		done:     make(chan struct{}),
-		state:    StateQueued,
-	}
+	//gsnplint:ignore determinism arrival timestamp is job metadata for listing order, never part of a result stream
+	js := newJob(fmt.Sprintf("j%d", seq), time.Now())
+	js.spec = spec
 	fail := func(err error) (*jobState, error) {
 		s.removeDir("job "+js.id+" spool dir", js.dir)
 		return nil, err
 	}
 
-	var units []genomejob.Unit
-	var err error
-	if spec.GenomeDir != "" {
-		units, _, err = genomejob.Discover(spec.GenomeDir, opts)
-	} else {
-		js.dir = filepath.Join(s.spool, id)
-		if err := spoolInputs(js.dir, spec); err != nil {
-			return fail(err)
+	// Uploaded inputs are spooled as a genome directory, so both kinds of
+	// job share Discover and Call verbatim.
+	dir := spec.GenomeDir
+	if dir == "" {
+		js.dir = filepath.Join(s.spool, js.id)
+		dir = js.dir
+		if err := spoolInputs(dir, spec); err != nil {
+			return fail(fmt.Errorf("%w: %v", ErrSpool, err))
 		}
-		units, _, err = genomejob.Discover(js.dir, opts)
 	}
+	units, _, err := genomejob.Discover(dir, opts)
 	if err != nil {
 		return fail(err)
 	}
 	if len(units) == 0 {
 		return fail(fmt.Errorf("job has no runnable chromosomes"))
-	}
-
-	js.units = units
-	js.chroms = make([]ChromStatus, len(units))
-	for i, u := range units {
-		js.chroms[i] = ChromStatus{Name: u.Name, State: StatePending}
 	}
 
 	// Content digests feed two consumers: the result-cache key and the
@@ -416,99 +330,34 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	// journal cannot promise to recover inputs it could not hash.
 	var digests []string
 	if s.cache != nil || s.journal != nil {
-		var derr error
-		digests, derr = genomejob.UnitDigests(units)
-		if derr != nil {
+		digests, err = genomejob.UnitDigests(units)
+		if err != nil {
 			if s.journal != nil {
-				return fail(fmt.Errorf("hashing inputs for the job journal: %w", derr))
+				return fail(fmt.Errorf("hashing inputs for the job journal: %w", err))
 			}
-			s.cfg.Logf("job %s: uncacheable inputs: %v", id, derr)
+			s.cfg.Logf("job %s: uncacheable inputs: %v", js.id, err)
 			digests = nil
 		}
 	}
 
 	// Write-ahead: the job is journaled durably before the client sees
-	// its 202 — including before a cache replay, so every accepted job
-	// is on disk. An append failure fails this one job cleanly (the
-	// server keeps serving); nothing was acknowledged, nothing recovers.
+	// its 202 — whatever will serve it, so every accepted job is on disk.
+	// An append failure fails this one job cleanly (the server keeps
+	// serving); nothing was acknowledged, nothing recovers.
 	if s.journal != nil {
-		if err := s.journalAccept(js, seq, spec, opts, digests); err != nil {
+		if err := s.journalAccept(js, seq, opts, digests); err != nil {
 			return fail(fmt.Errorf("%w: %v", ErrJournal, err))
 		}
 	}
-
-	// Content-addressed short-circuit: an exact prior result replays from
-	// the cache with zero pool work; an identical job already executing
-	// is joined (single-flight) instead of run twice.
-	if s.cache != nil && digests != nil {
-		js.key = jobKey(opts, digests)
-		if cj, ok := s.cache.Get(js.key); ok {
-			return s.serveCached(js, cj)
-		}
-		if leader, joined := s.flights.Begin(js.key, js); joined {
-			return s.serveJoined(js, leader)
-		}
-		// This job is now the flight leader; every early exit below
-		// must End the flight so identical waiters are not stranded.
-	}
-	failLeader := func(err error) (*jobState, error) {
-		// A follower may have joined the flight already (draining can
-		// land between its registration check and ours): finalise this
-		// job — which also journals the terminal state and removes its
-		// spool/work dirs — so the mirror resolves, then close the
-		// flight.
-		s.finalize(js, StateFailed)
-		if js.key != "" {
-			s.flights.End(js.key)
-		}
+	if err := s.start(js, opts, units, digests); err != nil {
 		return nil, err
 	}
-
-	tasks := s.buildTasks(js, opts, units)
-
-	// The registry entry must exist before the pool can dispatch the first
-	// task (the dequeue hook looks the job up by id); the handle is
-	// published through the ready channel for anyone who raced the gap.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return failLeader(ErrDraining)
-	}
-	if s.cfg.MaxQueued > 0 && s.active >= s.cfg.MaxQueued {
-		s.mu.Unlock()
-		return failLeader(ErrQueueFull)
-	}
-	s.jobs[id] = js
-	s.active++
-	js.counted = true
-	s.mu.Unlock()
-
-	handle, err := s.pool.Submit(id, tasks)
-	if err != nil {
-		close(js.ready)
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
-		// A concurrent identical submission may already be mirroring this
-		// job; finalise (which also removes the spool dir) so followers
-		// resolve instead of waiting forever, then close the flight.
-		s.finalize(js, StateFailed)
-		if js.key != "" {
-			s.flights.End(js.key)
-		}
-		return nil, err
-	}
-	js.handle = handle
-	close(js.ready)
-	go s.collect(js)
-	s.cfg.Logf("job %s: submitted (%d chromosomes, engine %s)", id, len(units), spec.Engine)
+	s.cfg.Logf("job %s: submitted (%d chromosomes, engine %s)", js.id, len(units), spec.Engine)
 	return js, nil
 }
 
-// buildTasks maps units onto pool tasks. For recovered jobs the slice
-// may cover only the unfinished units; js.taskUnit records the mapping
-// back to unit indices.
-func (s *Server) buildTasks(js *jobState, opts genomejob.Options, units []genomejob.Unit) []sched.Task[chromResult, *gsnp.Arena] {
+// buildTasks maps units onto pool tasks.
+func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chromResult, *gsnp.Arena] {
 	tasks := make([]sched.Task[chromResult, *gsnp.Arena], len(units))
 	for i, u := range units {
 		u := u
@@ -527,12 +376,11 @@ func (s *Server) buildTasks(js *jobState, opts genomejob.Options, units []genome
 	return tasks
 }
 
-// journalAccept records the job in the WAL and prepares its durable work
-// directory (checkpoint manifest + per-chromosome outputs). Uploaded
-// input bodies are stripped from the journaled spec — they live in the
-// journal-owned spool directory, which survives restarts.
-func (s *Server) journalAccept(js *jobState, seq int, spec *JobSpec, opts genomejob.Options, digests []string) error {
-	walSpec := *spec
+// journalAccept records the job in the WAL. Uploaded input bodies are
+// stripped from the journaled spec — they live in the journal-owned spool
+// directory, which survives restarts.
+func (s *Server) journalAccept(js *jobState, seq int, opts genomejob.Options, digests []string) error {
+	walSpec := *js.spec
 	walSpec.Inputs = nil
 	raw, err := json.Marshal(&walSpec)
 	if err != nil {
@@ -550,29 +398,6 @@ func (s *Server) journalAccept(js *jobState, seq int, spec *JobSpec, opts genome
 		return err
 	}
 	js.journalSeq = seq
-	if err := s.openWorkdir(js, opts); err != nil {
-		// Accepted but unable to checkpoint: journal the failure so the
-		// entry is not replayed, then refuse the job.
-		if ferr := s.journal.Final(seq, js.id, StateFailed); ferr != nil {
-			s.cfg.Logf("job %s: journal final after workdir failure: %v", js.id, ferr)
-		}
-		return err
-	}
-	return nil
-}
-
-// openWorkdir creates the job's durable work directory and checkpoint
-// writer (resume loads any entries a previous incarnation completed).
-func (s *Server) openWorkdir(js *jobState, opts genomejob.Options) error {
-	js.workdir = s.journal.WorkDir(js.id)
-	if err := os.MkdirAll(js.workdir, 0o755); err != nil {
-		return err
-	}
-	cp, err := checkpoint.NewWriter(checkpoint.Path(js.workdir), opts.Fingerprint(), js.recovered)
-	if err != nil {
-		return err
-	}
-	js.cp = cp
 	return nil
 }
 
@@ -612,190 +437,7 @@ func (s *Server) removeDir(what, dir string) {
 	}
 }
 
-// unitIndex maps a pool task index to the job's unit/chromosome index.
-// Identity for fresh jobs; recovered jobs re-enqueue only their
-// unfinished units, so the mapping goes through taskUnit.
-func (js *jobState) unitIndex(task int) int {
-	if js.taskUnit == nil {
-		return task
-	}
-	return js.taskUnit[task]
-}
-
-// persistChrom durably records one cleanly completed chromosome: the
-// output bytes land in the job's work directory via AtomicWrite, then the
-// checkpoint manifest commits the entry (name → output + digest). Called
-// before the stream record is published, so any chromosome a client has
-// observed as completed is guaranteed to survive a crash and be skipped
-// on recovery. Persistence failures degrade to re-execution on recovery
-// (logged, never fatal): durability narrows, correctness holds.
-func (s *Server) persistChrom(js *jobState, name string, out []byte, sites int) {
-	if js.cp == nil {
-		return
-	}
-	opts := js.spec.Options()
-	path := filepath.Join(js.workdir, opts.OutName(name))
-	if err := checkpoint.AtomicWrite(path, out); err != nil {
-		s.cfg.Logf("job %s: checkpoint output %s: %v", js.id, name, err)
-		return
-	}
-	if err := js.cp.Complete(name, path, sites); err != nil {
-		s.cfg.Logf("job %s: checkpoint manifest %s: %v", js.id, name, err)
-	}
-}
-
-// serveCached resolves a submission from a cache entry: the prior job's
-// records are replayed under the new job id, the stream terminates with a
-// "cached" final record, and the scheduler is never touched.
-func (s *Server) serveCached(js *jobState, cj cachedJob) (*jobState, error) {
-	js.chroms = make([]ChromStatus, len(cj.records))
-	js.stream = make([]StreamRecord, 0, len(cj.records)+1)
-	for _, rec := range cj.records {
-		rec.Job = js.id
-		js.chroms[rec.Index] = chromStatusOf(rec)
-		js.stream = append(js.stream, rec)
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		// The job was already journaled (accept-before-consult): finalise
-		// so a terminal record lands and the spool/work dirs are removed;
-		// otherwise the unacknowledged job would replay after a restart.
-		s.finalize(js, StateFailed)
-		return nil, ErrDraining
-	}
-	s.jobs[js.id] = js
-	s.mu.Unlock()
-	close(js.ready)
-	s.finalize(js, StateCached)
-	return js, nil
-}
-
-// serveJoined attaches a submission to an identical in-flight job: the
-// follower mirrors the leader's stream instead of executing.
-func (s *Server) serveJoined(js, leader *jobState) (*jobState, error) {
-	js.leader = leader
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		// Journaled before the consult: finalise so the WAL records a
-		// terminal state instead of replaying an unacknowledged job.
-		s.finalize(js, StateFailed)
-		return nil, ErrDraining
-	}
-	s.jobs[js.id] = js
-	s.mu.Unlock()
-	close(js.ready)
-	go s.follow(js)
-	s.cfg.Logf("job %s: joined identical in-flight job %s (single-flight)", js.id, leader.id)
-	return js, nil
-}
-
-// follow mirrors the leader's stream into a single-flight follower:
-// replay of everything the leader has already emitted, then live follow
-// until the leader finalises. A leader that completes cleanly resolves
-// the follower as "cached"; any other leader outcome (partial, failed,
-// cancelled) is mirrored verbatim. Cancelling the follower detaches the
-// mirror without touching the leader.
-func (s *Server) follow(js *jobState) {
-	ld := js.leader
-	next := 0
-	final := ""
-	for final == "" {
-		ld.mu.Lock()
-		recs := ld.stream[next:]
-		finished := ld.finished
-		notify := ld.notify
-		ld.mu.Unlock()
-		next += len(recs)
-		for _, rec := range recs {
-			if rec.Final {
-				final = rec.State
-				continue
-			}
-			rec.Job = js.id
-			js.mu.Lock()
-			js.chroms[rec.Index] = chromStatusOf(rec)
-			js.stream = append(js.stream, rec)
-			if js.state == StateQueued {
-				js.state = StateRunning
-			}
-			close(js.notify)
-			js.notify = make(chan struct{})
-			js.mu.Unlock()
-		}
-		if final != "" || finished {
-			break
-		}
-		select {
-		case <-notify:
-		case <-js.stopJoin:
-			s.finalize(js, StateCancelled)
-			return
-		}
-	}
-	js.mu.Lock()
-	cancelled := js.cancelled
-	js.mu.Unlock()
-	switch {
-	case cancelled:
-		s.finalize(js, StateCancelled)
-	case final == StateDone:
-		s.finalize(js, StateCached)
-	case final == "":
-		// The leader finalised without a final record: impossible today,
-		// but resolve the follower rather than wedging it.
-		s.finalize(js, StateFailed)
-	default:
-		s.finalize(js, final)
-	}
-}
-
-// finalize moves a job to its final state: the terminal state is journaled
-// (when a journal is active), the job's spool/work directories are removed,
-// the terminating stream record is appended, waiters wake and the done
-// channel closes. Exactly one finalize happens per job, whatever path
-// resolved it.
-func (s *Server) finalize(js *jobState, state string) {
-	// Durable-before-visible, and before done closes: Drain treats a
-	// closed done channel as "this job is settled" and may then close the
-	// journal, so the terminal record must already be on disk. If the
-	// append fails the job stays pending in the WAL; its spool and work
-	// dirs are kept so a restart re-runs it from its checkpoints instead
-	// of finding the inputs gone.
-	keepDirs := false
-	if s.journal != nil && js.journalSeq != 0 {
-		if err := s.journal.Final(js.journalSeq, js.id, state); err != nil {
-			s.cfg.Logf("job %s: journal final: %v (job will re-run on recovery)", js.id, err)
-			keepDirs = true
-		}
-	}
-	// Clean-before-visible: a client that has read the final record must
-	// not find the job's directories still there. Every output it can ask
-	// for is already in js.stream; nothing reads the dirs after this.
-	if !keepDirs {
-		s.removeDir("job "+js.id+" spool dir", js.dir)
-		s.removeDir("job "+js.id+" work dir", js.workdir)
-	}
-	js.mu.Lock()
-	js.state = state
-	js.finished = true
-	js.stream = append(js.stream, StreamRecord{
-		Job: js.id, Index: -1, State: state, Final: true, Recovered: js.recovered,
-	})
-	close(js.notify)
-	js.mu.Unlock()
-	close(js.done)
-	if js.counted {
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
-	}
-	s.cfg.Logf("job %s: %s", js.id, state)
-}
-
-// spoolInputs writes a job's uploaded inputs as a genome directory, so the
-// uploaded path and the genome-dir path share Discover and Call verbatim.
+// spoolInputs writes a job's uploaded inputs as a genome directory.
 func spoolInputs(dir string, spec *JobSpec) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -831,9 +473,8 @@ func (s *Server) onDequeue(job string, index int) {
 	js := s.jobs[job]
 	s.mu.Unlock()
 	if js != nil {
-		// The pool dispatches task indices; recovered jobs enqueue only
-		// their unfinished units, so map back to the chromosome index.
-		index = js.unitIndex(index)
+		// The pool dispatches task indices; map back to the chromosome.
+		index = js.taskUnit[index]
 		js.mu.Lock()
 		if js.chroms[index].State == StatePending {
 			js.chroms[index].State = StateRunning
@@ -848,162 +489,12 @@ func (s *Server) onDequeue(job string, index int) {
 	}
 }
 
-// collect drains one job's pool results into its stream, then finalises
-// the job, records a cleanly completed run into the result cache, and
-// closes the job's single-flight entry.
-func (s *Server) collect(js *jobState) {
-	for r := range js.handle.Results() {
-		idx := js.unitIndex(r.Index)
-		rec := StreamRecord{
-			Job: js.id, Index: idx, Name: r.Name,
-			Attempts: r.Attempts, WallMS: r.Wall.Milliseconds(),
-		}
-		switch {
-		case r.Skipped:
-			rec.State = StateCancelled
-			rec.Error = fmt.Sprint(r.Err)
-		case r.Err != nil:
-			rec.State = StateFailed
-			rec.Error = r.Err.Error()
-		case r.Value.res.Partial():
-			rec.State = StatePartial
-			rec.Sites = r.Value.res.Sites
-			rec.Quarantined = len(r.Value.res.Quarantined)
-			rec.CalSkipped = r.Value.res.CalSkipped
-			rec.OutputB64 = r.Value.output
-		default:
-			rec.State = StateOK
-			rec.Sites = r.Value.res.Sites
-			rec.OutputB64 = r.Value.output
-		}
-
-		// Durable-before-visible: a cleanly completed chromosome is
-		// checkpointed before its stream record publishes, so any
-		// completion a client has observed survives a crash and is
-		// checkpoint-skipped on recovery. Partial results are never
-		// checkpointed — they must recompute, same as the CLI's -resume.
-		if rec.State == StateOK {
-			s.persistChrom(js, rec.Name, rec.OutputB64, rec.Sites)
-		}
-
-		js.mu.Lock()
-		js.chroms[idx] = chromStatusOf(rec)
-		js.stream = append(js.stream, rec)
-		close(js.notify)
-		js.notify = make(chan struct{})
-		js.mu.Unlock()
-	}
-
-	js.mu.Lock()
-	state := finalState(js)
-	js.mu.Unlock()
-	s.finalize(js, state)
-
-	if js.key == "" {
-		return
-	}
-	// Only a fully clean job is cacheable: partial (quarantined windows,
-	// skipped calibration records), failed and cancelled runs must always
-	// recompute — their bytes are not the configuration's true result.
-	// The Put lands before the flight closes, so an identical submission
-	// arriving now either hits the cache or joins the still-open flight;
-	// there is no window where it re-executes a completed clean run.
-	if state == StateDone {
-		js.mu.Lock()
-		recs := make([]StreamRecord, 0, len(js.stream))
-		for _, rec := range js.stream {
-			if rec.Final {
-				continue
-			}
-			rec.Job = "" // rewritten to the serving job's id on replay
-			// A recovered job's checkpoint-replayed chromosomes carry the
-			// Recovered marker; a cache replay of the finished result is a
-			// clean serve and must not.
-			rec.Recovered = false
-			recs = append(recs, rec)
-		}
-		js.mu.Unlock()
-		cj := cachedJob{records: recs}
-		if !s.cache.Put(js.key, cj, cj.size()) {
-			s.cfg.Logf("job %s: result (%d bytes) exceeds the cache budget, not cached", js.id, cj.size())
-		}
-	}
-	s.flights.End(js.key)
-}
-
-// finalState derives the job-level outcome from its chromosomes. Called
-// with js.mu held.
-func finalState(js *jobState) string {
-	var ok, partial, failed, cancelled int
-	for _, c := range js.chroms {
-		switch c.State {
-		case StateOK:
-			ok++
-		case StatePartial:
-			partial++
-		case StateFailed:
-			failed++
-		case StateCancelled:
-			cancelled++
-		}
-	}
-	switch {
-	case js.cancelled || cancelled > 0:
-		return StateCancelled
-	case failed == 0 && partial == 0:
-		return StateDone
-	case ok == 0 && partial == 0:
-		return StateFailed
-	default:
-		return StatePartial
-	}
-}
-
-// status snapshots a job's API document.
-func (js *jobState) status() JobStatus {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	st := JobStatus{
-		ID: js.id, State: js.state, Created: js.created,
-		Engine: js.spec.Engine, Total: len(js.chroms),
-		Chromosomes: append([]ChromStatus(nil), js.chroms...),
-		Recovered:   js.recovered,
-	}
-	for _, c := range st.Chromosomes {
-		switch c.State {
-		case StatePending, StateRunning:
-		default:
-			st.Completed++
-		}
-	}
-	return st
-}
-
-// cancel implements DELETE /jobs/{id}. Cancelling a single-flight
-// follower detaches its mirror without touching the leader; cancelling a
-// leader resolves its followers through the mirrored cancelled records.
-// Cached jobs are already final, so cancel is a no-op for them.
+// cancel implements DELETE /jobs/{id}: the job's sources see its context
+// end. Cancelling a single-flight follower ends its tail without touching
+// the leader; cancelling a leader resolves its followers through the
+// mirrored cancelled records. On a finished job it is a no-op.
 func (s *Server) cancel(js *jobState) {
-	<-js.ready
-	js.mu.Lock()
-	already := js.finished || js.cancelled
-	if !already {
-		js.cancelled = true
-	}
-	leader := js.leader
-	js.mu.Unlock()
-	if already {
-		return
-	}
-	if leader != nil {
-		close(js.stopJoin)
-		s.cfg.Logf("job %s: cancel requested (detached from %s)", js.id, leader.id)
-		return
-	}
-	if js.handle == nil {
-		return // never launched
-	}
-	js.handle.Cancel(errJobCancelled)
+	js.cancel(errJobCancelled)
 	s.cfg.Logf("job %s: cancel requested", js.id)
 }
 
@@ -1068,18 +559,15 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	var err error
 	for _, js := range jobs {
-		// done closes on every resolution path — pool execution, cache
-		// replay, mirrored single-flight stream — so drain needs no
-		// per-kind handling. (A follower resolves when its leader does;
-		// the leader is in the same snapshot.)
-		<-js.ready
+		// done closes on every job, whatever its sources; a follower
+		// resolves when its leader does, and the leader is in the same
+		// snapshot.
 		select {
 		case <-js.done:
 		case <-ctx.Done():
 			err = ctx.Err()
 			s.pool.CancelAll(fmt.Errorf("drain deadline: %w", context.Cause(ctx)))
 			for _, j := range jobs {
-				<-j.ready
 				<-j.done
 			}
 		}
