@@ -14,11 +14,14 @@ GO ?= go
 # on it concurrently, the fault/checkpoint machinery, the gsnpd
 # service with its result cache and job journal, the shared genome-job
 # decomposition both front-ends use, and the gsnpd daemon itself (its
-# serve/signal goroutines). The list is audited against the tree:
+# serve/signal goroutines). The data-parallel passes of the engines, the
+# sort, the aligner, the block writer and the device all fork through
+# internal/par and contain no go statement of their own; par is in the list
+# and so are they. The list is audited against the tree:
 # `gsnplint -go-pkgs ./...` prints every package containing a go
-# statement, and TestRacePkgsCoverSpawningPackages fails when one is
-# missing here.
-RACE_PKGS = ./internal/pipeline ./internal/sched ./internal/gsnp ./internal/soapsnp ./internal/sortnet ./internal/faults ./internal/checkpoint ./internal/service ./internal/resultcache ./internal/genomejob ./internal/gpu ./internal/journal ./internal/align ./internal/snpio ./cmd/gsnpd
+# statement or importing internal/par, and
+# TestRacePkgsCoverSpawningPackages fails when one is missing here.
+RACE_PKGS = ./internal/par ./internal/pipeline ./internal/sched ./internal/gsnp ./internal/soapsnp ./internal/sortnet ./internal/faults ./internal/checkpoint ./internal/service ./internal/resultcache ./internal/genomejob ./internal/gpu ./internal/journal ./internal/align ./internal/snpio ./cmd/gsnpd
 
 # Per-target budget for the fuzz smoke pass.
 FUZZ_TIME ?= 10s

@@ -17,8 +17,8 @@
 // once. -tests adds _test.go files to the load; -json also writes the
 // findings as a machine-readable report (the CI gate archives it as
 // gsnplint-findings.json); -go-pkgs prints the import path of every
-// loaded package containing a go statement and exits, which is how the
-// Makefile's RACE_PKGS list is audited.
+// loaded package containing a go statement or forking through internal/par
+// and exits, which is how the Makefile's RACE_PKGS list is audited.
 //
 // Findings can be suppressed, one line at a time and with a mandatory
 // written justification, by
@@ -70,7 +70,7 @@ func run() int {
 		docs     = flag.Bool("doc", false, "print each analyzer's rule and exit")
 		tests    = flag.Bool("tests", false, "include _test.go files in the load")
 		jsonPath = flag.String("json", "", "also write findings as a JSON report to this file (- for stdout)")
-		goPkgs   = flag.Bool("go-pkgs", false, "print packages containing go statements and exit (RACE_PKGS audit)")
+		goPkgs   = flag.Bool("go-pkgs", false, "print packages that spawn goroutines, directly or through internal/par, and exit (RACE_PKGS audit)")
 	)
 	flag.Parse()
 
@@ -129,12 +129,17 @@ func run() int {
 	return 0
 }
 
-// spawningPackages returns the sorted import paths of packages with at
-// least one go statement — the set RACE_PKGS must cover.
+// spawningPackages returns the sorted import paths of packages that run
+// code on goroutines — the set RACE_PKGS must cover: those with at least
+// one go statement, and those importing internal/par, whose data-parallel
+// passes fork there without a go statement of their own.
 func spawningPackages(pkgs []*analysis.Package) []string {
 	var out []string
 	for _, pkg := range pkgs {
 		spawns := false
+		for _, imp := range pkg.Types.Imports() {
+			spawns = spawns || strings.HasSuffix(imp.Path(), "/internal/par")
+		}
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if _, ok := n.(*ast.GoStmt); ok {

@@ -81,9 +81,11 @@ func TestGsnplintJSONReport(t *testing.T) {
 }
 
 // TestRacePkgsCoverSpawningPackages audits the Makefile: every package
-// that contains a go statement (per gsnplint -go-pkgs, the same loader
-// the analyzers use) must be listed in RACE_PKGS so the race detector
-// actually exercises it.
+// that contains a go statement or forks through internal/par (per gsnplint
+// -go-pkgs, the same loader the analyzers use) must be listed in RACE_PKGS
+// so the race detector actually exercises it. The packages whose passes
+// moved their spawning into internal/par must still be reported: they run
+// as much code on goroutines as before.
 func TestRacePkgsCoverSpawningPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the module; skipped in -short mode")
@@ -119,6 +121,11 @@ func TestRacePkgsCoverSpawningPackages(t *testing.T) {
 	}
 	module := string(mm[1])
 
+	for _, rel := range []string{"gsnp", "soapsnp", "sortnet", "align", "snpio", "gpu", "par"} {
+		if imp := module + "/internal/" + rel; !strings.Contains(string(out)+"\n", imp+"\n") {
+			t.Errorf("gsnplint -go-pkgs no longer reports %s, which runs its passes on goroutines", imp)
+		}
+	}
 	for _, imp := range strings.Fields(string(out)) {
 		rel := strings.TrimPrefix(imp, module+"/")
 		if !race[rel] {

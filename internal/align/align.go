@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"gsnp/internal/dna"
+	"gsnp/internal/par"
 	"gsnp/internal/reads"
 )
 
@@ -232,23 +232,15 @@ func AlignReadsParallel(ix *Index, raws []RawRead, maxMismatch, workers int) []r
 		return AlignReads(ix, raws, maxMismatch)
 	}
 	shards := make([][]reads.AlignedRead, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(raws) / workers
-		hi := (w + 1) * len(raws) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var out []reads.AlignedRead
-			for i := lo; i < hi; i++ {
-				if ar, ok := alignRead(ix, &raws[i], maxMismatch); ok {
-					out = append(out, ar)
-				}
+	par.Range(len(raws), workers, func(w, lo, hi int) {
+		var out []reads.AlignedRead
+		for i := lo; i < hi; i++ {
+			if ar, ok := alignRead(ix, &raws[i], maxMismatch); ok {
+				out = append(out, ar)
 			}
-			shards[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+		shards[w] = out
+	})
 	var out []reads.AlignedRead
 	for _, s := range shards {
 		out = append(out, s...)

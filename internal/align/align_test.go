@@ -2,9 +2,11 @@ package align
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"gsnp/internal/dna"
+	"gsnp/internal/par"
 	"gsnp/internal/reads"
 	"gsnp/internal/seqsim"
 )
@@ -192,6 +194,34 @@ func TestAlignReadsParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: read %d differs:\n got %+v\nwant %+v", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestAlignReadsParallelPanicReachesCaller: the aligner's shards run on
+// goroutines of their own, under gsnpd next to every other job, so a panic
+// in alignRead there — an index with a zero seed length divides by it on
+// every read, the helper's shard included — must come back on the caller as
+// a *par.PanicError the scheduler can turn into one failed chromosome, not
+// kill the process.
+func TestAlignReadsParallelPanicReachesCaller(t *testing.T) {
+	ref := seqsim.GenerateReference(seqsim.GenomeSpec{Name: "r", Length: 4000, Seed: 3})
+	ix, err := BuildIndex(ref.Seq, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raws := make([]RawRead, 8)
+	for i := range raws {
+		raws[i] = RawRead{ID: int64(i), Seq: ref.Seq[100*i : 100*i+50]}
+	}
+	ix.k = 0
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		AlignReadsParallel(ix, raws, 2, 2)
+	}()
+	pe, ok := recovered.(*par.PanicError)
+	if !ok || !strings.Contains(string(pe.Stack), "alignRead") {
+		t.Fatalf("recovered %T %v, want a *par.PanicError with the shard's stack", recovered, recovered)
 	}
 }
 

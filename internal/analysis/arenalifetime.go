@@ -14,7 +14,9 @@ import (
 //
 // Scoped fan-out is allowed: a goroutine may borrow arena memory when
 // the spawning function provably joins it (a .Wait() call after the go
-// statement), which is exactly the compute-pool / runSharded shape.
+// statement). The engines' own passes do not spawn: they hand par.Do a
+// closure that captures arena storage, and the join proof for those rests
+// on par.Do returning only after every shard has (internal/par's tests).
 // Methods on the Arena itself are exempt — handing out grow-only
 // buffers is its API.
 //

@@ -25,6 +25,10 @@ import (
 //   - cancellation awareness: the goroutine receives from a Done()
 //     channel (ctx-done select), so the spawner can always release it.
 //
+// or when the spawner itself Waits on a WaitGroup after the statement,
+// which bounds a goroutine whose own side cannot be read — a Done behind a
+// dynamic call, or a spawn target that is a stored function value.
+//
 // Anything else is a leak the intraprocedural analyzers of PR 5 could
 // not see: the join evidence usually lives two calls away.
 var GoroutineJoin = &Analyzer{
@@ -52,16 +56,9 @@ func runGoroutineJoin(pass *Pass) {
 
 func checkGoJoin(pass *Pass, spawner *FuncInfo, g *ast.GoStmt) {
 	ip := pass.IP
+	// A dynamic spawn target (function value, interface method) has no
+	// summary: body is nil and contributes no keys.
 	body := ip.GoroutineInfo(pass.TypesInfo, g)
-	if body == nil {
-		// Dynamic spawn target (function value, interface method): the
-		// summary layer cannot see the body. Flag it — a join that cannot
-		// be verified is indistinguishable from one that does not exist,
-		// and a suppression with the reason is the documented escape.
-		pass.Reportf(g.Pos(),
-			"goroutine body is not statically resolvable; cannot verify it is joined or cancellable")
-		return
-	}
 	keys := ip.transitiveKeys(body)
 
 	// WaitGroup join: the goroutine Done()s a group somebody Waits on.
@@ -83,11 +80,22 @@ func checkGoJoin(pass *Pass, spawner *FuncInfo, g *ast.GoStmt) {
 	}
 	// Spawner-side fallback: wg.Add(1); go fn(&wg) with the Wait in the
 	// spawner after the statement — the goroutine side may hide its Done
-	// behind a dynamic call, but the spawner's Wait still bounds it.
+	// behind a dynamic call, or be one (`go h()` over the stored helpers of
+	// par.Group.Do, the one spawn behind every data-parallel pass), but the
+	// spawner cannot get past its Wait without it.
 	for _, k := range spawner.WaitKeys {
 		if containsKeyAfter(spawner, k, g) {
 			return
 		}
+	}
+	if body == nil {
+		// The summary layer cannot see the body and the spawner does not
+		// wait. Flag it — a join that cannot be verified is
+		// indistinguishable from one that does not exist, and a suppression
+		// with the reason is the documented escape.
+		pass.Reportf(g.Pos(),
+			"goroutine body is not statically resolvable; cannot verify it is joined or cancellable")
+		return
 	}
 
 	pass.Reportf(g.Pos(),

@@ -122,7 +122,28 @@ func (s *sink) drain() { s.signal() }
 
 func (s *sink) signal() { s.done <- struct{}{} }
 
-// --- positive: a dynamic spawn target cannot be verified at all.
+// --- negative: a dynamic spawn target whose spawner Waits after the
+// spawn — the fork-join over stored helpers (internal/par): the helper's
+// Done is invisible, the spawner's Wait is not.
+
+type group struct {
+	wg      sync.WaitGroup
+	helpers []func()
+}
+
+func (g *group) do(k int) {
+	for len(g.helpers) < k {
+		g.helpers = append(g.helpers, func() { defer g.wg.Done() })
+	}
+	g.wg.Add(k)
+	for _, h := range g.helpers[:k] {
+		go h() // ok: g.wg.Wait below the spawn
+	}
+	g.wg.Wait()
+}
+
+// --- positive: a dynamic spawn target nobody waits for cannot be
+// verified at all.
 
 func spawnDynamic(fn func()) {
 	go fn() // want "not statically resolvable"

@@ -3,9 +3,12 @@ package gpu
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"gsnp/internal/par"
 )
 
 // oracleKernel is one kernel written once and run in every launch form.
@@ -220,12 +223,13 @@ func TestRegZeroAtBlockEntry(t *testing.T) {
 }
 
 // TestHelperPanicSurfacesOnLauncher: a kernel panic on a helper goroutine
-// is re-raised on the goroutine that called Launch, after every other
-// block has run, and leaves the device usable.
+// is re-raised on the goroutine that called Launch as a *par.PanicError
+// carrying the helper's stack, after every other range has drained, and
+// leaves the device usable.
 func TestHelperPanicSurfacesOnLauncher(t *testing.T) {
 	d := testDevice()
 	d.forceWorkers = 4
-	const grid, block, bad = 16, 32, 13 // block 13 is in the last helper's range
+	const grid, block, bad = 16, 32, 13 // block 13 is in the last helper's range, [12, 16)
 	var ran atomic.Int64
 	kernel := func(t *Thread) {
 		if t.Block == bad {
@@ -238,10 +242,13 @@ func TestHelperPanicSurfacesOnLauncher(t *testing.T) {
 		defer func() { recovered = recover() }()
 		d.MustLaunch(LaunchConfig{Name: "panics", Grid: grid, Block: block}, kernel)
 	}()
-	if recovered != "boom" {
-		t.Fatalf("recovered %v on the launching goroutine, want \"boom\"", recovered)
+	pe, ok := recovered.(*par.PanicError)
+	if !ok || pe.Value != "boom" || !strings.Contains(string(pe.Stack), "runLanesAsync") {
+		t.Fatalf("recovered %v on the launching goroutine, want a *par.PanicError of \"boom\" with the kernel's stack", recovered)
 	}
-	if got, want := ran.Load(), int64((grid-1)*block); got != want {
+	// The panic ends its own range (blocks 13-15); the other three ranges
+	// and block 12 run to the end.
+	if got, want := ran.Load(), int64((grid-3)*block); got != want {
 		t.Errorf("%d lanes ran, want %d: the other ranges must drain", got, want)
 	}
 	if got := d.Stats().Kernels; got != 0 {

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"gsnp/internal/par"
 )
 
 // Device is a simulated GPU. It is safe for concurrent use; launches and
@@ -245,25 +247,14 @@ func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, ph
 	} else {
 		// Static contiguous block ranges, one private accumulator each.
 		// The launching goroutine takes range 0 (and with it block 0, the
-		// coalescing sample); helpers take the rest and are joined before
-		// their accumulators are merged, in range order.
-		helpers := make([]launchAccumulator, workers-1)
-		var wg sync.WaitGroup
-		wg.Add(len(helpers))
-		for w := range helpers {
-			go func() {
-				defer wg.Done()
-				d.runRange(sp, (w+1)*cfg.Grid/workers, (w+2)*cfg.Grid/workers, &helpers[w])
-			}()
+		// coalescing sample); the accumulators are merged after the join,
+		// in range order. A kernel panic ends its own range and is re-raised
+		// here once the other ranges have drained.
+		accs := make([]launchAccumulator, workers)
+		par.Range(cfg.Grid, workers, func(w, lo, hi int) { d.runRange(sp, lo, hi, &accs[w]) })
+		for w := range accs {
+			acc.merge(&accs[w])
 		}
-		d.runRange(sp, 0, cfg.Grid/workers, &acc)
-		wg.Wait()
-		for w := range helpers {
-			acc.merge(&helpers[w])
-		}
-	}
-	if acc.panicked != nil {
-		panic(acc.panicked)
 	}
 
 	ls := d.finishLaunch(cfg, &acc, gen)
@@ -277,16 +268,12 @@ type launchAccumulator struct {
 	stats        Stats
 	sampleTrans  int64 // transactions observed in the sample block
 	sampleWarpMI int64 // warp memory instructions observed in the sample block
-	panicked     any   // first kernel panic, re-raised by launch
 }
 
 func (a *launchAccumulator) merge(o *launchAccumulator) {
 	a.stats.Add(o.stats)
 	a.sampleTrans += o.sampleTrans
 	a.sampleWarpMI += o.sampleWarpMI
-	if a.panicked == nil {
-		a.panicked = o.panicked
-	}
 }
 
 // blockScratch is the recycled per-block execution state. A barrier-free
@@ -349,20 +336,8 @@ func (d *Device) runRange(sp *launchSpec, lo, hi int, acc *launchAccumulator) {
 	defer d.putScratch(sc)
 	sc.lanesSet = false
 	for bid := lo; bid < hi; bid++ {
-		d.runBlockCaught(sp, bid, acc, sc)
+		d.runBlock(sp, bid, acc, sc)
 	}
-}
-
-// runBlockCaught runs one block, trapping a kernel panic in acc so it
-// surfaces on the launching goroutine after the remaining blocks drain,
-// not on an anonymous worker.
-func (d *Device) runBlockCaught(sp *launchSpec, bid int, acc *launchAccumulator, sc *blockScratch) {
-	defer func() {
-		if r := recover(); r != nil && acc.panicked == nil {
-			acc.panicked = r
-		}
-	}()
-	d.runBlock(sp, bid, acc, sc)
 }
 
 // runBlock executes one block of the launch on the recycled scratch.
@@ -525,9 +500,10 @@ func runLanesPhased(sp *launchSpec, sc *blockScratch) {
 	}
 }
 
-// runLanesSync runs a Thread.Sync kernel with one goroutine per lane,
-// joined by a cyclic barrier. No production kernel uses it; it stays as
-// the accounting oracle the other two runners are tested against.
+// runLanesSync runs a Thread.Sync kernel with one goroutine per lane (par.Do
+// runs its shards concurrently), meeting at a cyclic barrier. No production
+// kernel uses it; it stays as the accounting oracle the other two runners
+// are tested against.
 func runLanesSync(kernel Kernel, sc *blockScratch) {
 	if sc.bar == nil {
 		sc.bar = newBarrier(len(sc.lanes))
@@ -535,33 +511,11 @@ func runLanesSync(kernel Kernel, sc *blockScratch) {
 		sc.bar.reset(len(sc.lanes))
 	}
 	sc.rt.bar = sc.bar
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicked any
-	)
-	wg.Add(len(sc.lanes))
-	for l := range sc.lanes {
-		go func(t *Thread) {
-			defer wg.Done()
-			defer sc.bar.leave()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			kernel(t)
-		}(&sc.lanes[l])
-	}
-	wg.Wait()
-	sc.rt.bar = nil
-	if panicked != nil {
-		panic(panicked)
-	}
+	defer func() { sc.rt.bar = nil }()
+	par.Do(len(sc.lanes), func(l int) {
+		defer sc.bar.leave()
+		kernel(&sc.lanes[l])
+	})
 }
 
 // coalesce analyses the sampled global-access address streams of one block,

@@ -24,9 +24,9 @@ type directWin struct {
 }
 
 // newDirectEngine builds an engine ready for direct Window calls —
-// the setup Run normally performs (tables, priors, output sink, compute
-// pool) — plus the dataset's windows with their reads pre-fetched, so
-// tests and benchmarks can measure components 3-7 in isolation.
+// the setup Run normally performs (tables, priors, output sink) — plus the
+// dataset's windows with their reads pre-fetched, so tests and benchmarks
+// can measure components 3-7 in isolation.
 func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, cfg Config) (*Engine, []directWin) {
 	tb.Helper()
 	cfg.Chr = ds.Spec.Name
@@ -45,9 +45,6 @@ func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, cfg Config) (*Engine, []
 			tb.Fatal(err)
 		}
 		tb.Cleanup(eng.unloadTables)
-	} else if eng.cfg.ComputeWorkers > 1 {
-		eng.pool = newComputePool(eng.cfg.ComputeWorkers)
-		tb.Cleanup(eng.pool.stop)
 	}
 
 	it, err := pipeline.MemSource(ds.Reads).Open()
@@ -74,7 +71,7 @@ func TestComputeWorkersByteIdentity(t *testing.T) {
 	// The tentpole guarantee: sharding likelihood_comp + posterior over
 	// sites must not perturb a single output byte, because shards write
 	// disjoint index ranges with per-worker dep_count scratch.
-	// forceShardWorkers pins the dispatch width so the parallel pool path
+	// forceShardWorkers pins the dispatch width so the fork-join path
 	// is really exercised even on hosts where the adaptive cap (CPU count,
 	// minShardSites) would serialize these small windows.
 	ds := testDataset(t, 3000, 9, 555)

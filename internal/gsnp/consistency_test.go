@@ -2,11 +2,13 @@ package gsnp
 
 import (
 	"io"
+	"slices"
 	"testing"
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
+	"gsnp/internal/reads"
 	"gsnp/internal/seqsim"
 	"gsnp/internal/snpio"
 )
@@ -152,4 +154,51 @@ func directRun(eng *Engine, w io.Writer) *pipeline.RunState {
 // tests.
 func testTables() *bayes.Tables {
 	return bayes.BuildTables(bayes.NewPMatrixFromPhred())
+}
+
+// TestFlattenMatchesObsOf holds the window's inlined flatten loop to the
+// rule pipeline.ObsOf and PackWord define — which bases of a read enter the
+// window, at which site, as which base_word — on reads of both strands and
+// both uniqueness classes that straddle either window edge, start before
+// position 0, cover the whole window, miss it, and run longer than the
+// model's cycle range (the counterpart of pipeline's
+// TestCalibrateMatchesObsOf).
+func TestFlattenMatchesObsOf(t *testing.T) {
+	ds := testDataset(t, 3000, 6, 12)
+	const start, end = 1000, 1300
+	rs := append([]reads.AlignedRead(nil), ds.Reads...)
+	for i, pos := range []int{-30, start - 40, end - 40, start - 10, end, end + 5, 0} {
+		r := ds.Reads[i]
+		r.Pos, r.Strand, r.Hits = pos, uint8(i&1), uint8(1+i%3)
+		rs = append(rs, r)
+	}
+	for strand := uint8(0); strand < 2; strand++ {
+		long := reads.AlignedRead{Pos: start - 50, Strand: strand, Hits: 1}
+		for len(long.Bases) < bayes.MaxReadLen+150 {
+			long.Bases = append(long.Bases, ds.Reads[0].Bases...)
+			long.Quals = append(long.Quals, ds.Reads[0].Quals...)
+		}
+		rs = append(rs, long)
+		long.Pos = -(bayes.MaxReadLen + 100) // only its tail reaches position 0
+		rs = append(rs, long)
+	}
+
+	for _, win := range [][2]int{{start, end}, {0, 300}} {
+		var wantSite, wantWord []uint32
+		for i := range rs {
+			for pos := win[0]; pos < win[1]; pos++ {
+				if o, ok := pipeline.ObsOf(&rs[i], pos); ok {
+					wantSite = append(wantSite, uint32(pos-win[0]))
+					wantWord = append(wantWord, PackWord(o))
+				}
+			}
+		}
+		var w window
+		w.reset(win[0], win[1])
+		w.flatten(rs)
+		if len(wantSite) == 0 || !slices.Equal(w.obsSite, wantSite) || !slices.Equal(w.obsWord, wantWord) {
+			t.Errorf("window [%d,%d): flatten yields %d observations, the ObsOf+PackWord rule %d; streams equal: site %t, word %t",
+				win[0], win[1], len(w.obsSite), len(wantSite), slices.Equal(w.obsSite, wantSite), slices.Equal(w.obsWord, wantWord))
+		}
+	}
 }

@@ -13,8 +13,10 @@ import (
 // GSNP_CPU configuration of the paper's figures — the same sparse
 // algorithm and tables as the GPU path, sequential quicksort instead of
 // the batch bitonic network. Components 4b-5 shard sites across
-// Config.ComputeWorkers; each shard writes a disjoint index range, so
-// output is byte-identical at every worker count.
+// Config.ComputeWorkers (shardCount ranges, forked through the arena's
+// par.Group; a window worth one shard runs inline and builds no closure);
+// each shard writes a disjoint index range, so output is byte-identical at
+// every worker count.
 func (e *Engine) runWindowCPU(w *window) error {
 	rep := e.run.Report
 
@@ -37,7 +39,13 @@ func (e *Engine) runWindowCPU(w *window) error {
 	// table, sharded over sites.
 	t0 = time.Now()
 	w.typeLikely = grow(w.typeLikely, w.n*dna.NGenotypes)
-	e.runSharded(w, jobLikelihood)
+	ar, k := e.ar(), e.shardCount(w.n)
+	ar.ensureWorkers(k, e.run.Stride)
+	if k == 1 {
+		e.likelihoodRange(w, 0, w.n, 0)
+	} else {
+		ar.join.Range(w.n, k, func(shard, lo, hi int) { e.likelihoodRange(w, lo, hi, shard) })
+	}
 	rep.Times.LikeliComp += time.Since(t0)
 
 	// Component 5: posterior, sharded over sites. The per-site priors are
@@ -47,7 +55,11 @@ func (e *Engine) runWindowCPU(w *window) error {
 	w.bestRank = grow(w.bestRank, w.n)
 	w.secondRank = grow(w.secondRank, w.n)
 	w.quality = grow(w.quality, w.n)
-	e.runSharded(w, jobPosterior)
+	if k == 1 {
+		e.posteriorRange(w, 0, w.n)
+	} else {
+		ar.join.Range(w.n, k, func(_, lo, hi int) { e.posteriorRange(w, lo, hi) })
+	}
 	rep.Times.Post += time.Since(t0)
 
 	// Component 6: output.

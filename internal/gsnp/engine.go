@@ -48,10 +48,6 @@ type Engine struct {
 	// a private one created on first use.
 	arena *Arena
 
-	// pool runs likelihood/posterior shards when ComputeWorkers > 1
-	// (CPU mode); nil means inline single-threaded execution.
-	pool *computePool
-
 	// Window-persistent device state (GPU mode): the tagged dep_count
 	// buffer and its window epoch.
 	gDep     *gpu.Buffer[uint32]
@@ -78,12 +74,12 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Tables() *bayes.Tables { return e.tables }
 
 // minShardSites is the smallest per-shard site count worth handing to a
-// pool helper. Dispatching one shard (channel send, WaitGroup traffic,
-// helper wakeup, join) costs on the order of ten microseconds of host
-// time, while the likelihood + posterior passes cost well under a
-// microsecond per site, so a shard needs a few thousand sites before the
-// handoff is noise. 2048 keeps the dispatch overhead under ~1% of shard
-// compute; see DESIGN.md "Adaptive compute sharding" for the measurement.
+// helper goroutine. Forking one shard (spawn, helper wakeup, join) costs
+// on the order of ten microseconds of host time, while the likelihood +
+// posterior passes cost well under a microsecond per site, so a shard needs
+// a few thousand sites before the handoff is noise. 2048 keeps the fork-join
+// overhead under ~1% of shard compute; see DESIGN.md "Adaptive compute
+// sharding" for the measurement.
 const minShardSites = 2048
 
 // effectiveComputeWorkers adapts the requested compute-worker count to one
@@ -102,6 +98,24 @@ func effectiveComputeWorkers(k, n int) int {
 		k = 1
 	}
 	return k
+}
+
+// shardCount is the number of contiguous site ranges the likelihood and
+// posterior passes of an n-site window are split into. Each shard writes
+// only its own disjoint index range of the output arrays and likelihood
+// shards use per-worker dep_count scratch, so results are byte-identical to
+// the serial order at any count. The width adapts to the window: requesting
+// more workers than the host has CPUs, or more shards than the window has
+// sites to amortise the fork-join, silently serializes (sharding never
+// changes output bytes, only wall time).
+func (e *Engine) shardCount(n int) int {
+	k := e.cfg.ComputeWorkers
+	if k > 1 && e.cfg.forceShardWorkers > 0 {
+		k = e.cfg.forceShardWorkers
+	} else {
+		k = effectiveComputeWorkers(k, n)
+	}
+	return max(1, min(k, n))
 }
 
 // simSpan measures the simulated device time consumed by f.
@@ -152,9 +166,6 @@ func (e *Engine) Prepare(st *pipeline.RunState) error {
 	if e.cfg.Mode == ModeGPU {
 		return e.loadTables()
 	}
-	if e.cfg.ComputeWorkers > 1 {
-		e.pool = newComputePool(e.cfg.ComputeWorkers)
-	}
 	return nil
 }
 
@@ -163,13 +174,9 @@ func (e *Engine) Prepare(st *pipeline.RunState) error {
 // entries invalidate by epoch.
 func (e *Engine) Abandon(start, end int) {}
 
-// Finish implements pipeline.Kernel: stop the compute pool and release the
-// device tables, on failed runs too.
+// Finish implements pipeline.Kernel: release the device tables, on failed
+// runs too.
 func (e *Engine) Finish() {
-	if e.pool != nil {
-		e.pool.stop()
-		e.pool = nil
-	}
 	if e.cfg.Mode == ModeGPU {
 		if ab := e.cfg.Device.AllocatedBytes(); ab > e.peakDeviceBytes {
 			e.peakDeviceBytes = ab
@@ -277,24 +284,7 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	// Counting, host leg: flatten the observations into parallel arrays
 	// (the per-aligned-base extraction the counting component performs).
 	t0 := time.Now()
-	for i := range rs {
-		r := &rs[i]
-		lo, hi := r.Pos, r.Pos+len(r.Bases)
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		for pos := lo; pos < hi; pos++ {
-			o, ok := pipeline.ObsOf(r, pos)
-			if !ok {
-				continue
-			}
-			w.obsSite = append(w.obsSite, uint32(pos-start))
-			w.obsWord = append(w.obsWord, PackWord(o))
-		}
-	}
+	w.flatten(rs)
 	rep.Times.Count += time.Since(t0)
 
 	// Components 3-7.
@@ -313,6 +303,33 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 		rep.NonZeroHist[min(w.words.SizeOf(site), pipeline.SparsityHistSize-1)]++
 	}
 	return nil
+}
+
+// flatten appends the window's observations — what pipeline.ObsOf yields
+// over each read's span of [start, end), packed as PackWord packs it — to
+// obsSite/obsWord. It walks the clamped span and packs from the read's own
+// fields instead of building an Obs per base: this loop runs once per aligned
+// base, and an Obs result materialised on the stack made its speed depend on
+// the stack alignment the callers' frames happened to leave
+// (TestFlattenMatchesObsOf ties the two).
+func (w *window) flatten(rs []reads.AlignedRead) {
+	for i := range rs {
+		r := &rs[i]
+		flags := uint32(r.Strand)
+		if r.Hits == 1 {
+			flags |= wordUniqBit
+		}
+		lo, hi := max(w.start, r.Pos), min(w.end, r.Pos+len(r.Bases))
+		for pos := lo; pos < hi; pos++ {
+			off := pos - r.Pos
+			cyc := r.Cycle(off)
+			if cyc >= bayes.MaxReadLen {
+				continue
+			}
+			w.obsSite = append(w.obsSite, uint32(pos-w.start))
+			w.obsWord = append(w.obsWord, packWord(r.Bases[off], r.Quals[off], cyc, flags))
+		}
+	}
 }
 
 // buildPriors fills the window's per-site log prior vectors (GPU posterior

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gsnp/internal/gpu"
+	"gsnp/internal/par"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
 )
@@ -271,28 +272,58 @@ func TestDeviceMemoryReleasedOnEveryExit(t *testing.T) {
 	}
 }
 
-// TestComputePoolTrapsWorkerPanic drives the pool's panic containment
-// directly through the computeJob test seam: a panic on a pool goroutine
-// must be trapped (not crash the process) and surface via takePanic.
-func TestComputePoolTrapsWorkerPanic(t *testing.T) {
-	p := newComputePool(3)
-	defer p.stop()
-	p.wg.Add(2)
-	p.jobs <- computeJob{fn: func() { panic("kaboom") }}
-	p.jobs <- computeJob{fn: func() {}}
-	p.wg.Wait()
-	pe := p.takePanic()
-	if pe == nil {
-		t.Fatal("worker panic was not trapped")
+// TestShardPanicSurfacesOnWindowGoroutine checks panic transport at the
+// level that matters to quarantine: a panic on a helper shard of a real
+// window's posterior pass (the reference is cut short, so only the last
+// shard's sites index past it) comes out of Window on the calling goroutine
+// as a *par.PanicError with the shard's stack — where the driver's window
+// containment recovers it — and the arena's join is fit for the next
+// window. (internal/par's own tests cover the fork-join itself.)
+func TestShardPanicSurfacesOnWindowGoroutine(t *testing.T) {
+	ds := testDataset(t, 2400, 8, 77)
+	cfg := Config{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 4, forceShardWorkers: 4}
+	eng, wins := newDirectEngine(t, ds, cfg)
+	var out bytes.Buffer
+	eng.run = directRun(eng, &out)
+	dw := wins[1]
+
+	ref := eng.run.Ref
+	eng.run.Ref = ref[:dw.end-10]
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		eng.Window(dw.rs, dw.start, dw.end)
+	}()
+	pe, ok := recovered.(*par.PanicError)
+	if !ok {
+		t.Fatalf("Window re-raised %T (%v), want *par.PanicError", recovered, recovered)
 	}
-	if pe.Value != "kaboom" {
-		t.Errorf("trapped value = %v, want kaboom", pe.Value)
+	if !strings.Contains(string(pe.Stack), "posteriorRange") {
+		t.Errorf("stack is not the panicking shard's:\n%s", pe.Stack)
 	}
-	if len(pe.Stack) == 0 {
-		t.Error("trapped panic carries no stack")
+	if !pipeline.Containable(pe) {
+		t.Error("a shard panic is not containable by the window quarantine")
 	}
-	if p.takePanic() != nil {
-		t.Error("takePanic did not clear the slot")
+
+	eng.run.Ref = ref
+	out.Reset()
+	if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.run.Out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := newDirectEngine(t, ds, cfg)
+	var want bytes.Buffer
+	fresh.run = directRun(fresh, &want)
+	if err := fresh.Window(dw.rs, dw.start, dw.end); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.run.Out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 || !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Error("the window after a shard panic differs from a fresh engine's")
 	}
 }
 

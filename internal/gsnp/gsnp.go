@@ -133,9 +133,9 @@ type Config struct {
 	// and single-CPU hosts serialize instead of paying dispatch overhead
 	// for no parallelism.
 	ComputeWorkers int
-	// forceShardWorkers pins the sharded-dispatch width, bypassing the
-	// adaptive cap. Test seam: byte-identity and pool tests must exercise
-	// helper dispatch even on hosts where the cap would serialize.
+	// forceShardWorkers pins the shard count, bypassing the adaptive cap.
+	// Test seam: byte-identity, allocation and panic tests must exercise
+	// the fork-join even on hosts where the cap would serialize.
 	forceShardWorkers int
 	// Arena supplies the per-window working-set recycler (component 7).
 	// Nil selects a process-wide pool; the whole-genome scheduler hands
@@ -196,11 +196,17 @@ type Report struct {
 // counting strips it (see wordUniqBit) before the words enter a Batches,
 // so it never perturbs the canonical order.
 func PackWord(o pipeline.Obs) uint32 {
-	w := uint32(o.Base)<<15 | uint32(dna.QMax-1-uint32(o.Qual))<<9 | uint32(o.Coord)<<1 | uint32(o.Strand)
+	flags := uint32(o.Strand)
 	if o.Uniq {
-		w |= wordUniqBit
+		flags |= wordUniqBit
 	}
-	return w
+	return packWord(o.Base, o.Qual, int(o.Coord), flags)
+}
+
+// packWord is PackWord on an observation's fields; flags is the strand bit,
+// plus wordUniqBit for a uniquely aligned read.
+func packWord(base dna.Base, qual dna.Quality, cyc int, flags uint32) uint32 {
+	return uint32(base)<<15 | uint32(dna.QMax-1-uint32(qual))<<9 | uint32(cyc)<<1 | flags
 }
 
 // UnpackWord decodes a base_word.

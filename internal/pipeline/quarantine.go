@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 
+	"gsnp/internal/par"
 	"gsnp/internal/reads"
 )
 
@@ -80,36 +80,10 @@ func NewQuarantine(chr string, window, start, end int, cause error) Quarantine {
 	return q
 }
 
-// PanicError is a panic converted to an error, with the goroutine stack
-// captured at the recovery point. The driver uses it to contain a panicking
-// window; the scheduler's Policy produces the analogous sched.PanicError
-// for whole-task panics.
-type PanicError struct {
-	// Value is the value passed to panic().
-	Value any
-	// Stack is the stack captured by the recovering goroutine.
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("panic: %v", e.Value)
-}
-
-// Recovered converts a recover() value into a *PanicError, capturing the
-// current stack. It returns nil for a nil recover value so callers can
-// write `if err := pipeline.Recovered(recover()); err != nil`. A value
-// that already is a *PanicError passes through unchanged, preserving the
-// stack captured where the panic originally happened (worker-pool panics
-// are re-raised on the dispatching goroutine).
-func Recovered(v any) *PanicError {
-	if v == nil {
-		return nil
-	}
-	if pe, ok := v.(*PanicError); ok {
-		return pe
-	}
-	return &PanicError{Value: v, Stack: debug.Stack()}
-}
+// PanicError is the one type a recovered panic travels as, whichever
+// goroutine it happened on: a window's own, a shard of one of its parallel
+// passes (par.Do re-raises it on the window's), or a whole task's (sched).
+type PanicError = par.PanicError
 
 // Containable reports whether a window failure is scoped to the window:
 // record-level input errors and recovered panics are; everything else

@@ -10,6 +10,7 @@ import (
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/dna"
+	"gsnp/internal/par"
 	"gsnp/internal/reads"
 	"gsnp/internal/snpio"
 )
@@ -443,7 +444,7 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 func windowAttempt(ctx context.Context, cfg *Config, k Kernel, rs []reads.AlignedRead, start, end int) (err error) {
 	if cfg.Quarantine {
 		defer func() {
-			if pe := Recovered(recover()); pe != nil {
+			if pe := par.Recovered(recover()); pe != nil {
 				err = pe
 			}
 		}()

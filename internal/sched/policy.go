@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
+
+	"gsnp/internal/par"
 )
 
 // Policy is the pool's fault-tolerance contract: how a task failure is
@@ -47,18 +48,11 @@ type Policy struct {
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// PanicError is a task panic converted to an error by Policy.RecoverPanics,
-// with the stack captured at the recovery point.
-type PanicError struct {
-	// Value is the value passed to panic().
-	Value any
-	// Stack is the panicking goroutine's stack.
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("task panicked: %v", e.Value)
-}
+// PanicError is what Policy.RecoverPanics turns a task panic into. It is
+// the same type a shard of a parallel pass re-raises (par.Do) and the
+// driver's window containment produces, so a panic that crossed those on its
+// way up arrives here once, with the stack of the goroutine it happened on.
+type PanicError = par.PanicError
 
 // Delay reports the backoff before retry k (1-based) — exposed so tests
 // and operators can predict a policy's schedule.
@@ -110,9 +104,8 @@ func runAttempt[R, L any](ctx context.Context, p *Policy, t Task[R, L], local L)
 	}
 	if p.RecoverPanics {
 		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Value: r, Stack: debug.Stack()}
-				panicked = true
+			if pe := par.Recovered(recover()); pe != nil {
+				err, panicked = pe, true
 			}
 		}()
 	}

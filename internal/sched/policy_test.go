@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gsnp/internal/par"
 )
 
 // TestPolicyRetrySucceedsOnAttemptN: a task that fails its first attempts
@@ -159,6 +161,37 @@ func TestPolicyPanicBecomesError(t *testing.T) {
 	// Panics are not retried by default.
 	if results[1].Attempts != 1 {
 		t.Errorf("panicked task attempted %d times, want 1", results[1].Attempts)
+	}
+}
+
+// TestPolicyShardPanicKeepsItsStack: a task that panics with the
+// *par.PanicError a parallel pass re-raised (a shard panic no window
+// quarantine contained) fails with that same value — one "panic: …" with
+// the shard's stack, not a wrapper carrying the dispatcher's.
+func TestPolicyShardPanicKeepsItsStack(t *testing.T) {
+	var shard *par.PanicError
+	tasks := []Task[int, struct{}]{{Name: "chr1", Run: func(context.Context, struct{}) (int, error) {
+		defer func() {
+			shard = par.Recovered(recover())
+			panic(shard)
+		}()
+		par.Do(2, func(s int) {
+			if s == 1 {
+				panic("index out of range")
+			}
+		})
+		return 0, nil
+	}}}
+	results, _, err := Run(context.Background(), 1, Policy{RecoverPanics: true}, nil, tasks)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe != shard || results[0].Err != error(shard) || !results[0].Panicked {
+		t.Fatalf("err = %v, task err = %v, want the shard's own *par.PanicError; panicked = %t", err, results[0].Err, results[0].Panicked)
+	}
+	if got := err.Error(); got != "chr1: panic: index out of range" {
+		t.Errorf("error text %q, want the task name and one \"panic: …\"", got)
+	}
+	if stack := string(pe.Stack); !strings.Contains(stack, "par.(*Group).run") || strings.Contains(stack, "runAttempt") {
+		t.Errorf("stack is not the panicking shard's:\n%s", stack)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"gsnp/internal/compress"
 	"gsnp/internal/dna"
 	"gsnp/internal/gpu"
+	"gsnp/internal/par"
 )
 
 // GSNP compressed output container (Section V-B of the paper). The result
@@ -152,40 +152,18 @@ func (w *BlockWriter) encodeRLEDict(cols *[6][]uint32) (enc [6][]byte) {
 		}
 		return enc
 	}
-	var (
-		next     atomic.Int32
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicked any
-	)
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			// A kernel panic must reach WriteBlock's caller, which may
-			// quarantine the window, not kill the process from here.
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cols) {
-					return
-				}
-				enc[i] = encode(cols[i])
+	// Workers claim columns through a shared cursor. A kernel panic comes
+	// out of Do in WriteBlock's caller, which may quarantine the window.
+	var next atomic.Int32
+	par.Do(workers, func(int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(cols) {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+			enc[i] = encode(cols[i])
+		}
+	})
 	return enc
 }
 

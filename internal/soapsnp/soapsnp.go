@@ -13,11 +13,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/dna"
+	"gsnp/internal/par"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
 	"gsnp/internal/snpio"
@@ -334,55 +334,20 @@ func DenseLikelihood(baseOcc []uint8, t *bayes.Tables, readLen int, depCount []u
 // memory bandwidth — the reason the paper's 16-thread port only reached
 // 3-4x.
 func (e *Engine) likelihoodParallel(n, stride int, rep *pipeline.Report) {
-	workers := e.cfg.Threads
-	if workers > n {
-		workers = n
-	}
-	hists := make([][]int64, workers)
-	var wg sync.WaitGroup
-	// A panic on a worker goroutine would crash the process — nothing on a
-	// fresh goroutine's stack recovers — defeating window quarantine.
-	// Workers trap the first panic and the dispatcher re-raises it after
-	// every worker has drained, so no shard is still writing the window
-	// buffers when the engine's containment unwinds past them.
-	var panicMu sync.Mutex
-	var panicked *pipeline.PanicError
-	chunk := (n + workers - 1) / workers
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * chunk
-		if lo >= n {
-			break
+	hists := make([][]int64, min(e.cfg.Threads, n))
+	// A worker's panic is re-raised here once every worker has returned, so
+	// no shard is still writing the window buffers when the driver's
+	// containment unwinds past them.
+	par.Range(n, len(hists), func(wkr, lo, hi int) {
+		dep := make([]uint16, 2*stride)
+		hist := make([]int64, pipeline.SparsityHistSize)
+		for site := lo; site < hi; site++ {
+			nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
+				&e.tables, stride, dep, &e.likely[site])
+			hist[min(nz, pipeline.SparsityHistSize-1)]++
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(wkr, lo, hi int) {
-			defer func() {
-				if pe := pipeline.Recovered(recover()); pe != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = pe
-					}
-					panicMu.Unlock()
-				}
-				wg.Done()
-			}()
-			dep := make([]uint16, 2*stride)
-			hist := make([]int64, pipeline.SparsityHistSize)
-			for site := lo; site < hi; site++ {
-				nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
-					&e.tables, stride, dep, &e.likely[site])
-				hist[min(nz, pipeline.SparsityHistSize-1)]++
-			}
-			hists[wkr] = hist
-		}(wkr, lo, hi)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+		hists[wkr] = hist
+	})
 	for _, hist := range hists {
 		for k, c := range hist {
 			rep.NonZeroHist[k] += c

@@ -10,9 +10,9 @@ package sortnet
 import (
 	"math/bits"
 	"runtime"
-	"sync"
 
 	"gsnp/internal/gpu"
+	"gsnp/internal/par"
 )
 
 // Batches is a collection of independent small arrays stored back to back:
@@ -376,45 +376,28 @@ func ceilPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// ParallelQuicksort sorts every sub-array on the host, one array per task
-// over a worker pool — the OpenMP-style parallel CPU sort of Figure 7(a).
-// workers <= 0 selects GOMAXPROCS.
+// ParallelQuicksort sorts every sub-array on the host, a contiguous range of
+// arrays per worker — the OpenMP-style parallel CPU sort of Figure 7(a).
+// workers <= 0 selects GOMAXPROCS. A panic on any worker (a Batches whose
+// Bounds do not fit its Data) reaches the caller as a *par.PanicError.
 func ParallelQuicksort(b *Batches, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := b.NumArrays()
-	if n == 0 {
-		return
-	}
 	if workers == 1 {
-		// Inline fast path: no goroutine or WaitGroup traffic, so the
-		// single-threaded configuration sorts allocation-free.
+		// Inline fast path: no fork-join, so the single-threaded
+		// configuration sorts allocation-free.
 		for i := 0; i < n; i++ {
 			quicksort(b.Array(i))
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
+	par.Range(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			quicksort(b.Array(i))
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				quicksort(b.Array(i))
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // quicksort sorts a small uint32 slice in place: insertion sort below 16

@@ -3,10 +3,12 @@ package sortnet
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"gsnp/internal/gpu"
+	"gsnp/internal/par"
 )
 
 func testDevice() *gpu.Device { return gpu.NewDevice(gpu.M2050()) }
@@ -102,6 +104,29 @@ func TestParallelQuicksort(t *testing.T) {
 	b2 := clone(orig)
 	ParallelQuicksort(b2, 0) // GOMAXPROCS default
 	verifySorted(t, "quicksort-default", b2, orig)
+}
+
+// TestParallelQuicksortPanicReachesCaller: the parallel sort is on by
+// default on every CPU window (SortWorkers = GOMAXPROCS), so a panic on one
+// of its helper goroutines — here a Batches whose Bounds run past Data in
+// the second worker's range only — must come back on the caller as a
+// *par.PanicError the window quarantine can contain, after the other worker
+// has finished sorting its range, not kill the process.
+func TestParallelQuicksortPanicReachesCaller(t *testing.T) {
+	orig := randomBatches(400, 15, 6)
+	b := clone(orig)
+	b.Bounds[300] = int32(len(b.Data)) + 7 // arrays 299 and 300: the helper's
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		ParallelQuicksort(b, 2)
+	}()
+	pe, ok := recovered.(*par.PanicError)
+	if !ok || !strings.Contains(string(pe.Stack), "ParallelQuicksort") {
+		t.Fatalf("recovered %T %v, want a *par.PanicError with the worker's stack", recovered, recovered)
+	}
+	b.Bounds, orig.Bounds = b.Bounds[:201], orig.Bounds[:201]
+	verifySorted(t, "the caller's own range", b, orig)
 }
 
 func TestSinglePassWastesWork(t *testing.T) {
