@@ -131,9 +131,11 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzUnpack2Bit$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 
 # One pass over every paper table/figure benchmark plus the scheduler
-# benchmark; use -benchtime above 1x for stable numbers.
+# benchmark, and over the dense baseline's own: its likelihood and recycle
+# in cache (one site) and out of it (a 256 MB window — the Formula-1
+# regime). Use -benchtime above 1x for stable numbers.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/soapsnp
 
 # The benchmark lives in two modules of its own. Its tests check the
 # command against BENCHMARK.json, and bench/layerprobe calls the leaf

@@ -58,9 +58,10 @@ func (s *Session) Fig4a() *Result {
 			fmt.Sprintf("%.0f%%", 100*est/li), fmt.Sprintf("%.2f", re), fmt.Sprintf("%.0f%%", 100*est/re))
 	}
 	r.Notef("B_cpu measured at %.1f GB/s; paper measured 4.2 GB/s on its Xeon", bw/1e9)
-	r.Notef("paper: estimate covers 65-70%% of likelihood and 89-92%% of recycle; a modern host's" +
-		" prefetchers hide more latency, so the likelihood share lands lower here while recycle" +
-		" (pure memset bandwidth) can exceed 100%% of the estimate")
+	r.Notef("paper: estimate covers 65-70%% of likelihood and 89-92%% of recycle; here the sweep does" +
+		" nothing for an empty 64-byte group but load it, so likelihood lands at the estimate, while" +
+		" recycle is a memset at a multiple of the read rate plus the one-off first touch of the" +
+		" fresh 512 MB window, which a run of few windows (chr21) does not amortise")
 	return r
 }
 

@@ -164,6 +164,7 @@ func TestMeasureCPUBandwidth(t *testing.T) {
 	if bw < 1e8 || bw > 1e12 {
 		t.Errorf("implausible bandwidth %v B/s", bw)
 	}
+	t.Logf("B_cpu = %.1f GB/s", bw/1e9)
 }
 
 func TestHelpers(t *testing.T) {

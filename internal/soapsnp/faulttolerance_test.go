@@ -99,7 +99,7 @@ func TestLikelihoodParallelTrapsPanic(t *testing.T) {
 			t.Error("re-raised panic carries no stack")
 		}
 	}()
-	eng.likelihoodParallel(8, 4, rep)
+	eng.likelihoodParallel(8, rep)
 }
 
 // TestRunContextCancelled checks cooperative cancellation on the baseline

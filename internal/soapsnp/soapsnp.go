@@ -78,13 +78,17 @@ type Engine struct {
 	run *pipeline.RunState
 
 	// Window state, sized in Prepare.
-	baseOcc  []uint8
-	counts   []pipeline.SiteCounts
-	quals    [][dna.NBases][]float64
-	likely   [][bayes.TypeLikelySize]float64
-	calls    []bayes.Call
-	rows     []snpio.Row
-	depCount []uint16
+	baseOcc []uint8
+	counts  []pipeline.SiteCounts
+	quals   [][dna.NBases][]float64
+	likely  [][bayes.TypeLikelySize]float64
+	calls   []bayes.Call
+	rows    []snpio.Row
+
+	// Likelihood scratch, one per thread (one for the single-threaded
+	// baseline), and the fork-join the threads run through.
+	likeli []LikeliScratch
+	join   par.Group
 }
 
 // New creates an engine.
@@ -125,8 +129,8 @@ func (e *Engine) Prepare(st *pipeline.RunState) error {
 	return nil
 }
 
-// allocWindow sizes the per-window buffers for n sites at dep_count stride
-// stride.
+// allocWindow sizes the per-window buffers for n sites and the likelihood
+// scratch of every thread at dep_count stride stride.
 func (e *Engine) allocWindow(n, stride int) {
 	if len(e.baseOcc) != n*bayes.BaseOccSize {
 		e.baseOcc = make([]uint8, n*bayes.BaseOccSize)
@@ -136,8 +140,11 @@ func (e *Engine) allocWindow(n, stride int) {
 		e.calls = make([]bayes.Call, n)
 		e.rows = make([]snpio.Row, n)
 	}
-	if len(e.depCount) != 2*stride {
-		e.depCount = make([]uint16, 2*stride)
+	if threads := max(1, e.cfg.Threads); len(e.likeli) != threads || len(e.likeli[0].depCount) != 2*stride {
+		e.likeli = make([]LikeliScratch, threads)
+		for i := range e.likeli {
+			e.likeli[i] = NewLikeliScratch(stride)
+		}
 	}
 }
 
@@ -151,29 +158,7 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	// Component 3: counting — scatter every aligned base into the dense
 	// base_occ matrix and the per-site summaries.
 	t0 := time.Now()
-	for i := range rs {
-		r := &rs[i]
-		lo, hi := r.Pos, r.Pos+len(r.Bases)
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		for pos := lo; pos < hi; pos++ {
-			o, ok := pipeline.ObsOf(r, pos)
-			if !ok {
-				continue
-			}
-			site := pos - start
-			idx := site*bayes.BaseOccSize + bayes.BaseOccIndex(o.Base, o.Qual, int(o.Coord), int(o.Strand))
-			if e.baseOcc[idx] < 255 {
-				e.baseOcc[idx]++
-			}
-			e.counts[site].Add(o)
-			e.quals[site][o.Base] = append(e.quals[site][o.Base], float64(o.Qual))
-		}
-	}
+	e.count(rs, start, end)
 	rep.Times.Count += time.Since(t0)
 
 	// Component 4: likelihood — Algorithm 1 over the dense matrix,
@@ -181,13 +166,9 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	// SOAPsnp port, which saturates on memory bandwidth).
 	t0 = time.Now()
 	if e.cfg.Threads > 1 {
-		e.likelihoodParallel(n, e.run.Stride, rep)
+		e.likelihoodParallel(n, rep)
 	} else {
-		for site := 0; site < n; site++ {
-			nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
-				&e.tables, e.run.Stride, e.depCount, &e.likely[site])
-			rep.NonZeroHist[min(nz, pipeline.SparsityHistSize-1)]++
-		}
+		e.likelihoodRange(0, n, &e.likeli[0], rep.NonZeroHist)
 	}
 	rep.Times.LikeliComp += time.Since(t0)
 
@@ -233,10 +214,47 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	return nil
 }
 
+// count is the counting component over the window [start, end): what
+// pipeline.ObsOf yields over each read's span of the window goes into
+// base_occ (saturating at 255), the site's counts and its per-base quality
+// list. It walks the clamped span and indexes from the read's own fields
+// instead of taking an Obs per base from ObsOf: this loop runs once per
+// aligned base, and that 5-byte result materialised on the stack made its
+// speed depend on the stack alignment the callers' frames happened to leave
+// (TestCountMatchesObsOf ties the two).
+func (e *Engine) count(rs []reads.AlignedRead, start, end int) {
+	for i := range rs {
+		r := &rs[i]
+		uniq := r.Hits == 1
+		lo, hi := max(start, r.Pos), min(end, r.Pos+len(r.Bases))
+		for pos := lo; pos < hi; pos++ {
+			off := pos - r.Pos
+			cyc := r.Cycle(off)
+			if cyc >= bayes.MaxReadLen {
+				continue
+			}
+			base, qual := r.Bases[off], r.Quals[off]
+			site := pos - start
+			idx := site*bayes.BaseOccSize + bayes.BaseOccIndex(base, qual, cyc, int(r.Strand))
+			if e.baseOcc[idx] < 255 {
+				e.baseOcc[idx]++
+			}
+			e.counts[site].Add(pipeline.Obs{Base: base, Qual: qual, Coord: uint8(cyc), Strand: r.Strand, Uniq: uniq})
+			e.quals[site][base] = append(e.quals[site][base], float64(qual))
+		}
+	}
+}
+
 // Abandon implements pipeline.Kernel: recycle after a quarantined window
 // too, so that a window abandoned mid-counting cannot leak observations
-// into its successor.
-func (e *Engine) Abandon(start, end int) { e.resetWindow(end - start) }
+// into its successor — nor one abandoned mid-likelihood a half-counted
+// dep_count, which DenseLikelihood expects clean.
+func (e *Engine) Abandon(start, end int) {
+	e.resetWindow(end - start)
+	for i := range e.likeli {
+		clear(e.likeli[i].depCount)
+	}
+}
 
 // resetWindow clears the dense per-site state for the first n sites — the
 // recycle component.
@@ -254,37 +272,59 @@ func (e *Engine) resetWindow(n int) {
 // outlives a run.
 func (e *Engine) Finish() {}
 
+// Each (base, score) row of base_occ spans rowBytes consecutive bytes
+// (coord x strand, strand in the lowest bit), each base's block baseBytes;
+// the sweep tests groupBytes at a time.
+const (
+	rowBytes   = bayes.NStrands * bayes.MaxReadLen
+	baseBytes  = bayes.NQ * rowBytes
+	wordBytes  = 8
+	groupBytes = 8 * wordBytes
+)
+
+// LikeliScratch is the working storage of one DenseLikelihood caller: a
+// thread of the engine, a test, a benchmark. Nothing in it outlives a call,
+// so one scratch serves any number of sites in turn.
+type LikeliScratch struct {
+	// depCount is dep_count, 2*readLen entries (strand-major); all zero
+	// between calls.
+	depCount []uint16
+	// nz receives the offsets of a base block's non-zero words; it is sized
+	// for a block without a single zero word, so the sweep never grows it.
+	nz []int32
+	// hist is the thread's share of Report.NonZeroHist (likelihoodParallel).
+	hist []int64
+}
+
+// NewLikeliScratch allocates the scratch for reads of up to readLen cycles
+// (the driver's dep_count stride).
+func NewLikeliScratch(readLen int) LikeliScratch {
+	return LikeliScratch{
+		depCount: make([]uint16, 2*readLen),
+		nz:       make([]int32, baseBytes/wordBytes),
+		hist:     make([]int64, pipeline.SparsityHistSize),
+	}
+}
+
 // DenseLikelihood is Algorithm 1: the likelihood calculation for one site
-// over the dense base_occ matrix, accessing all 131,072 elements in the
-// canonical base / score (descending) / coordinate / strand order. The
-// scan reads eight counters per load so that, like the original SOAPsnp,
-// its cost is the sequential memory bandwidth of sweeping the matrix
-// (Formula 1 / Figure 4a) rather than per-byte branch overhead. It returns
+// over the dense base_occ matrix, all 131,072 elements of it. It is two
+// passes per base block. The sweep reads the block forward in memory and
+// notes where it is not zero, so that — like the original SOAPsnp — the
+// cost of a site is the sequential memory bandwidth of reading the matrix
+// once (Formula 1 / Figure 4a); the canonical-order pass then visits only
+// those places, in Algorithm 1's base / score (descending) / coordinate /
+// strand order, clamped to the readLen cycles s was made for. It returns
 // the number of non-zero elements encountered (the sparsity datum of
-// Figure 4(b)). depCount must hold 2*readLen entries and is reset
-// internally.
-func DenseLikelihood(baseOcc []uint8, t *bayes.Tables, readLen int, depCount []uint16, tl *[bayes.TypeLikelySize]float64) (nonZero int) {
+// Figure 4(b)).
+func DenseLikelihood(baseOcc []uint8, t *bayes.Tables, s *LikeliScratch, tl *[bayes.TypeLikelySize]float64) (nonZero int) {
 	for i := range tl {
 		tl[i] = 0
 	}
-	// Each (base, score) row spans 512 consecutive bytes (coord x strand,
-	// strand in the lowest bit). The matrix sweep itself runs forward in
-	// memory — eight counters per load, prefetch-friendly, so its cost is
-	// the sequential read bandwidth of Formula 1 — while the sparse
-	// non-zero groups it finds are then processed in the canonical
-	// base / score-descending / coord / strand order of Algorithm 1.
-	const rowBytes = 2 * bayes.MaxReadLen
-	const baseBytes = bayes.NQ * rowBytes
-	var nz []int32 // offsets (within a base's block) of non-zero words
+	depCount := s.depCount
+	readLen := len(depCount) / 2
 	for base := dna.Base(0); base < dna.NBases; base++ {
-		clear(depCount)
-		blk := int(base) * baseBytes
-		nz = nz[:0]
-		for off := 0; off < baseBytes; off += 8 {
-			if binary.LittleEndian.Uint64(baseOcc[blk+off:]) != 0 {
-				nz = append(nz, int32(off))
-			}
-		}
+		blk := baseOcc[int(base)*baseBytes : (int(base)+1)*baseBytes]
+		nz := s.nz[:sweep(blk, s.nz)]
 		// nz is ascending in memory = ascending score; walk score rows in
 		// descending order, ascending within each row.
 		hi := len(nz)
@@ -297,12 +337,9 @@ func DenseLikelihood(baseOcc []uint8, t *bayes.Tables, readLen int, depCount []u
 			score := rowStart / rowBytes
 			for _, off32 := range nz[lo:hi] {
 				off := int(off32)
-				end := off + 8
-				if max := rowStart + 2*readLen; end > max {
-					end = max
-				}
+				end := min(off+wordBytes, rowStart+2*readLen)
 				for i := off; i < end; i++ {
-					occ := baseOcc[blk+i]
+					occ := blk[i]
 					if occ == 0 {
 						continue
 					}
@@ -323,33 +360,80 @@ func DenseLikelihood(baseOcc []uint8, t *bayes.Tables, readLen int, depCount []u
 			}
 			hi = lo
 		}
+		if len(nz) > 0 {
+			clear(depCount)
+		}
 	}
 	return nonZero
 }
 
+// sweep writes the offsets of the non-zero 8-byte words of blk, ascending,
+// to nz and returns how many there are. len(blk) is a multiple of
+// groupBytes and nz holds len(blk)/wordBytes entries. A group's eight words
+// are OR-ed into one test, so an empty group — nearly all of them — costs
+// eight loads and one branch.
+//
+// The function is a leaf of its own so that this loop's state (the offset,
+// the count, the running OR) is allocated to registers on its own terms.
+// Inlined into DenseLikelihood, with that function's two dozen live values
+// around it, the compiler spilled the induction variable to the stack, and
+// the store-to-load round trip per word — not memory — set the speed of the
+// dense engine, at a rate that moved with the frame of whatever called it.
+// For the same reason a non-empty group's words are loaded a second time
+// (from L1) rather than kept live across the test.
+//
+//go:noinline
+func sweep(blk []uint8, nz []int32) int {
+	n := 0
+	for off := 0; off+groupBytes <= len(blk); off += groupBytes {
+		g := blk[off : off+groupBytes : off+groupBytes]
+		if binary.LittleEndian.Uint64(g[0*wordBytes:])|
+			binary.LittleEndian.Uint64(g[1*wordBytes:])|
+			binary.LittleEndian.Uint64(g[2*wordBytes:])|
+			binary.LittleEndian.Uint64(g[3*wordBytes:])|
+			binary.LittleEndian.Uint64(g[4*wordBytes:])|
+			binary.LittleEndian.Uint64(g[5*wordBytes:])|
+			binary.LittleEndian.Uint64(g[6*wordBytes:])|
+			binary.LittleEndian.Uint64(g[7*wordBytes:]) == 0 {
+			continue
+		}
+		for j := 0; j < groupBytes; j += wordBytes {
+			if binary.LittleEndian.Uint64(g[j:]) != 0 {
+				nz[n] = int32(off + j)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// likelihoodRange runs DenseLikelihood over sites [lo, hi) of the window on
+// one thread's scratch and counts each site's non-zero elements into hist.
+func (e *Engine) likelihoodRange(lo, hi int, s *LikeliScratch, hist []int64) {
+	for site := lo; site < hi; site++ {
+		nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
+			&e.tables, s, &e.likely[site])
+		hist[min(nz, pipeline.SparsityHistSize-1)]++
+	}
+}
+
 // likelihoodParallel fans the window's dense likelihood scans across
-// Config.Threads workers. Each worker owns a dep_count array; histogram
-// updates merge at the end. Since every worker streams a disjoint slice of
-// the same base_occ buffer, the aggregate rate is capped by the machine's
-// memory bandwidth — the reason the paper's 16-thread port only reached
-// 3-4x.
-func (e *Engine) likelihoodParallel(n, stride int, rep *pipeline.Report) {
-	hists := make([][]int64, min(e.cfg.Threads, n))
+// Config.Threads workers. Each worker owns a scratch; histogram updates
+// merge at the end. Since every worker streams a disjoint slice of the same
+// base_occ buffer, the aggregate rate is capped by the machine's memory
+// bandwidth — the reason the paper's 16-thread port only reached 3-4x.
+func (e *Engine) likelihoodParallel(n int, rep *pipeline.Report) {
 	// A worker's panic is re-raised here once every worker has returned, so
 	// no shard is still writing the window buffers when the driver's
 	// containment unwinds past them.
-	par.Range(n, len(hists), func(wkr, lo, hi int) {
-		dep := make([]uint16, 2*stride)
-		hist := make([]int64, pipeline.SparsityHistSize)
-		for site := lo; site < hi; site++ {
-			nz := DenseLikelihood(e.baseOcc[site*bayes.BaseOccSize:(site+1)*bayes.BaseOccSize],
-				&e.tables, stride, dep, &e.likely[site])
-			hist[min(nz, pipeline.SparsityHistSize-1)]++
-		}
-		hists[wkr] = hist
+	workers := e.likeli[:min(len(e.likeli), n)]
+	e.join.Range(n, len(workers), func(wkr, lo, hi int) {
+		s := &workers[wkr]
+		clear(s.hist)
+		e.likelihoodRange(lo, hi, s, s.hist)
 	})
-	for _, hist := range hists {
-		for k, c := range hist {
+	for i := range workers {
+		for k, c := range workers[i].hist {
 			rep.NonZeroHist[k] += c
 		}
 	}

@@ -192,9 +192,9 @@ func TestDenseLikelihoodMatchesDirectComputation(t *testing.T) {
 	obsBase, obsScore, obsCoord, obsStrand := dna.G, dna.Quality(37), 12, 1
 	baseOcc[bayes.BaseOccIndex(obsBase, obsScore, obsCoord, obsStrand)] = 1
 
-	depCount := make([]uint16, 200)
+	scratch := NewLikeliScratch(100)
 	var tl [bayes.TypeLikelySize]float64
-	nz := DenseLikelihood(baseOcc, tables, 100, depCount, &tl)
+	nz := DenseLikelihood(baseOcc, tables, &scratch, &tl)
 	if nz != 1 {
 		t.Fatalf("non-zero count = %d, want 1", nz)
 	}
@@ -216,9 +216,9 @@ func TestDenseLikelihoodDepthAdjustment(t *testing.T) {
 	baseOcc := make([]uint8, bayes.BaseOccSize)
 	baseOcc[bayes.BaseOccIndex(dna.A, 40, 5, 0)] = 2
 
-	depCount := make([]uint16, 200)
+	scratch := NewLikeliScratch(100)
 	var tl [bayes.TypeLikelySize]float64
-	DenseLikelihood(baseOcc, tables, 100, depCount, &tl)
+	DenseLikelihood(baseOcc, tables, &scratch, &tl)
 
 	q1 := tables.Adjust.Adjust(40, 1)
 	q2 := tables.Adjust.Adjust(40, 2)
@@ -242,9 +242,9 @@ func TestDenseLikelihoodCanonicalOrder(t *testing.T) {
 	baseOcc[bayes.BaseOccIndex(dna.C, 50, 8, 0)] = 1
 	baseOcc[bayes.BaseOccIndex(dna.C, 20, 8, 0)] = 1
 
-	depCount := make([]uint16, 200)
+	scratch := NewLikeliScratch(100)
 	var tl [bayes.TypeLikelySize]float64
-	DenseLikelihood(baseOcc, tables, 100, depCount, &tl)
+	DenseLikelihood(baseOcc, tables, &scratch, &tl)
 
 	want := bayes.LikelyUpdate(tables.P, tables.Adjust.Adjust(50, 1), 8, dna.C, dna.C, dna.C) +
 		bayes.LikelyUpdate(tables.P, tables.Adjust.Adjust(20, 2), 8, dna.C, dna.C, dna.C)
