@@ -122,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzAlignReads$$' -fuzztime $(FUZZ_TIME) ./internal/align
 	$(GO) test -fuzz 'FuzzBlockReader$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzTempReader$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
+	$(GO) test -fuzz 'FuzzTempRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzAppendFixed$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzJobSpec$$' -fuzztime $(FUZZ_TIME) ./internal/service
 	$(GO) test -fuzz 'FuzzRLEDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress

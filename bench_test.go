@@ -189,7 +189,7 @@ func BenchmarkAblationSortMethods(b *testing.B) {
 			var sim float64
 			for i := 0; i < b.N; i++ {
 				rep, _ := s.RunGSNP(ds, harness.GSNPOptions{Mode: gsnp.ModeGPU, Sort: m.m})
-				sim = rep.SortStats.SimSeconds
+				sim = rep.Device.SortStats.SimSeconds
 			}
 			b.ReportMetric(sim*1e6, "sim-us/op")
 		})

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -25,29 +26,27 @@ func main() {
 	ds := seqsim.BuildDataset(seqsim.ChromosomeSpec{
 		Name: "chrDemo", Length: 120_000, Depth: 10, MaskFraction: 0.1, Seed: 99,
 	})
-	known := harness.KnownSNPs(ds)
-	dev := gpu.NewDevice(gpu.M2050())
+	cfg := pipeline.Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: harness.KnownSNPs(ds), Window: gsnp.DefaultWindow}
+	ctx := context.Background()
 
 	// Plain-text output (the SOAPsnp format).
-	textEng, err := gsnp.New(gsnp.Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: known, Mode: gsnp.ModeCPU})
+	textEng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeCPU})
 	if err != nil {
 		log.Fatal(err)
 	}
 	var text bytes.Buffer
-	if _, err := textEng.Run(pipeline.MemSource(ds.Reads), &text); err != nil {
+	if _, err := pipeline.Run(ctx, cfg, pipeline.MemSource(ds.Reads), &text, textEng); err != nil {
 		log.Fatal(err)
 	}
 
 	// GSNP container with the RLE-DICT columns compressed on the device.
-	binEng, err := gsnp.New(gsnp.Config{
-		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: known,
-		Mode: gsnp.ModeGPU, Device: dev, CompressOutput: true,
-	})
+	binEng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg.CompressOutput = true
 	var blob bytes.Buffer
-	if _, err := binEng.Run(pipeline.MemSource(ds.Reads), &blob); err != nil {
+	if _, err := pipeline.Run(ctx, cfg, pipeline.MemSource(ds.Reads), &blob, binEng); err != nil {
 		log.Fatal(err)
 	}
 

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -72,19 +73,16 @@ func main() {
 		}
 		return snpio.NewSOAPReader(f), nil
 	})
-	eng, err := gsnp.New(gsnp.Config{
-		Chr:            ds.Spec.Name,
-		Ref:            ds.Ref.Seq,
-		Known:          harness.KnownSNPs(ds),
-		Mode:           gsnp.ModeGPU,
-		Device:         gpu.NewDevice(gpu.M2050()),
-		CompressOutput: true,
-	})
+	eng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg := pipeline.Config{
+		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: harness.KnownSNPs(ds),
+		Window: gsnp.DefaultWindow, CompressOutput: true,
+	}
 	var out bytes.Buffer
-	rep, err := eng.Run(src, &out)
+	rep, err := pipeline.Run(context.Background(), cfg, src, &out, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

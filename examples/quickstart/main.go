@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -41,19 +42,16 @@ func main() {
 		known[v.Pos] = rec
 	}
 
-	// 3. Call SNPs with GSNP on the simulated Tesla M2050.
-	eng, err := gsnp.New(gsnp.Config{
-		Chr:    ds.Spec.Name,
-		Ref:    ds.Ref.Seq,
-		Known:  known,
-		Mode:   gsnp.ModeGPU,
-		Device: gpu.NewDevice(gpu.M2050()),
-	})
+	// 3. Call SNPs with GSNP on the simulated Tesla M2050: the run's shared
+	//    settings, the sparse window kernel, and the two-pass driver over
+	//    both.
+	eng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg := pipeline.Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: known, Window: gsnp.DefaultWindow}
 	var out bytes.Buffer
-	rep, err := eng.Run(pipeline.MemSource(ds.Reads), &out)
+	rep, err := pipeline.Run(context.Background(), cfg, pipeline.MemSource(ds.Reads), &out, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func main() {
 		tasks = append(tasks, sched.Task[chrTimes, struct{}]{
 			Name: spec.Name,
 			Run: func(ctx context.Context, _ struct{}) (chrTimes, error) {
-				return runChromosome(spec)
+				return runChromosome(ctx, spec)
 			},
 		})
 	}
@@ -77,40 +77,40 @@ func main() {
 
 // runChromosome builds one chromosome's dataset and runs all three
 // engines over it, checking the Section IV-G byte-identity requirement.
-func runChromosome(spec seqsim.ChromosomeSpec) (chrTimes, error) {
+func runChromosome(ctx context.Context, spec seqsim.ChromosomeSpec) (chrTimes, error) {
 	ds := seqsim.BuildDataset(spec)
-	known := harness.KnownSNPs(ds)
+	cfg := pipeline.Config{Chr: spec.Name, Ref: ds.Ref.Seq, Known: harness.KnownSNPs(ds)}
+	src := pipeline.MemSource(ds.Reads)
 
 	// Dense baseline.
-	soapEng := soapsnp.New(soapsnp.Config{Chr: spec.Name, Ref: ds.Ref.Seq, Known: known})
+	cfg.Window = soapsnp.DefaultWindow
 	var b1 bytes.Buffer
-	soapRep, err := soapEng.Run(pipeline.MemSource(ds.Reads), &b1)
+	soapRep, err := pipeline.Run(ctx, cfg, src, &b1, soapsnp.New(soapsnp.Config{}))
 	if err != nil {
 		return chrTimes{}, err
 	}
 
 	// Sparse on the CPU.
-	cpuEng, err := gsnp.New(gsnp.Config{Chr: spec.Name, Ref: ds.Ref.Seq, Known: known, Mode: gsnp.ModeCPU})
+	cfg.Window = gsnp.DefaultWindow
+	cpuEng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeCPU})
 	if err != nil {
 		return chrTimes{}, err
 	}
 	var b2 bytes.Buffer
-	cpuRep, err := cpuEng.Run(pipeline.MemSource(ds.Reads), &b2)
+	cpuRep, err := pipeline.Run(ctx, cfg, src, &b2, cpuEng)
 	if err != nil {
 		return chrTimes{}, err
 	}
 
 	// Full GSNP on the simulated GPU with compressed output; the device is
 	// task-local so concurrent chromosomes never share device state.
-	gpuEng, err := gsnp.New(gsnp.Config{
-		Chr: spec.Name, Ref: ds.Ref.Seq, Known: known,
-		Mode: gsnp.ModeGPU, Device: gpu.NewDevice(gpu.M2050()), CompressOutput: true,
-	})
+	cfg.CompressOutput = true
+	gpuEng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if err != nil {
 		return chrTimes{}, err
 	}
 	var b3 bytes.Buffer
-	gpuRep, err := gpuEng.Run(pipeline.MemSource(ds.Reads), &b3)
+	gpuRep, err := pipeline.Run(ctx, cfg, src, &b3, gpuEng)
 	if err != nil {
 		return chrTimes{}, err
 	}

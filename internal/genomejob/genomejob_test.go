@@ -7,7 +7,31 @@ import (
 	"testing"
 
 	"gsnp/internal/align"
+	"gsnp/internal/gsnp"
+	"gsnp/internal/pipeline"
+	"gsnp/internal/soapsnp"
 )
+
+// TestEngineConfigsShareNoFieldWithDriver guards the one configuration
+// surface: a setting every engine shares lives in pipeline.Config and
+// nowhere else, so the engine configs — kernel knobs only — must not grow a
+// field the driver's already has. Call hands the two to pipeline.Run side by
+// side; a name in both would be two places to set one thing, with a copy
+// step to forget.
+func TestEngineConfigsShareNoFieldWithDriver(t *testing.T) {
+	shared := map[string]bool{}
+	driver := reflect.TypeOf(pipeline.Config{})
+	for i := 0; i < driver.NumField(); i++ {
+		shared[driver.Field(i).Name] = true
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(gsnp.Config{}), reflect.TypeOf(soapsnp.Config{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && shared[f.Name] {
+				t.Errorf("%v.%s duplicates pipeline.Config.%s: a shared setting belongs to the driver's config only", typ, f.Name, f.Name)
+			}
+		}
+	}
+}
 
 // TestFingerprintEnumeratesOptionsFields is the aliasing guard for the
 // checkpoint/result-cache key: every Options field must be classified as

@@ -1,8 +1,6 @@
 package gsnp
 
 import (
-	"sync"
-
 	"gsnp/internal/bayes"
 	"gsnp/internal/par"
 	"gsnp/internal/pipeline"
@@ -19,7 +17,7 @@ import (
 // counters, read buffer, output buffer), which the arena lends to whichever
 // engine — sparse or dense — runs the chromosome.
 //
-// An Arena serves one Engine.Run at a time but may be handed from run to
+// An Arena serves one engine run at a time but may be handed from run to
 // run — including across engines and modes — which is how the concurrent
 // chromosome scheduler (internal/sched) amortises window storage across a
 // whole genome: one Arena per pool worker, every chromosome it processes
@@ -53,10 +51,6 @@ func (a *Arena) Scratch() *pipeline.Scratch { return &a.scratch }
 
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
-
-// arenaPool recycles arenas across Engine.Run calls that were not handed
-// an explicit Config.Arena.
-var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
 // depWorker is one compute worker's dep_count scratch. Entries carry an
 // epoch tag in the high half-word (see likelihoodRange); the tag makes
@@ -99,7 +93,7 @@ func (w *window) reset(start, end int) {
 }
 
 // ar returns the engine's arena: Config.Arena when given, else a private
-// one created on first use (RunContext installs a pooled one instead).
+// one created on first use.
 func (e *Engine) ar() *Arena {
 	if e.arena == nil {
 		if e.arena = e.cfg.Arena; e.arena == nil {

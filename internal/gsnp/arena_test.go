@@ -2,6 +2,7 @@ package gsnp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -24,19 +25,17 @@ type directWin struct {
 }
 
 // newDirectEngine builds an engine ready for direct Window calls —
-// the setup Run normally performs (tables, priors, output sink) — plus the
-// dataset's windows with their reads pre-fetched, so tests and benchmarks
-// can measure components 3-7 in isolation.
-func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, cfg Config) (*Engine, []directWin) {
+// the setup the driver normally performs (tables, priors, output sink) —
+// plus the dataset's windows of window sites with their reads pre-fetched,
+// so tests and benchmarks can measure components 3-7 in isolation.
+func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, window int, cfg Config) (*Engine, []directWin) {
 	tb.Helper()
-	cfg.Chr = ds.Spec.Name
-	cfg.Ref = ds.Ref.Seq
 	eng, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	eng.tables = testTables()
-	eng.run = directRun(eng, io.Discard)
+	eng.run = directRun(ds, window, io.Discard)
 	for b := dna.Base(0); b < dna.NBases; b++ {
 		eng.novelPriors[b] = eng.run.Priors.LogPriors(b, nil)
 	}
@@ -53,11 +52,8 @@ func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, cfg Config) (*Engine, []
 	}
 	win := pipeline.NewWindower(it)
 	var wins []directWin
-	for start := 0; start < len(eng.cfg.Ref); start += eng.cfg.Window {
-		end := start + eng.cfg.Window
-		if end > len(eng.cfg.Ref) {
-			end = len(eng.cfg.Ref)
-		}
+	for start := 0; start < len(ds.Ref.Seq); start += window {
+		end := min(start+window, len(ds.Ref.Seq))
 		rs, err := win.Reads(start, end)
 		if err != nil {
 			tb.Fatal(err)
@@ -75,20 +71,20 @@ func TestComputeWorkersByteIdentity(t *testing.T) {
 	// is really exercised even on hosts where the adaptive cap (CPU count,
 	// minShardSites) would serialize these small windows.
 	ds := testDataset(t, 3000, 9, 555)
-	_, want := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 700, ComputeWorkers: 1})
+	_, want := runGSNP(t, ds, pipeline.Config{Window: 700}, Config{Mode: ModeCPU, ComputeWorkers: 1})
 	for _, cw := range []int{2, 4, 7} {
-		_, got := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 700, ComputeWorkers: cw, forceShardWorkers: cw})
+		_, got := runGSNP(t, ds, pipeline.Config{Window: 700}, Config{Mode: ModeCPU, ComputeWorkers: cw, forceShardWorkers: cw})
 		if !bytes.Equal(got, want) {
 			t.Errorf("ComputeWorkers=%d output differs from single-threaded", cw)
 		}
 	}
 	// The adaptive path (no forcing): whatever width it picks, bytes match.
-	_, gotAdaptive := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 700, ComputeWorkers: 4})
+	_, gotAdaptive := runGSNP(t, ds, pipeline.Config{Window: 700}, Config{Mode: ModeCPU, ComputeWorkers: 4})
 	if !bytes.Equal(gotAdaptive, want) {
 		t.Error("adaptive ComputeWorkers output differs from single-threaded")
 	}
 	// Stacked with the other concurrency knobs.
-	_, got := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 700, ComputeWorkers: 4, forceShardWorkers: 4, SortWorkers: 4, Prefetch: true})
+	_, got := runGSNP(t, ds, pipeline.Config{Window: 700, Prefetch: true}, Config{Mode: ModeCPU, ComputeWorkers: 4, forceShardWorkers: 4, SortWorkers: 4})
 	if !bytes.Equal(got, want) {
 		t.Error("ComputeWorkers+SortWorkers+Prefetch output differs from serial")
 	}
@@ -136,7 +132,7 @@ func TestComputeWorkersNoRegression(t *testing.T) {
 		best float64
 	}
 	setup := func(cw int) *side {
-		eng, wins := newDirectEngine(t, ds, Config{Mode: ModeCPU, Window: 8000, SortWorkers: 1, ComputeWorkers: cw})
+		eng, wins := newDirectEngine(t, ds, 8000, Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: cw})
 		sd := &side{best: math.Inf(1)}
 		sd.pass = func() {
 			for _, dw := range wins {
@@ -189,16 +185,16 @@ func TestArenaReuseAcrossRuns(t *testing.T) {
 	// datasets of different sizes and across CPU/GPU modes.
 	dsA := testDataset(t, 2500, 9, 900)
 	dsB := testDataset(t, 1200, 6, 901)
-	_, wantA := runGSNP(t, dsA, Config{Mode: ModeCPU, Window: 600})
-	_, wantB := runGSNP(t, dsB, Config{Mode: ModeCPU, Window: 600})
+	_, wantA := runGSNP(t, dsA, pipeline.Config{Window: 600}, Config{Mode: ModeCPU})
+	_, wantB := runGSNP(t, dsB, pipeline.Config{Window: 600}, Config{Mode: ModeCPU})
 
 	arena := NewArena()
 	for run := 0; run < 2; run++ {
-		_, gotA := runGSNP(t, dsA, Config{Mode: ModeCPU, Window: 600, Arena: arena, ComputeWorkers: 2})
+		_, gotA := runGSNP(t, dsA, pipeline.Config{Window: 600}, Config{Mode: ModeCPU, Arena: arena, ComputeWorkers: 2})
 		if !bytes.Equal(gotA, wantA) {
 			t.Fatalf("run %d: recycled-arena output differs (dataset A)", run)
 		}
-		_, gotB := runGSNP(t, dsB, Config{Mode: ModeCPU, Window: 600, Arena: arena})
+		_, gotB := runGSNP(t, dsB, pipeline.Config{Window: 600}, Config{Mode: ModeCPU, Arena: arena})
 		if !bytes.Equal(gotB, wantB) {
 			t.Fatalf("run %d: recycled-arena output differs (dataset B, shrunk window set)", run)
 		}
@@ -206,8 +202,8 @@ func TestArenaReuseAcrossRuns(t *testing.T) {
 
 	// The same arena feeding a GPU engine next: host staging reuse must
 	// not leak CPU-run state into the kernels' inputs.
-	_, wantGPU := runGSNP(t, dsA, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 600})
-	_, gotGPU := runGSNP(t, dsA, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 600, Arena: arena})
+	_, wantGPU := runGSNP(t, dsA, pipeline.Config{Window: 600}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+	_, gotGPU := runGSNP(t, dsA, pipeline.Config{Window: 600}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Arena: arena})
 	if !bytes.Equal(gotGPU, wantGPU) {
 		t.Error("arena handed from CPU to GPU engine changed GPU output")
 	}
@@ -221,7 +217,7 @@ func TestArenaReuseAcrossRuns(t *testing.T) {
 // separately by the byte-identity tests.
 func TestRunWindowSteadyStateAllocsCPU(t *testing.T) {
 	ds := testDataset(t, 4000, 10, 321)
-	eng, wins := newDirectEngine(t, ds, Config{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 4, forceShardWorkers: 4})
+	eng, wins := newDirectEngine(t, ds, 800, Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: 4, forceShardWorkers: 4})
 
 	runAll := func() {
 		for _, dw := range wins {
@@ -251,7 +247,7 @@ func TestRunWindowSteadyStateAllocsCPU(t *testing.T) {
 func TestRunWindowSteadyStateAllocsGPU(t *testing.T) {
 	const budget = 256
 	ds := testDataset(t, 2400, 10, 322)
-	eng, wins := newDirectEngine(t, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 800})
+	eng, wins := newDirectEngine(t, ds, 800, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 
 	runAll := func() {
 		for _, dw := range wins {
@@ -277,7 +273,7 @@ func TestRunWindowSteadyStateAllocsGPU(t *testing.T) {
 // equal-sized reallocation.
 func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 	ds := testDataset(t, 2400, 10, 322)
-	eng, wins := newDirectEngine(t, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 800})
+	eng, wins := newDirectEngine(t, ds, 800, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 
 	runAll := func() {
 		for _, dw := range wins {
@@ -310,7 +306,7 @@ func TestCountCPUStripsUniqBit(t *testing.T) {
 	// the per-site summaries and strip it from the sort batches so the
 	// canonical order is untouched.
 	ds := testDataset(t, 600, 8, 77)
-	eng, err := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU, Window: 600})
+	eng, err := New(Config{Mode: ModeCPU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func BenchmarkRunWindowCPU(b *testing.B) {
 			ds := seqsim.BuildDataset(seqsim.ChromosomeSpec{
 				Name: "chrB", Length: 40000, Depth: 10, MaskFraction: 0.1, Seed: 7,
 			})
-			eng, wins := newDirectEngine(b, ds, Config{Mode: ModeCPU, Window: 8000, SortWorkers: 1, ComputeWorkers: cw})
+			eng, wins := newDirectEngine(b, ds, 8000, Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: cw})
 			for _, dw := range wins { // warm the arena
 				if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 					b.Fatal(err)
@@ -379,7 +375,7 @@ func BenchmarkRunWindowGPU(b *testing.B) {
 	ds := seqsim.BuildDataset(seqsim.ChromosomeSpec{
 		Name: "chrB", Length: 16000, Depth: 10, MaskFraction: 0.1, Seed: 7,
 	})
-	eng, wins := newDirectEngine(b, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 8000})
+	eng, wins := newDirectEngine(b, ds, 8000, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	for _, dw := range wins {
 		if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
 			b.Fatal(err)
@@ -409,28 +405,30 @@ func BenchmarkRunWindowGPU(b *testing.B) {
 func TestRunContextWarmArena(t *testing.T) {
 	first := testDataset(t, 3000, 12, 71)
 	second := testDataset(t, 2000, 7, 72)
-	for _, mode := range []Config{
-		{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1},
-		{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1, VCFOutput: true},
-		{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1, CompressOutput: true},
+	cfg := Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: 1}
+	for _, mode := range []pipeline.Config{
+		{Window: 800},
+		{Window: 800, VCFOutput: true},
+		{Window: 800, CompressOutput: true},
 	} {
-		_, want := runGSNP(t, second, mode)
-		warm := mode
+		_, want := runGSNP(t, second, mode, cfg)
+		warm := cfg
 		warm.Arena = NewArena()
-		runGSNP(t, first, warm)
-		if _, got := runGSNP(t, second, warm); !bytes.Equal(got, want) {
+		runGSNP(t, first, mode, warm)
+		if _, got := runGSNP(t, second, mode, warm); !bytes.Equal(got, want) {
 			t.Errorf("%+v: output on an arena warmed by another chromosome differs from a fresh arena's", mode)
 		}
 	}
 
-	cfg := Config{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 1, Arena: NewArena()}
-	cfg.Chr, cfg.Ref = first.Spec.Name, first.Ref.Seq
+	// startRun hands the arena's Scratch to the driver as
+	// pipeline.Config.Scratch, so its share of the storage is warm too.
+	cfg.Arena = NewArena()
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := eng.Run(pipeline.MemSource(first.Reads), io.Discard); err != nil {
+		if _, err := startRun(context.Background(), eng, first, pipeline.Config{Window: 800}, pipeline.MemSource(first.Reads), io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package gsnp
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -17,66 +18,43 @@ func benchDataset(b *testing.B, sites int) *seqsim.Dataset {
 	})
 }
 
-func BenchmarkEngineCPU(b *testing.B) {
+// benchEngine times whole runs at the paper's window size, a fresh engine
+// each iteration.
+func benchEngine(b *testing.B, run pipeline.Config, cfg func() Config) {
 	ds := benchDataset(b, 20000)
+	run.Window = DefaultWindow
 	b.SetBytes(int64(ds.Spec.Length))
 	for i := 0; i < b.N; i++ {
-		eng, err := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU})
+		eng, err := New(cfg())
 		if err != nil {
 			b.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
+		if _, err := startRun(context.Background(), eng, ds, run, pipeline.MemSource(ds.Reads), new(bytes.Buffer)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEngineGPU(b *testing.B) {
-	ds := benchDataset(b, 20000)
-	b.SetBytes(int64(ds.Spec.Length))
-	for i := 0; i < b.N; i++ {
-		eng, err := New(Config{
-			Chr: ds.Spec.Name, Ref: ds.Ref.Seq,
-			Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
-			b.Fatal(err)
-		}
-	}
+func BenchmarkEngineCPU(b *testing.B) {
+	benchEngine(b, pipeline.Config{}, func() Config { return Config{Mode: ModeCPU} })
 }
+
+func gpuConfig() Config { return Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())} }
+
+func BenchmarkEngineGPU(b *testing.B) { benchEngine(b, pipeline.Config{}, gpuConfig) }
 
 func BenchmarkEngineGPUCompressed(b *testing.B) {
-	ds := benchDataset(b, 20000)
-	b.SetBytes(int64(ds.Spec.Length))
-	for i := 0; i < b.N; i++ {
-		eng, err := New(Config{
-			Chr: ds.Spec.Name, Ref: ds.Ref.Seq,
-			Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-			CompressOutput: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEngine(b, pipeline.Config{CompressOutput: true}, gpuConfig)
 }
 
 func BenchmarkSparseLikelihoodCPUWindow(b *testing.B) {
 	ds := benchDataset(b, 10000)
-	eng, err := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU, Window: 10000})
+	eng, err := New(Config{Mode: ModeCPU})
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng.tables = testTables()
-	eng.run = directRun(eng, io.Discard)
+	eng.run = directRun(ds, 10000, io.Discard)
 	w := buildTestWindow(ds, 10000)
 	eng.countCPU(w)
 	sortWindowWords(w)

@@ -39,17 +39,14 @@ func buildTestWindow(ds *seqsim.Dataset, n int) *window {
 func likelihoodOnDevice(t *testing.T, ds *seqsim.Dataset, dev *gpu.Device, variant Variant) []float64 {
 	t.Helper()
 	n := len(ds.Ref.Seq)
-	eng, err := New(Config{
-		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Window: n,
-		Mode: ModeGPU, Device: dev, Variant: variant,
-	})
+	eng, err := New(Config{Mode: ModeGPU, Device: dev, Variant: variant})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Minimal table setup (cal_p_matrix from a Phred prior keeps the
 	// comparison focused on the kernels).
 	eng.tables = testTables()
-	eng.run = directRun(eng, io.Discard)
+	eng.run = directRun(ds, n, io.Discard)
 	if err := eng.loadTables(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +63,12 @@ func likelihoodOnDevice(t *testing.T, ds *seqsim.Dataset, dev *gpu.Device, varia
 func likelihoodOnHost(t *testing.T, ds *seqsim.Dataset) []float64 {
 	t.Helper()
 	n := len(ds.Ref.Seq)
-	eng, err := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Window: n, Mode: ModeCPU})
+	eng, err := New(Config{Mode: ModeCPU})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.tables = testTables()
-	eng.run = directRun(eng, io.Discard)
+	eng.run = directRun(ds, n, io.Discard)
 	w := buildTestWindow(ds, n)
 	eng.countCPU(w)
 	sortWindowWords(w)
@@ -136,18 +133,17 @@ func runtimeLogHost(t *testing.T, ds *seqsim.Dataset) []float64 {
 	return likelihoodOnHost(t, ds)
 }
 
-// directRun is the driver state Prepare would be handed — settings, the
+// directRun is the driver state Prepare would be handed — the data set's
+// chromosome and reference at the given window size, default priors, the
 // historical stride, an empty report, a row sink over w — for tests that
 // call an engine's kernel methods without a run.
-func directRun(eng *Engine, w io.Writer) *pipeline.RunState {
-	st := &pipeline.RunState{
-		Config: eng.cfg.settings(),
+func directRun(ds *seqsim.Dataset, window int, w io.Writer) *pipeline.RunState {
+	return &pipeline.RunState{
+		Config: pipeline.Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Window: window, Priors: bayes.DefaultPriors()},
 		Stride: pipeline.MinStride,
-		Report: &pipeline.Report{Sites: len(eng.cfg.Ref), NonZeroHist: make([]int64, pipeline.SparsityHistSize)},
+		Report: &pipeline.Report{Sites: len(ds.Ref.Seq), NonZeroHist: make([]int64, pipeline.SparsityHistSize)},
 		Out:    pipeline.RowSink(snpio.NewResultWriter(w)),
 	}
-	st.Priors = bayes.DefaultPriors()
-	return st
 }
 
 // testTables builds the fixed Phred-model tables used by the consistency

@@ -1,7 +1,6 @@
 package gsnp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -18,9 +17,8 @@ import (
 
 // Engine is the sparse window kernel of the GSNP pipeline — components 3-7
 // over the base_word representation, on the host or the simulated device —
-// behind the two-pass driver (pipeline.Run). Create one with New and invoke
-// Run; an Engine may be reused for several runs with the same
-// configuration.
+// behind the two-pass driver. Create one with New and hand it to
+// pipeline.Run; an Engine may be reused for several runs, one at a time.
 type Engine struct {
 	cfg    Config
 	tables *bayes.Tables
@@ -44,8 +42,8 @@ type Engine struct {
 	novelPriors [dna.NBases][dna.NGenotypes]float64
 
 	// arena holds the recycled per-window working set plus the per-worker
-	// dep_count scratch: Config.Arena, the process pool's (RunContext), or
-	// a private one created on first use.
+	// dep_count scratch: Config.Arena, or a private one created on first
+	// use.
 	arena *Arena
 
 	// Window-persistent device state (GPU mode): the tagged dep_count
@@ -54,24 +52,23 @@ type Engine struct {
 	winEpoch uint32
 }
 
-// New creates an engine. It returns an error for inconsistent
-// configurations (ModeGPU without a device, two output codecs).
+// New creates an engine. It returns an error for ModeGPU without a device.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Mode == ModeGPU && cfg.Device == nil {
 		return nil, fmt.Errorf("gsnp: ModeGPU requires a Device")
 	}
-	if cfg.VCFOutput && cfg.CompressOutput {
-		return nil, fmt.Errorf("gsnp: VCFOutput and CompressOutput are mutually exclusive")
-	}
 	return &Engine{cfg: cfg}, nil
 }
 
-// Tables exposes the calibrated tables after a run. They live in the run's
-// Arena and are rebuilt in place by that arena's next run, so only a run
-// given a Config.Arena leaves them behind; after a run on a pooled arena
-// Tables returns nil.
+// Tables exposes the calibrated tables after a run. They live in the
+// engine's Arena and are rebuilt in place by that arena's next run.
 func (e *Engine) Tables() *bayes.Tables { return e.tables }
+
+// Report returns the device-side measurements of the engine's latest run.
+func (e *Engine) Report() Report {
+	return Report{SortStats: e.sortStats, LikeliStats: e.likeliStats, PeakDeviceBytes: e.peakDeviceBytes}
+}
 
 // minShardSites is the smallest per-shard site count worth handing to a
 // helper goroutine. Forking one shard (spawn, helper wakeup, join) costs
@@ -123,32 +120,6 @@ func (e *Engine) simSpan(f func()) time.Duration {
 	start := e.cfg.Device.SimTime()
 	f()
 	return time.Duration((e.cfg.Device.SimTime() - start) * float64(time.Second))
-}
-
-// Run executes the pipeline over src, writing results to w (plain text, or
-// the compressed container when Config.CompressOutput is set).
-func (e *Engine) Run(src pipeline.Source, w io.Writer) (*Report, error) {
-	return e.RunContext(context.Background(), src, w)
-}
-
-// RunContext is Run with cooperative cancellation; see pipeline.Run.
-func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Writer) (*Report, error) {
-	// Component 7 storage: the window working set is recycled across
-	// windows, runs and (via Config.Arena or the process pool) engines.
-	if e.cfg.Arena == nil {
-		e.arena = arenaPool.Get().(*Arena)
-		defer func() {
-			arenaPool.Put(e.arena)
-			e.arena, e.tables = nil, nil
-		}()
-	}
-	cfg := e.cfg.settings()
-	cfg.Scratch = e.ar().Scratch()
-	rep, err := pipeline.Run(ctx, cfg, src, w, e)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Report: *rep, SortStats: e.sortStats, LikeliStats: e.likeliStats, PeakDeviceBytes: e.peakDeviceBytes}, nil
 }
 
 // Prepare implements pipeline.Kernel: build the log table, the adjust table

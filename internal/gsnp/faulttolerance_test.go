@@ -83,11 +83,11 @@ func withoutWindow(t *testing.T, out []byte, start, end int) []byte {
 func TestQuarantineWindowPanic(t *testing.T) {
 	ds := testDataset(t, 3000, 8, 21)
 	const window = 1000
-	_, clean := runGSNP(t, ds, Config{Mode: ModeCPU, Window: window})
+	_, clean := runGSNP(t, ds, pipeline.Config{Window: window}, Config{Mode: ModeCPU})
 
 	for _, workers := range []int{0, 4} {
-		cfg := Config{
-			Mode: ModeCPU, Window: window, ComputeWorkers: workers,
+		run := pipeline.Config{
+			Window:     window,
 			Quarantine: true,
 			WindowHook: func(ctx context.Context, win, start, end int) error {
 				if win == 1 {
@@ -96,7 +96,7 @@ func TestQuarantineWindowPanic(t *testing.T) {
 				return nil
 			},
 		}
-		rep, out := runGSNP(t, ds, cfg)
+		rep, out := runGSNP(t, ds, run, Config{Mode: ModeCPU, ComputeWorkers: workers})
 		if len(rep.Quarantined) != 1 {
 			t.Fatalf("workers=%d: %d quarantined windows, want 1: %v", workers, len(rep.Quarantined), rep.Quarantined)
 		}
@@ -120,24 +120,25 @@ func TestQuarantineWindowPanic(t *testing.T) {
 // Config.Quarantine an injected window panic propagates.
 func TestQuarantineWithoutFlagPanics(t *testing.T) {
 	ds := testDataset(t, 2000, 6, 3)
-	eng, err := New(Config{
-		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU, Window: 1000,
+	eng, err := New(Config{Mode: ModeCPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := pipeline.Config{
+		Window: 1000,
 		WindowHook: func(ctx context.Context, win, start, end int) error {
 			if win == 1 {
 				panic("unrecovered")
 			}
 			return nil
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic did not propagate without Quarantine")
 		}
 	}()
-	eng.Run(pipeline.MemSource(ds.Reads), &bytes.Buffer{})
+	startRun(context.Background(), eng, ds, run, pipeline.MemSource(ds.Reads), &bytes.Buffer{})
 }
 
 // TestQuarantineCorruptRecord checks record-level containment: the
@@ -150,25 +151,22 @@ func TestQuarantineCorruptRecord(t *testing.T) {
 	src := corruptSource(pipeline.MemSource(ds.Reads), at)
 
 	// Without quarantine the same input aborts the run.
-	strict, err := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU, Window: window})
+	strict, err := New(Config{Mode: ModeCPU})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := strict.Run(src, &bytes.Buffer{}); err == nil {
+	if _, err := startRun(context.Background(), strict, ds, pipeline.Config{Window: window}, src, &bytes.Buffer{}); err == nil {
 		t.Fatal("corrupt record accepted without Quarantine")
 	}
 
 	var outs [][]byte
 	for _, prefetch := range []bool{false, true} {
-		eng, err := New(Config{
-			Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU,
-			Window: window, Quarantine: true, Prefetch: prefetch,
-		})
+		eng, err := New(Config{Mode: ModeCPU})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		rep, err := eng.Run(src, &buf)
+		rep, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: window, Quarantine: true, Prefetch: prefetch}, src, &buf)
 		if err != nil {
 			t.Fatalf("prefetch=%t: %v", prefetch, err)
 		}
@@ -199,7 +197,7 @@ func TestQuarantineCorruptRecord(t *testing.T) {
 // handles. The same engine then completes a clean run.
 func TestDeviceMemoryReleasedOnEveryExit(t *testing.T) {
 	ds := testDataset(t, 3000, 8, 21)
-	_, clean := runGSNP(t, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 1000})
+	_, clean := runGSNP(t, ds, pipeline.Config{Window: 1000}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 
 	for _, tc := range []struct {
 		name       string
@@ -237,20 +235,20 @@ func TestDeviceMemoryReleasedOnEveryExit(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		armed := true
 		hook := tc.hook(cancel)
-		eng, err := New(Config{
-			Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: knownFromDataset(ds),
-			Mode: ModeGPU, Device: dev, Window: 1000, Quarantine: tc.quarantine,
+		eng, err := New(Config{Mode: ModeGPU, Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := pipeline.Config{
+			Window: 1000, Quarantine: tc.quarantine,
 			WindowHook: func(ctx context.Context, win, start, end int) error {
 				if !armed {
 					return nil
 				}
 				return hook(ctx, win, start, end)
 			},
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		rep, err := eng.RunContext(ctx, pipeline.MemSource(ds.Reads), &bytes.Buffer{})
+		rep, err := startRun(ctx, eng, ds, run, pipeline.MemSource(ds.Reads), &bytes.Buffer{})
 		cancel()
 		if (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v, want failure %t", tc.name, err, tc.wantErr)
@@ -263,7 +261,7 @@ func TestDeviceMemoryReleasedOnEveryExit(t *testing.T) {
 		}
 		armed = false
 		var buf bytes.Buffer
-		if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil || !bytes.Equal(buf.Bytes(), clean) {
+		if _, err := startRun(context.Background(), eng, ds, run, pipeline.MemSource(ds.Reads), &buf); err != nil || !bytes.Equal(buf.Bytes(), clean) {
 			t.Errorf("%s: the engine's next run: err = %v, output identical to a fresh engine's = %t", tc.name, err, bytes.Equal(buf.Bytes(), clean))
 		}
 		if got := dev.AllocatedBytes(); got != before {
@@ -281,10 +279,10 @@ func TestDeviceMemoryReleasedOnEveryExit(t *testing.T) {
 // window. (internal/par's own tests cover the fork-join itself.)
 func TestShardPanicSurfacesOnWindowGoroutine(t *testing.T) {
 	ds := testDataset(t, 2400, 8, 77)
-	cfg := Config{Mode: ModeCPU, Window: 800, SortWorkers: 1, ComputeWorkers: 4, forceShardWorkers: 4}
-	eng, wins := newDirectEngine(t, ds, cfg)
+	cfg := Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: 4, forceShardWorkers: 4}
+	eng, wins := newDirectEngine(t, ds, 800, cfg)
 	var out bytes.Buffer
-	eng.run = directRun(eng, &out)
+	eng.run = directRun(ds, 800, &out)
 	dw := wins[1]
 
 	ref := eng.run.Ref
@@ -313,9 +311,9 @@ func TestShardPanicSurfacesOnWindowGoroutine(t *testing.T) {
 	if err := eng.run.Out.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := newDirectEngine(t, ds, cfg)
+	fresh, _ := newDirectEngine(t, ds, 800, cfg)
 	var want bytes.Buffer
-	fresh.run = directRun(fresh, &want)
+	fresh.run = directRun(ds, 800, &want)
 	if err := fresh.Window(dw.rs, dw.start, dw.end); err != nil {
 		t.Fatal(err)
 	}
@@ -332,16 +330,13 @@ func TestShardPanicSurfacesOnWindowGoroutine(t *testing.T) {
 // quarantine never swallows cancellation.
 func TestRunContextCancelled(t *testing.T) {
 	ds := testDataset(t, 2000, 6, 9)
-	eng, err := New(Config{
-		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Mode: ModeCPU,
-		Window: 500, Quarantine: true,
-	})
+	eng, err := New(Config{Mode: ModeCPU})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := eng.RunContext(ctx, pipeline.MemSource(ds.Reads), &bytes.Buffer{})
+	rep, err := startRun(ctx, eng, ds, pipeline.Config{Window: 500, Quarantine: true}, pipeline.MemSource(ds.Reads), &bytes.Buffer{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

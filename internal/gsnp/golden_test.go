@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gsnp/internal/pipeline"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden result table")
@@ -22,7 +24,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden result 
 // release changes it, regenerating is the intended response.)
 func TestGoldenOutput(t *testing.T) {
 	ds := testDataset(t, 1500, 9, 2024)
-	_, got := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 400})
+	_, got := runGSNP(t, ds, pipeline.Config{Window: 400}, Config{Mode: ModeCPU})
 
 	path := filepath.Join("testdata", "golden_chr.txt")
 	if *updateGolden {

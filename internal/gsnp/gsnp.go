@@ -12,7 +12,6 @@
 package gsnp
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -20,7 +19,6 @@ import (
 	"gsnp/internal/dna"
 	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
-	"gsnp/internal/snpio"
 	"gsnp/internal/sortnet"
 )
 
@@ -80,22 +78,11 @@ const (
 	SortNonEq
 )
 
-// Config parameterises a run: the settings every engine shares (Chr through
-// Priors, the output codec, UseTempInput, TempDir, Prefetch, Quarantine and
-// WindowHook — see pipeline.Config, which Run maps them onto) and the
-// sparse kernel's own.
+// Config holds what only the sparse kernel reads. Everything a run shares
+// with the other engines — chromosome, reference, priors, window size, output
+// codec, prefetch, quarantine — is pipeline.Config, handed to pipeline.Run
+// next to the Engine.
 type Config struct {
-	// Chr names the chromosome in output rows.
-	Chr string
-	// Ref is the reference sequence.
-	Ref dna.Sequence
-	// Known holds the prior-file records.
-	Known snpio.KnownSNPs
-	// Window is the number of sites per window; GSNP's default is
-	// 256,000 (Section VI-A).
-	Window int
-	// Priors configures the genotype prior model.
-	Priors bayes.Priors
 	// Mode selects GPU or CPU execution.
 	Mode Mode
 	// Device is the simulated GPU (required for ModeGPU).
@@ -104,20 +91,6 @@ type Config struct {
 	Variant Variant
 	// Sort selects the likelihood_sort implementation (GPU mode).
 	Sort SortMethod
-	// CompressOutput writes the GSNP compressed container instead of the
-	// plain result text.
-	CompressOutput bool
-	// VCFOutput writes VCFv4.2 variant records instead of the 17-column
-	// result table. Mutually exclusive with CompressOutput.
-	VCFOutput bool
-	// UseTempInput routes pass two through the compressed temporary input
-	// file (Section V-A), created in TempDir (default os.TempDir()).
-	UseTempInput bool
-	TempDir      string
-	// Prefetch overlaps read_site I/O for window i+1 with components 3-7
-	// of window i. The serial path remains the default so the Table IV
-	// component timings are unaffected.
-	Prefetch bool
 	// SortWorkers bounds the host worker count of likelihood_sort in CPU
 	// mode. Zero selects GOMAXPROCS; the Figure 6/paper-comparison
 	// harness pins it to 1, the paper's single-threaded GSNP_CPU
@@ -138,25 +111,17 @@ type Config struct {
 	// the fork-join even on hosts where the cap would serialize.
 	forceShardWorkers int
 	// Arena supplies the per-window working-set recycler (component 7).
-	// Nil selects a process-wide pool; the whole-genome scheduler hands
-	// each of its workers a private Arena so consecutive chromosome runs
-	// reuse one working set.
+	// Nil gives the engine a private one; the whole-genome scheduler hands
+	// each of its workers an Arena so consecutive chromosome runs reuse one
+	// working set (and passes its Scratch as pipeline.Config.Scratch).
 	Arena *Arena
-	// Quarantine contains window-level failures (malformed records,
-	// panicking windows) instead of aborting the run.
-	Quarantine bool
-	// WindowHook, when non-nil, runs before each window's computation —
-	// the fault-injection seam (see internal/faults).
-	WindowHook func(ctx context.Context, window, start, end int) error
 }
 
-// DefaultWindow is GSNP's window size from the paper's setup.
+// DefaultWindow is GSNP's window size from the paper's setup (Section
+// VI-A); the caller of pipeline.Run sets it as pipeline.Config.Window.
 const DefaultWindow = 256000
 
 func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = DefaultWindow
-	}
 	if c.SortWorkers <= 0 {
 		c.SortWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -166,20 +131,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// settings maps the configuration onto the two-pass driver's.
-func (c *Config) settings() pipeline.Config {
-	return pipeline.Config{
-		Chr: c.Chr, Ref: c.Ref, Known: c.Known, Priors: c.Priors, Window: c.Window,
-		Prefetch: c.Prefetch, Quarantine: c.Quarantine, WindowHook: c.WindowHook,
-		VCFOutput: c.VCFOutput, CompressOutput: c.CompressOutput,
-		UseTempInput: c.UseTempInput, TempDir: c.TempDir,
-	}
-}
-
-// Report summarises a run: the driver's report plus the device-side
-// measurements only this engine takes.
+// Report holds the device-side measurements only this engine takes, next to
+// the driver's pipeline.Report; read it off the engine after the run.
 type Report struct {
-	pipeline.Report
 	// SortStats aggregates the likelihood_sort work (GPU mode).
 	SortStats sortnet.Stats
 	// LikeliStats aggregates the device counters of the likelihood_comp

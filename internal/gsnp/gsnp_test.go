@@ -2,6 +2,7 @@ package gsnp
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 	"testing/quick"
@@ -37,36 +38,48 @@ func knownFromDataset(ds *seqsim.Dataset) snpio.KnownSNPs {
 	return known
 }
 
-// runGSNP executes the engine and returns the report plus raw output.
-func runGSNP(t *testing.T, ds *seqsim.Dataset, cfg Config) (*Report, []byte) {
+// testReport is what a test run leaves behind: the driver's report and the
+// device-side measurements read off the engine.
+type testReport struct {
+	*pipeline.Report
+	Device Report
+}
+
+// startRun is the one place these tests start a run, the way every caller of
+// the engine does: the shared settings in a pipeline.Config — the data set
+// fills the chromosome, the reference and the prior file, an arena lends the
+// driver its scratch (as genomejob.Call does), the caller sets the rest — the
+// kernel's own in the engine k, pipeline.Run over both.
+func startRun(ctx context.Context, k pipeline.Kernel, ds *seqsim.Dataset, run pipeline.Config, src pipeline.Source, w io.Writer) (*pipeline.Report, error) {
+	run.Chr, run.Ref, run.Known = ds.Spec.Name, ds.Ref.Seq, knownFromDataset(ds)
+	if eng, ok := k.(*Engine); ok && eng.cfg.Arena != nil {
+		run.Scratch = eng.cfg.Arena.Scratch()
+	}
+	return pipeline.Run(ctx, run, src, w, k)
+}
+
+// runGSNP executes a fresh engine over the data set's reads and returns the
+// reports plus raw output.
+func runGSNP(t *testing.T, ds *seqsim.Dataset, run pipeline.Config, cfg Config) (*testReport, []byte) {
 	t.Helper()
-	cfg.Chr = ds.Spec.Name
-	cfg.Ref = ds.Ref.Seq
-	cfg.Known = knownFromDataset(ds)
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
+	rep, err := startRun(context.Background(), eng, ds, run, pipeline.MemSource(ds.Reads), &buf)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return rep, buf.Bytes()
+	return &testReport{Report: rep, Device: eng.Report()}, buf.Bytes()
 }
 
-// soapsnpText runs the dense baseline and returns its text output.
-func soapsnpText(t *testing.T, ds *seqsim.Dataset, window int) []byte {
+// soapsnpText runs the dense baseline and returns its output.
+func soapsnpText(t *testing.T, ds *seqsim.Dataset, run pipeline.Config) []byte {
 	t.Helper()
-	eng := soapsnp.New(soapsnp.Config{
-		Chr:    ds.Spec.Name,
-		Ref:    ds.Ref.Seq,
-		Known:  knownFromDataset(ds),
-		Window: window,
-	})
 	var buf bytes.Buffer
-	if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
-		t.Fatalf("soapsnp.Run: %v", err)
+	if _, err := startRun(context.Background(), soapsnp.New(soapsnp.Config{}), ds, run, pipeline.MemSource(ds.Reads), &buf); err != nil {
+		t.Fatalf("soapsnp: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -129,8 +142,8 @@ func TestGSNPCPUMatchesSOAPsnp(t *testing.T) {
 	// The headline consistency claim (Section IV-G): the sparse engine
 	// produces output byte-identical to the dense baseline.
 	ds := testDataset(t, 4000, 9, 101)
-	want := soapsnpText(t, ds, 1000)
-	_, got := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 800})
+	want := soapsnpText(t, ds, pipeline.Config{Window: 1000})
+	_, got := runGSNP(t, ds, pipeline.Config{Window: 800}, Config{Mode: ModeCPU})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("GSNP_CPU output differs from SOAPsnp (lens %d vs %d)", len(got), len(want))
 	}
@@ -138,12 +151,9 @@ func TestGSNPCPUMatchesSOAPsnp(t *testing.T) {
 
 func TestGSNPGPUMatchesSOAPsnp(t *testing.T) {
 	ds := testDataset(t, 3000, 9, 102)
-	want := soapsnpText(t, ds, 700)
+	want := soapsnpText(t, ds, pipeline.Config{Window: 700})
 	for _, variant := range []Variant{VariantOptimized, VariantBaseline, VariantShared, VariantNewTable} {
-		_, got := runGSNP(t, ds, Config{
-			Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-			Window: 640, Variant: variant,
-		})
+		_, got := runGSNP(t, ds, pipeline.Config{Window: 640}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Variant: variant})
 		if !bytes.Equal(got, want) {
 			t.Fatalf("variant %v: GPU output differs from SOAPsnp", variant)
 		}
@@ -166,25 +176,19 @@ func TestLongReadsMatchAcrossEngines(t *testing.T) {
 		ds := &seqsim.Dataset{Spec: spec, Ref: ref, Diploid: dip, Reads: rs, Mask: mask, ReadSpec: rspec}
 
 		for _, vcf := range []bool{false, true} {
-			dense := soapsnp.New(soapsnp.Config{
-				Chr: spec.Name, Ref: ref.Seq, Known: knownFromDataset(ds), Window: 1000, VCFOutput: vcf,
-			})
-			var want bytes.Buffer
-			if _, err := dense.Run(pipeline.MemSource(rs), &want); err != nil {
-				t.Fatalf("%d bp, vcf=%t: soapsnp: %v", readLen, vcf, err)
-			}
-			_, cpu := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 1700, VCFOutput: vcf, ComputeWorkers: 2, forceShardWorkers: 2})
+			want := bytes.NewBuffer(soapsnpText(t, ds, pipeline.Config{Window: 1000, VCFOutput: vcf}))
+			_, cpu := runGSNP(t, ds, pipeline.Config{Window: 1700, VCFOutput: vcf}, Config{Mode: ModeCPU, ComputeWorkers: 2, forceShardWorkers: 2})
 			if !bytes.Equal(cpu, want.Bytes()) {
 				t.Errorf("%d bp, vcf=%t: gsnp-cpu output differs from soapsnp", readLen, vcf)
 			}
-			_, dev := runGSNP(t, ds, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 2900, VCFOutput: vcf})
+			_, dev := runGSNP(t, ds, pipeline.Config{Window: 2900, VCFOutput: vcf}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 			if !bytes.Equal(dev, want.Bytes()) {
 				t.Errorf("%d bp, vcf=%t: gsnp-gpu output differs from soapsnp", readLen, vcf)
 			}
 			if vcf {
 				continue
 			}
-			rows, err := snpio.ReadResults(&want)
+			rows, err := snpio.ReadResults(want)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,10 +221,7 @@ func TestSortMethodsProduceIdenticalOutput(t *testing.T) {
 	ds := testDataset(t, 2000, 9, 103)
 	var ref []byte
 	for i, method := range []SortMethod{SortMultipass, SortSinglePass, SortNonEq} {
-		_, got := runGSNP(t, ds, Config{
-			Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-			Window: 512, Sort: method,
-		})
+		_, got := runGSNP(t, ds, pipeline.Config{Window: 512}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Sort: method})
 		if i == 0 {
 			ref = got
 			continue
@@ -233,15 +234,12 @@ func TestSortMethodsProduceIdenticalOutput(t *testing.T) {
 
 func TestCompressedOutputDecodesToSameRows(t *testing.T) {
 	ds := testDataset(t, 2500, 8, 104)
-	_, text := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 600})
+	_, text := runGSNP(t, ds, pipeline.Config{Window: 600}, Config{Mode: ModeCPU})
 	wantRows, err := snpio.ReadResults(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, blob := runGSNP(t, ds, Config{
-		Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-		Window: 600, CompressOutput: true,
-	})
+	rep, blob := runGSNP(t, ds, pipeline.Config{Window: 600, CompressOutput: true}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	gotRows, err := snpio.ReadAllBlocks(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +262,7 @@ func TestWindowSizeInvariance(t *testing.T) {
 	ds := testDataset(t, 2200, 8, 105)
 	var ref []byte
 	for i, win := range []int{300, 1024, 2200} {
-		_, got := runGSNP(t, ds, Config{Mode: ModeCPU, Window: win})
+		_, got := runGSNP(t, ds, pipeline.Config{Window: win}, Config{Mode: ModeCPU})
 		if i == 0 {
 			ref = got
 			continue
@@ -277,22 +275,20 @@ func TestWindowSizeInvariance(t *testing.T) {
 
 func TestReportContents(t *testing.T) {
 	ds := testDataset(t, 3000, 9.6, 106)
-	rep, _ := runGSNP(t, ds, Config{
-		Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 1000,
-	})
+	rep, _ := runGSNP(t, ds, pipeline.Config{Window: 1000}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if rep.Sites != 3000 {
 		t.Errorf("Sites = %d", rep.Sites)
 	}
 	if rep.MeanDepth < 7 || rep.MeanDepth > 11 {
 		t.Errorf("MeanDepth = %v", rep.MeanDepth)
 	}
-	if rep.LikeliStats.Instructions == 0 || rep.LikeliStats.GlobalLoads == 0 {
+	if rep.Device.LikeliStats.Instructions == 0 || rep.Device.LikeliStats.GlobalLoads == 0 {
 		t.Error("likelihood_comp counters empty")
 	}
-	if rep.SortStats.ElementsSorted == 0 {
+	if rep.Device.SortStats.ElementsSorted == 0 {
 		t.Error("sort stats empty")
 	}
-	if rep.PeakDeviceBytes == 0 {
+	if rep.Device.PeakDeviceBytes == 0 {
 		t.Error("peak device bytes empty")
 	}
 	var sites int64
@@ -317,11 +313,8 @@ func TestTableIIICounterTrends(t *testing.T) {
 	ds := testDataset(t, 2000, 9, 107)
 	stats := map[Variant]gpu.Stats{}
 	for _, v := range []Variant{VariantBaseline, VariantShared, VariantNewTable, VariantOptimized} {
-		rep, _ := runGSNP(t, ds, Config{
-			Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-			Window: 1000, Variant: v,
-		})
-		stats[v] = rep.LikeliStats
+		rep, _ := runGSNP(t, ds, pipeline.Config{Window: 1000}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Variant: v})
+		stats[v] = rep.Device.LikeliStats
 	}
 	base, shared, table, opt := stats[VariantBaseline], stats[VariantShared], stats[VariantNewTable], stats[VariantOptimized]
 
@@ -354,16 +347,12 @@ func TestTableIIICounterTrends(t *testing.T) {
 func TestDenseGPULikelihoodMatchesSparse(t *testing.T) {
 	ds := testDataset(t, 300, 9, 108)
 	d := gpu.NewDevice(gpu.M2050())
-	// An explicit arena keeps the run's calibrated tables readable below.
-	cfg := Config{Mode: ModeGPU, Device: d, Window: 300, Arena: NewArena()}
-	cfg.Chr = ds.Spec.Name
-	cfg.Ref = ds.Ref.Seq
+	cfg := Config{Mode: ModeGPU, Device: d}
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
+	if _, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: 300}, pipeline.MemSource(ds.Reads), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -390,7 +379,7 @@ func TestDenseGPULikelihoodMatchesSparse(t *testing.T) {
 	}
 	eng2, _ := New(cfg)
 	eng2.tables = eng.Tables()
-	eng2.run = directRun(eng2, io.Discard)
+	eng2.run = directRun(ds, 300, io.Discard)
 	if err := eng2.loadTables(); err != nil {
 		t.Fatal(err)
 	}
@@ -451,29 +440,9 @@ func TestRecycleIsNegligible(t *testing.T) {
 	// The sparse representation makes recycle orders of magnitude cheaper
 	// than likelihood (Table IV: 3s vs 60s on the GPU; SOAPsnp: 8214s).
 	ds := testDataset(t, 5000, 9, 109)
-	rep, _ := runGSNP(t, ds, Config{
-		Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 1000,
-	})
+	rep, _ := runGSNP(t, ds, pipeline.Config{Window: 1000}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if rep.Times.Recycle*10 > rep.Times.Likeli() {
 		t.Errorf("recycle %v not negligible vs likelihood %v", rep.Times.Recycle, rep.Times.Likeli())
-	}
-}
-
-func TestUseTempInputIdenticalOutput(t *testing.T) {
-	// The Section V-A flow: cal_p_matrix writes the compressed temporary
-	// input, the windowed pass reads it back — output must not change.
-	ds := testDataset(t, 2500, 9, 110)
-	_, want := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 700})
-	_, got := runGSNP(t, ds, Config{Mode: ModeCPU, Window: 700, UseTempInput: true})
-	if !bytes.Equal(got, want) {
-		t.Fatal("temporary-input flow changed the output")
-	}
-	_, gotGPU := runGSNP(t, ds, Config{
-		Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()),
-		Window: 700, UseTempInput: true,
-	})
-	if !bytes.Equal(gotGPU, want) {
-		t.Fatal("temporary-input flow on the GPU engine changed the output")
 	}
 }
 
@@ -482,7 +451,7 @@ func TestGPUWindowSizeInvariance(t *testing.T) {
 	var ref []byte
 	dev := gpu.NewDevice(gpu.M2050())
 	for i, win := range []int{256, 900, 1800} {
-		_, got := runGSNP(t, ds, Config{Mode: ModeGPU, Device: dev, Window: win})
+		_, got := runGSNP(t, ds, pipeline.Config{Window: win}, Config{Mode: ModeGPU, Device: dev})
 		if i == 0 {
 			ref = got
 			continue
@@ -496,9 +465,7 @@ func TestGPUWindowSizeInvariance(t *testing.T) {
 func TestEngineReuseAcrossRuns(t *testing.T) {
 	// One engine, several runs: device table state must reset cleanly.
 	ds := testDataset(t, 1200, 8, 112)
-	cfg := Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Window: 400}
-	cfg.Chr = ds.Spec.Name
-	cfg.Ref = ds.Ref.Seq
+	cfg := Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())}
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +473,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 	var first []byte
 	for run := 0; run < 3; run++ {
 		var buf bytes.Buffer
-		if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
+		if _, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: 400}, pipeline.MemSource(ds.Reads), &buf); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		if run == 0 {
@@ -532,11 +499,11 @@ func TestCountGPUMatchesCountCPU(t *testing.T) {
 
 	build := func() *window { return buildTestWindow(ds, n) }
 
-	cpuEng, _ := New(Config{Chr: "c", Ref: ds.Ref.Seq, Window: n, Mode: ModeCPU})
+	cpuEng, _ := New(Config{Mode: ModeCPU})
 	wc := build()
 	cpuEng.countCPU(wc)
 
-	gpuEng, _ := New(Config{Chr: "c", Ref: ds.Ref.Seq, Window: n, Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+	gpuEng, _ := New(Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	wg := build()
 	gpuEng.countGPU(wg)
 

@@ -141,7 +141,7 @@ func (s *Session) Table3() *Result {
 	got := make([]row, len(variants))
 	for i, v := range variants {
 		rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Variant: v})
-		st := rep.LikeliStats
+		st := rep.Device.LikeliStats
 		got[i] = row{
 			inst: st.InstPerWarp(32),
 			gld:  float64(st.GlobalLoads),

@@ -25,21 +25,13 @@ import (
 func (s *Session) ExtThreads() *Result {
 	r := &Result{Headers: []string{"threads", "likelihood (s)", "speedup", "aggregate GB/s"}}
 	ds := s.Dataset("chr21")
-	known := KnownSNPs(ds)
 	bytesScanned := float64(ds.Spec.Length) * 131072
 
 	var base float64
 	threads := []int{1, 2, 4, 8, 16}
 	maxT := runtime.GOMAXPROCS(0)
 	for _, th := range threads {
-		eng := soapsnp.New(soapsnp.Config{
-			Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: known, Threads: th,
-		})
-		var buf bytes.Buffer
-		rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
-		if err != nil {
-			panic(err)
-		}
+		rep, _ := run(ds, pipeline.Config{Window: soapsnp.DefaultWindow}, soapsnp.New(soapsnp.Config{Threads: th}))
 		li := rep.Times.Likeli().Seconds()
 		if th == 1 {
 			base = li
@@ -126,15 +118,9 @@ func (s *Session) ExtConsistency() *Result {
 	// Concurrency knobs must not perturb a single byte: window prefetch
 	// (both engine families), parallel likelihood_sort on the host, and
 	// their combination.
-	soapPf := soapsnp.New(soapsnp.Config{
-		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: KnownSNPs(ds), Prefetch: true,
-	})
-	var pfBuf bytes.Buffer
-	if _, err := soapPf.Run(pipeline.MemSource(ds.Reads), &pfBuf); err != nil {
-		panic(err)
-	}
-	check("SOAPsnp prefetch", pfBuf.Bytes())
-	_, out := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
+	_, out := run(ds, pipeline.Config{Window: soapsnp.DefaultWindow, Prefetch: true}, soapsnp.New(soapsnp.Config{}))
+	check("SOAPsnp prefetch", out)
+	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
 	check("GSNP_CPU prefetch", out)
 	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, SortWorkers: 4})
 	check("GSNP_CPU sort workers=4", out)

@@ -22,11 +22,6 @@ func durationSec(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// soapsnpEngine builds a baseline engine for a dataset.
-func soapsnpEngine(ds *seqsim.Dataset, known snpio.KnownSNPs) *soapsnp.Engine {
-	return soapsnp.New(soapsnp.Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: known})
-}
-
 // soapInputSize measures the SOAP alignment text size of a dataset.
 func soapInputSize(ds *seqsim.Dataset) int64 {
 	cw := &countWriter{}
@@ -442,7 +437,7 @@ func (s *Session) Fig11() *Result {
 	var rows []row
 	for _, win := range wins {
 		rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Window: win, Compress: true})
-		rows = append(rows, row{win, rep.Times.Total().Seconds(), rep.PeakDeviceBytes})
+		rows = append(rows, row{win, rep.Times.Total().Seconds(), rep.Device.PeakDeviceBytes})
 	}
 	largest = rows[len(rows)-1].sec
 	for _, rw := range rows {
@@ -468,14 +463,7 @@ func (s *Session) Fig12() *Result {
 	minSpeedup := 0.0
 	for _, spec := range seqsim.ScaledHumanGenome(scale, s.Scale.Seed) {
 		ds := seqsim.BuildDataset(spec)
-		known := KnownSNPs(ds)
-
-		eng := soapsnpEngine(ds, known)
-		var buf bytes.Buffer
-		soapRep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
-		if err != nil {
-			panic(err)
-		}
+		soapRep, _ := run(ds, pipeline.Config{Window: soapsnp.DefaultWindow}, soapsnp.New(soapsnp.Config{}))
 		cpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Compress: true})
 		gpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Compress: true, Device: dev})
 

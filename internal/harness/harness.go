@@ -15,6 +15,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -126,20 +127,25 @@ func (s *Session) RunSOAPsnp(name string) (*pipeline.Report, []byte) {
 	}
 	s.mu.Unlock()
 
-	ds := s.Dataset(name)
-	eng := soapsnp.New(soapsnp.Config{
-		Chr:   ds.Spec.Name,
-		Ref:   ds.Ref.Seq,
-		Known: KnownSNPs(ds),
-	})
-	var buf bytes.Buffer
-	rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
-	if err != nil {
-		panic(fmt.Sprintf("harness: soapsnp run failed: %v", err))
-	}
+	rep, out := run(s.Dataset(name), pipeline.Config{Window: soapsnp.DefaultWindow}, soapsnp.New(soapsnp.Config{}))
 	s.mu.Lock()
-	s.soapRuns[name] = &soapRun{report: rep, output: buf.Bytes()}
+	s.soapRuns[name] = &soapRun{report: rep, output: out}
 	s.mu.Unlock()
+	return rep, out
+}
+
+// run is the harness's one way to start an engine run: the data set supplies
+// the chromosome, reference, prior file and reads, cfg the rest of the shared
+// settings — the window included, the engine's DefaultWindow where the
+// experiment does not vary it — and k computes the windows. Every input here
+// is generated, so a failed run is a bug and panics.
+func run(ds *seqsim.Dataset, cfg pipeline.Config, k pipeline.Kernel) (*pipeline.Report, []byte) {
+	cfg.Chr, cfg.Ref, cfg.Known = ds.Spec.Name, ds.Ref.Seq, KnownSNPs(ds)
+	var buf bytes.Buffer
+	rep, err := pipeline.Run(context.Background(), cfg, pipeline.MemSource(ds.Reads), &buf, k)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %T run on %s failed: %v", k, ds.Spec.Name, err))
+	}
 	return rep, buf.Bytes()
 }
 
@@ -163,8 +169,15 @@ type GSNPOptions struct {
 	ComputeWorkers int
 }
 
+// GSNPReport is what a GSNP run leaves behind: the driver's report and the
+// device-side measurements read off the engine.
+type GSNPReport struct {
+	*pipeline.Report
+	Device gsnp.Report
+}
+
 // RunGSNP executes a GSNP run over a dataset.
-func (s *Session) RunGSNP(ds *seqsim.Dataset, opts GSNPOptions) (*gsnp.Report, []byte) {
+func (s *Session) RunGSNP(ds *seqsim.Dataset, opts GSNPOptions) (*GSNPReport, []byte) {
 	dev := opts.Device
 	if opts.Mode == gsnp.ModeGPU && dev == nil {
 		dev = gpu.NewDevice(gpu.M2050())
@@ -177,29 +190,23 @@ func (s *Session) RunGSNP(ds *seqsim.Dataset, opts GSNPOptions) (*gsnp.Report, [
 	if computeWorkers == 0 {
 		computeWorkers = 1
 	}
+	window := opts.Window
+	if window == 0 {
+		window = gsnp.DefaultWindow
+	}
 	eng, err := gsnp.New(gsnp.Config{
-		Chr:            ds.Spec.Name,
-		Ref:            ds.Ref.Seq,
-		Known:          KnownSNPs(ds),
-		Window:         opts.Window,
 		Mode:           opts.Mode,
 		Device:         dev,
 		Variant:        opts.Variant,
 		Sort:           opts.Sort,
-		CompressOutput: opts.Compress,
-		Prefetch:       opts.Prefetch,
 		SortWorkers:    sortWorkers,
 		ComputeWorkers: computeWorkers,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("harness: gsnp config: %v", err))
 	}
-	var buf bytes.Buffer
-	rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
-	if err != nil {
-		panic(fmt.Sprintf("harness: gsnp run failed: %v", err))
-	}
-	return rep, buf.Bytes()
+	rep, out := run(ds, pipeline.Config{Window: window, CompressOutput: opts.Compress, Prefetch: opts.Prefetch}, eng)
+	return &GSNPReport{Report: rep, Device: eng.Report()}, out
 }
 
 // MeasureCPUBandwidth estimates the host's sequential memory read

@@ -73,17 +73,12 @@ func NewQuarantine(chr string, window, start, end int, cause error) Quarantine {
 	if errors.As(cause, &re) {
 		q.Line, q.Offset = re.Record()
 	}
-	var pe *PanicError
+	var pe *par.PanicError
 	if errors.As(cause, &pe) {
 		q.Panicked = true
 	}
 	return q
 }
-
-// PanicError is the one type a recovered panic travels as, whichever
-// goroutine it happened on: a window's own, a shard of one of its parallel
-// passes (par.Do re-raises it on the window's), or a whole task's (sched).
-type PanicError = par.PanicError
 
 // Containable reports whether a window failure is scoped to the window:
 // record-level input errors and recovered panics are; everything else
@@ -93,7 +88,7 @@ func Containable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	var pe *PanicError
+	var pe *par.PanicError
 	var re RecordError
 	return errors.As(err, &pe) || errors.As(err, &re)
 }

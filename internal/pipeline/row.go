@@ -98,7 +98,7 @@ func CalibrationPass(src Source, ref dna.Sequence, sink func(*reads.AlignedRead)
 // aligned bases for the mean-depth estimate it returns, along with the
 // length of the longest read it saw (the dep_count stride of pass two
 // follows from it; see Run). The caller may supply a sink that sees every
-// read (it writes the compressed temporary input during the same pass).
+// read during the same pass (the driver passes none).
 // Taking the calibration from the caller lets the driver reuse one set of
 // counters for every input it runs.
 func Calibrate(cal *bayes.Calibration, src Source, ref dna.Sequence, sink func(*reads.AlignedRead) error) (meanDepth float64, longest int, err error) {

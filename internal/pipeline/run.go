@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"gsnp/internal/bayes"
@@ -64,12 +63,6 @@ type Config struct {
 	// CompressOutput writes the GSNP compressed container instead of text;
 	// it takes precedence over VCFOutput.
 	CompressOutput bool
-	// UseTempInput makes cal_p_matrix write the compressed temporary
-	// input file during its pass and the windowed pass read it back
-	// (Section V-A: the second read costs roughly a third of the bytes).
-	UseTempInput bool
-	// TempDir locates the temporary input file (default os.TempDir()).
-	TempDir string
 	// Scratch supplies the driver's recycled per-run storage; nil runs on
 	// fresh storage.
 	Scratch *Scratch
@@ -295,20 +288,6 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 	// calibrate the score matrix, then the kernel builds its tables from
 	// the counters on the CPU (Section IV-G) and loads them.
 	t0 := time.Now()
-	var tee func(*reads.AlignedRead) error
-	var tw *snpio.TempWriter
-	var tempPath string
-	if cfg.UseTempInput {
-		f, err := os.CreateTemp(cfg.TempDir, "gsnp-temp-*.bin")
-		if err != nil {
-			return nil, fmt.Errorf("cal_p_matrix: %w", err)
-		}
-		tempPath = f.Name()
-		defer os.Remove(tempPath)
-		defer f.Close()
-		tw = snpio.NewTempWriter(f, cfg.Chr)
-		tee = tw.Write
-	}
 	// Quarantine mode tolerates malformed records in this pass: the scan
 	// must see the whole input, so a corrupt line is skipped and counted
 	// rather than aborting the run. Window-level containment happens in
@@ -327,23 +306,9 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 	if sc.cal == nil {
 		sc.cal = bayes.NewCalibration()
 	}
-	meanDepth, longest, err := Calibrate(sc.cal, calSrc, cfg.Ref, tee)
+	meanDepth, longest, err := Calibrate(sc.cal, calSrc, cfg.Ref, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cal_p_matrix: %w", err)
-	}
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			return nil, fmt.Errorf("cal_p_matrix: temp input: %w", err)
-		}
-		// The windowed pass reads the compressed temporary file instead
-		// of the original input (Section V-A).
-		src = FuncSource(func() (ReadIter, error) {
-			f, err := os.Open(tempPath)
-			if err != nil {
-				return nil, err
-			}
-			return &tempIter{f: f, tr: snpio.NewTempReader(f)}, nil
-		})
 	}
 	rep.MeanDepth = meanDepth
 	rep.Observations = int64(sc.cal.Observations())
@@ -439,7 +404,7 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 }
 
 // windowAttempt runs the window hook and components 3-7 for one window,
-// converting a panic into a *PanicError when quarantine is enabled (without
+// converting a panic into a *par.PanicError when quarantine is enabled (without
 // quarantine, panics propagate and crash as before).
 func windowAttempt(ctx context.Context, cfg *Config, k Kernel, rs []reads.AlignedRead, start, end int) (err error) {
 	if cfg.Quarantine {
@@ -491,26 +456,6 @@ func (e *ReadLengthError) Error() string {
 
 // Record implements RecordError; the input position is not tracked here.
 func (e *ReadLengthError) Record() (line int, offset int64) { return 0, -1 }
-
-// tempIter streams the compressed temporary input file, closing it when
-// the stream ends — at EOF or on any read error, so an aborted run does
-// not leak the descriptor.
-type tempIter struct {
-	f  *os.File
-	tr *snpio.TempReader
-}
-
-func (it *tempIter) Next() (reads.AlignedRead, error) {
-	r, err := it.tr.Next()
-	if err != nil && it.f != nil {
-		cerr := it.f.Close()
-		it.f = nil
-		if err == io.EOF && cerr != nil {
-			err = cerr
-		}
-	}
-	return r, err
-}
 
 // countingWriter tracks bytes written to the sink.
 type countingWriter struct {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -400,35 +399,5 @@ func TestRunLongerReadInPassTwo(t *testing.T) {
 	}
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Window != 0 || !reflect.DeepEqual(k.windows, []int{1}) {
 		t.Errorf("quarantined %v, windows run %v; want window 0 quarantined and window 1 run", rep.Quarantined, k.windows)
-	}
-}
-
-func TestTempIterClosesOnReadError(t *testing.T) {
-	// A corrupt temporary input must not leak the descriptor: the iterator
-	// closes the file on any error, not only io.EOF.
-	f, err := os.CreateTemp(t.TempDir(), "gsnp-bad-*.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("NOTMAGIC-and-then-garbage"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	it := &tempIter{f: f, tr: snpio.NewTempReader(f)}
-	_, nerr := it.Next()
-	if nerr == nil || errors.Is(nerr, io.EOF) {
-		t.Fatalf("corrupt stream returned %v, want a parse error", nerr)
-	}
-	if it.f != nil {
-		t.Error("iterator kept the file handle after a read error")
-	}
-	if cerr := f.Close(); !errors.Is(cerr, os.ErrClosed) {
-		t.Errorf("file was not closed on read error (second Close: %v)", cerr)
-	}
-	// Further Next calls must not panic on the released handle.
-	if _, again := it.Next(); again == nil {
-		t.Error("Next after failure returned nil error")
 	}
 }

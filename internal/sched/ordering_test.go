@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gsnp/internal/par"
 )
 
 // TestRunPolicyResultOrderingMixedFailures makes the scheduler's in-order
@@ -67,7 +69,7 @@ func TestRunPolicyResultOrderingMixedFailures(t *testing.T) {
 				}
 				switch kind(i) {
 				case "panic":
-					var pe *PanicError
+					var pe *par.PanicError
 					if !errors.As(r.Err, &pe) || !r.Panicked {
 						t.Errorf("%s: err %v panicked %v, want recovered panic", r.Name, r.Err, r.Panicked)
 					} else if want := fmt.Sprintf("boom-%d", i); fmt.Sprint(pe.Value) != want {

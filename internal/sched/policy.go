@@ -31,9 +31,12 @@ type Policy struct {
 	// ignores its context runs to completion, but the engines check their
 	// context at every window boundary.
 	Timeout time.Duration
-	// RecoverPanics converts a panicking attempt into a *PanicError with
-	// the stack captured, instead of crashing the process. Sibling tasks
-	// are unaffected (subject to ContinueOnError).
+	// RecoverPanics converts a panicking attempt into a *par.PanicError
+	// with the stack captured, instead of crashing the process — the same
+	// type a shard of a parallel pass re-raises (par.Do) and the driver's
+	// window containment produces, so a panic that crossed those on its way
+	// up arrives here once, with the stack of the goroutine it happened on.
+	// Sibling tasks are unaffected (subject to ContinueOnError).
 	RecoverPanics bool
 	// ContinueOnError keeps the pool running after a failure: every task
 	// still executes, and the run error is the lowest-index failure. The
@@ -47,12 +50,6 @@ type Policy struct {
 	// sleep is a test hook; nil selects a real context-aware sleep.
 	sleep func(ctx context.Context, d time.Duration) error
 }
-
-// PanicError is what Policy.RecoverPanics turns a task panic into. It is
-// the same type a shard of a parallel pass re-raises (par.Do) and the
-// driver's window containment produces, so a panic that crossed those on its
-// way up arrives here once, with the stack of the goroutine it happened on.
-type PanicError = par.PanicError
 
 // Delay reports the backoff before retry k (1-based) — exposed so tests
 // and operators can predict a policy's schedule.

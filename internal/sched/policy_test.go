@@ -126,7 +126,7 @@ func TestPolicyDeadlineRetry(t *testing.T) {
 }
 
 // TestPolicyPanicBecomesError: a panicking task is converted to a
-// *PanicError with the stack captured, and sibling tasks are unaffected.
+// *par.PanicError with the stack captured, and sibling tasks are unaffected.
 func TestPolicyPanicBecomesError(t *testing.T) {
 	ran := make([]atomic.Bool, 3)
 	tasks := make([]Task[int, struct{}], 3)
@@ -143,7 +143,7 @@ func TestPolicyPanicBecomesError(t *testing.T) {
 	pol := Policy{RecoverPanics: true, ContinueOnError: true}
 	results, _, err := Run(context.Background(), 2, pol, nil, tasks)
 
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("run error %v is not a PanicError", err)
 	}
@@ -183,7 +183,7 @@ func TestPolicyShardPanicKeepsItsStack(t *testing.T) {
 		return 0, nil
 	}}}
 	results, _, err := Run(context.Background(), 1, Policy{RecoverPanics: true}, nil, tasks)
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) || pe != shard || results[0].Err != error(shard) || !results[0].Panicked {
 		t.Fatalf("err = %v, task err = %v, want the shard's own *par.PanicError; panicked = %t", err, results[0].Err, results[0].Panicked)
 	}

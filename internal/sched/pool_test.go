@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gsnp/internal/par"
 )
 
 // dequeueLog records the pool's dispatch order via the OnDequeue hook.
@@ -333,7 +335,7 @@ func TestPoolPolicyAppliesPerTask(t *testing.T) {
 	}
 	res := drain(t, j, len(tasks))
 
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(res[0].Err, &pe) || !res[0].Panicked {
 		t.Errorf("panicking task: err %v panicked %v, want PanicError", res[0].Err, res[0].Panicked)
 	}

@@ -43,7 +43,7 @@ func BenchmarkServeCachedJob(b *testing.B) {
 	if _, state := readStream(b, ts, id); state != StateDone {
 		b.Fatalf("priming state %q", state)
 	}
-	waitForPuts(b, ts, 1)
+	requirePuts(b, ts, 1)
 	primed := dequeues.Load()
 
 	b.ResetTimer()

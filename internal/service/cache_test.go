@@ -52,22 +52,16 @@ func statz(t testing.TB, ts *httptest.Server) Statz {
 	return st
 }
 
-// waitForPuts polls /statz until the cache holds at least n stored
-// results: the Put happens after the final stream record is published, so
-// a test that read the stream to its end must still wait a beat before a
-// resubmission is guaranteed to hit the cache rather than join the
-// closing flight.
-func waitForPuts(t testing.TB, ts *httptest.Server, n uint64) {
+// requirePuts asserts, once, that the cache holds at least n stored
+// results. Call it after a clean job's stream has been read to its Final
+// record: finish stores the result before it publishes that record, so a
+// resubmission from here on hits the cache rather than joining a closing
+// flight — there is nothing to wait for, and a poll here would hide a
+// regression of that order.
+func requirePuts(t testing.TB, ts *httptest.Server, n uint64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := statz(t, ts); st.Cache.Puts >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cache never reached %d puts: %+v", n, statz(t, ts))
-		}
-		time.Sleep(2 * time.Millisecond)
+	if st := statz(t, ts); st.Cache.Puts < n {
+		t.Fatalf("cache holds %d stored results after the Final record, want >= %d: %+v", st.Cache.Puts, n, st)
 	}
 }
 
@@ -101,7 +95,7 @@ func TestServiceCacheHitReplay(t *testing.T) {
 	if state1 != StateDone {
 		t.Fatalf("first run state %q, want done", state1)
 	}
-	waitForPuts(t, ts, 1)
+	requirePuts(t, ts, 1)
 	cold := dequeues.Load()
 	if cold == 0 {
 		t.Fatal("cold run performed no pool work")
@@ -316,7 +310,7 @@ func TestServiceConcurrentStreamSubscribers(t *testing.T) {
 
 	idLive := postJob(t, ts, spec)
 	check("live", subscribeAll(idLive))
-	waitForPuts(t, ts, 1)
+	requirePuts(t, ts, 1)
 
 	idCached := postJob(t, ts, spec)
 	check("cached", subscribeAll(idCached))
@@ -405,7 +399,7 @@ func TestServiceCacheNeverStoresDegradedJobs(t *testing.T) {
 	if dequeues.Load() == before {
 		t.Error("rerun after cancel dispatched no pool work")
 	}
-	waitForPuts(t, ts, 1)
+	requirePuts(t, ts, 1)
 
 	// Changed input bytes: the content-addressed key moves, the stale
 	// result cannot be served.
@@ -436,7 +430,7 @@ func TestServiceCacheEviction(t *testing.T) {
 	// Measure job A's cached size with an unconstrained server.
 	_, ts := newTestServer(t, Config{Workers: 2})
 	readStream(t, ts, postJob(t, ts, specA))
-	waitForPuts(t, ts, 1)
+	requirePuts(t, ts, 1)
 	sizeA := statz(t, ts).Cache.Bytes
 	if sizeA <= 0 {
 		t.Fatalf("no occupancy after caching job A: %+v", statz(t, ts))
@@ -446,9 +440,9 @@ func TestServiceCacheEviction(t *testing.T) {
 	cfg, dequeues := dequeueCounter(Config{Workers: 2, CacheBytes: sizeA})
 	_, ts2 := newTestServer(t, cfg)
 	readStream(t, ts2, postJob(t, ts2, specA))
-	waitForPuts(t, ts2, 1)
+	requirePuts(t, ts2, 1)
 	readStream(t, ts2, postJob(t, ts2, specB))
-	waitForPuts(t, ts2, 2)
+	requirePuts(t, ts2, 2)
 	st := statz(t, ts2)
 	if st.Cache.Evictions == 0 {
 		t.Fatalf("storing past the budget evicted nothing: %+v", st)
@@ -515,7 +509,7 @@ func TestServiceCachedServeZeroPoolWork(t *testing.T) {
 	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
 
 	readStream(t, ts, postJob(t, ts, spec))
-	waitForPuts(t, ts, 1)
+	requirePuts(t, ts, 1)
 	primed := dequeues.Load()
 
 	for i := 0; i < 5; i++ {
@@ -568,7 +562,7 @@ func TestServiceCancelFollowerIsolation(t *testing.T) {
 	if _, state := readStream(t, ts, idLeader); state != StateDone {
 		t.Fatalf("leader state %q after follower cancel, want done", state)
 	}
-	waitForPuts(t, ts, 1)
+	requirePuts(t, ts, 1)
 	if st := statz(t, ts); st.Cache.Puts != 1 {
 		t.Errorf("leader result not cached after follower cancel: %+v", st)
 	}

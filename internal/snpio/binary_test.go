@@ -9,7 +9,9 @@ import (
 	"slices"
 	"testing"
 
+	"gsnp/internal/dna"
 	"gsnp/internal/gpu"
+	"gsnp/internal/reads"
 )
 
 // makeRows builds a realistic window of result rows: mostly hom-ref with
@@ -314,6 +316,62 @@ func TestTempInputRoundTrip(t *testing.T) {
 	}
 	if tr.Chromosome() != "chrT" {
 		t.Errorf("chromosome = %q", tr.Chromosome())
+	}
+}
+
+// tempRoundTrip writes rs through the temporary-input codec and reads the
+// stream back to its end.
+func tempRoundTrip(rs []reads.AlignedRead) ([]reads.AlignedRead, error) {
+	var buf bytes.Buffer
+	tw := NewTempWriter(&buf, "chrT")
+	for i := range rs {
+		if err := tw.Write(&rs[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		return nil, err
+	}
+	got := make([]reads.AlignedRead, 0, len(rs))
+	tr := NewTempReader(&buf)
+	for {
+		r, err := tr.Next()
+		if err == io.EOF {
+			return got, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		got = append(got, r)
+	}
+}
+
+// TestTempHitsRoundTrip pins the strand/hits field at every width it can
+// take: Hits is a full byte, and the caller treats Hits == 1 as "uniquely
+// aligned", so a hit count that loses its top bit (129 read back as 1)
+// silently promotes a repeat read.
+func TestTempHitsRoundTrip(t *testing.T) {
+	rs := []reads.AlignedRead{}
+	for _, hits := range []uint8{1, 63, 64, 127, 128, 129, 255} {
+		for strand := uint8(0); strand < 2; strand++ {
+			rs = append(rs, reads.AlignedRead{
+				ID: int64(len(rs)), Pos: 3 * len(rs), Strand: strand, Hits: hits,
+				Bases: dna.Sequence{dna.A, dna.C, dna.G, dna.T}, Quals: []dna.Quality{40, 30, 20, 10},
+			})
+		}
+	}
+	got, err := tempRoundTrip(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rs) {
+		t.Fatalf("%d reads back, wrote %d", len(got), len(rs))
+	}
+	for i := range rs {
+		if !reflect.DeepEqual(got[i], rs[i]) {
+			t.Errorf("read %d: wrote strand %d hits %d, read back strand %d hits %d (%+v)",
+				i, rs[i].Strand, rs[i].Hits, got[i].Strand, got[i].Hits, got[i])
+		}
 	}
 }
 

@@ -86,7 +86,10 @@ func (tw *TempWriter) flushBlock() error {
 		meta = appendUvarint(meta, uint64(r.Pos-prev))
 		prev = r.Pos
 		meta = appendUvarint(meta, uint64(r.ID))
-		meta = append(meta, r.Strand|r.Hits<<1)
+		// Strand and hit count share one uvarint: Hits is a full byte, so
+		// the pair needs nine bits, and the caller weighs Hits == 1
+		// (uniquely aligned) differently from every other value.
+		meta = appendUvarint(meta, uint64(r.Strand)|uint64(r.Hits)<<1)
 		meta = appendUvarint(meta, uint64(len(r.Bases)))
 		for _, b := range r.Bases {
 			baseCodes = append(baseCodes, uint8(b))
@@ -228,11 +231,14 @@ func (tr *TempReader) readBlock() error {
 			return err
 		}
 		mOff = m2
-		if mOff >= len(meta) {
-			return fmt.Errorf("snpio: truncated read metadata")
+		sh, m2, err := uvarintAt(meta, mOff)
+		if err != nil {
+			return err
 		}
-		sh := meta[mOff]
-		mOff++
+		if sh > 511 { // a strand bit and a byte of hits
+			return fmt.Errorf("snpio: strand/hits field %d out of range", sh)
+		}
+		mOff = m2
 		rl64, m2, err := uvarintAt(meta, mOff)
 		if err != nil {
 			return err
@@ -246,8 +252,8 @@ func (tr *TempReader) readBlock() error {
 		r := &tr.buf[i]
 		r.Pos = prev
 		r.ID = int64(id)
-		r.Strand = sh & 1
-		r.Hits = sh >> 1
+		r.Strand = uint8(sh & 1)
+		r.Hits = uint8(sh >> 1)
 		r.Bases = make(dna.Sequence, rl)
 		r.Quals = make([]dna.Quality, rl)
 		for k := 0; k < rl; k++ {

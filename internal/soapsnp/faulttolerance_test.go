@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsnp/internal/par"
 	"gsnp/internal/pipeline"
 )
 
@@ -43,25 +44,23 @@ func withoutWindow(t *testing.T, out []byte, start, end int) []byte {
 func TestQuarantineWindowPanic(t *testing.T) {
 	ds := testDataset(t, 3000, 8, 17)
 	const window = 1000
-	clean := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: knownFromDataset(ds), Window: window})
 	var cleanBuf bytes.Buffer
-	if _, err := clean.Run(pipeline.MemSource(ds.Reads), &cleanBuf); err != nil {
+	if _, err := startRun(context.Background(), New(Config{}), ds, pipeline.Config{Window: window}, &cleanBuf); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, threads := range []int{1, 4} {
-		eng := New(Config{
-			Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: knownFromDataset(ds),
-			Window: window, Threads: threads, Quarantine: true,
+		run := pipeline.Config{
+			Window: window, Quarantine: true,
 			WindowHook: func(ctx context.Context, win, start, end int) error {
 				if win == 1 {
 					panic("injected window panic")
 				}
 				return nil
 			},
-		})
+		}
 		var buf bytes.Buffer
-		rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
+		rep, err := startRun(context.Background(), New(Config{Threads: threads}), ds, run, &buf)
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -82,7 +81,7 @@ func TestQuarantineWindowPanic(t *testing.T) {
 // crashing the process) after every worker has drained. A nil tables
 // pointer makes the first non-zero site panic inside DenseLikelihood.
 func TestLikelihoodParallelTrapsPanic(t *testing.T) {
-	eng := New(Config{Window: 8, Threads: 4})
+	eng := New(Config{Threads: 4})
 	eng.allocWindow(8, 4)
 	eng.baseOcc[0] = 1 // site 0 has coverage; the tables are unbuilt => panic
 	rep := &pipeline.Report{NonZeroHist: make([]int64, pipeline.SparsityHistSize)}
@@ -91,9 +90,9 @@ func TestLikelihoodParallelTrapsPanic(t *testing.T) {
 		if v == nil {
 			t.Fatal("worker panic was not re-raised")
 		}
-		pe, ok := v.(*pipeline.PanicError)
+		pe, ok := v.(*par.PanicError)
 		if !ok {
-			t.Fatalf("re-raised value is %T, want *pipeline.PanicError", v)
+			t.Fatalf("re-raised value is %T, want *par.PanicError", v)
 		}
 		if len(pe.Stack) == 0 {
 			t.Error("re-raised panic carries no stack")
@@ -106,10 +105,9 @@ func TestLikelihoodParallelTrapsPanic(t *testing.T) {
 // engine.
 func TestRunContextCancelled(t *testing.T) {
 	ds := testDataset(t, 2000, 6, 5)
-	eng := New(Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Window: 500})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.RunContext(ctx, pipeline.MemSource(ds.Reads), &bytes.Buffer{}); !errors.Is(err, context.Canceled) {
+	if _, err := startRun(ctx, New(Config{}), ds, pipeline.Config{Window: 500}, &bytes.Buffer{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -186,7 +186,7 @@ func TestDenseLikelihoodDoesNotAllocate(t *testing.T) {
 // and fetches the reads of the window [0, window).
 func directEngine(t *testing.T, ds *seqsim.Dataset, window, threads int) (*Engine, []reads.AlignedRead) {
 	t.Helper()
-	eng := New(Config{Window: window, Threads: threads})
+	eng := New(Config{Threads: threads})
 	eng.tables = *bayes.BuildTables(bayes.NewPMatrixFromPhred())
 	eng.run = &pipeline.RunState{
 		Config: pipeline.Config{Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Priors: bayes.DefaultPriors(), Window: window},
@@ -259,7 +259,7 @@ func TestCountMatchesObsOf(t *testing.T) {
 	}
 
 	const n = end - start
-	eng := New(Config{Window: n})
+	eng := New(Config{})
 	eng.allocWindow(n, pipeline.MinStride)
 	wantOcc := make([]uint8, n*bayes.BaseOccSize)
 	for _, win := range [][2]int{{start, end}, {0, n}} {

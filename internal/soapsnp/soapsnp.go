@@ -9,10 +9,8 @@
 package soapsnp
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"gsnp/internal/bayes"
@@ -23,21 +21,10 @@ import (
 	"gsnp/internal/snpio"
 )
 
-// Config parameterises a run: the settings every engine shares (all but
-// Threads — see pipeline.Config, which Run maps them onto) and the dense
-// kernel's own.
+// Config holds what only the dense kernel reads. Everything a run shares
+// with the other engines is pipeline.Config, handed to pipeline.Run next to
+// the Engine.
 type Config struct {
-	// Chr names the chromosome in output rows.
-	Chr string
-	// Ref is the reference sequence.
-	Ref dna.Sequence
-	// Known holds the prior file records (nil for none).
-	Known snpio.KnownSNPs
-	// Window is the number of sites per window; SOAPsnp's default is
-	// 4,000 (Section VI-A).
-	Window int
-	// Priors configures the genotype prior model.
-	Priors bayes.Priors
 	// Threads parallelises the likelihood calculation across the sites
 	// of a window. The shipped SOAPsnp is single-threaded (the paper's
 	// baseline); the paper's authors report that their 16-thread port
@@ -45,33 +32,20 @@ type Config struct {
 	// bandwidth (Section VI-A). Zero or one selects the single-threaded
 	// baseline.
 	Threads int
-	// Prefetch overlaps read_site I/O for window i+1 with the
-	// computation of window i. The serial path remains the default so
-	// the Table I component timings are unaffected.
-	Prefetch bool
-	// Quarantine contains window-level failures (malformed records,
-	// panicking windows) instead of aborting the run.
-	Quarantine bool
-	// WindowHook, when non-nil, runs before each window's computation —
-	// the fault-injection seam (see internal/faults).
-	WindowHook func(ctx context.Context, window, start, end int) error
-	// VCFOutput writes VCFv4.2 variant records instead of the 17-column
-	// result table, so either engine can serve the FASTQ-to-VCF workload.
-	VCFOutput bool
 }
 
-// DefaultWindow is SOAPsnp's window size from the paper's setup.
+// DefaultWindow is SOAPsnp's window size from the paper's setup (Section
+// VI-A); the caller of pipeline.Run sets it as pipeline.Config.Window.
 const DefaultWindow = 4000
 
 // Engine is the dense window kernel — components 3-7 over base_occ —
 // behind the two-pass driver (pipeline.Run). One Engine may be reused for
-// several runs; it owns the large window buffers, the score tables and,
-// for its own Run, the driver's scratch, so a second run allocates next to
-// nothing.
+// several runs, one at a time; it owns the large window buffers and the
+// score tables, so a second run given the same pipeline.Config.Scratch
+// allocates next to nothing.
 type Engine struct {
-	cfg     Config
-	tables  bayes.Tables
-	scratch pipeline.Scratch
+	cfg    Config
+	tables bayes.Tables
 
 	// run is the driver's side of the current run, handed over in Prepare:
 	// the shared settings, the dep_count stride, the report and the sink.
@@ -92,28 +66,7 @@ type Engine struct {
 }
 
 // New creates an engine.
-func New(cfg Config) *Engine {
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
-	}
-	return &Engine{cfg: cfg}
-}
-
-// Run executes the seven-component pipeline over src, writing the result
-// table as text to w.
-func (e *Engine) Run(src pipeline.Source, w io.Writer) (*pipeline.Report, error) {
-	return e.RunContext(context.Background(), src, w)
-}
-
-// RunContext is Run with cooperative cancellation; see pipeline.Run.
-func (e *Engine) RunContext(ctx context.Context, src pipeline.Source, w io.Writer) (*pipeline.Report, error) {
-	c := &e.cfg
-	return pipeline.Run(ctx, pipeline.Config{
-		Chr: c.Chr, Ref: c.Ref, Known: c.Known, Priors: c.Priors, Window: c.Window,
-		Prefetch: c.Prefetch, Quarantine: c.Quarantine, WindowHook: c.WindowHook,
-		VCFOutput: c.VCFOutput, Scratch: &e.scratch,
-	}, src, w, e)
-}
+func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 
 // Prepare implements pipeline.Kernel: derive p_matrix and the log/adjust
 // tables from the calibration — the dense likelihood takes its logarithms

@@ -2,6 +2,7 @@ package soapsnp
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -38,16 +39,20 @@ func knownFromDataset(ds *seqsim.Dataset) snpio.KnownSNPs {
 	return known
 }
 
+// startRun is the one place these tests start a run, the way every caller of
+// the engine does: the shared settings in a pipeline.Config — the data set
+// fills the chromosome, the reference and the prior file, the caller the
+// rest — the kernel's own in the Engine, pipeline.Run over both.
+func startRun(ctx context.Context, eng *Engine, ds *seqsim.Dataset, run pipeline.Config, w io.Writer) (*pipeline.Report, error) {
+	run.Chr, run.Ref, run.Known = ds.Spec.Name, ds.Ref.Seq, knownFromDataset(ds)
+	return pipeline.Run(ctx, run, pipeline.MemSource(ds.Reads), w, eng)
+}
+
 func runEngine(t *testing.T, ds *seqsim.Dataset, window int) (*pipeline.Report, []snpio.Row, *Engine) {
 	t.Helper()
-	eng := New(Config{
-		Chr:    ds.Spec.Name,
-		Ref:    ds.Ref.Seq,
-		Known:  knownFromDataset(ds),
-		Window: window,
-	})
+	eng := New(Config{})
 	var buf bytes.Buffer
-	rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
+	rep, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: window}, &buf)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -289,12 +294,8 @@ func TestMultithreadedLikelihoodIdenticalOutput(t *testing.T) {
 	// genotypes as the single-threaded baseline.
 	ds := testDataset(t, 4000, 9, 81)
 	_, want, _ := runEngine(t, ds, 900)
-	eng := New(Config{
-		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: knownFromDataset(ds),
-		Window: 900, Threads: 8,
-	})
 	var buf bytes.Buffer
-	rep, err := eng.Run(pipeline.MemSource(ds.Reads), &buf)
+	rep, err := startRun(context.Background(), New(Config{Threads: 8}), ds, pipeline.Config{Window: 900}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,34 +322,34 @@ func TestMultithreadedLikelihoodIdenticalOutput(t *testing.T) {
 
 // TestRunContextWarmScratch is the dense engine's half of the recycle
 // contract gsnp pins with TestRunContextWarmArena: an engine that has served
-// one run keeps the driver's scratch (calibration counters, read buffer,
-// output buffer), its p_matrix and its window buffers, and rebuilds them in
-// place. The bytes of a run on a warm engine equal a fresh engine's, and the
+// one run keeps its p_matrix and its window buffers, the Scratch handed to
+// both runs keeps the driver's storage (calibration counters, read buffer,
+// output buffer), and all of it is rebuilt in place. The bytes of a run on
+// a warm engine and scratch equal a fresh pair's, and the
 // warm run allocates a small fraction of the 5 MB of counters, matrix and
 // output buffer a run used to allocate for itself.
 func TestRunContextWarmScratch(t *testing.T) {
 	first := testDataset(t, 3000, 12, 71)
 	second := testDataset(t, 2000, 7, 72)
 	for _, vcf := range []bool{false, true} {
-		run := func(eng *Engine, ds *seqsim.Dataset) []byte {
-			eng.cfg.Chr, eng.cfg.Ref, eng.cfg.Known = ds.Spec.Name, ds.Ref.Seq, knownFromDataset(ds)
+		run := func(eng *Engine, sc *pipeline.Scratch, ds *seqsim.Dataset) []byte {
 			var buf bytes.Buffer
-			if _, err := eng.Run(pipeline.MemSource(ds.Reads), &buf); err != nil {
+			if _, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: 800, VCFOutput: vcf, Scratch: sc}, &buf); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
 		}
-		want := run(New(Config{Window: 800, VCFOutput: vcf}), second)
-		warm := New(Config{Window: 800, VCFOutput: vcf})
-		run(warm, first)
-		if got := run(warm, second); !bytes.Equal(got, want) {
+		want := run(New(Config{}), nil, second)
+		warm, sc := New(Config{}), new(pipeline.Scratch)
+		run(warm, sc, first)
+		if got := run(warm, sc, second); !bytes.Equal(got, want) {
 			t.Errorf("vcf=%t: output of an engine warmed by another chromosome differs from a fresh engine's", vcf)
 		}
 	}
 
-	eng := New(Config{Chr: first.Spec.Name, Ref: first.Ref.Seq, Window: 800})
+	eng, warm := New(Config{}), pipeline.Config{Window: 800, Scratch: new(pipeline.Scratch)}
 	run := func() {
-		if _, err := eng.Run(pipeline.MemSource(first.Reads), io.Discard); err != nil {
+		if _, err := startRun(context.Background(), eng, first, warm, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}
