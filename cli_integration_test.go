@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -436,6 +438,42 @@ func TestCLIResumeAfterKill(t *testing.T) {
 		t.Errorf("resume did not skip checkpointed chromosomes:\n%s", stderr)
 	}
 	compareResults(t, baseDir, workDir)
+}
+
+// TestCLIDenseGenomeMemory pins what a genome-dir run of the dense engine
+// keeps resident: its one worker builds one dense kernel and keeps it for
+// every chromosome, so a three-chromosome run peaks near one dense window
+// (4,000 sites x 128 KiB = 500 MiB) — not one per chromosome, which is what
+// a kernel built per chromosome costs before the collector catches up. The
+// bound is 1.5 windows.
+func TestCLIDenseGenomeMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("peak RSS is read from Linux's rusage")
+	}
+	dir := t.TempDir()
+	for _, chr := range []string{"chr20", "chr21", "chr22"} {
+		run(t, "gsnp-gen", "-out", dir, "-chr", chr, "-scale", "60", "-seed", "3")
+	}
+	bin, err := buildTools()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(bin, "gsnp"), "-genome-dir", dir, "-engine", "soapsnp", "-workers", "1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("gsnp: %v\n%s", err, out)
+	}
+	// Maxrss is in KiB on Linux. It is read by name because only the Unix
+	// rusage has the field, and this file builds everywhere.
+	const window = 4000 * 128 << 10
+	const limit = 3 * window / 2
+	peak := reflect.ValueOf(cmd.ProcessState.SysUsage()).Elem().FieldByName("Maxrss").Int() << 10
+	if peak >= limit {
+		t.Errorf("dense genome-dir run peaked at %d MiB, want < %d MiB", peak>>20, limit>>20)
+	}
+	t.Logf("dense genome-dir run over 3 chromosomes: peak RSS %d MiB", peak>>20)
 }
 
 // TestCLIExperimentsList checks the experiment runner's surface.

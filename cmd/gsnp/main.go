@@ -69,7 +69,6 @@ import (
 	"gsnp/internal/checkpoint"
 	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
-	"gsnp/internal/gsnp"
 	"gsnp/internal/sched"
 )
 
@@ -186,7 +185,7 @@ func run() (err error) {
 		defer cancel()
 	}
 	unit := genomejob.Unit{Name: filepath.Base(*refPath), Ref: *refPath, Aln: *alnPath, SNP: *snpPath}
-	res, err := genomejob.Call(ctx, opts.call, unit, out, os.Stderr, nil)
+	res, err := new(genomejob.Worker).Call(ctx, opts.call, unit, out, os.Stderr)
 	if err != nil {
 		return err
 	}
@@ -238,7 +237,7 @@ func runGenome(dir string, opts options) error {
 	// chromosomes get their report entry up front and never enter the pool.
 	reports := make([]checkpoint.TaskReport, 0, len(units))
 	var taskRep []int
-	var tasks []sched.Task[chrOutput, *gsnp.Arena]
+	var tasks []sched.Task[chrOutput, *genomejob.Worker]
 	for _, unit := range units {
 		name := unit.Name
 		if e, ok := cp.Done(name); ok {
@@ -250,15 +249,15 @@ func runGenome(dir string, opts options) error {
 		reports = append(reports, checkpoint.TaskReport{Name: name})
 		taskRep = append(taskRep, len(reports)-1)
 		unit := unit
-		tasks = append(tasks, sched.Task[chrOutput, *gsnp.Arena]{
+		tasks = append(tasks, sched.Task[chrOutput, *genomejob.Worker]{
 			Name: name,
-			Run: func(ctx context.Context, arena *gsnp.Arena) (chrOutput, error) {
+			Run: func(ctx context.Context, wk *genomejob.Worker) (chrOutput, error) {
 				var diag strings.Builder
 				f, err := os.Create(unit.OutPath)
 				if err != nil {
 					return chrOutput{}, err
 				}
-				res, err := genomejob.Call(ctx, opts.call, unit, f, &diag, arena)
+				res, err := wk.Call(ctx, opts.call, unit, f, &diag)
 				if cerr := f.Close(); err == nil {
 					err = cerr
 				}
@@ -281,12 +280,12 @@ func runGenome(dir string, opts options) error {
 		})
 	}
 
-	// One window arena per pool worker: every chromosome a worker runs
-	// recycles the same working set (outputs are unaffected — the arena
-	// only carries buffer capacity between runs).
+	// One genomejob.Worker per pool worker: every chromosome a worker runs
+	// recycles the same storage (outputs are unaffected — the worker only
+	// carries buffer capacity and a dense kernel between runs).
 	pol := genomejob.Policy(opts.retries, opts.retryBackoff, opts.taskTimeout)
 	results, stats, _ := sched.Run(context.Background(), opts.workers, pol,
-		func(int) *gsnp.Arena { return gsnp.NewArena() }, tasks)
+		func(int) *genomejob.Worker { return new(genomejob.Worker) }, tasks)
 
 	var okN, partialN, failedN, quarantinedN int
 	for i, r := range results {

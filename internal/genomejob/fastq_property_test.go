@@ -88,12 +88,13 @@ func TestFASTQToVCFProperties(t *testing.T) {
 			u := writeFASTQUnit(t, t.TempDir(), ds)
 
 			opts := Options{Engine: "gsnp-cpu", Format: "fastq"}
+			var wk Worker
 			var rowsOut, vcfOut bytes.Buffer
-			if _, err := Call(context.Background(), opts, u, &rowsOut, io.Discard, nil); err != nil {
+			if _, err := wk.Call(context.Background(), opts, u, &rowsOut, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			opts.OutputFormat = "vcf"
-			if _, err := Call(context.Background(), opts, u, &vcfOut, io.Discard, nil); err != nil {
+			if _, err := wk.Call(context.Background(), opts, u, &vcfOut, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 

@@ -2,9 +2,9 @@
 // into per-chromosome work units, used by both the gsnp CLI's -genome-dir
 // batch mode and the gsnpd service. A job is a set of <name>.fa/<name>.aln
 // pairs (the paper's production layout: 24 separate chromosome data sets);
-// each pair becomes one Unit, and Call runs one Unit through the selected
-// engine. Keeping discovery and engine dispatch here guarantees the CLI
-// and the service produce byte-identical output for the same inputs.
+// each pair becomes one Unit, and a Worker's Call runs one Unit through the
+// selected engine. Keeping discovery and engine dispatch here guarantees the
+// CLI and the service produce byte-identical output for the same inputs.
 package genomejob
 
 import (
@@ -312,11 +312,19 @@ func Policy(retries int, backoff, timeout time.Duration) sched.Policy {
 	}
 }
 
-// Call runs one unit through the selected engine, writing result rows to
-// out and (with Options.Stats) diagnostics to diag. arena, when non-nil,
-// supplies the recycled storage: the driver's scratch for every engine, the
-// window working set for the gsnp engines.
-func Call(ctx context.Context, o Options, u Unit, out, diag io.Writer, arena *gsnp.Arena) (Result, error) {
+// Worker is what one whole-genome worker keeps from unit to unit (the
+// paper's recycle, component 7, across chromosomes): the driver's scratch,
+// the sparse kernel's arena, and the dense kernel, built on its first soapsnp
+// unit. The zero value is ready; a Worker runs one unit at a time.
+type Worker struct {
+	scratch pipeline.Scratch
+	arena   gsnp.Arena
+	dense   *soapsnp.Engine
+}
+
+// Call runs one unit through the selected engine on the worker's storage,
+// writing result rows to out and (with Options.Stats) diagnostics to diag.
+func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Writer) (Result, error) {
 	var zero Result
 	refFile, err := os.Open(u.Ref)
 	if err != nil {
@@ -401,23 +409,23 @@ func Call(ctx context.Context, o Options, u Unit, out, diag io.Writer, arena *gs
 	}
 
 	// One engine run: the shared settings once, a window kernel picked by
-	// engine name, the two-pass driver over both. The arena lends the driver
-	// its scratch whichever kernel runs.
+	// engine name, the two-pass driver over both, all on the worker's
+	// storage.
 	cfg := pipeline.Config{
 		Chr: ref.Name, Ref: ref.Seq, Known: known, Window: o.Window,
 		Prefetch: o.Prefetch, Quarantine: o.Quarantine, WindowHook: hook,
-		VCFOutput: o.VCF(), CompressOutput: o.Compress,
-	}
-	if arena != nil {
-		cfg.Scratch = arena.Scratch()
+		VCFOutput: o.VCF(), CompressOutput: o.Compress, Scratch: &w.scratch,
 	}
 	var kernel pipeline.Kernel
 	var dev *gpu.Device
 	defaultWindow := gsnp.DefaultWindow
 	if o.Engine == "soapsnp" {
-		kernel, defaultWindow = soapsnp.New(soapsnp.Config{}), soapsnp.DefaultWindow
+		if w.dense == nil {
+			w.dense = soapsnp.New(soapsnp.Config{})
+		}
+		kernel, defaultWindow = w.dense, soapsnp.DefaultWindow
 	} else {
-		kc := gsnp.Config{Mode: gsnp.ModeCPU, ComputeWorkers: o.ComputeWorkers, Arena: arena}
+		kc := gsnp.Config{Mode: gsnp.ModeCPU, ComputeWorkers: o.ComputeWorkers, Arena: &w.arena}
 		if o.Engine == "gsnp-gpu" {
 			// One device per call: units scheduled concurrently must not
 			// share simulated-device state.

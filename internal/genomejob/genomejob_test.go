@@ -1,14 +1,21 @@
 package genomejob
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gsnp/internal/align"
 	"gsnp/internal/gsnp"
 	"gsnp/internal/pipeline"
+	"gsnp/internal/seqsim"
+	"gsnp/internal/snpio"
 	"gsnp/internal/soapsnp"
 )
 
@@ -244,5 +251,91 @@ func TestContentDigest(t *testing.T) {
 	u6.Ref = filepath.Join(dir, "missing.fa")
 	if _, err := u6.ContentDigest(); err == nil {
 		t.Errorf("digest of a missing input did not error")
+	}
+}
+
+// writeSOAPUnit materializes one simulated chromosome as a genome
+// directory's aligned inputs (<name>.fa + <name>.soap, no priors) and
+// returns the Unit describing them.
+func writeSOAPUnit(t *testing.T, dir string, spec seqsim.ChromosomeSpec) Unit {
+	t.Helper()
+	ds := seqsim.BuildDataset(spec)
+	var fa, soap bytes.Buffer
+	if err := snpio.WriteFASTA(&fa, snpio.FASTARecord{Name: spec.Name, Seq: ds.Ref.Seq}); err != nil {
+		t.Fatal(err)
+	}
+	if err := snpio.WriteSOAP(&soap, spec.Name, ds.Reads); err != nil {
+		t.Fatal(err)
+	}
+	u := Unit{Name: spec.Name + ".fa", Ref: filepath.Join(dir, spec.Name+".fa"), Aln: filepath.Join(dir, spec.Name+".soap")}
+	if err := os.WriteFile(u.Ref, fa.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(u.Aln, soap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// refusingWriter fails every write, as a full disk or a closed connection
+// does.
+type refusingWriter struct{}
+
+func (refusingWriter) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestWorkerRunsUnitsLikeFreshWorkers: one Worker carries its storage
+// through a sequence of units that switches engine, window size and output
+// codec, and through a dense unit whose output fails mid-window — the
+// output buffer fills, and so first writes, after 1 MB of rows — as a retry
+// on the same pool worker would see it. Every unit that succeeds writes the
+// bytes a fresh Worker writes, and the dense unit after the failure, which
+// finds the kept kernel sized for its window, allocates well under the
+// 131 MB of one 1000-site dense window.
+func TestWorkerRunsUnitsLikeFreshWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one unit at a time, and 1 MB of rows is minutes of dense scans under the race detector")
+	}
+	dir := t.TempDir()
+	small := writeSOAPUnit(t, dir, seqsim.ChromosomeSpec{Name: "chrA", Length: 8000, Depth: 8, MaskFraction: 0.1, Seed: 5})
+	large := writeSOAPUnit(t, dir, seqsim.ChromosomeSpec{Name: "chrB", Length: 30000, Depth: 8, MaskFraction: 0.1, Seed: 24})
+	dense := Options{Engine: "soapsnp", Format: "soap", Window: 1000}
+	ctx := context.Background()
+	var wk Worker
+	for _, step := range []struct {
+		name        string
+		o           Options
+		u           Unit
+		fails, warm bool
+	}{
+		{name: "soapsnp", o: dense, u: small},
+		{name: "gsnp-cpu", o: Options{Engine: "gsnp-cpu", Format: "soap"}, u: small},
+		{name: "soapsnp at another window", o: Options{Engine: "soapsnp", Format: "soap", Window: 600}, u: small},
+		{name: "gsnp-gpu compressed", o: Options{Engine: "gsnp-gpu", Format: "soap", Compress: true}, u: small},
+		{name: "soapsnp whose output fails", o: dense, u: large, fails: true},
+		{name: "soapsnp after the failure", o: dense, u: small, warm: true},
+	} {
+		if step.fails {
+			if _, err := wk.Call(ctx, step.o, step.u, refusingWriter{}, io.Discard); err == nil {
+				t.Fatalf("%s: the unit succeeded", step.name)
+			}
+			continue
+		}
+		var want, got bytes.Buffer
+		if _, err := new(Worker).Call(ctx, step.o, step.u, &want, io.Discard); err != nil {
+			t.Fatalf("%s on a fresh worker: %v", step.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := wk.Call(ctx, step.o, step.u, &got, io.Discard)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if want.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: the kept worker's bytes differ from a fresh worker's", step.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; step.warm && alloc >= 64<<20 {
+			t.Errorf("%s: a dense unit on a warm worker allocated %d MB, want < 64 MB", step.name, alloc>>20)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package gsnp
 import (
 	"gsnp/internal/bayes"
 	"gsnp/internal/par"
-	"gsnp/internal/pipeline"
 )
 
 // Arena is the reusable per-window working set — the storage side of the
@@ -11,17 +10,13 @@ import (
 // needs (observation arrays, base_word Batches, counts, likelihoods,
 // rank/quality arrays, result rows, GPU host staging) lives here and is
 // grow-only: a window resets lengths, never releases capacity, so
-// steady-state windows allocate nothing. The per-run storage lives here
-// too: the score tables (p_matrix and new_p_matrix, 7.3 MB that each run
-// rebuilds in place) and the two-pass driver's own Scratch (calibration
-// counters, read buffer, output buffer), which the arena lends to whichever
-// engine — sparse or dense — runs the chromosome.
+// steady-state windows allocate nothing. The score tables (p_matrix and
+// new_p_matrix, 7.3 MB that each run rebuilds in place) live here too.
 //
-// An Arena serves one engine run at a time but may be handed from run to
-// run — including across engines and modes — which is how the concurrent
-// chromosome scheduler (internal/sched) amortises window storage across a
-// whole genome: one Arena per pool worker, every chromosome it processes
-// reuses the same buffers.
+// The zero value is ready. An Arena serves one engine run at a time but may
+// be handed from run to run, across modes — which is how a whole-genome
+// worker (genomejob.Worker) amortises window storage over every chromosome
+// it processes.
 type Arena struct {
 	w window
 
@@ -36,8 +31,6 @@ type Arena struct {
 	// describes the arena's latest run only.
 	tables bayes.Tables
 
-	scratch pipeline.Scratch
-
 	// join is the fork-join the window's sharded passes run through. Kept
 	// here, a warm window forks without allocating its join state; a shard
 	// panic comes out of it on the window's goroutine, where the driver's
@@ -45,12 +38,6 @@ type Arena struct {
 	// buffers above.
 	join par.Group
 }
-
-// Scratch returns the driver storage the arena carries from run to run.
-func (a *Arena) Scratch() *pipeline.Scratch { return &a.scratch }
-
-// NewArena returns an empty arena; buffers grow on first use.
-func NewArena() *Arena { return &Arena{} }
 
 // depWorker is one compute worker's dep_count scratch. Entries carry an
 // epoch tag in the high half-word (see likelihoodRange); the tag makes
@@ -90,15 +77,4 @@ func (w *window) reset(start, end int) {
 	w.start, w.end, w.n = start, end, end-start
 	w.obsSite = w.obsSite[:0]
 	w.obsWord = w.obsWord[:0]
-}
-
-// ar returns the engine's arena: Config.Arena when given, else a private
-// one created on first use.
-func (e *Engine) ar() *Arena {
-	if e.arena == nil {
-		if e.arena = e.cfg.Arena; e.arena == nil {
-			e.arena = NewArena()
-		}
-	}
-	return e.arena
 }

@@ -188,7 +188,7 @@ func TestArenaReuseAcrossRuns(t *testing.T) {
 	_, wantA := runGSNP(t, dsA, pipeline.Config{Window: 600}, Config{Mode: ModeCPU})
 	_, wantB := runGSNP(t, dsB, pipeline.Config{Window: 600}, Config{Mode: ModeCPU})
 
-	arena := NewArena()
+	arena := new(Arena)
 	for run := 0; run < 2; run++ {
 		_, gotA := runGSNP(t, dsA, pipeline.Config{Window: 600}, Config{Mode: ModeCPU, Arena: arena, ComputeWorkers: 2})
 		if !bytes.Equal(gotA, wantA) {
@@ -210,11 +210,10 @@ func TestArenaReuseAcrossRuns(t *testing.T) {
 }
 
 // TestRunWindowSteadyStateAllocsCPU is the allocation regression gate of
-// the window recycler: once the arena is warm, a CPU-mode window must run
-// components 3-7 with at most a handful of allocations (the acceptance
-// bound is 8; the steady state is expected to be ~0). SortWorkers is
-// pinned to 1 — parallel sort spawns its goroutines per call and is gated
-// separately by the byte-identity tests.
+// the window recycler: once the arena is warm, a CPU-mode window runs
+// components 3-7 — the two sharded passes forked at 4 shards included —
+// without allocating. SortWorkers is pinned to 1 — parallel sort spawns its
+// goroutines per call and is gated separately by the byte-identity tests.
 func TestRunWindowSteadyStateAllocsCPU(t *testing.T) {
 	ds := testDataset(t, 4000, 10, 321)
 	eng, wins := newDirectEngine(t, ds, 800, Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: 4, forceShardWorkers: 4})
@@ -231,8 +230,8 @@ func TestRunWindowSteadyStateAllocsCPU(t *testing.T) {
 	runAll()
 
 	perWindow := testing.AllocsPerRun(5, runAll) / float64(len(wins))
-	if perWindow > 8 {
-		t.Errorf("steady-state CPU window allocates %.1f times (gate: 8)", perWindow)
+	if perWindow != 0 {
+		t.Errorf("steady-state CPU window allocates %.2f times, want 0", perWindow)
 	}
 	t.Logf("steady-state CPU allocs/window: %.2f over %d windows", perWindow, len(wins))
 }
@@ -285,7 +284,7 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 	runAll()
 	runAll()
 
-	w := &eng.arena.w
+	w := &eng.cfg.Arena.w
 	before := [][]uint32{w.hostBounds[:1], w.hostStats[:1], w.hostBest[:1], w.hostSecond[:1], w.hostQual[:1], w.words.Data[:1]}
 	tlBefore := &w.typeLikely[0]
 	runAll()
@@ -395,10 +394,10 @@ func BenchmarkRunWindowGPU(b *testing.B) {
 }
 
 // TestRunContextWarmArena pins the per-run half of the recycle contract.
-// An arena that has served one chromosome carries that chromosome's
+// An arena and a driver Scratch that have served one chromosome carry its
 // calibration counters, score tables and output buffer into the next run,
 // which must rebuild all of them in place: the bytes of a run on a warm
-// arena equal those of the same run on a fresh one, in every output mode,
+// pair equal those of the same run on a fresh one, in every output mode,
 // and the warm run allocates less than 1 MB in total — so in particular
 // none of the 2 MB counters, the 2 MB p_matrix, the 5.2 MB new_p_matrix
 // and the 1 MB output buffer a run used to allocate for itself.
@@ -412,23 +411,21 @@ func TestRunContextWarmArena(t *testing.T) {
 		{Window: 800, CompressOutput: true},
 	} {
 		_, want := runGSNP(t, second, mode, cfg)
-		warm := cfg
-		warm.Arena = NewArena()
-		runGSNP(t, first, mode, warm)
-		if _, got := runGSNP(t, second, mode, warm); !bytes.Equal(got, want) {
+		warm, warmMode := cfg, mode
+		warm.Arena, warmMode.Scratch = new(Arena), new(pipeline.Scratch)
+		runGSNP(t, first, warmMode, warm)
+		if _, got := runGSNP(t, second, warmMode, warm); !bytes.Equal(got, want) {
 			t.Errorf("%+v: output on an arena warmed by another chromosome differs from a fresh arena's", mode)
 		}
 	}
 
-	// startRun hands the arena's Scratch to the driver as
-	// pipeline.Config.Scratch, so its share of the storage is warm too.
-	cfg.Arena = NewArena()
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm := pipeline.Config{Window: 800, Scratch: new(pipeline.Scratch)}
 	run := func() {
-		if _, err := startRun(context.Background(), eng, first, pipeline.Config{Window: 800}, pipeline.MemSource(first.Reads), io.Discard); err != nil {
+		if _, err := startRun(context.Background(), eng, first, warm, pipeline.MemSource(first.Reads), io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // GSNP_CPU configuration of the paper's figures — the same sparse
 // algorithm and tables as the GPU path, sequential quicksort instead of
 // the batch bitonic network. Components 4b-5 shard sites across
-// Config.ComputeWorkers (shardCount ranges, forked through the arena's
-// par.Group; a window worth one shard runs inline and builds no closure);
+// Config.ComputeWorkers (shardCount ranges of the passes New bound, forked
+// through the arena's par.Group; a window worth one shard runs inline);
 // each shard writes a disjoint index range, so output is byte-identical at
 // every worker count.
 func (e *Engine) runWindowCPU(w *window) error {
@@ -39,12 +39,12 @@ func (e *Engine) runWindowCPU(w *window) error {
 	// table, sharded over sites.
 	t0 = time.Now()
 	w.typeLikely = grow(w.typeLikely, w.n*dna.NGenotypes)
-	ar, k := e.ar(), e.shardCount(w.n)
+	ar, k := e.cfg.Arena, e.shardCount(w.n)
 	ar.ensureWorkers(k, e.run.Stride)
 	if k == 1 {
 		e.likelihoodRange(w, 0, w.n, 0)
 	} else {
-		ar.join.Range(w.n, k, func(shard, lo, hi int) { e.likelihoodRange(w, lo, hi, shard) })
+		ar.join.Range(w.n, k, e.likeliPass)
 	}
 	rep.Times.LikeliComp += time.Since(t0)
 
@@ -58,7 +58,7 @@ func (e *Engine) runWindowCPU(w *window) error {
 	if k == 1 {
 		e.posteriorRange(w, 0, w.n)
 	} else {
-		ar.join.Range(w.n, k, func(_, lo, hi int) { e.posteriorRange(w, lo, hi) })
+		ar.join.Range(w.n, k, e.postPass)
 	}
 	rep.Times.Post += time.Since(t0)
 
@@ -119,7 +119,7 @@ func (e *Engine) countCPU(w *window) {
 // kernel (likelihoodRange) across compute workers instead.
 func (e *Engine) likelihoodCompCPU(w *window) {
 	w.typeLikely = grow(w.typeLikely, w.n*dna.NGenotypes)
-	e.ar().ensureWorkers(1, e.run.Stride)
+	e.cfg.Arena.ensureWorkers(1, e.run.Stride)
 	e.likelihoodRange(w, 0, w.n, 0)
 }
 
@@ -131,7 +131,7 @@ func (e *Engine) likelihoodCompCPU(w *window) {
 // scratch is the only cross-site state, and it is per-worker — so ranges
 // run concurrently with bit-identical results.
 func (e *Engine) likelihoodRange(w *window, lo, hi, worker int) {
-	wk := &e.arena.workers[worker]
+	wk := &e.cfg.Arena.workers[worker]
 	readLen := e.run.Stride
 	newP := e.tables.NewP
 	adj := e.tables.Adjust

@@ -41,15 +41,15 @@ type Engine struct {
 	// prior file, one vector per reference base.
 	novelPriors [dna.NBases][dna.NGenotypes]float64
 
-	// arena holds the recycled per-window working set plus the per-worker
-	// dep_count scratch: Config.Arena, or a private one created on first
-	// use.
-	arena *Arena
-
 	// Window-persistent device state (GPU mode): the tagged dep_count
 	// buffer and its window epoch.
 	gDep     *gpu.Buffer[uint32]
 	winEpoch uint32
+
+	// likeliPass and postPass are the CPU window's two sharded passes over
+	// the arena's window, bound once so that a warm window forks without
+	// building a closure.
+	likeliPass, postPass func(shard, lo, hi int)
 }
 
 // New creates an engine. It returns an error for ModeGPU without a device.
@@ -58,7 +58,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Mode == ModeGPU && cfg.Device == nil {
 		return nil, fmt.Errorf("gsnp: ModeGPU requires a Device")
 	}
-	return &Engine{cfg: cfg}, nil
+	e := &Engine{cfg: cfg}
+	w := &cfg.Arena.w
+	e.likeliPass = func(shard, lo, hi int) { e.likelihoodRange(w, lo, hi, shard) }
+	e.postPass = func(_, lo, hi int) { e.posteriorRange(w, lo, hi) }
+	return e, nil
 }
 
 // Tables exposes the calibrated tables after a run. They live in the
@@ -128,7 +132,7 @@ func (e *Engine) simSpan(f func()) time.Duration {
 func (e *Engine) Prepare(st *pipeline.RunState) error {
 	e.run = st
 	e.sortStats, e.likeliStats, e.peakDeviceBytes = sortnet.Stats{}, gpu.Stats{}, 0
-	ar := e.ar()
+	ar := e.cfg.Arena
 	ar.tables.Build(st.Cal.BuildInto(ar.tables.P))
 	e.tables = &ar.tables
 	for b := dna.Base(0); b < dna.NBases; b++ {
@@ -249,7 +253,7 @@ type window struct {
 // reads have already been fetched (serially or by the prefetcher).
 func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	rep := e.run.Report
-	w := &e.ar().w
+	w := &e.cfg.Arena.w
 	w.reset(start, end)
 
 	// Counting, host leg: flatten the observations into parallel arrays

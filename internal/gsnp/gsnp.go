@@ -111,9 +111,9 @@ type Config struct {
 	// the fork-join even on hosts where the cap would serialize.
 	forceShardWorkers int
 	// Arena supplies the per-window working-set recycler (component 7).
-	// Nil gives the engine a private one; the whole-genome scheduler hands
-	// each of its workers an Arena so consecutive chromosome runs reuse one
-	// working set (and passes its Scratch as pipeline.Config.Scratch).
+	// Nil gives the engine a private one; a whole-genome worker hands every
+	// engine it builds the same Arena, so consecutive chromosome runs reuse
+	// one working set.
 	Arena *Arena
 }
 
@@ -127,6 +127,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ComputeWorkers <= 0 {
 		c.ComputeWorkers = runtime.GOMAXPROCS(0)
+	}
+	if c.Arena == nil {
+		c.Arena = new(Arena)
 	}
 	return c
 }

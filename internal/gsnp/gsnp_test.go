@@ -47,14 +47,10 @@ type testReport struct {
 
 // startRun is the one place these tests start a run, the way every caller of
 // the engine does: the shared settings in a pipeline.Config — the data set
-// fills the chromosome, the reference and the prior file, an arena lends the
-// driver its scratch (as genomejob.Call does), the caller sets the rest — the
-// kernel's own in the engine k, pipeline.Run over both.
+// fills the chromosome, the reference and the prior file, the caller the
+// rest — the kernel's own in the engine k, pipeline.Run over both.
 func startRun(ctx context.Context, k pipeline.Kernel, ds *seqsim.Dataset, run pipeline.Config, src pipeline.Source, w io.Writer) (*pipeline.Report, error) {
 	run.Chr, run.Ref, run.Known = ds.Spec.Name, ds.Ref.Seq, knownFromDataset(ds)
-	if eng, ok := k.(*Engine); ok && eng.cfg.Arena != nil {
-		run.Scratch = eng.cfg.Arena.Scratch()
-	}
 	return pipeline.Run(ctx, run, src, w, k)
 }
 

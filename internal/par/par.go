@@ -44,9 +44,9 @@ func Recovered(v any) *PanicError {
 }
 
 // Group is the join state of a fork-join. The zero value is ready; a Group
-// runs one Do at a time, must not be copied after first use, and may be
-// kept and reused — also after a Do that panicked — so that a warm Do
-// allocates nothing (the sparse engine keeps one in its Arena).
+// runs one Do or Range at a time, must not be copied after first use, and
+// may be kept and reused — also after a Do that panicked — so that a warm Do
+// or Range allocates nothing (each engine keeps one).
 type Group struct {
 	wg    sync.WaitGroup
 	f     func(shard int)
@@ -55,6 +55,9 @@ type Group struct {
 	// started as `go h()`: a call with no arguments is the one form of the
 	// go statement that does not allocate a closure per spawn.
 	helpers []func()
+	// body, n and k are the current Range's, which run applies in f's stead.
+	body func(shard, lo, hi int)
+	n, k int
 }
 
 // Do runs f(0) … f(k-1) concurrently, shard 0 on the calling goroutine and
@@ -79,7 +82,7 @@ func (g *Group) Do(k int, f func(shard int)) {
 	}
 	g.run(0)
 	g.wg.Wait()
-	g.f = nil
+	g.f, g.body = nil, nil
 	if pe := g.first.Swap(nil); pe != nil {
 		panic(pe)
 	}
@@ -93,18 +96,22 @@ func (g *Group) run(shard int) {
 			g.first.CompareAndSwap(nil, pe)
 		}
 	}()
-	g.f(shard)
+	if g.body != nil {
+		g.body(shard, shard*g.n/g.k, (shard+1)*g.n/g.k)
+	} else {
+		g.f(shard)
+	}
 }
 
 // Range splits [0, n) into min(k, n) contiguous, near-equal ranges and runs
 // f(shard, lo, hi) over them through Do; k < 1 means one range, n < 1 runs
-// nothing.
+// nothing. f and the split are kept in the Group, so Range builds no closure.
 func (g *Group) Range(n, k int, f func(shard, lo, hi int)) {
 	if n < 1 {
 		return
 	}
-	k = max(1, min(k, n))
-	g.Do(k, func(s int) { f(s, s*n/k, (s+1)*n/k) })
+	g.body, g.n, g.k = f, n, max(1, min(k, n))
+	g.Do(g.k, nil)
 }
 
 // Do is Group.Do on a fresh Group.

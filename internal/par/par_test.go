@@ -182,3 +182,27 @@ func TestWarmGroupDoesNotAllocate(t *testing.T) {
 		t.Errorf("warm Group.Do(4) allocates %.1f times", n)
 	}
 }
+
+// TestWarmGroupRangeDoesNotAllocate: Range keeps its body and split in the
+// Group, so a warm Range over a body the caller built once allocates nothing
+// either — what lets an engine's sharded window passes run allocation-free.
+func TestWarmGroupRangeDoesNotAllocate(t *testing.T) {
+	var g Group
+	var sum atomic.Int64
+	f := func(s, lo, hi int) { sum.Add(int64(hi - lo)) }
+	g.Range(1000, 4, f)
+	if n := testing.AllocsPerRun(100, func() { g.Range(1000, 4, f) }); n != 0 {
+		t.Errorf("warm Group.Range(1000, 4) allocates %.1f times", n)
+	}
+	// One call above, AllocsPerRun's warm-up and its 100 runs.
+	if got := sum.Load(); got != 102*1000 {
+		t.Errorf("Range covered %d indices over 102 calls, want %d", got, 102*1000)
+	}
+	// A Range that panicked leaves nothing of itself for the next Do to run.
+	catch(func() { g.Range(10, 2, func(int, int, int) { panic("boom") }) })
+	ran := false
+	g.Do(1, func(int) { ran = true })
+	if !ran {
+		t.Error("the Do after a panicking Range did not run its own shard")
+	}
+}

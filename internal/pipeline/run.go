@@ -167,9 +167,8 @@ func newSink(cfg *Config, w io.Writer, k Kernel) Sink {
 // Scratch is the driver's recycled per-run storage: the calibration
 // counters (2 MB, reset and refilled by every run), the serial read_site
 // path's read buffer and the output buffer. A Scratch serves one Run at a
-// time but may be handed from run to run, across engines — gsnp.Arena holds
-// one, which is how a whole-genome worker amortises it over every
-// chromosome it processes.
+// time but may be handed from run to run, across engines — a whole-genome
+// worker (genomejob.Worker) keeps one for every chromosome it processes.
 type Scratch struct {
 	cal     *bayes.Calibration
 	readBuf []reads.AlignedRead

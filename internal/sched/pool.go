@@ -28,7 +28,7 @@ type PoolConfig struct {
 }
 
 // Pool is the long-lived counterpart of Run: a fixed set of workers
-// (each with its own worker-local state, e.g. a gsnp.Arena) serving many
+// (each with its own worker-local state, e.g. a genomejob.Worker) serving many
 // jobs submitted over time. Scheduling is fair across jobs by round-robin:
 // a worker looking for work takes ONE task from the least-recently-served
 // job with pending tasks, so a 24-chromosome whole genome queued first

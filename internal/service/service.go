@@ -28,7 +28,6 @@ import (
 	"gsnp/internal/checkpoint"
 	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
-	"gsnp/internal/gsnp"
 	"gsnp/internal/journal"
 	"gsnp/internal/resultcache"
 	"gsnp/internal/sched"
@@ -112,7 +111,7 @@ func (cj cachedJob) size() int64 {
 // Server owns the shared worker pool and the job registry.
 type Server struct {
 	cfg      Config
-	pool     *sched.Pool[chromResult, *gsnp.Arena]
+	pool     *sched.Pool[chromResult, *genomejob.Worker]
 	spool    string
 	ownSpool bool
 
@@ -198,11 +197,11 @@ func New(cfg Config) (*Server, error) {
 		s.spool = dir
 		s.ownSpool = true
 	}
-	s.pool = sched.NewPool[chromResult, *gsnp.Arena](sched.PoolConfig{
+	s.pool = sched.NewPool[chromResult, *genomejob.Worker](sched.PoolConfig{
 		Workers:   cfg.Workers,
 		Policy:    genomejob.Policy(cfg.Retries, cfg.RetryBackoff, cfg.TaskTimeout),
 		OnDequeue: s.onDequeue,
-	}, func(int) *gsnp.Arena { return gsnp.NewArena() })
+	}, func(int) *genomejob.Worker { return new(genomejob.Worker) })
 	if s.journal != nil {
 		s.recoverPending()
 	}
@@ -357,15 +356,15 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 }
 
 // buildTasks maps units onto pool tasks.
-func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chromResult, *gsnp.Arena] {
-	tasks := make([]sched.Task[chromResult, *gsnp.Arena], len(units))
+func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chromResult, *genomejob.Worker] {
+	tasks := make([]sched.Task[chromResult, *genomejob.Worker], len(units))
 	for i, u := range units {
 		u := u
-		tasks[i] = sched.Task[chromResult, *gsnp.Arena]{
+		tasks[i] = sched.Task[chromResult, *genomejob.Worker]{
 			Name: u.Name,
-			Run: func(ctx context.Context, arena *gsnp.Arena) (chromResult, error) {
+			Run: func(ctx context.Context, wk *genomejob.Worker) (chromResult, error) {
 				var buf bytes.Buffer
-				res, err := genomejob.Call(ctx, opts, u, &buf, io.Discard, arena)
+				res, err := wk.Call(ctx, opts, u, &buf, io.Discard)
 				if err != nil {
 					return chromResult{}, err
 				}

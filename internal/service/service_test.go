@@ -79,7 +79,7 @@ func testSpecs(nChrom, baseSites int, seed int64) []seqsim.ChromosomeSpec {
 	return specs
 }
 
-// serialBaseline runs every unit of a genome dir through genomejob.Call
+// serialBaseline runs every unit of a genome dir on a fresh genomejob.Worker
 // serially — the byte-identity reference the service must reproduce at
 // any worker count.
 func serialBaseline(t testing.TB, dir string, opts genomejob.Options) map[string][]byte {
@@ -91,7 +91,7 @@ func serialBaseline(t testing.TB, dir string, opts genomejob.Options) map[string
 	out := make(map[string][]byte, len(units))
 	for _, u := range units {
 		var buf bytes.Buffer
-		if _, err := genomejob.Call(context.Background(), opts, u, &buf, io.Discard, nil); err != nil {
+		if _, err := new(genomejob.Worker).Call(context.Background(), opts, u, &buf, io.Discard); err != nil {
 			t.Fatalf("serial baseline %s: %v", u.Name, err)
 		}
 		out[u.Name] = buf.Bytes()

@@ -101,6 +101,39 @@ func TestLikelihoodParallelTrapsPanic(t *testing.T) {
 	eng.likelihoodParallel(8, rep)
 }
 
+// refusingWriter fails every write, as a full disk or a closed connection
+// does.
+type refusingWriter struct{}
+
+func (refusingWriter) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestReuseAfterFailedRun: a run whose sink fails mid-window leaves that
+// window counted but not recycled, and the run that follows on the same
+// engine — what a retry on the same whole-genome worker does — must write
+// the bytes of a fresh engine, not count on top of the leftovers.
+func TestReuseAfterFailedRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-threaded, and 1 MB of rows is minutes of dense scans under the race detector")
+	}
+	ds := testDataset(t, 30000, 8, 24)
+	run := pipeline.Config{Window: 500}
+	var want bytes.Buffer
+	if _, err := startRun(context.Background(), New(Config{}), ds, run, &want); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{})
+	if _, err := startRun(context.Background(), eng, ds, run, refusingWriter{}); err == nil {
+		t.Fatal("a run over a refusing writer succeeded")
+	}
+	var got bytes.Buffer
+	if _, err := startRun(context.Background(), eng, ds, run, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("the run after a failed one differs from a fresh engine's")
+	}
+}
+
 // TestRunContextCancelled checks cooperative cancellation on the baseline
 // engine.
 func TestRunContextCancelled(t *testing.T) {

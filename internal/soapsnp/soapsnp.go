@@ -40,9 +40,9 @@ const DefaultWindow = 4000
 
 // Engine is the dense window kernel — components 3-7 over base_occ —
 // behind the two-pass driver (pipeline.Run). One Engine may be reused for
-// several runs, one at a time; it owns the large window buffers and the
-// score tables, so a second run given the same pipeline.Config.Scratch
-// allocates next to nothing.
+// several runs, one at a time, also after a run that failed; it owns the
+// large window buffers and the score tables, so a second run given the same
+// pipeline.Config.Scratch allocates next to nothing.
 type Engine struct {
 	cfg    Config
 	tables bayes.Tables
@@ -51,28 +51,43 @@ type Engine struct {
 	// the shared settings, the dep_count stride, the report and the sink.
 	run *pipeline.RunState
 
-	// Window state, sized in Prepare.
+	// Window state, sized in Prepare; live is the size of a window counted
+	// and not yet recycled, which a run that failed leaves for Prepare.
 	baseOcc []uint8
 	counts  []pipeline.SiteCounts
 	quals   [][dna.NBases][]float64
 	likely  [][bayes.TypeLikelySize]float64
 	calls   []bayes.Call
 	rows    []snpio.Row
+	live    int
 
 	// Likelihood scratch, one per thread (one for the single-threaded
-	// baseline), and the fork-join the threads run through.
-	likeli []LikeliScratch
-	join   par.Group
+	// baseline), the fork-join the threads run through and their pass,
+	// bound once so that a warm window forks without building a closure.
+	likeli     []LikeliScratch
+	join       par.Group
+	likeliPass func(wkr, lo, hi int)
 }
 
 // New creates an engine.
-func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
+func New(cfg Config) *Engine {
+	e := &Engine{cfg: cfg}
+	e.likeliPass = func(wkr, lo, hi int) {
+		s := &e.likeli[wkr]
+		clear(s.hist)
+		e.likelihoodRange(lo, hi, s, s.hist)
+	}
+	return e
+}
 
 // Prepare implements pipeline.Kernel: derive p_matrix and the log/adjust
 // tables from the calibration — the dense likelihood takes its logarithms
 // at run time, so no new_p_matrix — and size the window buffers.
 func (e *Engine) Prepare(st *pipeline.RunState) error {
 	e.run = st
+	if e.live != 0 {
+		e.Abandon(0, e.live)
+	}
 	if e.tables.Log == nil {
 		e.tables.Log = bayes.BuildLogTable()
 		e.tables.Adjust = bayes.BuildAdjustTable(e.tables.Log)
@@ -111,6 +126,7 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	// Component 3: counting — scatter every aligned base into the dense
 	// base_occ matrix and the per-site summaries.
 	t0 := time.Now()
+	e.live = n
 	e.count(rs, start, end)
 	rep.Times.Count += time.Since(t0)
 
@@ -219,11 +235,12 @@ func (e *Engine) resetWindow(n int) {
 			e.quals[site][b] = e.quals[site][b][:0]
 		}
 	}
+	e.live = 0
 }
 
-// Finish implements pipeline.Kernel; the dense kernel holds nothing that
-// outlives a run.
-func (e *Engine) Finish() {}
+// Finish implements pipeline.Kernel: let go of the run, so that a kept
+// engine does not pin the last chromosome's reference and priors.
+func (e *Engine) Finish() { e.run = nil }
 
 // Each (base, score) row of base_occ spans rowBytes consecutive bytes
 // (coord x strand, strand in the lowest bit), each base's block baseBytes;
@@ -380,11 +397,7 @@ func (e *Engine) likelihoodParallel(n int, rep *pipeline.Report) {
 	// no shard is still writing the window buffers when the driver's
 	// containment unwinds past them.
 	workers := e.likeli[:min(len(e.likeli), n)]
-	e.join.Range(n, len(workers), func(wkr, lo, hi int) {
-		s := &workers[wkr]
-		clear(s.hist)
-		e.likelihoodRange(lo, hi, s, s.hist)
-	})
+	e.join.Range(n, len(workers), e.likeliPass)
 	for i := range workers {
 		for k, c := range workers[i].hist {
 			rep.NonZeroHist[k] += c
