@@ -16,10 +16,10 @@
 // With -journal-dir the server is crash-durable: every accepted job is
 // recorded in a write-ahead journal (fsync'd before the 202), uploaded
 // inputs spool under the journal directory, and each cleanly completed
-// chromosome is checkpointed durably before its stream record is
-// published. A restarted gsnpd pointed at the same directory re-enqueues
-// every interrupted job — completed chromosomes replay from their
-// checkpoints (digest-verified) instead of re-executing, output bytes
+// chromosome is journaled (output file + chrom record) before its stream
+// record is published. A restarted gsnpd pointed at the same directory
+// re-enqueues every interrupted job — journaled chromosomes replay from
+// disk (digest-verified) instead of re-executing, output bytes
 // stay identical to an uninterrupted run, and recovered jobs carry a
 // "recovered" marker in GET /jobs (a recovered job that duplicates another
 // pending one is served by it and ends "cached", like a fresh duplicate).

@@ -14,8 +14,9 @@ import (
 // fsync'd handle (the WAL's fsync'd append). A plain os.WriteFile or
 // os.Create on a durable path can be torn or lost entirely by a crash:
 // the journal would then replay a job whose inputs are gone, or trust a
-// checkpoint manifest whose bytes never hit the platter — exactly the
-// corruption the WAL's torn-tail repair exists to rule out.
+// chromosome output its chrom record names whose bytes never hit the
+// platter — exactly the corruption the WAL's torn-tail repair exists to
+// rule out.
 //
 // A write is sanctioned when the function performing it calls Sync() on
 // an *os.File — it implements its own durability (fsync-before-rename,

@@ -199,9 +199,9 @@ func (w *Writer) saveLocked() error {
 
 // AtomicWrite replaces path with data via temp file + fsync + rename, so
 // a crash at any point leaves either the old content or the new, never a
-// torn file. Shared by the manifest writer, the failure report, the
-// gsnpd job journal's rotation, and the service's durable per-chromosome
-// outputs.
+// torn file. Shared by the CLI's -resume manifest writer, the failure
+// report, the gsnpd job journal (WAL compaction and each job's durable
+// per-chromosome outputs), and the service's spooled uploads.
 func AtomicWrite(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

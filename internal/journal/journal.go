@@ -1,32 +1,36 @@
-// Package journal is gsnpd's crash-durability layer: a write-ahead log
-// of accepted jobs. Every job the service admits is appended (and
-// fsync'd) to the WAL *before* the client sees its 202, together with
-// everything a restarted process needs to re-run it — the job spec, the
-// output-shaping fingerprint, per-chromosome input digests, and the
-// journal-owned spool directory holding uploaded inputs. Terminal states
-// are appended on finalize; an accepted record without a matching final
-// record is exactly the set of jobs a crash interrupted, and Open
-// returns them for recovery.
+// Package journal is gsnpd's crash-durability layer and the one durable
+// record of a job: a write-ahead log plus, under the same root, each
+// job's spool (uploaded inputs) and work directory. A job is appended —
+// spec, output-shaping fingerprint, per-chromosome input digests — and
+// fsync'd *before* the client sees its 202; each clean chromosome lands in
+// the work directory and is named by a chrom record before the service
+// publishes it; a final record ends the job, and its directories go. The
+// accepted records without a final record are exactly the jobs a crash
+// interrupted, and Open returns them, with their chromosomes, for recovery.
 //
-// The WAL is newline-delimited JSON, one self-contained record per line,
-// in the same atomic-write discipline internal/checkpoint uses for its
-// manifests: appends are a single write followed by fsync, a failed
-// append is truncated back out so the log never carries a torn line, and
-// compaction (at open, and whenever the log outgrows RotateBytes)
-// rewrites only the live records through checkpoint.AtomicWrite's temp
-// file + fsync + rename. Replay tolerates exactly one torn line at the
-// tail — the signature of a crash mid-append — and refuses anything
-// else, so silent corruption surfaces instead of dropping jobs.
+// The WAL is newline-delimited JSON, one record per line: an append is a
+// single write followed by fsync, a failed append is truncated back out,
+// and compaction (at open, and whenever the log outgrows RotateBytes)
+// rewrites only the live records — accepted records with their chromosomes
+// folded in — through checkpoint.AtomicWrite. Replay tolerates exactly one
+// torn line at the tail — the signature of a crash mid-append — and
+// refuses anything else, so silent corruption surfaces instead of
+// dropping jobs.
 package journal
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,6 +47,7 @@ const WALName = "wal.ndjson"
 // Record kinds.
 const (
 	KindAccepted = "accepted" // job admitted, not yet resolved
+	KindChrom    = "chrom"    // a chromosome of a pending job made durable
 	KindFinal    = "final"    // job reached a terminal state
 )
 
@@ -70,24 +75,32 @@ type Entry struct {
 	// Digests are the per-unit input content digests in Discover order;
 	// recovery re-hashes the inputs and refuses any drift.
 	Digests []string `json:"digests,omitempty"`
-	// Spool names the job's spool directory under SpoolDir (uploaded
-	// inputs); empty for genome-dir jobs.
-	Spool string `json:"spool,omitempty"`
 	// Created is the job's original admission time.
 	Created time.Time `json:"created,omitempty"`
+	// Chroms are durable chromosomes by name: the one a chrom record
+	// adds, or every one a pending job has recorded so far.
+	Chroms map[string]Chrom `json:"chroms,omitempty"`
+}
+
+// Chrom is one cleanly finished chromosome in the job's work directory.
+type Chrom struct {
+	File   string `json:"file"`
+	SHA256 string `json:"sha256"` // hex digest of the file's bytes
+	Sites  int    `json:"sites"`
 }
 
 // Config configures Open.
 type Config struct {
 	// Dir is the journal directory; created if missing. The WAL, the
 	// spool root (uploaded inputs) and the work root (durable
-	// per-chromosome outputs + checkpoint manifests) all live under it.
+	// per-chromosome outputs, named by chrom records) all live under it.
 	Dir string
 	// RotateBytes triggers compaction when the WAL exceeds it
 	// (0 selects 4 MiB).
 	RotateBytes int64
-	// Fault, when set, is consulted before every durable write — the
-	// disk-fault injection seam (internal/faults.Injector.DiskOp).
+	// Fault, when set, is consulted before every durable operation (an
+	// append, a chromosome's Complete, a compaction) — the disk-fault
+	// injection seam (internal/faults.Injector.DiskOp).
 	Fault func(op string) error
 	// Logf receives operational log lines (nil discards).
 	Logf func(format string, args ...any)
@@ -108,9 +121,9 @@ type Journal struct {
 }
 
 // Open loads (or creates) the journal under cfg.Dir: the WAL is replayed,
-// compacted down to its live records, and reopened for appending. The
-// returned journal's Pending holds every job a previous process accepted
-// but never finalized, in admission order.
+// compacted down to its live records and reopened for appending, and the
+// directories of jobs that are not pending are swept. Pending then holds
+// every job a previous process accepted but never finalized.
 func Open(cfg Config) (*Journal, error) {
 	if cfg.RotateBytes <= 0 {
 		cfg.RotateBytes = 4 << 20
@@ -132,6 +145,7 @@ func Open(cfg Config) (*Journal, error) {
 	if err := j.rewriteLocked(); err != nil {
 		return nil, err
 	}
+	j.sweep()
 	return j, nil
 }
 
@@ -159,29 +173,41 @@ func (j *Journal) replay() error {
 				data = nil
 				continue
 			}
-			return fmt.Errorf("journal: %s: corrupt interior record: %q", j.path, truncateForLog(line))
+			return fmt.Errorf("journal: %s: corrupt interior record: %q", j.path, line[:min(len(line), 120)])
 		}
-		switch e.Kind {
-		case KindAccepted:
-			j.pending[e.Job] = e
-		case KindFinal:
-			delete(j.pending, e.Job)
-		default:
-			return fmt.Errorf("journal: %s: unknown record kind %q", j.path, e.Kind)
-		}
-		if e.Seq > j.maxSeq {
-			j.maxSeq = e.Seq
+		if err := j.apply(e); err != nil {
+			return fmt.Errorf("journal: %s: %w", j.path, err)
 		}
 		data = rest
 	}
 	return nil
 }
 
-func truncateForLog(b []byte) string {
-	if len(b) > 120 {
-		b = b[:120]
+// apply folds one durable record into the live state, for replay and
+// append alike. A record it refuses is corruption.
+func (j *Journal) apply(e Entry) error {
+	switch e.Kind {
+	case KindAccepted:
+		j.pending[e.Job] = e
+	case KindChrom:
+		p, ok := j.pending[e.Job]
+		if !ok {
+			return fmt.Errorf("chrom record for job %q, which has no pending accepted record", e.Job)
+		}
+		// A new map, so no Pending snapshot changes under its holder; the
+		// last record of a chromosome wins.
+		chroms := make(map[string]Chrom, len(p.Chroms)+len(e.Chroms))
+		maps.Copy(chroms, p.Chroms)
+		maps.Copy(chroms, e.Chroms)
+		p.Chroms = chroms
+		j.pending[e.Job] = p
+	case KindFinal:
+		delete(j.pending, e.Job)
+	default:
+		return fmt.Errorf("unknown record kind %q", e.Kind)
 	}
-	return string(b)
+	j.maxSeq = max(j.maxSeq, e.Seq)
+	return nil
 }
 
 // rewriteLocked compacts the WAL down to the pending records (atomic
@@ -198,10 +224,8 @@ func (j *Journal) rewriteLocked() error {
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
-	if j.cfg.Fault != nil {
-		if err := j.cfg.Fault("rotate"); err != nil {
-			return fmt.Errorf("journal rotate: %w", err)
-		}
+	if err := j.fault("rotate"); err != nil {
+		return err
 	}
 	if err := checkpoint.AtomicWrite(j.path, buf); err != nil {
 		return err
@@ -221,17 +245,19 @@ func (j *Journal) rewriteLocked() error {
 	return nil
 }
 
-// pendingSortedLocked snapshots the pending records in admission order.
+// pendingSortedLocked snapshots the pending records in admission order
+// (job id breaks a tie, so compaction has one order to write).
 func (j *Journal) pendingSortedLocked() []Entry {
 	live := make([]Entry, 0, len(j.pending))
 	for _, e := range j.pending {
 		live = append(live, e)
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a].Seq < live[b].Seq })
+	slices.SortFunc(live, func(a, b Entry) int { return cmp.Or(cmp.Compare(a.Seq, b.Seq), strings.Compare(a.Job, b.Job)) })
 	return live
 }
 
-// Pending returns the accepted-but-unresolved records in admission order.
+// Pending returns the accepted-but-unresolved records in admission order,
+// each with the chromosomes its job has made durable.
 func (j *Journal) Pending() []Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -248,32 +274,97 @@ func (j *Journal) MaxSeq() int {
 }
 
 // SpoolDir returns the journal-owned spool directory for a job's
-// uploaded inputs. Unlike temp-dir spools, it survives restarts; the
-// service removes it when the job is finalized durably.
+// uploaded inputs. Unlike temp-dir spools, it survives restarts; Final
+// removes it.
 func (j *Journal) SpoolDir(job string) string {
 	return filepath.Join(j.cfg.Dir, "spool", job)
 }
 
-// WorkDir returns the job's durable work directory: per-chromosome
-// output files plus the checkpoint manifest recovery resumes from.
-func (j *Journal) WorkDir(job string) string {
+// workDir is the job's durable work directory: Accept creates it,
+// Complete writes into it, Final removes it.
+func (j *Journal) workDir(job string) string {
 	return filepath.Join(j.cfg.Dir, "work", job)
 }
 
-// Accept journals a job admission. It must return before the job is
-// acknowledged to the client; an error means the job was never durably
-// accepted and the caller must fail it (the WAL itself stays clean — a
-// torn append is truncated back out).
-func (j *Journal) Accept(e Entry) error {
-	e.V, e.Kind = Version, KindAccepted
-	return j.append(e)
+// fault consults the injection seam before one durable operation.
+func (j *Journal) fault(op string) error {
+	if j.cfg.Fault == nil {
+		return nil
+	}
+	if err := j.cfg.Fault(op); err != nil {
+		return fmt.Errorf("journal %s: %w", op, err)
+	}
+	return nil
 }
 
-// Final journals a job's terminal state. An error leaves the job pending
-// — it will re-run (idempotently, through its checkpoints) on the next
-// recovery — so callers log it rather than failing the finished job.
+// Accept creates the job's work directory and journals its admission. It
+// must return before the job is acknowledged to the client; an error
+// means the job was never durably accepted and the caller must fail it
+// (the WAL itself stays clean — a torn append is truncated back out).
+func (j *Journal) Accept(e Entry) error {
+	if err := j.fault("append"); err != nil {
+		return err
+	}
+	dir := j.workDir(e.Job)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	e.V, e.Kind = Version, KindAccepted
+	if err := j.append(e); err != nil {
+		_ = os.Remove(dir) // still empty; if this fails too, the next Open sweeps it
+		return err
+	}
+	return nil
+}
+
+// Complete makes one clean chromosome of a pending job durable, as one
+// durable operation: its bytes are hashed in memory and written into the
+// job's work directory (outside j.mu, so no other job's append waits on
+// this output), then a chrom record names file, digest and sites. An
+// error leaves the chromosome to recompute after a restart.
+func (j *Journal) Complete(seq int, job, name string, c Chrom, out []byte) error {
+	if err := j.fault("chrom"); err != nil {
+		return err
+	}
+	sum := sha256.Sum256(out)
+	c.SHA256 = hex.EncodeToString(sum[:])
+	if err := checkpoint.AtomicWrite(filepath.Join(j.workDir(job), c.File), out); err != nil {
+		return err
+	}
+	return j.append(Entry{V: Version, Kind: KindChrom, Seq: seq, Job: job, Chroms: map[string]Chrom{name: c}})
+}
+
+// ReadChrom returns a recovered chromosome's output, read once and checked
+// against its recorded digest, so the bytes returned are the bytes
+// checked. A missing, torn or tampered file is an error.
+func (j *Journal) ReadChrom(job string, c Chrom) ([]byte, error) {
+	out, err := os.ReadFile(filepath.Join(j.workDir(job), c.File))
+	if err != nil {
+		return nil, err
+	}
+	if sum := sha256.Sum256(out); hex.EncodeToString(sum[:]) != c.SHA256 {
+		return nil, fmt.Errorf("journal: %s of job %s does not match its recorded digest", c.File, job)
+	}
+	return out, nil
+}
+
+// Final journals a job's terminal state, then removes the job's spool and
+// work directories. An error leaves the job pending, directories and all —
+// it will re-run (through its durable chromosomes) on the next recovery —
+// so callers log it rather than failing the finished job.
 func (j *Journal) Final(seq int, job, state string) error {
-	return j.append(Entry{V: Version, Kind: KindFinal, Seq: seq, Job: job, State: state})
+	if err := j.fault("append"); err != nil {
+		return err
+	}
+	if err := j.append(Entry{V: Version, Kind: KindFinal, Seq: seq, Job: job, State: state}); err != nil {
+		return err
+	}
+	for _, dir := range []string{j.SpoolDir(job), j.workDir(job)} {
+		if err := os.RemoveAll(dir); err != nil {
+			j.cfg.Logf("journal: removing %s: %v", dir, err)
+		}
+	}
+	return nil
 }
 
 // append writes one record durably: marshal, single write, fsync. On a
@@ -295,10 +386,8 @@ func (j *Journal) append(e Entry) error {
 	if j.broken != nil {
 		return fmt.Errorf("journal: unusable after failed repair: %w", j.broken)
 	}
-	if j.cfg.Fault != nil {
-		if ferr := j.cfg.Fault("append"); ferr != nil {
-			return fmt.Errorf("journal append: %w", ferr)
-		}
+	if _, ok := j.pending[e.Job]; !ok && e.Kind == KindChrom {
+		return fmt.Errorf("journal: job %s is not pending", e.Job)
 	}
 	//gsnplint:ignore lockhold the WAL contract is one fsync'd append at a time; j.mu exists to serialize exactly this write
 	if _, werr := j.f.Write(line); werr != nil {
@@ -310,15 +399,7 @@ func (j *Journal) append(e Entry) error {
 		return fmt.Errorf("journal sync: %w", serr)
 	}
 	j.size += int64(len(line))
-	switch e.Kind {
-	case KindAccepted:
-		j.pending[e.Job] = e
-	case KindFinal:
-		delete(j.pending, e.Job)
-	}
-	if e.Seq > j.maxSeq {
-		j.maxSeq = e.Seq
-	}
+	_ = j.apply(e) // cannot refuse: the kind is ours, and a chrom record's job is pending
 	if j.size > j.cfg.RotateBytes {
 		if rerr := j.rewriteLocked(); rerr != nil {
 			// Compaction failure is not fatal: the oversized WAL is still
@@ -338,11 +419,10 @@ func (j *Journal) repairLocked() {
 	}
 }
 
-// Sweep removes spool and work directories belonging to jobs that are no
-// longer pending — the debris of jobs finalized (or never fully
-// admitted) right before a crash. Called once after Open, with the
-// recovered job set as keep.
-func (j *Journal) Sweep(keep map[string]bool) {
+// sweep removes the spool and work directories of jobs that are not
+// pending: debris of jobs finalized, or never fully admitted, right
+// before a crash.
+func (j *Journal) sweep() {
 	for _, root := range []string{filepath.Join(j.cfg.Dir, "spool"), filepath.Join(j.cfg.Dir, "work")} {
 		entries, err := os.ReadDir(root)
 		if err != nil {
@@ -350,7 +430,7 @@ func (j *Journal) Sweep(keep map[string]bool) {
 			continue
 		}
 		for _, ent := range entries {
-			if keep[ent.Name()] {
+			if _, ok := j.pending[ent.Name()]; ok {
 				continue
 			}
 			p := filepath.Join(root, ent.Name())

@@ -197,11 +197,15 @@ func TestJournalAppendFault(t *testing.T) {
 	}
 }
 
-// TestJournalSweep removes spool/work debris of non-pending jobs and keeps
-// the recovered set.
+// TestJournalSweep: Open removes the spool/work debris of jobs that are
+// not pending and keeps the pending jobs' directories.
 func TestJournalSweep(t *testing.T) {
 	dir := t.TempDir()
 	j := openT(t, Config{Dir: dir})
+	if err := j.Accept(Entry{Seq: 2, Job: "j2"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
 	for _, sub := range []string{"spool", "work"} {
 		for _, job := range []string{"j1", "j2"} {
 			p := filepath.Join(dir, sub, job)
@@ -213,13 +217,13 @@ func TestJournalSweep(t *testing.T) {
 			}
 		}
 	}
-	j.Sweep(map[string]bool{"j2": true})
+	openT(t, Config{Dir: dir})
 	for _, sub := range []string{"spool", "work"} {
 		if _, err := os.Stat(filepath.Join(dir, sub, "j1")); !os.IsNotExist(err) {
 			t.Errorf("%s/j1 survived the sweep", sub)
 		}
 		if _, err := os.Stat(filepath.Join(dir, sub, "j2", "x")); err != nil {
-			t.Errorf("%s/j2 was swept despite being kept: %v", sub, err)
+			t.Errorf("%s/j2 was swept despite being pending: %v", sub, err)
 		}
 	}
 }
@@ -273,5 +277,189 @@ func TestJournalConcurrent(t *testing.T) {
 		if e.Seq != 2*i+1 {
 			t.Fatalf("pending[%d].Seq = %d, want %d (odd seqs only, sorted)", i, e.Seq, 2*i+1)
 		}
+	}
+}
+
+// complete makes one chromosome of job durable with out as its bytes.
+func complete(t *testing.T, j *Journal, seq int, job, name string, out string) {
+	t.Helper()
+	if err := j.Complete(seq, job, name, Chrom{File: name + ".result", Sites: len(out)}, []byte(out)); err != nil {
+		t.Fatalf("complete %s/%s: %v", job, name, err)
+	}
+}
+
+// chromsOf returns the durable chromosomes of a pending job.
+func chromsOf(t *testing.T, j *Journal, job string) map[string]Chrom {
+	t.Helper()
+	for _, e := range j.Pending() {
+		if e.Job == job {
+			return e.Chroms
+		}
+	}
+	t.Fatalf("job %s not pending", job)
+	return nil
+}
+
+// TestJournalChromCompaction: compaction — at Open and at the RotateBytes
+// threshold — folds a pending job's chrom records into its accepted record
+// and drops a finished job's, whose work directory Final removed.
+func TestJournalChromCompaction(t *testing.T) {
+	for _, rotate := range []int64{0, 256} {
+		t.Run(fmt.Sprint("rotate=", rotate), func(t *testing.T) {
+			dir := t.TempDir()
+			j := openT(t, Config{Dir: dir, RotateBytes: rotate})
+			acceptN(t, j, 2)
+			for i, job := range []string{"j1", "j2"} {
+				complete(t, j, i+1, job, "chr1", job+" chr1 rows\n")
+				complete(t, j, i+1, job, "chr2", job+" chr2 rows\n")
+			}
+			if err := j.Final(2, "j2", "done"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "work", "j2")); !os.IsNotExist(err) {
+				t.Errorf("finished job's work dir survived Final: %v", err)
+			}
+			if rotate > 0 {
+				// Churn past the threshold: the rewrite must keep j1's chromosomes.
+				for i := 3; i <= 12; i++ {
+					job := fmt.Sprintf("j%d", i)
+					if err := j.Accept(Entry{Seq: i, Job: job}); err != nil {
+						t.Fatal(err)
+					}
+					if err := j.Final(i, job, "done"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				wal, err := os.ReadFile(filepath.Join(dir, WALName))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(string(wal), `"j2"`) || !strings.Contains(string(wal), `"chr2"`) {
+					t.Errorf("WAL rotated at the threshold is not j1's record with its chromosomes:\n%s", wal)
+				}
+			}
+			j.Close()
+
+			j2 := openT(t, Config{Dir: dir})
+			if p := j2.Pending(); len(p) != 1 || p[0].Job != "j1" {
+				t.Fatalf("pending after reopen: %+v, want only j1", p)
+			}
+			got := chromsOf(t, j2, "j1")
+			if len(got) != 2 {
+				t.Fatalf("j1 chromosomes after compaction: %+v, want chr1 and chr2", got)
+			}
+			for name, c := range got {
+				out, err := j2.ReadChrom("j1", c)
+				if err != nil || string(out) != "j1 "+name+" rows\n" {
+					t.Errorf("%s: ReadChrom = %q, %v", name, out, err)
+				}
+			}
+			wal, err := os.ReadFile(filepath.Join(dir, WALName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lines := strings.Count(string(wal), "\n"); lines != 1 || strings.Contains(string(wal), `"j2"`) {
+				t.Errorf("compacted WAL is not j1's one accepted record:\n%s", wal)
+			}
+		})
+	}
+}
+
+// TestJournalChromLastWins: a chromosome recomputed after a tamper is
+// recorded again, and the later record is the one recovery trusts.
+func TestJournalChromLastWins(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, Config{Dir: dir})
+	acceptN(t, j, 1)
+	complete(t, j, 1, "j1", "chr1", "first\n")
+	file := filepath.Join(dir, "work", "j1", "chr1.result")
+	if err := os.WriteFile(file, []byte("tampered\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.ReadChrom("j1", chromsOf(t, j, "j1")["chr1"]); err == nil {
+		t.Fatal("ReadChrom served a tampered file")
+	}
+	complete(t, j, 1, "j1", "chr1", "second\n")
+	j.Close()
+
+	j2 := openT(t, Config{Dir: dir})
+	got := chromsOf(t, j2, "j1")
+	if len(got) != 1 {
+		t.Fatalf("chromosomes after a re-record: %+v, want one chr1", got)
+	}
+	if out, err := j2.ReadChrom("j1", got["chr1"]); err != nil || string(out) != "second\n" {
+		t.Fatalf("ReadChrom after re-record = %q, %v, want the second bytes", out, err)
+	}
+}
+
+// TestJournalTornChromTail: a chrom record torn mid-append is dropped; the
+// records before it survive.
+func TestJournalTornChromTail(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, Config{Dir: dir})
+	acceptN(t, j, 1)
+	complete(t, j, 1, "j1", "chr1", "rows\n")
+	j.Close()
+
+	f, err := os.OpenFile(filepath.Join(dir, WALName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"v":1,"kind":"chrom","seq":1,"job":"j1","chroms":{"chr2":{"fi`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	got := chromsOf(t, openT(t, Config{Dir: dir}), "j1")
+	if _, ok := got["chr1"]; !ok || len(got) != 1 {
+		t.Fatalf("chromosomes after a torn chrom tail: %+v, want chr1 only", got)
+	}
+}
+
+// TestJournalChromWithoutAccept: a chrom record for a job the WAL never
+// accepted is corruption, refused like an unknown kind; Complete never
+// writes one.
+func TestJournalChromWithoutAccept(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, WALName), []byte(
+		`{"v":1,"kind":"chrom","seq":1,"job":"j1","chroms":{"chr1":{"file":"chr1.result","sha256":"00","sites":1}}}`+"\n"+
+			`{"v":1,"kind":"accepted","seq":2,"job":"j2"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: dir}); err == nil {
+		t.Fatal("Open accepted a chrom record with no accepted record")
+	}
+
+	j := openT(t, Config{Dir: t.TempDir()})
+	acceptN(t, j, 1)
+	if err := j.Final(1, "j1", "done"); err != nil {
+		t.Fatal(err)
+	}
+	// The work dir is back, so only the pending check can refuse.
+	if err := os.MkdirAll(filepath.Join(j.cfg.Dir, "work", "j1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Complete(1, "j1", "chr1", Chrom{File: "chr1.result"}, []byte("x")); err == nil {
+		t.Fatal("Complete recorded a chromosome of a finished job")
+	}
+	j.Close()
+	if _, err := Open(Config{Dir: j.cfg.Dir}); err != nil {
+		t.Fatalf("WAL after a refused Complete: %v", err)
+	}
+}
+
+// TestJournalAcceptNeedsWorkDir: a job that cannot get its work directory
+// is never accepted, and the WAL stays clean.
+func TestJournalAcceptNeedsWorkDir(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, Config{Dir: dir})
+	if err := os.WriteFile(filepath.Join(dir, "work", "j1"), []byte("not a directory\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Accept(Entry{Seq: 1, Job: "j1"}); err == nil {
+		t.Fatal("Accept succeeded without a work directory")
+	}
+	if p := j.Pending(); len(p) != 0 {
+		t.Fatalf("pending after a refused Accept: %+v", p)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"gsnp/internal/journal"
 	"gsnp/internal/sched"
 )
 
@@ -79,7 +80,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		code := http.StatusBadRequest
 		switch {
-		case errors.Is(err, ErrDraining) || errors.Is(err, sched.ErrPoolClosed):
+		case errors.Is(err, ErrDraining) || errors.Is(err, sched.ErrPoolClosed) || errors.Is(err, journal.ErrClosed):
 			code = http.StatusServiceUnavailable
 			w.Header().Set("Retry-After", retryAfter)
 		case errors.Is(err, ErrQueueFull):

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,16 +17,19 @@ import (
 
 	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
+	"gsnp/internal/journal"
 )
 
 // finalFaults builds an injector whose single disk fault lands on the
-// first job's Final append: the journal's Open compaction is disk op 1
-// ("rotate"), the job's Accept is op 2, its Final is op 3. The job then
-// completes normally in-process but stays pending in the WAL with its
-// spool/work dirs intact — exactly the on-disk state a crash mid-job
-// leaves behind, reachable without kill -9.
-func finalFaults() *faults.Injector {
-	return faults.New(faults.Config{DiskFailEvery: 3, DiskFails: 1})
+// Final append of the first job, which has chroms chromosomes: the
+// journal's Open compaction is disk op 1 ("rotate"), the job's Accept is
+// op 2, each chromosome's Complete is one op (3 … chroms+2), and its Final
+// is op chroms+3 — 6 for the 3-chromosome fixtures. The job then completes
+// normally in-process but stays pending in the WAL with its spool/work
+// dirs intact — exactly the on-disk state a crash mid-job leaves behind,
+// reachable without kill -9.
+func finalFaults(chroms int) *faults.Injector {
+	return faults.New(faults.Config{DiskFailEvery: chroms + 3, DiskFails: 1})
 }
 
 // drainT drains a server within a test-scoped deadline.
@@ -57,7 +61,7 @@ func TestServiceJournalRecovery(t *testing.T) {
 	// First incarnation: the Final append is faulted, so the completed job
 	// remains pending in the WAL with its work dir (checkpointed outputs)
 	// kept.
-	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults()})
+	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults(3)})
 	id := postJob(t, tsA, map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256})
 	if _, state := readStream(t, tsA, id); state != StateDone {
 		t.Fatalf("first run state %q, want done", state)
@@ -150,7 +154,7 @@ func TestServiceJournalUploadedRecovery(t *testing.T) {
 
 	run := func(t *testing.T, tamper bool) {
 		jdir := filepath.Join(t.TempDir(), "journal")
-		srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults()})
+		srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults(2)})
 		id := postJob(t, tsA, map[string]any{"inputs": inputs, "engine": "gsnp-cpu", "window": 256})
 		if _, state := readStream(t, tsA, id); state != StateDone {
 			t.Fatalf("first run state %q, want done", state)
@@ -328,4 +332,111 @@ func TestServiceJournalConcurrentSubmissions(t *testing.T) {
 	if st := srv2.Statz(); st.RecoveredJobs != 0 {
 		t.Fatalf("recovered %d jobs after clean concurrent session, want 0", st.RecoveredJobs)
 	}
+}
+
+// TestServiceJournalChromFault: a disk fault on one chromosome's Complete
+// costs only that chromosome's durability. With one worker the chromosomes
+// complete in order, so disk op 3 is chr01's Complete and op 6 the job's
+// Final: the job ends done in-process, stays pending, and its work dir
+// holds the two outputs that were made durable and nothing else — no
+// manifest, no temp file. After the restart only chr01 recomputes.
+func TestServiceJournalChromFault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service e2e in -short mode")
+	}
+	opts := genomejob.Options{Engine: "gsnp-cpu", Format: "soap", Window: 256}
+	dir := t.TempDir()
+	writeGenomeDir(t, dir, testSpecs(3, 1400, 61))
+	base := serialBaseline(t, dir, opts)
+	jdir := filepath.Join(t.TempDir(), "journal")
+	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
+
+	inj := faults.New(faults.Config{DiskFailEvery: 3, DiskFails: 2})
+	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalDir: jdir, DiskFaults: inj})
+	id := postJob(t, tsA, spec)
+	if _, state := readStream(t, tsA, id); state != StateDone {
+		t.Fatalf("first run state %q, want done", state)
+	}
+	tsA.Close()
+	drainT(t, srvA)
+
+	ents, err := os.ReadDir(filepath.Join(jdir, "work", id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range ents {
+		files = append(files, e.Name())
+	}
+	if strings.Join(files, " ") != "chr02.result chr03.result" {
+		t.Fatalf("work dir holds %v, want only the durable outputs chr02.result chr03.result", files)
+	}
+
+	var dispatches atomic.Int64
+	_, tsB := newTestServer(t, Config{
+		Workers: 1, JournalDir: jdir,
+		OnDequeue: func(string, int) { dispatches.Add(1) },
+	})
+	recs, state := readStream(t, tsB, id)
+	if state != StateDone {
+		t.Fatalf("recovered job state %q, want done", state)
+	}
+	for name, want := range base {
+		if !bytes.Equal(recs[name].OutputB64, want) {
+			t.Errorf("%s: recovered bytes differ from the uninterrupted run", name)
+		}
+		if wantRecovered := name != "chr01.fa"; recs[name].Recovered != wantRecovered {
+			t.Errorf("%s: recovered = %t, want %t", name, recs[name].Recovered, wantRecovered)
+		}
+	}
+	if n := dispatches.Load(); n != 1 {
+		t.Errorf("pool dispatched %d tasks after the restart, want 1 (the chromosome whose persist failed)", n)
+	}
+}
+
+// TestServiceJournalRefusesWhileDraining: a draining server refuses a
+// submission before it spools, hashes or journals it — 503, no WAL record,
+// no spool dir — and a submission that races the journal's close is
+// refused the same way, not with a 500.
+func TestServiceJournalRefusesWhileDraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service e2e in -short mode")
+	}
+	dir := t.TempDir()
+	writeGenomeDir(t, dir, testSpecs(1, 1200, 29))
+	post := func(t *testing.T, ts *httptest.Server) {
+		t.Helper()
+		body, _ := json.Marshal(uploadSpec(t, dir, "chr01"))
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("submission: %d %s, want 503 with Retry-After", resp.StatusCode, data)
+		}
+	}
+
+	t.Run("draining", func(t *testing.T) {
+		jdir := filepath.Join(t.TempDir(), "journal")
+		srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir})
+		srv.mu.Lock()
+		srv.draining = true
+		srv.mu.Unlock()
+		post(t, ts)
+		if wal, err := os.ReadFile(filepath.Join(jdir, journal.WALName)); err != nil || len(wal) != 0 {
+			t.Errorf("WAL after a refused submission: %q (%v), want empty", wal, err)
+		}
+		if ents, err := os.ReadDir(srv.spool); err != nil || len(ents) != 0 {
+			t.Errorf("spool after a refused submission: %d entries (%v), want none", len(ents), err)
+		}
+	})
+	t.Run("journal closed", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: filepath.Join(t.TempDir(), "journal")})
+		if err := srv.journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		post(t, ts)
+	})
 }

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"gsnp/internal/checkpoint"
 	"gsnp/internal/genomejob"
+	"gsnp/internal/journal"
 	"gsnp/internal/sched"
 )
 
@@ -47,14 +45,12 @@ type jobState struct {
 	key string
 
 	// Journal state (zero-valued when the server runs without a journal).
-	// journalSeq is the WAL sequence the job was accepted under; workdir
-	// holds the durable per-chromosome outputs plus the checkpoint manifest
-	// cp maintains, and exists only for jobs that execute; recovered marks a
-	// job re-admitted from the journal after a restart.
+	// journalSeq is the WAL sequence the job was accepted under; recovered
+	// marks a job re-admitted from the journal after a restart, and durable
+	// lists the chromosomes its previous incarnation made durable.
 	journalSeq int
-	workdir    string
-	cp         *checkpoint.Writer
 	recovered  bool
+	durable    map[string]journal.Chrom
 
 	// counted marks a job charged against the MaxQueued admission bound;
 	// taskUnit maps its pool task indices to chromosome indices (a recovered
@@ -111,7 +107,7 @@ func (s *Server) admit(js *jobState, executes bool) error {
 // prior result replays from the cache, an identical job already executing
 // is tailed (single-flight), and only otherwise does the job lead a flight
 // and go to the pool, after replaying whatever chromosomes a previous
-// incarnation checkpointed. An error means the job was refused; it has
+// incarnation journaled. An error means the job was refused; it has
 // then been finished as failed, which journals the refusal, removes its
 // directories and resolves any follower that joined it in the meantime.
 func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.Unit, digests []string) error {
@@ -141,19 +137,21 @@ func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.U
 		return refuse(err)
 	}
 	if executes {
-		// Only a job that makes new bytes needs somewhere durable to put
-		// them.
-		if s.journal != nil {
-			if err := s.openWorkdir(js, opts); err != nil {
-				return refuse(fmt.Errorf("%w: %v", ErrJournal, err))
-			}
-		}
 		var checkpointed []StreamRecord
 		var rest []genomejob.Unit
 		for i, u := range units {
-			if rec, ok := s.checkpointedChrom(js, i, u); ok {
-				checkpointed = append(checkpointed, rec)
-				continue
+			if c, ok := js.durable[u.Name]; ok {
+				// Read once and checked against the recorded digest; a
+				// tampered, torn or unreadable output just runs again.
+				out, err := s.journal.ReadChrom(js.id, c)
+				if err == nil {
+					checkpointed = append(checkpointed, StreamRecord{
+						Index: i, Name: u.Name, State: StateOK,
+						Sites: c.Sites, OutputB64: out, Recovered: true,
+					})
+					continue
+				}
+				s.cfg.Logf("job %s: durable output of %s unusable (%v), recomputing", js.id, u.Name, err)
 			}
 			rest = append(rest, u)
 			js.taskUnit = append(js.taskUnit, i)
@@ -213,31 +211,25 @@ func (js *jobState) publish(rec StreamRecord) {
 // order every path through the service relies on:
 //
 //  1. the terminal state is journaled — before done closes, because Drain
-//     treats a closed done as "settled" and may then close the journal. If
-//     the append fails the job stays pending in the WAL and its directories
-//     are kept, so a restart re-runs it from its checkpoints instead of
+//     treats a closed done as "settled" and may then close the journal —
+//     and the job's spool and work directories are removed (by Final, for a
+//     journaled job): a client that has read the Final record must not find
+//     them, and everything it can ask for is in the stream by now. If the
+//     append fails the job stays pending in the WAL and its directories are
+//     kept, so a restart re-runs it from its durable chromosomes instead of
 //     finding its inputs gone;
-//  2. the spool and work directories are removed: a client that has read
-//     the Final record must not find them, and everything it can ask for is
-//     in the stream by now;
-//  3. a flight leader's clean result enters the cache. Partial, failed and
+//  2. a flight leader's clean result enters the cache. Partial, failed and
 //     cancelled runs never do — their bytes are not the configuration's
 //     true result — and must recompute;
-//  4. the Final record becomes visible and done closes;
-//  5. the flight is released. The Put of step 3 came first, so an identical
+//  3. the Final record becomes visible and done closes;
+//  4. the flight is released. The Put of step 2 came first, so an identical
 //     submission arriving at any moment either joins the open flight or hits
 //     the cache; there is no window in which it re-executes a clean run.
 func (s *Server) finish(js *jobState, state string) {
-	keepDirs := false
-	if js.journalSeq != 0 {
-		if err := s.journal.Final(js.journalSeq, js.id, state); err != nil {
-			s.cfg.Logf("job %s: journal final: %v (job will re-run on recovery)", js.id, err)
-			keepDirs = true
-		}
-	}
-	if !keepDirs {
+	if js.journalSeq == 0 {
 		s.removeDir("job "+js.id+" spool dir", js.dir)
-		s.removeDir("job "+js.id+" work dir", js.workdir)
+	} else if err := s.journal.Final(js.journalSeq, js.id, state); err != nil {
+		s.cfg.Logf("job %s: journal final: %v (job will re-run on recovery)", js.id, err)
 	}
 	if js.key != "" && state == StateDone {
 		js.mu.Lock()
@@ -355,6 +347,7 @@ func tail(leader *jobState) source {
 // ones abort at their next window boundary.
 func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 	return func(js *jobState) string {
+		opts := js.spec.Options()
 		stop := context.AfterFunc(js.ctx, func() { handle.Cancel(context.Cause(js.ctx)) })
 		defer stop()
 		for r := range handle.Results() {
@@ -379,84 +372,21 @@ func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 				rec.State = StateOK
 				rec.Sites = r.Value.res.Sites
 				rec.OutputB64 = r.Value.output
-				// Durable-before-visible: a clean chromosome is checkpointed
-				// before its record publishes. Partial results never are —
-				// they must recompute, same as the CLI's -resume.
-				s.persistChrom(js, rec.Name, rec.OutputB64, rec.Sites)
+				// Durable-before-visible: a clean chromosome is journaled
+				// before its record publishes; a failure only means it
+				// recomputes after a restart. Partial results never are
+				// journaled — they must recompute, same as the CLI's -resume.
+				if js.journalSeq != 0 {
+					c := journal.Chrom{File: opts.OutName(rec.Name), Sites: rec.Sites}
+					if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c, rec.OutputB64); err != nil {
+						s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)
+					}
+				}
 			}
 			js.publish(rec)
 		}
 		return ""
 	}
-}
-
-// persistChrom durably records one cleanly completed chromosome: the
-// output bytes land in the job's work directory via AtomicWrite, then the
-// checkpoint manifest commits the entry (name → output + digest). Called
-// before the stream record is published, so any chromosome a client has
-// observed as completed is guaranteed to survive a crash and be skipped
-// on recovery. Persistence failures degrade to re-execution on recovery
-// (logged, never fatal): durability narrows, correctness holds.
-func (s *Server) persistChrom(js *jobState, name string, out []byte, sites int) {
-	if js.cp == nil {
-		return
-	}
-	opts := js.spec.Options()
-	path := filepath.Join(js.workdir, opts.OutName(name))
-	if err := checkpoint.AtomicWrite(path, out); err != nil {
-		s.cfg.Logf("job %s: checkpoint output %s: %v", js.id, name, err)
-		return
-	}
-	if err := js.cp.Complete(name, path, sites); err != nil {
-		s.cfg.Logf("job %s: checkpoint manifest %s: %v", js.id, name, err)
-	}
-}
-
-// checkpointedChrom returns the stream record of a chromosome a previous
-// incarnation completed durably. Done re-verifies the recorded digest
-// before the bytes are trusted; a tampered, torn or unreadable output just
-// means the chromosome runs again.
-func (s *Server) checkpointedChrom(js *jobState, index int, u genomejob.Unit) (StreamRecord, bool) {
-	if js.cp == nil {
-		return StreamRecord{}, false
-	}
-	ce, ok := js.cp.Done(u.Name)
-	if !ok {
-		return StreamRecord{}, false
-	}
-	out, err := os.ReadFile(filepath.Join(js.workdir, ce.Output))
-	if err != nil {
-		s.cfg.Logf("job %s: checkpointed output %s unreadable (%v), recomputing", js.id, u.Name, err)
-		return StreamRecord{}, false
-	}
-	return StreamRecord{
-		Index: index, Name: u.Name, State: StateOK,
-		Sites: ce.Sites, OutputB64: out, Recovered: true,
-	}, true
-}
-
-// openWorkdir creates the job's durable work directory and checkpoint
-// writer; a recovered job resumes the entries its previous incarnation
-// completed. A corrupt or mismatched manifest costs durability, not
-// correctness: it is wiped and every chromosome recomputes.
-func (s *Server) openWorkdir(js *jobState, opts genomejob.Options) error {
-	js.workdir = s.journal.WorkDir(js.id)
-	if err := os.MkdirAll(js.workdir, 0o755); err != nil {
-		return err
-	}
-	path := checkpoint.Path(js.workdir)
-	cp, err := checkpoint.NewWriter(path, opts.Fingerprint(), js.recovered)
-	if err != nil {
-		s.cfg.Logf("job %s: recovery checkpoint: %v (recomputing all chromosomes)", js.id, err)
-		if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
-			return fmt.Errorf("removing bad checkpoint: %w", rerr)
-		}
-		if cp, err = checkpoint.NewWriter(path, opts.Fingerprint(), false); err != nil {
-			return err
-		}
-	}
-	js.cp = cp
-	return nil
 }
 
 // finalState derives the job-level outcome from its chromosomes.

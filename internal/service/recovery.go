@@ -16,19 +16,9 @@ import (
 // submissions.
 func (s *Server) recoverPending() {
 	pending := s.journal.Pending()
-	keep := make(map[string]bool, len(pending))
-	for _, e := range pending {
-		keep[e.Job] = true
-	}
-	// Spool/work dirs of jobs that are not pending are debris (finished
-	// right before the crash, or never fully accepted): sweep them first.
-	s.journal.Sweep(keep)
 	for _, e := range pending {
 		js := newJob(e.Job, e.Created)
-		js.journalSeq, js.recovered = e.Seq, true
-		// Whatever serves the job now, the previous incarnation may have
-		// been executing it: finish removes the work dir that left behind.
-		js.workdir = s.journal.WorkDir(e.Job)
+		js.journalSeq, js.recovered, js.durable = e.Seq, true, e.Chroms
 		if err := s.recoverJob(js, e); err != nil {
 			// Registered and finished as failed: the failure is visible over
 			// the API (and journaled terminally) instead of the job silently
@@ -68,12 +58,9 @@ func (s *Server) recoverJob(js *jobState, e journal.Entry) error {
 	}
 
 	dir := spec.GenomeDir
-	if e.Spool != "" {
-		js.dir = s.journal.SpoolDir(e.Spool)
+	if dir == "" { // an upload: its inputs are in the job's spool directory
+		js.dir = s.journal.SpoolDir(e.Job)
 		dir = js.dir
-	}
-	if dir == "" {
-		return fmt.Errorf("journaled spec names neither a genome dir nor a spool")
 	}
 	units, _, err := genomejob.Discover(dir, opts)
 	if err != nil {

@@ -49,11 +49,11 @@ type Config struct {
 	// JournalDir enables crash durability: every accepted job is
 	// journaled (write-ahead, fsync'd) before it is acknowledged,
 	// uploaded inputs spool under the journal so they survive restarts,
-	// per-chromosome outputs are checkpointed durably as they complete,
-	// and New replays the journal to re-enqueue jobs a crash
-	// interrupted — completed chromosomes are skipped via checkpoint
-	// resume and outputs stay byte-identical to an uninterrupted run.
-	// Empty disables journaling (jobs die with the process, as before).
+	// each clean chromosome is journaled (output file + chrom record)
+	// before it is published, and New replays the journal to re-enqueue
+	// jobs a crash interrupted — journaled chromosomes are served, not
+	// re-executed, and outputs stay byte-identical to an uninterrupted
+	// run. Empty disables journaling (jobs die with the process, as before).
 	JournalDir string
 	// MaxQueued bounds admission: when that many admitted jobs are still
 	// unfinished, new submissions are rejected with ErrQueueFull (HTTP
@@ -287,11 +287,17 @@ type StreamRecord struct {
 }
 
 // submit accepts one parsed job spec: its inputs are materialised, hashed
-// and journaled, then start launches it. Caller must not hold s.mu.
+// and journaled, then start launches it. A draining server refuses first,
+// before any of that; admit stays the authoritative check. Caller must
+// not hold s.mu.
 func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	opts := spec.Options()
 
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return nil, ErrDraining
+	}
 	s.seq++
 	seq := s.seq
 	s.mu.Unlock()
@@ -345,7 +351,7 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	// serving); nothing was acknowledged, nothing recovers.
 	if s.journal != nil {
 		if err := s.journalAccept(js, seq, opts, digests); err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrJournal, err))
+			return fail(fmt.Errorf("%w: %w", ErrJournal, err))
 		}
 	}
 	if err := s.start(js, opts, units, digests); err != nil {
@@ -385,15 +391,11 @@ func (s *Server) journalAccept(js *jobState, seq int, opts genomejob.Options, di
 	if err != nil {
 		return err
 	}
-	e := journal.Entry{
+	if err := s.journal.Accept(journal.Entry{
 		Seq: seq, Job: js.id, Spec: raw,
 		Fingerprint: opts.Fingerprint(), Digests: digests,
 		Created: js.created,
-	}
-	if js.dir != "" {
-		e.Spool = js.id
-	}
-	if err := s.journal.Accept(e); err != nil {
+	}); err != nil {
 		return err
 	}
 	js.journalSeq = seq
@@ -574,22 +576,22 @@ func (s *Server) Drain(ctx context.Context) error {
 			break
 		}
 	}
-	s.pool.Close()
-	s.closeJournal()
-	if s.ownSpool {
-		s.removeDir("spool dir", s.spool)
-	}
+	s.shutdown()
 	return err
 }
 
-// closeJournal closes the WAL (idempotent; logs rather than discards the
-// close error — an unsynced final record is operator-relevant).
-func (s *Server) closeJournal() {
-	if s.journal == nil {
-		return
+// shutdown closes the pool and the WAL — logging rather than discarding
+// the close error, an unsynced final record is operator-relevant — and
+// removes a spool the server created. Idempotent.
+func (s *Server) shutdown() {
+	s.pool.Close()
+	if s.journal != nil {
+		if err := s.journal.Close(); err != nil {
+			s.cfg.Logf("journal close: %v", err)
+		}
 	}
-	if err := s.journal.Close(); err != nil {
-		s.cfg.Logf("journal close: %v", err)
+	if s.ownSpool {
+		s.removeDir("spool dir", s.spool)
 	}
 }
 
@@ -600,9 +602,5 @@ func (s *Server) Close() {
 	s.draining = true
 	s.mu.Unlock()
 	s.pool.CancelAll(errors.New("server shutting down"))
-	s.pool.Close()
-	s.closeJournal()
-	if s.ownSpool {
-		s.removeDir("spool dir", s.spool)
-	}
+	s.shutdown()
 }
