@@ -9,13 +9,13 @@
 //
 // Usage:
 //
-//	gsnplint [-run determinism,closecheck] [-dir path] [-tests] [-json file] [packages]
+//	gsnplint [-run determinism,closecheck] [-dir path] [-json file] [packages]
 //
-// Packages default to ./... . All analyzers of one invocation share a
-// single package load and one interprocedural fact base, so cross-
-// package call edges (service -> journal -> checkpoint) resolve exactly
-// once. -tests adds _test.go files to the load; -json also writes the
-// findings as a machine-readable report (the CI gate archives it as
+// Packages default to ./... ; _test.go files are not loaded. All analyzers
+// of one invocation share a single package load and one set of function
+// summaries, so cross-package call edges (service -> journal ->
+// checkpoint) resolve exactly once. -json also writes the findings as a
+// machine-readable report (the CI gate archives it as
 // gsnplint-findings.json); -go-pkgs prints the import path of every
 // loaded package containing a go statement or forking through internal/par
 // and exits, which is how the Makefile's RACE_PKGS list is audited.
@@ -68,7 +68,6 @@ func run() int {
 		runList  = flag.String("run", "", "comma-separated analyzers to run (default: all)")
 		dir      = flag.String("dir", ".", "directory to resolve package patterns from")
 		docs     = flag.Bool("doc", false, "print each analyzer's rule and exit")
-		tests    = flag.Bool("tests", false, "include _test.go files in the load")
 		jsonPath = flag.String("json", "", "also write findings as a JSON report to this file (- for stdout)")
 		goPkgs   = flag.Bool("go-pkgs", false, "print packages that spawn goroutines, directly or through internal/par, and exit (RACE_PKGS audit)")
 	)
@@ -90,7 +89,7 @@ func run() int {
 		analyzers = sel
 	}
 
-	pkgs, err := analysis.LoadTests(*dir, *tests, flag.Args()...)
+	pkgs, err := analysis.Load(*dir, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gsnplint:", err)
 		return 2

@@ -1,7 +1,9 @@
 // Package analysis is a self-contained static-analysis framework plus the
-// four GSNP project analyzers (determinism, arenalifetime, closecheck,
-// saturation) that mechanically enforce the invariants DESIGN.md §9
-// documents in prose.
+// seven GSNP project analyzers (determinism, arenalifetime, closecheck,
+// saturation, goroutinejoin, lockhold, durability) that mechanically
+// enforce the invariants DESIGN.md §9 and §13 document in prose. Every
+// analyzer reads one set of per-function summaries (interproc.go), built
+// by the only walk over function bodies.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the analyzers could be ported to a stock
@@ -28,6 +30,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+
+	// Funcs are the summaries of this package's functions: declarations
+	// and the function literals that do not run in place.
+	Funcs []*FuncInfo
 
 	// IP is the load-wide interprocedural fact base (call graph +
 	// function summaries), computed once per load and shared by every
@@ -83,6 +89,7 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
+				Funcs:     ip.funcs[pkg],
 				IP:        ip,
 			}
 			a.Run(pass)
@@ -113,8 +120,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // All returns the gsnplint analyzer suite in stable order: the four
-// intraprocedural invariants from PR 5, then the three interprocedural
-// analyzers built on the shared call-graph/summary layer.
+// per-function invariants, then the three that follow static call edges.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, ArenaLifetime, CloseCheck, Saturation,

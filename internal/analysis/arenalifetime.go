@@ -13,7 +13,7 @@ import (
 // goroutine — would be silently overwritten by the next window.
 //
 // Scoped fan-out is allowed: a goroutine may borrow arena memory when
-// the spawning function provably joins it (a .Wait() call after the go
+// the spawning function provably joins it (a WaitGroup.Wait after the go
 // statement). The engines' own passes do not spawn: they hand par.Do a
 // closure that captures arena storage, and the join proof for those rests
 // on par.Do returning only after every shard has (internal/par's tests).
@@ -75,7 +75,12 @@ func arenaRooted(info *types.Info, e ast.Expr, derived map[types.Object]bool) bo
 
 // arenaDerivedSlice reports whether e is a slice borrowed from the arena.
 func arenaDerivedSlice(info *types.Info, e ast.Expr, derived map[types.Object]bool) bool {
-	return isSlice(info.TypeOf(e)) && arenaRooted(info, e, derived)
+	t := info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Slice)
+	return ok && arenaRooted(info, e, derived)
 }
 
 // isLaneCursor reports whether e is a *gpu.Thread: the cursor inside a
@@ -103,9 +108,9 @@ func borrowed(info *types.Info, e ast.Expr, derived map[types.Object]bool) strin
 }
 
 // outlivesFunc reports whether the variable id names is declared outside
-// the innermost function on the stack: a package-level variable, or one a
-// function literal captured from the function around it.
-func outlivesFunc(info *types.Info, id *ast.Ident, stack []ast.Node) bool {
+// fn: a package-level variable, or one a function literal captured from
+// the function around it.
+func outlivesFunc(info *types.Info, fn *FuncInfo, id *ast.Ident) bool {
 	v, ok := objOf(info, id).(*types.Var)
 	if !ok || v.IsField() {
 		return false
@@ -113,105 +118,68 @@ func outlivesFunc(info *types.Info, id *ast.Ident, stack []ast.Node) bool {
 	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 		return true
 	}
-	lit, ok := enclosingFunc(stack).(*ast.FuncLit)
+	lit, ok := fn.Decl.(*ast.FuncLit)
 	return ok && (v.Pos() < lit.Pos() || v.Pos() >= lit.End())
 }
 
 func runArenaLifetime(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkArenaFunc(pass, fd)
-		}
-	}
-}
-
-// receiverIsArena reports whether fd is a method on Arena/window.
-func receiverIsArena(info *types.Info, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	return isArenaType(info.TypeOf(fd.Recv.List[0].Type))
-}
-
-func checkArenaFunc(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
-
-	// Two passes over the assignments give simple transitive tracking:
 	// s := w.rows; t := s[:n] marks both s and t as arena-derived.
-	derived := map[types.Object]bool{}
-	for range 2 {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				if len(as.Lhs) <= i || !arenaDerivedSlice(info, rhs, derived) {
-					continue
-				}
-				if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
-					if v := objOf(info, id); v != nil {
-						derived[v] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	exported := fd.Name.IsExported() && !receiverIsArena(info, fd)
-	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			if !exported {
-				return true
-			}
-			for _, res := range n.Results {
-				if what := borrowed(info, res, derived); what != "" {
-					pass.Reportf(res.Pos(),
-						"%s returned from exported %s: the caller's view is overwritten when the next window recycles the arena", what, fd.Name.Name)
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if len(n.Lhs) <= i {
-					continue
-				}
-				what := borrowed(info, rhs, derived)
-				if what == "" {
-					continue
-				}
-				switch lhs := ast.Unparen(n.Lhs[i]).(type) {
-				case *ast.SelectorExpr:
-					if !arenaRooted(info, lhs.X, derived) {
-						pass.Reportf(n.Pos(),
-							"%s stored in field %s: the struct outlives the window that owns the memory", what, lhs.Sel.Name)
-					}
-				case *ast.Ident:
-					if what == "lane cursor" && outlivesFunc(info, lhs, stack) {
-						pass.Reportf(n.Pos(),
-							"lane cursor stored in %s, which outlives the kernel invocation: the Thread is reused for the next lane or block and recycled by the next launch", lhs.Name)
-					}
-				}
-			}
-		case *ast.SendStmt:
-			if what := borrowed(info, n.Value, derived); what != "" {
-				pass.Reportf(n.Pos(),
-					"%s sent on a channel escapes the window lifetime", what)
-			}
-		case *ast.GoStmt:
-			checkArenaGo(pass, fd, n, derived)
-		}
-		return true
+	derived := flowVars(pass, func(e ast.Expr, derived map[types.Object]bool) bool {
+		return arenaDerivedSlice(info, e, derived)
 	})
+	for _, fn := range pass.Funcs {
+		// Methods on the arena itself hand out its buffers: that is its API.
+		exported := fn.Fn != nil && fn.Fn.Exported() && !isArenaType(recvType(fn.Fn))
+		for _, s := range fn.Stmts {
+			switch n := s.(type) {
+			case *ast.ReturnStmt:
+				if !exported {
+					continue
+				}
+				for _, res := range n.Results {
+					if what := borrowed(info, res, derived); what != "" {
+						pass.Reportf(res.Pos(),
+							"%s returned from exported %s: the caller's view is overwritten when the next window recycles the arena", what, fn.Fn.Name())
+					}
+				}
+			case *ast.AssignStmt:
+				for i, rhs := range n.Rhs {
+					if len(n.Lhs) <= i {
+						continue
+					}
+					what := borrowed(info, rhs, derived)
+					if what == "" {
+						continue
+					}
+					switch lhs := ast.Unparen(n.Lhs[i]).(type) {
+					case *ast.SelectorExpr:
+						if !arenaRooted(info, lhs.X, derived) {
+							pass.Reportf(n.Pos(),
+								"%s stored in field %s: the struct outlives the window that owns the memory", what, lhs.Sel.Name)
+						}
+					case *ast.Ident:
+						if what == "lane cursor" && outlivesFunc(info, fn, lhs) {
+							pass.Reportf(n.Pos(),
+								"lane cursor stored in %s, which outlives the kernel invocation: the Thread is reused for the next lane or block and recycled by the next launch", lhs.Name)
+						}
+					}
+				}
+			case *ast.SendStmt:
+				if what := borrowed(info, n.Value, derived); what != "" {
+					pass.Reportf(n.Pos(),
+						"%s sent on a channel escapes the window lifetime", what)
+				}
+			}
+		}
+		for _, g := range fn.GoStmts {
+			checkArenaGo(pass, fn, g, derived)
+		}
+	}
 }
 
 // checkArenaGo flags goroutines that borrow arena memory without a join.
-func checkArenaGo(pass *Pass, fd *ast.FuncDecl, g *ast.GoStmt, derived map[types.Object]bool) {
+func checkArenaGo(pass *Pass, fn *FuncInfo, g *ast.GoStmt, derived map[types.Object]bool) {
 	info := pass.TypesInfo
 	borrows := false
 	ast.Inspect(g.Call, func(n ast.Node) bool {
@@ -228,21 +196,14 @@ func checkArenaGo(pass *Pass, fd *ast.FuncDecl, g *ast.GoStmt, derived map[types
 		}
 		return !borrows
 	})
-	if !borrows {
-		return
-	}
-	// Scoped fan-out: a .Wait() after the go statement joins the workers
+	// Scoped fan-out: a Wait after the go statement joins the workers
 	// before the window can be recycled.
-	joined := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if ok && call.Pos() > g.Pos() && calleeName(call) == "Wait" {
-			joined = true
+	if borrows && !fn.waitsAfter(g.Pos()) {
+		name := "a function literal"
+		if fn.Fn != nil {
+			name = fn.Fn.Name()
 		}
-		return !joined
-	})
-	if !joined {
 		pass.Reportf(g.Pos(),
-			"goroutine borrows arena memory with no .Wait() join in %s: the next window recycles the buffers while the goroutine runs", fd.Name.Name)
+			"goroutine borrows arena memory with no .Wait() join in %s: the next window recycles the buffers while the goroutine runs", name)
 	}
 }

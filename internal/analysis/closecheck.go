@@ -22,32 +22,32 @@ var CloseCheck = &Analyzer{
 }
 
 func runCloseCheck(pass *Pass) {
-	for _, f := range pass.Files {
-		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
-			df, ok := n.(*ast.DeferStmt)
+	info := pass.TypesInfo
+	for _, fn := range pass.Funcs {
+		for _, s := range fn.Stmts {
+			df, ok := s.(*ast.DeferStmt)
 			if !ok {
-				return true
+				continue
 			}
 			sel, ok := ast.Unparen(df.Call.Fun).(*ast.SelectorExpr)
 			if !ok || len(df.Call.Args) != 0 {
-				return true
+				continue
 			}
 			switch sel.Sel.Name {
 			case "Close":
-				if why := writableCloser(pass, sel.X, enclosingFunc(stack)); why != "" {
+				if why := writableCloser(info, fn, sel.X); why != "" {
 					pass.Reportf(df.Pos(),
 						"defer %s discards the Close error of a %s; a full disk loses buffered output silently — close explicitly and propagate the error",
-						exprString(sel), why)
+						types.ExprString(sel), why)
 				}
 			case "Flush":
-				if isNamed(pass.TypesInfo.TypeOf(sel.X), "bufio", "Writer") {
+				if isNamed(info.TypeOf(sel.X), "bufio", "Writer") {
 					pass.Reportf(df.Pos(),
 						"defer %s discards the Flush error of a bufio writer; the final buffered chunk is exactly what a full disk drops — flush explicitly and propagate the error",
-						exprString(sel))
+						types.ExprString(sel))
 				}
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -60,76 +60,20 @@ var compressingWriters = []struct{ pkg, desc string }{
 }
 
 // writableCloser classifies x as a writer whose Close reports data loss,
-// returning a short description or "".
-func writableCloser(pass *Pass, x ast.Expr, encl ast.Node) string {
-	info := pass.TypesInfo
+// returning a short description or "": a compressing writer, or a
+// variable fn opened a file for writing into.
+func writableCloser(info *types.Info, fn *FuncInfo, x ast.Expr) string {
 	for _, w := range compressingWriters {
 		if isNamed(info.TypeOf(x), w.pkg, "Writer") {
 			return w.desc
 		}
 	}
-	id, ok := ast.Unparen(x).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	v := objOf(info, id)
-	body := funcBody(encl)
-	if v == nil || body == nil {
-		return ""
-	}
-	// Find how the variable was opened in this function.
-	why := ""
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || why != "" {
-			return why == ""
-		}
-		for i, lhs := range as.Lhs {
-			lid, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok || objOf(info, lid) != v || len(as.Rhs) == 0 {
-				continue
-			}
-			rhs := as.Rhs[0]
-			if len(as.Rhs) > i {
-				rhs = as.Rhs[i]
-			}
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			switch calleeFullName(info, call) {
-			case "os.Create":
-				why = "file opened for writing"
-			case "os.OpenFile":
-				if len(call.Args) > 1 && !readOnlyFlags(info, call.Args[1]) {
-					why = "file opened for writing"
-				}
+	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
+		for _, o := range fn.Opens {
+			if o.Var != nil && o.Var == objOf(info, id) && o.Mode >= openWrite {
+				return "file opened for writing"
 			}
 		}
-		return why == ""
-	})
-	return why
-}
-
-// readOnlyFlags reports whether the os.OpenFile flag expression is
-// provably read-only (the literal os.O_RDONLY).
-func readOnlyFlags(info *types.Info, e ast.Expr) bool {
-	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-		if c, ok := objOf(info, sel.Sel).(*types.Const); ok {
-			return c.Name() == "O_RDONLY"
-		}
 	}
-	return false
-}
-
-// exprString renders a selector chain for diagnostics.
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	default:
-		return "expr"
-	}
+	return ""
 }

@@ -46,16 +46,24 @@ func runDeterminism(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		checkRandImports(pass, f)
-		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				checkMapRange(pass, n, stack)
-			case *ast.CallExpr:
-				checkTimeNow(pass, n, stack)
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "math/rand" || path == "math/rand/v2" {
+				pass.Reportf(imp.Pos(),
+					"%s imported in an output-producing package: random state breaks byte-identical reruns", path)
 			}
-			return true
-		})
+		}
+	}
+	for _, info := range pass.Funcs {
+		for _, s := range info.Stmts {
+			if rs, ok := s.(*ast.RangeStmt); ok {
+				checkMapRange(pass, info, rs)
+			}
+		}
+		for _, u := range info.Clock {
+			if call, ok := u.X.(*ast.CallExpr); ok && calleeFullName(pass.TypesInfo, call) == "time.Now" {
+				checkTimeNow(pass, call, u.Parent)
+			}
+		}
 	}
 }
 
@@ -68,19 +76,9 @@ func isOutputPackage(path string) bool {
 	return false
 }
 
-func checkRandImports(pass *Pass, f *ast.File) {
-	for _, imp := range f.Imports {
-		path, _ := strconv.Unquote(imp.Path.Value)
-		if path == "math/rand" || path == "math/rand/v2" {
-			pass.Reportf(imp.Pos(),
-				"%s imported in an output-producing package: random state breaks byte-identical reruns", path)
-		}
-	}
-}
-
 // checkMapRange flags effects inside a `range` over a map whose result
 // depends on iteration order.
-func checkMapRange(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
+func checkMapRange(pass *Pass, info *FuncInfo, rs *ast.RangeStmt) {
 	t := pass.TypesInfo.TypeOf(rs.X)
 	if t == nil {
 		return
@@ -88,13 +86,12 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	if _, ok := t.Underlying().(*types.Map); !ok {
 		return
 	}
-	encl := enclosingFunc(stack)
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
 			pass.Reportf(n.Pos(), "send on a channel inside range over map: receiver observes map iteration order")
 		case *ast.AssignStmt:
-			checkMapRangeAssign(pass, rs, encl, n)
+			checkMapRangeAssign(pass, info, rs, n)
 		case *ast.CallExpr:
 			if name := calleeName(n); isWriteVerb(name) {
 				pass.Reportf(n.Pos(), "%s inside range over map emits output in map iteration order", name)
@@ -105,7 +102,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	})
 }
 
-func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, encl ast.Node, as *ast.AssignStmt) {
+func checkMapRangeAssign(pass *Pass, fn *FuncInfo, rs *ast.RangeStmt, as *ast.AssignStmt) {
 	info := pass.TypesInfo
 	// v = append(v, ...) growing a slice that outlives the loop: the
 	// slice records iteration order. Exempt the canonical collect-and-sort
@@ -118,7 +115,7 @@ func checkMapRangeAssign(pass *Pass, rs *ast.RangeStmt, encl ast.Node, as *ast.A
 		switch lhs := ast.Unparen(as.Lhs[i]).(type) {
 		case *ast.Ident:
 			v := objOf(info, lhs)
-			if v == nil || declaredWithin(v, rs) || sortedAfter(info, encl, rs.End(), v) {
+			if v == nil || declaredWithin(v, rs) || sortedAfter(info, fn, rs.End(), v) {
 				continue
 			}
 			pass.Reportf(as.Pos(),
@@ -163,43 +160,23 @@ func declaredWithin(v types.Object, n ast.Node) bool {
 }
 
 // sortedAfter reports whether v is passed to a sorting call after pos in
-// the enclosing function — the collect-then-sort idiom that restores a
+// the function — the collect-then-sort idiom that restores a
 // deterministic order.
-func sortedAfter(info *types.Info, encl ast.Node, pos token.Pos, v types.Object) bool {
-	body := funcBody(encl)
-	if body == nil {
-		return false
+func sortedAfter(info *types.Info, fn *FuncInfo, pos token.Pos, v types.Object) bool {
+	for _, call := range fn.Sorts {
+		if call.Pos() >= pos && usesVar(info, call, v) {
+			return true
+		}
 	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < pos || found {
-			return !found
-		}
-		// Matches sort.Slice/sort.Strings/slices.Sort/slices.SortFunc and
-		// project-local sorters with Sort in the name.
-		full := calleeFullName(info, call)
-		if (strings.HasPrefix(full, "sort.") || strings.HasPrefix(full, "slices.") ||
-			strings.Contains(calleeName(call), "Sort")) && usesVar(info, call, v) {
-			found = true
-		}
-		return !found
-	})
-	return found
+	return false
 }
 
 // checkTimeNow flags time.Now results that flow into data rather than
 // timing. Durations (Since/Sub), comparisons and deadline plumbing are
 // timing; anything that stores, returns, formats or encodes the
 // timestamp puts wall-clock bytes into output.
-func checkTimeNow(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	if calleeFullName(pass.TypesInfo, call) != "time.Now" {
-		return
-	}
-	if len(stack) == 0 {
-		return
-	}
-	switch parent := stack[len(stack)-1].(type) {
+func checkTimeNow(pass *Pass, call *ast.CallExpr, parent ast.Node) {
+	switch parent := parent.(type) {
 	case *ast.CallExpr:
 		if name := calleeFullName(pass.TypesInfo, parent); timingCallee(name, calleeName(parent)) {
 			return
@@ -225,7 +202,7 @@ func checkTimeNow(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 			if v == nil {
 				continue
 			}
-			checkTimeVarUses(pass, enclosingFunc(stack), v)
+			checkTimeVarUses(pass, v)
 		}
 	case *ast.BinaryExpr, *ast.ExprStmt:
 		// comparisons and bare calls are timing-only
@@ -253,31 +230,30 @@ func timingMethod(name string) bool {
 }
 
 // checkTimeVarUses validates every use of a variable bound to time.Now.
-func checkTimeVarUses(pass *Pass, encl ast.Node, v types.Object) {
-	body := funcBody(encl)
-	if body == nil {
-		return
-	}
+// A local is visible only in its own function and the literals inside it,
+// so the package's wall-clock values hold every use.
+func checkTimeVarUses(pass *Pass, v types.Object) {
 	info := pass.TypesInfo
-	inspectStack(body, func(n ast.Node, stack []ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || objOf(info, id) != v || len(stack) == 0 {
-			return true
-		}
-		switch parent := stack[len(stack)-1].(type) {
-		case *ast.AssignStmt, *ast.ValueSpec, *ast.BinaryExpr:
-			// the defining assignment, re-binding, or a comparison
-		case *ast.SelectorExpr:
-			if parent.Sel != id && !timingMethod(parent.Sel.Name) {
-				pass.Reportf(id.Pos(), "wall-clock value %q used via .%s outside the timing domain", v.Name(), parent.Sel.Name)
+	for _, fn := range pass.Funcs {
+		for _, u := range fn.Clock {
+			id, ok := u.X.(*ast.Ident)
+			if !ok || objOf(info, id) != v {
+				continue
 			}
-		case *ast.CallExpr:
-			if !timingCallee(calleeFullName(info, parent), calleeName(parent)) {
-				pass.Reportf(id.Pos(), "wall-clock value %q passed to %s: timestamps in data break byte-identical reruns", v.Name(), calleeName(parent))
+			switch parent := u.Parent.(type) {
+			case *ast.AssignStmt, *ast.ValueSpec, *ast.BinaryExpr:
+				// the defining assignment, re-binding, or a comparison
+			case *ast.SelectorExpr:
+				if parent.Sel != id && !timingMethod(parent.Sel.Name) {
+					pass.Reportf(id.Pos(), "wall-clock value %q used via .%s outside the timing domain", v.Name(), parent.Sel.Name)
+				}
+			case *ast.CallExpr:
+				if !timingCallee(calleeFullName(info, parent), calleeName(parent)) {
+					pass.Reportf(id.Pos(), "wall-clock value %q passed to %s: timestamps in data break byte-identical reruns", v.Name(), calleeName(parent))
+				}
+			default:
+				pass.Reportf(id.Pos(), "wall-clock value %q used in a data position", v.Name())
 			}
-		default:
-			pass.Reportf(id.Pos(), "wall-clock value %q used in a data position", v.Name())
 		}
-		return true
-	})
+	}
 }

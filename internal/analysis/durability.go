@@ -49,94 +49,48 @@ func durableName(name string) bool {
 }
 
 func runDurability(pass *Pass) {
-	ip := pass.IP
-	if ip == nil {
-		return
-	}
-	for _, info := range ip.infos {
-		if info.Pkg.Types != pass.Pkg {
-			continue
-		}
-		checkDurability(pass, info)
-	}
-}
-
-func checkDurability(pass *Pass, info *FuncInfo) {
-	inf := info.Pkg.TypesInfo
-	durableLocals := durableLocalVars(info)
-
-	// Direct writes: a write call in a function that never fsyncs, with
-	// a durable-rooted path.
-	if !info.SyncsFile {
-		for _, w := range info.Writes {
-			if isDurablePath(inf, w.PathArg, durableLocals) {
-				pass.Reportf(w.Pos,
-					"%s writes under a durable path without fsync: a crash can tear or drop the bytes the journal will later trust — use checkpoint.AtomicWrite or sync the handle before rename", w.Callee)
+	inf := pass.TypesInfo
+	// dir := j.SpoolDir(id); sub := filepath.Join(dir, "x") marks both.
+	durable := flowVars(pass, func(e ast.Expr, durable map[types.Object]bool) bool {
+		return isDurablePath(inf, e, durable)
+	})
+	for _, info := range pass.Funcs {
+		// Direct writes: a creating open in a function that never fsyncs,
+		// with a durable-rooted path.
+		for _, o := range info.Opens {
+			if !info.SyncsFile && o.Mode == openCreate && isDurablePath(inf, o.Call.Args[0], durable) {
+				pass.Reportf(o.Call.Pos(),
+					"%s writes under a durable path without fsync: a crash can tear or drop the bytes the journal will later trust — use checkpoint.AtomicWrite or sync the handle before rename", calleeFullName(inf, o.Call))
 			}
 		}
-	}
 
-	// Indirect writes: a durable path handed to a helper whose summary
-	// says it writes under that parameter without syncing.
-	for _, c := range info.Calls {
-		callee := pass.IP.ByFunc[funcKey(c.Callee)]
-		if callee == nil || callee == info {
-			continue
-		}
-		params := pass.IP.DurableWriteParams(callee)
-		for pi := range params {
-			if pi >= len(c.Call.Args) {
+		// Indirect writes: a durable path handed to a helper whose summary
+		// says it writes under that parameter without syncing.
+		for _, c := range info.Calls {
+			callee := pass.IP.ByFunc[funcKey(c.Callee)]
+			if callee == info {
 				continue
 			}
-			if isDurablePath(inf, c.Call.Args[pi], durableLocals) {
-				pass.Reportf(c.Pos,
-					"durable path passed to %s, which writes under it without fsync (non-atomic write reached through a helper): route it through checkpoint.AtomicWrite or an fsync'd handle", c.Callee.Name())
-				break
+			for pi := range pass.IP.DurableWriteParams(callee) {
+				if pi < len(c.Call.Args) && isDurablePath(inf, c.Call.Args[pi], durable) {
+					pass.Reportf(c.Pos,
+						"durable path passed to %s, which writes under it without fsync (non-atomic write reached through a helper): route it through checkpoint.AtomicWrite or an fsync'd handle", c.Callee.Name())
+					break
+				}
 			}
 		}
 	}
-}
-
-// durableLocalVars propagates durable roots through local assignments
-// (dir := j.SpoolDir(id); sub := filepath.Join(dir, "x") marks both),
-// two passes for simple transitive chains.
-func durableLocalVars(info *FuncInfo) map[string]bool {
-	body := funcBody(info.Decl)
-	if body == nil {
-		return nil
-	}
-	inf := info.Pkg.TypesInfo
-	durable := map[string]bool{}
-	for range 2 {
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				if len(as.Lhs) <= i || !isDurablePath(inf, rhs, durable) {
-					continue
-				}
-				if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
-					if o := objOf(inf, id); o != nil {
-						durable[renderKey(inf, id)] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return durable
 }
 
 // isDurablePath reports whether the path expression e is rooted in
 // durable storage: a name matching durableName anywhere along its
 // derivation — identifier, struct field, owning type (Journal), called
-// method (SpoolDir, WorkDir) — or a filepath.Join over a durable part.
-func isDurablePath(inf *types.Info, e ast.Expr, durableLocals map[string]bool) bool {
+// method (SpoolDir, WorkDir), a variable in durable — or a filepath.Join
+// over a durable part.
+func isDurablePath(inf *types.Info, e ast.Expr, durable map[types.Object]bool) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return durableName(e.Name) || durableLocals[renderKey(inf, e)]
+		return durableName(e.Name) || durable[objOf(inf, e)]
 	case *ast.SelectorExpr:
 		if durableName(e.Sel.Name) {
 			return true
@@ -147,7 +101,7 @@ func isDurablePath(inf *types.Info, e ast.Expr, durableLocals map[string]bool) b
 		if n := namedOf(inf.TypeOf(e.X)); n != nil && n.Obj() != nil && durableName(n.Obj().Name()) {
 			return true
 		}
-		return isDurablePath(inf, e.X, durableLocals)
+		return isDurablePath(inf, e.X, durable)
 	case *ast.CallExpr:
 		name := calleeName(e)
 		if durableName(name) {
@@ -156,7 +110,7 @@ func isDurablePath(inf *types.Info, e ast.Expr, durableLocals map[string]bool) b
 		full := calleeFullName(inf, e)
 		if full == "path/filepath.Join" || full == "path.Join" {
 			for _, a := range e.Args {
-				if isDurablePath(inf, a, durableLocals) {
+				if isDurablePath(inf, a, durable) {
 					return true
 				}
 			}
@@ -170,9 +124,9 @@ func isDurablePath(inf *types.Info, e ast.Expr, durableLocals map[string]bool) b
 		}
 		return false
 	case *ast.BinaryExpr:
-		return isDurablePath(inf, e.X, durableLocals) || isDurablePath(inf, e.Y, durableLocals)
+		return isDurablePath(inf, e.X, durable) || isDurablePath(inf, e.Y, durable)
 	case *ast.IndexExpr:
-		return isDurablePath(inf, e.X, durableLocals)
+		return isDurablePath(inf, e.X, durable)
 	}
 	return false
 }

@@ -40,14 +40,7 @@ var GoroutineJoin = &Analyzer{
 }
 
 func runGoroutineJoin(pass *Pass) {
-	ip := pass.IP
-	if ip == nil {
-		return
-	}
-	for _, info := range ip.infos {
-		if info.Pkg.Types != pass.Pkg {
-			continue
-		}
+	for _, info := range pass.Funcs {
 		for _, g := range info.GoStmts {
 			checkGoJoin(pass, info, g)
 		}
@@ -63,30 +56,25 @@ func checkGoJoin(pass *Pass, spawner *FuncInfo, g *ast.GoStmt) {
 
 	// WaitGroup join: the goroutine Done()s a group somebody Waits on.
 	for k := range keys.done {
-		if ip.WaitedSomewhere(k) {
+		if ip.allWaitKeys[k] {
 			return
 		}
 	}
 	// Completion channel: the goroutine sends on / closes a channel
 	// somebody receives from.
 	for k := range keys.send {
-		if ip.ReceivedSomewhere(k) {
+		if ip.allRecvKeys[k] {
 			return
 		}
 	}
 	// Cancellation-aware: the goroutine parks on a ctx-done receive.
-	if keys.ctxDone {
-		return
-	}
 	// Spawner-side fallback: wg.Add(1); go fn(&wg) with the Wait in the
 	// spawner after the statement — the goroutine side may hide its Done
 	// behind a dynamic call, or be one (`go h()` over the stored helpers of
 	// par.Group.Do, the one spawn behind every data-parallel pass), but the
 	// spawner cannot get past its Wait without it.
-	for _, k := range spawner.WaitKeys {
-		if containsKeyAfter(spawner, k, g) {
-			return
-		}
+	if keys.ctxDone || spawner.waitsAfter(g.Pos()) {
+		return
 	}
 	if body == nil {
 		// The summary layer cannot see the body and the spawner does not
@@ -100,15 +88,4 @@ func checkGoJoin(pass *Pass, spawner *FuncInfo, g *ast.GoStmt) {
 
 	pass.Reportf(g.Pos(),
 		"goroutine reaches no join or cancellation (no WaitGroup.Wait, no completion-channel receive, no ctx-done select): it can outlive the work that spawned it")
-}
-
-// containsKeyAfter reports whether the spawner Waits on WaitGroup key k
-// at a position after the go statement.
-func containsKeyAfter(spawner *FuncInfo, k string, g *ast.GoStmt) bool {
-	for _, b := range spawner.Blocks {
-		if b.Pos > g.Pos() && b.Desc == "sync.WaitGroup.Wait on "+k {
-			return true
-		}
-	}
-	return false
 }

@@ -12,29 +12,3 @@ import (
 func TestGoroutineJoinFixture(t *testing.T) {
 	runFixture(t, GoroutineJoin, "gojoin")
 }
-
-// TestRealTreePins is the regression pin the sweep earned: the whole
-// production tree passes goroutinejoin and durability with only reasoned
-// //gsnplint:ignore suppressions. A new unjoined goroutine or non-atomic
-// durable write anywhere in the repo fails this test before it fails CI.
-func TestRealTreePins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading production tree: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, p := range pkgs {
-		seen[p.PkgPath] = true
-	}
-	for _, want := range []string{"gsnp/internal/journal", "gsnp/internal/service"} {
-		if !seen[want] {
-			t.Fatalf("pin lost its subject: %s not in the load", want)
-		}
-	}
-	for _, d := range RunAll(pkgs, []*Analyzer{GoroutineJoin, Durability, LockHold}) {
-		t.Errorf("%s: [%s] %s", pkgs[0].Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-}

@@ -51,20 +51,30 @@ func fixtureWants(t *testing.T, pkg *Package) map[string][]*regexp.Regexp {
 // any directive problems) against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer, path string) {
 	t.Helper()
-	pkgs, err := Load("testdata/src", "./"+path)
+	checkFixture(t, []*Analyzer{a}, "./"+path)
+}
+
+// checkFixture loads the packages matching pattern under testdata/src as
+// one load and checks the analyzers' diagnostics against their wants.
+func checkFixture(t *testing.T, analyzers []*Analyzer, pattern string) {
+	t.Helper()
+	pkgs, err := Load("testdata/src", pattern)
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", path, err)
+		t.Fatalf("loading fixture %s: %v", pattern, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d packages, want 1", path, len(pkgs))
+	if len(pkgs) == 0 {
+		t.Fatalf("fixture %s: no packages", pattern)
 	}
-	pkg := pkgs[0]
-	wants := fixtureWants(t, pkg)
-	diags := Run(pkg, []*Analyzer{a})
+	wants := map[string][]*regexp.Regexp{}
+	for _, pkg := range pkgs {
+		for k, res := range fixtureWants(t, pkg) {
+			wants[k] = append(wants[k], res...)
+		}
+	}
 
 	matched := map[string]map[int]bool{} // line key -> want index -> hit
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+	for _, d := range RunAll(pkgs, analyzers) {
+		pos := pkgs[0].Fset.Position(d.Pos)
 		k := shortKey(pos)
 		ok := false
 		for i, re := range wants[k] {

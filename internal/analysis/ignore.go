@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/token"
+	"strconv"
 	"strings"
 )
 
@@ -22,20 +23,6 @@ type directiveSet struct {
 	// byLine maps file:line to the set of suppressed analyzer names.
 	byLine   map[string]map[string]bool
 	problems []Diagnostic
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 // directives collects every //gsnplint:ignore directive in pkg.
@@ -78,7 +65,7 @@ func directives(pkg *Package) *directiveSet {
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				for _, line := range []int{pos.Line, pos.Line + 1} {
-					k := pos.Filename + ":" + itoa(line)
+					k := pos.Filename + ":" + strconv.Itoa(line)
 					if ds.byLine[k] == nil {
 						ds.byLine[k] = map[string]bool{}
 					}
@@ -97,7 +84,7 @@ func (ds *directiveSet) filter(fset *token.FileSet, diags []Diagnostic) []Diagno
 	var out []Diagnostic
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		set := ds.byLine[pos.Filename+":"+itoa(pos.Line)]
+		set := ds.byLine[pos.Filename+":"+strconv.Itoa(pos.Line)]
 		if set != nil && (set["all"] || set[d.Analyzer]) {
 			continue
 		}

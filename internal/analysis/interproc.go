@@ -1,15 +1,19 @@
 package analysis
 
-// The interprocedural layer: a per-load call graph plus one summary per
-// function declaration, computed once when a load's packages enter
-// RunAll and handed to every analyzer through Pass.IP. The summaries
-// record the facts the concurrency and durability analyzers need to see
-// across function boundaries — spawns-goroutine, blocks-on-channel/
-// select/Wait, performs file-or-network I/O, acquires/releases which
-// mutex, writes under which path, fsyncs file handles — and the
-// transitive queries (Blocks, DoneKeys, SendCloseKeys, ...) memoize a
-// DFS over static call edges so asking "does this call eventually
-// block?" is cheap for every analyzer.
+// The fact base: one summary per function, computed once when a load's
+// packages enter RunAll. summarize is the only walk over a function body;
+// every analyzer reads what it recorded — the package's own summaries
+// through Pass.Funcs, the load-wide call graph through Pass.IP.
+//
+// A summary holds two kinds of facts. Syntactic ones — the body's
+// statements, its file opens and their flag class, its wall-clock values,
+// its sorting calls — serve the per-function rules (determinism,
+// arenalifetime, closecheck, saturation). Behavioural ones — spawns which
+// goroutines, blocks on a channel/select/Wait, acquires/releases which
+// mutex, fsyncs a file — serve the concurrency and durability analyzers,
+// and the transitive queries (FirstBlock, transitiveKeys,
+// DurableWriteParams) memoize a DFS over static call edges so asking "does
+// this call eventually block?" is cheap for every analyzer.
 //
 // Resolution is static only: direct calls to package-level functions and
 // methods with a concrete receiver, across every package in the same
@@ -24,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -33,24 +38,44 @@ import (
 // static call to a load-local function that transitively blocks.
 type BlockOp struct {
 	Pos  token.Pos
-	Desc string // human-readable, e.g. "send on channel" or "call to flush (does file I/O)"
+	Desc string // human-readable, e.g. "send on channel" or "call to flush, which does file I/O (...)"
 }
 
 // LockEvent is one mutex acquisition or release, identified by Key.
 type LockEvent struct {
 	Pos      token.Pos
-	Key      string // mutex identity, see chanKey
+	Key      string // mutex identity, see renderKey
 	Unlock   bool
 	Deferred bool // defer mu.Unlock(): held to the end of the function
 }
 
-// WriteCall is one direct file-creating/writing call (os.WriteFile,
-// os.Create, writable os.OpenFile) with the path argument it targets.
-type WriteCall struct {
-	Pos     token.Pos
-	Callee  string   // "os.WriteFile", ...
-	PathArg ast.Expr // the path expression passed to the call
+// KeyPos is one keyed operation at a position (a WaitGroup.Wait).
+type KeyPos struct {
+	Key string
+	Pos token.Pos
 }
+
+// Use is an expression together with the node directly above it.
+type Use struct {
+	X      ast.Expr
+	Parent ast.Node
+}
+
+// Open is one os.Create, os.OpenFile or os.WriteFile call.
+type Open struct {
+	Call *ast.CallExpr
+	Var  types.Object // the variable the returned file is assigned to, or nil
+	Mode openMode
+}
+
+// openMode classes an open by what it can do to the bytes on disk.
+type openMode int
+
+const (
+	openRead   openMode = iota // os.OpenFile(..., os.O_RDONLY, ...)
+	openWrite                  // writes into an existing file (O_APPEND, O_RDWR, ...)
+	openCreate                 // creates or truncates: os.Create, os.WriteFile, O_CREATE, O_TRUNC, unreadable flags
+)
 
 // CallSite is one static call edge to a function in the same load.
 type CallSite struct {
@@ -59,12 +84,29 @@ type CallSite struct {
 	Call   *ast.CallExpr
 }
 
-// FuncInfo is the summary of one function declaration (or one
-// go-statement function literal, which gets its own synthetic summary).
+// FuncInfo is the summary of one function: a declaration, or a function
+// literal that does not run where it is written — one spawned by a go
+// statement, stored, or passed on. A literal that runs in place (called
+// immediately, or deferred) is part of the enclosing function's body.
 type FuncInfo struct {
-	Fn   *types.Func // nil for go-statement literals
+	Fn   *types.Func // nil for function literals
 	Decl ast.Node    // *ast.FuncDecl or *ast.FuncLit
 	Pkg  *Package
+
+	// Stmts are the body's statements in source order, those of literals
+	// with a summary of their own excepted.
+	Stmts []ast.Stmt
+
+	// Clock lists the body's expressions of type time.Time — time.Now()
+	// calls, variables holding a timestamp — each with its parent.
+	Clock []Use
+
+	// Sorts are the calls that sort: sort.*, slices.*, or any function
+	// with Sort in its name.
+	Sorts []*ast.CallExpr
+
+	// Opens are the file-opening calls, with their flag class.
+	Opens []Open
 
 	// GoStmts are the go statements spawned directly by this function
 	// (not by goroutines it spawns).
@@ -80,9 +122,10 @@ type FuncInfo struct {
 	// Locks are the mutex acquire/release events in source order.
 	Locks []LockEvent
 
-	// DoneKeys / WaitKeys / AddKeys identify the sync.WaitGroups this
-	// function calls Done/Wait/Add on directly.
-	DoneKeys, WaitKeys, AddKeys []string
+	// DoneKeys identify the WaitGroups this function calls Done on; Waits
+	// are its WaitGroup.Wait calls by key, deferred ones included.
+	DoneKeys []string
+	Waits    []KeyPos
 
 	// SendKeys / RecvKeys identify channels this function directly sends
 	// on or closes / receives from or ranges over.
@@ -93,23 +136,10 @@ type FuncInfo struct {
 	// is cancellation-aware.
 	CtxDoneSelect bool
 
-	// IO is true when the function directly performs file or network I/O.
-	IO bool
-
-	// Writes are the direct file-write calls (for the durability check).
-	Writes []WriteCall
-
 	// SyncsFile is true when the function calls Sync() on an *os.File:
 	// it implements its own durability (fsync-before-rename or fsync'd
 	// append) and its writes are sanctioned.
 	SyncsFile bool
-
-	// WriteParams are the parameter indices whose value flows into the
-	// path of an unsanctioned direct write in this function.
-	WriteParams map[int]bool
-
-	// paramObjs maps parameter index -> object, for flow queries.
-	paramObjs []types.Object
 }
 
 // Interproc is the shared interprocedural fact base for one load.
@@ -122,8 +152,8 @@ type Interproc struct {
 	// ByGo maps each go statement to the summary of its spawned body
 	// (the function literal, or the called function's summary).
 	ByGo map[*ast.GoStmt]*FuncInfo
-	// infos lists every summary (declarations and go-literals).
-	infos []*FuncInfo
+	// funcs lists each package's summaries: declarations and literals.
+	funcs map[*Package][]*FuncInfo
 
 	// allWaitKeys / allRecvKeys aggregate the load: which WaitGroups
 	// have a Wait somewhere, which channels are received from somewhere.
@@ -132,7 +162,6 @@ type Interproc struct {
 
 	// memo tables for the transitive queries.
 	blocksMemo map[*FuncInfo]*BlockOp
-	ioMemo     map[*FuncInfo]int8 // 0 unknown, 1 yes, -1 no
 	keysMemo   map[*FuncInfo]*transKeys
 	writeMemo  map[*FuncInfo]map[int]bool
 }
@@ -147,10 +176,10 @@ func buildInterproc(pkgs []*Package) *Interproc {
 	ip := &Interproc{
 		ByFunc:      map[string]*FuncInfo{},
 		ByGo:        map[*ast.GoStmt]*FuncInfo{},
+		funcs:       map[*Package][]*FuncInfo{},
 		allWaitKeys: map[string]bool{},
 		allRecvKeys: map[string]bool{},
 		blocksMemo:  map[*FuncInfo]*BlockOp{},
-		ioMemo:      map[*FuncInfo]int8{},
 		keysMemo:    map[*FuncInfo]*transKeys{},
 		writeMemo:   map[*FuncInfo]map[int]bool{},
 	}
@@ -168,38 +197,45 @@ func buildInterproc(pkgs []*Package) *Interproc {
 				}
 			}
 		}
-	}
-	for _, info := range ip.infos {
-		for _, k := range info.WaitKeys {
-			ip.allWaitKeys[k] = true
-		}
-		for _, k := range info.RecvKeys {
-			ip.allRecvKeys[k] = true
+		for _, info := range ip.funcs[pkg] {
+			for _, w := range info.Waits {
+				ip.allWaitKeys[w.Key] = true
+			}
+			for _, k := range info.RecvKeys {
+				ip.allRecvKeys[k] = true
+			}
 		}
 	}
 	return ip
 }
 
-// summarize collects the direct facts of one function body. Bodies of
-// go-spawned function literals are excluded (they execute in the
-// goroutine, not the spawner) and summarized separately under ByGo.
+// summarize collects the facts of one function body in one walk. A
+// literal that runs elsewhere gets a summary of its own: a go-spawned one
+// is also entered under ByGo, a stored or passed one is reachable by no
+// call edge, so its facts are invisible to the transitive queries (a
+// known approximation) but every per-function rule still checks it.
 func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt, fn *types.Func) *FuncInfo {
 	info := &FuncInfo{Fn: fn, Decl: decl, Pkg: pkg}
-	ip.infos = append(ip.infos, info)
-	if fn != nil {
-		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil {
-			for i := 0; i < sig.Params().Len(); i++ {
-				info.paramObjs = append(info.paramObjs, sig.Params().At(i))
-			}
-		}
-	}
-	info.WriteParams = map[int]bool{}
+	ip.funcs[pkg] = append(ip.funcs[pkg], info)
 	inf := pkg.TypesInfo
 
-	var walk func(n ast.Node, inDefer bool)
-	walk = func(n ast.Node, inDefer bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
+	// walk visits root, whose parent is the given node. inDefer marks code
+	// that runs at return: its blocking ops stay out of Blocks.
+	var walk func(root, parent ast.Node, inDefer bool)
+	walk = func(root, parent ast.Node, inDefer bool) {
+		stack := []ast.Node{parent}
+		ast.Inspect(root, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			parent := stack[len(stack)-1]
+			if s, ok := n.(ast.Stmt); ok {
+				info.Stmts = append(info.Stmts, s)
+			}
+			if e, ok := n.(ast.Expr); ok && isNamed(inf.TypeOf(e), "time", "Time") {
+				info.Clock = append(info.Clock, Use{e, parent})
+			}
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				info.GoStmts = append(info.GoStmts, n)
@@ -212,7 +248,7 @@ func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt,
 				}
 				// Argument expressions still evaluate in the spawner.
 				for _, a := range n.Call.Args {
-					walk(a, inDefer)
+					walk(a, n.Call, inDefer)
 				}
 				return false
 			case *ast.DeferStmt:
@@ -225,13 +261,13 @@ func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt,
 				// normal bounded pair that merely runs at return.
 				if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
 					for _, a := range n.Call.Args {
-						walk(a, inDefer)
+						walk(a, n.Call, inDefer)
 					}
-					walk(lit.Body, true)
+					walk(lit.Body, lit, true)
 				} else {
-					ip.callFacts(info, inf, n.Call, true, true)
+					ip.callFacts(info, n.Call, n, true)
 					for _, a := range n.Call.Args {
-						walk(a, true)
+						walk(a, n.Call, true)
 					}
 				}
 				return false
@@ -239,31 +275,28 @@ func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt,
 				if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
 					// Immediately-invoked literal: runs right here.
 					for _, a := range n.Args {
-						walk(a, inDefer)
+						walk(a, n, inDefer)
 					}
-					walk(lit.Body, inDefer)
+					walk(lit.Body, lit, inDefer)
 					return false
 				}
-				ip.callFacts(info, inf, n, inDefer, false)
+				ip.callFacts(info, n, parent, inDefer)
 			case *ast.FuncLit:
-				// A literal that is stored or passed runs wherever its
-				// value is eventually called; attributing its body to this
-				// function would invent blocking ops that never execute
-				// here. Known approximation: facts inside such literals
-				// are invisible to the transitive queries.
+				// Stored or passed: it runs wherever its value is called.
+				ip.summarize(pkg, n, n.Body, nil)
 				return false
 			case *ast.SendStmt:
 				if !inDefer {
 					info.Blocks = append(info.Blocks, BlockOp{Pos: n.Pos(), Desc: "send on " + renderKey(inf, n.Chan)})
 				}
-				info.SendKeys = appendKey(info.SendKeys, inf, n.Chan)
+				info.SendKeys = append(info.SendKeys, renderKey(inf, n.Chan))
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
 					if !inDefer {
 						info.Blocks = append(info.Blocks, BlockOp{Pos: n.Pos(), Desc: "receive from " + renderKey(inf, n.X)})
 					}
-					info.RecvKeys = appendKey(info.RecvKeys, inf, n.X)
-					if isDoneCall(inf, n.X) {
+					info.RecvKeys = append(info.RecvKeys, renderKey(inf, n.X))
+					if isDoneCall(n.X) {
 						info.CtxDoneSelect = true
 					}
 				}
@@ -273,7 +306,7 @@ func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt,
 						if !inDefer {
 							info.Blocks = append(info.Blocks, BlockOp{Pos: n.Pos(), Desc: "range over " + renderKey(inf, n.X)})
 						}
-						info.RecvKeys = appendKey(info.RecvKeys, inf, n.X)
+						info.RecvKeys = append(info.RecvKeys, renderKey(inf, n.X))
 					}
 				}
 			case *ast.SelectStmt:
@@ -288,65 +321,59 @@ func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt,
 				}
 				// Case channels are recorded by the nested Send/Unary walks.
 			}
+			stack = append(stack, n)
 			return true
 		})
 	}
-	walk(body, false)
-	ip.findWriteParams(info)
+	walk(body, decl, false)
 	return info
 }
 
 // callFacts classifies one call expression: builtin close, mutex ops,
-// WaitGroup ops, known external blocking/I-O functions, write calls,
-// Sync, and load-local static edges. directDefer marks the call that is
-// itself the deferred expression (`defer mu.Unlock()`), whose unlock
-// extends the held interval to the end of the function.
-func (ip *Interproc) callFacts(info *FuncInfo, inf *types.Info, call *ast.CallExpr, inDefer, directDefer bool) {
+// WaitGroup ops, file opens, sorts, known external blocking/I-O
+// functions, Sync, and load-local static edges. A call whose parent is
+// the defer statement itself (`defer mu.Unlock()`) extends the held
+// interval to the end of the function.
+func (ip *Interproc) callFacts(info *FuncInfo, call *ast.CallExpr, parent ast.Node, inDefer bool) {
+	inf := info.Pkg.TypesInfo
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-		if objOf(inf, id) == nil || objOf(inf, id).Pkg() == nil { // the builtin
-			info.SendKeys = appendKey(info.SendKeys, inf, call.Args[0])
+		if o := objOf(inf, id); o == nil || o.Pkg() == nil { // the builtin
+			info.SendKeys = append(info.SendKeys, renderKey(inf, call.Args[0]))
 			return
 		}
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		t := inf.TypeOf(sel.X)
 		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			if isMutexExpr(inf, sel.X) {
-				info.Locks = append(info.Locks, LockEvent{Pos: call.Pos(), Key: renderKey(inf, sel.X)})
-				return
-			}
-		case "Unlock", "RUnlock":
-			if isMutexExpr(inf, sel.X) {
-				info.Locks = append(info.Locks, LockEvent{Pos: call.Pos(), Key: renderKey(inf, sel.X), Unlock: true, Deferred: directDefer})
+		case "Lock", "RLock", "Unlock", "RUnlock":
+			if isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex") {
+				_, direct := parent.(*ast.DeferStmt)
+				unlock := strings.HasSuffix(sel.Sel.Name, "Unlock")
+				info.Locks = append(info.Locks, LockEvent{Pos: call.Pos(), Key: renderKey(inf, sel.X), Unlock: unlock, Deferred: unlock && direct})
 				return
 			}
 		case "Wait":
-			if isNamed(inf.TypeOf(sel.X), "sync", "WaitGroup") {
-				info.WaitKeys = appendKey(info.WaitKeys, inf, sel.X)
+			if isNamed(t, "sync", "WaitGroup") {
+				key := renderKey(inf, sel.X)
+				info.Waits = append(info.Waits, KeyPos{key, call.Pos()})
 				if !inDefer {
-					info.Blocks = append(info.Blocks, BlockOp{Pos: call.Pos(), Desc: "sync.WaitGroup.Wait on " + renderKey(inf, sel.X)})
+					info.Blocks = append(info.Blocks, BlockOp{Pos: call.Pos(), Desc: "sync.WaitGroup.Wait on " + key})
 				}
 				return
 			}
 			// sync.Cond.Wait releases its mutex while parked, so it is
 			// deliberately NOT a blocking op for lockhold.
-			if isNamed(inf.TypeOf(sel.X), "sync", "Cond") {
+			if isNamed(t, "sync", "Cond") {
 				return
 			}
 		case "Done":
-			if isNamed(inf.TypeOf(sel.X), "sync", "WaitGroup") {
-				info.DoneKeys = appendKey(info.DoneKeys, inf, sel.X)
-				return
-			}
-		case "Add":
-			if isNamed(inf.TypeOf(sel.X), "sync", "WaitGroup") {
-				info.AddKeys = appendKey(info.AddKeys, inf, sel.X)
+			if isNamed(t, "sync", "WaitGroup") {
+				info.DoneKeys = append(info.DoneKeys, renderKey(inf, sel.X))
 				return
 			}
 		case "Sync":
-			if isFileType(inf.TypeOf(sel.X)) {
+			if isNamed(t, "os", "File") {
 				info.SyncsFile = true
-				info.IO = true
 				if !inDefer {
 					info.Blocks = append(info.Blocks, BlockOp{Pos: call.Pos(), Desc: "file I/O (Sync)"})
 				}
@@ -357,22 +384,23 @@ func (ip *Interproc) callFacts(info *FuncInfo, inf *types.Info, call *ast.CallEx
 
 	full := calleeFullName(inf, call)
 	switch full {
-	case "os.WriteFile", "os.Create":
-		if len(call.Args) > 0 {
-			info.Writes = append(info.Writes, WriteCall{Pos: call.Pos(), Callee: full, PathArg: call.Args[0]})
+	case "os.Create", "os.WriteFile", "os.OpenFile":
+		o := Open{Call: call, Mode: openCreate}
+		if full == "os.OpenFile" {
+			o.Mode = flagMode(inf, call.Args[1])
 		}
-	case "os.OpenFile":
-		// Only creating or truncating opens count as durable writes: an
-		// O_WRONLY|O_APPEND reopen of an existing fsync'd file (the WAL
-		// after compaction) replaces no bytes by itself, and the appends
-		// that follow carry their own Sync.
-		if len(call.Args) > 1 && flagsCreateOrTruncate(inf, call.Args[1]) {
-			info.Writes = append(info.Writes, WriteCall{Pos: call.Pos(), Callee: full, PathArg: call.Args[0]})
+		if as, ok := parent.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && as.Rhs[0] == call {
+			if id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident); ok {
+				o.Var = objOf(inf, id)
+			}
 		}
+		info.Opens = append(info.Opens, o)
 	}
-	if desc, blocking := externalBlocking(full); desc != "" {
-		info.IO = info.IO || strings.Contains(desc, "I/O")
-		if blocking && !inDefer {
+	if strings.HasPrefix(full, "sort.") || strings.HasPrefix(full, "slices.") || strings.Contains(calleeName(call), "Sort") {
+		info.Sorts = append(info.Sorts, call)
+	}
+	if desc := externalBlocking(full); desc != "" {
+		if !inDefer {
 			info.Blocks = append(info.Blocks, BlockOp{Pos: call.Pos(), Desc: desc})
 		}
 		return
@@ -382,30 +410,71 @@ func (ip *Interproc) callFacts(info *FuncInfo, inf *types.Info, call *ast.CallEx
 	}
 }
 
-// findWriteParams marks the parameters whose value reaches the path of a
-// direct unsanctioned write in this function (os.WriteFile(filepath.
-// Join(dir, ...), ...) with dir a parameter). Used to flag durable paths
-// handed to oblivious helpers at the call site.
-func (ip *Interproc) findWriteParams(info *FuncInfo) {
-	if info.Fn == nil || len(info.Writes) == 0 || info.SyncsFile {
-		return
+// flagMode classes an os.OpenFile flag expression by its strongest flag.
+// A flag value the analyzer cannot read (a variable, a call) is
+// conservatively treated as creating; a literal number as writing.
+func flagMode(inf *types.Info, e ast.Expr) openMode {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.BinaryExpr:
+		return max(flagMode(inf, e.X), flagMode(inf, e.Y))
+	case *ast.BasicLit:
+		return openWrite
+	case *ast.SelectorExpr:
+		id = e.Sel
+	case *ast.Ident:
+		id = e
 	}
-	inf := info.Pkg.TypesInfo
-	for _, w := range info.Writes {
-		for i, p := range info.paramObjs {
-			if p != nil && usesVar(inf, w.PathArg, p) {
-				info.WriteParams[i] = true
+	c, ok := objOf(inf, id).(*types.Const)
+	switch {
+	case !ok || c.Name() == "O_CREATE" || c.Name() == "O_TRUNC":
+		return openCreate
+	case c.Name() == "O_RDONLY":
+		return openRead
+	}
+	return openWrite
+}
+
+// flowVars returns the variables a value reaches through the package's
+// assignments: with root(e) true for e, `v := e; w := v[:n]` marks v and
+// w. Objects are package-wide identities, so one pass over every summary
+// also follows a local into the literals that capture it; two rounds
+// catch a chain written out of order.
+func flowVars(pass *Pass, root func(e ast.Expr, flowed map[types.Object]bool) bool) map[types.Object]bool {
+	flowed := map[types.Object]bool{}
+	for range 2 {
+		for _, info := range pass.Funcs {
+			for _, s := range info.Stmts {
+				as, ok := s.(*ast.AssignStmt)
+				if !ok {
+					continue
+				}
+				for i, rhs := range as.Rhs {
+					if i >= len(as.Lhs) || !root(rhs, flowed) {
+						continue
+					}
+					if id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
+						if v := objOf(pass.TypesInfo, id); v != nil {
+							flowed[v] = true
+						}
+					}
+				}
 			}
 		}
 	}
+	return flowed
 }
 
-// Info returns the summary of fn, or nil when fn is outside the load.
-func (ip *Interproc) Info(fn *types.Func) *FuncInfo {
-	if ip == nil || fn == nil {
-		return nil
+// waitsAfter reports whether the function calls WaitGroup.Wait after pos:
+// a spawner that does cannot get past that point before the goroutines
+// it spawned at pos are done.
+func (info *FuncInfo) waitsAfter(pos token.Pos) bool {
+	for _, w := range info.Waits {
+		if w.Pos > pos {
+			return true
+		}
 	}
-	return ip.ByFunc[funcKey(fn)]
+	return false
 }
 
 // funcKey is the load-stable identity of a function: the generic origin's
@@ -428,8 +497,7 @@ func (ip *Interproc) GoroutineInfo(inf *types.Info, g *ast.GoStmt) *FuncInfo {
 }
 
 // FirstBlock returns the first potentially-blocking operation reachable
-// from info, transitively through static calls, or nil. The description
-// of an indirect block names the call chain's first hop.
+// from info, transitively through static calls, or nil.
 func (ip *Interproc) FirstBlock(info *FuncInfo) *BlockOp {
 	if info == nil {
 		return nil
@@ -443,18 +511,23 @@ func (ip *Interproc) FirstBlock(info *FuncInfo) *BlockOp {
 		found = &info.Blocks[0]
 	} else {
 		for _, c := range info.Calls {
-			callee := ip.ByFunc[funcKey(c.Callee)]
-			if callee == nil {
-				continue
-			}
-			if op := ip.FirstBlock(callee); op != nil {
-				found = &BlockOp{Pos: c.Pos, Desc: "call to " + c.Callee.Name() + ", which " + shortBlockDesc(op.Desc)}
+			if found = ip.callBlock(c); found != nil {
 				break
 			}
 		}
 	}
 	ip.blocksMemo[info] = found
 	return found
+}
+
+// callBlock returns call site c as a blocking operation when its callee
+// transitively blocks, described by the chain's first hop, or nil.
+func (ip *Interproc) callBlock(c CallSite) *BlockOp {
+	op := ip.FirstBlock(ip.ByFunc[funcKey(c.Callee)])
+	if op == nil {
+		return nil
+	}
+	return &BlockOp{Pos: c.Pos, Desc: "call to " + c.Callee.Name() + ", which " + shortBlockDesc(op.Desc)}
 }
 
 func shortBlockDesc(d string) string {
@@ -499,17 +572,12 @@ func (ip *Interproc) transitiveKeys(info *FuncInfo) *transKeys {
 	return tk
 }
 
-// WaitedSomewhere reports whether any function in the load calls Wait on
-// the WaitGroup identified by key.
-func (ip *Interproc) WaitedSomewhere(key string) bool { return ip.allWaitKeys[key] }
-
-// ReceivedSomewhere reports whether any function in the load receives
-// from (or ranges over) the channel identified by key.
-func (ip *Interproc) ReceivedSomewhere(key string) bool { return ip.allRecvKeys[key] }
-
-// DurableWriteParams returns the parameter indices of fn that flow into
-// an unsanctioned disk write, transitively: fn either writes under the
-// parameter itself or passes it along to a helper that does.
+// DurableWriteParams returns the parameter indices of a function that
+// flow into the path of an unsanctioned creating write, transitively: the
+// function either writes under the parameter itself
+// (os.WriteFile(filepath.Join(dir, ...)) with dir a parameter) or passes
+// it along to a helper that does. Durability flags the call sites that
+// hand such a parameter a durable path.
 func (ip *Interproc) DurableWriteParams(info *FuncInfo) map[int]bool {
 	if info == nil {
 		return nil
@@ -522,20 +590,27 @@ func (ip *Interproc) DurableWriteParams(info *FuncInfo) map[int]bool {
 	if info.SyncsFile {
 		return m // the function implements its own durability
 	}
-	for i := range info.WriteParams {
-		m[i] = true
+	var params *types.Tuple
+	if info.Fn != nil {
+		params = info.Fn.Type().(*types.Signature).Params()
 	}
 	inf := info.Pkg.TypesInfo
-	for _, c := range info.Calls {
-		sub := ip.DurableWriteParams(ip.ByFunc[funcKey(c.Callee)])
-		for argIdx := range sub {
-			if argIdx >= len(c.Call.Args) {
-				continue
+	mark := func(e ast.Expr) {
+		for i := 0; i < params.Len(); i++ {
+			if usesVar(inf, e, params.At(i)) {
+				m[i] = true
 			}
-			for pi, p := range info.paramObjs {
-				if p != nil && usesVar(inf, c.Call.Args[argIdx], p) {
-					m[pi] = true
-				}
+		}
+	}
+	for _, o := range info.Opens {
+		if o.Mode == openCreate {
+			mark(o.Call.Args[0])
+		}
+	}
+	for _, c := range info.Calls {
+		for argIdx := range ip.DurableWriteParams(ip.ByFunc[funcKey(c.Callee)]) {
+			if argIdx < len(c.Call.Args) {
+				mark(c.Call.Args[argIdx])
 			}
 		}
 	}
@@ -558,40 +633,9 @@ func staticCallee(inf *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// flagsCreateOrTruncate reports whether an os.OpenFile flag expression
-// contains O_CREATE or O_TRUNC. A flag value the analyzer cannot read (a
-// variable, a call) is conservatively treated as creating.
-func flagsCreateOrTruncate(inf *types.Info, e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.BinaryExpr:
-		return flagsCreateOrTruncate(inf, e.X) || flagsCreateOrTruncate(inf, e.Y)
-	case *ast.SelectorExpr:
-		if c, ok := objOf(inf, e.Sel).(*types.Const); ok {
-			return c.Name() == "O_CREATE" || c.Name() == "O_TRUNC"
-		}
-	case *ast.Ident:
-		if c, ok := objOf(inf, e).(*types.Const); ok {
-			return c.Name() == "O_CREATE" || c.Name() == "O_TRUNC"
-		}
-	case *ast.BasicLit:
-		return false
-	}
-	return true // unreadable flags: assume the worst
-}
-
-// isMutexExpr reports whether e is a sync.Mutex or sync.RWMutex (or a
-// pointer to one), including promoted/embedded fields accessed directly.
-func isMutexExpr(inf *types.Info, e ast.Expr) bool {
-	t := inf.TypeOf(e)
-	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
-}
-
-// isFileType matches *os.File.
-func isFileType(t types.Type) bool { return isNamed(t, "os", "File") }
-
 // isDoneCall reports whether e is a call to a Done() method — the
 // context cancellation channel.
-func isDoneCall(inf *types.Info, e ast.Expr) bool {
+func isDoneCall(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
@@ -616,7 +660,7 @@ func renderKey(inf *types.Info, e ast.Expr) string {
 			if o.Pkg() != nil && o.Parent() == o.Pkg().Scope() {
 				return o.Pkg().Path() + "." + o.Name() // package-level var
 			}
-			return "local@" + itoa(int(o.Pos()))
+			return "local@" + strconv.Itoa(int(o.Pos()))
 		}
 		return e.Name
 	case *ast.SelectorExpr:
@@ -637,23 +681,17 @@ func renderKey(inf *types.Info, e ast.Expr) string {
 	}
 }
 
-func appendKey(keys []string, inf *types.Info, e ast.Expr) []string {
-	return append(keys, renderKey(inf, e))
-}
-
-// externalBlocking classifies a fully qualified external function name.
-// It returns a description ("" when unknown) and whether the call can
-// block the caller. I/O verbs are both: they block and they touch the
-// disk or network.
-func externalBlocking(full string) (desc string, blocking bool) {
-	if full == "" {
-		return "", false
-	}
+// externalBlocking classifies a fully qualified external function name:
+// a description when the call can block the caller (I/O verbs block and
+// touch the disk or network), "" when it is not known to.
+func externalBlocking(full string) string {
 	switch full {
+	case "":
+		return ""
 	case "time.Sleep":
-		return "time.Sleep", true
+		return "time.Sleep"
 	case "(*sync.WaitGroup).Wait":
-		return "sync.WaitGroup.Wait", true
+		return "sync.WaitGroup.Wait"
 	}
 	// File and network I/O by package + name. The receiver spelling in
 	// FullName is "(*os.File).Write" / "(net.Conn).Read".
@@ -687,9 +725,95 @@ func externalBlocking(full string) (desc string, blocking bool) {
 				if strings.HasPrefix(tbl.prefix, "net") || strings.Contains(tbl.prefix, "http") {
 					kind = "network I/O"
 				}
-				return kind + " (" + full + ")", true
+				return kind + " (" + full + ")"
 			}
 		}
 	}
-	return "", false
+	return ""
+}
+
+// namedOf unwraps pointers and aliases down to a named type, or nil.
+func namedOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// isNamed reports whether t (possibly behind a pointer) is the named type
+// pkgSuffix.name. An empty pkgSuffix matches any package; otherwise the
+// defining package's path must end in pkgSuffix (so both the real module
+// path and test-fixture module paths match) or its package name must
+// equal pkgSuffix.
+func isNamed(t types.Type, pkgSuffix, name string) bool {
+	n := namedOf(t)
+	if n == nil || n.Obj() == nil || n.Obj().Name() != name {
+		return false
+	}
+	if pkgSuffix == "" {
+		return true
+	}
+	pkg := n.Obj().Pkg()
+	if pkg == nil {
+		return false
+	}
+	return strings.HasSuffix(pkg.Path(), pkgSuffix) || pkg.Name() == pkgSuffix
+}
+
+// recvType is fn's receiver type, or nil for a plain function or a
+// literal (fn == nil).
+func recvType(fn *types.Func) types.Type {
+	if fn == nil {
+		return nil
+	}
+	if r := fn.Type().(*types.Signature).Recv(); r != nil {
+		return r.Type()
+	}
+	return nil
+}
+
+// objOf resolves an identifier to its object (use or def).
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Uses[id]; o != nil {
+		return o
+	}
+	return info.Defs[id]
+}
+
+// calleeFullName returns the fully qualified name of a called function
+// ("time.Now", "os.Create") or "" when the callee is not a static
+// package-level function or method.
+func calleeFullName(info *types.Info, call *ast.CallExpr) string {
+	if fn := staticCallee(info, call); fn != nil {
+		return fn.FullName()
+	}
+	return ""
+}
+
+// calleeName returns the bare name of the called function or method.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
+// usesVar reports whether any identifier inside n resolves to v.
+func usesVar(info *types.Info, n ast.Node, v types.Object) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && objOf(info, id) == v {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

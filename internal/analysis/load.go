@@ -36,44 +36,26 @@ type listedPkg struct {
 	GoFiles    []string
 	Standard   bool
 	DepOnly    bool
-	ForTest    string
 	Export     string
 	Error      *struct{ Err string }
 }
 
 // Load resolves patterns (go-list syntax, e.g. "./...") relative to dir
 // and returns the matched packages parsed and type-checked. Test files
-// are not loaded by default: gsnplint's invariants guard production
-// output paths first, and LoadTests exists for the test-tree sweep.
+// are not loaded: gsnplint's invariants guard production code.
 //
 // Dependency types come from compiler export data: one
 // `go list -export -deps` invocation builds (or reuses from the build
 // cache) every dependency, including the standard library, so loading
 // works with no network and no copy of x/tools.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadTests(dir, false, patterns...)
-}
-
-// LoadTests is Load with optional test-file inclusion. With
-// includeTests, `go list -test` supplies the test variants: the
-// in-package variant ("pkg [pkg.test]", whose GoFiles already merge the
-// production and _test.go files) replaces the plain package, external
-// test packages ("pkg_test [pkg.test]") load as their own package, and
-// the synthetic ".test" mains are skipped. Still one list invocation,
-// one FileSet, one export-data importer.
-func LoadTests(dir string, includeTests bool, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := []string{
+	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Standard,DepOnly,ForTest,Export,Error",
-	}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, "--")
-	args = append(args, patterns...)
+		"-json=ImportPath,Name,Dir,GoFiles,Standard,DepOnly,Export,Error", "--",
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -83,8 +65,7 @@ func LoadTests(dir string, includeTests bool, patterns ...string) ([]*Package, e
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
 
-	exports := map[string]string{}  // import path -> export data file
-	hasVariant := map[string]bool{} // plain import paths superseded by a test variant
+	exports := map[string]string{} // import path -> export data file
 	var targets []listedPkg
 	dec := json.NewDecoder(&stdout)
 	for {
@@ -100,28 +81,10 @@ func LoadTests(dir string, includeTests bool, patterns ...string) ([]*Package, e
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		if strings.HasSuffix(p.ImportPath, ".test") {
-			continue // synthetic test main, generated sources in the build cache
-		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if p.ForTest != "" && p.Name != "main" && !strings.HasSuffix(p.Name, "_test") {
-			// In-package test variant: its GoFiles merge production and
-			// _test.go files, so it replaces the plain package below.
-			hasVariant[p.ForTest] = true
-		}
 		targets = append(targets, p)
-	}
-	if includeTests {
-		kept := targets[:0]
-		for _, t := range targets {
-			if t.ForTest == "" && hasVariant[t.ImportPath] {
-				continue // superseded by its test variant
-			}
-			kept = append(kept, t)
-		}
-		targets = kept
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
@@ -136,13 +99,6 @@ func LoadTests(dir string, includeTests bool, patterns ...string) ([]*Package, e
 
 	var pkgs []*Package
 	for _, t := range targets {
-		// Test variants carry " [pkg.test]" in their ImportPath; the
-		// clean path keeps suffix-matched package gates and diagnostics
-		// stable whether or not tests are loaded.
-		pkgPath := t.ImportPath
-		if i := strings.Index(pkgPath, " ["); i >= 0 {
-			pkgPath = pkgPath[:i]
-		}
 		var files []*ast.File
 		for _, name := range t.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
@@ -164,12 +120,12 @@ func LoadTests(dir string, includeTests bool, patterns ...string) ([]*Package, e
 			Sizes:    types.SizesFor("gc", runtime.GOARCH),
 			Error:    func(err error) { typeErrs = append(typeErrs, err) },
 		}
-		tpkg, _ := conf.Check(pkgPath, fset, files, info)
+		tpkg, _ := conf.Check(t.ImportPath, fset, files, info)
 		if len(typeErrs) > 0 {
 			return nil, fmt.Errorf("type-checking %s: %v", t.ImportPath, typeErrs[0])
 		}
 		pkgs = append(pkgs, &Package{
-			PkgPath:   pkgPath,
+			PkgPath:   t.ImportPath,
 			Name:      tpkg.Name(),
 			Fset:      fset,
 			Files:     files,

@@ -33,14 +33,7 @@ var LockHold = &Analyzer{
 }
 
 func runLockHold(pass *Pass) {
-	ip := pass.IP
-	if ip == nil {
-		return
-	}
-	for _, info := range ip.infos {
-		if info.Pkg.Types != pass.Pkg {
-			continue
-		}
+	for _, info := range pass.Funcs {
 		checkLockHold(pass, info)
 	}
 }
@@ -52,31 +45,16 @@ type heldInterval struct {
 }
 
 func checkLockHold(pass *Pass, info *FuncInfo) {
-	if len(info.Locks) == 0 {
-		return
-	}
 	intervals := lockIntervals(info)
 	if len(intervals) == 0 {
 		return
 	}
-
-	// Collect every potentially blocking point: the function's direct
-	// blocking ops plus call sites whose callee transitively blocks.
-	type blockPoint struct {
-		pos  token.Pos
-		desc string
-	}
-	var points []blockPoint
-	for _, b := range info.Blocks {
-		points = append(points, blockPoint{b.Pos, b.Desc})
-	}
+	// Every potentially blocking point: the function's direct blocking ops
+	// plus the call sites whose callee transitively blocks.
+	points := append([]BlockOp(nil), info.Blocks...)
 	for _, c := range info.Calls {
-		callee := pass.IP.ByFunc[funcKey(c.Callee)]
-		if callee == nil {
-			continue
-		}
-		if op := pass.IP.FirstBlock(callee); op != nil {
-			points = append(points, blockPoint{c.Pos, "call to " + c.Callee.Name() + ", which " + shortBlockDesc(op.Desc)})
+		if op := pass.IP.callBlock(c); op != nil {
+			points = append(points, *op)
 		}
 	}
 
@@ -84,22 +62,19 @@ func checkLockHold(pass *Pass, info *FuncInfo) {
 	// report per interval keeps a lock held over a whole blocking region
 	// from producing a finding per statement.
 	for _, iv := range intervals {
-		var first *blockPoint
+		var first *BlockOp
 		for i := range points {
 			p := &points[i]
-			if p.pos <= iv.start || p.pos >= iv.end {
-				continue
-			}
 			// Unlocking or locking other mutexes is not in scope; channel
 			// ops on the same line as the Unlock are (rare, fine).
-			if first == nil || p.pos < first.pos {
+			if p.Pos > iv.start && p.Pos < iv.end && (first == nil || p.Pos < first.Pos) {
 				first = p
 			}
 		}
 		if first != nil {
-			pass.Reportf(first.pos,
+			pass.Reportf(first.Pos,
 				"%s while holding %s: a blocked critical section stalls every contender of the lock",
-				first.desc, displayKey(iv.key))
+				first.Desc, displayKey(iv.key))
 		}
 	}
 }

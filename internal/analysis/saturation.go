@@ -21,38 +21,30 @@ var Saturation = &Analyzer{
 
 func runSaturation(pass *Pass) {
 	info := pass.TypesInfo
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			// The saturating helpers are the methods of SiteCounts itself:
-			// they are the one place a guarded raw increment is the point.
-			if fd.Recv != nil && len(fd.Recv.List) > 0 &&
-				isNamed(info.TypeOf(fd.Recv.List[0].Type), "", "SiteCounts") {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.IncDecStmt:
-					if n.Tok == token.INC && isSiteCountsField(info, n.X) {
+	for _, fn := range pass.Funcs {
+		// The saturating helpers are the methods of SiteCounts itself:
+		// they are the one place a guarded raw increment is the point.
+		if isNamed(recvType(fn.Fn), "", "SiteCounts") {
+			continue
+		}
+		for _, s := range fn.Stmts {
+			switch n := s.(type) {
+			case *ast.IncDecStmt:
+				if n.Tok == token.INC && isSiteCountsField(info, n.X) {
+					pass.Reportf(n.Pos(),
+						"raw ++ on a SiteCounts counter wraps at the type maximum; use the saturating helpers (SiteCounts.Add / SatDepth)")
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.ADD_ASSIGN {
+					continue
+				}
+				for _, lhs := range n.Lhs {
+					if isSiteCountsField(info, lhs) {
 						pass.Reportf(n.Pos(),
-							"raw ++ on a SiteCounts counter wraps at the type maximum; use the saturating helpers (SiteCounts.Add / SatDepth)")
-					}
-				case *ast.AssignStmt:
-					if n.Tok != token.ADD_ASSIGN {
-						return true
-					}
-					for _, lhs := range n.Lhs {
-						if isSiteCountsField(info, lhs) {
-							pass.Reportf(n.Pos(),
-								"raw += on a SiteCounts counter wraps at the type maximum; use the saturating helpers (SiteCounts.Add / SatDepth)")
-						}
+							"raw += on a SiteCounts counter wraps at the type maximum; use the saturating helpers (SiteCounts.Add / SatDepth)")
 					}
 				}
-				return true
-			})
+			}
 		}
 	}
 }
