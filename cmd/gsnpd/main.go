@@ -107,6 +107,15 @@ func run() error {
 	)
 	flag.Parse()
 
+	if *spool == "" && *journal == "" {
+		dir, err := os.MkdirTemp("", "gsnpd-spool-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		*spool = dir
+	}
+
 	logger := log.New(os.Stderr, "gsnpd: ", log.LstdFlags)
 	srv, err := service.New(service.Config{
 		Workers:      *workers,

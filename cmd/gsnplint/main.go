@@ -5,7 +5,7 @@
 // of `make lint` and therefore of `make ci`: a PR that reintroduces an
 // unordered output path, an arena escape, a silent Close, a raw pileup
 // increment, an unjoined goroutine, a lock held across blocking I/O, or
-// a non-atomic durable write fails the gate.
+// a disk write that bypasses the durable-write seam fails the gate.
 //
 // Usage:
 //

@@ -119,8 +119,9 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return RunAll([]*Package{pkg}, analyzers)
 }
 
-// All returns the gsnplint analyzer suite in stable order: the four
-// per-function invariants, then the three that follow static call edges.
+// All returns the gsnplint analyzer suite in stable order: the four §9
+// invariants, then the three of §13 (goroutinejoin and lockhold follow
+// static call edges; durability reads each function's own facts).
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, ArenaLifetime, CloseCheck, Saturation,

@@ -8,16 +8,15 @@ import (
 // TestRegressions runs the whole suite over the shapes of the bugs the
 // analyzers found in this tree when they landed — three CLIs that dropped
 // their output file's Close error, the service's map-ordered input
-// spooling, and the same spooling writing non-atomically into the
-// journal's spool dir — so each stays found on every go test.
+// spooling, and the same spooling writing to the disk past the
+// durable-write seam — so each stays found on every go test.
 func TestRegressions(t *testing.T) {
 	checkFixture(t, All(), "./regress/...")
 }
 
 // maxIgnores is the number of reasoned //gsnplint:ignore directives in
-// production code: checkpoint 1, service 3, sched/pool 2, journal 2,
-// cmd/gsnpd 1.
-const maxIgnores = 9
+// production code: checkpoint 1, service 3, sched/pool 2, cmd/gsnpd 1.
+const maxIgnores = 7
 
 // TestRealTreePins is the regression pin the sweeps earned: the whole
 // production tree passes every analyzer with no suppression beyond the

@@ -2,11 +2,10 @@ package analysis
 
 import "testing"
 
-// TestDurabilityFixture proves the analyzer flags non-atomic writes
-// under durable paths — direct WriteFile/Create/creating-OpenFile, the
-// local-propagation case, and the durable path handed to an oblivious
-// helper — and accepts the fsync-before-rename shape, append-only WAL
-// reopens, and scratch-path writes.
+// TestDurabilityFixture proves the analyzer flags every kind of mutating
+// os call in a non-main package whatever its path is named, and stays
+// silent on reads, on calls through the seam, inside the seam's own
+// package and in a main package.
 func TestDurabilityFixture(t *testing.T) {
-	runFixture(t, Durability, "durablefix")
+	checkFixture(t, []*Analyzer{Durability}, "./durablefix/...")
 }

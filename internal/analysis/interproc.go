@@ -6,13 +6,13 @@ package analysis
 // through Pass.Funcs, the load-wide call graph through Pass.IP.
 //
 // A summary holds two kinds of facts. Syntactic ones — the body's
-// statements, its file opens and their flag class, its wall-clock values,
-// its sorting calls — serve the per-function rules (determinism,
-// arenalifetime, closecheck, saturation). Behavioural ones — spawns which
-// goroutines, blocks on a channel/select/Wait, acquires/releases which
-// mutex, fsyncs a file — serve the concurrency and durability analyzers,
-// and the transitive queries (FirstBlock, transitiveKeys,
-// DurableWriteParams) memoize a DFS over static call edges so asking "does
+// statements, its file opens and their flag class, its mutating os calls,
+// its wall-clock values, its sorting calls — serve the per-function rules
+// (determinism, arenalifetime, closecheck, saturation, durability).
+// Behavioural ones — spawns which goroutines, blocks on a
+// channel/select/Wait, acquires/releases which mutex — serve the
+// concurrency analyzers, and the transitive queries (FirstBlock,
+// transitiveKeys) memoize a DFS over static call edges so asking "does
 // this call eventually block?" is cheap for every analyzer.
 //
 // Resolution is static only: direct calls to package-level functions and
@@ -22,7 +22,8 @@ package analysis
 // library functions that block or touch the disk/network. That keeps the
 // layer sound enough for gating (no panic on dynamic dispatch) while
 // catching the shapes this repo actually uses — worker pools, prefetch
-// producers, WAL appends — where the call targets are static.
+// producers — where the call targets are static. (The durable-write seam
+// is an interface, so the WAL's fsync'd appends are unknown externals.)
 
 import (
 	"go/ast"
@@ -108,6 +109,11 @@ type FuncInfo struct {
 	// Opens are the file-opening calls, with their flag class.
 	Opens []Open
 
+	// DiskWrites are the os calls that change the disk: creating or
+	// writable opens, writes, renames, removals, directory creation,
+	// truncation.
+	DiskWrites []*ast.CallExpr
+
 	// GoStmts are the go statements spawned directly by this function
 	// (not by goroutines it spawns).
 	GoStmts []*ast.GoStmt
@@ -135,11 +141,6 @@ type FuncInfo struct {
 	// (a ctx-done select case or a bare <-ctx.Done()), i.e. the function
 	// is cancellation-aware.
 	CtxDoneSelect bool
-
-	// SyncsFile is true when the function calls Sync() on an *os.File:
-	// it implements its own durability (fsync-before-rename or fsync'd
-	// append) and its writes are sanctioned.
-	SyncsFile bool
 }
 
 // Interproc is the shared interprocedural fact base for one load.
@@ -163,7 +164,6 @@ type Interproc struct {
 	// memo tables for the transitive queries.
 	blocksMemo map[*FuncInfo]*BlockOp
 	keysMemo   map[*FuncInfo]*transKeys
-	writeMemo  map[*FuncInfo]map[int]bool
 }
 
 type transKeys struct {
@@ -181,7 +181,6 @@ func buildInterproc(pkgs []*Package) *Interproc {
 		allRecvKeys: map[string]bool{},
 		blocksMemo:  map[*FuncInfo]*BlockOp{},
 		keysMemo:    map[*FuncInfo]*transKeys{},
-		writeMemo:   map[*FuncInfo]map[int]bool{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -330,10 +329,10 @@ func (ip *Interproc) summarize(pkg *Package, decl ast.Node, body *ast.BlockStmt,
 }
 
 // callFacts classifies one call expression: builtin close, mutex ops,
-// WaitGroup ops, file opens, sorts, known external blocking/I-O
-// functions, Sync, and load-local static edges. A call whose parent is
-// the defer statement itself (`defer mu.Unlock()`) extends the held
-// interval to the end of the function.
+// WaitGroup ops, file opens and other mutating os calls, sorts, known
+// external blocking/I-O functions, and load-local static edges. A call
+// whose parent is the defer statement itself (`defer mu.Unlock()`)
+// extends the held interval to the end of the function.
 func (ip *Interproc) callFacts(info *FuncInfo, call *ast.CallExpr, parent ast.Node, inDefer bool) {
 	inf := info.Pkg.TypesInfo
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
@@ -371,14 +370,6 @@ func (ip *Interproc) callFacts(info *FuncInfo, call *ast.CallExpr, parent ast.No
 				info.DoneKeys = append(info.DoneKeys, renderKey(inf, sel.X))
 				return
 			}
-		case "Sync":
-			if isNamed(t, "os", "File") {
-				info.SyncsFile = true
-				if !inDefer {
-					info.Blocks = append(info.Blocks, BlockOp{Pos: call.Pos(), Desc: "file I/O (Sync)"})
-				}
-				return
-			}
 		}
 	}
 
@@ -395,6 +386,11 @@ func (ip *Interproc) callFacts(info *FuncInfo, call *ast.CallExpr, parent ast.No
 			}
 		}
 		info.Opens = append(info.Opens, o)
+		if o.Mode != openRead {
+			info.DiskWrites = append(info.DiskWrites, call)
+		}
+	case "os.Rename", "os.Remove", "os.RemoveAll", "os.Mkdir", "os.MkdirAll", "os.CreateTemp", "os.MkdirTemp", "os.Truncate":
+		info.DiskWrites = append(info.DiskWrites, call)
 	}
 	if strings.HasPrefix(full, "sort.") || strings.HasPrefix(full, "slices.") || strings.Contains(calleeName(call), "Sort") {
 		info.Sorts = append(info.Sorts, call)
@@ -570,51 +566,6 @@ func (ip *Interproc) transitiveKeys(info *FuncInfo) *transKeys {
 		tk.ctxDone = tk.ctxDone || sub.ctxDone
 	}
 	return tk
-}
-
-// DurableWriteParams returns the parameter indices of a function that
-// flow into the path of an unsanctioned creating write, transitively: the
-// function either writes under the parameter itself
-// (os.WriteFile(filepath.Join(dir, ...)) with dir a parameter) or passes
-// it along to a helper that does. Durability flags the call sites that
-// hand such a parameter a durable path.
-func (ip *Interproc) DurableWriteParams(info *FuncInfo) map[int]bool {
-	if info == nil {
-		return nil
-	}
-	if m, ok := ip.writeMemo[info]; ok {
-		return m
-	}
-	m := map[int]bool{}
-	ip.writeMemo[info] = m // cycle guard
-	if info.SyncsFile {
-		return m // the function implements its own durability
-	}
-	var params *types.Tuple
-	if info.Fn != nil {
-		params = info.Fn.Type().(*types.Signature).Params()
-	}
-	inf := info.Pkg.TypesInfo
-	mark := func(e ast.Expr) {
-		for i := 0; i < params.Len(); i++ {
-			if usesVar(inf, e, params.At(i)) {
-				m[i] = true
-			}
-		}
-	}
-	for _, o := range info.Opens {
-		if o.Mode == openCreate {
-			mark(o.Call.Args[0])
-		}
-	}
-	for _, c := range info.Calls {
-		for argIdx := range ip.DurableWriteParams(ip.ByFunc[funcKey(c.Callee)]) {
-			if argIdx < len(c.Call.Args) {
-				mark(c.Call.Args[argIdx])
-			}
-		}
-	}
-	return m
 }
 
 // staticCallee resolves call to a declared function or concrete method,

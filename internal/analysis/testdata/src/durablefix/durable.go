@@ -1,101 +1,91 @@
-// Package durablefix exercises the durability analyzer: bytes landing
-// under journal/spool/checkpoint paths must flow through an fsync'ing
-// writer (the AtomicWrite shape), never a plain os.WriteFile, os.Create
-// or creating os.OpenFile.
+// Package durablefix exercises the durability analyzer: a non-main package
+// changes the disk only through the durable-write seam, implemented in
+// durablefix/internal/checkpoint. Every mutating os call here is a
+// finding, whatever its path is called; reads are not.
 package durablefix
 
 import (
 	"os"
 	"path/filepath"
+
+	"fixture/durablefix/internal/checkpoint"
 )
 
 type journal struct {
 	dir string
+	fs  checkpoint.FS
 }
 
-// --- positive: plain WriteFile straight into the journal dir — a crash
-// can tear the file the journal will later trust.
+// --- positive: each mutating os call, durable-sounding path or not.
 
 func (j *journal) record(name string, data []byte) error {
-	return os.WriteFile(filepath.Join(j.dir, name), data, 0o644) // want "writes under a durable path without fsync"
+	return os.WriteFile(filepath.Join(j.dir, name), data, 0o644) // want "os.WriteFile changes the disk outside the durable-write seam"
 }
 
-// --- positive, interprocedural: writeInto is oblivious — nothing about
-// it names durable storage, and in isolation it raises nothing. The
-// finding lands on the call site that hands it a durable path, which
-// the intraprocedural analyzers of PR 5 could never connect.
-
-func (j *journal) spill(names []string) error {
-	for _, n := range names {
-		if err := writeInto(j.dir, n); err != nil { // want "durable path passed to writeInto"
-			return err
-		}
-	}
-	return nil
+func scratch(tmpDir string, data []byte) error {
+	return os.WriteFile(filepath.Join(tmpDir, "scratch.bin"), data, 0o644) // want "os.WriteFile changes the disk"
 }
 
-func writeInto(dir, name string) error {
-	return os.WriteFile(filepath.Join(dir, name), nil, 0o644)
-}
-
-// --- negative: the sanctioned shape — temp file, fsync, rename. The
-// Sync call marks every write in this function as carrying its own
-// durability.
-
-func (j *journal) atomicSave(name string, data []byte) error {
-	f, err := os.CreateTemp(j.dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), filepath.Join(j.dir, name))
-}
-
-// --- negative: an append-only reopen of the WAL replaces no bytes; the
-// appends that follow carry their own Sync.
-
-func (j *journal) reopen(walPath string) (*os.File, error) {
-	return os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// --- positive: creating or truncating the WAL without fsync machinery.
-
-func initWAL(walPath string) error {
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644) // want "os.OpenFile writes under a durable path"
+func create(target string) error {
+	f, err := os.Create(target) // want "os.Create changes the disk"
 	if err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// --- negative: scratch paths are not durable.
-
-func scratch(tmpDir string, data []byte) error {
-	return os.WriteFile(filepath.Join(tmpDir, "scratch.bin"), data, 0o644)
+func (j *journal) reopen(walPath string) (*os.File, error) {
+	return os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644) // want "os.OpenFile changes the disk"
 }
 
-// --- positive: the durable root propagates through locals.
+func tidy(dir, tmp string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil { // want "os.MkdirAll changes the disk"
+		return err
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil { // want "os.Mkdir changes the disk"
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, "x")); err != nil { // want "os.Rename changes the disk"
+		return err
+	}
+	if err := os.Truncate(filepath.Join(dir, "x"), 0); err != nil { // want "os.Truncate changes the disk"
+		return err
+	}
+	if err := os.Remove(filepath.Join(dir, "x")); err != nil { // want "os.Remove changes the disk"
+		return err
+	}
+	return os.RemoveAll(dir) // want "os.RemoveAll changes the disk"
+}
 
-func stage(j *journal, data []byte) error {
-	dir := j.dir
-	target := filepath.Join(dir, "staged")
-	f, err := os.Create(target) // want "os.Create writes under a durable path"
+func temps() error {
+	f, err := os.CreateTemp("", "x-*") // want "os.CreateTemp changes the disk"
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	_, err = f.Write(data)
+	f.Close()
+	_, err = os.MkdirTemp("", "y-*") // want "os.MkdirTemp changes the disk"
 	return err
+}
+
+// --- negative: reading, and changing the disk through the seam.
+
+func (j *journal) load(name string) ([]byte, error) {
+	f, err := os.OpenFile(filepath.Join(j.dir, name), os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	f.Close()
+	if _, err := os.Stat(j.dir); err != nil {
+		return nil, err
+	}
+	return os.ReadFile(filepath.Join(j.dir, name))
+}
+
+func (j *journal) save(name string, data []byte) error {
+	if err := j.fs.MkdirAll(j.dir); err != nil {
+		return err
+	}
+	return checkpoint.AtomicWrite(filepath.Join(j.dir, name), data)
 }
 
 // --- suppression: a reasoned ignore is the documented escape hatch.

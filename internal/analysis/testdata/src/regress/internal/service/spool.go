@@ -1,6 +1,8 @@
 // Package service reproduces gsnpd's input spooling at the two points
 // where gsnplint stopped it. Its import path ends in internal/service, so
-// it is gated as an output-producing package exactly like the real one.
+// it is gated as an output-producing package exactly like the real one,
+// and it is not the durable-write seam, so none of its os calls may change
+// the disk.
 package service
 
 import (
@@ -30,7 +32,7 @@ func spoolInputsByMap(dir string, spec *JobSpec) error {
 			files[in.Name+".snp"] = in.SNP
 		}
 		for name, content := range files {
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil { // want "WriteFile inside range over map emits output in map iteration order"
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil { // want "WriteFile inside range over map emits output in map iteration order" "os.WriteFile changes the disk outside the durable-write seam"
 				return err
 			}
 		}
@@ -40,9 +42,10 @@ func spoolInputsByMap(dir string, spec *JobSpec) error {
 
 // spoolInputs is the loop once ordered and before it was made atomic: the
 // spool dir outlives a crash, recovery replays the job from these files,
-// and a plain WriteFile can leave a torn input behind.
+// and a plain WriteFile can leave a torn input behind — as can a new
+// directory whose parent was never fsync'd.
 func spoolInputs(dir string, spec *JobSpec) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil { // want "os.MkdirAll changes the disk outside the durable-write seam"
 		return err
 	}
 	type spoolFile struct{ name, content string }
@@ -55,7 +58,7 @@ func spoolInputs(dir string, spec *JobSpec) error {
 			files = append(files, spoolFile{in.Name + ".snp", in.SNP})
 		}
 		for _, f := range files {
-			if err := os.WriteFile(filepath.Join(dir, f.name), []byte(f.content), 0o644); err != nil { // want "os.WriteFile writes under a durable path without fsync"
+			if err := os.WriteFile(filepath.Join(dir, f.name), []byte(f.content), 0o644); err != nil { // want "os.WriteFile changes the disk outside the durable-write seam"
 				return err
 			}
 		}

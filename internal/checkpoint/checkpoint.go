@@ -8,7 +8,8 @@
 //
 // The package also defines the machine-readable failure report a degraded
 // run writes (-failure-report): per-chromosome status, attempts, and the
-// window quarantine records.
+// window quarantine records, and the durable-write seam (FS, fs.go) that
+// this package, the gsnpd journal and its spool change the disk through.
 package checkpoint
 
 import (
@@ -117,8 +118,8 @@ func FileDigest(path string) (string, error) {
 
 // Writer maintains the manifest across a run. It is safe for concurrent
 // use from the scheduler's worker pool; every Complete persists the
-// manifest atomically (temp file + rename), so a killed run loses at most
-// the chromosome in flight.
+// manifest with AtomicWrite, so a killed run loses at most the chromosome
+// in flight.
 type Writer struct {
 	path string
 
@@ -187,44 +188,13 @@ func (w *Writer) Complete(name, outPath string, sites int) error {
 	return w.saveLocked()
 }
 
-// saveLocked writes the manifest atomically: a temp file in the same
-// directory, fsync'd, then renamed over the target.
+// saveLocked writes the manifest through the seam's atomic write.
 func (w *Writer) saveLocked() error {
 	data, err := json.MarshalIndent(&w.m, "", "  ")
 	if err != nil {
 		return err
 	}
 	return AtomicWrite(w.path, append(data, '\n'))
-}
-
-// AtomicWrite replaces path with data via temp file + fsync + rename, so
-// a crash at any point leaves either the old content or the new, never a
-// torn file. Shared by the CLI's -resume manifest writer, the failure
-// report, the gsnpd job journal (WAL compaction and each job's durable
-// per-chromosome outputs), and the service's spooled uploads.
-func AtomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // Task status values of the failure report.

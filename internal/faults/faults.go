@@ -24,12 +24,10 @@
 //	                  stream), tripping per-task deadlines
 //	stall=D           the stall duration (default 1s)
 //	stall-times=N     stalls per stream (default 1)
-//	disk-fail-every=K every Kth durable-write operation routed through
-//	                  DiskOp fails (gsnpd's job journal wires its
-//	                  appends through it) — the disk-fault schedule is
-//	                  injector-wide, counted across all operations
-//	disk-fails=N      total disk faults across the schedule (default 1),
-//	                  so a retried or subsequent operation succeeds
+//
+// Disk faults are not a spec key: gsnpd's durable writes all go through
+// one seam (internal/checkpoint.FS), and its tests substitute an FS that
+// fails or stops at a chosen operation.
 //
 // One Injector serves a whole run; each chromosome (or input file) gets
 // its own named Stream whose schedules are independent but identical.
@@ -58,15 +56,13 @@ type Config struct {
 	StallWindow    int
 	Stall          time.Duration
 	StallTimes     int
-	DiskFailEvery  int
-	DiskFails      int
 }
 
 // Parse parses a spec string. An empty spec yields a zero-valued injector
 // that injects nothing.
 func Parse(spec string) (*Injector, error) {
 	cfg := Config{PanicWindow: -1, StallWindow: -1, TransientFails: 1,
-		Stall: time.Second, StallTimes: 1, DiskFails: 1}
+		Stall: time.Second, StallTimes: 1}
 	for _, kv := range strings.Split(spec, ",") {
 		kv = strings.TrimSpace(kv)
 		if kv == "" {
@@ -94,10 +90,6 @@ func Parse(spec string) (*Injector, error) {
 			cfg.Stall, err = time.ParseDuration(v)
 		case "stall-times":
 			cfg.StallTimes, err = strconv.Atoi(v)
-		case "disk-fail-every":
-			cfg.DiskFailEvery, err = strconv.Atoi(v)
-		case "disk-fails":
-			cfg.DiskFails, err = strconv.Atoi(v)
 		default:
 			return nil, fmt.Errorf("faults: unknown key %q", k)
 		}
@@ -110,9 +102,7 @@ func Parse(spec string) (*Injector, error) {
 
 // New builds an injector from an explicit config.
 func New(cfg Config) *Injector {
-	inj := &Injector{cfg: cfg, streams: make(map[string]*Stream)}
-	inj.diskLeft = int64(cfg.DiskFails)
-	return inj
+	return &Injector{cfg: cfg, streams: make(map[string]*Stream)}
 }
 
 // Injector is the process-wide fault source. It is safe for concurrent use
@@ -127,37 +117,6 @@ type Injector struct {
 	// task to reach the window panics, every later visit (including the
 	// retried task) passes.
 	panicFired atomic.Bool
-
-	// diskOps counts DiskOp calls injector-wide; diskLeft is the fault
-	// budget (disk-fails), decremented each time the schedule fires.
-	diskOps  atomic.Int64
-	diskLeft int64
-}
-
-// DiskError is an injected durable-write failure: gsnpd's job journal
-// routes its appends through DiskOp so append-failure handling (fail the
-// one job, keep serving) can be exercised deterministically.
-type DiskError struct {
-	Op string
-	N  int64
-}
-
-func (e *DiskError) Error() string {
-	return fmt.Sprintf("faults: injected disk error on %s (op %d)", e.Op, e.N)
-}
-
-// DiskOp is the durable-write injection point: callers invoke it before a
-// write-and-sync operation, aborting on a non-nil error. With
-// disk-fail-every=K, every Kth call injector-wide fails (offset by seed),
-// subject to the disk-fails budget. The count is global rather than
-// per-stream because journal appends are serialized process-wide — the
-// schedule stays deterministic for a fixed submission order.
-func (inj *Injector) DiskOp(op string) error {
-	n := inj.diskOps.Add(1)
-	if scheduled(n, inj.cfg.DiskFailEvery, inj.cfg.Seed) && takeBudget(&inj.diskLeft) {
-		return &DiskError{Op: op, N: n}
-	}
-	return nil
 }
 
 // Config returns the injector's parsed configuration.

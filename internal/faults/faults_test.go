@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,47 +177,13 @@ func TestEmptySpecInjectsNothing(t *testing.T) {
 	}
 }
 
-// TestDiskOpScheduleAndBudget pins the disk-fault dimension: with
-// disk-fail-every=3 and a budget of 2, exactly operations 3 and 6 fail
-// (typed, carrying the op name), every later operation passes, and an
-// empty spec never fires.
-func TestDiskOpScheduleAndBudget(t *testing.T) {
-	inj, err := Parse("disk-fail-every=3,disk-fails=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failed []int64
-	for i := 1; i <= 12; i++ {
-		if err := inj.DiskOp("append"); err != nil {
-			var de *DiskError
-			if !errors.As(err, &de) {
-				t.Fatalf("op %d: error %v is not a *DiskError", i, err)
-			}
-			if de.Op != "append" || de.N != int64(i) {
-				t.Fatalf("op %d: DiskError %+v", i, de)
-			}
-			failed = append(failed, de.N)
-		}
-	}
-	if len(failed) != 2 || failed[0] != 3 || failed[1] != 6 {
-		t.Fatalf("failed ops %v, want [3 6] (every 3rd, budget 2)", failed)
-	}
-
-	// The count is injector-wide across op names — one schedule, as the
-	// journal's append/rotate mix requires.
-	inj2, _ := Parse("disk-fail-every=2,disk-fails=1")
-	if err := inj2.DiskOp("rotate"); err != nil {
-		t.Fatalf("op 1: %v", err)
-	}
-	if err := inj2.DiskOp("append"); err == nil {
-		t.Fatal("op 2 passed; want the every-2 schedule to fire across op names")
-	}
-
-	// No spec, no faults.
-	quiet := New(Config{})
-	for i := 0; i < 10; i++ {
-		if err := quiet.DiskOp("append"); err != nil {
-			t.Fatalf("zero-valued injector fired: %v", err)
+// TestParseRejectsDiskKeys: disk faults are injected through the
+// durable-write seam, not the spec, so their old keys are unknown keys
+// instead of parsing and then injecting nothing.
+func TestParseRejectsDiskKeys(t *testing.T) {
+	for _, spec := range []string{"disk-fail-every=1", "disk-fails=2", "seed=1,disk-fail-every=3,disk-fails=2"} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("Parse(%q) = %v, want an unknown-key error", spec, err)
 		}
 	}
 }

@@ -8,14 +8,15 @@
 // accepted records without a final record are exactly the jobs a crash
 // interrupted, and Open returns them, with their chromosomes, for recovery.
 //
-// The WAL is newline-delimited JSON, one record per line: an append is a
-// single write followed by fsync, a failed append is truncated back out,
-// and compaction (at open, and whenever the log outgrows RotateBytes)
-// rewrites only the live records — accepted records with their chromosomes
-// folded in — through checkpoint.AtomicWrite. Replay tolerates exactly one
-// torn line at the tail — the signature of a crash mid-append — and
-// refuses anything else, so silent corruption surfaces instead of
-// dropping jobs.
+// Every change the journal makes to its directory goes through the
+// durable-write seam (checkpoint.FS). The WAL is newline-delimited JSON,
+// one record per line, appended through the seam's Log (a single write
+// followed by fsync; a failed append is truncated back out), and
+// compaction (at open, and whenever the log outgrows RotateBytes) rewrites
+// only the live records — accepted records with their chromosomes folded
+// in — with the seam's atomic WriteFile. Replay tolerates exactly one torn
+// line at the tail — the signature of a crash mid-append — and refuses
+// anything else, so silent corruption surfaces instead of dropping jobs.
 package journal
 
 import (
@@ -98,10 +99,9 @@ type Config struct {
 	// RotateBytes triggers compaction when the WAL exceeds it
 	// (0 selects 4 MiB).
 	RotateBytes int64
-	// Fault, when set, is consulted before every durable operation (an
-	// append, a chromosome's Complete, a compaction) — the disk-fault
-	// injection seam (internal/faults.Injector.DiskOp).
-	Fault func(op string) error
+	// FS is the durable-write seam every change under Dir goes through
+	// (nil selects checkpoint.OS).
+	FS checkpoint.FS
 	// Logf receives operational log lines (nil discards).
 	Logf func(format string, args ...any)
 }
@@ -112,12 +112,11 @@ type Journal struct {
 	path string
 
 	mu      sync.Mutex
-	f       *os.File
+	log     checkpoint.Log // nil after a compaction that could not reopen the WAL
 	size    int64
 	pending map[string]Entry // accepted records without a final, by job id
 	maxSeq  int
 	closed  bool
-	broken  error // set when a failed append could not be repaired
 }
 
 // Open loads (or creates) the journal under cfg.Dir: the WAL is replayed,
@@ -131,8 +130,11 @@ func Open(cfg Config) (*Journal, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	for _, d := range []string{cfg.Dir, filepath.Join(cfg.Dir, "spool"), filepath.Join(cfg.Dir, "work")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+	if cfg.FS == nil {
+		cfg.FS = checkpoint.OS
+	}
+	for _, d := range []string{filepath.Join(cfg.Dir, "spool"), filepath.Join(cfg.Dir, "work")} {
+		if err := cfg.FS.MkdirAll(d); err != nil {
 			return nil, err
 		}
 	}
@@ -210,9 +212,9 @@ func (j *Journal) apply(e Entry) error {
 	return nil
 }
 
-// rewriteLocked compacts the WAL down to the pending records (atomic
-// temp + fsync + rename) and reopens it for appending. Caller must hold
-// j.mu, or own the journal exclusively (Open).
+// rewriteLocked compacts the WAL down to the pending records (one atomic
+// write) and reopens it for appending. Caller must hold j.mu, or own the
+// journal exclusively (Open).
 func (j *Journal) rewriteLocked() error {
 	live := j.pendingSortedLocked()
 	var buf []byte
@@ -224,23 +226,20 @@ func (j *Journal) rewriteLocked() error {
 		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
-	if err := j.fault("rotate"); err != nil {
+	if err := j.cfg.FS.WriteFile(j.path, buf); err != nil {
 		return err
 	}
-	if err := checkpoint.AtomicWrite(j.path, buf); err != nil {
-		return err
-	}
-	if j.f != nil {
+	if j.log != nil {
 		// The old handle points at the renamed-over inode; a close error
 		// is irrelevant (everything it wrote was already fsync'd).
-		j.f.Close()
-		j.f = nil
+		j.log.Close()
+		j.log = nil
 	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := j.cfg.FS.OpenLog(j.path)
 	if err != nil {
 		return err
 	}
-	j.f = f
+	j.log = log
 	j.size = int64(len(buf))
 	return nil
 }
@@ -286,49 +285,32 @@ func (j *Journal) workDir(job string) string {
 	return filepath.Join(j.cfg.Dir, "work", job)
 }
 
-// fault consults the injection seam before one durable operation.
-func (j *Journal) fault(op string) error {
-	if j.cfg.Fault == nil {
-		return nil
-	}
-	if err := j.cfg.Fault(op); err != nil {
-		return fmt.Errorf("journal %s: %w", op, err)
-	}
-	return nil
-}
-
 // Accept creates the job's work directory and journals its admission. It
 // must return before the job is acknowledged to the client; an error
 // means the job was never durably accepted and the caller must fail it
 // (the WAL itself stays clean — a torn append is truncated back out).
 func (j *Journal) Accept(e Entry) error {
-	if err := j.fault("append"); err != nil {
-		return err
-	}
 	dir := j.workDir(e.Job)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := j.cfg.FS.MkdirAll(dir); err != nil {
 		return err
 	}
 	e.V, e.Kind = Version, KindAccepted
 	if err := j.append(e); err != nil {
-		_ = os.Remove(dir) // still empty; if this fails too, the next Open sweeps it
+		_ = j.cfg.FS.RemoveAll(dir) // still empty; if this fails too, the next Open sweeps it
 		return err
 	}
 	return nil
 }
 
-// Complete makes one clean chromosome of a pending job durable, as one
-// durable operation: its bytes are hashed in memory and written into the
-// job's work directory (outside j.mu, so no other job's append waits on
-// this output), then a chrom record names file, digest and sites. An
-// error leaves the chromosome to recompute after a restart.
+// Complete makes one clean chromosome of a pending job durable: its bytes
+// are hashed in memory and written into the job's work directory (outside
+// j.mu, so no other job's append waits on this output), then a chrom record
+// names file, digest and sites. An error leaves the chromosome to
+// recompute after a restart.
 func (j *Journal) Complete(seq int, job, name string, c Chrom, out []byte) error {
-	if err := j.fault("chrom"); err != nil {
-		return err
-	}
 	sum := sha256.Sum256(out)
 	c.SHA256 = hex.EncodeToString(sum[:])
-	if err := checkpoint.AtomicWrite(filepath.Join(j.workDir(job), c.File), out); err != nil {
+	if err := j.cfg.FS.WriteFile(filepath.Join(j.workDir(job), c.File), out); err != nil {
 		return err
 	}
 	return j.append(Entry{V: Version, Kind: KindChrom, Seq: seq, Job: job, Chroms: map[string]Chrom{name: c}})
@@ -353,24 +335,20 @@ func (j *Journal) ReadChrom(job string, c Chrom) ([]byte, error) {
 // it will re-run (through its durable chromosomes) on the next recovery —
 // so callers log it rather than failing the finished job.
 func (j *Journal) Final(seq int, job, state string) error {
-	if err := j.fault("append"); err != nil {
-		return err
-	}
 	if err := j.append(Entry{V: Version, Kind: KindFinal, Seq: seq, Job: job, State: state}); err != nil {
 		return err
 	}
 	for _, dir := range []string{j.SpoolDir(job), j.workDir(job)} {
-		if err := os.RemoveAll(dir); err != nil {
+		if err := j.cfg.FS.RemoveAll(dir); err != nil {
 			j.cfg.Logf("journal: removing %s: %v", dir, err)
 		}
 	}
 	return nil
 }
 
-// append writes one record durably: marshal, single write, fsync. On a
-// write or sync failure the file is truncated back to its pre-append
-// size so the log never carries a torn line mid-file; if even the repair
-// fails the journal is marked broken and every later append errors.
+// append writes one record durably through the seam's Log, which
+// truncates a failed append back out, so the log never carries a torn line
+// mid-file.
 func (j *Journal) append(e Entry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
@@ -383,20 +361,15 @@ func (j *Journal) append(e Entry) error {
 	if j.closed {
 		return ErrClosed
 	}
-	if j.broken != nil {
-		return fmt.Errorf("journal: unusable after failed repair: %w", j.broken)
+	if j.log == nil {
+		return errors.New("journal: the WAL could not be reopened after compaction; restart to recover")
 	}
 	if _, ok := j.pending[e.Job]; !ok && e.Kind == KindChrom {
 		return fmt.Errorf("journal: job %s is not pending", e.Job)
 	}
-	//gsnplint:ignore lockhold the WAL contract is one fsync'd append at a time; j.mu exists to serialize exactly this write
-	if _, werr := j.f.Write(line); werr != nil {
-		j.repairLocked()
-		return fmt.Errorf("journal append: %w", werr)
-	}
-	if serr := j.f.Sync(); serr != nil {
-		j.repairLocked()
-		return fmt.Errorf("journal sync: %w", serr)
+	// The WAL contract is one fsync'd append at a time; j.mu serializes it.
+	if err := j.log.Append(line); err != nil {
+		return fmt.Errorf("journal append: %w", err)
 	}
 	j.size += int64(len(line))
 	_ = j.apply(e) // cannot refuse: the kind is ours, and a chrom record's job is pending
@@ -409,14 +382,6 @@ func (j *Journal) append(e Entry) error {
 		}
 	}
 	return nil
-}
-
-// repairLocked truncates a torn append back out of the WAL.
-func (j *Journal) repairLocked() {
-	if err := j.f.Truncate(j.size); err != nil {
-		j.broken = err
-		j.cfg.Logf("journal: CANNOT repair torn append (%v); journal disabled, new jobs will be refused", err)
-	}
 }
 
 // sweep removes the spool and work directories of jobs that are not
@@ -434,7 +399,7 @@ func (j *Journal) sweep() {
 				continue
 			}
 			p := filepath.Join(root, ent.Name())
-			if err := os.RemoveAll(p); err != nil {
+			if err := j.cfg.FS.RemoveAll(p); err != nil {
 				j.cfg.Logf("journal: sweep: removing %s: %v", p, err)
 			} else {
 				j.cfg.Logf("journal: swept stale %s", p)
@@ -452,11 +417,11 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	//gsnplint:ignore lockhold Close must exclude in-flight appends before releasing the handle; this is the lock's final critical section
-	err := j.f.Close()
-	j.f = nil
+	// Close must exclude in-flight appends before releasing the handle.
+	err := j.log.Close()
+	j.log = nil
 	return err
 }

@@ -2,13 +2,17 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"gsnp/internal/checkpoint"
 )
 
 func openT(t *testing.T, cfg Config) *Journal {
@@ -169,22 +173,47 @@ func TestJournalRotation(t *testing.T) {
 	}
 }
 
-// TestJournalAppendFault: an injected append fault fails that one Accept,
-// leaves the WAL clean, and later appends succeed.
+// failFS is the os seam with one switch: while failAppend is set, the next
+// WAL append fails without writing.
+type failFS struct {
+	checkpoint.FS
+	failAppend atomic.Bool
+}
+
+func (fs *failFS) OpenLog(path string) (checkpoint.Log, error) {
+	l, err := fs.FS.OpenLog(path)
+	if err != nil {
+		return nil, err
+	}
+	return failLog{l, fs}, nil
+}
+
+type failLog struct {
+	checkpoint.Log
+	fs *failFS
+}
+
+func (l failLog) Append(p []byte) error {
+	if l.fs.failAppend.Swap(false) {
+		return errors.New("injected append fault")
+	}
+	return l.Log.Append(p)
+}
+
+// TestJournalAppendFault: a failed append fails that one Accept, leaves the
+// WAL clean and the job without a work directory, and later appends
+// succeed.
 func TestJournalAppendFault(t *testing.T) {
 	dir := t.TempDir()
-	failNext := false
-	j := openT(t, Config{Dir: dir, Fault: func(op string) error {
-		if failNext && op == "append" {
-			failNext = false
-			return fmt.Errorf("injected %s fault", op)
-		}
-		return nil
-	}})
+	fs := &failFS{FS: checkpoint.OS}
+	j := openT(t, Config{Dir: dir, FS: fs})
 	acceptN(t, j, 1)
-	failNext = true
+	fs.failAppend.Store(true)
 	if err := j.Accept(Entry{Seq: 2, Job: "j2"}); err == nil {
 		t.Fatal("faulted Accept succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "work", "j2")); !os.IsNotExist(err) {
+		t.Errorf("refused job kept its work dir: %v", err)
 	}
 	if err := j.Accept(Entry{Seq: 3, Job: "j3"}); err != nil {
 		t.Fatalf("append after fault: %v", err)

@@ -15,22 +15,15 @@ import (
 	"testing"
 	"time"
 
-	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
 	"gsnp/internal/journal"
 )
 
-// finalFaults builds an injector whose single disk fault lands on the
-// Final append of the first job, which has chroms chromosomes: the
-// journal's Open compaction is disk op 1 ("rotate"), the job's Accept is
-// op 2, each chromosome's Complete is one op (3 … chroms+2), and its Final
-// is op chroms+3 — 6 for the 3-chromosome fixtures. The job then completes
-// normally in-process but stays pending in the WAL with its spool/work
-// dirs intact — exactly the on-disk state a crash mid-job leaves behind,
-// reachable without kill -9.
-func finalFaults(chroms int) *faults.Injector {
-	return faults.New(faults.Config{DiskFailEvery: chroms + 3, DiskFails: 1})
-}
+// finalFails is a seam that fails the append of job j1's final record: the
+// job completes normally in-process but stays pending in the WAL with its
+// spool/work dirs intact — exactly the on-disk state a crash mid-job
+// leaves behind, reachable without kill -9.
+func finalFails() *scriptFS { return failing(appendOf(journal.KindFinal, "j1")) }
 
 // drainT drains a server within a test-scoped deadline.
 func drainT(t *testing.T, srv *Server) {
@@ -61,7 +54,7 @@ func TestServiceJournalRecovery(t *testing.T) {
 	// First incarnation: the Final append is faulted, so the completed job
 	// remains pending in the WAL with its work dir (checkpointed outputs)
 	// kept.
-	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults(3)})
+	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, fs: finalFails()})
 	id := postJob(t, tsA, map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256})
 	if _, state := readStream(t, tsA, id); state != StateDone {
 		t.Fatalf("first run state %q, want done", state)
@@ -154,7 +147,7 @@ func TestServiceJournalUploadedRecovery(t *testing.T) {
 
 	run := func(t *testing.T, tamper bool) {
 		jdir := filepath.Join(t.TempDir(), "journal")
-		srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults(2)})
+		srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, fs: finalFails()})
 		id := postJob(t, tsA, map[string]any{"inputs": inputs, "engine": "gsnp-cpu", "window": 256})
 		if _, state := readStream(t, tsA, id); state != StateDone {
 			t.Fatalf("first run state %q, want done", state)
@@ -200,10 +193,10 @@ func TestServiceJournalUploadedRecovery(t *testing.T) {
 	t.Run("tampered", func(t *testing.T) { run(t, true) })
 }
 
-// TestServiceJournalAppendFault: a disk fault on the Accept append fails
-// that one submission with ErrJournal (HTTP 500), nothing is journaled
-// for it, and the server keeps accepting and completing later jobs,
-// draining cleanly.
+// TestServiceJournalAppendFault: a failed append of the accepted record
+// fails that one submission with ErrJournal (HTTP 500), nothing is
+// journaled for it, and the server keeps accepting and completing later
+// jobs, draining cleanly.
 func TestServiceJournalAppendFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")
@@ -212,9 +205,8 @@ func TestServiceJournalAppendFault(t *testing.T) {
 	writeGenomeDir(t, dir, testSpecs(1, 1200, 29))
 	jdir := filepath.Join(t.TempDir(), "journal")
 
-	// Disk ops: Open compaction = 1, first Accept = 2 (faulted; budget 1).
-	inj := faults.New(faults.Config{DiskFailEvery: 2, DiskFails: 1})
-	srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir, DiskFaults: inj})
+	fs := failing(appendOf(journal.KindAccepted, "j1"))
+	srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir, fs: fs})
 
 	body, _ := json.Marshal(map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256})
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -334,12 +326,12 @@ func TestServiceJournalConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-// TestServiceJournalChromFault: a disk fault on one chromosome's Complete
-// costs only that chromosome's durability. With one worker the chromosomes
-// complete in order, so disk op 3 is chr01's Complete and op 6 the job's
-// Final: the job ends done in-process, stays pending, and its work dir
-// holds the two outputs that were made durable and nothing else — no
-// manifest, no temp file. After the restart only chr01 recomputes.
+// TestServiceJournalChromFault: a failed write of one chromosome's output
+// costs only that chromosome's durability. With chr01's write and the
+// job's final append failing, the job ends done in-process, stays pending,
+// and its work dir holds the two outputs that were made durable and
+// nothing else — no manifest, no temp file. After the restart only chr01
+// recomputes.
 func TestServiceJournalChromFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")
@@ -351,8 +343,8 @@ func TestServiceJournalChromFault(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
 	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
 
-	inj := faults.New(faults.Config{DiskFailEvery: 3, DiskFails: 2})
-	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalDir: jdir, DiskFaults: inj})
+	fs := failing(anyOf(writeOf("chr01.result"), appendOf(journal.KindFinal, "j1")))
+	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalDir: jdir, fs: fs})
 	id := postJob(t, tsA, spec)
 	if _, state := readStream(t, tsA, id); state != StateDone {
 		t.Fatalf("first run state %q, want done", state)

@@ -120,7 +120,7 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 			// Incarnation A completes the job but its Final append is
 			// faulted: pending in the WAL, spool and checkpoints intact.
 			jdir := filepath.Join(t.TempDir(), "journal")
-			srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults(3)})
+			srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, fs: finalFails()})
 			id := postJob(t, tsA, upload)
 			if _, state := readStream(t, tsA, id); state != StateDone {
 				t.Fatalf("first run state %q, want done", state)
@@ -271,7 +271,7 @@ func TestServiceJournalFullRecoveryIsCached(t *testing.T) {
 	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
 	jdir := filepath.Join(t.TempDir(), "journal")
 
-	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, DiskFaults: finalFaults(3)})
+	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, fs: finalFails()})
 	id := postJob(t, tsA, spec)
 	first, state := readStream(t, tsA, id)
 	if state != StateDone {

@@ -20,13 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"gsnp/internal/checkpoint"
-	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
 	"gsnp/internal/journal"
 	"gsnp/internal/resultcache"
@@ -42,9 +40,9 @@ type Config struct {
 	Retries      int
 	RetryBackoff time.Duration
 	TaskTimeout  time.Duration
-	// SpoolDir is where uploaded inputs are materialised; empty selects a
-	// fresh temporary directory. Ignored when JournalDir is set — the
-	// journal owns the spool so uploads survive restarts.
+	// SpoolDir is where uploaded inputs are materialised; required unless
+	// JournalDir is set, in which case it is ignored — the journal owns the
+	// spool so uploads survive restarts.
 	SpoolDir string
 	// JournalDir enables crash durability: every accepted job is
 	// journaled (write-ahead, fsync'd) before it is acknowledged,
@@ -61,9 +59,6 @@ type Config struct {
 	// 0 = unlimited. Recovered jobs bypass the bound (they were already
 	// admitted) but count against it.
 	MaxQueued int
-	// DiskFaults, when set, injects deterministic disk faults into the
-	// journal's durable writes (testing; see internal/faults).
-	DiskFaults *faults.Injector
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 	// OnDequeue, when set, observes the shared pool's dispatch order
@@ -79,6 +74,11 @@ type Config struct {
 	// CacheOff disables the result cache and single-flight dedup: every
 	// submission executes on the pool.
 	CacheOff bool
+
+	// fs is the durable-write seam every change to the spool and the
+	// journal goes through (nil selects checkpoint.OS); the package's tests
+	// substitute one that fails or stops at a chosen operation.
+	fs checkpoint.FS
 }
 
 // chromResult is one chromosome's in-memory outcome inside the pool.
@@ -110,10 +110,9 @@ func (cj cachedJob) size() int64 {
 
 // Server owns the shared worker pool and the job registry.
 type Server struct {
-	cfg      Config
-	pool     *sched.Pool[chromResult, *genomejob.Worker]
-	spool    string
-	ownSpool bool
+	cfg   Config
+	pool  *sched.Pool[chromResult, *genomejob.Worker]
+	spool string
 
 	// journal is the crash-durability WAL; nil unless Config.JournalDir
 	// is set.
@@ -155,6 +154,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.fs == nil {
+		cfg.fs = checkpoint.OS
+	}
 	s := &Server{cfg: cfg, jobs: make(map[string]*jobState)}
 	if !cfg.CacheOff {
 		if cfg.CacheBytes <= 0 {
@@ -164,38 +166,25 @@ func New(cfg Config) (*Server, error) {
 		s.cache = resultcache.New[cachedJob](cfg.CacheBytes)
 		s.flights = resultcache.NewFlights[*jobState]()
 	}
-	if cfg.JournalDir != "" {
-		var fault func(op string) error
-		if cfg.DiskFaults != nil {
-			fault = cfg.DiskFaults.DiskOp
-		}
-		jn, err := journal.Open(journal.Config{
-			Dir: cfg.JournalDir, Fault: fault, Logf: cfg.Logf,
-		})
+	switch {
+	case cfg.JournalDir != "":
+		jn, err := journal.Open(journal.Config{Dir: cfg.JournalDir, FS: cfg.fs, Logf: cfg.Logf})
 		if err != nil {
 			return nil, err
 		}
 		s.journal = jn
 		s.seq = jn.MaxSeq()
-	}
-	switch {
-	case s.journal != nil:
 		// The journal owns the spool: uploaded inputs must survive a
 		// restart, so they live in named per-job directories under the
-		// journal rather than a process-lifetime temp dir.
+		// journal.
 		s.spool = filepath.Join(cfg.JournalDir, "spool")
 	case cfg.SpoolDir != "":
-		if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
+		if err := cfg.fs.MkdirAll(cfg.SpoolDir); err != nil {
 			return nil, err
 		}
 		s.spool = cfg.SpoolDir
 	default:
-		dir, err := os.MkdirTemp("", "gsnpd-spool-*")
-		if err != nil {
-			return nil, err
-		}
-		s.spool = dir
-		s.ownSpool = true
+		return nil, errors.New("service: Config needs a JournalDir or a SpoolDir")
 	}
 	s.pool = sched.NewPool[chromResult, *genomejob.Worker](sched.PoolConfig{
 		Workers:   cfg.Workers,
@@ -315,7 +304,7 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	if dir == "" {
 		js.dir = filepath.Join(s.spool, js.id)
 		dir = js.dir
-		if err := spoolInputs(dir, spec); err != nil {
+		if err := s.spoolInputs(dir, spec); err != nil {
 			return fail(fmt.Errorf("%w: %v", ErrSpool, err))
 		}
 	}
@@ -433,14 +422,14 @@ func (s *Server) removeDir(what, dir string) {
 	if dir == "" {
 		return
 	}
-	if err := os.RemoveAll(dir); err != nil {
+	if err := s.cfg.fs.RemoveAll(dir); err != nil {
 		s.cfg.Logf("removing %s %s: %v", what, dir, err)
 	}
 }
 
 // spoolInputs writes a job's uploaded inputs as a genome directory.
-func spoolInputs(dir string, spec *JobSpec) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func (s *Server) spoolInputs(dir string, spec *JobSpec) error {
+	if err := s.cfg.fs.MkdirAll(dir); err != nil {
 		return err
 	}
 	alnExt := "." + genomejob.AlnExt(spec.Format)
@@ -456,9 +445,9 @@ func spoolInputs(dir string, spec *JobSpec) error {
 		for _, f := range files {
 			// The spool dir outlives a crash when journaling is on: recovery
 			// replays the job from these files, so a torn spool input must
-			// not be possible. AtomicWrite (temp + fsync + rename) leaves
-			// either the whole input or nothing.
-			if err := checkpoint.AtomicWrite(filepath.Join(dir, f.name), []byte(f.content)); err != nil {
+			// not be possible. The seam's atomic write leaves either the
+			// whole input or nothing.
+			if err := s.cfg.fs.WriteFile(filepath.Join(dir, f.name), []byte(f.content)); err != nil {
 				return err
 			}
 		}
@@ -581,17 +570,14 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // shutdown closes the pool and the WAL — logging rather than discarding
-// the close error, an unsynced final record is operator-relevant — and
-// removes a spool the server created. Idempotent.
+// the close error, an unsynced final record is operator-relevant.
+// Idempotent.
 func (s *Server) shutdown() {
 	s.pool.Close()
 	if s.journal != nil {
 		if err := s.journal.Close(); err != nil {
 			s.cfg.Logf("journal close: %v", err)
 		}
-	}
-	if s.ownSpool {
-		s.removeDir("spool dir", s.spool)
 	}
 }
 
