@@ -113,7 +113,11 @@ fastq-e2e:
 
 # Short fuzz pass over every fuzz target (each gets $(FUZZ_TIME)); the
 # committed corpora under testdata/fuzz/ seed the runs. `go test -fuzz`
-# takes one target per invocation, hence one line per target.
+# takes one target per invocation, hence one line per target. The gsnp line
+# runs the target alone: its package's other tests ran under `test`, and
+# in the coverage-instrumented fuzz build TestComputeWorkersNoRegression's
+# wall comparison measures the instrumentation, not the engine (cw=1 runs
+# ~3x slower there, and cw=4 reads 1.2-1.3x cw=1 on a 2-core host).
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzParseRow$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzSOAPReader$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
@@ -131,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzSparseDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzUnpack2Bit$$' -fuzztime $(FUZZ_TIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz 'FuzzSparseLikelihoodGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
 
 # One pass over every paper table/figure benchmark plus the scheduler
 # benchmark, and over the dense baseline's own: its likelihood and recycle

@@ -11,21 +11,34 @@
 // # Execution model
 //
 // A kernel is a Go function invoked once per simulated thread. Threads are
-// grouped into blocks (CUDA thread blocks) and warps of 32. Blocks run
-// concurrently on a host worker pool; threads within a block run either
-// sequentially (the fast path) or as goroutines synchronised by a cyclic
-// barrier when the kernel uses Thread.Sync (needed e.g. by bitonic sort).
+// grouped into blocks (CUDA thread blocks) and warps of 32. A large launch
+// spreads contiguous ranges of its blocks over the host's cores; a small one
+// runs inline on the launching goroutine. Within a block one of three
+// runners steps the threads:
+//
+//   - Launch: the lane cursor, one Thread stepped through the lanes in order,
+//     each lane running to completion — barrier-free kernels;
+//   - LaunchPhased: a Thread per lane, all lanes run phase p before any runs
+//     phase p+1, the barrier being the iteration order — kernels whose
+//     barriers are static, such as every bitonic sort and scan here;
+//   - Launch with LaunchConfig.Sync: a goroutine per lane meeting at a cyclic
+//     barrier on Thread.Sync — the accounting oracle the other two are
+//     tested against, with no production kernel.
 //
 // # Accounting model
 //
 // Kernels access device-resident data through typed Buffer values using
-// Ld/St, shared memory through the Thread shared-array accessors, and
-// constant memory through ConstBuffer. Each access increments per-thread
-// counters that are merged into per-launch and per-device statistics —
-// instructions, global loads/stores (and bytes), shared loads/stores,
-// constant loads. These are the quantities CUDA Visual Profiler reports and
-// the paper lists in Table III. Arithmetic work is declared with
-// Thread.Exec(n), mirroring how a profiler counts issued instructions.
+// Ld/St, shared memory through the Thread shared-array accessors, per-thread
+// local memory (LaunchConfig.LocalU32, barrier-free launches only) through
+// Thread.LocalU32/SetLocalU32, and constant memory through ConstBuffer. Each
+// access increments per-thread counters that are merged into per-launch and
+// per-device statistics — instructions, global loads/stores (and bytes),
+// shared loads/stores, constant loads. Local memory lives in device DRAM on
+// real hardware, so its accesses count as 4-byte global loads and stores at
+// the addresses a Grid·Block·LocalU32 global buffer would give them. These
+// are the quantities CUDA Visual Profiler reports and the paper lists in
+// Table III. Arithmetic work is declared with Thread.Exec(n), mirroring how
+// a profiler counts issued instructions.
 //
 // Coalescing is estimated by sampling: in the first block of every launch
 // each thread records the addresses of its global accesses; the k-th access

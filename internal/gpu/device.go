@@ -20,6 +20,7 @@ type Device struct {
 	totals    Stats
 	simTime   float64
 	allocated int64
+	peak      int64 // high-water mark of allocated since ResetPeak
 	constUsed int
 	nextBufID int64
 	launches  []LaunchStats
@@ -95,6 +96,22 @@ func (d *Device) AllocatedBytes() int64 {
 	return d.allocated
 }
 
+// PeakBytes returns the largest device-memory footprint reached since the
+// device was made or ResetPeak last ran: every buffer that was ever live at
+// once counts, however briefly.
+func (d *Device) PeakBytes() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.peak
+}
+
+// ResetPeak starts a new high-water measurement at the current footprint.
+func (d *Device) ResetPeak() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.peak = d.allocated
+}
+
 // Launches returns the per-launch records accumulated since the last
 // ResetStats, oldest first.
 func (d *Device) Launches() []LaunchStats {
@@ -116,6 +133,11 @@ type LaunchConfig struct {
 	// Config.SharedMemPerBlock.
 	SharedF64 int
 	SharedU32 int
+	// LocalU32 requests that many words of per-thread local memory
+	// (Thread.LocalU32), zero when the thread starts. Only a barrier-free
+	// Launch may request it: the lanes of a phased or Sync launch are alive
+	// at once, and the simulator keeps one lane's local memory per block.
+	LocalU32 int
 	// Sync must be set when the kernel calls Thread.Sync. Synchronous
 	// launches run each block's threads as goroutines joined by a cyclic
 	// barrier; asynchronous launches run them sequentially (much faster
@@ -232,6 +254,9 @@ func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, ph
 	if shBytes := cfg.SharedF64*8 + cfg.SharedU32*4; shBytes > d.cfg.SharedMemPerBlock {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: %d B shared memory requested, %d B available", cfg.Name, shBytes, d.cfg.SharedMemPerBlock)
 	}
+	if cfg.LocalU32 < 0 || cfg.LocalU32 > 0 && (phased != nil || cfg.Sync) {
+		return LaunchStats{}, fmt.Errorf("gpu: launch %q: %d words of local memory requested; only a barrier-free Launch has local memory", cfg.Name, cfg.LocalU32)
+	}
 
 	d.mu.Lock()
 	gen := d.gen
@@ -280,7 +305,8 @@ func (a *launchAccumulator) merge(o *launchAccumulator) {
 // kernel runs through cur, the lane cursor: one Thread stepped through all
 // lanes of the block, where only the issued-instruction count (instr, for
 // the warp accounting) and the coalescing-sample stream of block 0 are kept
-// per lane. Kernels with barriers suspend every lane at every barrier, so
+// per lane, and one lane's local memory (rt.local) serves every lane in
+// turn. Kernels with barriers suspend every lane at every barrier, so
 // they get a Thread per lane (lanes): the phased runner walks them in
 // lockstep, the Sync runner gives each its goroutine. One scratch serves
 // one host goroutine at a time and returns to the device free-list after
@@ -335,6 +361,7 @@ func (d *Device) runRange(sp *launchSpec, lo, hi int, acc *launchAccumulator) {
 	sc := d.getScratch()
 	defer d.putScratch(sc)
 	sc.lanesSet = false
+	sc.rt.sizeLocal(sp.LocalU32)
 	for bid := lo; bid < hi; bid++ {
 		d.runBlock(sp, bid, acc, sc)
 	}
@@ -416,6 +443,7 @@ func runLanesAsync(kernel Kernel, sc *blockScratch, n int, sampling bool) {
 	for l := 0; l < n; l++ {
 		t.Lane = l
 		t.Reg = [2]uint64{}
+		sc.rt.clearLocal()
 		t.instr = 0
 		if sampling {
 			t.sample = sc.samples[l]
@@ -623,12 +651,37 @@ func (d *Device) advanceCopy(n int64, toDevice bool) {
 	d.mu.Unlock()
 }
 
-// blockRT is the per-block runtime state: shared memory and the barrier.
+// blockRT is the per-block runtime state: shared memory, the barrier, and
+// the local memory of the lane the cursor is running.
 type blockRT struct {
 	dev       *Device
 	sharedF64 []float64
 	sharedU32 []uint32
 	bar       *barrier
+
+	// local is LaunchConfig.LocalU32 words; localSet lists the words the
+	// running lane has stored, so that the next lane finds them zero at the
+	// cost of the stores made, not of the whole array.
+	local    []uint32
+	localSet []int32
+}
+
+// clearLocal zeroes the words the last lane stored. runLanesAsync calls it
+// before each lane, so a lane that panicked leaves nothing for the next
+// launch on this scratch either.
+func (rt *blockRT) clearLocal() {
+	for _, i := range rt.localSet {
+		rt.local[i] = 0
+	}
+	rt.localSet = rt.localSet[:0]
+}
+
+// sizeLocal readies n zero words of local memory for a launch. Every word
+// outside localSet is already zero, so after clearLocal the array only
+// needs its length set.
+func (rt *blockRT) sizeLocal(n int) {
+	rt.clearLocal()
+	rt.local = grow(rt.local, n)
 }
 
 // barrier is a cyclic barrier that tolerates threads exiting early (a

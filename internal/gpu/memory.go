@@ -86,6 +86,7 @@ func Alloc[T any](dev *Device, n int) *Buffer[T] {
 		panic(fmt.Sprintf("gpu: out of device memory: %d B requested, %d/%d B in use", bytes, used, dev.cfg.GlobalMemBytes))
 	}
 	dev.allocated += bytes
+	dev.peak = max(dev.peak, dev.allocated)
 	dev.nextBufID++
 	id := dev.nextBufID
 	data := takeStorage[T](dev, es, n)
@@ -144,7 +145,8 @@ func (b *Buffer[T]) CopyOut(dst []T) {
 }
 
 // addr returns the logical global-memory address of element i, unique
-// across buffers so the coalescing sampler can distinguish streams.
+// across buffers so the coalescing sampler can distinguish streams. Ids
+// start at 1; the range of id 0 belongs to local memory (Thread.localAddr).
 func (b *Buffer[T]) addr(i int) int64 { return b.id<<40 + int64(i)*b.elemSize }
 
 // Ld performs a metered global-memory load of element i from within a

@@ -94,6 +94,34 @@ func (t *Thread) SetSharedU32(i int, v uint32) {
 	t.block.sharedU32[i] = v
 }
 
+// LocalU32 reads word i of the thread's local memory (LaunchConfig.LocalU32
+// words, zero when the thread starts). Local memory is per-thread storage in
+// device DRAM, so the read is metered as a 4-byte global load at the address
+// word i of the thread's slice of a Grid·Block·LocalU32 global buffer would
+// have: every counter and the coalescing sample come out as they would for
+// that buffer.
+func (t *Thread) LocalU32(i int) uint32 {
+	t.recordGlobal(t.localAddr(i), 4, false)
+	return t.block.local[i]
+}
+
+// SetLocalU32 writes word i of the thread's local memory, metered as a
+// 4-byte global store.
+func (t *Thread) SetLocalU32(i int, v uint32) {
+	t.recordGlobal(t.localAddr(i), 4, true)
+	rt := t.block
+	if rt.local[i] == 0 {
+		rt.localSet = append(rt.localSet, int32(i))
+	}
+	rt.local[i] = v
+}
+
+// localAddr is the logical address of local word i. Buffer ids start at 1
+// (Buffer.addr), so the address range of id 0 is local memory's alone.
+func (t *Thread) localAddr(i int) int64 {
+	return int64(t.GlobalID()*len(t.block.local)+i) * 4
+}
+
 // Log10 is the device base-10 logarithm. With Config.FastMath it emulates
 // the GPU's native implementation, which differs from the host libm in the
 // trailing bits — the source of the ~0.1% result mismatches Section IV-G

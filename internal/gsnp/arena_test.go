@@ -118,7 +118,10 @@ func TestEffectiveComputeWorkers(t *testing.T) {
 // that pure overhead made cw=4 measurably slower than cw=1. The bytes are
 // compared always; the walls only without the race detector, whose
 // instrumentation multiplies the cost of exactly the synchronisation the
-// two sides differ in.
+// two sides differ in. A round is best-of-9 per side; the test fails only
+// when noRegressionRounds rounds in a row all exceed the bound, so other
+// packages' tests holding the second core through one round cannot fail
+// it, while a real dispatch overhead exceeds it in every round.
 func TestComputeWorkersNoRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -133,7 +136,7 @@ func TestComputeWorkersNoRegression(t *testing.T) {
 	}
 	setup := func(cw int) *side {
 		eng, wins := newDirectEngine(t, ds, 8000, Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: cw})
-		sd := &side{best: math.Inf(1)}
+		sd := &side{}
 		sd.pass = func() {
 			for _, dw := range wins {
 				if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
@@ -160,23 +163,34 @@ func TestComputeWorkersNoRegression(t *testing.T) {
 		t.Log("race detector on: wall comparison skipped")
 		return
 	}
-	// Best of N, the two sides alternating so that a slow spell of the
-	// host falls on both.
-	for trial := 0; trial < 9; trial++ {
-		for _, sd := range []*side{s1, s4} {
-			start := time.Now()
-			sd.pass()
-			sd.best = min(sd.best, time.Since(start).Seconds())
-		}
-	}
 	// Generous slack: the fix makes cw=4 at worst equal to cw=1 (it
 	// serializes when no parallelism is available), so anything beyond
 	// noise is a regression.
-	if s4.best > s1.best*1.25 {
-		t.Errorf("cw=4 window pass took %.2fms, cw=1 took %.2fms: adaptive cap failed to remove the dispatch overhead", s4.best*1e3, s1.best*1e3)
+	const bound = 1.25
+	for round := 1; ; round++ {
+		// Best of 9, the two sides alternating so that a slow spell of
+		// the host falls on both.
+		s1.best, s4.best = math.Inf(1), math.Inf(1)
+		for trial := 0; trial < 9; trial++ {
+			for _, sd := range []*side{s1, s4} {
+				start := time.Now()
+				sd.pass()
+				sd.best = min(sd.best, time.Since(start).Seconds())
+			}
+		}
+		t.Logf("round %d: bench window pass cw=1 %.2fms, cw=4 %.2fms (ratio %.2f)", round, s1.best*1e3, s4.best*1e3, s4.best/s1.best)
+		if s4.best <= s1.best*bound {
+			return
+		}
+		if round == noRegressionRounds {
+			t.Fatalf("cw=4 window pass exceeded %.2fx the cw=1 pass in %d rounds in a row: adaptive cap failed to remove the dispatch overhead", bound, round)
+		}
 	}
-	t.Logf("bench window pass: cw=1 %.2fms, cw=4 %.2fms", s1.best*1e3, s4.best*1e3)
 }
+
+// noRegressionRounds is how many consecutive best-of-9 rounds must exceed
+// TestComputeWorkersNoRegression's bound before it fails.
+const noRegressionRounds = 3
 
 func TestArenaReuseAcrossRuns(t *testing.T) {
 	// One arena handed through Config across consecutive runs — the

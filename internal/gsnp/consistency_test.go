@@ -198,3 +198,23 @@ func TestFlattenMatchesObsOf(t *testing.T) {
 		}
 	}
 }
+
+// TestFlattenAllocatesOncePerArray: flatten sizes both observation arrays
+// from the clamped spans of the window's reads before it appends, so a cold
+// window — the first of a run, or one larger than any before it — costs one
+// allocation per array instead of a doubling series.
+func TestFlattenAllocatesOncePerArray(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector the allocation count varies from run to run")
+	}
+	ds := testDataset(t, 3000, 10, 12)
+	w := new(window)
+	allocs := testing.AllocsPerRun(5, func() {
+		*w = window{}
+		w.reset(500, 2500)
+		w.flatten(ds.Reads)
+	})
+	if len(w.obsSite) == 0 || allocs != 2 {
+		t.Errorf("a cold flatten of %d observations made %.0f allocations, want 2", len(w.obsSite), allocs)
+	}
+}

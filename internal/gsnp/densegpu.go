@@ -24,7 +24,9 @@ const denseChunk = 2048
 // words supplies the per-site observations (sorted or not; the dense scan
 // re-establishes canonical order by construction). The function returns
 // the genotype log-likelihoods per site, identical to the sparse kernels'.
-// The per-thread dep_count array is modelled as thread-local storage.
+// The per-thread dep_count array is a Go array in the kernel body,
+// unmetered like registers — not LaunchConfig.LocalU32 memory, which the
+// sparse kernel uses and which meters as global traffic.
 func DenseGPULikelihood(d *gpu.Device, tables *bayes.Tables, readLen int, words *sortnet.Batches, gNewP *gpu.Buffer[float64], cAdj *gpu.ConstBuffer[uint8]) []float64 {
 	n := words.NumArrays()
 	out := make([]float64, n*dna.NGenotypes)

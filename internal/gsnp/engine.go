@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"gsnp/internal/bayes"
@@ -40,11 +41,6 @@ type Engine struct {
 	// novelPriors caches the log genotype priors of sites absent from the
 	// prior file, one vector per reference base.
 	novelPriors [dna.NBases][dna.NGenotypes]float64
-
-	// Window-persistent device state (GPU mode): the tagged dep_count
-	// buffer and its window epoch.
-	gDep     *gpu.Buffer[uint32]
-	winEpoch uint32
 
 	// likeliPass and postPass are the CPU window's two sharded passes over
 	// the arena's window, bound once so that a warm window forks without
@@ -139,23 +135,22 @@ func (e *Engine) Prepare(st *pipeline.RunState) error {
 		e.novelPriors[b] = st.Priors.LogPriors(b, nil)
 	}
 	if e.cfg.Mode == ModeGPU {
+		e.cfg.Device.ResetPeak()
 		return e.loadTables()
 	}
 	return nil
 }
 
 // Abandon implements pipeline.Kernel. The sparse window leaves nothing to
-// restore: lengths reset at the next window and the tagged dep_count
-// entries invalidate by epoch.
+// restore: lengths reset at the next window, the CPU path's tagged dep_count
+// entries invalidate by epoch, and the GPU path's live in local memory.
 func (e *Engine) Abandon(start, end int) {}
 
-// Finish implements pipeline.Kernel: release the device tables, on failed
-// runs too.
+// Finish implements pipeline.Kernel: take the run's device high-water mark
+// and release the device tables, on failed runs too.
 func (e *Engine) Finish() {
 	if e.cfg.Mode == ModeGPU {
-		if ab := e.cfg.Device.AllocatedBytes(); ab > e.peakDeviceBytes {
-			e.peakDeviceBytes = ab
-		}
+		e.peakDeviceBytes = e.cfg.Device.PeakBytes()
 		e.unloadTables()
 	}
 }
@@ -200,10 +195,6 @@ func (e *Engine) unloadTables() {
 	if e.cAdj != nil {
 		e.cAdj.Free()
 		e.cAdj = nil
-	}
-	if e.gDep != nil {
-		e.gDep.Free()
-		e.gDep = nil
 	}
 }
 
@@ -286,8 +277,17 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 // fields instead of building an Obs per base: this loop runs once per aligned
 // base, and an Obs result materialised on the stack made its speed depend on
 // the stack alignment the callers' frames happened to leave
-// (TestFlattenMatchesObsOf ties the two).
+// (TestFlattenMatchesObsOf ties the two). Both arrays are sized first, from
+// the clamped spans, so a cold window allocates each once instead of
+// growing it by doubling.
 func (w *window) flatten(rs []reads.AlignedRead) {
+	span := 0
+	for i := range rs {
+		r := &rs[i]
+		span += max(0, min(w.end, r.Pos+len(r.Bases))-max(w.start, r.Pos))
+	}
+	w.obsSite = slices.Grow(w.obsSite, span)
+	w.obsWord = slices.Grow(w.obsWord, span)
 	for i := range rs {
 		r := &rs[i]
 		flags := uint32(r.Strand)

@@ -72,15 +72,13 @@ func (e *Engine) runWindowGPU(w *window) error {
 	rep.Times.Output += rowWall + sim
 
 	// Component 7: recycle — the sparse representation leaves nothing to
-	// sweep: the tagged dep_count buffer invalidates by epoch and the
-	// per-window buffers return to the arena with lengths reset.
+	// sweep: dep_count lived in each likelihood thread's local memory, the
+	// device buffers went back to the device free-list as each component
+	// finished, and the per-window host arrays return to the arena with
+	// lengths reset.
 	t0 = time.Now()
 	w.obsSite, w.obsWord = w.obsSite[:0], w.obsWord[:0]
 	rep.Times.Recycle += time.Since(t0)
-
-	if ab := d.AllocatedBytes(); ab > e.peakDeviceBytes {
-		e.peakDeviceBytes = ab
-	}
 	return nil
 }
 
@@ -191,14 +189,6 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 		hb[i] = uint32(w.words.Bounds[i])
 	}
 
-	e.ensureDep(n)
-	e.winEpoch++
-	if e.winEpoch >= 1<<14 { // tag field exhausted: flush and restart
-		clear(e.gDep.Host())
-		e.winEpoch = 1
-	}
-	epochBase := e.winEpoch << 2 // room for the 2-bit base in the tag
-
 	gTL := gpu.Alloc[float64](d, n*dna.NGenotypes)
 	defer gTL.Free()
 
@@ -218,16 +208,18 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 			}
 		}
 	}
+	// dep_count is the thread's own: 2·readLen words of local memory,
+	// strand-major, zero when the thread starts.
 	cfgLaunch := gpu.LaunchConfig{
-		Name:  "likelihood_comp_" + variant.String(),
-		Grid:  (n + block - 1) / block,
-		Block: block,
+		Name:     "likelihood_comp_" + variant.String(),
+		Grid:     (n + block - 1) / block,
+		Block:    block,
+		LocalU32: 2 * readLen,
 	}
 	if useShared {
 		cfgLaunch.SharedF64 = block * dna.NGenotypes
 	}
 
-	gDep := e.gDep
 	newP := e.gNewP
 	pmat := e.gP
 	adj := e.cAdj
@@ -251,7 +243,6 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 			}
 		}
 
-		depOff := site * 2 * readLen
 		lastBase := -1
 		var tag uint32
 		for k := lo; k < hi; k++ {
@@ -264,19 +255,20 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 
 			if base != lastBase {
 				// Re-initialising dep_count per base group (lines 8-10)
-				// costs one tag change with the epoch encoding.
-				tag = (epochBase | uint32(base)) << 16
+				// costs one tag change: an entry counts only under its
+				// base's tag, and a fresh thread's zero words match none.
+				tag = uint32(base+1) << 16
 				lastBase = base
 				t.Exec(1)
 			}
-			slot := depOff + strand*readLen + coord
-			entry := gpu.Ld(t, gDep, slot)
+			slot := strand*readLen + coord
+			entry := t.LocalU32(slot)
 			cnt := uint32(0)
 			if entry&0xFFFF0000 == tag {
 				cnt = entry & 0xFFFF
 			}
 			cnt++
-			gpu.St(t, gDep, slot, tag|cnt)
+			t.SetLocalU32(slot, tag|cnt)
 			t.Exec(2)
 
 			// adjust (line 12): constant-memory penalty lookup.
@@ -336,27 +328,6 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 
 	w.typeLikely = grow(w.typeLikely, n*dna.NGenotypes)
 	gTL.CopyOut(w.typeLikely)
-}
-
-// ensureDep sizes the device-resident tagged dep_count buffer.
-func (e *Engine) ensureDep(n int) {
-	need := n * 2 * e.run.Stride
-	if e.gDep == nil || e.gDep.Len() < need {
-		if e.gDep != nil {
-			e.gDep.Free()
-		}
-		e.gDep = gpu.Alloc[uint32](e.cfg.Device, need)
-		// First touch, on this goroutine. The buffer is the engine's
-		// largest (800 B a site) and arrives as untouched pages; left to
-		// the likelihood kernel, the lanes of a fanned-out launch fault
-		// them in from two cores at once, which on the bench VM costs
-		// 0.3 cpu-s and 0.1 s of wall for a 98,800-site window — more
-		// than fanning that launch out saves. The price is the pages of
-		// sites no read covers, which the kernel would have left alone:
-		// 9 MB of 79 on chr1 at 88 % coverage.
-		clear(e.gDep.Host())
-		e.winEpoch = 0
-	}
 }
 
 // posteriorGPU launches the posterior kernel: per site, combine the ten

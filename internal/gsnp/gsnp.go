@@ -142,7 +142,9 @@ type Report struct {
 	// LikeliStats aggregates the device counters of the likelihood_comp
 	// kernels only — the Table III measurement (GPU mode).
 	LikeliStats gpu.Stats
-	// PeakDeviceBytes is the high-water device memory use (GPU mode).
+	// PeakDeviceBytes is the run's high-water device memory use: the
+	// tables plus the most buffers a window and the output codec held at
+	// once (GPU mode).
 	PeakDeviceBytes int64
 }
 

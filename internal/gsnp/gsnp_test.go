@@ -302,6 +302,26 @@ func TestReportContents(t *testing.T) {
 	}
 }
 
+// TestPeakDeviceBytesGrowsWithWindow: a run's device high-water mark counts
+// the window's own buffers, not just the tables that outlive it, so it
+// grows strictly with the window (Figure 11's memory column). The runs share
+// one device and go from the largest window down, so a peak carried over
+// from an earlier run would show as no drop.
+func TestPeakDeviceBytesGrowsWithWindow(t *testing.T) {
+	ds := testDataset(t, 3000, 9, 114)
+	dev := gpu.NewDevice(gpu.M2050())
+	last := int64(0)
+	for _, win := range []int{3000, 1500, 750, 375} {
+		rep, _ := runGSNP(t, ds, pipeline.Config{Window: win, CompressOutput: true}, Config{Mode: ModeGPU, Device: dev})
+		peak := rep.Device.PeakDeviceBytes
+		t.Logf("window %d: peak device memory %d B", win, peak)
+		if last != 0 && peak >= last {
+			t.Errorf("window %d: peak device memory %d B, not below the larger window's %d B", win, peak, last)
+		}
+		last = peak
+	}
+}
+
 func TestTableIIICounterTrends(t *testing.T) {
 	// The hardware-counter trends of Table III: shared memory removes the
 	// global type_likely traffic; the new table removes instructions

@@ -116,8 +116,8 @@ type RunState struct {
 
 // MinStride is SOAPsnp's historical read-length constant, the dep_count
 // stride of every input whose reads are no longer than it — which keeps
-// the GPU engine's dep_count buffer (800 B a site at this stride) where it
-// has always been for the paper's 100 bp data.
+// each GPU likelihood thread's dep_count (800 B of local memory at this
+// stride) where it has always been for the paper's 100 bp data.
 const MinStride = 100
 
 // Sink is where component 6 puts a window's rows: the 17-column table, VCF

@@ -321,20 +321,22 @@ func nkjPhases(size int) int {
 	return l * (l + 1) / 2
 }
 
-// kjAt maps a flat step index back to its (k, j) pair in network order —
-// k ascends 2, 4, ... and within each k the stride j halves from k/2 down
-// to 1 — so the step sequence of a smaller power of two is a prefix of a
-// larger one's, which is what lets non-equal-size blocks share one phase
-// counter.
-func kjAt(q int) (k, j int) {
-	for k = 2; ; k *= 2 {
-		steps := bits.Len(uint(k)) - 1 // log2(k) strides for this k
-		if q < steps {
-			return k, k >> (q + 1)
+// kjSteps lists the (k, j) pairs of the maxClassSize network in step order
+// — k ascends 2, 4, ... and within each k the stride j halves from k/2 down
+// to 1 — so the step sequence of a smaller power of two is a prefix of it,
+// which is what lets non-equal-size blocks share one phase counter. The
+// phased kernels look a step up once per lane and phase.
+var kjSteps = func() (s [][2]int) {
+	for k := 2; k <= maxClassSize; k *= 2 {
+		for j := k / 2; j > 0; j /= 2 {
+			s = append(s, [2]int{k, j})
 		}
-		q -= steps
 	}
-}
+	return s
+}()
+
+// kjAt returns the (k, j) pair of flat step q.
+func kjAt(q int) (k, j int) { return kjSteps[q][0], kjSteps[q][1] }
 
 // bitonicPhase performs one (k, j) compare-exchange step of the bitonic
 // network over the block's shared buffer, sorting each aligned

@@ -196,6 +196,25 @@ func TestCeilPow2(t *testing.T) {
 	}
 }
 
+// TestKJSteps pins the step table the phased kernels read: 36 steps for the
+// 256-element network, and for every smaller class a prefix that is that
+// class's whole network (k never exceeds the class, and the next step is
+// the first of a larger merge).
+func TestKJSteps(t *testing.T) {
+	if len(kjSteps) != 36 || nkjPhases(maxClassSize) != 36 {
+		t.Fatalf("%d steps for the %d-element network, nkjPhases says %d; want 36", len(kjSteps), maxClassSize, nkjPhases(maxClassSize))
+	}
+	for size := 2; size < maxClassSize; size *= 2 {
+		q := nkjPhases(size)
+		if k, j := kjAt(q - 1); k != size || j != 1 {
+			t.Errorf("class %d: last step (%d, %d), want (%d, 1)", size, k, j, size)
+		}
+		if k, j := kjAt(q); k != 2*size || j != size {
+			t.Errorf("class %d: step after its network (%d, %d), want (%d, %d)", size, k, j, 2*size, size)
+		}
+	}
+}
+
 func TestQuicksortProperty(t *testing.T) {
 	f := func(vals []uint32) bool {
 		a := append([]uint32(nil), vals...)
