@@ -129,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTempRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzAppendFixed$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzJobSpec$$' -fuzztime $(FUZZ_TIME) ./internal/service
+	$(GO) test -fuzz 'FuzzStreamLine$$' -fuzztime $(FUZZ_TIME) ./internal/service
 	$(GO) test -fuzz 'FuzzJournalReplay$$' -fuzztime $(FUZZ_TIME) ./internal/journal
 	$(GO) test -fuzz 'FuzzRLEDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzRLEDictEncodeGPU$$' -fuzztime $(FUZZ_TIME) ./internal/compress

@@ -173,15 +173,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	lw := newLineWriter(w)
 	// The error is the stream's end either way: the Final record went out,
 	// or the client went away or stalled.
-	_ = js.followLog(r.Context(), func(recs []StreamRecord) error {
+	_ = js.followLog(r.Context(), func(recs []logRecord) error {
 		// A writer without deadlines (a test recorder) is merely never shed.
 		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
+		for i := range recs {
+			if err := lw.write(&recs[i]); err != nil {
 				return err
 			}
 		}

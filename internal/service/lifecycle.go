@@ -60,7 +60,7 @@ type jobState struct {
 
 	mu       sync.Mutex
 	chroms   []ChromStatus
-	stream   []StreamRecord
+	stream   []logRecord
 	notify   chan struct{}
 	state    string // queued | running | done | partial | failed | cancelled | cached
 	finished bool
@@ -137,17 +137,20 @@ func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.U
 		return refuse(err)
 	}
 	if executes {
-		var checkpointed []StreamRecord
+		var checkpointed []logRecord
 		var rest []genomejob.Unit
 		for i, u := range units {
 			if c, ok := js.durable[u.Name]; ok {
-				// Read once and checked against the recorded digest; a
-				// tampered, torn or unreadable output just runs again.
+				// Read once, checked against the recorded digest and encoded
+				// once; a tampered, torn or unreadable output just runs again.
 				out, err := s.journal.ReadChrom(js.id, c)
 				if err == nil {
-					checkpointed = append(checkpointed, StreamRecord{
-						Index: i, Name: u.Name, State: StateOK,
-						Sites: c.Sites, OutputB64: out, Recovered: true,
+					checkpointed = append(checkpointed, logRecord{
+						StreamRecord: StreamRecord{
+							Index: i, Name: u.Name, State: StateOK,
+							Sites: c.Sites, Recovered: true,
+						},
+						b64: s.encodeOutput(out),
 					})
 					continue
 				}
@@ -194,10 +197,10 @@ func (s *Server) run(js *jobState, sources ...source) {
 // publish appends one chromosome record to the job's stream under the
 // job's own id: status table, log, wake-up. It is the only appender
 // besides finish's Final record.
-func (js *jobState) publish(rec StreamRecord) {
+func (js *jobState) publish(rec logRecord) {
 	rec.Job = js.id
 	js.mu.Lock()
-	js.chroms[rec.Index] = chromStatusOf(rec)
+	js.chroms[rec.Index] = chromStatusOf(rec.StreamRecord)
 	js.stream = append(js.stream, rec)
 	if js.state == StateQueued {
 		js.state = StateRunning
@@ -233,7 +236,7 @@ func (s *Server) finish(js *jobState, state string) {
 	}
 	if js.key != "" && state == StateDone {
 		js.mu.Lock()
-		recs := append([]StreamRecord(nil), js.stream...)
+		recs := append([]logRecord(nil), js.stream...)
 		js.mu.Unlock()
 		for i := range recs {
 			// The serving job's id is written on replay. A checkpoint-
@@ -254,9 +257,9 @@ func (s *Server) finish(js *jobState, state string) {
 	js.mu.Lock()
 	js.state = state
 	js.finished = true
-	js.stream = append(js.stream, StreamRecord{
+	js.stream = append(js.stream, logRecord{StreamRecord: StreamRecord{
 		Job: js.id, Index: -1, State: state, Final: true, Recovered: js.recovered,
-	})
+	}})
 	close(js.notify)
 	js.mu.Unlock()
 	close(js.done)
@@ -271,7 +274,7 @@ func (s *Server) finish(js *jobState, state string) {
 // what is already there, then each batch as it is appended — and returns
 // nil once the batch ending in the Final record has been emitted. It stops
 // early with emit's error, or with ctx's cause when ctx ends first.
-func (js *jobState) followLog(ctx context.Context, emit func([]StreamRecord) error) error {
+func (js *jobState) followLog(ctx context.Context, emit func([]logRecord) error) error {
 	next := 0
 	for {
 		js.mu.Lock()
@@ -305,7 +308,7 @@ type source func(js *jobState) string
 
 // replay publishes records that already exist: a cache entry (state
 // "cached"), or the checkpointed chromosomes of a recovered job (state "").
-func replay(records []StreamRecord, state string) source {
+func replay(records []logRecord, state string) source {
 	return func(js *jobState) string {
 		for _, rec := range records {
 			js.publish(rec)
@@ -324,7 +327,7 @@ func tail(leader *jobState) source {
 		state := ""
 		// The only error is the follower's own cancellation, which run
 		// reads off js.ctx; state is then still "".
-		_ = leader.followLog(js.ctx, func(recs []StreamRecord) error {
+		_ = leader.followLog(js.ctx, func(recs []logRecord) error {
 			for _, rec := range recs {
 				if rec.Final {
 					state = rec.State
@@ -342,19 +345,20 @@ func tail(leader *jobState) source {
 }
 
 // pooled drains the job's pool results: the only source that makes new
-// bytes, so the only one that persists them. Cancelling the job cancels
-// its pool tasks — undispatched chromosomes resolve as skipped, running
-// ones abort at their next window boundary.
+// bytes, so the only one that persists them, and the place they are
+// encoded. Cancelling the job cancels its pool tasks — undispatched
+// chromosomes resolve as skipped, running ones abort at their next window
+// boundary.
 func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 	return func(js *jobState) string {
 		opts := js.spec.Options()
 		stop := context.AfterFunc(js.ctx, func() { handle.Cancel(context.Cause(js.ctx)) })
 		defer stop()
 		for r := range handle.Results() {
-			rec := StreamRecord{
+			rec := logRecord{StreamRecord: StreamRecord{
 				Index: js.taskUnit[r.Index], Name: r.Name,
 				Attempts: r.Attempts, WallMS: r.Wall.Milliseconds(),
-			}
+			}}
 			switch {
 			case r.Skipped:
 				rec.State = StateCancelled
@@ -367,21 +371,24 @@ func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 				rec.Sites = r.Value.res.Sites
 				rec.Quarantined = len(r.Value.res.Quarantined)
 				rec.CalSkipped = r.Value.res.CalSkipped
-				rec.OutputB64 = r.Value.output
 			default:
 				rec.State = StateOK
 				rec.Sites = r.Value.res.Sites
-				rec.OutputB64 = r.Value.output
 				// Durable-before-visible: a clean chromosome is journaled
 				// before its record publishes; a failure only means it
 				// recomputes after a restart. Partial results never are
 				// journaled — they must recompute, same as the CLI's -resume.
 				if js.journalSeq != 0 {
 					c := journal.Chrom{File: opts.OutName(rec.Name), Sites: rec.Sites}
-					if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c, rec.OutputB64); err != nil {
+					if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c, r.Value.output.Bytes()); err != nil {
 						s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)
 					}
 				}
+			}
+			if out := r.Value.output; out != nil {
+				rec.b64 = s.encodeOutput(out.Bytes())
+				// Journaled and encoded: nothing refers to the raw bytes now.
+				outBufs.Put(out)
 			}
 			js.publish(rec)
 		}

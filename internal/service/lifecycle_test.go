@@ -145,10 +145,10 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 			if js == nil {
 				t.Fatalf("job %s not registered", f.id)
 			}
-			var final StreamRecord
+			var final logRecord
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			if err := js.followLog(ctx, func(recs []StreamRecord) error {
+			if err := js.followLog(ctx, func(recs []logRecord) error {
 				final = recs[len(recs)-1]
 				return nil
 			}); err != nil {

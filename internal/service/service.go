@@ -22,6 +22,7 @@ import (
 	"io"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gsnp/internal/checkpoint"
@@ -69,7 +70,8 @@ type Config struct {
 	OnDequeue func(job string, index int)
 	// CacheBytes bounds the content-addressed result cache (0 selects
 	// 256 MiB). Completed jobs' stream records are retained up to this
-	// budget and replayed exactly for identical resubmissions.
+	// budget, charged at the length of their base64 text, and replayed
+	// exactly for identical resubmissions.
 	CacheBytes int64
 	// CacheOff disables the result cache and single-flight dedup: every
 	// submission executes on the pool.
@@ -81,17 +83,24 @@ type Config struct {
 	fs checkpoint.FS
 }
 
-// chromResult is one chromosome's in-memory outcome inside the pool.
+// chromResult is one chromosome's in-memory outcome inside the pool. output
+// comes from outBufs; pooled returns it once the bytes are journaled and
+// encoded.
 type chromResult struct {
-	output []byte
+	output *bytes.Buffer
 	res    genomejob.Result
 }
+
+// outBufs recycles the buffers pool tasks write chromosome outputs into, so
+// the process does not hold one output buffer, growth slack included, per
+// chromosome it has run.
+var outBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // cachedJob is one completed job's replayable output: its chromosome
 // stream records (Job field cleared; rewritten to the new id on replay).
 // Records are immutable once cached.
 type cachedJob struct {
-	records []StreamRecord
+	records []logRecord
 }
 
 // recordOverhead is the per-record byte charge beyond the variable-size
@@ -99,11 +108,12 @@ type cachedJob struct {
 // tracks real memory, not just payload bytes.
 const recordOverhead = 128
 
-// size is the cache byte charge for a cached job.
+// size is the cache byte charge for a cached job: the kept text, which is
+// all the entry holds of a payload, plus the per-record overhead.
 func (cj cachedJob) size() int64 {
 	n := int64(0)
 	for _, r := range cj.records {
-		n += recordOverhead + int64(len(r.OutputB64)) + int64(len(r.Name)) + int64(len(r.Error))
+		n += recordOverhead + int64(len(r.b64)) + int64(len(r.Name)) + int64(len(r.Error))
 	}
 	return n
 }
@@ -134,6 +144,10 @@ type Server struct {
 	active int
 	// recoveredN counts jobs re-admitted from the journal this process.
 	recoveredN uint64
+
+	// encodes counts encodeOutput's calls: one per chromosome payload that
+	// entered this process.
+	encodes atomic.Int64
 }
 
 // ErrQueueFull is returned to submissions when MaxQueued unfinished jobs
@@ -260,8 +274,9 @@ type StreamRecord struct {
 	WallMS      int64  `json:"wall_ms,omitempty"`
 	Error       string `json:"error,omitempty"`
 	// OutputB64 carries the chromosome's result bytes (text rows, or the
-	// compressed container under Compress), base64-encoded by the JSON
-	// marshaller.
+	// compressed container under Compress), base64 on the wire. The server
+	// leaves it empty in the records it keeps and writes the text it
+	// encoded once in its place (logRecord); a client decodes it as usual.
 	OutputB64 []byte `json:"output_b64,omitempty"`
 	// Final marks the job summary line that terminates the stream. Its
 	// State is the job's final state; "cached" identifies a stream served
@@ -358,12 +373,14 @@ func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chr
 		tasks[i] = sched.Task[chromResult, *genomejob.Worker]{
 			Name: u.Name,
 			Run: func(ctx context.Context, wk *genomejob.Worker) (chromResult, error) {
-				var buf bytes.Buffer
-				res, err := wk.Call(ctx, opts, u, &buf, io.Discard)
+				buf := outBufs.Get().(*bytes.Buffer)
+				buf.Reset()
+				res, err := wk.Call(ctx, opts, u, buf, io.Discard)
 				if err != nil {
+					outBufs.Put(buf)
 					return chromResult{}, err
 				}
-				return chromResult{output: buf.Bytes(), res: res}, nil
+				return chromResult{output: buf, res: res}, nil
 			},
 		}
 	}

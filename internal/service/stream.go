@@ -1,0 +1,84 @@
+package service
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"io"
+)
+
+// logRecord is one record of a job's stream as the server keeps it: the
+// wire record with OutputB64 left empty, and b64, the base64 text of the
+// chromosome's bytes. b64 is immutable and shared by every job that
+// replays or mirrors the record, so a cache replay, a single-flight
+// follower and every extra subscriber only copy it.
+type logRecord struct {
+	StreamRecord
+	b64 []byte
+}
+
+// encodeOutput returns the base64 text of a chromosome's result bytes, in
+// exactly as many bytes as it needs. It is the only place the service
+// encodes a payload, called where the bytes enter the process: a pool
+// result in pooled, a durable chromosome read back in start. It counts its
+// calls.
+func (s *Server) encodeOutput(raw []byte) []byte {
+	s.encodes.Add(1)
+	text := make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
+	base64.StdEncoding.Encode(text, raw)
+	return text
+}
+
+// placeholder is what the envelope carries in place of the payload: one raw
+// byte, which the encoder writes as placeholderText. placeholderKey occurs
+// once in an encoded record, since the encoder escapes every quote inside
+// a string.
+const placeholderText = "AA=="
+
+var (
+	placeholder    = []byte{0}
+	placeholderKey = []byte(`"output_b64":"` + placeholderText)
+)
+
+// lineWriter writes a job's stream records as NDJSON lines. Each line is
+// byte-identical to what json.Encoder with SetEscapeHTML(false) writes for
+// the wire record carrying the raw bytes: the record is encoded with a
+// one-byte placeholder payload — a small envelope — and the kept text is
+// written where the placeholder's text stood.
+type lineWriter struct {
+	w   io.Writer
+	env bytes.Buffer
+	enc *json.Encoder
+}
+
+func newLineWriter(w io.Writer) *lineWriter {
+	lw := &lineWriter{w: w}
+	lw.enc = json.NewEncoder(&lw.env)
+	lw.enc.SetEscapeHTML(false)
+	return lw
+}
+
+// write writes rec's line.
+func (lw *lineWriter) write(rec *logRecord) error {
+	env := rec.StreamRecord
+	env.OutputB64 = nil
+	if len(rec.b64) > 0 {
+		env.OutputB64 = placeholder
+	}
+	lw.env.Reset()
+	if err := lw.enc.Encode(&env); err != nil {
+		return err
+	}
+	line := lw.env.Bytes()
+	if len(rec.b64) == 0 {
+		_, err := lw.w.Write(line)
+		return err
+	}
+	at := bytes.Index(line, placeholderKey) + len(placeholderKey) - len(placeholderText)
+	for _, part := range [][]byte{line[:at], rec.b64, line[at+len(placeholderText):]} {
+		if _, err := lw.w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
+}

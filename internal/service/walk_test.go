@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -233,7 +233,7 @@ func (c walkCase) settle(t *testing.T, js *jobState) {
 			continue
 		}
 		n++
-		if !bytes.Equal(r.OutputB64, c.base[r.Name]) {
+		if string(r.b64) != base64.StdEncoding.EncodeToString(c.base[r.Name]) {
 			t.Errorf("job %s: %s differs from the serial run", js.id, r.Name)
 		}
 	}
