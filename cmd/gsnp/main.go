@@ -289,47 +289,36 @@ func runGenome(dir string, opts options) error {
 
 	var okN, partialN, failedN, quarantinedN int
 	for i, r := range results {
-		rep := &reports[taskRep[i]]
-		rep.Attempts = r.Attempts
-		switch {
-		case r.Skipped:
-			rep.Status = checkpoint.StatusSkipped
-			rep.Error = fmt.Sprint(r.Err)
-			fmt.Fprintf(os.Stderr, "gsnp: %s: not run (%v)\n", r.Name, r.Err)
-		case r.Err != nil:
+		rep := genomejob.Report(r, r.Value.res, filepath.Base(r.Value.outPath))
+		reports[taskRep[i]] = rep
+		switch rep.Status {
+		case checkpoint.StatusSkipped:
+			fmt.Fprintf(os.Stderr, "gsnp: %s: not run (%s)\n", rep.Name, rep.Error)
+			continue
+		case checkpoint.StatusFailed:
 			failedN++
-			rep.Status = checkpoint.StatusFailed
-			rep.Error = r.Err.Error()
-			rep.Panicked = r.Panicked
-			fmt.Fprintf(os.Stderr, "gsnp: %s: FAILED after %d attempt(s): %v\n", r.Name, r.Attempts, r.Err)
+			fmt.Fprintf(os.Stderr, "gsnp: %s: FAILED after %d attempt(s): %s\n", rep.Name, rep.Attempts, rep.Error)
+			continue
+		case checkpoint.StatusPartial:
+			partialN++
 		default:
-			if r.Value.diag != "" {
-				fmt.Fprint(os.Stderr, r.Value.diag)
-			}
-			rep.Output = filepath.Base(r.Value.outPath)
-			rep.Sites = r.Value.res.Sites
-			rep.CalSkipped = r.Value.res.CalSkipped
-			rep.Quarantined = r.Value.res.Quarantined
-			line := fmt.Sprintf("gsnp: %s -> %s", r.Name, filepath.Base(r.Value.outPath))
-			if r.Value.res.Partial() {
-				partialN++
-				quarantinedN += len(r.Value.res.Quarantined)
-				rep.Status = checkpoint.StatusPartial
-				line += fmt.Sprintf(" [PARTIAL: %d window(s) quarantined, %d calibration record(s) skipped]",
-					len(r.Value.res.Quarantined), r.Value.res.CalSkipped)
-				for _, q := range r.Value.res.Quarantined {
-					fmt.Fprintf(os.Stderr, "gsnp: quarantined %v\n", q)
-				}
-			} else {
-				okN++
-				rep.Status = checkpoint.StatusOK
-			}
-			if opts.call.Stats {
-				line += fmt.Sprintf(" (worker %d, %v, %s)",
-					r.Worker, r.Wall.Round(time.Millisecond), siteRate(r.Value.res.Sites, r.Wall))
-			}
-			fmt.Fprintln(os.Stderr, line)
+			okN++
 		}
+		fmt.Fprint(os.Stderr, r.Value.diag)
+		line := fmt.Sprintf("gsnp: %s -> %s", rep.Name, rep.Output)
+		quarantinedN += len(rep.Quarantined)
+		if rep.Status == checkpoint.StatusPartial {
+			line += fmt.Sprintf(" [PARTIAL: %d window(s) quarantined, %d calibration record(s) skipped]",
+				len(rep.Quarantined), rep.CalSkipped)
+			for _, q := range rep.Quarantined {
+				fmt.Fprintf(os.Stderr, "gsnp: quarantined %v\n", q)
+			}
+		}
+		if opts.call.Stats {
+			line += fmt.Sprintf(" (worker %d, %v, %s)",
+				r.Worker, r.Wall.Round(time.Millisecond), siteRate(rep.Sites, r.Wall))
+		}
+		fmt.Fprintln(os.Stderr, line)
 	}
 	if opts.call.Stats {
 		fmt.Fprintf(os.Stderr, "gsnp: scheduler: %d workers ran %d chromosomes in %v (task time %v, speedup %.2fx, longest %s %v)\n",

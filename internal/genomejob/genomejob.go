@@ -35,41 +35,44 @@ import (
 )
 
 // Options selects the engine configuration shared by every unit of a job.
+// It is also the option half of gsnpd's job spec (service.JobSpec embeds
+// it): a field with a JSON name is accepted over the wire, and a field
+// tagged "-" is the CLI's alone.
 type Options struct {
 	// Engine is soapsnp, gsnp-cpu or gsnp-gpu.
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// Format is the alignment format: soap, sam, or fastq (raw reads;
 	// a unit's input is aligned in-process before calling).
-	Format string
+	Format string `json:"format,omitempty"`
 	// Window is sites per window (0 = engine default).
-	Window int
+	Window int `json:"window,omitempty"`
 	// ComputeWorkers shards likelihood/posterior within a window
 	// (gsnp-cpu; 0 = GOMAXPROCS).
-	ComputeWorkers int
+	ComputeWorkers int `json:"compute_workers,omitempty"`
 	// Prefetch overlaps window read I/O with computation.
-	Prefetch bool
+	Prefetch bool `json:"prefetch,omitempty"`
 	// Compress writes the GSNP compressed container (gsnp engines only).
-	Compress bool
+	Compress bool `json:"compress,omitempty"`
 	// Quarantine contains malformed records and panicking windows instead
 	// of aborting the unit.
-	Quarantine bool
+	Quarantine bool `json:"quarantine,omitempty"`
 	// Stats writes per-component timing diagnostics to Call's diag writer.
-	Stats bool
+	Stats bool `json:"-"`
 	// Injector injects deterministic failures (testing; see internal/faults).
-	Injector *faults.Injector
+	Injector *faults.Injector `json:"-"`
 	// OutputFormat selects the result codec: "" or "rows" for the paper's
 	// 17-column table, "vcf" for VCFv4.2 variant records.
-	OutputFormat string
+	OutputFormat string `json:"output_format,omitempty"`
 	// AlignMaxMismatch is the aligner's per-read mismatch budget
 	// (Format fastq only; 0 = align.DefaultMaxMismatch).
-	AlignMaxMismatch int
+	AlignMaxMismatch int `json:"align_max_mismatch,omitempty"`
 	// AlignSeedLen is the aligner's k-mer seed length (Format fastq only;
 	// 0 = align.DefaultK, max 31).
-	AlignSeedLen int
+	AlignSeedLen int `json:"align_seed_len,omitempty"`
 	// AlignWorkers shards the alignment stage of a fastq unit (0 =
 	// GOMAXPROCS). Output is byte-identical at every setting, so the knob
 	// is fingerprint-exempt like the other concurrency options.
-	AlignWorkers int
+	AlignWorkers int `json:"-"`
 }
 
 // VCF reports whether the options select the VCF output codec.
@@ -293,6 +296,69 @@ type Result struct {
 // Partial reports whether the unit completed degraded: output exists but
 // some windows or calibration records were lost to quarantine.
 func (r Result) Partial() bool { return len(r.Quarantined) > 0 || r.CalSkipped > 0 }
+
+// Chromosome states of an Outcome.
+const (
+	StateOK        = "ok"        // clean completion
+	StatePartial   = "partial"   // output written, some windows or calibration records lost to quarantine
+	StateFailed    = "failed"    // aborted after exhausting retries
+	StateCancelled = "cancelled" // never ran: the job was cancelled first
+)
+
+// Outcome is one chromosome's outcome, the record both front-ends report:
+// gsnpd streams it and lists it in the job status, and the CLI's failure
+// report is filled from it. Classify is the only place one is judged.
+type Outcome struct {
+	Name  string `json:"name,omitempty"`
+	State string `json:"state"`
+	Sites int    `json:"sites,omitempty"`
+	// Quarantined counts the windows quarantine mode contained.
+	Quarantined int    `json:"quarantined,omitempty"`
+	CalSkipped  int    `json:"cal_skipped,omitempty"`
+	Attempts    int    `json:"attempts,omitempty"`
+	WallMS      int64  `json:"wall_ms,omitempty"`
+	Error       string `json:"error,omitempty"`
+}
+
+// Classify turns one chromosome's pool result into its Outcome: ok,
+// partial, failed, or cancelled when it never ran. res is the unit's
+// engine report, read only when the task succeeded.
+func Classify[R any](r sched.Result[R], res Result) Outcome {
+	o := Outcome{Name: r.Name, Attempts: r.Attempts, WallMS: r.Wall.Milliseconds()}
+	switch {
+	case r.Skipped:
+		o.State, o.Error = StateCancelled, fmt.Sprint(r.Err)
+	case r.Err != nil:
+		o.State, o.Error = StateFailed, r.Err.Error()
+	default:
+		o.State, o.Sites = StateOK, res.Sites
+		o.Quarantined, o.CalSkipped = len(res.Quarantined), res.CalSkipped
+		if res.Partial() {
+			o.State = StatePartial
+		}
+	}
+	return o
+}
+
+// Report renders a pool result as the CLI's -failure-report entry, filled
+// from its Outcome. The report keeps its own vocabulary: a chromosome that
+// never ran is "skipped", its quarantined windows are listed rather than
+// counted, and it names the output file a chromosome wrote and says whether
+// the last attempt panicked.
+func Report[R any](r sched.Result[R], res Result, output string) checkpoint.TaskReport {
+	o := Classify(r, res)
+	rep := checkpoint.TaskReport{
+		Name: o.Name, Status: o.State, Sites: o.Sites, Attempts: o.Attempts,
+		Error: o.Error, Panicked: r.Panicked, CalSkipped: o.CalSkipped,
+	}
+	switch o.State {
+	case StateCancelled:
+		rep.Status = checkpoint.StatusSkipped
+	case StateOK, StatePartial:
+		rep.Output, rep.Quarantined = output, res.Quarantined
+	}
+	return rep
+}
 
 // Policy is the fault-tolerance contract both front-ends run their
 // chromosomes under: the pool keeps going past failures, task panics

@@ -66,6 +66,9 @@ func TestFingerprintEnumeratesOptionsFields(t *testing.T) {
 		"Injector":       "test-only fault injection; never set by production front-ends",
 		"AlignWorkers":   "byte-identity pinned at every align-worker count (TestAlignReadsParallelMatchesSerial)",
 	}
+	// Every field also decides whether gsnpd accepts it: a JSON name puts it
+	// in the job spec, "-" keeps it the CLI's. Only these are "-".
+	cliOnly := map[string]bool{"Stats": true, "Injector": true, "AlignWorkers": true}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -74,6 +77,13 @@ func TestFingerprintEnumeratesOptionsFields(t *testing.T) {
 			t.Errorf("Options.%s is both fingerprinted and exempt", name)
 		case !fingerprinted[name] && exempt[name] == "":
 			t.Errorf("Options.%s is unclassified: add it to Fingerprint or document an exemption", name)
+		}
+		tag, ok := typ.Field(i).Tag.Lookup("json")
+		switch {
+		case !ok || tag == "":
+			t.Errorf("Options.%s has no json tag: give it a wire name or \"-\"", name)
+		case (tag == "-") != cliOnly[name]:
+			t.Errorf("Options.%s has json tag %q: only %v are kept off the wire", name, tag, cliOnly)
 		}
 	}
 	for name := range fingerprinted {

@@ -1,11 +1,16 @@
 package service
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
 
 // FuzzJobSpec hammers the POST /jobs body decoder: it must never panic,
-// and every spec it accepts must be internally consistent (defaults
-// applied, exactly one input source, safe spool names) — the server
-// spools accepted specs straight to disk.
+// every spec it accepts must be internally consistent (defaults applied,
+// exactly one input source, safe spool names) — the server spools accepted
+// specs straight to disk — and an accepted spec must round-trip: marshalled
+// (as the journal records it) and parsed again, it is the same spec.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"genome_dir":"/data/genome"}`))
 	f.Add([]byte(`{"inputs":[{"name":"chr1","ref":">chr1\nACGT\n","aln":"r1\tACGT\tIIII\t1\t4\t+\tchr1\t1\n"}],"engine":"gsnp-cpu","window":256}`))
@@ -41,9 +46,22 @@ func FuzzJobSpec(f *testing.F) {
 			}
 		}
 		// Accepted specs map onto a valid engine configuration.
-		o := spec.Options()
-		if err := o.Validate(); err != nil {
+		if err := spec.Options.Validate(); err != nil {
 			t.Fatalf("accepted spec fails option validation: %v", err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseJobSpec(raw)
+		if err != nil {
+			t.Fatalf("re-parsing accepted spec %s: %v", raw, err)
+		}
+		if len(spec.Inputs) == 0 {
+			spec.Inputs = nil // an empty list is omitted, so it comes back nil
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Fatalf("spec changed in a round trip through %s:\n got %+v\nwant %+v", raw, back, spec)
 		}
 	})
 }

@@ -68,7 +68,13 @@ func writeError(w http.ResponseWriter, code int, err error) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		// Only an oversized body is too large; any other read error (a
+		// client gone mid-upload) is a bad request.
+		code := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	spec, err := ParseJobSpec(body)

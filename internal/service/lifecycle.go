@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -110,10 +109,10 @@ func (s *Server) admit(js *jobState, executes bool) error {
 // incarnation journaled. An error means the job was refused; it has
 // then been finished as failed, which journals the refusal, removes its
 // directories and resolves any follower that joined it in the meantime.
-func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.Unit, digests []string) error {
+func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) error {
 	js.chroms = make([]ChromStatus, len(units))
 	for i, u := range units {
-		js.chroms[i] = ChromStatus{Name: u.Name, State: StatePending}
+		js.chroms[i].Name, js.chroms[i].State = u.Name, StatePending
 	}
 	refuse := func(err error) error {
 		s.finish(js, StateFailed)
@@ -122,7 +121,7 @@ func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.U
 
 	var sources []source
 	if s.cache != nil && digests != nil {
-		key := jobKey(opts, digests)
+		key := jobKey(js.spec.Options, digests)
 		if cj, ok := s.cache.Get(key); ok {
 			sources = []source{replay(cj.records, StateCached)}
 		} else if leader, joined := s.flights.Begin(key, js); joined {
@@ -146,10 +145,8 @@ func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.U
 				out, err := s.journal.ReadChrom(js.id, c)
 				if err == nil {
 					checkpointed = append(checkpointed, logRecord{
-						StreamRecord: StreamRecord{
-							Index: i, Name: u.Name, State: StateOK,
-							Sites: c.Sites, Recovered: true,
-						},
+						StreamRecord: StreamRecord{Index: i, Recovered: true,
+							Outcome: genomejob.Outcome{Name: u.Name, State: StateOK, Sites: c.Sites}},
 						b64: s.encodeOutput(out),
 					})
 					continue
@@ -161,7 +158,7 @@ func (s *Server) start(js *jobState, opts genomejob.Options, units []genomejob.U
 		}
 		// The registry entry exists (admit) before the pool can dispatch
 		// the first task: the dequeue hook looks the job up by id.
-		handle, err := s.pool.Submit(js.id, buildTasks(opts, rest))
+		handle, err := s.pool.Submit(js.id, buildTasks(js.spec.Options, rest))
 		if err != nil {
 			return refuse(err)
 		}
@@ -200,7 +197,7 @@ func (s *Server) run(js *jobState, sources ...source) {
 func (js *jobState) publish(rec logRecord) {
 	rec.Job = js.id
 	js.mu.Lock()
-	js.chroms[rec.Index] = chromStatusOf(rec.StreamRecord)
+	js.chroms[rec.Index] = ChromStatus{Outcome: rec.Outcome, Recovered: rec.Recovered}
 	js.stream = append(js.stream, rec)
 	if js.state == StateQueued {
 		js.state = StateRunning
@@ -258,7 +255,7 @@ func (s *Server) finish(js *jobState, state string) {
 	js.state = state
 	js.finished = true
 	js.stream = append(js.stream, logRecord{StreamRecord: StreamRecord{
-		Job: js.id, Index: -1, State: state, Final: true, Recovered: js.recovered,
+		Job: js.id, Index: -1, Outcome: genomejob.Outcome{State: state}, Final: true, Recovered: js.recovered,
 	}})
 	close(js.notify)
 	js.mu.Unlock()
@@ -351,38 +348,20 @@ func tail(leader *jobState) source {
 // boundary.
 func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 	return func(js *jobState) string {
-		opts := js.spec.Options()
 		stop := context.AfterFunc(js.ctx, func() { handle.Cancel(context.Cause(js.ctx)) })
 		defer stop()
 		for r := range handle.Results() {
 			rec := logRecord{StreamRecord: StreamRecord{
-				Index: js.taskUnit[r.Index], Name: r.Name,
-				Attempts: r.Attempts, WallMS: r.Wall.Milliseconds(),
+				Index: js.taskUnit[r.Index], Outcome: genomejob.Classify(r.Result, r.Value.res),
 			}}
-			switch {
-			case r.Skipped:
-				rec.State = StateCancelled
-				rec.Error = fmt.Sprint(r.Err)
-			case r.Err != nil:
-				rec.State = StateFailed
-				rec.Error = r.Err.Error()
-			case r.Value.res.Partial():
-				rec.State = StatePartial
-				rec.Sites = r.Value.res.Sites
-				rec.Quarantined = len(r.Value.res.Quarantined)
-				rec.CalSkipped = r.Value.res.CalSkipped
-			default:
-				rec.State = StateOK
-				rec.Sites = r.Value.res.Sites
-				// Durable-before-visible: a clean chromosome is journaled
-				// before its record publishes; a failure only means it
-				// recomputes after a restart. Partial results never are
-				// journaled — they must recompute, same as the CLI's -resume.
-				if js.journalSeq != 0 {
-					c := journal.Chrom{File: opts.OutName(rec.Name), Sites: rec.Sites}
-					if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c, r.Value.output.Bytes()); err != nil {
-						s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)
-					}
+			// Durable-before-visible: a clean chromosome is journaled before
+			// its record publishes; a failure only means it recomputes after a
+			// restart. Partial results never are journaled — they must
+			// recompute, same as the CLI's -resume.
+			if rec.State == StateOK && js.journalSeq != 0 {
+				c := journal.Chrom{File: js.spec.OutName(rec.Name), Sites: rec.Sites}
+				if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c, r.Value.output.Bytes()); err != nil {
+					s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)
 				}
 			}
 			if out := r.Value.output; out != nil {

@@ -201,7 +201,7 @@ func TestServiceJournalIdenticalPendingRecoverOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := spec.Options()
+	opts := spec.Options
 	base := serialBaseline(t, dir, opts)
 	units, _, err := genomejob.Discover(dir, opts)
 	if err != nil {

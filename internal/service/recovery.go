@@ -52,8 +52,7 @@ func (s *Server) recoverJob(js *jobState, e journal.Entry) error {
 	if err := spec.validateOptions(); err != nil {
 		return fmt.Errorf("journaled spec: %w", err)
 	}
-	opts := spec.Options()
-	if got := opts.Fingerprint(); got != e.Fingerprint {
+	if got := spec.Fingerprint(); got != e.Fingerprint {
 		return fmt.Errorf("fingerprint drift: journaled %q, recomputed %q", e.Fingerprint, got)
 	}
 
@@ -62,7 +61,7 @@ func (s *Server) recoverJob(js *jobState, e journal.Entry) error {
 		js.dir = s.journal.SpoolDir(e.Job)
 		dir = js.dir
 	}
-	units, _, err := genomejob.Discover(dir, opts)
+	units, _, err := genomejob.Discover(dir, spec.Options)
 	if err != nil {
 		return err
 	}
@@ -78,7 +77,7 @@ func (s *Server) recoverJob(js *jobState, e journal.Entry) error {
 			return fmt.Errorf("input %s changed since the job was journaled", units[i].Name)
 		}
 	}
-	if err := s.start(js, opts, units, digests); err != nil {
+	if err := s.start(js, units, digests); err != nil {
 		s.cfg.Logf("job %s: recovery: %v", js.id, err) // start has already finished it as failed
 	}
 	return nil

@@ -211,15 +211,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Job/chromosome states reported over the API.
+// Job/chromosome states reported over the API. A chromosome's final state
+// is one of genomejob's; the job's is done, partial, failed, cancelled or
+// cached.
 const (
 	StateQueued    = "queued"
 	StateRunning   = "running"
 	StateDone      = "done"
-	StateOK        = "ok" // chromosome-level success
-	StatePartial   = "partial"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
+	StateOK        = genomejob.StateOK // chromosome-level success
+	StatePartial   = genomejob.StatePartial
+	StateFailed    = genomejob.StateFailed
+	StateCancelled = genomejob.StateCancelled
 	StatePending   = "pending"
 	// StateCached is the final state of a job served without pool work:
 	// a cache replay of a prior identical job, or a single-flight join
@@ -231,14 +233,7 @@ const (
 
 // ChromStatus is one chromosome's status inside a job, in input order.
 type ChromStatus struct {
-	Name        string `json:"name"`
-	State       string `json:"state"`
-	Sites       int    `json:"sites,omitempty"`
-	Attempts    int    `json:"attempts,omitempty"`
-	Quarantined int    `json:"quarantined,omitempty"`
-	CalSkipped  int    `json:"cal_skipped,omitempty"`
-	WallMS      int64  `json:"wall_ms,omitempty"`
-	Error       string `json:"error,omitempty"`
+	genomejob.Outcome
 	// Recovered marks a chromosome served from the durable checkpoint
 	// after a restart instead of re-executing.
 	Recovered bool `json:"recovered,omitempty"`
@@ -263,16 +258,9 @@ type JobStatus struct {
 // chromosome (in completion order, Index recovering input order), or the
 // final job summary line (Final == true).
 type StreamRecord struct {
-	Job         string `json:"job"`
-	Index       int    `json:"index"`
-	Name        string `json:"name,omitempty"`
-	State       string `json:"state"`
-	Sites       int    `json:"sites,omitempty"`
-	Quarantined int    `json:"quarantined,omitempty"`
-	CalSkipped  int    `json:"cal_skipped,omitempty"`
-	Attempts    int    `json:"attempts,omitempty"`
-	WallMS      int64  `json:"wall_ms,omitempty"`
-	Error       string `json:"error,omitempty"`
+	Job   string `json:"job"`
+	Index int    `json:"index"`
+	genomejob.Outcome
 	// OutputB64 carries the chromosome's result bytes (text rows, or the
 	// compressed container under Compress), base64 on the wire. The server
 	// leaves it empty in the records it keeps and writes the text it
@@ -295,8 +283,6 @@ type StreamRecord struct {
 // before any of that; admit stays the authoritative check. Caller must
 // not hold s.mu.
 func (s *Server) submit(spec *JobSpec) (*jobState, error) {
-	opts := spec.Options()
-
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -323,7 +309,7 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 			return fail(fmt.Errorf("%w: %v", ErrSpool, err))
 		}
 	}
-	units, _, err := genomejob.Discover(dir, opts)
+	units, _, err := genomejob.Discover(dir, spec.Options)
 	if err != nil {
 		return fail(err)
 	}
@@ -354,11 +340,11 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	// An append failure fails this one job cleanly (the server keeps
 	// serving); nothing was acknowledged, nothing recovers.
 	if s.journal != nil {
-		if err := s.journalAccept(js, seq, opts, digests); err != nil {
+		if err := s.journalAccept(js, seq, digests); err != nil {
 			return fail(fmt.Errorf("%w: %w", ErrJournal, err))
 		}
 	}
-	if err := s.start(js, opts, units, digests); err != nil {
+	if err := s.start(js, units, digests); err != nil {
 		return nil, err
 	}
 	s.cfg.Logf("job %s: submitted (%d chromosomes, engine %s)", js.id, len(units), spec.Engine)
@@ -390,7 +376,7 @@ func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chr
 // journalAccept records the job in the WAL. Uploaded input bodies are
 // stripped from the journaled spec — they live in the journal-owned spool
 // directory, which survives restarts.
-func (s *Server) journalAccept(js *jobState, seq int, opts genomejob.Options, digests []string) error {
+func (s *Server) journalAccept(js *jobState, seq int, digests []string) error {
 	walSpec := *js.spec
 	walSpec.Inputs = nil
 	raw, err := json.Marshal(&walSpec)
@@ -399,7 +385,7 @@ func (s *Server) journalAccept(js *jobState, seq int, opts genomejob.Options, di
 	}
 	if err := s.journal.Accept(journal.Entry{
 		Seq: seq, Job: js.id, Spec: raw,
-		Fingerprint: opts.Fingerprint(), Digests: digests,
+		Fingerprint: js.spec.Fingerprint(), Digests: digests,
 		Created: js.created,
 	}); err != nil {
 		return err
@@ -419,16 +405,6 @@ func jobKey(opts genomejob.Options, digests []string) string {
 		fmt.Fprintln(h, d)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// chromStatusOf projects a stream record onto the status table entry.
-func chromStatusOf(rec StreamRecord) ChromStatus {
-	return ChromStatus{
-		Name: rec.Name, State: rec.State, Sites: rec.Sites,
-		Attempts: rec.Attempts, Quarantined: rec.Quarantined,
-		CalSkipped: rec.CalSkipped, WallMS: rec.WallMS, Error: rec.Error,
-		Recovered: rec.Recovered,
-	}
 }
 
 // removeDir removes a directory tree, logging (not discarding) removal

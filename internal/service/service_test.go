@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -430,9 +431,12 @@ func TestServiceBadSpecs(t *testing.T) {
 		``,
 		`{`,
 		`{"engine":"gsnp-cpu"}`, // neither genome_dir nor inputs
-		`{"genome_dir":"/x","inputs":[{"name":"a"}]}`,         // both
-		`{"genome_dir":"/x","engine":"warp"}`,                 // unknown engine
-		`{"genome_dir":"/x","unknown_field":1}`,               // unknown field
+		`{"genome_dir":"/x","inputs":[{"name":"a"}]}`, // both
+		`{"genome_dir":"/x","engine":"warp"}`,         // unknown engine
+		`{"genome_dir":"/x","unknown_field":1}`,       // unknown field
+		`{"genome_dir":"/x","Stats":true}`,            // CLI-only options
+		`{"genome_dir":"/x","AlignWorkers":2}`,
+		`{"genome_dir":"/x","injector":{}}`,
 		`{"inputs":[{"name":"../evil","ref":"r","aln":"a"}]}`, // path escape
 		`{"inputs":[{"name":"a","ref":"r"}]}`,                 // missing aln
 		`{"genome_dir":"/x"}{"genome_dir":"/y"}`,              // trailing data
@@ -455,6 +459,32 @@ func TestServiceBadSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET unknown job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// failingBody yields a few bytes of a spec, then fails, as the body of a
+// client that disconnects mid-upload does.
+type failingBody struct{ sent bool }
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if !b.sent {
+		b.sent = true
+		return copy(p, `{"genome_dir":"/x",`), nil
+	}
+	return 0, errors.New("connection reset by peer")
+}
+
+// TestServiceSubmitBodyReadError: a body that fails before the size limit
+// is a bad request (400), not one too large (413), and creates no job.
+func TestServiceSubmitBodyReadError(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", &failingBody{}))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400: %s", w.Code, w.Body.Bytes())
+	}
+	if n := srv.Statz().Jobs; n != 0 {
+		t.Errorf("%d jobs registered, want 0", n)
 	}
 }
 

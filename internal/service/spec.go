@@ -11,8 +11,8 @@ import (
 
 // JobSpec is the JSON body of POST /jobs: one genome-calling job, either a
 // server-local genome directory (the paper's 24-file production layout) or
-// an uploaded set of ref/aln pairs carried inline. Exactly one of
-// GenomeDir and Inputs must be set.
+// an uploaded set of ref/aln pairs carried inline, and the engine options.
+// Exactly one of GenomeDir and Inputs must be set.
 type JobSpec struct {
 	// GenomeDir names a server-local directory of <chr>.fa/<chr>.soap
 	// pairs, decomposed exactly like the CLI's -genome-dir mode.
@@ -20,32 +20,11 @@ type JobSpec struct {
 	// Inputs carries the job's data inline; the server spools each input
 	// to disk for the run and deletes it when the job finishes.
 	Inputs []InputSpec `json:"inputs,omitempty"`
-
-	// Engine is soapsnp, gsnp-cpu or gsnp-gpu (default gsnp-cpu).
-	Engine string `json:"engine,omitempty"`
-	// Format is the input format: soap (default), sam, or fastq (raw
-	// reads, aligned in-process before calling).
-	Format string `json:"format,omitempty"`
-	// Window is sites per window (0 = engine default).
-	Window int `json:"window,omitempty"`
-	// ComputeWorkers shards likelihood/posterior within a window.
-	ComputeWorkers int `json:"compute_workers,omitempty"`
-	// Prefetch overlaps window read I/O with computation.
-	Prefetch bool `json:"prefetch,omitempty"`
-	// Compress streams the GSNP compressed container instead of text.
-	Compress bool `json:"compress,omitempty"`
-	// Quarantine contains malformed records and panicking windows; the
-	// affected chromosome completes degraded instead of failing.
-	Quarantine bool `json:"quarantine,omitempty"`
-	// OutputFormat selects the result codec: "" or "rows" for the
-	// 17-column table, "vcf" for VCFv4.2 variant records.
-	OutputFormat string `json:"output_format,omitempty"`
-	// AlignMaxMismatch is the aligner's per-read mismatch budget (fastq
-	// format only; 0 = default 2).
-	AlignMaxMismatch int `json:"align_max_mismatch,omitempty"`
-	// AlignSeedLen is the aligner's k-mer seed length (fastq format only;
-	// 0 = default 16, max 31).
-	AlignSeedLen int `json:"align_seed_len,omitempty"`
+	// Options are the engine options under their JSON names; the engine
+	// defaults to gsnp-cpu and the format to soap. The CLI-only fields
+	// (Stats, Injector, AlignWorkers) have none, so a spec naming one is
+	// rejected as an unknown field.
+	genomejob.Options
 }
 
 // InputSpec is one uploaded chromosome: file contents carried as JSON
@@ -124,22 +103,5 @@ func (s *JobSpec) validateOptions() error {
 	if s.Format == "" {
 		s.Format = "soap"
 	}
-	o := s.Options()
-	return o.Validate()
-}
-
-// Options maps the spec onto the shared engine configuration.
-func (s *JobSpec) Options() genomejob.Options {
-	return genomejob.Options{
-		Engine:           s.Engine,
-		Format:           s.Format,
-		Window:           s.Window,
-		ComputeWorkers:   s.ComputeWorkers,
-		Prefetch:         s.Prefetch,
-		Compress:         s.Compress,
-		Quarantine:       s.Quarantine,
-		OutputFormat:     s.OutputFormat,
-		AlignMaxMismatch: s.AlignMaxMismatch,
-		AlignSeedLen:     s.AlignSeedLen,
-	}
+	return s.Options.Validate()
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"gsnp/internal/genomejob"
 )
 
 // FuzzStreamLine: for any record, the line lineWriter writes from the kept
@@ -42,9 +44,11 @@ func FuzzStreamLine(f *testing.F) {
 					return int(n) + bit
 				}
 				rec := StreamRecord{
-					Job: job, Index: index, Name: name, State: state,
-					Sites: pick(0), Quarantined: pick(1), CalSkipped: pick(2), Attempts: pick(3),
-					WallMS: int64(pick(4)), Error: msg,
+					Job: job, Index: index, Outcome: genomejob.Outcome{
+						Name: name, State: state,
+						Sites: pick(0), Quarantined: pick(1), CalSkipped: pick(2), Attempts: pick(3),
+						WallMS: int64(pick(4)), Error: msg,
+					},
 					Final: mask&(1<<5) != 0, Recovered: mask&(1<<6) != 0,
 				}
 				got.Reset()
