@@ -3,8 +3,9 @@
 # (the scheduler, the window prefetcher and the engines that consume it,
 # the parallel sort, and the gsnpd service), the service integration
 # tests against a real gsnpd binary, a short fuzz pass over every
-# parser-facing fuzz target, and the benchmark's own modules (bench/),
-# which `go build ./... && go test ./...` does not enter.
+# parser-facing fuzz target, one iteration of every benchmark of the GPU
+# simulator and the sort, and the benchmark's own modules (bench/), which
+# `go build ./... && go test ./...` does not enter.
 
 GO ?= go
 
@@ -30,9 +31,9 @@ FUZZ_TIME ?= 10s
 # offline build environment skips it gracefully. See tools.go.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci lint vet fmt-check vuln build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-check bench bench-compare loc
+.PHONY: ci lint vet fmt-check vuln build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-smoke bench-check bench bench-compare loc
 
-ci: lint fmt-check build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-check vuln
+ci: lint fmt-check build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-smoke bench-check vuln
 
 # Standard vet plus the project multichecker (cmd/gsnplint): the seven
 # GSNP invariant analyzers — determinism, arenalifetime, closecheck,
@@ -144,6 +145,12 @@ fuzz-smoke:
 # regime). Use -benchtime above 1x for stable numbers.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/soapsnp
+
+# One iteration of every benchmark of the simulator and the sort, no
+# tests: a benchmark an API change broke fails the gate here rather than
+# in the hands of the next person who runs it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gpu ./internal/sortnet
 
 # The benchmark lives in two modules of its own. Its tests check the
 # command against BENCHMARK.json, and bench/layerprobe calls the leaf

@@ -23,10 +23,11 @@ import (
 // The simulated GPU's lane cursor is held to the same rules as a pointer:
 // the *gpu.Thread a kernel is handed lives inside the recycled block
 // scratch — the one context stepped through every lane of a barrier-free
-// block, or a per-lane context reset for the next block — so a kernel
-// that parks it anywhere that outlives its own invocation — a field, a
-// channel, a variable of the function around the kernel — reads another
-// lane's, block's or launch's state through it.
+// block, or a per-lane context reset for the next block — and so do the
+// []gpu.Thread lanes a phased kernel is handed, so a kernel that parks
+// either anywhere that outlives its own invocation — a field, a channel, a
+// variable of the function around the kernel — reads another lane's,
+// block's or launch's state through it.
 var ArenaLifetime = &Analyzer{
 	Name: "arenalifetime",
 	Doc: "flag arena-owned slices and the GPU lane cursor escaping their " +
@@ -83,28 +84,33 @@ func arenaDerivedSlice(info *types.Info, e ast.Expr, derived map[types.Object]bo
 	return ok && arenaRooted(info, e, derived)
 }
 
-// isLaneCursor reports whether e is a *gpu.Thread: the cursor inside a
-// block scratch (&sc.cur), a lane context of a kernel with barriers
-// (&sc.lanes[l]), or the parameter through which a kernel received either.
-func isLaneCursor(info *types.Info, e ast.Expr) bool {
-	t := info.TypeOf(e)
-	if t == nil {
-		return false
+// laneState names e when it is lane state of the simulator: a *gpu.Thread
+// — the cursor inside a block scratch (&sc.cur), a lane context of a kernel
+// with barriers (&sc.lanes[l]), or the parameter through which a kernel
+// received either — or a []gpu.Thread, the lanes a phased kernel is
+// handed. It returns "" for anything else.
+func laneState(info *types.Info, e ast.Expr) string {
+	switch t := types.Unalias(info.TypeOf(e)).(type) {
+	case *types.Pointer:
+		if isNamed(t.Elem(), "gpu", "Thread") {
+			return "lane cursor"
+		}
+	case *types.Slice:
+		if isNamed(t.Elem(), "gpu", "Thread") {
+			return "lane contexts"
+		}
 	}
-	p, ok := types.Unalias(t).(*types.Pointer)
-	return ok && isNamed(p.Elem(), "gpu", "Thread")
+	return ""
 }
 
 // borrowed names what e lends out of recycled memory — an arena-owned
-// slice or the lane cursor — or returns "" when it is neither.
+// slice, the lane cursor or a block's lane contexts — or returns "" when it
+// is none of them.
 func borrowed(info *types.Info, e ast.Expr, derived map[types.Object]bool) string {
-	switch {
-	case isLaneCursor(info, e):
-		return "lane cursor"
-	case arenaDerivedSlice(info, e, derived):
+	if arenaDerivedSlice(info, e, derived) {
 		return "arena-owned slice"
 	}
-	return ""
+	return laneState(info, e)
 }
 
 // outlivesFunc reports whether the variable id names is declared outside
@@ -159,9 +165,9 @@ func runArenaLifetime(pass *Pass) {
 								"%s stored in field %s: the struct outlives the window that owns the memory", what, lhs.Sel.Name)
 						}
 					case *ast.Ident:
-						if what == "lane cursor" && outlivesFunc(info, fn, lhs) {
+						if what != "arena-owned slice" && outlivesFunc(info, fn, lhs) {
 							pass.Reportf(n.Pos(),
-								"lane cursor stored in %s, which outlives the kernel invocation: the Thread is reused for the next lane or block and recycled by the next launch", lhs.Name)
+								"%s stored in %s, which outlives the kernel invocation: lane state is reused for the next lane or block and recycled by the next launch", what, lhs.Name)
 						}
 					}
 				}

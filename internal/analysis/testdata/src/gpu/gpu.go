@@ -84,6 +84,14 @@ func runLanes(sc *blockScratch, kernel func(*Thread)) {
 	}
 }
 
+// runPhased is the phased idiom that must stay silent: the block's lane
+// contexts handed to the kernel once per phase.
+func runPhased(sc *blockScratch, phases int, kernel func([]Thread, int)) {
+	for p := 0; p < phases; p++ {
+		kernel(sc.lanes, p)
+	}
+}
+
 // LeakShared returns scratch-owned shared memory across the package API.
 func LeakShared(sc *blockScratch) []uint32 {
 	return sc.rt.sharedU32 // want "arena-owned slice returned from exported LeakShared"
@@ -128,7 +136,10 @@ func Cursor(sc *blockScratch) *Thread {
 	return &sc.cur // want "lane cursor returned from exported Cursor"
 }
 
-type tracer struct{ last *Thread }
+type tracer struct {
+	last  *Thread
+	block []Thread
+}
 
 var lastLane *Thread
 
@@ -156,6 +167,29 @@ func Kernels(sc *blockScratch, tr *tracer, ch chan *Thread) {
 		self.instr++
 	})
 	_ = first
+}
+
+var lastBlock []Thread
+
+// PhasedKernels is the same for the lanes a phased kernel is handed: they
+// are the next block's by the time anyone looks.
+func PhasedKernels(sc *blockScratch, tr *tracer) {
+	var saved []Thread
+	runPhased(sc, 2, func(lanes []Thread, p int) {
+		saved = lanes[1:] // want "lane contexts stored in saved, which outlives the kernel invocation"
+	})
+	runPhased(sc, 2, func(lanes []Thread, p int) {
+		tr.block = lanes // want "lane contexts stored in field block"
+	})
+	runPhased(sc, 2, func(lanes []Thread, p int) {
+		lastBlock = lanes // want "lane contexts stored in lastBlock, which outlives the kernel invocation"
+	})
+	runPhased(sc, 2, func(lanes []Thread, p int) {
+		live := lanes[:2] // a local view dies with the invocation
+		t := &live[p]
+		t.instr++
+	})
+	_ = saved
 }
 
 // SpawnUnjoined lets a goroutine outlive the block it borrows from.

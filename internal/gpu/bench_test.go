@@ -2,9 +2,65 @@ package gpu
 
 import (
 	"fmt"
-	"math/bits"
 	"testing"
 )
+
+// bitonicSteps lists the (k, j) compare-exchange steps of a 256-element
+// bitonic network in order, and bitonicPhases counts the phases of
+// bitonicKernel: a load, one per step, a store.
+var (
+	bitonicSteps = func() (s [][2]int) {
+		for k := 2; k <= 256; k *= 2 {
+			for j := k / 2; j > 0; j /= 2 {
+				s = append(s, [2]int{k, j})
+			}
+		}
+		return s
+	}()
+	bitonicPhases = len(bitonicSteps) + 2
+)
+
+// bitonicKernel is the shape of sortnet's batch_bitonic in a 256-lane
+// block: the block's slice of buf into shared memory (padded with the
+// largest key), the whole network one step a phase, each step a walk over
+// its compare-exchange pairs, and the slice back.
+func bitonicKernel(buf *Buffer[uint32]) BlockKernel {
+	n := buf.Len()
+	return func(lanes []Thread, p int) {
+		switch {
+		case p == 0:
+			for l := range lanes {
+				t := &lanes[l]
+				v := ^uint32(0)
+				if i := t.GlobalID(); i < n {
+					v = Ld(t, buf, i)
+				}
+				t.SetSharedU32(l, v)
+			}
+		case p <= len(bitonicSteps):
+			k, j := bitonicSteps[p-1][0], bitonicSteps[p-1][1]
+			for base := 0; base < len(lanes); base += 2 * j {
+				for l := base; l < base+j; l++ {
+					t := &lanes[l]
+					a, b := t.SharedU32(l), t.SharedU32(l+j)
+					t.Exec(2)
+					if (a > b) == (l&k == 0) {
+						t.SetSharedU32(l, b)
+						t.SetSharedU32(l+j, a)
+					}
+				}
+			}
+		default:
+			for l := range lanes {
+				t := &lanes[l]
+				if i := t.GlobalID(); i < n {
+					St(t, buf, i, t.SharedU32(l))
+				}
+				t.Retire()
+			}
+		}
+	}
+}
 
 // BenchmarkRunWindowSimKernels drives the simulator with one GPU window's
 // worth of kernel traffic — an atomic counting scatter over the
@@ -43,50 +99,7 @@ func BenchmarkRunWindowSimKernels(b *testing.B) {
 		ExclusiveScanU32(d, siteCount, bounds)
 		// One full shared-memory bitonic network per 256-lane block, the
 		// phased form the sort pipeline uses.
-		merges := 0
-		for k := 2; k <= 256; k *= 2 {
-			merges += bits.Len(uint(k)) - 1
-		}
-		d.MustLaunchPhased(LaunchConfig{Name: "batch_bitonic", Grid: (m + 255) / 256, Block: 256, SharedU32: 256}, merges+2, func(t *Thread, p int) bool {
-			switch {
-			case p == 0:
-				v := ^uint32(0)
-				if i := t.GlobalID(); i < m {
-					v = Ld(t, obs, i)
-				}
-				t.SetSharedU32(t.Lane, v)
-				return true
-			case p <= merges:
-				// Walk the (k, j) network in order.
-				q := p - 1
-				k := 2
-				for {
-					steps := bits.Len(uint(k)) - 1
-					if q < steps {
-						break
-					}
-					q -= steps
-					k *= 2
-				}
-				j := k >> (q + 1)
-				partner := t.Lane ^ j
-				if partner > t.Lane {
-					a := t.SharedU32(t.Lane)
-					bv := t.SharedU32(partner)
-					t.Exec(2)
-					if (a > bv) == (t.Lane&k == 0) {
-						t.SetSharedU32(t.Lane, bv)
-						t.SetSharedU32(partner, a)
-					}
-				}
-				return true
-			default:
-				if i := t.GlobalID(); i < m {
-					St(t, obs, i, t.SharedU32(t.Lane))
-				}
-				return false
-			}
-		})
+		d.MustLaunchPhased(LaunchConfig{Name: "batch_bitonic", Grid: (m + 255) / 256, Block: 256, SharedU32: 256}, bitonicPhases, bitonicKernel(obs))
 		bounds.Free()
 		siteCount.Free()
 		obs.Free()
@@ -121,7 +134,13 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 		d := NewDevice(M2050())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d.MustLaunchPhased(cfg, 2, func(t *Thread, p int) bool { return p == 0 })
+			d.MustLaunchPhased(cfg, 2, func(lanes []Thread, p int) {
+				if p == 1 {
+					for l := range lanes {
+						lanes[l].Retire()
+					}
+				}
+			})
 		}
 	})
 }
@@ -133,14 +152,7 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 func BenchmarkSortU32(b *testing.B) {
 	const n = 32 << 10
 	d := NewDevice(M2050())
-	keys := make([]uint32, n)
-	x := uint32(2463534242)
-	for i := range keys {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
-		keys[i] = x
-	}
+	keys := xorshiftKeys(n)
 	buf := Alloc[uint32](d, n)
 	defer buf.Free()
 	b.ReportAllocs()
@@ -151,20 +163,69 @@ func BenchmarkSortU32(b *testing.B) {
 	}
 }
 
+// BenchmarkPhasedLanePhase measures what the phased runner costs the host
+// per lane and phase: bitonicKernel, batch_bitonic's shape, over 64 blocks
+// of 256 lanes, inline. ns/lane-phase is the elapsed time over every lane
+// of every phase of every launch — the unit DESIGN.md quotes the phased
+// runner in.
+func BenchmarkPhasedLanePhase(b *testing.B) {
+	const grid = 64
+	d := NewDevice(M2050())
+	d.forceWorkers = 1
+	buf := Alloc[uint32](d, grid*primBlock)
+	defer buf.Free()
+	keys := xorshiftKeys(buf.Len())
+	cfg := LaunchConfig{Name: "batch_bitonic", Grid: grid, Block: primBlock, SharedU32: primBlock}
+	kernel := bitonicKernel(buf)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf.Host(), keys)
+		d.MustLaunchPhased(cfg, bitonicPhases, kernel)
+		if i%64 == 63 {
+			d.ResetStats() // keep the launch log from growing
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*grid*primBlock*bitonicPhases), "ns/lane-phase")
+}
+
+// xorshiftKeys returns n pseudo-random keys.
+func xorshiftKeys(n int) []uint32 {
+	keys := make([]uint32, n)
+	x := uint32(2463534242)
+	for i := range keys {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		keys[i] = x
+	}
+	return keys
+}
+
 // BenchmarkFanoutBreakEven is the measurement behind minFanoutLanes: one
-// pass of a cheap load/compare/store kernel at three launch sizes, run
-// inline and forced onto two goroutines. Meaningful at -cpu 2 or more.
+// pass of a cheap load/compare/store kernel at three launch sizes, and
+// bitonicKernel at three grids, run inline and forced onto two goroutines.
+// Sizes are in lane invocations, grid x block x phases, the unit of the
+// rule. Meaningful at -cpu 2 or more.
 func BenchmarkFanoutBreakEven(b *testing.B) {
+	run := func(b *testing.B, workers, n int, launch func(d *Device, buf *Buffer[uint32])) {
+		d := NewDevice(M2050())
+		d.forceWorkers = workers
+		buf := Alloc[uint32](d, n)
+		defer buf.Free()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			launch(d, buf)
+			if i%64 == 63 {
+				d.ResetStats() // keep the launch log from growing
+			}
+		}
+	}
 	for _, lanes := range []int{16 << 10, 64 << 10, 256 << 10} {
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("lanes=%dK/workers=%d", lanes>>10, workers), func(b *testing.B) {
-				d := NewDevice(M2050())
-				d.forceWorkers = workers
-				buf := Alloc[uint32](d, 2*lanes)
-				defer buf.Free()
+			b.Run(fmt.Sprintf("async/lanes=%dK/workers=%d", lanes>>10, workers), func(b *testing.B) {
 				cfg := LaunchConfig{Name: "compare_exchange", Grid: lanes / primBlock, Block: primBlock}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				run(b, workers, 2*lanes, func(d *Device, buf *Buffer[uint32]) {
 					d.MustLaunch(cfg, func(t *Thread) {
 						i := 2 * t.GlobalID()
 						t.Exec(5)
@@ -173,10 +234,20 @@ func BenchmarkFanoutBreakEven(b *testing.B) {
 							St(t, buf, i+1, x)
 						}
 					})
-					if i%64 == 63 {
-						d.ResetStats() // keep the launch log from growing
-					}
-				}
+				})
+			})
+		}
+	}
+	for _, grid := range []int{2, 8, 32} {
+		for _, workers := range []int{1, 2} {
+			lanes := grid * primBlock * bitonicPhases
+			b.Run(fmt.Sprintf("phased/lanes=%dK/workers=%d", lanes>>10, workers), func(b *testing.B) {
+				cfg := LaunchConfig{Name: "batch_bitonic", Grid: grid, Block: primBlock, SharedU32: primBlock}
+				keys := xorshiftKeys(grid * primBlock)
+				run(b, workers, len(keys), func(d *Device, buf *Buffer[uint32]) {
+					copy(buf.Host(), keys)
+					d.MustLaunchPhased(cfg, bitonicPhases, bitonicKernel(buf))
+				})
 			})
 		}
 	}

@@ -10,17 +10,21 @@
 //
 // # Execution model
 //
-// A kernel is a Go function invoked once per simulated thread. Threads are
-// grouped into blocks (CUDA thread blocks) and warps of 32. A large launch
-// spreads contiguous ranges of its blocks over the host's cores; a small one
-// runs inline on the launching goroutine. Within a block one of three
-// runners steps the threads:
+// A kernel is a Go function that runs every simulated thread: a barrier-free
+// or Sync kernel is invoked once per thread, a phased one once per block and
+// phase for all the block's threads. Threads are grouped into blocks (CUDA
+// thread blocks) and warps of 32. A large launch spreads contiguous ranges
+// of its blocks over the host's cores; a small one runs inline on the
+// launching goroutine. Within a block one of three runners steps the
+// threads:
 //
 //   - Launch: the lane cursor, one Thread stepped through the lanes in order,
 //     each lane running to completion — barrier-free kernels;
-//   - LaunchPhased: a Thread per lane, all lanes run phase p before any runs
-//     phase p+1, the barrier being the iteration order — kernels whose
-//     barriers are static, such as every bitonic sort and scan here;
+//   - LaunchPhased: a Thread per lane and one kernel call per phase, in which
+//     the kernel (a BlockKernel) does every live lane's work of the phase,
+//     each access metered on its own lane; the barrier is the call boundary,
+//     and a lane leaves early through Thread.Retire — kernels whose barriers
+//     are static, such as every bitonic sort, scan and reduce here;
 //   - Launch with LaunchConfig.Sync: a goroutine per lane meeting at a cyclic
 //     barrier on Thread.Sync — the accounting oracle the other two are
 //     tested against, with no production kernel.

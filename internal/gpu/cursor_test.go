@@ -14,7 +14,8 @@ import (
 // oracleKernel is one kernel written once and run in every launch form.
 // Each step is the code between two barriers; it returns whether the lane
 // goes on to the next barrier. State a lane carries over a barrier lives
-// in Thread.Reg. The last step must return false.
+// in Thread.Reg. A lane whose last step returns true ends at the barrier
+// after it, as a Sync kernel ending in Thread.Sync does.
 type oracleKernel struct {
 	name        string
 	grid, block int
@@ -115,6 +116,21 @@ var oracleKernels = []oracleKernel{
 			},
 		},
 	},
+	{
+		// Lanes still live after the last step: they pay for the barrier
+		// that ends it.
+		name: "lanes live past the last barrier", grid: 3, block: 64, sharedU32: 64,
+		steps: []func(*Thread, *oracleEnv) bool{
+			func(t *Thread, e *oracleEnv) bool {
+				t.SetSharedU32(t.Lane, Ld(t, e.in, t.GlobalID()))
+				return true
+			},
+			func(t *Thread, e *oracleEnv) bool {
+				St(t, e.out, t.GlobalID(), t.SharedU32(63-t.Lane))
+				return t.Lane%3 != 0
+			},
+		},
+	},
 }
 
 // The three launch forms of an oracleKernel. The async form exists only
@@ -135,8 +151,12 @@ func (k *oracleKernel) runSync(d *Device, e *oracleEnv) LaunchStats {
 }
 
 func (k *oracleKernel) runPhased(d *Device, e *oracleEnv) LaunchStats {
-	return d.MustLaunchPhased(k.cfg(false), len(k.steps), func(t *Thread, p int) bool {
-		return k.steps[p](t, e)
+	return d.MustLaunchPhased(k.cfg(false), len(k.steps), func(lanes []Thread, p int) {
+		for l := range lanes {
+			if t := &lanes[l]; !t.Retired() && !k.steps[p](t, e) {
+				t.Retire()
+			}
+		}
 	})
 }
 
@@ -146,8 +166,8 @@ func (k *oracleKernel) runAsync(d *Device, e *oracleEnv) LaunchStats {
 
 // TestLaneCursorMatchesSyncOracle pins the accounting of the three block
 // runners: the async runner steps one Thread, the lane cursor, through a
-// block; the phased runner walks a Thread per lane in lockstep, reset block
-// to block rather than rebuilt; the Sync runner gives every lane a
+// block; the phased runner hands the kernel a Thread per lane once per
+// phase, reset block to block rather than rebuilt; the Sync runner gives every lane a
 // goroutine. The same kernel must meter identically through all of them —
 // every counter, the warp issue slots, the sampled coalescing factor and
 // the transactions derived from it — whether the blocks run inline or on
@@ -192,23 +212,29 @@ func TestLaneCursorMatchesSyncOracle(t *testing.T) {
 }
 
 // TestRegZeroAtBlockEntry pins what the recycled lane contexts must not
-// leak: the register file a lane sees on entry is zero, in every block and
-// every launch, although the async runner serves all lanes from one Thread
-// and the phased runner carries its Threads over from the previous block.
+// leak: the register file a lane sees on entry is zero, and a phased lane is
+// live, in every block and every launch, although the async runner serves
+// all lanes from one Thread and the phased runner carries its Threads over
+// from the previous block.
 func TestRegZeroAtBlockEntry(t *testing.T) {
 	d := testDevice()
 	d.forceWorkers = 1 // one scratch, reused by every block
 	var dirty atomic.Int64
 	for launch := 0; launch < 2; launch++ {
-		d.MustLaunchPhased(LaunchConfig{Name: "reg_phased", Grid: 4, Block: 64}, 2, func(t *Thread, p int) bool {
-			if p == 0 && t.Reg != [2]uint64{} {
-				dirty.Add(1)
+		d.MustLaunchPhased(LaunchConfig{Name: "reg_phased", Grid: 4, Block: 64}, 2, func(lanes []Thread, p int) {
+			for l := range lanes {
+				t := &lanes[l]
+				if p == 0 && (t.Reg != [2]uint64{} || t.Retired()) {
+					dirty.Add(1)
+				}
+				if p == 1 && t.Reg != [2]uint64{uint64(t.GlobalID()) + 1, ^uint64(0)} {
+					dirty.Add(1)
+				}
+				t.Reg = [2]uint64{uint64(t.GlobalID()) + 1, ^uint64(0)}
+				if p == 1 {
+					t.Retire()
+				}
 			}
-			if p == 1 && t.Reg != [2]uint64{uint64(t.GlobalID()) + 1, ^uint64(0)} {
-				dirty.Add(1)
-			}
-			t.Reg = [2]uint64{uint64(t.GlobalID()) + 1, ^uint64(0)}
-			return p == 0
 		})
 		d.MustLaunch(LaunchConfig{Name: "reg_async", Grid: 4, Block: 64}, func(t *Thread) {
 			if t.Reg != [2]uint64{} {

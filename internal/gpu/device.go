@@ -149,17 +149,20 @@ type LaunchConfig struct {
 // Kernel is the body executed once per simulated thread.
 type Kernel func(t *Thread)
 
-// PhasedKernel is the body of a barrier-structured kernel run by
-// LaunchPhased: it is invoked once per thread per phase, with an implicit
-// block-wide barrier between consecutive phases. Returning true means the
-// lane reaches the barrier at the end of the phase (charged exactly like a
-// Thread.Sync call); returning false retires the lane after the phase's
-// work, with no further invocations or barrier charges — the analogue of
-// returning from a Kernel body before the next __syncthreads. Per-lane
-// state that must survive a barrier lives in Thread.Reg, the simulated
-// register file. Lanes run sequentially within a phase, so a phased launch
-// spawns no per-thread goroutines and allocates nothing in steady state.
-type PhasedKernel func(t *Thread, phase int) bool
+// BlockKernel is the body of a barrier-structured kernel run by
+// LaunchPhased: it is called once per block per phase with the block's
+// lanes, one Thread each (lanes[l].Lane == l), and does every live lane's
+// work of that phase itself, metering each access on the lane that makes
+// it. An implicit block-wide barrier separates consecutive calls. A lane
+// that is still live when the call returns reaches that barrier and is
+// charged for it exactly like a Thread.Sync call; a lane the body retires
+// (Thread.Retire) leaves after the phase's work, with no barrier charges
+// from then on — the analogue of returning from a Kernel body before the
+// next __syncthreads — and the body must not run it again. Per-lane state
+// that must survive a barrier lives in Thread.Reg, the simulated register
+// file. A phased launch spawns no per-thread goroutines and allocates
+// nothing in steady state.
+type BlockKernel func(lanes []Thread, phase int)
 
 // Launch executes the kernel over cfg.Grid x cfg.Block threads, meters it,
 // advances the simulated clock and returns the per-launch statistics.
@@ -181,8 +184,9 @@ func (d *Device) MustLaunch(cfg LaunchConfig, kernel Kernel) LaunchStats {
 // phases with an implicit block-wide barrier between them. Metering is
 // identical to the equivalent Launch with LaunchConfig.Sync — each lane
 // pays the Sync issue cost per barrier it reaches — but execution is
-// sequential per block: no goroutines, no host barrier, no allocations.
-func (d *Device) LaunchPhased(cfg LaunchConfig, phases int, kernel PhasedKernel) (LaunchStats, error) {
+// sequential per block: one kernel call per block and phase, no
+// goroutines, no host barrier, no allocations.
+func (d *Device) LaunchPhased(cfg LaunchConfig, phases int, kernel BlockKernel) (LaunchStats, error) {
 	if phases < 1 {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: phased launch needs at least 1 phase, got %d", cfg.Name, phases)
 	}
@@ -190,7 +194,7 @@ func (d *Device) LaunchPhased(cfg LaunchConfig, phases int, kernel PhasedKernel)
 }
 
 // MustLaunchPhased is LaunchPhased but panics on configuration errors.
-func (d *Device) MustLaunchPhased(cfg LaunchConfig, phases int, kernel PhasedKernel) LaunchStats {
+func (d *Device) MustLaunchPhased(cfg LaunchConfig, phases int, kernel BlockKernel) LaunchStats {
 	ls, err := d.LaunchPhased(cfg, phases, kernel)
 	if err != nil {
 		panic(err)
@@ -203,24 +207,28 @@ func (d *Device) MustLaunchPhased(cfg LaunchConfig, phases int, kernel PhasedKer
 type launchSpec struct {
 	LaunchConfig
 	kernel Kernel
-	phased PhasedKernel
+	phased BlockKernel
 	phases int
 }
 
 // minFanoutLanes is the launch size, in lane invocations (grid x block x
 // phases), from which a launch is spread over the host's cores; anything
 // smaller runs inline on the launching goroutine. BenchmarkFanoutBreakEven
-// on the 2-core bench host, a cheap kernel (~8 ns a lane) inline against
-// two goroutines: 16 K lanes 129 against 151-164 us, 64 K lanes 506
-// against 374-384 us, 256 K lanes 2.02 against 1.19-1.25 ms. The
-// break-even is near 32 K lanes, a launch of about 250 us: waking a parked
-// core and joining the helper costs tens of microseconds, and when the
-// host has taken the second core away the helper waits a millisecond or
-// more. The constant sits at twice the break-even. At the bench's window
-// size the output codec's launches over run values and run lengths (and
-// every bitonic_global pass, when a column is sorted) fall below it; its
-// launches over the window's sites and every kernel of the window pipeline
-// are above it.
+// on the 2-core bench host, inline against two goroutines, three runs
+// each: a cheap async kernel (~18 ns a lane) 16 K lanes 279-312 against
+// 222-251 us, 64 K 1.03-1.29 against 0.61-0.68 ms; a phased bitonic network
+// (~10.5 ns a lane-phase) 19 K lane-phases 185-207 against 171-178 us, 76 K
+// 0.78-0.82 against 0.47-0.50 ms, 304 K 3.20-3.26 against 1.76-1.83 ms.
+// Both forms break even below 20 K lane invocations, a launch of about
+// 200 us: waking a parked core and joining the helper costs tens of
+// microseconds, and when the host has taken the second core away the
+// helper waits a millisecond or more. A lane-phase and an async lane cost
+// the host the same order, so one constant in lane invocations serves both
+// forms, at about three times the break-even. At the bench's window size
+// the output codec's launches over run values and run lengths (and every
+// bitonic_global pass, when a column is sorted) fall below it; its launches
+// over the window's sites and every kernel of the window pipeline are
+// above it.
 const minFanoutLanes = 1 << 16
 
 // fanout decides how many host goroutines run the blocks of a launch. A
@@ -241,7 +249,7 @@ func (d *Device) fanout(sp *launchSpec, alone bool) int {
 
 // launch is the common body of Launch and LaunchPhased: exactly one of
 // kernel and phased is non-nil.
-func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased PhasedKernel, phases int) (LaunchStats, error) {
+func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased BlockKernel, phases int) (LaunchStats, error) {
 	if cfg.Grid <= 0 || cfg.Block <= 0 {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: invalid geometry %dx%d", cfg.Name, cfg.Grid, cfg.Block)
 	}
@@ -307,10 +315,10 @@ func (a *launchAccumulator) merge(o *launchAccumulator) {
 // the warp accounting) and the coalescing-sample stream of block 0 are kept
 // per lane, and one lane's local memory (rt.local) serves every lane in
 // turn. Kernels with barriers suspend every lane at every barrier, so
-// they get a Thread per lane (lanes): the phased runner walks them in
-// lockstep, the Sync runner gives each its goroutine. One scratch serves
-// one host goroutine at a time and returns to the device free-list after
-// the launch, so steady-state launches allocate nothing. Everything a
+// they get a Thread per lane (lanes): the phased runner hands them all to
+// the kernel once per phase, the Sync runner gives each its goroutine. One
+// scratch serves one host goroutine at a time and returns to the device
+// free-list after the launch, so steady-state launches allocate nothing. Everything a
 // scratch owns — the Thread a kernel is handed included — is valid only
 // while its block runs; nothing may escape the launch.
 type blockScratch struct {
@@ -323,7 +331,6 @@ type blockScratch struct {
 	// lanesSet reports that the block-invariant fields of lanes hold this
 	// launch's values; runRange clears it when it takes the scratch.
 	lanesSet bool
-	retired  []bool
 	bar      *barrier
 }
 
@@ -361,6 +368,7 @@ func (d *Device) runRange(sp *launchSpec, lo, hi int, acc *launchAccumulator) {
 	sc := d.getScratch()
 	defer d.putScratch(sc)
 	sc.lanesSet = false
+	sc.rt.live = 0 // Thread.Retire panics unless the phased runner set it
 	sc.rt.sizeLocal(sp.LocalU32)
 	for bid := lo; bid < hi; bid++ {
 		d.runBlock(sp, bid, acc, sc)
@@ -395,7 +403,7 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 	switch {
 	case sp.phased != nil:
 		d.resetLanes(sp, bid, sc, sampling)
-		runLanesPhased(sp, sc)
+		runBlockPhased(sp, sc)
 		s = sumLanes(sc, sampling)
 	case sp.Sync:
 		d.resetLanes(sp, bid, sc, sampling)
@@ -471,6 +479,7 @@ func (d *Device) resetLanes(sp *launchSpec, bid int, sc *blockScratch, sampling 
 		t := &sc.lanes[l]
 		t.Block = bid
 		t.Reg = [2]uint64{}
+		t.retired = false
 		t.instr, t.gld, t.gst, t.gldB, t.gstB, t.sld, t.sst, t.cld = 0, 0, 0, 0, 0, 0, 0, 0
 		t.sample = nil
 		if sampling {
@@ -501,28 +510,23 @@ func sumLanes(sc *blockScratch, sampling bool) Stats {
 	return s
 }
 
-// runLanesPhased runs a phased kernel in sequential lockstep: all live
-// lanes run phase p before any lane sees phase p+1 — the barrier is the
-// iteration order. A lane returning true pays the barrier cost it just
-// arrived at; a lane returning false retires silently, like a kernel body
-// returning.
-func runLanesPhased(sp *launchSpec, sc *blockScratch) {
-	lanes := sc.lanes
-	sc.retired = grow(sc.retired, len(lanes))
-	retired := sc.retired
-	clear(retired)
-	alive := len(lanes)
-	for p := 0; p < sp.phases && alive > 0; p++ {
-		for l := range lanes {
-			if retired[l] {
-				continue
-			}
-			t := &lanes[l]
-			if sp.phased(t, p) {
-				t.instr += syncCost
-			} else {
-				retired[l] = true
-				alive--
+// runBlockPhased runs a phased kernel over one block: one kernel call per
+// phase with all the block's lanes, until the phases run out or every lane
+// has retired — the barrier is the call boundary. The barrier charges are
+// settled per lane rather than per phase: Thread.Retire charges a lane
+// retiring in phase p for the p barriers it reached, and a lane still live
+// after the last phase is charged here for one barrier per phase.
+func runBlockPhased(sp *launchSpec, sc *blockScratch) {
+	rt := &sc.rt
+	rt.live = len(sc.lanes)
+	for p := 0; p < sp.phases && rt.live > 0; p++ {
+		rt.phase = p
+		sp.phased(sc.lanes, p)
+	}
+	if rt.live > 0 {
+		for l := range sc.lanes {
+			if t := &sc.lanes[l]; !t.retired {
+				t.instr += syncCost * int64(sp.phases)
 			}
 		}
 	}
@@ -651,13 +655,18 @@ func (d *Device) advanceCopy(n int64, toDevice bool) {
 	d.mu.Unlock()
 }
 
-// blockRT is the per-block runtime state: shared memory, the barrier, and
-// the local memory of the lane the cursor is running.
+// blockRT is the per-block runtime state: shared memory, the barrier, the
+// phased runner's position, and the local memory of the lane the cursor is
+// running.
 type blockRT struct {
 	dev       *Device
 	sharedF64 []float64
 	sharedU32 []uint32
 	bar       *barrier
+
+	// phase is the phase a phased block is running, live the number of
+	// its lanes not yet retired (zero outside the phased runner).
+	phase, live int
 
 	// local is LaunchConfig.LocalU32 words; localSet lists the words the
 	// running lane has stored, so that the next lane finds them zero at the

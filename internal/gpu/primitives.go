@@ -62,29 +62,32 @@ func blockReduceU32(d *Device, in *Buffer[uint32], name string, op func(a, b uin
 	const tile = primBlock * reduceLoads
 	grid := (n + tile - 1) / tile
 	partial := Alloc[uint32](d, grid)
-	d.MustLaunchPhased(LaunchConfig{Name: name, Grid: grid, Block: primBlock, SharedU32: primBlock}, primLog+2, func(t *Thread, p int) bool {
+	d.MustLaunchPhased(LaunchConfig{Name: name, Grid: grid, Block: primBlock, SharedU32: primBlock}, primLog+2, func(lanes []Thread, p int) {
 		switch {
 		case p == 0:
-			v := uint32(0)
-			end := min(n, (t.Block+1)*tile)
-			for i := t.Block*tile + t.Lane; i < end; i += primBlock {
-				t.Exec(1)
-				v = op(v, Ld(t, in, i))
+			end := min(n, (lanes[0].Block+1)*tile)
+			for l := range lanes {
+				t := &lanes[l]
+				v := uint32(0)
+				for i := t.Block*tile + l; i < end; i += primBlock {
+					t.Exec(1)
+					v = op(v, Ld(t, in, i))
+				}
+				t.SetSharedU32(l, v)
 			}
-			t.SetSharedU32(t.Lane, v)
-			return true
 		case p <= primLog:
 			stride := primBlock >> p
-			if t.Lane < stride {
+			for l := range lanes[:stride] {
+				t := &lanes[l]
 				t.Exec(1)
-				t.SetSharedU32(t.Lane, op(t.SharedU32(t.Lane), t.SharedU32(t.Lane+stride)))
+				t.SetSharedU32(l, op(t.SharedU32(l), t.SharedU32(l+stride)))
 			}
-			return true
 		default:
-			if t.Lane == 0 {
-				St(t, partial, t.Block, t.SharedU32(0))
+			t := &lanes[0]
+			St(t, partial, t.Block, t.SharedU32(0))
+			for l := range lanes {
+				lanes[l].Retire()
 			}
-			return false
 		}
 	})
 	return partial
@@ -111,40 +114,46 @@ func ExclusiveScanU32(d *Device, in, out *Buffer[uint32]) uint64 {
 	// round, primLog doubling strides, one store round. Each lane carries
 	// its own input value across the barriers in a register (Reg[0]) so
 	// the exclusive result costs no extra shared-memory traffic.
-	d.MustLaunchPhased(LaunchConfig{Name: "scan_u32", Grid: grid, Block: primBlock, SharedU32: 2 * primBlock}, primLog+2, func(t *Thread, p int) bool {
+	d.MustLaunchPhased(LaunchConfig{Name: "scan_u32", Grid: grid, Block: primBlock, SharedU32: 2 * primBlock}, primLog+2, func(lanes []Thread, p int) {
 		switch {
 		case p == 0:
-			i := t.GlobalID()
-			v := uint32(0)
-			if i < n {
-				v = Ld(t, in, i)
+			for l := range lanes {
+				t := &lanes[l]
+				i := t.GlobalID()
+				v := uint32(0)
+				if i < n {
+					v = Ld(t, in, i)
+				}
+				t.Reg[0] = uint64(v)
+				t.SetSharedU32(l, v)
 			}
-			t.Reg[0] = uint64(v)
-			t.SetSharedU32(t.Lane, v)
-			return true
 		case p <= primLog:
 			stride := 1 << (p - 1)
 			cur := ((p - 1) & 1) * primBlock
 			nxt := primBlock - cur
-			x := t.SharedU32(cur + t.Lane)
-			if t.Lane >= stride {
-				t.Exec(1)
-				x += t.SharedU32(cur + t.Lane - stride)
+			for l := range lanes {
+				t := &lanes[l]
+				x := t.SharedU32(cur + l)
+				if l >= stride {
+					t.Exec(1)
+					x += t.SharedU32(cur + l - stride)
+				}
+				t.SetSharedU32(nxt+l, x)
 			}
-			t.SetSharedU32(nxt+t.Lane, x)
-			return true
 		default:
 			// After primLog buffer swaps from offset 0 the inclusive
 			// values sit at offset 0 iff primLog is even.
-			incl := t.SharedU32((primLog&1)*primBlock + t.Lane)
-			i := t.GlobalID()
-			if i < n {
-				St(t, out, i, incl-uint32(t.Reg[0])) // exclusive = inclusive - self
+			for l := range lanes {
+				t := &lanes[l]
+				incl := t.SharedU32((primLog&1)*primBlock + l)
+				if i := t.GlobalID(); i < n {
+					St(t, out, i, incl-uint32(t.Reg[0])) // exclusive = inclusive - self
+				}
+				if l == primBlock-1 {
+					St(t, blockTotals, t.Block, incl)
+				}
+				t.Retire()
 			}
-			if t.Lane == primBlock-1 {
-				St(t, blockTotals, t.Block, incl)
-			}
-			return false
 		}
 	})
 

@@ -108,17 +108,18 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	phased := func() {
-		d.MustLaunchPhased(LaunchConfig{Name: "warm_phased", Grid: 16, Block: 256, SharedU32: 256}, 3, func(t *Thread, p int) bool {
-			switch p {
-			case 0:
-				t.SetSharedU32(t.Lane, Ld(t, buf, t.GlobalID()))
-				return true
-			case 1:
-				t.Exec(1)
-				return true
-			default:
-				St(t, buf, t.GlobalID(), t.SharedU32(t.Lane))
-				return false
+		d.MustLaunchPhased(LaunchConfig{Name: "warm_phased", Grid: 16, Block: 256, SharedU32: 256}, 3, func(lanes []Thread, p int) {
+			for l := range lanes {
+				t := &lanes[l]
+				switch p {
+				case 0:
+					t.SetSharedU32(l, Ld(t, buf, t.GlobalID()))
+				case 1:
+					t.Exec(1)
+				default:
+					St(t, buf, t.GlobalID(), t.SharedU32(l))
+					t.Retire()
+				}
 			}
 		})
 	}
@@ -134,22 +135,29 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 
 // TestPhasedMatchesSyncAccounting pins the metering equivalence the phased
 // execution model is built on: the same barrier-structured kernel written
-// as a PhasedKernel and as a goroutine-per-thread Sync kernel must produce
+// as a BlockKernel and as a goroutine-per-thread Sync kernel must produce
 // identical counters — including lanes that retire before the last
 // barrier, which pay for the barriers they reached and nothing more.
 func TestPhasedMatchesSyncAccounting(t *testing.T) {
 	run := func(d *Device) (phased, legacy LaunchStats) {
-		phased = d.MustLaunchPhased(LaunchConfig{Name: "p", Grid: 2, Block: 64, SharedU32: 64}, 3, func(t *Thread, p int) bool {
-			switch p {
-			case 0:
-				t.SetSharedU32(t.Lane, uint32(t.Lane))
-				return t.Lane < 32 // upper half retires before the first barrier
-			case 1:
-				t.Exec(1)
-				return true
-			default:
-				t.Exec(2)
-				return false
+		phased = d.MustLaunchPhased(LaunchConfig{Name: "p", Grid: 2, Block: 64, SharedU32: 64}, 3, func(lanes []Thread, p int) {
+			for l := range lanes {
+				t := &lanes[l]
+				if t.Retired() {
+					continue
+				}
+				switch p {
+				case 0:
+					t.SetSharedU32(l, uint32(l))
+					if l >= 32 {
+						t.Retire() // upper half retires before the first barrier
+					}
+				case 1:
+					t.Exec(1)
+				default:
+					t.Exec(2)
+					t.Retire()
+				}
 			}
 		})
 		legacy = d.MustLaunch(LaunchConfig{Name: "s", Grid: 2, Block: 64, SharedU32: 64, Sync: true}, func(t *Thread) {
@@ -188,12 +196,22 @@ func TestPhasedMatchesSyncAccounting(t *testing.T) {
 // TestLaunchPhasedValidation covers the phased-specific error paths.
 func TestLaunchPhasedValidation(t *testing.T) {
 	d := testDevice()
-	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 0, func(t *Thread, p int) bool { return false }); err == nil {
+	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 0, func([]Thread, int) {}); err == nil {
 		t.Error("LaunchPhased with 0 phases did not error")
 	}
-	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 0, Block: 32}, 1, func(t *Thread, p int) bool { return false }); err == nil {
+	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 0, Block: 32}, 1, func([]Thread, int) {}); err == nil {
 		t.Error("LaunchPhased with bad geometry did not error")
 	}
+	// Retire belongs to the phased runner: a barrier-free kernel returns
+	// instead, and the call must not silently skew its metering.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Thread.Retire inside a barrier-free kernel did not panic")
+			}
+		}()
+		d.MustLaunch(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, func(t *Thread) { t.Retire() })
+	}()
 	// Sync inside a phased kernel is a contract violation (the barrier is
 	// implicit between phases) and must panic like async launches do.
 	defer func() {
@@ -201,9 +219,8 @@ func TestLaunchPhasedValidation(t *testing.T) {
 			t.Error("Thread.Sync inside a phased kernel did not panic")
 		}
 	}()
-	d.MustLaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 1, func(t *Thread, p int) bool {
-		t.Sync()
-		return false
+	d.MustLaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 1, func(lanes []Thread, p int) {
+		lanes[0].Sync()
 	})
 }
 

@@ -17,15 +17,16 @@ type Thread struct {
 	// GridDim is the number of blocks.
 	GridDim int
 
-	// Reg models two per-lane registers for PhasedKernel bodies: register
+	// Reg models two per-lane registers for BlockKernel bodies: register
 	// state survives barriers on real hardware, and phased kernels need a
 	// place to carry values across phase boundaries without re-reading
 	// memory (which would change the metered counts). Reads and writes
 	// are free, like register traffic.
 	Reg [2]uint64
 
-	block  *blockRT
-	sample []int64 // sampled global-access addresses (block 0 only)
+	block   *blockRT
+	sample  []int64 // sampled global-access addresses (block 0 only)
+	retired bool    // the lane has left a phased kernel (Retire)
 
 	instr, gld, gst, gldB, gstB, sld, sst, cld int64
 }
@@ -56,6 +57,28 @@ func (t *Thread) Sync() {
 	t.instr += syncCost
 	t.block.bar.await()
 }
+
+// Retire ends the lane in a phased launch after its work of the current
+// phase: it reaches none of the remaining barriers and pays for none, as
+// if its Kernel body had returned before the next __syncthreads. The lane
+// is charged here for the barriers it did reach, one per earlier phase.
+// The BlockKernel must not run a retired lane again (Retired). Retiring a
+// lane twice is a no-op; Retire outside a phased launch panics.
+func (t *Thread) Retire() {
+	if t.retired {
+		return
+	}
+	rt := t.block
+	if rt.live == 0 {
+		panic("gpu: Thread.Retire called outside a phased launch")
+	}
+	t.retired = true
+	t.instr += syncCost * int64(rt.phase)
+	rt.live--
+}
+
+// Retired reports whether the lane has retired from its phased launch.
+func (t *Thread) Retired() bool { return t.retired }
 
 // SharedF64 reads element i of the block's shared float64 array.
 func (t *Thread) SharedF64(i int) float64 {

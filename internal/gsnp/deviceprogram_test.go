@@ -26,18 +26,36 @@ import (
 //
 //	go test ./internal/gsnp -run TestDeviceProgramPinned -update-golden
 func TestDeviceProgramPinned(t *testing.T) {
+	checkDeviceProgram(t, SortMultipass, "device_program.txt")
+}
+
+// TestSortBaselineProgramsPinned freezes the same run under the two
+// likelihood_sort baselines of Figure 7(b): the single-pass batch bitonic
+// (one padded size class) and bitonic_noneq, the one phased kernel whose
+// lanes retire early — lanes past an array's padded size at its load phase,
+// whole blocks after their prefix of the network. Regenerate with the same
+// -update-golden flag.
+func TestSortBaselineProgramsPinned(t *testing.T) {
+	checkDeviceProgram(t, SortSinglePass, "device_program_singlepass.txt")
+	checkDeviceProgram(t, SortNonEq, "device_program_noneq.txt")
+}
+
+// checkDeviceProgram runs the pinned GPU window pipeline with the given
+// likelihood_sort and compares its device program with testdata/file.
+func checkDeviceProgram(t *testing.T, sort SortMethod, file string) {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := testDataset(t, 3000, 10, 31)
 	dev := gpu.NewDevice(gpu.M2050())
-	runGSNP(t, ds, pipeline.Config{Window: 1100, CompressOutput: true}, Config{Mode: ModeGPU, Device: dev})
+	runGSNP(t, ds, pipeline.Config{Window: 1100, CompressOutput: true}, Config{Mode: ModeGPU, Device: dev, Sort: sort})
 	got := deviceProgram(dev)
 
-	path := filepath.Join("testdata", "device_program.txt")
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("device program rewritten (%d kernels)", strings.Count(got, "\n")-1)
+		t.Logf("%s rewritten (%d kernels)", file, strings.Count(got, "\n")-1)
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -54,7 +72,7 @@ func TestDeviceProgramPinned(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Errorf("device program line %d:\n got: %s\nwant: %s", i+1, g, w)
+			t.Errorf("%s line %d:\n got: %s\nwant: %s", file, i+1, g, w)
 		}
 	}
 }

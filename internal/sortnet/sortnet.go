@@ -178,47 +178,53 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 	d.MustLaunchPhased(gpu.LaunchConfig{
 		Name: "bitonic_noneq", Grid: n, Block: maxClassSize,
 		SharedU32: maxClassSize + 2,
-	}, merges+3, func(t *gpu.Thread, p int) bool {
+	}, merges+3, func(lanes []gpu.Thread, p int) {
 		switch {
 		case p == 0:
 			// Lane 0 stages the block's array descriptor through shared
 			// memory; a naive per-lane load would multiply global traffic.
-			if t.Lane == 0 {
-				t.SetSharedU32(maxClassSize, gpu.Ld(t, bounds, 2*t.Block))
-				t.SetSharedU32(maxClassSize+1, gpu.Ld(t, bounds, 2*t.Block+1))
-			}
-			return true
+			t := &lanes[0]
+			t.SetSharedU32(maxClassSize, gpu.Ld(t, bounds, 2*t.Block))
+			t.SetSharedU32(maxClassSize+1, gpu.Ld(t, bounds, 2*t.Block+1))
 		case p == 1:
-			off := t.SharedU32(maxClassSize)
-			size := t.SharedU32(maxClassSize + 1)
-			t.Reg[0] = uint64(off)
-			t.Reg[1] = uint64(size)
-			pad := ceilPow2(int(size))
-			if t.Lane >= pad {
-				// Lanes beyond this array's padded size retire; the block
-				// still occupies a full 256-thread slot, the imbalance
-				// this baseline suffers from.
-				return false
+			for l := range lanes {
+				t := &lanes[l]
+				off := t.SharedU32(maxClassSize)
+				size := t.SharedU32(maxClassSize + 1)
+				t.Reg[0] = uint64(off)
+				t.Reg[1] = uint64(size)
+				if l >= ceilPow2(int(size)) {
+					// Lanes beyond this array's padded size retire; the
+					// block still occupies a full 256-thread slot, the
+					// imbalance this baseline suffers from.
+					t.Retire()
+					continue
+				}
+				v := padValue
+				if l < int(size) {
+					v = gpu.Ld(t, data, int(off)+l)
+				}
+				t.SetSharedU32(l, v)
 			}
-			v := padValue
-			if t.Lane < int(size) {
-				v = gpu.Ld(t, data, int(off)+t.Lane)
-			}
-			t.SetSharedU32(t.Lane, v)
-			return true
 		default:
-			off := int(t.Reg[0])
-			size := int(t.Reg[1])
+			// Every live lane holds the same descriptor; they are the
+			// first pad lanes.
+			off := int(lanes[0].Reg[0])
+			size := int(lanes[0].Reg[1])
 			pad := ceilPow2(size)
+			live := lanes[:pad]
 			if p-2 < nkjPhases(pad) {
 				kk, jj := kjAt(p - 2)
-				bitonicPhase(t, t.Lane, kk, jj, pad, pad)
-				return true
+				bitonicStep(live, kk, jj, pad)
+				return
 			}
-			if t.Lane < size {
-				gpu.St(t, data, off+t.Lane, t.SharedU32(t.Lane))
+			for l := range live {
+				t := &live[l]
+				if l < size {
+					gpu.St(t, data, off+l, t.SharedU32(l))
+				}
+				t.Retire()
 			}
-			return false
 		}
 	})
 	st.Launches++
@@ -289,26 +295,29 @@ func batchBitonicEqual(d *gpu.Device, batch *gpu.Buffer[uint32], class int) int 
 	d.MustLaunchPhased(gpu.LaunchConfig{
 		Name: "batch_bitonic", Grid: grid, Block: block,
 		SharedU32: block,
-	}, merges+2, func(t *gpu.Thread, p int) bool {
+	}, merges+2, func(lanes []gpu.Thread, p int) {
 		switch {
 		case p == 0:
-			i := t.GlobalID()
-			v := padValue
-			if i < total {
-				v = gpu.Ld(t, batch, i)
+			for l := range lanes {
+				t := &lanes[l]
+				i := t.GlobalID()
+				v := padValue
+				if i < total {
+					v = gpu.Ld(t, batch, i)
+				}
+				t.SetSharedU32(l, v)
 			}
-			t.SetSharedU32(t.Lane, v)
-			return true
 		case p <= merges:
 			kk, jj := kjAt(p - 1)
-			bitonicPhase(t, t.Lane, kk, jj, class, t.BlockDim)
-			return true
+			bitonicStep(lanes, kk, jj, class)
 		default:
-			i := t.GlobalID()
-			if i < total {
-				gpu.St(t, batch, i, t.SharedU32(t.Lane))
+			for l := range lanes {
+				t := &lanes[l]
+				if i := t.GlobalID(); i < total {
+					gpu.St(t, batch, i, t.SharedU32(l))
+				}
+				t.Retire()
 			}
-			return false
 		}
 	})
 	return 1
@@ -325,7 +334,7 @@ func nkjPhases(size int) int {
 // — k ascends 2, 4, ... and within each k the stride j halves from k/2 down
 // to 1 — so the step sequence of a smaller power of two is a prefix of it,
 // which is what lets non-equal-size blocks share one phase counter. The
-// phased kernels look a step up once per lane and phase.
+// phased kernels look a step up once per block and phase.
 var kjSteps = func() (s [][2]int) {
 	for k := 2; k <= maxClassSize; k *= 2 {
 		for j := k / 2; j > 0; j /= 2 {
@@ -338,25 +347,30 @@ var kjSteps = func() (s [][2]int) {
 // kjAt returns the (k, j) pair of flat step q.
 func kjAt(q int) (k, j int) { return kjSteps[q][0], kjSteps[q][1] }
 
-// bitonicPhase performs one (k, j) compare-exchange step of the bitonic
-// network over the block's shared buffer, sorting each aligned
-// size-element sub-array independently and ascending. It is one phase of a
-// PhasedKernel body; the barrier that separated steps in the synchronous
-// form is implicit between phases.
-func bitonicPhase(t *gpu.Thread, lane, k, j, size, blockDim int) {
-	pos := lane & (size - 1) // position within the aligned sub-array
-	partner := lane ^ j
-	if partner > lane && partner < blockDim {
-		a := t.SharedU32(lane)
-		bv := t.SharedU32(partner)
-		// Direction from the in-array position: the final merge
-		// (k == size) has pos&k == 0 everywhere, so every sub-array ends
-		// ascending.
-		up := pos&k == 0
-		t.Exec(2)
-		if (a > bv) == up {
-			t.SetSharedU32(lane, bv)
-			t.SetSharedU32(partner, a)
+// bitonicStep performs one (k, j) compare-exchange step of the bitonic
+// network over the block's shared buffer, sorting each aligned size-element
+// sub-array independently and ascending. It is one phase of a BlockKernel
+// body; the barrier that separated steps in the synchronous form is the
+// call boundary. It walks the step's compare-exchange pairs (l, l+j) — l
+// with bit j clear — and meters each pair on lane l, the lane whose thread
+// owns the exchange on the device; lane l+j idles through the step.
+func bitonicStep(lanes []gpu.Thread, k, j, size int) {
+	n := len(lanes)
+	for base := 0; base < n; base += 2 * j {
+		for l := base; l < min(base+j, n-j); l++ {
+			t := &lanes[l]
+			a := t.SharedU32(l)
+			bv := t.SharedU32(l + j)
+			// Direction from the position within the aligned sub-array:
+			// the final merge (k == size) has pos&k == 0 everywhere, so
+			// every sub-array ends ascending.
+			pos := l & (size - 1)
+			up := pos&k == 0
+			t.Exec(2)
+			if (a > bv) == up {
+				t.SetSharedU32(l, bv)
+				t.SetSharedU32(l+j, a)
+			}
 		}
 	}
 }
