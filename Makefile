@@ -4,8 +4,9 @@
 # the parallel sort, and the gsnpd service), the service integration
 # tests against a real gsnpd binary, a short fuzz pass over every
 # parser-facing fuzz target, one iteration of every benchmark of the GPU
-# simulator and the sort, and the benchmark's own modules (bench/), which
-# `go build ./... && go test ./...` does not enter.
+# simulator, the sort, the aligner and the text parsers, and the
+# benchmark's own modules (bench/), which `go build ./... && go test ./...`
+# does not enter.
 
 GO ?= go
 
@@ -146,11 +147,12 @@ fuzz-smoke:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/soapsnp
 
-# One iteration of every benchmark of the simulator and the sort, no
-# tests: a benchmark an API change broke fails the gate here rather than
-# in the hands of the next person who runs it.
+# One iteration of every benchmark of the simulator, the sort, the
+# aligner (index build and read placement) and the text parsers (FASTQ
+# among them), no tests: a benchmark an API change broke fails the gate
+# here rather than in the hands of the next person who runs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gpu ./internal/sortnet
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gpu ./internal/sortnet ./internal/align ./internal/snpio
 
 # The benchmark lives in two modules of its own. Its tests check the
 # command against BENCHMARK.json, and bench/layerprobe calls the leaf

@@ -54,20 +54,28 @@ func (b Base) IsTransition(o Base) bool {
 }
 
 // ParseBase converts an ASCII nucleotide letter to a Base. It accepts upper
-// and lower case. ok is false for any non-ACGT character (including N).
+// and lower case. ok is false for any non-ACGT character (including N),
+// which decodes as A.
 func ParseBase(c byte) (b Base, ok bool) {
-	switch c {
-	case 'A', 'a':
-		return A, true
-	case 'C', 'c':
-		return C, true
-	case 'G', 'g':
-		return G, true
-	case 'T', 't':
-		return T, true
-	}
-	return 0, false
+	v := baseCode[c]
+	return Base(v & 3), v != noBase
 }
+
+// noBase marks a byte outside ACGT in baseCode.
+const noBase = 4
+
+// baseCode is the one base-decode table: the base code of every byte, or
+// noBase. Every text parser (FASTA, FASTQ, SOAP, SAM) decodes through it by
+// way of ParseBase, which inlines to one load.
+var baseCode = func() (t [256]uint8) {
+	for c := range t {
+		t[c] = noBase
+	}
+	for b, c := range baseLetters {
+		t[c], t[c|0x20] = uint8(b), uint8(b)
+	}
+	return t
+}()
 
 // Genotype is one of the ten unordered diploid genotypes (pairs of alleles).
 // The encoding matches the type_likely indexing of SOAPsnp's likelihood

@@ -33,6 +33,34 @@ func TestBaseLetters(t *testing.T) {
 	}
 }
 
+// parseBaseSwitch is ParseBase as it was before the decode table, kept as
+// the table's oracle.
+func parseBaseSwitch(c byte) (b Base, ok bool) {
+	switch c {
+	case 'A', 'a':
+		return A, true
+	case 'C', 'c':
+		return C, true
+	case 'G', 'g':
+		return G, true
+	case 'T', 't':
+		return T, true
+	}
+	return 0, false
+}
+
+// TestParseBaseTable checks every byte: ACGT in either case decodes with
+// ok, anything else decodes as A with !ok, exactly as the switch did.
+func TestParseBaseTable(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		got, ok := ParseBase(byte(c))
+		want, wantOK := parseBaseSwitch(byte(c))
+		if got != want || ok != wantOK {
+			t.Errorf("ParseBase(%#x) = %v, %v; want %v, %v", c, got, ok, want, wantOK)
+		}
+	}
+}
+
 func TestComplement(t *testing.T) {
 	pairs := map[Base]Base{A: T, C: G, G: C, T: A}
 	for b, want := range pairs {

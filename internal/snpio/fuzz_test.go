@@ -50,14 +50,24 @@ func FuzzSOAPReader(f *testing.F) {
 	})
 }
 
+// FuzzFASTQReader holds ReadFASTQ to the per-line-string reference
+// parser: the same reads, or the same *ParseError.
 func FuzzFASTQReader(f *testing.F) {
 	f.Add("@read_1\nACGT\n+\nIIII\n")
 	f.Add("")
 	f.Add("@truncated\nACGT\n")
 	f.Add("@mismatch\nACGT\n+\nII\n")
+	f.Add("@read_1\r\nACGT\r\n+\r\nIIII\r\n@read_2\r\nAC\r\n+\r\nII\r\n")                // CRLF
+	f.Add("\n@read_1\nACGT\n+\nIIII\n\n \t\n@read_2\nAC\n+\nII\n\n")                     // blank lines
+	f.Add("@read_3\nacgtNnRy\n+\nIIIIIIII\n")                                            // lower case, N
+	f.Add("@SRR001.7 length=4\nACGT\n+\nIIII\n@ 42\nAC\n+\nII\n")                        // no read_ prefix
+	f.Add("@read_9223372036854775808\nAC\n+\nII\n@read_-9223372036854775808\nA\n+\nI\n") // int64 overflow, min
+	f.Add("@read_1\nACGT\n+\nII\x1fI\n")                                                 // quality below '!'
+	f.Add("@read_1\nACGT\n+\nIIII\n@read_2\nAC\n+\nII")                                  // no trailing newline
+	f.Add("@\u00a0read_+5\u0085x\n\n+\n\n")                                              // Unicode spaces, empty read
 	f.Fuzz(func(t *testing.T, data string) {
-		// Must never panic; malformed records report errors.
 		rs, err := ReadFASTQ(strings.NewReader(data))
+		requireFASTQMatchesReference(t, data)
 		if err != nil {
 			return
 		}

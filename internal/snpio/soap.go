@@ -116,16 +116,6 @@ func (sr *SOAPReader) errf(field, format string, args ...any) *ParseError {
 // soapFields is the column count of a SOAP record.
 const soapFields = 8
 
-// baseOfASCII is dna.ParseBase as a table: the base code of every byte,
-// with characters outside ACGT (N) decoding as A, the way ParseSequence
-// callers that ignore its error have always read them.
-var baseOfASCII = func() (t [256]dna.Base) {
-	for c := range t {
-		t[c], _ = dna.ParseBase(byte(c))
-	}
-	return t
-}()
-
 // parse decodes one record from the scanner's line buffer. The record is
 // the hot loop of both input passes, so it allocates only what it returns:
 // the fields are sub-slices of line, the numeric columns convert through
@@ -185,7 +175,8 @@ func (sr *SOAPReader) parse(line []byte) (reads.AlignedRead, error) {
 		if c < qualOffset {
 			return r, sr.errf("quality", "bad quality character %q", c)
 		}
-		at, b := i, baseOfASCII[seq[i]]
+		b, _ := dna.ParseBase(seq[i]) // Ns tolerated as A
+		at := i
 		if r.Strand == 1 {
 			at, b = length-1-i, b.Complement()
 		}
