@@ -6,17 +6,22 @@
 // whole genome cannot starve a single-chromosome request), and streams
 // per-chromosome results back as they complete.
 //
-// Completed results are held in a content-addressed cache: resubmitting
+// Every result the server streams lives on disk, not in its heap: one
+// file per distinct result text under <journal-dir or spool>/store, named
+// by its sha256 and written to the client from a mapping of the file.
+// Completed results are indexed by a content-addressed cache: resubmitting
 // a job whose input bytes and output-shaping options are identical
 // replays the recorded stream without touching the scheduler, and
 // identical jobs submitted while one is still running share that single
-// execution (single-flight dedup). The cache is bounded by -cache-bytes
-// and disabled entirely (dedup included) by -cache-off.
+// execution (single-flight dedup). The cache is bounded by -cache-bytes —
+// the disk bytes of stored results it keeps — and disabled entirely
+// (dedup included) by -cache-off. The server remembers its last 100
+// finished jobs; an older one answers 404.
 //
 // With -journal-dir the server is crash-durable: every accepted job is
 // recorded in a write-ahead journal (fsync'd before the 202), uploaded
 // inputs spool under the journal directory, and each cleanly completed
-// chromosome is journaled (output file + chrom record) before its stream
+// chromosome is journaled (stored file + chrom record) before its stream
 // record is published. A restarted gsnpd pointed at the same directory
 // re-enqueues every interrupted job — journaled chromosomes replay from
 // disk (digest-verified) instead of re-executing, output bytes
@@ -100,7 +105,7 @@ func run() error {
 		taskTO   = flag.Duration("task-timeout", 0, "per-chromosome deadline (0 = none)")
 		spool    = flag.String("spool", "", "directory for uploaded job inputs (default: a temp dir)")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Minute, "how long graceful shutdown waits for running jobs")
-		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache byte budget (completed job streams, LRU-evicted)")
+		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache budget: disk bytes of stored results it keeps for replay (LRU-evicted)")
 		cacheOff = flag.Bool("cache-off", false, "disable the result cache and single-flight dedup")
 		journal  = flag.String("journal-dir", "", "write-ahead job journal directory: accepted jobs survive crashes and resume on restart (overrides -spool)")
 		maxQ     = flag.Int("max-queued", 0, "reject submissions with 429 once N admitted jobs are unfinished (0 = unlimited)")

@@ -1,12 +1,13 @@
 // Package journal is gsnpd's crash-durability layer and the one durable
 // record of a job: a write-ahead log plus, under the same root, each
-// job's spool (uploaded inputs) and work directory. A job is appended —
-// spec, output-shaping fingerprint, per-chromosome input digests — and
-// fsync'd *before* the client sees its 202; each clean chromosome lands in
-// the work directory and is named by a chrom record before the service
-// publishes it; a final record ends the job, and its directories go. The
-// accepted records without a final record are exactly the jobs a crash
-// interrupted, and Open returns them, with their chromosomes, for recovery.
+// job's spool directory (uploaded inputs). A job is appended — spec,
+// output-shaping fingerprint, per-chromosome input digests — and fsync'd
+// *before* the client sees its 202; each clean chromosome, once the
+// service has made its bytes durable in its result store, is named by a
+// chrom record before the service publishes it; a final record ends the
+// job, and its spool directory goes. The accepted records without a final
+// record are exactly the jobs a crash interrupted, and Open returns them,
+// with their chromosomes, for recovery.
 //
 // Every change the journal makes to its directory goes through the
 // durable-write seam (checkpoint.FS). The WAL is newline-delimited JSON,
@@ -22,8 +23,6 @@ package journal
 import (
 	"bytes"
 	"cmp"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,7 +39,7 @@ import (
 
 // Version guards the record schema; a mismatched record invalidates the
 // log rather than being misread.
-const Version = 1
+const Version = 2
 
 // WALName is the journal file name inside the journal directory.
 const WALName = "wal.ndjson"
@@ -83,7 +82,9 @@ type Entry struct {
 	Chroms map[string]Chrom `json:"chroms,omitempty"`
 }
 
-// Chrom is one cleanly finished chromosome in the job's work directory.
+// Chrom is one cleanly finished chromosome. Its bytes are a file the
+// service stored before the record was appended, named by SHA256; File is
+// the name the CLI would give the output.
 type Chrom struct {
 	File   string `json:"file"`
 	SHA256 string `json:"sha256"` // hex digest of the file's bytes
@@ -92,9 +93,8 @@ type Chrom struct {
 
 // Config configures Open.
 type Config struct {
-	// Dir is the journal directory; created if missing. The WAL, the
-	// spool root (uploaded inputs) and the work root (durable
-	// per-chromosome outputs, named by chrom records) all live under it.
+	// Dir is the journal directory; created if missing. The WAL and the
+	// spool root (uploaded inputs) live under it.
 	Dir string
 	// RotateBytes triggers compaction when the WAL exceeds it
 	// (0 selects 4 MiB).
@@ -121,8 +121,8 @@ type Journal struct {
 
 // Open loads (or creates) the journal under cfg.Dir: the WAL is replayed,
 // compacted down to its live records and reopened for appending, and the
-// directories of jobs that are not pending are swept. Pending then holds
-// every job a previous process accepted but never finalized.
+// spool directories of jobs that are not pending are swept. Pending then
+// holds every job a previous process accepted but never finalized.
 func Open(cfg Config) (*Journal, error) {
 	if cfg.RotateBytes <= 0 {
 		cfg.RotateBytes = 4 << 20
@@ -133,10 +133,8 @@ func Open(cfg Config) (*Journal, error) {
 	if cfg.FS == nil {
 		cfg.FS = checkpoint.OS
 	}
-	for _, d := range []string{filepath.Join(cfg.Dir, "spool"), filepath.Join(cfg.Dir, "work")} {
-		if err := cfg.FS.MkdirAll(d); err != nil {
-			return nil, err
-		}
+	if err := cfg.FS.MkdirAll(filepath.Join(cfg.Dir, "spool")); err != nil {
+		return nil, err
 	}
 	j := &Journal{cfg: cfg, path: filepath.Join(cfg.Dir, WALName), pending: make(map[string]Entry)}
 	if err := j.replay(); err != nil {
@@ -279,69 +277,32 @@ func (j *Journal) SpoolDir(job string) string {
 	return filepath.Join(j.cfg.Dir, "spool", job)
 }
 
-// workDir is the job's durable work directory: Accept creates it,
-// Complete writes into it, Final removes it.
-func (j *Journal) workDir(job string) string {
-	return filepath.Join(j.cfg.Dir, "work", job)
-}
-
-// Accept creates the job's work directory and journals its admission. It
-// must return before the job is acknowledged to the client; an error
-// means the job was never durably accepted and the caller must fail it
-// (the WAL itself stays clean — a torn append is truncated back out).
+// Accept journals a job's admission. It must return before the job is
+// acknowledged to the client; an error means the job was never durably
+// accepted and the caller must fail it (the WAL itself stays clean — a
+// torn append is truncated back out).
 func (j *Journal) Accept(e Entry) error {
-	dir := j.workDir(e.Job)
-	if err := j.cfg.FS.MkdirAll(dir); err != nil {
-		return err
-	}
 	e.V, e.Kind = Version, KindAccepted
-	if err := j.append(e); err != nil {
-		_ = j.cfg.FS.RemoveAll(dir) // still empty; if this fails too, the next Open sweeps it
-		return err
-	}
-	return nil
+	return j.append(e)
 }
 
-// Complete makes one clean chromosome of a pending job durable: its bytes
-// are hashed in memory and written into the job's work directory (outside
-// j.mu, so no other job's append waits on this output), then a chrom record
-// names file, digest and sites. An error leaves the chromosome to
-// recompute after a restart.
-func (j *Journal) Complete(seq int, job, name string, c Chrom, out []byte) error {
-	sum := sha256.Sum256(out)
-	c.SHA256 = hex.EncodeToString(sum[:])
-	if err := j.cfg.FS.WriteFile(filepath.Join(j.workDir(job), c.File), out); err != nil {
-		return err
-	}
+// Complete names one clean chromosome of a pending job, whose bytes the
+// caller has already made durable as the file c.SHA256 names. An error
+// leaves the chromosome to recompute after a restart.
+func (j *Journal) Complete(seq int, job, name string, c Chrom) error {
 	return j.append(Entry{V: Version, Kind: KindChrom, Seq: seq, Job: job, Chroms: map[string]Chrom{name: c}})
 }
 
-// ReadChrom returns a recovered chromosome's output, read once and checked
-// against its recorded digest, so the bytes returned are the bytes
-// checked. A missing, torn or tampered file is an error.
-func (j *Journal) ReadChrom(job string, c Chrom) ([]byte, error) {
-	out, err := os.ReadFile(filepath.Join(j.workDir(job), c.File))
-	if err != nil {
-		return nil, err
-	}
-	if sum := sha256.Sum256(out); hex.EncodeToString(sum[:]) != c.SHA256 {
-		return nil, fmt.Errorf("journal: %s of job %s does not match its recorded digest", c.File, job)
-	}
-	return out, nil
-}
-
-// Final journals a job's terminal state, then removes the job's spool and
-// work directories. An error leaves the job pending, directories and all —
-// it will re-run (through its durable chromosomes) on the next recovery —
-// so callers log it rather than failing the finished job.
+// Final journals a job's terminal state, then removes the job's spool
+// directory. An error leaves the job pending, spool and all — it will
+// re-run (through its durable chromosomes) on the next recovery — so
+// callers log it rather than failing the finished job.
 func (j *Journal) Final(seq int, job, state string) error {
 	if err := j.append(Entry{V: Version, Kind: KindFinal, Seq: seq, Job: job, State: state}); err != nil {
 		return err
 	}
-	for _, dir := range []string{j.SpoolDir(job), j.workDir(job)} {
-		if err := j.cfg.FS.RemoveAll(dir); err != nil {
-			j.cfg.Logf("journal: removing %s: %v", dir, err)
-		}
+	if err := j.cfg.FS.RemoveAll(j.SpoolDir(job)); err != nil {
+		j.cfg.Logf("journal: removing the spool of %s: %v", job, err)
 	}
 	return nil
 }
@@ -384,26 +345,24 @@ func (j *Journal) append(e Entry) error {
 	return nil
 }
 
-// sweep removes the spool and work directories of jobs that are not
-// pending: debris of jobs finalized, or never fully admitted, right
-// before a crash.
+// sweep removes the spool directories of jobs that are not pending:
+// debris of jobs finalized, or never fully admitted, right before a crash.
 func (j *Journal) sweep() {
-	for _, root := range []string{filepath.Join(j.cfg.Dir, "spool"), filepath.Join(j.cfg.Dir, "work")} {
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			j.cfg.Logf("journal: sweep %s: %v", root, err)
+	root := filepath.Join(j.cfg.Dir, "spool")
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		j.cfg.Logf("journal: sweep %s: %v", root, err)
+		return
+	}
+	for _, ent := range entries {
+		if _, ok := j.pending[ent.Name()]; ok {
 			continue
 		}
-		for _, ent := range entries {
-			if _, ok := j.pending[ent.Name()]; ok {
-				continue
-			}
-			p := filepath.Join(root, ent.Name())
-			if err := j.cfg.FS.RemoveAll(p); err != nil {
-				j.cfg.Logf("journal: sweep: removing %s: %v", p, err)
-			} else {
-				j.cfg.Logf("journal: swept stale %s", p)
-			}
+		p := filepath.Join(root, ent.Name())
+		if err := j.cfg.FS.RemoveAll(p); err != nil {
+			j.cfg.Logf("journal: sweep: removing %s: %v", p, err)
+		} else {
+			j.cfg.Logf("journal: swept stale %s", p)
 		}
 	}
 }

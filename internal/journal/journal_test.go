@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,7 +87,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":1,"kind":"accepted","seq":3,"jo`); err != nil {
+	if _, err := fmt.Fprintf(f, `{"v":%d,"kind":"accepted","seq":3,"jo`, Version); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -118,7 +120,7 @@ func TestJournalCorruptInterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("garbage not json\n{\"v\":1,\"kind\":\"final\",\"seq\":1,\"job\":\"j1\"}\n"); err != nil {
+	if _, err := fmt.Fprintf(f, "garbage not json\n{\"v\":%d,\"kind\":\"final\",\"seq\":1,\"job\":\"j1\"}\n", Version); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -133,7 +135,7 @@ func TestJournalCorruptInterior(t *testing.T) {
 func TestJournalUnknownKind(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, WALName),
-		[]byte("{\"v\":1,\"kind\":\"mystery\",\"seq\":1,\"job\":\"j1\"}\n"), 0o644); err != nil {
+		fmt.Appendf(nil, "{\"v\":%d,\"kind\":\"mystery\",\"seq\":1,\"job\":\"j1\"}\n", Version), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Config{Dir: dir}); err == nil {
@@ -201,8 +203,7 @@ func (l failLog) Append(p []byte) error {
 }
 
 // TestJournalAppendFault: a failed append fails that one Accept, leaves the
-// WAL clean and the job without a work directory, and later appends
-// succeed.
+// WAL clean, and later appends succeed.
 func TestJournalAppendFault(t *testing.T) {
 	dir := t.TempDir()
 	fs := &failFS{FS: checkpoint.OS}
@@ -211,9 +212,6 @@ func TestJournalAppendFault(t *testing.T) {
 	fs.failAppend.Store(true)
 	if err := j.Accept(Entry{Seq: 2, Job: "j2"}); err == nil {
 		t.Fatal("faulted Accept succeeded")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "work", "j2")); !os.IsNotExist(err) {
-		t.Errorf("refused job kept its work dir: %v", err)
 	}
 	if err := j.Accept(Entry{Seq: 3, Job: "j3"}); err != nil {
 		t.Fatalf("append after fault: %v", err)
@@ -226,8 +224,8 @@ func TestJournalAppendFault(t *testing.T) {
 	}
 }
 
-// TestJournalSweep: Open removes the spool/work debris of jobs that are
-// not pending and keeps the pending jobs' directories.
+// TestJournalSweep: Open removes the spool debris of jobs that are not
+// pending and keeps the pending jobs' directories.
 func TestJournalSweep(t *testing.T) {
 	dir := t.TempDir()
 	j := openT(t, Config{Dir: dir})
@@ -235,25 +233,21 @@ func TestJournalSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	for _, sub := range []string{"spool", "work"} {
-		for _, job := range []string{"j1", "j2"} {
-			p := filepath.Join(dir, sub, job)
-			if err := os.MkdirAll(p, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(p, "x"), []byte("x"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+	for _, job := range []string{"j1", "j2"} {
+		p := filepath.Join(dir, "spool", job)
+		if err := os.MkdirAll(p, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(p, "x"), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 	openT(t, Config{Dir: dir})
-	for _, sub := range []string{"spool", "work"} {
-		if _, err := os.Stat(filepath.Join(dir, sub, "j1")); !os.IsNotExist(err) {
-			t.Errorf("%s/j1 survived the sweep", sub)
-		}
-		if _, err := os.Stat(filepath.Join(dir, sub, "j2", "x")); err != nil {
-			t.Errorf("%s/j2 was swept despite being pending: %v", sub, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "spool", "j1")); !os.IsNotExist(err) {
+		t.Errorf("spool/j1 survived the sweep")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "spool", "j2", "x")); err != nil {
+		t.Errorf("spool/j2 was swept despite being pending: %v", err)
 	}
 }
 
@@ -309,10 +303,16 @@ func TestJournalConcurrent(t *testing.T) {
 	}
 }
 
-// complete makes one chromosome of job durable with out as its bytes.
+// digestOf is the hex sha256 of out.
+func digestOf(out string) string {
+	sum := sha256.Sum256([]byte(out))
+	return hex.EncodeToString(sum[:])
+}
+
+// complete names one chromosome of job, stored with out as its bytes.
 func complete(t *testing.T, j *Journal, seq int, job, name string, out string) {
 	t.Helper()
-	if err := j.Complete(seq, job, name, Chrom{File: name + ".result", Sites: len(out)}, []byte(out)); err != nil {
+	if err := j.Complete(seq, job, name, Chrom{File: name + ".result", SHA256: digestOf(out), Sites: len(out)}); err != nil {
 		t.Fatalf("complete %s/%s: %v", job, name, err)
 	}
 }
@@ -331,7 +331,7 @@ func chromsOf(t *testing.T, j *Journal, job string) map[string]Chrom {
 
 // TestJournalChromCompaction: compaction — at Open and at the RotateBytes
 // threshold — folds a pending job's chrom records into its accepted record
-// and drops a finished job's, whose work directory Final removed.
+// and drops a finished job's.
 func TestJournalChromCompaction(t *testing.T) {
 	for _, rotate := range []int64{0, 256} {
 		t.Run(fmt.Sprint("rotate=", rotate), func(t *testing.T) {
@@ -344,9 +344,6 @@ func TestJournalChromCompaction(t *testing.T) {
 			}
 			if err := j.Final(2, "j2", "done"); err != nil {
 				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "work", "j2")); !os.IsNotExist(err) {
-				t.Errorf("finished job's work dir survived Final: %v", err)
 			}
 			if rotate > 0 {
 				// Churn past the threshold: the rewrite must keep j1's chromosomes.
@@ -378,9 +375,8 @@ func TestJournalChromCompaction(t *testing.T) {
 				t.Fatalf("j1 chromosomes after compaction: %+v, want chr1 and chr2", got)
 			}
 			for name, c := range got {
-				out, err := j2.ReadChrom("j1", c)
-				if err != nil || string(out) != "j1 "+name+" rows\n" {
-					t.Errorf("%s: ReadChrom = %q, %v", name, out, err)
+				if out := "j1 " + name + " rows\n"; c.SHA256 != digestOf(out) || c.Sites != len(out) {
+					t.Errorf("%s: recorded %+v, not its bytes' digest and sites", name, c)
 				}
 			}
 			wal, err := os.ReadFile(filepath.Join(dir, WALName))
@@ -401,23 +397,16 @@ func TestJournalChromLastWins(t *testing.T) {
 	j := openT(t, Config{Dir: dir})
 	acceptN(t, j, 1)
 	complete(t, j, 1, "j1", "chr1", "first\n")
-	file := filepath.Join(dir, "work", "j1", "chr1.result")
-	if err := os.WriteFile(file, []byte("tampered\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.ReadChrom("j1", chromsOf(t, j, "j1")["chr1"]); err == nil {
-		t.Fatal("ReadChrom served a tampered file")
+	if got := chromsOf(t, j, "j1")["chr1"].SHA256; got != digestOf("first\n") {
+		t.Fatalf("first record names %s", got)
 	}
 	complete(t, j, 1, "j1", "chr1", "second\n")
 	j.Close()
 
 	j2 := openT(t, Config{Dir: dir})
 	got := chromsOf(t, j2, "j1")
-	if len(got) != 1 {
-		t.Fatalf("chromosomes after a re-record: %+v, want one chr1", got)
-	}
-	if out, err := j2.ReadChrom("j1", got["chr1"]); err != nil || string(out) != "second\n" {
-		t.Fatalf("ReadChrom after re-record = %q, %v, want the second bytes", out, err)
+	if len(got) != 1 || got["chr1"].SHA256 != digestOf("second\n") {
+		t.Fatalf("chromosomes after a re-record: %+v, want one chr1 naming the second bytes", got)
 	}
 }
 
@@ -434,7 +423,7 @@ func TestJournalTornChromTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":1,"kind":"chrom","seq":1,"job":"j1","chroms":{"chr2":{"fi`); err != nil {
+	if _, err := fmt.Fprintf(f, `{"v":%d,"kind":"chrom","seq":1,"job":"j1","chroms":{"chr2":{"fi`, Version); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -450,9 +439,9 @@ func TestJournalTornChromTail(t *testing.T) {
 // writes one.
 func TestJournalChromWithoutAccept(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, WALName), []byte(
-		`{"v":1,"kind":"chrom","seq":1,"job":"j1","chroms":{"chr1":{"file":"chr1.result","sha256":"00","sites":1}}}`+"\n"+
-			`{"v":1,"kind":"accepted","seq":2,"job":"j2"}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, WALName), fmt.Appendf(nil,
+		`{"v":%d,"kind":"chrom","seq":1,"job":"j1","chroms":{"chr1":{"file":"chr1.result","sha256":"00","sites":1}}}`+"\n"+
+			`{"v":%[1]d,"kind":"accepted","seq":2,"job":"j2"}`+"\n", Version), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Config{Dir: dir}); err == nil {
@@ -464,31 +453,11 @@ func TestJournalChromWithoutAccept(t *testing.T) {
 	if err := j.Final(1, "j1", "done"); err != nil {
 		t.Fatal(err)
 	}
-	// The work dir is back, so only the pending check can refuse.
-	if err := os.MkdirAll(filepath.Join(j.cfg.Dir, "work", "j1"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Complete(1, "j1", "chr1", Chrom{File: "chr1.result"}, []byte("x")); err == nil {
+	if err := j.Complete(1, "j1", "chr1", Chrom{File: "chr1.result", SHA256: digestOf("x")}); err == nil {
 		t.Fatal("Complete recorded a chromosome of a finished job")
 	}
 	j.Close()
 	if _, err := Open(Config{Dir: j.cfg.Dir}); err != nil {
 		t.Fatalf("WAL after a refused Complete: %v", err)
-	}
-}
-
-// TestJournalAcceptNeedsWorkDir: a job that cannot get its work directory
-// is never accepted, and the WAL stays clean.
-func TestJournalAcceptNeedsWorkDir(t *testing.T) {
-	dir := t.TempDir()
-	j := openT(t, Config{Dir: dir})
-	if err := os.WriteFile(filepath.Join(dir, "work", "j1"), []byte("not a directory\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Accept(Entry{Seq: 1, Job: "j1"}); err == nil {
-		t.Fatal("Accept succeeded without a work directory")
-	}
-	if p := j.Pending(); len(p) != 0 {
-		t.Fatalf("pending after a refused Accept: %+v", p)
 	}
 }

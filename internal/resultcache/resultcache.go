@@ -8,8 +8,10 @@
 //
 // The package provides two pieces the service composes:
 //
-//   - Cache[V]: a strictly byte-budgeted LRU store (least recently *hit*
-//     entry evicted first) with hit/miss/eviction accounting.
+//   - Cache[V]: a strictly byte-budgeted LRU index (least recently *hit*
+//     entry evicted first) with hit/miss/eviction accounting; a value that
+//     leaves it is handed to the owner's callback, so what it refers to
+//     (for gsnpd, files in its result store) can be released.
 //   - Flights[T]: a single-flight registry so concurrently submitted
 //     identical jobs share one execution — the second submission joins
 //     the first job's stream instead of spawning duplicate pool work.
@@ -53,8 +55,9 @@ type entry[V any] struct {
 // Values are treated as immutable once stored: callers must not mutate a
 // value after Put or after receiving it from Get.
 type Cache[V any] struct {
-	mu  sync.Mutex
-	max int64
+	mu      sync.Mutex
+	max     int64
+	evicted func(V)
 	// ll orders entries by recency of last hit, front = most recent;
 	// every element value is *entry[V].
 	ll    *list.List
@@ -68,7 +71,14 @@ type Cache[V any] struct {
 // the sizes passed to Put). maxBytes <= 0 yields a cache that rejects
 // every Put — a disabled cache that still answers Get with a miss.
 func New[V any](maxBytes int64) *Cache[V] {
-	return &Cache[V]{max: maxBytes, ll: list.New(), index: make(map[string]*list.Element)}
+	return NewEvicting(maxBytes, func(V) {})
+}
+
+// NewEvicting is New with evicted receiving every value that leaves the
+// cache — evicted for room or replaced under its key — once the Put that
+// removed it has unlocked the cache.
+func NewEvicting[V any](maxBytes int64, evicted func(V)) *Cache[V] {
+	return &Cache[V]{max: maxBytes, evicted: evicted, ll: list.New(), index: make(map[string]*list.Element)}
 }
 
 // Get returns the value stored under key, marking it most recently used.
@@ -92,8 +102,14 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // cache for an entry that could never be retained alongside others.
 // Storing an existing key replaces its value and re-charges its size.
 func (c *Cache[V]) Put(key string, v V, size int64) bool {
+	var gone []V
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer func() {
+		c.mu.Unlock()
+		for _, g := range gone {
+			c.evicted(g)
+		}
+	}()
 	if c.max <= 0 || size > c.max || size < 0 {
 		c.rejected++
 		return false
@@ -101,6 +117,7 @@ func (c *Cache[V]) Put(key string, v V, size int64) bool {
 	if el, ok := c.index[key]; ok {
 		e := el.Value.(*entry[V])
 		c.bytes -= e.size
+		gone = append(gone, e.val)
 		e.val, e.size = v, size
 		c.bytes += size
 		c.ll.MoveToFront(el)
@@ -120,6 +137,7 @@ func (c *Cache[V]) Put(key string, v V, size int64) bool {
 		delete(c.index, e.key)
 		c.bytes -= e.size
 		c.evictions++
+		gone = append(gone, e.val)
 	}
 	c.puts++
 	return true

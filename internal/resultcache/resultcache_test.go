@@ -2,6 +2,7 @@ package resultcache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -109,6 +110,27 @@ func TestCacheReplaceRecharges(t *testing.T) {
 	}
 	if st := c.Stats(); st.Bytes != 25 || st.Entries != 1 {
 		t.Fatalf("stats %+v, want re-charged 25 bytes", st)
+	}
+}
+
+// TestCacheHandsOverEveryLeavingValue: every value that leaves the cache —
+// evicted for room, or replaced under its key — reaches the callback once,
+// and a rejected Put or a live entry never does.
+func TestCacheHandsOverEveryLeavingValue(t *testing.T) {
+	var gone []string
+	c := NewEvicting(20, func(v string) { gone = append(gone, v) })
+	c.Put("a", "va", 10)
+	c.Put("b", "vb", 10)
+	c.Put("a", "va2", 10) // replaces va
+	c.Put("big", "vbig", 21)
+	c.Put("c", "vc", 10) // evicts b, the least recently hit
+	if got := strings.Join(gone, " "); got != "va vb" {
+		t.Fatalf("values handed over: %q, want \"va vb\"", got)
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("%s missing", k)
+		}
 	}
 }
 

@@ -112,10 +112,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // than hammer.
 const retryAfter = "1"
 
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *jobState {
+// lookup finds the request's job, or answers 404. With hold, the job is
+// held for the caller, who must unhold it.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, hold bool) *jobState {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	js := s.jobs[id]
+	if js != nil && hold {
+		js.holds++
+	}
 	s.mu.Unlock()
 	if js == nil {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no such job " + id})
@@ -124,7 +129,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *jobState {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if js := s.lookup(w, r); js != nil {
+	if js := s.lookup(w, r, false); js != nil {
 		writeJSON(w, http.StatusOK, js.status())
 	}
 }
@@ -146,7 +151,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	js := s.lookup(w, r)
+	js := s.lookup(w, r, false)
 	if js == nil {
 		return
 	}
@@ -170,16 +175,19 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 // follows live completions until the Final record. Every connected client
 // gets the full record sequence regardless of when it attached, and a
 // client disconnect or stall never affects the job (its sources feed the
-// server's log, not the response writer).
+// server's log, not the response writer). The client holds the job, so
+// the files its records refer to stay until it is done, even if the
+// registry forgets the job meanwhile.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	js := s.lookup(w, r)
+	js := s.lookup(w, r, true)
 	if js == nil {
 		return
 	}
+	defer s.unhold(js)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	lw := newLineWriter(w)
+	lw := newLineWriter(w, s.store)
 	// The error is the stream's end either way: the Final record went out,
 	// or the client went away or stalled.
 	_ = js.followLog(r.Context(), func(recs []logRecord) error {

@@ -3,12 +3,16 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,9 +25,16 @@ import (
 
 // finalFails is a seam that fails the append of job j1's final record: the
 // job completes normally in-process but stays pending in the WAL with its
-// spool/work dirs intact — exactly the on-disk state a crash mid-job
-// leaves behind, reachable without kill -9.
+// spool and stored chromosomes intact — exactly the on-disk state a crash
+// mid-job leaves behind, reachable without kill -9.
 func finalFails() *scriptFS { return failing(appendOf(journal.KindFinal, "j1")) }
+
+// storedPath is where a server on root keeps the result whose raw bytes
+// are raw: the store file named by the sha256 of their base64 text.
+func storedPath(root string, raw []byte) string {
+	sum := sha256.Sum256([]byte(base64.StdEncoding.EncodeToString(raw)))
+	return filepath.Join(root, "store", hex.EncodeToString(sum[:]))
+}
 
 // drainT drains a server within a test-scoped deadline.
 func drainT(t *testing.T, srv *Server) {
@@ -52,8 +63,7 @@ func TestServiceJournalRecovery(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
 
 	// First incarnation: the Final append is faulted, so the completed job
-	// remains pending in the WAL with its work dir (checkpointed outputs)
-	// kept.
+	// remains pending in the WAL with its stored chromosomes kept.
 	srvA, tsA := newTestServer(t, Config{Workers: 2, JournalDir: jdir, fs: finalFails()})
 	id := postJob(t, tsA, map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256})
 	if _, state := readStream(t, tsA, id); state != StateDone {
@@ -62,13 +72,12 @@ func TestServiceJournalRecovery(t *testing.T) {
 	tsA.Close()
 	drainT(t, srvA)
 
-	workdir := filepath.Join(jdir, "work", id)
-	if _, err := os.Stat(filepath.Join(workdir, "chr01.result")); err != nil {
+	if _, err := os.Stat(storedPath(jdir, base["chr01.fa"])); err != nil {
 		t.Fatalf("checkpointed output missing after faulted Final: %v", err)
 	}
 	// Tamper one checkpointed output: recovery must detect the digest
 	// mismatch and recompute that chromosome rather than serve bad bytes.
-	if err := os.WriteFile(filepath.Join(workdir, "chr02.result"), []byte("tampered\n"), 0o644); err != nil {
+	if err := os.WriteFile(storedPath(jdir, base["chr02.fa"]), []byte("tampered\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,13 +121,13 @@ func TestServiceJournalRecovery(t *testing.T) {
 	drainT(t, srvB)
 
 	// The recovered job finalized durably this time: a third incarnation
-	// has nothing to recover, and the job's dirs are gone.
+	// has nothing to recover, and sweeps its stored chromosomes.
 	srvC, _ := newTestServer(t, Config{Workers: 1, JournalDir: jdir})
-	if st := srvC.Statz(); st.RecoveredJobs != 0 {
-		t.Fatalf("third open recovered %d jobs, want 0", st.RecoveredJobs)
+	if st := srvC.Statz(); st.RecoveredJobs != 0 || st.Store.Files != 0 {
+		t.Fatalf("third open recovered %d jobs and kept %d stored files, want 0 and 0", st.RecoveredJobs, st.Store.Files)
 	}
-	if _, err := os.Stat(workdir); !os.IsNotExist(err) {
-		t.Errorf("work dir survived durable finalize: %v", err)
+	if ents, err := os.ReadDir(filepath.Join(jdir, "store")); err != nil || len(ents) != 0 {
+		t.Errorf("store holds %d files (%v) after a durable finalize and a restart", len(ents), err)
 	}
 }
 
@@ -327,11 +336,11 @@ func TestServiceJournalConcurrentSubmissions(t *testing.T) {
 }
 
 // TestServiceJournalChromFault: a failed write of one chromosome's output
-// costs only that chromosome's durability. With chr01's write and the
-// job's final append failing, the job ends done in-process, stays pending,
-// and its work dir holds the two outputs that were made durable and
-// nothing else — no manifest, no temp file. After the restart only chr01
-// recomputes.
+// costs only that chromosome's durability. With chr01's chrom record and
+// the job's final append failing, the job ends done in-process and stays
+// pending with only chr02 and chr03 named; chr01's stored file serves the
+// first process's clients but is no one's after a restart, whose sweep
+// removes it, and only chr01 recomputes.
 func TestServiceJournalChromFault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")
@@ -343,25 +352,29 @@ func TestServiceJournalChromFault(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
 	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
 
-	fs := failing(anyOf(writeOf("chr01.result"), appendOf(journal.KindFinal, "j1")))
+	fs := failing(anyOf(chromOf("j1", "chr01.fa"), appendOf(journal.KindFinal, "j1")))
 	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalDir: jdir, fs: fs})
 	id := postJob(t, tsA, spec)
-	if _, state := readStream(t, tsA, id); state != StateDone {
-		t.Fatalf("first run state %q, want done", state)
+	if recs, state := readStream(t, tsA, id); state != StateDone || !bytes.Equal(recs["chr01.fa"].OutputB64, base["chr01.fa"]) {
+		t.Fatalf("first run state %q, want done with chr01's bytes", state)
 	}
 	tsA.Close()
 	drainT(t, srvA)
 
-	ents, err := os.ReadDir(filepath.Join(jdir, "work", id))
+	jn, err := journal.Open(journal.Config{Dir: jdir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var files []string
-	for _, e := range ents {
-		files = append(files, e.Name())
+	var named []string
+	for name, c := range jn.Pending()[0].Chroms {
+		if c.SHA256 != filepath.Base(storedPath(jdir, base[name])) {
+			t.Errorf("%s: chrom record names %s, not its stored text", name, c.SHA256)
+		}
+		named = append(named, name)
 	}
-	if strings.Join(files, " ") != "chr02.result chr03.result" {
-		t.Fatalf("work dir holds %v, want only the durable outputs chr02.result chr03.result", files)
+	jn.Close()
+	if slices.Sort(named); strings.Join(named, " ") != "chr02.fa chr03.fa" {
+		t.Fatalf("the WAL names %v, want only the durable chr02.fa chr03.fa", named)
 	}
 
 	var dispatches atomic.Int64

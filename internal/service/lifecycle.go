@@ -57,6 +57,11 @@ type jobState struct {
 	counted  bool
 	taskUnit []int
 
+	// holds counts, under Server.mu, who can still read the stream: the
+	// registry, each client streaming it and each follower tailing it. The
+	// last to let go releases the stream's store references.
+	holds int
+
 	mu       sync.Mutex
 	chroms   []ChromStatus
 	stream   []logRecord
@@ -94,6 +99,7 @@ func (s *Server) admit(js *jobState, executes bool) error {
 		return ErrQueueFull
 	}
 	s.jobs[js.id] = js
+	js.holds++
 	if executes {
 		s.active++
 		js.counted = true
@@ -108,27 +114,40 @@ func (s *Server) admit(js *jobState, executes bool) error {
 // and go to the pool, after replaying whatever chromosomes a previous
 // incarnation journaled. An error means the job was refused; it has
 // then been finished as failed, which journals the refusal, removes its
-// directories and resolves any follower that joined it in the meantime.
+// spool directory and resolves any follower that joined it in the meantime.
 func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) error {
 	js.chroms = make([]ChromStatus, len(units))
 	for i, u := range units {
 		js.chroms[i].Name, js.chroms[i].State = u.Name, StatePending
 	}
+	// unwind lets go of what the chosen sources hold when the job is
+	// refused before they run.
+	unwind := func() {}
 	refuse := func(err error) error {
+		unwind()
 		s.finish(js, StateFailed)
 		return err
 	}
 
 	var sources []source
 	if s.cache != nil && digests != nil {
-		key := jobKey(js.spec.Options, digests)
+		key, joinedID := jobKey(js.spec.Options, digests), ""
+		s.mu.Lock()
 		if cj, ok := s.cache.Get(key); ok {
+			s.acquire(cj.records)
 			sources = []source{replay(cj.records, StateCached)}
+			unwind = func() { s.release(cj.records) }
 		} else if leader, joined := s.flights.Begin(key, js); joined {
-			sources = []source{tail(leader)}
-			s.cfg.Logf("job %s: joined identical in-flight job %s (single-flight)", js.id, leader.id)
+			leader.holds++
+			sources = []source{s.tail(leader)}
+			unwind = func() { s.unhold(leader) }
+			joinedID = leader.id
 		} else {
 			js.key = key
+		}
+		s.mu.Unlock()
+		if joinedID != "" {
+			s.cfg.Logf("job %s: joined identical in-flight job %s (single-flight)", js.id, joinedID)
 		}
 	}
 	executes := sources == nil
@@ -140,14 +159,14 @@ func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) e
 		var rest []genomejob.Unit
 		for i, u := range units {
 			if c, ok := js.durable[u.Name]; ok {
-				// Read once, checked against the recorded digest and encoded
-				// once; a tampered, torn or unreadable output just runs again.
-				out, err := s.journal.ReadChrom(js.id, c)
+				// Hashed as a stream against its digest, never read into
+				// memory; a tampered, torn or missing file just runs again.
+				out, err := s.store.adopt(c.SHA256)
 				if err == nil {
 					checkpointed = append(checkpointed, logRecord{
 						StreamRecord: StreamRecord{Index: i, Recovered: true,
 							Outcome: genomejob.Outcome{Name: u.Name, State: StateOK, Sites: c.Sites}},
-						b64: s.encodeOutput(out),
+						out: out,
 					})
 					continue
 				}
@@ -160,6 +179,7 @@ func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) e
 		// the first task: the dequeue hook looks the job up by id.
 		handle, err := s.pool.Submit(js.id, buildTasks(js.spec.Options, rest))
 		if err != nil {
+			unwind = func() { s.release(checkpointed) }
 			return refuse(err)
 		}
 		if js.recovered {
@@ -193,7 +213,8 @@ func (s *Server) run(js *jobState, sources ...source) {
 
 // publish appends one chromosome record to the job's stream under the
 // job's own id: status table, log, wake-up. It is the only appender
-// besides finish's Final record.
+// besides finish's Final record, and the job takes over the store
+// reference rec carries.
 func (js *jobState) publish(rec logRecord) {
 	rec.Job = js.id
 	js.mu.Lock()
@@ -212,19 +233,24 @@ func (js *jobState) publish(rec logRecord) {
 //
 //  1. the terminal state is journaled — before done closes, because Drain
 //     treats a closed done as "settled" and may then close the journal —
-//     and the job's spool and work directories are removed (by Final, for a
-//     journaled job): a client that has read the Final record must not find
-//     them, and everything it can ask for is in the stream by now. If the
-//     append fails the job stays pending in the WAL and its directories are
-//     kept, so a restart re-runs it from its durable chromosomes instead of
-//     finding its inputs gone;
+//     and the job's spool directory is removed (by Final, for a journaled
+//     job): a client that has read the Final record must not find it, and
+//     everything it can ask for is in the stream by now. If the append
+//     fails the job stays pending in the WAL and its spool is kept, so a
+//     restart re-runs it from its durable chromosomes instead of finding
+//     its inputs gone;
 //  2. a flight leader's clean result enters the cache. Partial, failed and
 //     cancelled runs never do — their bytes are not the configuration's
 //     true result — and must recompute;
-//  3. the Final record becomes visible and done closes;
-//  4. the flight is released. The Put of step 2 came first, so an identical
+//  3. a registered job makes room for itself in the finished list: the
+//     oldest finished jobs past maxFinishedJobs are forgotten, and what only
+//     they held is released;
+//  4. the Final record becomes visible and done closes;
+//  5. the flight is released. The Put of step 2 came first, so an identical
 //     submission arriving at any moment either joins the open flight or hits
 //     the cache; there is no window in which it re-executes a clean run.
+//     Only then does the job join the finished list, so a job is never
+//     forgotten while a follower can still join it.
 func (s *Server) finish(js *jobState, state string) {
 	if js.journalSeq == 0 {
 		s.removeDir("job "+js.id+" spool dir", js.dir)
@@ -242,14 +268,32 @@ func (s *Server) finish(js *jobState, state string) {
 			recs[i].Job, recs[i].Recovered = "", false
 		}
 		cj := cachedJob{records: recs}
-		if !s.cache.Put(js.key, cj, cj.size()) {
+		s.mu.Lock()
+		s.acquire(recs)
+		cached := s.cache.Put(js.key, cj, cj.size())
+		if !cached {
+			s.release(recs)
+		}
+		s.mu.Unlock()
+		if !cached {
 			s.cfg.Logf("job %s: result (%d bytes) exceeds the cache budget, not cached", js.id, cj.size())
 		}
 	}
+	var forgotten []*jobState
+	s.mu.Lock()
 	if js.counted {
-		s.mu.Lock()
 		s.active--
-		s.mu.Unlock()
+	}
+	registered := s.jobs[js.id] == js
+	for registered && len(s.finished) >= maxFinishedJobs {
+		forgotten = append(forgotten, s.finished[0])
+		delete(s.jobs, s.finished[0].id)
+		s.finished[0] = nil // the backing array must not keep it alive
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
+	for _, old := range forgotten {
+		s.unhold(old) // the registry's hold
 	}
 	js.mu.Lock()
 	js.state = state
@@ -260,9 +304,14 @@ func (s *Server) finish(js *jobState, state string) {
 	close(js.notify)
 	js.mu.Unlock()
 	close(js.done)
+	s.mu.Lock()
 	if js.key != "" {
 		s.flights.End(js.key)
 	}
+	if registered {
+		s.finished = append(s.finished, js)
+	}
+	s.mu.Unlock()
 	js.cancel(nil)
 	s.cfg.Logf("job %s: %s", js.id, state)
 }
@@ -318,9 +367,11 @@ func replay(records []logRecord, state string) source {
 // leader has emitted, then its live completions until it finishes. A clean
 // leader resolves the follower as "cached"; any other outcome — including
 // a leader refused before it emitted a record — is mirrored verbatim.
-// Cancelling the follower ends the tail without touching the leader.
-func tail(leader *jobState) source {
+// Cancelling the follower ends the tail without touching the leader. The
+// follower holds the leader (start took the hold) until the tail ends.
+func (s *Server) tail(leader *jobState) source {
 	return func(js *jobState) string {
+		defer s.unhold(leader)
 		state := ""
 		// The only error is the follower's own cancellation, which run
 		// reads off js.ctx; state is then still "".
@@ -329,6 +380,7 @@ func tail(leader *jobState) source {
 				if rec.Final {
 					state = rec.State
 				} else {
+					s.store.acquire(rec.out)
 					js.publish(rec)
 				}
 			}
@@ -342,10 +394,9 @@ func tail(leader *jobState) source {
 }
 
 // pooled drains the job's pool results: the only source that makes new
-// bytes, so the only one that persists them, and the place they are
-// encoded. Cancelling the job cancels its pool tasks — undispatched
-// chromosomes resolve as skipped, running ones abort at their next window
-// boundary.
+// bytes, so the only one that stores them, and the place they are encoded.
+// Cancelling the job cancels its pool tasks — undispatched chromosomes
+// resolve as skipped, running ones abort at their next window boundary.
 func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 	return func(js *jobState) string {
 		stop := context.AfterFunc(js.ctx, func() { handle.Cancel(context.Cause(js.ctx)) })
@@ -354,24 +405,61 @@ func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 			rec := logRecord{StreamRecord: StreamRecord{
 				Index: js.taskUnit[r.Index], Outcome: genomejob.Classify(r.Result, r.Value.res),
 			}}
-			// Durable-before-visible: a clean chromosome is journaled before
-			// its record publishes; a failure only means it recomputes after a
-			// restart. Partial results never are journaled — they must
-			// recompute, same as the CLI's -resume.
-			if rec.State == StateOK && js.journalSeq != 0 {
-				c := journal.Chrom{File: js.spec.OutName(rec.Name), Sites: rec.Sites}
-				if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c, r.Value.output.Bytes()); err != nil {
-					s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)
+			if out := r.Value.output; out != nil {
+				ref, err := s.store.put(s.encodeOutput(out.Bytes()))
+				// Stored: nothing refers to the raw bytes now.
+				outBufs.Put(out)
+				rec.out = ref
+				if err != nil {
+					// Without its file there is nothing to serve: the
+					// chromosome fails, and a resubmission recomputes it.
+					rec.Outcome = genomejob.Outcome{Name: rec.Name, State: StateFailed, Attempts: rec.Attempts,
+						WallMS: rec.WallMS, Error: "storing the result: " + err.Error()}
 				}
 			}
-			if out := r.Value.output; out != nil {
-				rec.b64 = s.encodeOutput(out.Bytes())
-				// Journaled and encoded: nothing refers to the raw bytes now.
-				outBufs.Put(out)
+			// Durable-before-visible: a clean chromosome's stored file is
+			// named in the journal before its record publishes; a failure
+			// only means it recomputes after a restart. Partial results never
+			// are journaled — they must recompute, same as the CLI's -resume.
+			if rec.State == StateOK && js.journalSeq != 0 {
+				c := journal.Chrom{File: js.spec.OutName(rec.Name), SHA256: rec.out.digest, Sites: rec.Sites}
+				if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c); err != nil {
+					s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)
+				}
 			}
 			js.publish(rec)
 		}
 		return ""
+	}
+}
+
+// acquire takes a store reference for each of recs' payloads.
+func (s *Server) acquire(recs []logRecord) {
+	for i := range recs {
+		s.store.acquire(recs[i].out)
+	}
+}
+
+// release drops a store reference for each of recs' payloads.
+func (s *Server) release(recs []logRecord) {
+	for i := range recs {
+		s.store.release(recs[i].out)
+	}
+}
+
+// unhold lets go of one hold on js; the last releases its stream's store
+// references. Nothing can hold js again by then: it has left the registry
+// and its flight.
+func (s *Server) unhold(js *jobState) {
+	s.mu.Lock()
+	js.holds--
+	last := js.holds == 0
+	s.mu.Unlock()
+	if last {
+		js.mu.Lock()
+		recs := js.stream
+		js.mu.Unlock()
+		s.release(recs)
 	}
 }
 

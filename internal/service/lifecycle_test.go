@@ -72,7 +72,7 @@ type lifecycleFixture struct {
 // combination of sources a job can have. The moment the Final record is
 // visible — followLog returns in the test's goroutine, while finish may
 // still be running in the job's — the WAL already holds the job's final
-// entry, its spool and work directories are gone and a clean leader's
+// entry, its spool directory is gone and a clean leader's
 // result is in the cache, so an identical submission made right then is a
 // cache hit: it neither joins the closing flight nor executes.
 func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
@@ -129,7 +129,8 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 			drainT(t, srvA)
 			// One tampered checkpoint: incarnation B replays two
 			// chromosomes and pools the third.
-			if err := os.WriteFile(filepath.Join(jdir, "work", id, "chr02.result"), []byte("tampered\n"), 0o644); err != nil {
+			base := serialBaseline(t, dir, genomejob.Options{Engine: "gsnp-cpu", Format: "soap", Window: 256})
+			if err := os.WriteFile(storedPath(jdir, base["chr02.fa"]), []byte("tampered\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			cfg, dequeues := dequeueCounter(Config{Workers: 1, JournalDir: jdir})
@@ -161,10 +162,8 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 			if !walHasFinal(t, f.jdir, f.id) {
 				t.Error("Final record visible before the WAL holds the job's final entry")
 			}
-			for _, sub := range []string{"spool", "work"} {
-				if _, err := os.Stat(filepath.Join(f.jdir, sub, f.id)); !os.IsNotExist(err) {
-					t.Errorf("%s dir still there when the Final record is visible (stat: %v)", sub, err)
-				}
+			if _, err := os.Stat(filepath.Join(f.jdir, "spool", f.id)); !os.IsNotExist(err) {
+				t.Errorf("spool dir still there when the Final record is visible (stat: %v)", err)
 			}
 			before := f.srv.Statz()
 			if before.Cache.Puts != f.puts {

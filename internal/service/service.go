@@ -48,7 +48,7 @@ type Config struct {
 	// JournalDir enables crash durability: every accepted job is
 	// journaled (write-ahead, fsync'd) before it is acknowledged,
 	// uploaded inputs spool under the journal so they survive restarts,
-	// each clean chromosome is journaled (output file + chrom record)
+	// each clean chromosome is journaled (stored file + chrom record)
 	// before it is published, and New replays the journal to re-enqueue
 	// jobs a crash interrupted — journaled chromosomes are served, not
 	// re-executed, and outputs stay byte-identical to an uninterrupted
@@ -70,7 +70,8 @@ type Config struct {
 	OnDequeue func(job string, index int)
 	// CacheBytes bounds the content-addressed result cache (0 selects
 	// 256 MiB). Completed jobs' stream records are retained up to this
-	// budget, charged at the length of their base64 text, and replayed
+	// budget, charged at the length of the base64 text they keep in the
+	// result store, so it bounds the disk the cache pins, and replayed
 	// exactly for identical resubmissions.
 	CacheBytes int64
 	// CacheOff disables the result cache and single-flight dedup: every
@@ -84,8 +85,7 @@ type Config struct {
 }
 
 // chromResult is one chromosome's in-memory outcome inside the pool. output
-// comes from outBufs; pooled returns it once the bytes are journaled and
-// encoded.
+// comes from outBufs; pooled returns it once the bytes are stored.
 type chromResult struct {
 	output *bytes.Buffer
 	res    genomejob.Result
@@ -97,8 +97,9 @@ type chromResult struct {
 var outBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // cachedJob is one completed job's replayable output: its chromosome
-// stream records (Job field cleared; rewritten to the new id on replay).
-// Records are immutable once cached.
+// stream records (Job field cleared; rewritten to the new id on replay),
+// each holding a reference to its stored text. Records are immutable once
+// cached.
 type cachedJob struct {
 	records []logRecord
 }
@@ -108,15 +109,20 @@ type cachedJob struct {
 // tracks real memory, not just payload bytes.
 const recordOverhead = 128
 
-// size is the cache byte charge for a cached job: the kept text, which is
-// all the entry holds of a payload, plus the per-record overhead.
+// size is the cache byte charge for a cached job: the stored text the
+// entry pins, plus the per-record overhead.
 func (cj cachedJob) size() int64 {
 	n := int64(0)
 	for _, r := range cj.records {
-		n += recordOverhead + int64(len(r.b64)) + int64(len(r.Name)) + int64(len(r.Error))
+		n += recordOverhead + int64(r.out.n) + int64(len(r.Name)) + int64(len(r.Error))
 	}
 	return n
 }
+
+// maxFinishedJobs is how many finished jobs the registry remembers; past
+// it, the oldest finished job is forgotten (404) and its stream's store
+// references are released.
+const maxFinishedJobs = 100
 
 // Server owns the shared worker pool and the job registry.
 type Server struct {
@@ -127,6 +133,9 @@ type Server struct {
 	// journal is the crash-durability WAL; nil unless Config.JournalDir
 	// is set.
 	journal *journal.Journal
+	// store holds every payload the server serves, under the journal
+	// directory, else under the spool root.
+	store *store
 
 	// cache and flights are nil when Config.CacheOff is set. cache maps a
 	// job's content key to its recorded stream; flights tracks in-flight
@@ -134,8 +143,14 @@ type Server struct {
 	cache   *resultcache.Cache[cachedJob]
 	flights *resultcache.Flights[*jobState]
 
-	mu       sync.Mutex
-	jobs     map[string]*jobState
+	// mu guards the registry and every job's holds. A cache lookup and
+	// the references it takes, a cache store and its evictions, and a
+	// single-flight join and its hold on the leader each happen under it,
+	// so no release can come between finding a record and referencing it.
+	mu   sync.Mutex
+	jobs map[string]*jobState
+	// finished lists the registered finished jobs, oldest first.
+	finished []*jobState
 	seq      int
 	draining bool
 	// active counts admitted jobs that execute and have not finished — the
@@ -145,8 +160,8 @@ type Server struct {
 	// recoveredN counts jobs re-admitted from the journal this process.
 	recoveredN uint64
 
-	// encodes counts encodeOutput's calls: one per chromosome payload that
-	// entered this process.
+	// encodes counts encodeOutput's calls: one per chromosome payload a
+	// pool task made.
 	encodes atomic.Int64
 }
 
@@ -177,9 +192,11 @@ func New(cfg Config) (*Server, error) {
 			cfg.CacheBytes = 256 << 20
 		}
 		s.cfg.CacheBytes = cfg.CacheBytes
-		s.cache = resultcache.New[cachedJob](cfg.CacheBytes)
+		s.cache = resultcache.NewEvicting(cfg.CacheBytes, func(cj cachedJob) { s.release(cj.records) })
 		s.flights = resultcache.NewFlights[*jobState]()
 	}
+	root := cfg.SpoolDir
+	keep := map[string]bool{} // the stored files pending jobs name
 	switch {
 	case cfg.JournalDir != "":
 		jn, err := journal.Open(journal.Config{Dir: cfg.JournalDir, FS: cfg.fs, Logf: cfg.Logf})
@@ -191,7 +208,13 @@ func New(cfg Config) (*Server, error) {
 		// The journal owns the spool: uploaded inputs must survive a
 		// restart, so they live in named per-job directories under the
 		// journal.
-		s.spool = filepath.Join(cfg.JournalDir, "spool")
+		root = cfg.JournalDir
+		s.spool = filepath.Join(root, "spool")
+		for _, e := range jn.Pending() {
+			for _, c := range e.Chroms {
+				keep[c.SHA256] = true
+			}
+		}
 	case cfg.SpoolDir != "":
 		if err := cfg.fs.MkdirAll(cfg.SpoolDir); err != nil {
 			return nil, err
@@ -200,6 +223,14 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, errors.New("service: Config needs a JournalDir or a SpoolDir")
 	}
+	st, err := openStore(cfg.fs, filepath.Join(root, "store"), keep, cfg.Logf)
+	if err != nil {
+		if s.journal != nil {
+			s.journal.Close()
+		}
+		return nil, err
+	}
+	s.store = st
 	s.pool = sched.NewPool[chromResult, *genomejob.Worker](sched.PoolConfig{
 		Workers:   cfg.Workers,
 		Policy:    genomejob.Policy(cfg.Retries, cfg.RetryBackoff, cfg.TaskTimeout),
@@ -264,7 +295,7 @@ type StreamRecord struct {
 	// OutputB64 carries the chromosome's result bytes (text rows, or the
 	// compressed container under Compress), base64 on the wire. The server
 	// leaves it empty in the records it keeps and writes the text it
-	// encoded once in its place (logRecord); a client decodes it as usual.
+	// stored once in its place (logRecord); a client decodes it as usual.
 	OutputB64 []byte `json:"output_b64,omitempty"`
 	// Final marks the job summary line that terminates the stream. Its
 	// State is the job's final state; "cached" identifies a stream served
@@ -408,7 +439,7 @@ func jobKey(opts genomejob.Options, digests []string) string {
 }
 
 // removeDir removes a directory tree, logging (not discarding) removal
-// failures: a leftover spool or work directory is leaked disk the
+// failures: a leftover spool directory is leaked disk the
 // operator should hear about, and the failure mode (EACCES, busy mounts)
 // is actionable. An empty path is a no-op.
 func (s *Server) removeDir(what, dir string) {
@@ -505,6 +536,8 @@ type Statz struct {
 	// SingleFlightJoins counts submissions served by joining an identical
 	// in-flight job instead of executing.
 	SingleFlightJoins uint64 `json:"single_flight_joins"`
+	// Store counts the result store's files and their bytes on disk.
+	Store StoreStats `json:"store"`
 }
 
 // Statz snapshots the serving counters.
@@ -516,6 +549,7 @@ func (s *Server) Statz() Statz {
 		JournalEnabled: s.journal != nil, RecoveredJobs: s.recoveredN,
 	}
 	s.mu.Unlock()
+	st.Store = s.store.snapshot()
 	if s.cache != nil {
 		st.CacheEnabled = true
 		st.Cache = s.cache.Stats()

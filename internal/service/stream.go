@@ -8,20 +8,19 @@ import (
 )
 
 // logRecord is one record of a job's stream as the server keeps it: the
-// wire record with OutputB64 left empty, and b64, the base64 text of the
-// chromosome's bytes. b64 is immutable and shared by every job that
-// replays or mirrors the record, so a cache replay, a single-flight
-// follower and every extra subscriber only copy it.
+// wire record with OutputB64 left empty, and out, a reference to the
+// base64 text of the chromosome's bytes in the result store. Every job
+// that replays or mirrors the record refers to the same file, and every
+// subscriber writes it from a mapping of that file.
 type logRecord struct {
 	StreamRecord
-	b64 []byte
+	out ref
 }
 
 // encodeOutput returns the base64 text of a chromosome's result bytes, in
 // exactly as many bytes as it needs. It is the only place the service
-// encodes a payload, called where the bytes enter the process: a pool
-// result in pooled, a durable chromosome read back in start. It counts its
-// calls.
+// encodes a payload, called where the bytes enter the process — a pool
+// result in pooled — and it counts its calls.
 func (s *Server) encodeOutput(raw []byte) []byte {
 	s.encodes.Add(1)
 	text := make([]byte, base64.StdEncoding.EncodedLen(len(raw)))
@@ -43,26 +42,27 @@ var (
 // lineWriter writes a job's stream records as NDJSON lines. Each line is
 // byte-identical to what json.Encoder with SetEscapeHTML(false) writes for
 // the wire record carrying the raw bytes: the record is encoded with a
-// one-byte placeholder payload — a small envelope — and the kept text is
-// written where the placeholder's text stood.
+// one-byte placeholder payload — a small envelope — and the stored text is
+// written, from its file's mapping, where the placeholder's text stood.
 type lineWriter struct {
 	w   io.Writer
+	st  *store
 	env bytes.Buffer
 	enc *json.Encoder
 }
 
-func newLineWriter(w io.Writer) *lineWriter {
-	lw := &lineWriter{w: w}
+func newLineWriter(w io.Writer, st *store) *lineWriter {
+	lw := &lineWriter{w: w, st: st}
 	lw.enc = json.NewEncoder(&lw.env)
 	lw.enc.SetEscapeHTML(false)
 	return lw
 }
 
-// write writes rec's line.
+// write writes rec's line; rec's payload must be held.
 func (lw *lineWriter) write(rec *logRecord) error {
 	env := rec.StreamRecord
 	env.OutputB64 = nil
-	if len(rec.b64) > 0 {
+	if rec.out.n > 0 {
 		env.OutputB64 = placeholder
 	}
 	lw.env.Reset()
@@ -70,15 +70,17 @@ func (lw *lineWriter) write(rec *logRecord) error {
 		return err
 	}
 	line := lw.env.Bytes()
-	if len(rec.b64) == 0 {
+	if rec.out.n == 0 {
 		_, err := lw.w.Write(line)
 		return err
 	}
 	at := bytes.Index(line, placeholderKey) + len(placeholderKey) - len(placeholderText)
-	for _, part := range [][]byte{line[:at], rec.b64, line[at+len(placeholderText):]} {
-		if _, err := lw.w.Write(part); err != nil {
-			return err
-		}
+	if _, err := lw.w.Write(line[:at]); err != nil {
+		return err
 	}
-	return nil
+	if err := lw.st.writeTo(lw.w, rec.out); err != nil {
+		return err
+	}
+	_, err := lw.w.Write(line[at+len(placeholderText):])
+	return err
 }

@@ -8,19 +8,33 @@ import (
 	"sync"
 	"testing"
 
+	"gsnp/internal/checkpoint"
 	"gsnp/internal/genomejob"
 )
 
-// FuzzStreamLine: for any record, the line lineWriter writes from the kept
-// text is the line json.Encoder (SetEscapeHTML(false)) writes for the wire
-// record carrying the raw bytes — over every combination of Final,
-// Recovered and the omitempty integers, with a nil, an empty and the drawn
-// payload.
+// testStore opens an empty result store in a temporary directory.
+func testStore(t testing.TB) *store {
+	t.Helper()
+	st, err := openStore(checkpoint.OS, filepath.Join(t.TempDir(), "store"), nil, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// FuzzStreamLine: for any record, the line lineWriter writes from the
+// stored text's file is the line json.Encoder (SetEscapeHTML(false))
+// writes for the wire record carrying the raw bytes — over every
+// combination of Final, Recovered and the omitempty integers, with no
+// payload, an empty one (an empty file) and the drawn one, single bytes
+// included.
 func FuzzStreamLine(f *testing.F) {
 	f.Add("j1", "chr1.fa", "ok", "", []byte("chr1\t1\tA\tA\t40\n"), 0, int64(12))
+	f.Add("j9", "chrX.fa", "ok", "", []byte{'\n'}, 9, int64(3))
 	f.Add("j\"2\\", "chr<2>&.fa", "fail\x00ed", "line\nbreak\ttab\r\b\f\x1f", []byte{}, -1, int64(-7))
 	f.Add("  ", "\xff\xfe", "partial", "bad utf-8 \xc3\x28 and \xe2\x82", []byte{0, 0xff, 0x80}, 23, int64(1)<<40)
 	f.Add("", "", "", "", bytes.Repeat([]byte{0xfb, 0xef, 'A', '\n'}, 1<<15), 1<<30, int64(0))
+	st := testStore(f)
 	f.Fuzz(func(t *testing.T, job, name, state, msg string, payload []byte, index int, n int64) {
 		enc := func(rec StreamRecord) []byte {
 			var buf bytes.Buffer
@@ -31,11 +45,17 @@ func FuzzStreamLine(f *testing.F) {
 			}
 			return buf.Bytes()
 		}
-		srv := new(Server)
+		srv := &Server{store: st}
 		var got bytes.Buffer
-		lw := newLineWriter(&got)
+		lw := newLineWriter(&got, st)
 		for _, raw := range [][]byte{nil, {}, payload} {
-			text := srv.encodeOutput(raw)
+			var out ref
+			if raw != nil { // a chromosome without output stores nothing
+				var err error
+				if out, err = st.put(srv.encodeOutput(raw)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for mask := 0; mask < 1<<7; mask++ {
 				pick := func(bit int) int {
 					if mask&(1<<bit) == 0 {
@@ -52,7 +72,7 @@ func FuzzStreamLine(f *testing.F) {
 					Final: mask&(1<<5) != 0, Recovered: mask&(1<<6) != 0,
 				}
 				got.Reset()
-				if err := lw.write(&logRecord{StreamRecord: rec, b64: text}); err != nil {
+				if err := lw.write(&logRecord{StreamRecord: rec, out: out}); err != nil {
 					t.Fatal(err)
 				}
 				rec.OutputB64 = raw
@@ -60,6 +80,7 @@ func FuzzStreamLine(f *testing.F) {
 					t.Fatalf("mask %#x, %d-byte payload:\n got %q\nwant %q", mask, len(raw), got.Bytes(), want)
 				}
 			}
+			st.release(out)
 		}
 	})
 }
@@ -114,8 +135,8 @@ func TestServiceEncodeOnce(t *testing.T) {
 }
 
 // TestServiceJournalRecoveryEncodesOnce: a restart that replays k durable
-// chromosomes encodes each once, while New recovers the job, and serving
-// the recovered job or its cache entry encodes nothing more.
+// chromosomes encodes none of them — it refers to their stored files — and
+// serving the recovered job or its cache entry encodes nothing either.
 func TestServiceJournalRecoveryEncodesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")
@@ -136,8 +157,8 @@ func TestServiceJournalRecoveryEncodesOnce(t *testing.T) {
 	const k = 3
 	cfg, dequeues := dequeueCounter(Config{Workers: 1, JournalDir: jdir})
 	srvB, tsB := newTestServer(t, cfg)
-	if n := srvB.encodes.Load(); n != k {
-		t.Errorf("%d payload encodes once New returned, want %d", n, k)
+	if n := srvB.encodes.Load(); n != 0 {
+		t.Errorf("%d payload encodes once New returned, want 0", n)
 	}
 	recs, state := readStream(t, tsB, id)
 	if state != StateDone || len(recs) != k {
@@ -146,8 +167,8 @@ func TestServiceJournalRecoveryEncodesOnce(t *testing.T) {
 	for _, id := range []string{id, postJob(t, tsB, spec), id} {
 		readStreamRaw(t, tsB, id)
 	}
-	if n, d := srvB.encodes.Load(), dequeues.Load(); n != k || d != 0 {
-		t.Errorf("%d payload encodes and %d dequeues after serving, want %d and 0", n, d, k)
+	if n, d := srvB.encodes.Load(), dequeues.Load(); n != 0 || d != 0 {
+		t.Errorf("%d payload encodes and %d dequeues after serving, want 0 and 0", n, d)
 	}
 }
 
@@ -163,10 +184,10 @@ func cacheCharge(recs map[string]StreamRecord, size func(raw []byte) int) int64 
 
 func textLen(raw []byte) int { return base64.StdEncoding.EncodedLen(len(raw)) }
 
-// TestServiceCacheChargesKeptText: the cache is charged for what it holds —
-// the base64 text of each payload plus the per-record overhead — so /statz
-// cache.bytes is exactly that sum, and a job whose text exceeds the budget
-// is rejected although its raw bytes would fit.
+// TestServiceCacheChargesKeptText: the cache is charged for what it pins —
+// the stored base64 text of each payload plus the per-record overhead — so
+// /statz cache.bytes is exactly that sum, and a job whose text exceeds the
+// budget is rejected although its raw bytes would fit.
 func TestServiceCacheChargesKeptText(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")

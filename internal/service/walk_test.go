@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,6 +179,19 @@ func writeOf(name string) func(fsOp) bool {
 	return func(op fsOp) bool { return op.kind == "write" && filepath.Base(op.path) == name }
 }
 
+// chromOf matches the append of the chrom record naming a job's chromosome.
+func chromOf(job, name string) func(fsOp) bool {
+	return func(op fsOp) bool {
+		_, ok := op.record().Chroms[name]
+		return appendOf(journal.KindChrom, job)(op) && ok
+	}
+}
+
+// inStore reports whether op changes a file of the result store.
+func inStore(op fsOp) bool {
+	return strings.Contains(op.path, string(filepath.Separator)+"store"+string(filepath.Separator))
+}
+
 func anyOf(picks ...func(fsOp) bool) func(fsOp) bool {
 	return func(op fsOp) bool {
 		for _, p := range picks {
@@ -212,9 +226,12 @@ func (c walkCase) submit(t *testing.T, srv *Server) *jobState {
 	return js
 }
 
-// settle waits for js to reach a terminal state, which must be done or
-// cached with every chromosome's bytes equal to the serial run's.
-func (c walkCase) settle(t *testing.T, js *jobState) {
+// settle waits for js, a job of srv, to reach a terminal state, which must
+// be done or cached with every chromosome's stored bytes equal to the
+// serial run's. With lossy — a server whose seam failed or died — a
+// chromosome may instead have failed because its result could not be
+// stored; the job then ends partial or failed, as a client would see it.
+func (c walkCase) settle(t *testing.T, srv *Server, js *jobState, lossy bool) {
 	t.Helper()
 	select {
 	case <-js.done:
@@ -224,30 +241,73 @@ func (c walkCase) settle(t *testing.T, js *jobState) {
 	js.mu.Lock()
 	state, recs := js.state, js.stream
 	js.mu.Unlock()
-	if state != StateDone && state != StateCached {
-		t.Fatalf("job %s ended %q, want done or cached", js.id, state)
-	}
-	n := 0
+	n, lost := 0, 0
 	for _, r := range recs {
 		if r.Final {
 			continue
 		}
 		n++
-		if string(r.b64) != base64.StdEncoding.EncodeToString(c.base[r.Name]) {
+		if lossy && r.State == StateFailed && strings.HasPrefix(r.Error, "storing the result: ") {
+			lost++
+			continue
+		}
+		if string(storedText(t, srv, r.out)) != base64.StdEncoding.EncodeToString(c.base[r.Name]) {
 			t.Errorf("job %s: %s differs from the serial run", js.id, r.Name)
 		}
 	}
 	if n != c.chroms {
 		t.Errorf("job %s streamed %d chromosomes, want %d", js.id, n, c.chroms)
 	}
+	if ok := state == StateDone || state == StateCached; ok != (lost == 0) {
+		t.Fatalf("job %s ended %q with %d chromosomes it could not store", js.id, state, lost)
+	}
+}
+
+// storedText reads the payload r names from srv's store.
+func storedText(t testing.TB, srv *Server, r ref) []byte {
+	t.Helper()
+	if r.n == 0 {
+		return nil
+	}
+	text, err := os.ReadFile(srv.store.path(r.digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+// storeOwned checks that srv's store directory holds exactly the files
+// srv references, no orphan and no dangling reference.
+func storeOwned(t testing.TB, srv *Server) {
+	t.Helper()
+	ents, err := os.ReadDir(srv.store.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk, held []string
+	for _, e := range ents {
+		onDisk = append(onDisk, e.Name())
+	}
+	srv.store.mu.Lock()
+	for d, f := range srv.store.files {
+		if f.durable && f.refs > 0 {
+			held = append(held, d)
+		}
+	}
+	srv.store.mu.Unlock()
+	slices.Sort(held)
+	if !slices.Equal(onDisk, held) {
+		t.Errorf("store holds %v, references %v", onDisk, held)
+	}
 }
 
 // pendingJob leaves job j1 pending in a journal under jdir: done in its
-// process, its first chromosome never made durable and its final record
-// never written — what a crash after the job's last chromosome leaves.
+// process, its first chromosome stored but never named in the WAL and its
+// final record never written — what a crash after the job's last
+// chromosome leaves, with an orphan in the store.
 func (c walkCase) pendingJob(t *testing.T, jdir string) {
 	t.Helper()
-	fs := failing(anyOf(writeOf("chr01.result"), appendOf(journal.KindFinal, "j1")))
+	fs := failing(anyOf(chromOf("j1", "chr01.fa"), appendOf(journal.KindFinal, "j1")))
 	srv, err := New(Config{Workers: 1, JournalDir: jdir, fs: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -256,15 +316,15 @@ func (c walkCase) pendingJob(t *testing.T, jdir string) {
 	if js == nil {
 		t.Fatal("setup job refused")
 	}
-	c.settle(t, js)
+	c.settle(t, srv, js, false)
 	drainT(t, srv)
 }
 
-// run drives the case's lifecycle on a server whose seam follows script —
-// from the journal's Open for a recovered job, from the first submission
-// otherwise — then restarts on the os seam and checks what a crash or a
-// failed operation must never break. It returns the number of operations
-// the first server made, and without a script logs them.
+// run drives the case's lifecycle on a server whose seam follows script
+// from the journal's Open and the store's sweep on, then restarts on the os
+// seam and checks what a crash or a failed operation must never break. It
+// returns the number of operations the first server made, and without a
+// script logs them.
 func (c walkCase) run(t *testing.T, script func(int, fsOp) fate) int {
 	jdir := filepath.Join(t.TempDir(), "journal")
 	release := make(chan struct{})
@@ -275,7 +335,7 @@ func (c walkCase) run(t *testing.T, script func(int, fsOp) fate) int {
 		// The leader's first chromosome waits until the follower is in, so
 		// the follower always joins a running leader.
 		fs.gate = func(op fsOp) {
-			if op.kind == "write" && strings.Contains(op.path, string(filepath.Separator)+"work"+string(filepath.Separator)) {
+			if op.kind == "write" && inStore(op) {
 				<-release
 			}
 		}
@@ -286,8 +346,8 @@ func (c walkCase) run(t *testing.T, script func(int, fsOp) fate) int {
 	if c.life == "recovered" {
 		c.pendingJob(t, jdir)
 		acked = []string{"j1"}
-		fs.arm(script)
 	}
+	fs.arm(script)
 	srvA, err := New(Config{Workers: 1, JournalDir: jdir, fs: fs})
 	if err == nil {
 		var jobs []*jobState
@@ -302,23 +362,20 @@ func (c walkCase) run(t *testing.T, script func(int, fsOp) fate) int {
 			ack(srvA.jobs["j1"])
 			srvA.mu.Unlock()
 		case "cold":
-			fs.arm(script)
 			ack(c.submit(t, srvA))
 		case "cached":
-			fs.arm(script)
 			if js := c.submit(t, srvA); js != nil {
 				ack(js)
-				c.settle(t, js)
+				c.settle(t, srvA, js, script != nil)
 			}
 			ack(c.submit(t, srvA))
 		case "joined":
-			fs.arm(script)
 			ack(c.submit(t, srvA))
 			ack(c.submit(t, srvA))
 			releaseLeader()
 		}
 		for _, js := range jobs {
-			c.settle(t, js)
+			c.settle(t, srvA, js, script != nil)
 			if c.life != "recovered" {
 				acked = append(acked, js.id)
 			}
@@ -349,7 +406,7 @@ func (c walkCase) run(t *testing.T, script func(int, fsOp) fate) int {
 		srvB.mu.Unlock()
 		switch {
 		case js != nil:
-			c.settle(t, js)
+			c.settle(t, srvB, js, false)
 		case !finals[id]:
 			t.Errorf("acknowledged job %s neither ended durably nor recovered", id)
 		}
@@ -360,38 +417,46 @@ func (c walkCase) run(t *testing.T, script func(int, fsOp) fate) int {
 	if js == nil {
 		t.Fatal("resubmission refused")
 	}
-	c.settle(t, js)
+	c.settle(t, srvB, js, false)
 	if n := dequeues.Load(); n > int64(c.chroms) {
 		t.Errorf("the restarted server executed %d chromosomes for a %d-chromosome job", n, c.chroms)
 	}
 	drainT(t, srvB)
+	storeOwned(t, srvB)
 
-	for _, sub := range []string{"spool", "work"} {
-		if ents, err := os.ReadDir(filepath.Join(jdir, sub)); err != nil || len(ents) != 0 {
-			t.Errorf("%s holds %d entries (%v) with no job pending", sub, len(ents), err)
-		}
+	if ents, err := os.ReadDir(filepath.Join(jdir, "spool")); err != nil || len(ents) != 0 {
+		t.Errorf("spool holds %d entries (%v) with no job pending", len(ents), err)
 	}
-	jn, err := journal.Open(journal.Config{Dir: jdir})
+	// A third start finds nothing pending and sweeps the store empty.
+	srvC, err := New(Config{Workers: 1, JournalDir: jdir})
 	if err != nil {
 		t.Fatalf("the WAL does not reopen after recovery: %v", err)
 	}
-	if p := jn.Pending(); len(p) != 0 {
-		t.Errorf("%d job(s) still pending after every job settled", len(p))
+	if n := srvC.Statz().RecoveredJobs; n != 0 {
+		t.Errorf("%d job(s) still pending after every job settled", n)
 	}
-	jn.Close()
+	if ents, err := os.ReadDir(srvC.store.dir); err != nil || len(ents) != 0 {
+		t.Errorf("store holds %d files (%v) after a restart with no job pending", len(ents), err)
+	}
+	drainT(t, srvC)
 	return len(ops)
 }
 
-// TestServiceJournalCrashWalk walks every operation a job makes through the
-// durable-write seam, over its cold, cached, joined and recovered
-// lifecycles, with one and three chromosomes, from a genome directory and
-// from uploaded inputs. At each operation k it runs twice: once failing
-// operation k, once dying at it (a torn append, nothing after). A fresh
+// TestServiceJournalCrashWalk walks every operation a server makes through
+// the durable-write seam — the journal's Open and the store's sweep, then
+// every spool, store and WAL operation of a job — over its cold, cached,
+// joined and recovered lifecycles, with one and three chromosomes, from a
+// genome directory and from uploaded inputs. At each operation k it runs
+// twice: once failing operation k, once dying at it (a torn append,
+// nothing after). The first server's jobs settle with the serial run's
+// bytes, except chromosomes whose result it could not store. A fresh
 // server on the os seam then reopens the same journal, and every
-// acknowledged job settles done or cached with the serial run's bytes, no
-// spool or work directory outlives its job, the WAL reopens, and an
-// identical resubmission executes at most once. (A directory fsync that a
-// power cut would lose is beyond what a process-level walk can observe.)
+// acknowledged job settles done or cached with the serial run's bytes, an
+// identical resubmission executes at most once, no spool directory
+// outlives its job, the store holds exactly the files the server
+// references, and a third start recovers nothing and sweeps the store
+// empty. (A directory fsync that a power cut would lose is beyond what a
+// process-level walk can observe.)
 func TestServiceJournalCrashWalk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")

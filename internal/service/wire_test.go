@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -89,12 +91,16 @@ func TestWireDocumentsPinned(t *testing.T) {
 	final := StreamRecord{Job: "j7", Index: -1, Outcome: genomejob.Outcome{State: StatePartial}, Final: true, Recovered: true}
 
 	t.Run("stream", func(t *testing.T) {
-		srv := new(Server)
+		srv := &Server{store: testStore(t)}
 		for name, rec := range map[string]StreamRecord{"stream_chrom.ndjson": chrom, "stream_final.ndjson": final} {
 			var buf bytes.Buffer
-			kept := logRecord{StreamRecord: rec, b64: srv.encodeOutput(rec.OutputB64)}
+			out, err := srv.store.put(srv.encodeOutput(rec.OutputB64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := logRecord{StreamRecord: rec, out: out}
 			kept.OutputB64 = nil
-			if err := newLineWriter(&buf).write(&kept); err != nil {
+			if err := newLineWriter(&buf, srv.store).write(&kept); err != nil {
 				t.Fatal(err)
 			}
 			decodesTo(t, name, wireGolden(t, name, buf.Bytes()), rec)
@@ -136,7 +142,9 @@ func TestWireDocumentsPinned(t *testing.T) {
 		if err := (&Server{journal: jn}).journalAccept(js, 7, []string{"d1", "d2"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := jn.Complete(7, "j7", "chr3.fa", journal.Chrom{File: "chr3.vcf", Sites: 4321}, []byte("rows\n")); err != nil {
+		sum := sha256.Sum256([]byte("rows\n"))
+		c := journal.Chrom{File: "chr3.vcf", SHA256: hex.EncodeToString(sum[:]), Sites: 4321}
+		if err := jn.Complete(7, "j7", "chr3.fa", c); err != nil {
 			t.Fatal(err)
 		}
 		if err := jn.Final(7, "j7", StatePartial); err != nil {
