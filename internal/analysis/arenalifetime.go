@@ -27,7 +27,9 @@ import (
 // []gpu.Thread lanes a phased kernel is handed, so a kernel that parks
 // either anywhere that outlives its own invocation — a field, a channel, a
 // variable of the function around the kernel — reads another lane's,
-// block's or launch's state through it.
+// block's or launch's state through it. A view a metered-run primitive
+// hands out (gpu.LdRun, Thread.SharedF64Run: device storage or the block's
+// shared memory) is lane state in the same sense, under the same rules.
 var ArenaLifetime = &Analyzer{
 	Name: "arenalifetime",
 	Doc: "flag arena-owned slices and the GPU lane cursor escaping their " +
@@ -103,12 +105,45 @@ func laneState(info *types.Info, e ast.Expr) string {
 	return ""
 }
 
+// runView reports whether e is a view a metered-run primitive returned — a
+// call of a package gpu function or method that takes the lane cursor and
+// returns a slice — or a variable or re-slice of one (views).
+func runView(info *types.Info, e ast.Expr, views map[types.Object]bool) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return views[objOf(info, e)]
+	case *ast.SliceExpr:
+		return runView(info, e.X, views)
+	case *ast.CallExpr:
+		fn := staticCallee(info, e)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "gpu" {
+			return false
+		}
+		sig := fn.Type().(*types.Signature)
+		if sig.Results().Len() != 1 {
+			return false
+		}
+		if _, ok := sig.Results().At(0).Type().Underlying().(*types.Slice); !ok {
+			return false
+		}
+		cursor := func(v *types.Var) bool {
+			p, ok := v.Type().(*types.Pointer)
+			return ok && isNamed(p.Elem(), "gpu", "Thread")
+		}
+		return sig.Recv() != nil && cursor(sig.Recv()) || sig.Params().Len() > 0 && cursor(sig.Params().At(0))
+	}
+	return false
+}
+
 // borrowed names what e lends out of recycled memory — an arena-owned
-// slice, the lane cursor or a block's lane contexts — or returns "" when it
-// is none of them.
-func borrowed(info *types.Info, e ast.Expr, derived map[types.Object]bool) string {
+// slice, the lane cursor, a block's lane contexts or a metered-run view —
+// or returns "" when it is none of them.
+func borrowed(info *types.Info, e ast.Expr, derived, views map[types.Object]bool) string {
 	if arenaDerivedSlice(info, e, derived) {
 		return "arena-owned slice"
+	}
+	if runView(info, e, views) {
+		return "metered-run view"
 	}
 	return laneState(info, e)
 }
@@ -134,6 +169,10 @@ func runArenaLifetime(pass *Pass) {
 	derived := flowVars(pass, func(e ast.Expr, derived map[types.Object]bool) bool {
 		return arenaDerivedSlice(info, e, derived)
 	})
+	// v := gpu.LdRun(...); u := v[1:] marks both v and u as run views.
+	views := flowVars(pass, func(e ast.Expr, views map[types.Object]bool) bool {
+		return runView(info, e, views)
+	})
 	for _, fn := range pass.Funcs {
 		// Methods on the arena itself hand out its buffers: that is its API.
 		exported := fn.Fn != nil && fn.Fn.Exported() && !isArenaType(recvType(fn.Fn))
@@ -144,7 +183,7 @@ func runArenaLifetime(pass *Pass) {
 					continue
 				}
 				for _, res := range n.Results {
-					if what := borrowed(info, res, derived); what != "" {
+					if what := borrowed(info, res, derived, views); what != "" {
 						pass.Reportf(res.Pos(),
 							"%s returned from exported %s: the caller's view is overwritten when the next window recycles the arena", what, fn.Fn.Name())
 					}
@@ -154,7 +193,7 @@ func runArenaLifetime(pass *Pass) {
 					if len(n.Lhs) <= i {
 						continue
 					}
-					what := borrowed(info, rhs, derived)
+					what := borrowed(info, rhs, derived, views)
 					if what == "" {
 						continue
 					}
@@ -172,7 +211,7 @@ func runArenaLifetime(pass *Pass) {
 					}
 				}
 			case *ast.SendStmt:
-				if what := borrowed(info, n.Value, derived); what != "" {
+				if what := borrowed(info, n.Value, derived, views); what != "" {
 					pass.Reportf(n.Pos(),
 						"%s sent on a channel escapes the window lifetime", what)
 				}

@@ -19,6 +19,7 @@ func TestArenaLifetimeFixture(t *testing.T) {
 // idioms of the simulator — free-list pushes, the cursor borrowed through
 // a local and its per-lane state swapped in and out, derived thread
 // contexts, sample writeback, joined per-thread goroutines — stay silent.
+// MeteredRuns does the same for the views the run primitives hand out.
 func TestArenaLifetimeGPUFixture(t *testing.T) {
 	runFixture(t, ArenaLifetime, "gpu")
 }

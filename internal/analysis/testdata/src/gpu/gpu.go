@@ -14,6 +14,7 @@ import "sync"
 type Thread struct {
 	Lane   int
 	Reg    [2]uint64
+	block  *blockRT
 	sample []int64
 	instr  int64
 }
@@ -21,6 +22,23 @@ type Thread struct {
 // blockRT is the per-block runtime state.
 type blockRT struct {
 	sharedU32 []uint32
+	sharedF64 []float64
+}
+
+// Buffer is an array in device memory.
+type Buffer[T any] struct{ data []T }
+
+// LdRun is a metered-run primitive: it charges n loads to the lane and
+// hands out a view of device storage.
+func LdRun[T any](t *Thread, b *Buffer[T], i, n int) []T {
+	t.instr += int64(n)
+	return b.data[i : i+n]
+}
+
+// SharedF64Run is a metered-run primitive on the block's shared memory.
+func (t *Thread) SharedF64Run(i, n int) []float64 {
+	t.instr += int64(n)
+	return t.block.sharedF64[i : i+n]
 }
 
 // blockScratch is the recycled per-block execution state.
@@ -198,3 +216,19 @@ func SpawnUnjoined(sc *blockScratch) {
 }
 
 func use([]uint32) {}
+
+// MeteredRuns keeps one run's view past the kernel invocation that loaded
+// it, where the next lane's run overwrites or re-aims it, and uses the
+// views of another within the invocation.
+func MeteredRuns(sc *blockScratch, b *Buffer[float64]) {
+	var last []float64
+	runLanes(sc, func(t *Thread) {
+		last = LdRun(t, b, t.Lane, 10) // want "metered-run view stored in last, which outlives the kernel invocation"
+	})
+	runLanes(sc, func(t *Thread) {
+		v := LdRun(t, b, t.Lane, 10) // local views die with the invocation
+		sh := t.SharedF64Run(0, 10)
+		sh[0] += v[0]
+	})
+	_ = last
+}

@@ -23,8 +23,10 @@ var (
 // bitonicKernel is the shape of sortnet's batch_bitonic in a 256-lane
 // block: the block's slice of buf into shared memory (padded with the
 // largest key), the whole network one step a phase, each step a walk over
-// its compare-exchange pairs, and the slice back.
-func bitonicKernel(buf *Buffer[uint32]) BlockKernel {
+// its compare-exchange pairs, and the slice back. A step is
+// CompareExchangeU32 when runs is set, and otherwise its per-access form,
+// each pair's loads, Exec and stores metered one at a time.
+func bitonicKernel(buf *Buffer[uint32], runs bool) BlockKernel {
 	n := buf.Len()
 	return func(lanes []Thread, p int) {
 		switch {
@@ -39,6 +41,10 @@ func bitonicKernel(buf *Buffer[uint32]) BlockKernel {
 			}
 		case p <= len(bitonicSteps):
 			k, j := bitonicSteps[p-1][0], bitonicSteps[p-1][1]
+			if runs {
+				CompareExchangeU32(lanes, k, j, len(lanes))
+				return
+			}
 			for base := 0; base < len(lanes); base += 2 * j {
 				for l := base; l < base+j; l++ {
 					t := &lanes[l]
@@ -99,7 +105,7 @@ func BenchmarkRunWindowSimKernels(b *testing.B) {
 		ExclusiveScanU32(d, siteCount, bounds)
 		// One full shared-memory bitonic network per 256-lane block, the
 		// phased form the sort pipeline uses.
-		d.MustLaunchPhased(LaunchConfig{Name: "batch_bitonic", Grid: (m + 255) / 256, Block: 256, SharedU32: 256}, bitonicPhases, bitonicKernel(obs))
+		d.MustLaunchPhased(LaunchConfig{Name: "batch_bitonic", Grid: (m + 255) / 256, Block: 256, SharedU32: 256}, bitonicPhases, bitonicKernel(obs, false))
 		bounds.Free()
 		siteCount.Free()
 		obs.Free()
@@ -176,7 +182,7 @@ func BenchmarkPhasedLanePhase(b *testing.B) {
 	defer buf.Free()
 	keys := xorshiftKeys(buf.Len())
 	cfg := LaunchConfig{Name: "batch_bitonic", Grid: grid, Block: primBlock, SharedU32: primBlock}
-	kernel := bitonicKernel(buf)
+	kernel := bitonicKernel(buf, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,6 +193,70 @@ func BenchmarkPhasedLanePhase(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*grid*primBlock*bitonicPhases), "ns/lane-phase")
+}
+
+// BenchmarkMeteredRun compares the per-access and the run form of the two
+// access patterns the window pipeline's host time goes to, in host ns per
+// metered global or shared access, inline over 64 blocks of 256 lanes:
+// likelihood_comp's ten-wide table load and shared-memory accumulate (16 of
+// them a lane), and the batch_bitonic network (a load phase, 36
+// compare-exchange steps, a store phase).
+func BenchmarkMeteredRun(b *testing.B) {
+	const grid, obs, w = 64, 16, 10
+	d := NewDevice(M2050())
+	d.forceWorkers = 1
+	table := Alloc[float64](d, 4096)
+	defer table.Free()
+	keys := xorshiftKeys(grid * primBlock)
+	buf := Alloc[uint32](d, len(keys))
+	defer buf.Free()
+	likelihood := func(runs bool) func() LaunchStats {
+		cfg := LaunchConfig{Name: "likelihood_comp", Grid: grid, Block: primBlock, SharedF64: primBlock * w}
+		return func() LaunchStats {
+			return d.MustLaunch(cfg, func(t *Thread) {
+				sh := t.Lane * w
+				for o := 0; o < obs; o++ {
+					idx := (t.GlobalID()*7 + o*131) % (table.Len() - w)
+					if runs {
+						t.AddSharedF64Run(sh, LdRun(t, table, idx, w))
+						continue
+					}
+					for r := 0; r < w; r++ {
+						t.AddSharedF64(sh+r, Ld(t, table, idx+r))
+					}
+				}
+			})
+		}
+	}
+	bitonic := func(runs bool) func() LaunchStats {
+		cfg := LaunchConfig{Name: "batch_bitonic", Grid: grid, Block: primBlock, SharedU32: primBlock}
+		kernel := bitonicKernel(buf, runs)
+		return func() LaunchStats {
+			copy(buf.Host(), keys)
+			return d.MustLaunchPhased(cfg, bitonicPhases, kernel)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		launch func() LaunchStats
+	}{
+		{"likelihood/per-access", likelihood(false)},
+		{"likelihood/runs", likelihood(true)},
+		{"bitonic/per-access", bitonic(false)},
+		{"bitonic/runs", bitonic(true)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var accesses int64
+			for i := 0; i < b.N; i++ {
+				s := c.launch().Stats
+				accesses += s.GlobalLoads + s.GlobalStores + s.SharedLoads + s.SharedStores
+				if i%64 == 63 {
+					d.ResetStats() // keep the launch log from growing
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+		})
+	}
 }
 
 // xorshiftKeys returns n pseudo-random keys.
@@ -246,7 +316,7 @@ func BenchmarkFanoutBreakEven(b *testing.B) {
 				keys := xorshiftKeys(grid * primBlock)
 				run(b, workers, len(keys), func(d *Device, buf *Buffer[uint32]) {
 					copy(buf.Host(), keys)
-					d.MustLaunchPhased(cfg, bitonicPhases, bitonicKernel(buf))
+					d.MustLaunchPhased(cfg, bitonicPhases, bitonicKernel(buf, false))
 				})
 			})
 		}

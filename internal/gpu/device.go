@@ -326,6 +326,7 @@ type blockScratch struct {
 	cur     Thread
 	instr   []int64
 	samples [][]int64
+	segs    []int64 // coalesce's distinct segments of one warp instruction
 
 	lanes []Thread
 	// lanesSet reports that the block-invariant fields of lanes hold this
@@ -436,7 +437,8 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 	s.Instructions, s.WarpInstructions = instr, warpInstr
 	acc.stats.Add(s)
 	if sampling {
-		trans, warpMI := d.coalesce(sc.samples[:n])
+		sc.segs = grow(sc.segs, ws)
+		trans, warpMI := d.coalesce(sc.samples[:n], sc.segs)
 		acc.sampleTrans += trans
 		acc.sampleWarpMI += warpMI
 	}
@@ -553,7 +555,8 @@ func runLanesSync(kernel Kernel, sc *blockScratch) {
 // coalesce analyses the sampled global-access address streams of one block,
 // one stream per lane. The k-th access of each lane in a warp forms one SIMT memory instruction;
 // its cost is the number of distinct SegmentBytes-sized segments touched.
-func (d *Device) coalesce(samples [][]int64) (transactions, warpMemInst int64) {
+// segs, of warp-size length, holds one instruction's distinct segments.
+func (d *Device) coalesce(samples [][]int64, segs []int64) (transactions, warpMemInst int64) {
 	ws := d.cfg.WarpSize
 	seg := int64(d.cfg.SegmentBytes)
 	for w0 := 0; w0 < len(samples); w0 += ws {
@@ -562,7 +565,6 @@ func (d *Device) coalesce(samples [][]int64) (transactions, warpMemInst int64) {
 		for _, lane := range warp {
 			maxLen = max(maxLen, len(lane))
 		}
-		var segs [64]int64 // distinct segments of one warp instruction
 		for k := 0; k < maxLen; k++ {
 			n := 0
 			for _, lane := range warp {

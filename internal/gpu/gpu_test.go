@@ -462,3 +462,30 @@ func TestWarpInstructionAccounting(t *testing.T) {
 		t.Error("compute leg empty")
 	}
 }
+
+// TestCoalesceWideWarp: a warp of 128 lanes, each touching a segment of its
+// own, costs 128 transactions an instruction. The dedup buffer of one warp
+// instruction was a fixed 64-entry array, and this launch panicked with an
+// index out of range; it now lives in the block scratch, sized by the warp,
+// so a warm launch allocates no more than at the default width.
+func TestCoalesceWideWarp(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, ws := range []int{32, 128} {
+		d := NewDevice(Config{WarpSize: ws})
+		buf := Alloc[uint32](d, 128*33)
+		launch := func() {
+			d.MustLaunch(LaunchConfig{Name: "scattered", Grid: 2, Block: 256}, func(t *Thread) {
+				_ = Ld(t, buf, 33*(t.GlobalID()%128))
+			})
+		}
+		launch()
+		ls := d.Launches()[0]
+		if ls.CoalescingFactor != float64(ws) || ls.Stats.GlobalTransactions != 512 {
+			t.Errorf("warp %d: coalescing factor %v, %d transactions; want %d, 512", ws, ls.CoalescingFactor, ls.Stats.GlobalTransactions, ws)
+		}
+		allocs[ws] = testing.AllocsPerRun(10, launch)
+	}
+	if allocs[128] > allocs[32] {
+		t.Errorf("warm launch allocates %.1f times at warp 128, %.1f at warp 32", allocs[128], allocs[32])
+	}
+}

@@ -163,6 +163,22 @@ func St[T any](t *Thread, b *Buffer[T], i int, v T) {
 	b.data[i] = v
 }
 
+// LdRun performs n metered global loads of elements [i, i+n) — for k :=
+// range n { Ld(t, b, i+k) } — charged in one update per counter, and
+// returns the elements as a view of device storage, valid only within the
+// kernel invocation.
+func LdRun[T any](t *Thread, b *Buffer[T], i, n int) []T {
+	t.recordRun(b.addr(i), b.elemSize, n, false)
+	return b.data[i : i+n : i+n]
+}
+
+// StRun performs the metered global stores of v from element i on — for k,
+// x := range v { St(t, b, i+k, x) } — charged in one update per counter.
+func StRun[T any](t *Thread, b *Buffer[T], i int, v []T) {
+	t.recordRun(b.addr(i), b.elemSize, len(v), true)
+	copy(b.data[i:i+len(v)], v)
+}
+
 // AtomicAddU32 performs a metered atomic add on element i, returning the
 // old value. The simulator runs blocks concurrently on the host, so the
 // update itself must be host-atomic; the accounting charges one load and

@@ -19,24 +19,9 @@ const primBlock = 256
 
 var primLog = bits.Len(uint(primBlock)) - 1
 
-// ReduceU32 sums the device buffer with a shared-memory tree reduction per
-// block followed by a host combine of the per-block partials, the standard
-// two-level GPU reduction.
-func ReduceU32(d *Device, in *Buffer[uint32]) uint64 {
-	if in.Len() == 0 {
-		return 0
-	}
-	partial := blockReduceU32(d, in, "reduce_u32", func(a, b uint32) uint32 { return a + b })
-	defer partial.Free()
-	var sum uint64
-	for _, p := range partial.Host() {
-		sum += uint64(p)
-	}
-	return sum
-}
-
 // ReduceMaxU32 returns the largest element of the device buffer (0 for an
-// empty one): the same two-level reduction as ReduceU32 under max.
+// empty one): a shared-memory tree per block, then a host combine of the
+// per-block partials, the standard two-level GPU reduction.
 func ReduceMaxU32(d *Device, in *Buffer[uint32]) uint32 {
 	if in.Len() == 0 {
 		return 0
@@ -76,12 +61,16 @@ func blockReduceU32(d *Device, in *Buffer[uint32], name string, op func(a, b uin
 				t.SetSharedU32(l, v)
 			}
 		case p <= primLog:
+			// Lane l < stride: Exec(1), two shared loads and a store,
+			// charged to its instr once and to the block's shared sums.
 			stride := primBlock >> p
+			sh := lanes[0].block.sharedU32
 			for l := range lanes[:stride] {
-				t := &lanes[l]
-				t.Exec(1)
-				t.SetSharedU32(l, op(t.SharedU32(l), t.SharedU32(l+stride)))
+				sh[l] = op(sh[l], sh[l+stride])
+				lanes[l].instr += 4
 			}
+			lanes[0].sld += 2 * int64(stride)
+			lanes[0].sst += int64(stride)
 		default:
 			t := &lanes[0]
 			St(t, partial, t.Block, t.SharedU32(0))
@@ -128,18 +117,22 @@ func ExclusiveScanU32(d *Device, in, out *Buffer[uint32]) uint64 {
 				t.SetSharedU32(l, v)
 			}
 		case p <= primLog:
+			// Lane l: a shared load, past stride an Exec(1) and a second
+			// load, a store; charged to its instr once and the block sums.
 			stride := 1 << (p - 1)
 			cur := ((p - 1) & 1) * primBlock
-			nxt := primBlock - cur
+			sh := lanes[0].block.sharedU32
+			src, dst := sh[cur:][:primBlock], sh[primBlock-cur:][:primBlock]
 			for l := range lanes {
-				t := &lanes[l]
-				x := t.SharedU32(cur + l)
+				x, cost := src[l], int64(2)
 				if l >= stride {
-					t.Exec(1)
-					x += t.SharedU32(cur + l - stride)
+					x, cost = x+src[l-stride], 4
 				}
-				t.SetSharedU32(nxt+l, x)
+				dst[l] = x
+				lanes[l].instr += cost
 			}
+			lanes[0].sld += 2*primBlock - int64(stride)
+			lanes[0].sst += primBlock
 		default:
 			// After primLog buffer swaps from offset 0 the inclusive
 			// values sit at offset 0 iff primLog is even.
@@ -331,16 +324,17 @@ func BatchBinarySearchU32(d *Device, keys *Buffer[uint32], dict []uint32, out *B
 				return
 			}
 			key := Ld(t, keys, i)
-			lo, hi := 0, cb.Len()
-			for lo < hi {
-				t.Exec(3)
-				mid := (lo + hi) / 2
-				if CLd(t, cb, mid) < key {
+			// Each step, Exec(3) and a CLd at mid, is charged at the end.
+			lo, hi, steps := 0, len(cb.data), 0
+			for ; lo < hi; steps++ {
+				if mid := (lo + hi) / 2; cb.data[mid] < key {
 					lo = mid + 1
 				} else {
 					hi = mid
 				}
 			}
+			t.instr += 4 * int64(steps)
+			t.cld += int64(steps)
 			St(t, out, i, uint32(lo))
 		})
 		return
@@ -355,16 +349,23 @@ func BatchBinarySearchU32(d *Device, keys *Buffer[uint32], dict []uint32, out *B
 			return
 		}
 		key := Ld(t, keys, i)
-		lo, hi := 0, len(dict)
-		for lo < hi {
-			t.Exec(3)
+		// Each step, Exec(3) and an Ld at mid, is sampled in place and
+		// charged to the counters at the end.
+		lo, hi, steps := 0, len(dict), 0
+		for ; lo < hi; steps++ {
 			mid := (lo + hi) / 2
-			if Ld(t, gdict, mid) < key {
+			if t.sample != nil && len(t.sample) < sampleCap {
+				t.sample = append(t.sample, gdict.addr(mid))
+			}
+			if gdict.data[mid] < key {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
+		t.instr += 4 * int64(steps)
+		t.gld += int64(steps)
+		t.gldB += 4 * int64(steps)
 		St(t, out, i, uint32(lo))
 	})
 }

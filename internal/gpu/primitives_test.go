@@ -8,6 +8,21 @@ import (
 	"testing/quick"
 )
 
+// ReduceU32 sums the device buffer: blockReduceU32 under addition, then a
+// host sum of the per-block partials. Only tests use it.
+func ReduceU32(d *Device, in *Buffer[uint32]) uint64 {
+	if in.Len() == 0 {
+		return 0
+	}
+	partial := blockReduceU32(d, in, "reduce_u32", func(a, b uint32) uint32 { return a + b })
+	defer partial.Free()
+	var sum uint64
+	for _, p := range partial.Host() {
+		sum += uint64(p)
+	}
+	return sum
+}
+
 // TestReduceU32 covers the sum and the max reduction at lengths around the
 // block size and around the tile a block folds (primBlock x reduceLoads).
 func TestReduceU32(t *testing.T) {

@@ -34,9 +34,6 @@ type Thread struct {
 // GlobalID returns the flat thread id Block*BlockDim + Lane.
 func (t *Thread) GlobalID() int { return t.Block*t.BlockDim + t.Lane }
 
-// Warp returns the warp index of the thread within its block.
-func (t *Thread) Warp() int { return t.Lane / t.Dev.cfg.WarpSize }
-
 // Exec declares n arithmetic instructions. Kernels call it to account for
 // the compute work between memory operations, mirroring what a hardware
 // profiler's issued-instruction counter would observe.
@@ -103,6 +100,33 @@ func (t *Thread) AddSharedF64(i int, v float64) {
 	t.block.sharedF64[i] += v
 }
 
+// SharedF64Run is a metered run, n accesses in one update per counter:
+// for k := range n { t.SharedF64(i+k) }, returning elements [i, i+n) as a
+// view valid only within the kernel invocation.
+func (t *Thread) SharedF64Run(i, n int) []float64 {
+	t.instr += int64(n)
+	t.sld += int64(n)
+	return t.block.sharedF64[i : i+n : i+n]
+}
+
+// SetSharedF64Run is for k, x := range v { t.SetSharedF64(i+k, x) }.
+func (t *Thread) SetSharedF64Run(i int, v []float64) {
+	t.instr += int64(len(v))
+	t.sst += int64(len(v))
+	copy(t.block.sharedF64[i:i+len(v)], v)
+}
+
+// AddSharedF64Run is for k, x := range v { t.AddSharedF64(i+k, x) }.
+func (t *Thread) AddSharedF64Run(i int, v []float64) {
+	t.instr += int64(len(v))
+	t.sld += int64(len(v))
+	t.sst += int64(len(v))
+	sh := t.block.sharedF64[i : i+len(v)]
+	for k, x := range v {
+		sh[k] += x
+	}
+}
+
 // SharedU32 reads element i of the block's shared uint32 array.
 func (t *Thread) SharedU32(i int) uint32 {
 	t.instr++
@@ -115,6 +139,34 @@ func (t *Thread) SetSharedU32(i int, v uint32) {
 	t.instr++
 	t.sst++
 	t.block.sharedU32[i] = v
+}
+
+// CompareExchangeU32 is one (k, j) step of a bitonic network over the
+// block's shared uint32 array, one phase of a BlockKernel: every aligned
+// size-element sub-array ends ascending. Lane l with l&j == 0 and l+j <
+// len(lanes) runs a, b := t.SharedU32(l), t.SharedU32(l+j); t.Exec(2), and
+// if (a > b) == (l&(size-1)&k == 0) stores b at l and a at l+j. Only instr,
+// which the warp maximum reads, is charged per lane; the sum-only shared
+// loads and stores are charged to lanes[0] once.
+func CompareExchangeU32(lanes []Thread, k, j, size int) {
+	n := len(lanes)
+	sh := lanes[0].block.sharedU32
+	var pairs, swaps int64
+	for base := 0; base < n; base += 2 * j {
+		for l := base; l < min(base+j, n-j); l++ {
+			pairs++
+			a, b := sh[l], sh[l+j]
+			if (a > b) == (l&(size-1)&k == 0) {
+				sh[l], sh[l+j] = b, a
+				lanes[l].instr += 6
+				swaps++
+			} else {
+				lanes[l].instr += 4
+			}
+		}
+	}
+	lanes[0].sld += 2 * pairs
+	lanes[0].sst += 2 * swaps
 }
 
 // LocalU32 reads word i of the thread's local memory (LaunchConfig.LocalU32
@@ -165,6 +217,9 @@ func fastLog10(x float64) float64 {
 	return math.Log2(x) * (1 / math.Log2(10))
 }
 
+// sampleCap bounds the coalescing sample of one lane, in accesses.
+const sampleCap = 1 << 16
+
 // recordGlobal meters one global access of size bytes at logical address
 // addr.
 func (t *Thread) recordGlobal(addr int64, size int64, store bool) {
@@ -176,8 +231,25 @@ func (t *Thread) recordGlobal(addr int64, size int64, store bool) {
 		t.gld++
 		t.gldB += size
 	}
-	if t.sample != nil && len(t.sample) < 1<<16 {
+	if t.sample != nil && len(t.sample) < sampleCap {
 		t.sample = append(t.sample, addr)
+	}
+}
+
+// recordRun meters n global accesses of size bytes at addr, addr+size, ...:
+// n recordGlobal calls, with one update per counter and, in the sampled
+// block, the n addresses in order up to the sample cap.
+func (t *Thread) recordRun(addr, size int64, n int, store bool) {
+	t.instr += int64(n)
+	if store {
+		t.gst += int64(n)
+		t.gstB += int64(n) * size
+	} else {
+		t.gld += int64(n)
+		t.gldB += int64(n) * size
+	}
+	for k := 0; t.sample != nil && k < n && len(t.sample) < sampleCap; k++ {
+		t.sample = append(t.sample, addr+int64(k)*size)
 	}
 }
 

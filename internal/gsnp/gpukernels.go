@@ -10,6 +10,9 @@ import (
 	"gsnp/internal/sortnet"
 )
 
+// zeroTL is the zero type_likely row a likelihood thread starts from.
+var zeroTL [dna.NGenotypes]float64
+
 // likeliBlock is the thread-block size of the per-site kernels. With
 // shared-memory type_likely each thread needs ten float64 slots: 256
 // threads use 20 KB of the 48 KB per block.
@@ -125,7 +128,7 @@ func (e *Engine) countGPU(w *window) {
 			}
 			site := int(gpu.Ld(t, obsSite, i))
 			word := gpu.Ld(t, obsWord, i)
-			t.Exec(3)
+			t.Exec(5) // the slot's offset, then the word's fields
 			off := gpu.Ld(t, bounds, site) + gpu.AtomicAddU32(t, cursor, site, 1)
 			// The uniq flag rides above the 17-bit sort key; strip it so
 			// the segment sorts in the canonical base_word order.
@@ -133,7 +136,6 @@ func (e *Engine) countGPU(w *window) {
 			base := int(word >> 15 & 3)
 			qual := dna.QMax - 1 - word>>9&(dna.QMax-1)
 			uniq := word >> 18 & 1
-			t.Exec(2)
 			sb := site*4 + base
 			gpu.AtomicAddU32(t, stats, sb, 1)
 			gpu.AtomicAddU32(t, stats, 4*n+sb, qual)
@@ -228,19 +230,16 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 		if site >= n {
 			return
 		}
-		lo := int(gpu.Ld(t, bounds, site))
-		hi := int(gpu.Ld(t, bounds, site+1))
+		b := gpu.LdRun(t, bounds, site, 2)
+		lo, hi := int(b[0]), int(b[1])
 		shBase := t.Lane * dna.NGenotypes
+		tl := site * dna.NGenotypes
 
 		// Initialise type_likely (line 4 of Algorithm 4).
 		if useShared {
-			for r := 0; r < dna.NGenotypes; r++ {
-				t.SetSharedF64(shBase+r, 0)
-			}
+			t.SetSharedF64Run(shBase, zeroTL[:])
 		} else {
-			for r := 0; r < dna.NGenotypes; r++ {
-				gpu.St(t, gTL, site*dna.NGenotypes+r, 0)
-			}
+			gpu.StRun(t, gTL, tl, zeroTL[:])
 		}
 
 		lastBase := -1
@@ -251,7 +250,7 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 			score := int(dna.QMax - 1 - word>>9&(dna.QMax-1))
 			coord := int(word >> 1 & (bayes.MaxReadLen - 1))
 			strand := int(word & 1)
-			t.Exec(4) // field extraction
+			exec := 8 // field extraction, dep_count update, adjust: one Exec
 
 			if base != lastBase {
 				// Re-initialising dep_count per base group (lines 8-10)
@@ -259,7 +258,7 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 				// base's tag, and a fresh thread's zero words match none.
 				tag = uint32(base+1) << 16
 				lastBase = base
-				t.Exec(1)
+				exec++
 			}
 			slot := strand*readLen + coord
 			entry := t.LocalU32(slot)
@@ -269,7 +268,6 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 			}
 			cnt++
 			t.SetLocalU32(slot, tag|cnt)
-			t.Exec(2)
 
 			// adjust (line 12): constant-memory penalty lookup.
 			dcap := int(cnt) - 1
@@ -281,22 +279,21 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 			if qadj < 0 {
 				qadj = 0
 			}
-			t.Exec(2)
 
 			if useNewTable {
 				// Algorithm 3: one table read per genotype.
 				idx := bayes.NewPMatrixIndex(dna.Quality(qadj), coord, dna.Base(base), 0)
-				t.Exec(2)
-				for r := 0; r < dna.NGenotypes; r++ {
-					v := gpu.Ld(t, newP, idx+r)
-					if useShared {
-						t.AddSharedF64(shBase+r, v)
-					} else {
-						i := site*dna.NGenotypes + r
-						gpu.St(t, gTL, i, gpu.Ld(t, gTL, i)+v)
+				t.Exec(exec + 2)
+				if useShared {
+					t.AddSharedF64Run(shBase, gpu.LdRun(t, newP, idx, dna.NGenotypes))
+				} else {
+					for r := 0; r < dna.NGenotypes; r++ {
+						v := gpu.Ld(t, newP, idx+r)
+						gpu.St(t, gTL, tl+r, gpu.Ld(t, gTL, tl+r)+v)
 					}
 				}
 			} else {
+				t.Exec(exec)
 				// Algorithm 2: two p_matrix reads and a runtime log per
 				// genotype.
 				r := 0
@@ -309,8 +306,7 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 						if useShared {
 							t.AddSharedF64(shBase+r, v)
 						} else {
-							i := site*dna.NGenotypes + r
-							gpu.St(t, gTL, i, gpu.Ld(t, gTL, i)+v)
+							gpu.St(t, gTL, tl+r, gpu.Ld(t, gTL, tl+r)+v)
 						}
 						r++
 					}
@@ -320,9 +316,7 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 
 		// Copy the shared result to global memory (line 18).
 		if useShared {
-			for r := 0; r < dna.NGenotypes; r++ {
-				gpu.St(t, gTL, site*dna.NGenotypes+r, t.SharedF64(shBase+r))
-			}
+			gpu.StRun(t, gTL, tl, t.SharedF64Run(shBase, dna.NGenotypes))
 		}
 	})
 
@@ -358,11 +352,15 @@ func (e *Engine) posteriorGPU(w *window, priors []float64) {
 		if site >= n {
 			return
 		}
+		// Two 10-wide runs for ten interleaved load pairs: every lane of a
+		// warp reorders alike, so each warp instruction's segments stay.
+		tl := gpu.LdRun(t, gTL, site*dna.NGenotypes, dna.NGenotypes)
+		pri := gpu.LdRun(t, gPri, site*dna.NGenotypes, dna.NGenotypes)
+		t.Exec(2*dna.NGenotypes + 3)
 		b, s := -1, -1
 		var lb, ls float64
-		for r := 0; r < dna.NGenotypes; r++ {
-			lp := gpu.Ld(t, gTL, site*dna.NGenotypes+r) + gpu.Ld(t, gPri, site*dna.NGenotypes+r)
-			t.Exec(2)
+		for r, x := range tl {
+			lp := x + pri[r]
 			switch {
 			case b < 0 || lp > lb:
 				s, ls = b, lb
@@ -378,7 +376,6 @@ func (e *Engine) posteriorGPU(w *window, priors []float64) {
 		if q > 99 {
 			q = 99
 		}
-		t.Exec(3)
 		gpu.St(t, gBest, site, uint32(b))
 		gpu.St(t, gSecond, site, uint32(s))
 		gpu.St(t, gQual, site, uint32(q))

@@ -215,7 +215,7 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 			live := lanes[:pad]
 			if p-2 < nkjPhases(pad) {
 				kk, jj := kjAt(p - 2)
-				bitonicStep(live, kk, jj, pad)
+				gpu.CompareExchangeU32(live, kk, jj, pad)
 				return
 			}
 			for l := range live {
@@ -309,7 +309,7 @@ func batchBitonicEqual(d *gpu.Device, batch *gpu.Buffer[uint32], class int) int 
 			}
 		case p <= merges:
 			kk, jj := kjAt(p - 1)
-			bitonicStep(lanes, kk, jj, class)
+			gpu.CompareExchangeU32(lanes, kk, jj, class)
 		default:
 			for l := range lanes {
 				t := &lanes[l]
@@ -346,34 +346,6 @@ var kjSteps = func() (s [][2]int) {
 
 // kjAt returns the (k, j) pair of flat step q.
 func kjAt(q int) (k, j int) { return kjSteps[q][0], kjSteps[q][1] }
-
-// bitonicStep performs one (k, j) compare-exchange step of the bitonic
-// network over the block's shared buffer, sorting each aligned size-element
-// sub-array independently and ascending. It is one phase of a BlockKernel
-// body; the barrier that separated steps in the synchronous form is the
-// call boundary. It walks the step's compare-exchange pairs (l, l+j) — l
-// with bit j clear — and meters each pair on lane l, the lane whose thread
-// owns the exchange on the device; lane l+j idles through the step.
-func bitonicStep(lanes []gpu.Thread, k, j, size int) {
-	n := len(lanes)
-	for base := 0; base < n; base += 2 * j {
-		for l := base; l < min(base+j, n-j); l++ {
-			t := &lanes[l]
-			a := t.SharedU32(l)
-			bv := t.SharedU32(l + j)
-			// Direction from the position within the aligned sub-array:
-			// the final merge (k == size) has pos&k == 0 everywhere, so
-			// every sub-array ends ascending.
-			pos := l & (size - 1)
-			up := pos&k == 0
-			t.Exec(2)
-			if (a > bv) == up {
-				t.SetSharedU32(l, bv)
-				t.SetSharedU32(l+j, a)
-			}
-		}
-	}
-}
 
 // sortOversized host-sorts the rare arrays larger than maxClassSize.
 func sortOversized(b *Batches) {
