@@ -1,25 +1,25 @@
 # CI entry points. `make ci` is the gate: vet, build, the full test
 # suite, the race detector over every package that spawns goroutines
-# (the scheduler, the window prefetcher and the engines that consume it,
-# the parallel sort, and the gsnpd service), the service integration
-# tests against a real gsnpd binary, a short fuzz pass over every
-# parser-facing fuzz target, one iteration of every benchmark of the GPU
-# simulator, the sort, the aligner and the text parsers, and the
-# benchmark's own modules (bench/), which `go build ./... && go test ./...`
-# does not enter.
+# (the scheduler, the engines and the parallel sort, and the gsnpd
+# service), the service integration tests against a real gsnpd binary, a
+# short fuzz pass over every parser-facing fuzz target, one iteration of
+# every benchmark of the GPU simulator, the sort, the aligner and the text
+# parsers, the benchmark's own modules (bench/), which
+# `go build ./... && go test ./...` does not enter, and the line ceiling.
 
 GO ?= go
 
 # Every goroutine-spawning package runs under the race detector: the
-# schedulers, the prefetcher and its consumers, the parallel sort, the
-# simulated GPU device, the block writer that encodes its RLE-DICT columns
-# on it concurrently, the fault/checkpoint machinery, the gsnpd
-# service with its result cache and job journal, the shared genome-job
-# decomposition both front-ends use, and the gsnpd daemon itself (its
-# serve/signal goroutines). The data-parallel passes of the engines, the
-# sort, the aligner, the block writer and the device all fork through
-# internal/par and contain no go statement of their own; par is in the list
-# and so are they. The list is audited against the tree:
+# schedulers, the window driver (internal/pipeline spawns nothing, but it
+# imports internal/par to contain a window's panic), the engines, the
+# parallel sort, the simulated GPU device, the block writer that encodes
+# its RLE-DICT columns on it concurrently, the fault/checkpoint machinery,
+# the gsnpd service with its result cache and job journal, the shared
+# genome-job decomposition both front-ends use, and the gsnpd daemon
+# itself (its serve/signal goroutines). The data-parallel passes of the
+# engines, the sort, the aligner, the block writer and the device all fork
+# through internal/par and contain no go statement of their own; par is in
+# the list and so are they. The list is audited against the tree:
 # `gsnplint -go-pkgs ./...` prints every package containing a go
 # statement or importing internal/par, and
 # TestRacePkgsCoverSpawningPackages fails when one is missing here.
@@ -32,9 +32,9 @@ FUZZ_TIME ?= 10s
 # offline build environment skips it gracefully. See tools.go.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: ci lint vet fmt-check vuln build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-smoke bench-check bench bench-compare loc
+.PHONY: ci lint vet fmt-check vuln build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-smoke bench-check bench bench-compare loc loc-check
 
-ci: lint fmt-check build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-smoke bench-check vuln
+ci: lint fmt-check build test race service-e2e serve-recovery fastq-e2e fuzz-smoke bench-smoke bench-check loc-check vuln
 
 # Standard vet plus the project multichecker (cmd/gsnplint): the seven
 # GSNP invariant analyzers — determinism, arenalifetime, closecheck,
@@ -73,8 +73,8 @@ test:
 	$(GO) test ./...
 
 # ./internal/pipeline carries the two-pass driver's own table test
-# (run_test.go), whose every case also checks that the prefetcher's
-# goroutine is gone when Run returns.
+# (run_test.go), whose every case also checks that Run leaves no goroutine
+# behind.
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -178,3 +178,15 @@ loc:
 	@find cmd internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec wc -l {} + | \
 	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 	     END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
+# The line budget ratchets: `make loc`'s total may not exceed LOC_CEILING.
+# A change that removes lines lowers the ceiling to its new total. A change
+# that must raise it explains why in CHANGES.md, package by package, with
+# the lines it added to each (`make loc` before and after).
+LOC_CEILING = 18871
+
+loc-check:
+	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ -z "$$total" ] || [ "$$total" -gt $(LOC_CEILING) ]; then \
+		echo "loc-check: $$total lines exceed the ceiling of $(LOC_CEILING)"; exit 1; fi; \
+	echo "loc-check: $$total lines, ceiling $(LOC_CEILING)"

@@ -24,7 +24,11 @@ import (
 
 // benchScale keeps every benchmark iteration in the seconds range; the
 // dense SOAPsnp baseline dominates.
-func benchScale() harness.Scale { return harness.QuickScale() }
+func benchScale() harness.Scale {
+	sc := harness.DefaultScale()
+	sc.SitesPerMb = 60
+	return sc
+}
 
 // runExperiment executes one experiment per iteration on a fresh session
 // (no cross-iteration caching) and returns the last result.
@@ -197,10 +201,9 @@ func BenchmarkAblationSortMethods(b *testing.B) {
 }
 
 // BenchmarkWholeGenomeParallel runs the scaled 24-chromosome set through
-// the bounded worker-pool scheduler at 1 and 4 workers (gsnp-cpu engine
-// with window prefetch), the whole-genome wall-clock the concurrent
-// scheduler exists to improve. Datasets are built once outside the timed
-// loop.
+// the bounded worker-pool scheduler at 1 and 4 workers (gsnp-cpu engine),
+// the whole-genome wall-clock the concurrent scheduler exists to improve.
+// Datasets are built once outside the timed loop.
 func BenchmarkWholeGenomeParallel(b *testing.B) {
 	specs := seqsim.ScaledHumanGenome(benchScale().SitesPerMb, benchScale().Seed)
 	s := harness.NewSession(benchScale())
@@ -220,7 +223,7 @@ func BenchmarkWholeGenomeParallel(b *testing.B) {
 					tasks[k] = sched.Task[int, struct{}]{
 						Name: ds.Spec.Name,
 						Run: func(ctx context.Context, _ struct{}) (int, error) {
-							rep, _ := s.RunGSNP(ds, harness.GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
+							rep, _ := s.RunGSNP(ds, harness.GSNPOptions{Mode: gsnp.ModeCPU})
 							return rep.Sites, nil
 						},
 					}

@@ -116,7 +116,6 @@ func run() (err error) {
 		window    = flag.Int("window", 0, "sites per window (0 = engine default)")
 		workers   = flag.Int("workers", 0, "concurrent chromosomes in -genome-dir mode (0 = GOMAXPROCS)")
 		computeW  = flag.Int("compute-workers", 0, "site-parallel likelihood/posterior workers per window (gsnp-cpu; 0 = GOMAXPROCS)")
-		prefetch  = flag.Bool("prefetch", false, "overlap window read I/O with computation (double buffering)")
 		compress  = flag.Bool("compress", false, "write the GSNP compressed container (gsnp engines only)")
 		stats     = flag.Bool("stats", false, "print per-component timing to stderr")
 		outFormat = flag.String("output-format", "", "result codec: rows (default, the 17-column table) or vcf")
@@ -137,8 +136,7 @@ func run() (err error) {
 	opts := options{
 		call: genomejob.Options{
 			Engine: *engine, Format: *format, Window: *window,
-			ComputeWorkers: *computeW, Prefetch: *prefetch,
-			Compress: *compress, Stats: *stats, Quarantine: *quarantine,
+			ComputeWorkers: *computeW, Compress: *compress, Stats: *stats, Quarantine: *quarantine,
 			OutputFormat:     *outFormat,
 			AlignMaxMismatch: *alignMM, AlignSeedLen: *alignK, AlignWorkers: *alignW,
 		},

@@ -20,7 +20,7 @@ import (
 //     and the pool shape where Close holds the Wait);
 //   - a completion channel: the goroutine sends on or closes a channel
 //     that some function in the load receives from or ranges over (the
-//     prefetcher/collector shape: `defer close(p.ch)` joined by the
+//     producer/collector shape: `defer close(p.ch)` joined by the
 //     consumer's `<-p.ch`);
 //   - cancellation awareness: the goroutine receives from a Done()
 //     channel (ctx-done select), so the spawner can always release it.

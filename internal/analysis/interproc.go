@@ -21,8 +21,8 @@ package analysis
 // back to "unknown external", classified by a curated table of standard
 // library functions that block or touch the disk/network. That keeps the
 // layer sound enough for gating (no panic on dynamic dispatch) while
-// catching the shapes this repo actually uses — worker pools, prefetch
-// producers — where the call targets are static. (The durable-write seam
+// catching the shapes this repo actually uses — worker pools, the
+// daemon's serve and signal goroutines — where the call targets are static. (The durable-write seam
 // is an interface, so the WAL's fsync'd appends are unknown externals.)
 
 import (

@@ -57,11 +57,10 @@ type Manifest struct {
 // Fingerprint encodes the output-shaping configuration: every option that
 // can change result bytes must appear here, because the fingerprint keys
 // both checkpoint resume validation and the gsnpd result cache — two
-// byte-different configurations must never alias. Concurrency and
-// prefetch flags are deliberately absent: the engines guarantee
-// byte-identical output across those, so a checkpoint taken at -workers 8
-// is valid for a -workers 1 resume (and a cached result served across
-// them is exact). Quarantine is present because a quarantined run may
+// byte-different configurations must never alias. Concurrency flags are
+// deliberately absent: the engines guarantee byte-identical output across
+// them, so a checkpoint taken at -workers 8 is valid for a -workers 1
+// resume (and a cached result served across them is exact). Quarantine is present because a quarantined run may
 // omit windows a strict run would either emit or die on.
 // genomejob.Options.Fingerprint is the canonical caller; the pinning test
 // there enumerates Options fields against this parameter list.

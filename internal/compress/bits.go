@@ -66,10 +66,6 @@ func (r *BitReader) ReadBits(width uint) uint32 {
 	return v
 }
 
-// BytesConsumed reports how many input bytes have been consumed, counting
-// buffered but unread bits as consumed.
-func (r *BitReader) BytesConsumed() int { return r.pos }
-
 // bitWidth returns the number of bits needed to represent v (at least 1).
 func bitWidth(v uint32) uint {
 	w := uint(1)

@@ -43,19 +43,13 @@ func RLEEncode(vals []uint32) (values, lengths []uint32) {
 // demand arbitrarily large allocations before validation catches it.
 const MaxDecodeElements = 1 << 27
 
-// RLEDecode expands run-value/run-length arrays back to the flat sequence.
-func RLEDecode(values, lengths []uint32) []uint32 {
-	out, _ := rleDecodeLimit(values, lengths, -1)
-	return out
-}
-
-// rleDecodeLimit expands runs, aborting once the output would exceed
-// limit elements (limit < 0 means unbounded, used by the in-process API).
+// rleDecodeLimit expands run-value/run-length arrays back to the flat
+// sequence, aborting once the output would exceed limit elements.
 func rleDecodeLimit(values, lengths []uint32, limit int) ([]uint32, error) {
 	var n uint64
 	for _, l := range lengths {
 		n += uint64(l)
-		if limit >= 0 && n > uint64(limit) {
+		if n > uint64(limit) {
 			return nil, fmt.Errorf("compress: RLE expansion of %d elements exceeds limit %d", n, limit)
 		}
 	}

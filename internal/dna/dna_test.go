@@ -3,7 +3,6 @@ package dna
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestBaseLetters(t *testing.T) {
@@ -264,58 +263,5 @@ func TestGCContent(t *testing.T) {
 	}
 	if (Sequence{}).GCContent() != 0 {
 		t.Error("empty GC content != 0")
-	}
-}
-
-func TestPackedRoundTrip(t *testing.T) {
-	f := func(raw []byte) bool {
-		seq := make(Sequence, len(raw))
-		for i, b := range raw {
-			seq[i] = Base(b & 3)
-		}
-		p := Pack(seq)
-		if p.Len() != len(seq) {
-			return false
-		}
-		got := p.Unpack()
-		for i := range seq {
-			if got[i] != seq[i] || p.At(i) != seq[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPackedSet(t *testing.T) {
-	p := NewPacked(13)
-	for i := 0; i < p.Len(); i++ {
-		if p.At(i) != A {
-			t.Fatalf("fresh packed sequence not all-A at %d", i)
-		}
-	}
-	p.Set(5, T)
-	p.Set(6, G)
-	p.Set(5, C) // overwrite
-	if p.At(5) != C || p.At(6) != G || p.At(4) != A || p.At(7) != A {
-		t.Errorf("Set produced wrong neighborhood: %v", p.Unpack())
-	}
-}
-
-func TestPackedFromBytes(t *testing.T) {
-	s, _ := ParseSequence("ACGTACGTA")
-	p := Pack(s)
-	q, err := FromBytes(p.Bytes(), p.Len())
-	if err != nil {
-		t.Fatalf("FromBytes: %v", err)
-	}
-	if q.Unpack().String() != s.String() {
-		t.Errorf("FromBytes roundtrip = %q", q.Unpack().String())
-	}
-	if _, err := FromBytes(p.Bytes(), 100); err == nil {
-		t.Error("FromBytes accepted too-short storage")
 	}
 }

@@ -49,8 +49,6 @@ type Options struct {
 	// ComputeWorkers shards likelihood/posterior within a window
 	// (gsnp-cpu; 0 = GOMAXPROCS).
 	ComputeWorkers int `json:"compute_workers,omitempty"`
-	// Prefetch overlaps window read I/O with computation.
-	Prefetch bool `json:"prefetch,omitempty"`
 	// Compress writes the GSNP compressed container (gsnp engines only).
 	Compress bool `json:"compress,omitempty"`
 	// Quarantine contains malformed records and panicking windows instead
@@ -479,7 +477,7 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 	// storage.
 	cfg := pipeline.Config{
 		Chr: ref.Name, Ref: ref.Seq, Known: known, Window: o.Window,
-		Prefetch: o.Prefetch, Quarantine: o.Quarantine, WindowHook: hook,
+		Quarantine: o.Quarantine, WindowHook: hook,
 		VCFOutput: o.VCF(), CompressOutput: o.Compress, Scratch: &w.scratch,
 	}
 	var kernel pipeline.Kernel
@@ -512,9 +510,6 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 	if o.Stats {
 		fmt.Fprintf(diag, "%s: %d sites, %d SNPs, mean depth %.1fX, %d output bytes\n%v\n",
 			o.Engine, rep.Sites, rep.SNPs, rep.MeanDepth, rep.OutputBytes, rep.Times)
-		if o.Prefetch {
-			fmt.Fprintf(diag, "prefetch: %v\n", rep.Prefetch)
-		}
 		if dev != nil {
 			fmt.Fprintf(diag, "\nsimulated device profile (%s):\n%s",
 				dev.Config().Name, dev.FormatProfile())

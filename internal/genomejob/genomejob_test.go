@@ -61,7 +61,6 @@ func TestFingerprintEnumeratesOptionsFields(t *testing.T) {
 	// Fields exempt from the fingerprint, each with the reason it is safe.
 	exempt := map[string]string{
 		"ComputeWorkers": "byte-identity pinned at every compute-worker count (PR 2/6 tests)",
-		"Prefetch":       "byte-identity pinned with prefetch on and off (PR 1 tests)",
 		"Stats":          "writes diagnostics to the diag writer, never to result bytes",
 		"Injector":       "test-only fault injection; never set by production front-ends",
 		"AlignWorkers":   "byte-identity pinned at every align-worker count (TestAlignReadsParallelMatchesSerial)",
@@ -141,7 +140,6 @@ func TestFingerprintDistinguishesEveryInput(t *testing.T) {
 	// recorded at one worker count serves any other.
 	same := base
 	same.ComputeWorkers = 7
-	same.Prefetch = true
 	same.Stats = true
 	if same.Fingerprint() != fp {
 		t.Errorf("exempt fields changed the fingerprint: %q vs %q", same.Fingerprint(), fp)

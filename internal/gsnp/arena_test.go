@@ -54,7 +54,7 @@ func newDirectEngine(tb testing.TB, ds *seqsim.Dataset, window int, cfg Config) 
 	var wins []directWin
 	for start := 0; start < len(ds.Ref.Seq); start += window {
 		end := min(start+window, len(ds.Ref.Seq))
-		rs, err := win.Reads(start, end)
+		rs, err := win.AppendReads(nil, start, end)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -84,9 +84,9 @@ func TestComputeWorkersByteIdentity(t *testing.T) {
 		t.Error("adaptive ComputeWorkers output differs from single-threaded")
 	}
 	// Stacked with the other concurrency knobs.
-	_, got := runGSNP(t, ds, pipeline.Config{Window: 700, Prefetch: true}, Config{Mode: ModeCPU, ComputeWorkers: 4, forceShardWorkers: 4, SortWorkers: 4})
+	_, got := runGSNP(t, ds, pipeline.Config{Window: 700}, Config{Mode: ModeCPU, ComputeWorkers: 4, forceShardWorkers: 4, SortWorkers: 4})
 	if !bytes.Equal(got, want) {
-		t.Error("ComputeWorkers+SortWorkers+Prefetch output differs from serial")
+		t.Error("ComputeWorkers+SortWorkers output differs from serial")
 	}
 }
 

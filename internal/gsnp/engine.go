@@ -241,7 +241,7 @@ type window struct {
 }
 
 // Window implements pipeline.Kernel: components 3-7 for one window whose
-// reads have already been fetched (serially or by the prefetcher).
+// reads the driver's read_site has already fetched.
 func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	rep := e.run.Report
 	w := &e.cfg.Arena.w

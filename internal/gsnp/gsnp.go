@@ -80,8 +80,8 @@ const (
 
 // Config holds what only the sparse kernel reads. Everything a run shares
 // with the other engines — chromosome, reference, priors, window size, output
-// codec, prefetch, quarantine — is pipeline.Config, handed to pipeline.Run
-// next to the Engine.
+// codec, quarantine — is pipeline.Config, handed to pipeline.Run next to the
+// Engine.
 type Config struct {
 	// Mode selects GPU or CPU execution.
 	Mode Mode

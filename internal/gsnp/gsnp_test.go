@@ -377,7 +377,7 @@ func TestDenseGPULikelihoodMatchesSparse(t *testing.T) {
 	it, _ := pipeline.MemSource(ds.Reads).Open()
 	win := pipeline.NewWindower(it)
 	w := &window{start: 0, end: 300, n: 300}
-	rs, _ := win.Reads(0, 300)
+	rs, _ := win.AppendReads(nil, 0, 300)
 	for i := range rs {
 		r := &rs[i]
 		for pos := r.Pos; pos < r.Pos+len(r.Bases) && pos < 300; pos++ {

@@ -115,21 +115,15 @@ func (s *Session) ExtConsistency() *Result {
 		check("GSNP GPU "+v.String(), out)
 	}
 
-	// Concurrency knobs must not perturb a single byte: window prefetch
-	// (both engine families), parallel likelihood_sort on the host, and
-	// their combination.
-	_, out := run(ds, pipeline.Config{Window: soapsnp.DefaultWindow, Prefetch: true}, soapsnp.New(soapsnp.Config{}))
-	check("SOAPsnp prefetch", out)
-	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
-	check("GSNP_CPU prefetch", out)
-	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, SortWorkers: 4})
+	// Concurrency knobs must not perturb a single byte: parallel
+	// likelihood_sort and likelihood/posterior on the host, and their
+	// combination.
+	_, out := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, SortWorkers: 4})
 	check("GSNP_CPU sort workers=4", out)
 	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, ComputeWorkers: 4})
 	check("GSNP_CPU compute workers=4", out)
-	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, SortWorkers: 4, ComputeWorkers: 4, Prefetch: true})
-	check("GSNP_CPU sort+compute+prefetch", out)
-	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Prefetch: true})
-	check("GSNP GPU prefetch", out)
+	_, out = s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, SortWorkers: 4, ComputeWorkers: 4})
+	check("GSNP_CPU sort+compute", out)
 	r.Notef("every engine, kernel variant and concurrency knob reproduces the dense baseline byte for byte — the consistency requirement BGI set for GSNP (Section IV-G)")
 	return r
 }
@@ -158,7 +152,7 @@ func (s *Session) ExtParallel() *Result {
 			tasks[i] = sched.Task[[]byte, struct{}]{
 				Name: ds.Spec.Name,
 				Run: func(ctx context.Context, _ struct{}) ([]byte, error) {
-					_, out := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Prefetch: true})
+					_, out := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU})
 					return out, nil
 				},
 			}

@@ -15,8 +15,8 @@ func TestExtConsistencyAllYes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 12 {
-		t.Fatalf("expected 12 engine rows, got %d", len(res.Rows))
+	if len(res.Rows) != 9 {
+		t.Fatalf("expected 9 engine rows, got %d", len(res.Rows))
 	}
 	for _, row := range res.Rows[1:] {
 		if row[2] != "YES" {

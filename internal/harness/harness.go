@@ -42,9 +42,6 @@ type Scale struct {
 // baseline on chr1) completes in tens of seconds on a development machine.
 func DefaultScale() Scale { return Scale{SitesPerMb: 250, Seed: 20110607} }
 
-// QuickScale is for smoke tests and benchmarks.
-func QuickScale() Scale { return Scale{SitesPerMb: 60, Seed: 20110607} }
-
 // Session caches datasets and baseline runs across the experiments of one
 // invocation, since several figures reuse the chr1/chr21 workloads.
 type Session struct {
@@ -157,8 +154,6 @@ type GSNPOptions struct {
 	Window   int
 	Compress bool
 	Device   *gpu.Device
-	// Prefetch enables double-buffered window read I/O.
-	Prefetch bool
 	// SortWorkers sets the CPU-mode likelihood_sort worker count. Zero
 	// pins 1 — the paper's single-threaded GSNP_CPU configuration — so
 	// the Figure 5/6, Table IV and Figure 12 comparisons keep their
@@ -205,7 +200,7 @@ func (s *Session) RunGSNP(ds *seqsim.Dataset, opts GSNPOptions) (*GSNPReport, []
 	if err != nil {
 		panic(fmt.Sprintf("harness: gsnp config: %v", err))
 	}
-	rep, out := run(ds, pipeline.Config{Window: window, CompressOutput: opts.Compress, Prefetch: opts.Prefetch}, eng)
+	rep, out := run(ds, pipeline.Config{Window: window, CompressOutput: opts.Compress}, eng)
 	return &GSNPReport{Report: rep, Device: eng.Report()}, out
 }
 

@@ -249,14 +249,14 @@ func TestWindower(t *testing.T) {
 	it, _ := MemSource(rs).Open()
 	w := NewWindower(it)
 
-	w0, err := w.Reads(0, 100)
+	w0, err := w.AppendReads(nil, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(w0) != 4 { // pos 0, 5, 95, 99
 		t.Fatalf("window 0 has %d reads, want 4", len(w0))
 	}
-	w1, err := w.Reads(100, 200)
+	w1, err := w.AppendReads(nil, 100, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +264,14 @@ func TestWindower(t *testing.T) {
 	if len(w1) != 3 {
 		t.Fatalf("window 1 has %d reads, want 3: %+v", len(w1), w1)
 	}
-	w2, err := w.Reads(200, 300)
+	w2, err := w.AppendReads(nil, 200, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(w2) != 1 || w2[0].Pos != 250 {
 		t.Fatalf("window 2 wrong: %+v", w2)
 	}
-	w3, err := w.Reads(300, 400)
+	w3, err := w.AppendReads(nil, 300, 400)
 	if err != nil || len(w3) != 0 {
 		t.Fatalf("window 3 should be empty: %v %v", w3, err)
 	}
@@ -288,7 +288,7 @@ func TestWindowerCoversAllObservations(t *testing.T) {
 		if end > 5000 {
 			end = 5000
 		}
-		rs, err := w.Reads(start, end)
+		rs, err := w.AppendReads(nil, start, end)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,6 @@ type Config struct {
 	Priors bayes.Priors
 	// Window is the number of sites per window.
 	Window int
-	// Prefetch overlaps read_site I/O for window i+1 with components 3-7
-	// of window i (double buffering). Output is byte-identical either way.
-	Prefetch bool
 	// Quarantine contains window-level failures instead of aborting the
 	// run: a malformed alignment record or a panicking window computation
 	// is recorded in Report.Quarantined (window index, site range, input
@@ -165,10 +162,10 @@ func newSink(cfg *Config, w io.Writer, k Kernel) Sink {
 }
 
 // Scratch is the driver's recycled per-run storage: the calibration
-// counters (2 MB, reset and refilled by every run), the serial read_site
-// path's read buffer and the output buffer. A Scratch serves one Run at a
-// time but may be handed from run to run, across engines — a whole-genome
-// worker (genomejob.Worker) keeps one for every chromosome it processes.
+// counters (2 MB, reset and refilled by every run), read_site's read buffer
+// and the output buffer. A Scratch serves one Run at a time but may be
+// handed from run to run, across engines — a whole-genome worker
+// (genomejob.Worker) keeps one for every chromosome it processes.
 type Scratch struct {
 	cal     *bayes.Calibration
 	readBuf []reads.AlignedRead
@@ -192,11 +189,10 @@ func (s *Scratch) output(w io.Writer) *bufio.Writer {
 }
 
 // Times is the per-component breakdown of Tables I and IV. The driver owns
-// CalP (the calibration pass plus Kernel.Prepare) and Read (serial
-// read_site, or the residual wait on the prefetcher) and adds the final
-// flush to Output; the kernel owns the rest. GPU components combine the
-// simulated device time of their kernels and copies with the host time of
-// their host-side work.
+// CalP (the calibration pass plus Kernel.Prepare) and Read (read_site) and
+// adds the final flush to Output; the kernel owns the rest. GPU components
+// combine the simulated device time of their kernels and copies with the
+// host time of their host-side work.
 type Times struct {
 	CalP       time.Duration
 	Read       time.Duration
@@ -243,10 +239,6 @@ type Report struct {
 	NonZeroHist []int64
 	// OutputBytes is the number of result bytes written.
 	OutputBytes int64
-	// Prefetch reports the window-prefetch counters when Config.Prefetch
-	// is set (zero otherwise): Fetch is read_site work that overlapped
-	// computation, Wait the residual blocking left in Times.Read.
-	Prefetch PrefetchStats
 	// Quarantined lists the windows abandoned under Config.Quarantine; a
 	// non-empty list marks the run's output as partial.
 	Quarantined []Quarantine
@@ -338,40 +330,18 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 		it = &strideIter{it: it, stride: st.Stride}
 	}
 	win := NewWindower(it)
-	var pf *WindowPrefetcher
-	if cfg.Prefetch {
-		// read_site for window i+1 overlaps components 3-7 of window i;
-		// windows arrive strictly in order, so output bytes are identical
-		// to the serial path. Under quarantine the producer keeps fetching
-		// past a record-level failure.
-		pf = NewWindowPrefetcher(win, len(cfg.Ref), cfg.Window, cfg.Quarantine)
-		defer pf.Stop()
-	}
 	for start := 0; start < len(cfg.Ref); start += cfg.Window {
 		end := min(start+cfg.Window, len(cfg.Ref))
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Component 2: read_site — from the prefetcher, or serially into
-		// the scratch's recycled read buffer (the prefetcher allocates
-		// instead: it runs ahead of the consumer, so its windows can't
-		// share one buffer).
-		var rs []reads.AlignedRead
-		var werr error
-		if pf != nil {
-			pw, ok := pf.Next()
-			if !ok {
-				return nil, fmt.Errorf("read_site: prefetcher stopped before window [%d,%d)", start, end)
-			}
-			rs, werr = pw.Reads, pw.Err
-		} else {
-			t0 = time.Now()
-			rs, werr = win.AppendReads(sc.readBuf[:0], start, end)
-			if rs != nil {
-				sc.readBuf = rs[:0]
-			}
-			rep.Times.Read += time.Since(t0)
+		// Component 2: read_site, into the scratch's recycled read buffer.
+		t0 = time.Now()
+		rs, werr := win.AppendReads(sc.readBuf[:0], start, end)
+		if rs != nil {
+			sc.readBuf = rs[:0]
 		}
+		rep.Times.Read += time.Since(t0)
 		if werr == nil {
 			werr = windowAttempt(ctx, &cfg, k, rs, start, end)
 		}
@@ -387,10 +357,6 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 		}
 		rep.Quarantined = append(rep.Quarantined, NewQuarantine(cfg.Chr, start/cfg.Window, start, end, werr))
 		k.Abandon(start, end)
-	}
-	if pf != nil {
-		rep.Prefetch = pf.Stats()
-		rep.Times.Read += rep.Prefetch.Wait
 	}
 
 	t0 = time.Now()

@@ -86,6 +86,11 @@ func (f *faultIter) Next() (reads.AlignedRead, error) {
 	return r, err
 }
 
+type flakyRecordError struct{ line int }
+
+func (e *flakyRecordError) Error() string        { return fmt.Sprintf("flaky record %d", e.line) }
+func (e *flakyRecordError) Record() (int, int64) { return e.line, -1 }
+
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
@@ -205,98 +210,93 @@ func TestRunDriver(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, prefetch := range []bool{false, true} {
-			for _, quarantine := range []bool{false, true} {
-				tc, w := tc, tc.off
-				if quarantine {
-					w = tc.on
-				}
-				t.Run(fmt.Sprintf("%s/prefetch=%t/quarantine=%t", tc.name, prefetch, quarantine), func(t *testing.T) {
-					goroutines := runtime.NumGoroutine()
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					src := &passSource{open: func(pass int) ReadIter {
-						it, _ := MemSource(input).Open()
-						if tc.pass != nil {
-							it = tc.pass(pass, it)
-						}
-						return it
-					}}
-					cfg := Config{Chr: "chrF", Ref: make(dna.Sequence, 40), Window: 10, Prefetch: prefetch, Quarantine: quarantine}
-					if tc.hook != nil {
-						cfg.WindowHook = tc.hook(cancel)
-					}
-					var out io.Writer = &bytes.Buffer{}
-					if tc.writer != nil {
-						out = tc.writer
-					}
-					k := &fakeKernel{panicAt: tc.panicAt}
-
-					var rep *Report
-					var err error
-					func() {
-						defer func() {
-							if v := recover(); v != nil {
-								err = fmt.Errorf("panicked: %v", v)
-							}
-						}()
-						rep, err = Run(ctx, cfg, src, out, k)
-					}()
-
-					if (err != nil) != w.fail {
-						t.Fatalf("err = %v, want failure %t", err, w.fail)
-					}
-					if w.fail && rep != nil {
-						t.Error("failed run returned a report")
-					}
-					if k.finished != 1 {
-						t.Errorf("Finish ran %d times, want exactly once", k.finished)
-					}
-					if k.prepared != w.prepared {
-						t.Errorf("Prepare ran %d times, want %d", k.prepared, w.prepared)
-					}
-					if !reflect.DeepEqual(k.windows, w.windows) {
-						t.Errorf("windows reaching Window = %v, want %v", k.windows, w.windows)
-					}
-					// Abandon follows every contained failure, and only those.
-					if !reflect.DeepEqual(k.abandoned, w.quarantined) {
-						t.Errorf("abandoned windows = %v, want %v", k.abandoned, w.quarantined)
-					}
-					if !w.fail {
-						var got []int
-						for _, q := range rep.Quarantined {
-							got = append(got, q.Window)
-							if q.Chr != "chrF" || q.Start != q.Window*10 || q.End != q.Start+10 {
-								t.Errorf("quarantine record %+v has the wrong site range", q)
-							}
-						}
-						if !reflect.DeepEqual(got, w.quarantined) {
-							t.Errorf("Report.Quarantined windows = %v, want %v", got, w.quarantined)
-						}
-						if rep.CalSkipped != w.calSkipped {
-							t.Errorf("CalSkipped = %d, want %d", rep.CalSkipped, w.calSkipped)
-						}
-						if rep.Partial() != (len(w.quarantined) > 0 || w.calSkipped > 0) {
-							t.Errorf("Partial() = %t", rep.Partial())
-						}
-						buf := out.(*bytes.Buffer)
-						if rep.OutputBytes != int64(buf.Len()) || buf.Len() == 0 {
-							t.Errorf("OutputBytes = %d, sink holds %d bytes", rep.OutputBytes, buf.Len())
-						}
-						if prefetch && rep.Prefetch.Windows != 4 {
-							t.Errorf("prefetcher delivered %d windows, want 4", rep.Prefetch.Windows)
-						}
-					}
-					// The prefetcher's producer must be gone when Run returns.
-					deadline := time.Now().Add(5 * time.Second)
-					for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-						time.Sleep(time.Millisecond)
-					}
-					if n := runtime.NumGoroutine(); n > goroutines {
-						t.Errorf("%d goroutines after Run, %d before: prefetcher leaked", n, goroutines)
-					}
-				})
+		for _, quarantine := range []bool{false, true} {
+			tc, w := tc, tc.off
+			if quarantine {
+				w = tc.on
 			}
+			t.Run(fmt.Sprintf("%s/quarantine=%t", tc.name, quarantine), func(t *testing.T) {
+				goroutines := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				src := &passSource{open: func(pass int) ReadIter {
+					it, _ := MemSource(input).Open()
+					if tc.pass != nil {
+						it = tc.pass(pass, it)
+					}
+					return it
+				}}
+				cfg := Config{Chr: "chrF", Ref: make(dna.Sequence, 40), Window: 10, Quarantine: quarantine}
+				if tc.hook != nil {
+					cfg.WindowHook = tc.hook(cancel)
+				}
+				var out io.Writer = &bytes.Buffer{}
+				if tc.writer != nil {
+					out = tc.writer
+				}
+				k := &fakeKernel{panicAt: tc.panicAt}
+
+				var rep *Report
+				var err error
+				func() {
+					defer func() {
+						if v := recover(); v != nil {
+							err = fmt.Errorf("panicked: %v", v)
+						}
+					}()
+					rep, err = Run(ctx, cfg, src, out, k)
+				}()
+
+				if (err != nil) != w.fail {
+					t.Fatalf("err = %v, want failure %t", err, w.fail)
+				}
+				if w.fail && rep != nil {
+					t.Error("failed run returned a report")
+				}
+				if k.finished != 1 {
+					t.Errorf("Finish ran %d times, want exactly once", k.finished)
+				}
+				if k.prepared != w.prepared {
+					t.Errorf("Prepare ran %d times, want %d", k.prepared, w.prepared)
+				}
+				if !reflect.DeepEqual(k.windows, w.windows) {
+					t.Errorf("windows reaching Window = %v, want %v", k.windows, w.windows)
+				}
+				// Abandon follows every contained failure, and only those.
+				if !reflect.DeepEqual(k.abandoned, w.quarantined) {
+					t.Errorf("abandoned windows = %v, want %v", k.abandoned, w.quarantined)
+				}
+				if !w.fail {
+					var got []int
+					for _, q := range rep.Quarantined {
+						got = append(got, q.Window)
+						if q.Chr != "chrF" || q.Start != q.Window*10 || q.End != q.Start+10 {
+							t.Errorf("quarantine record %+v has the wrong site range", q)
+						}
+					}
+					if !reflect.DeepEqual(got, w.quarantined) {
+						t.Errorf("Report.Quarantined windows = %v, want %v", got, w.quarantined)
+					}
+					if rep.CalSkipped != w.calSkipped {
+						t.Errorf("CalSkipped = %d, want %d", rep.CalSkipped, w.calSkipped)
+					}
+					if rep.Partial() != (len(w.quarantined) > 0 || w.calSkipped > 0) {
+						t.Errorf("Partial() = %t", rep.Partial())
+					}
+					buf := out.(*bytes.Buffer)
+					if rep.OutputBytes != int64(buf.Len()) || buf.Len() == 0 {
+						t.Errorf("OutputBytes = %d, sink holds %d bytes", rep.OutputBytes, buf.Len())
+					}
+				}
+				// Run must leave no goroutine behind.
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > goroutines {
+					t.Errorf("%d goroutines after Run, %d before: Run leaked one", n, goroutines)
+				}
+			})
 		}
 	}
 }

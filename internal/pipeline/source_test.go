@@ -53,7 +53,7 @@ func (f *failIter) Next() (reads.AlignedRead, error) {
 
 func TestWindowerPropagatesReadErrors(t *testing.T) {
 	w := NewWindower(&failIter{})
-	if _, err := w.Reads(0, 1000); err == nil {
+	if _, err := w.AppendReads(nil, 0, 1000); err == nil {
 		t.Error("iterator error swallowed")
 	}
 }

@@ -23,12 +23,6 @@ type Windower struct {
 // NewWindower wraps a position-sorted read iterator.
 func NewWindower(it ReadIter) *Windower { return &Windower{it: it} }
 
-// Reads returns every read overlapping [start, end). Windows must be
-// requested in increasing, non-overlapping order.
-func (w *Windower) Reads(start, end int) ([]reads.AlignedRead, error) {
-	return w.AppendReads(nil, start, end)
-}
-
 // AppendReads appends every read overlapping [start, end) to out and
 // returns the extended slice, letting a caller recycle one buffer across
 // windows. Windows must be requested in increasing, non-overlapping order.

@@ -67,18 +67,6 @@ func ScaledHumanGenome(sitesPerMb int, seed int64) []ChromosomeSpec {
 	return specs
 }
 
-// Chr1Spec returns the scaled Chromosome 1 workload (the paper's largest
-// data set) at the given sites-per-Mb scale.
-func Chr1Spec(sitesPerMb int, seed int64) ChromosomeSpec {
-	return ScaledHumanGenome(sitesPerMb, seed)[0]
-}
-
-// Chr21Spec returns the scaled Chromosome 21 workload (the paper's
-// smallest data set).
-func Chr21Spec(sitesPerMb int, seed int64) ChromosomeSpec {
-	return ScaledHumanGenome(sitesPerMb, seed)[20]
-}
-
 // Dataset bundles everything one chromosome's SNP-calling run consumes.
 type Dataset struct {
 	Spec     ChromosomeSpec

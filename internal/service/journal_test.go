@@ -7,11 +7,13 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -443,5 +445,96 @@ func TestServiceJournalRefusesWhileDraining(t *testing.T) {
 			t.Fatal(err)
 		}
 		post(t, ts)
+	})
+}
+
+// preChangeAccepted is an accepted record as gsnpd journaled it while the
+// job spec still had a "prefetch" option: the first line of
+// testdata/wire/wal.ndjson at that time, byte for byte.
+const preChangeAccepted = `{"v":2,"kind":"accepted","seq":7,"job":"j7","spec":{"genome_dir":"/data/genome","engine":"gsnp-gpu","format":"fastq","window":4096,"compute_workers":3,"prefetch":true,"compress":true,"quarantine":true,"output_format":"vcf","align_max_mismatch":3,"align_seed_len":20},"fingerprint":"v1 engine=gsnp-gpu format=fastq window=4096 compress=true quarantine=true output=vcf align-mm=3 align-k=20","digests":["d1","d2"],"created":"2011-09-13T08:30:15Z"}`
+
+// TestServiceJournalRecoversPreChangeSpec: a WAL written while job specs
+// carried "prefetch" stays recoverable. Submissions refuse the field as
+// unknown, but recovery decodes the journaled spec leniently, validates it
+// and recomputes the journaled fingerprint, which never included it.
+func TestServiceJournalRecoversPreChangeSpec(t *testing.T) {
+	t.Run("golden record", func(t *testing.T) {
+		jdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(jdir, journal.WALName), []byte(preChangeAccepted+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jn, err := journal.Open(journal.Config{Dir: jdir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jn.Close()
+		pending := jn.Pending()
+		if len(pending) != 1 || pending[0].Job != "j7" {
+			t.Fatalf("replay of the pre-change WAL: %+v, want pending j7", pending)
+		}
+		e := pending[0]
+		// Decoded as recoverJob decodes it.
+		var spec JobSpec
+		if err := json.Unmarshal(e.Spec, &spec); err != nil {
+			t.Fatalf("journaled spec: %v", err)
+		}
+		if got := spec.Fingerprint(); got != e.Fingerprint {
+			t.Errorf("fingerprint drift: journaled %q, recomputed %q", e.Fingerprint, got)
+		}
+		// The golden spec sets every field, so it pairs vcf output with
+		// compress and validation refuses it; the dropped field plays no
+		// part in that verdict.
+		want := wireSpec()
+		want.Inputs = nil
+		if err, wantErr := spec.validateOptions(), want.validateOptions(); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("validating the journaled spec: %v, the same spec without prefetch: %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(spec, want) {
+			t.Errorf("journaled spec decodes to\n%+v\nwant\n%+v", spec, want)
+		}
+	})
+
+	t.Run("pending job", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("service e2e in -short mode")
+		}
+		opts := genomejob.Options{Engine: "gsnp-cpu", Format: "soap", Window: 256}
+		dir := t.TempDir()
+		writeGenomeDir(t, dir, testSpecs(2, 1200, 43))
+		base := serialBaseline(t, dir, opts)
+		units, _, err := genomejob.Discover(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests, err := genomejob.UnitDigests(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, _ := json.Marshal(map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "format": "soap", "window": 256, "prefetch": true})
+		jdir := t.TempDir()
+		jn, err := journal.Open(journal.Config{Dir: jdir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.Accept(journal.Entry{Seq: 1, Job: "j1", Spec: spec, Fingerprint: opts.Fingerprint(), Digests: digests, Created: time.Now()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir})
+		if st := srv.Statz(); st.RecoveredJobs != 1 {
+			t.Fatalf("recovered %d jobs, want 1", st.RecoveredJobs)
+		}
+		recs, state := readStream(t, ts, "j1")
+		if state != StateDone {
+			t.Fatalf("recovered job state %q, want done", state)
+		}
+		for name, want := range base {
+			if !bytes.Equal(recs[name].OutputB64, want) {
+				t.Errorf("%s: recovered bytes differ from a serial run", name)
+			}
+		}
 	})
 }

@@ -453,7 +453,19 @@ func TestServiceBadSpecs(t *testing.T) {
 			t.Errorf("spec %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/jobs/j999")
+	// A spec naming the removed window prefetch option is refused like any
+	// other typo. The status alone cannot tell: /x does not exist, so the
+	// spec would fail with 400 even if the field were still known.
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"genome_dir":"/x","prefetch":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"prefetch\"`) {
+		t.Errorf("spec naming prefetch: %d %s, want an unknown-field error", resp.StatusCode, body)
+	}
+	resp, err = http.Get(ts.URL + "/jobs/j999")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func wireSpec() JobSpec {
 		Inputs:    []InputSpec{{Name: "chr1", Ref: ">chr1\nACGT\n", Aln: "r1\tACGT\n", SNP: "chr1\t2\tA\n"}},
 		Options: genomejob.Options{
 			Engine: "gsnp-gpu", Format: "fastq", Window: 4096, ComputeWorkers: 3,
-			Prefetch: true, Compress: true, Quarantine: true,
+			Compress: true, Quarantine: true,
 			OutputFormat: "vcf", AlignMaxMismatch: 3, AlignSeedLen: 20,
 		},
 	}

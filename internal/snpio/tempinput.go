@@ -191,8 +191,9 @@ func (tr *TempReader) readBlock() error {
 	}
 	// Every read costs at least four metadata bytes, and the writer never
 	// batches more than tmpBlockReads; reject counts beyond either bound
-	// before allocating.
-	if n64 > size/4 || n64 > 16*tmpBlockReads {
+	// before allocating. Nor does it write an empty block, and Next relies
+	// on every block holding a read.
+	if n64 == 0 || n64 > size/4 || n64 > 16*tmpBlockReads {
 		return fmt.Errorf("snpio: temp-input block claims %d reads in %d bytes", n64, size)
 	}
 	metaLen, off, err := uvarintAt(payload, off)

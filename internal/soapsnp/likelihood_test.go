@@ -199,7 +199,7 @@ func directEngine(t *testing.T, ds *seqsim.Dataset, window, threads int) (*Engin
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := pipeline.NewWindower(it).Reads(0, window)
+	rs, err := pipeline.NewWindower(it).AppendReads(nil, 0, window)
 	if err != nil {
 		t.Fatal(err)
 	}
