@@ -7,36 +7,36 @@
 // per-chromosome results back as they complete.
 //
 // Every result the server streams lives on disk, not in its heap: one
-// file per distinct result text under <journal-dir or spool>/store, named
-// by its sha256 and written to the client from a mapping of the file.
-// Completed results are indexed by a content-addressed cache: resubmitting
-// a job whose input bytes and output-shaping options are identical
-// replays the recorded stream without touching the scheduler, and
-// identical jobs submitted while one is still running share that single
-// execution (single-flight dedup). The cache is bounded by -cache-bytes —
-// the disk bytes of stored results it keeps — and disabled entirely
-// (dedup included) by -cache-off. The server remembers its last 100
+// file per distinct result text under <journal-dir>/store, named by its
+// sha256 and written to the client from a mapping of the file. Completed
+// results are indexed by a content-addressed cache: resubmitting a job
+// whose input bytes and output-shaping options are identical replays the
+// recorded stream without touching the scheduler, and identical jobs
+// submitted while one is still running share that single execution
+// (single-flight dedup). The cache is bounded by -cache-bytes — the disk
+// bytes of stored results it keeps. The server remembers its last 100
 // finished jobs; an older one answers 404.
 //
-// With -journal-dir the server is crash-durable: every accepted job is
-// recorded in a write-ahead journal (fsync'd before the 202), uploaded
-// inputs spool under the journal directory, and each cleanly completed
-// chromosome is journaled (stored file + chrom record) before its stream
-// record is published. A restarted gsnpd pointed at the same directory
-// re-enqueues every interrupted job — journaled chromosomes replay from
-// disk (digest-verified) instead of re-executing, output bytes
-// stay identical to an uninterrupted run, and recovered jobs carry a
-// "recovered" marker in GET /jobs (a recovered job that duplicates another
-// pending one is served by it and ends "cached", like a fresh duplicate).
+// The server is always crash-durable: every accepted job is recorded in a
+// write-ahead journal (fsync'd before the 202), uploaded inputs spool
+// under the journal directory, and each cleanly completed chromosome is
+// journaled (stored file + chrom record) before its stream record is
+// published. -journal-dir names that directory; without it the server
+// uses a fresh gsnpd-* temp directory and removes it on a clean exit. A
+// restarted gsnpd pointed at the same -journal-dir re-enqueues every
+// interrupted job — journaled chromosomes replay from disk
+// (digest-verified) instead of re-executing, output bytes stay identical
+// to an uninterrupted run, and recovered jobs carry a "recovered" marker
+// in GET /jobs (a recovered job that duplicates another pending one is
+// served by it and ends "cached", like a fresh duplicate).
 // -max-queued bounds admission: beyond that many unfinished executing
 // jobs, submissions get 429 + Retry-After.
 //
 // Usage:
 //
 //	gsnpd [-addr 127.0.0.1:8844] [-workers N] [-retries N]
-//	      [-retry-backoff D] [-task-timeout D] [-spool DIR]
-//	      [-drain-timeout D] [-cache-bytes N] [-cache-off]
-//	      [-journal-dir DIR] [-max-queued N]
+//	      [-retry-backoff D] [-task-timeout D] [-drain-timeout D]
+//	      [-cache-bytes N] [-journal-dir DIR] [-max-queued N]
 //
 // API:
 //
@@ -98,27 +98,25 @@ func main() {
 
 func run() error {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8844", "listen address (host:port; port 0 picks a free port)")
-		workers  = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
-		retries  = flag.Int("retries", 0, "re-run a failed chromosome up to N times (exponential backoff)")
-		backoff  = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay between retries of a failed chromosome")
-		taskTO   = flag.Duration("task-timeout", 0, "per-chromosome deadline (0 = none)")
-		spool    = flag.String("spool", "", "directory for uploaded job inputs (default: a temp dir)")
-		drainTO  = flag.Duration("drain-timeout", 10*time.Minute, "how long graceful shutdown waits for running jobs")
-		cacheB   = flag.Int64("cache-bytes", 256<<20, "result cache budget: disk bytes of stored results it keeps for replay (LRU-evicted)")
-		cacheOff = flag.Bool("cache-off", false, "disable the result cache and single-flight dedup")
-		journal  = flag.String("journal-dir", "", "write-ahead job journal directory: accepted jobs survive crashes and resume on restart (overrides -spool)")
-		maxQ     = flag.Int("max-queued", 0, "reject submissions with 429 once N admitted jobs are unfinished (0 = unlimited)")
+		addr    = flag.String("addr", "127.0.0.1:8844", "listen address (host:port; port 0 picks a free port)")
+		workers = flag.Int("workers", 0, "shared worker pool size (0 = GOMAXPROCS)")
+		retries = flag.Int("retries", 0, "re-run a failed chromosome up to N times (exponential backoff)")
+		backoff = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay between retries of a failed chromosome")
+		taskTO  = flag.Duration("task-timeout", 0, "per-chromosome deadline (0 = none)")
+		drainTO = flag.Duration("drain-timeout", 10*time.Minute, "how long graceful shutdown waits for running jobs")
+		cacheB  = flag.Int64("cache-bytes", 256<<20, "result cache budget: disk bytes of stored results it keeps for replay (LRU-evicted)")
+		journal = flag.String("journal-dir", "", "write-ahead job journal directory: accepted jobs survive crashes and resume on restart (default: a temp dir, removed on exit)")
+		maxQ    = flag.Int("max-queued", 0, "reject submissions with 429 once N admitted jobs are unfinished (0 = unlimited)")
 	)
 	flag.Parse()
 
-	if *spool == "" && *journal == "" {
-		dir, err := os.MkdirTemp("", "gsnpd-spool-*")
+	if *journal == "" {
+		dir, err := os.MkdirTemp("", "gsnpd-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		*spool = dir
+		*journal = dir
 	}
 
 	logger := log.New(os.Stderr, "gsnpd: ", log.LstdFlags)
@@ -127,9 +125,7 @@ func run() error {
 		Retries:      *retries,
 		RetryBackoff: *backoff,
 		TaskTimeout:  *taskTO,
-		SpoolDir:     *spool,
 		CacheBytes:   *cacheB,
-		CacheOff:     *cacheOff,
 		JournalDir:   *journal,
 		MaxQueued:    *maxQ,
 		Logf:         logger.Printf,

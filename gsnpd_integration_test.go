@@ -215,8 +215,7 @@ func TestGsnpdServiceEndToEnd(t *testing.T) {
 
 // gsnpdStatz decodes GET /statz (wire shape pinned, not imported).
 type gsnpdStatz struct {
-	CacheEnabled bool `json:"cache_enabled"`
-	Cache        struct {
+	Cache struct {
 		Hits      uint64 `json:"hits"`
 		Misses    uint64 `json:"misses"`
 		Puts      uint64 `json:"puts"`
@@ -287,7 +286,7 @@ func TestGsnpdCachedResubmit(t *testing.T) {
 	}
 
 	st := gsnpdGetStatz(t, base)
-	if !st.CacheEnabled || st.Cache.Hits != 1 || st.Cache.Puts != 1 {
+	if st.Cache.Hits != 1 || st.Cache.Puts != 1 {
 		t.Errorf("statz after cached resubmit: %+v", st)
 	}
 	if st.Cache.Bytes <= 0 || st.Cache.Bytes > st.Cache.MaxBytes {
@@ -343,6 +342,104 @@ func TestGsnpdRejectsWhileDraining(t *testing.T) {
 	}
 }
 
+// gsnpdUploadBody is the body of a job that uploads every chromosome of
+// the genome directory dir inline: its reference, its alignments or reads
+// (the files ending in alnExt) and its known SNPs, with the gsnp-cpu engine
+// at window 256 and opts on top.
+func gsnpdUploadBody(t *testing.T, dir, alnExt string, opts map[string]any) []byte {
+	t.Helper()
+	fas, err := filepath.Glob(filepath.Join(dir, "*.fa"))
+	if err != nil || len(fas) == 0 {
+		t.Fatalf("no generated chromosomes: %v", err)
+	}
+	type inputDoc struct {
+		Name string `json:"name"`
+		Ref  string `json:"ref"`
+		Aln  string `json:"aln"`
+		SNP  string `json:"snp,omitempty"`
+	}
+	var inputs []inputDoc
+	for _, fa := range fas {
+		base := strings.TrimSuffix(fa, ".fa")
+		ref, err := os.ReadFile(fa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aln, err := os.ReadFile(base + alnExt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := inputDoc{Name: filepath.Base(base), Ref: string(ref), Aln: string(aln)}
+		if snp, err := os.ReadFile(base + ".snp"); err == nil {
+			in.SNP = string(snp)
+		}
+		inputs = append(inputs, in)
+	}
+	spec := map[string]any{"inputs": inputs, "engine": "gsnp-cpu", "window": 256}
+	for k, v := range opts {
+		spec[k] = v
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestGsnpdDefaultJournalDir: a gsnpd started without -journal-dir is as
+// durable as one with it — while it serves an uploaded job, its journal
+// is a gsnpd-* directory under TMPDIR — and a clean exit removes that
+// directory. The removed -spool and -cache-off flags are refused.
+func TestGsnpdDefaultJournalDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service integration in -short mode")
+	}
+	for _, args := range [][]string{{"-spool", t.TempDir()}, {"-cache-off"}} {
+		code, _, stderr := runCode(t, "gsnpd", args...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Errorf("gsnpd %v: exit %d, stderr %q; want exit 2 for an undefined flag", args, code, stderr)
+		}
+	}
+	dir := t.TempDir()
+	run(t, "gsnp-gen", "-out", dir, "-genome", "-scale", "6", "-seed", "307")
+	body := gsnpdUploadBody(t, dir, ".soap", nil)
+
+	// The tools are built by now, so TMPDIR holds only what gsnpd makes.
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	cmd, base, stderr := startGsnpd(t, "-workers", "1")
+	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs: %d %s", resp.StatusCode, data)
+	}
+	var accepted gsnpdJobDoc
+	if err := json.Unmarshal(data, &accepted); err != nil || accepted.ID == "" {
+		t.Fatalf("bad accept document %s: %v", data, err)
+	}
+	wals, err := filepath.Glob(filepath.Join(tmp, "gsnpd-*", "wal.ndjson"))
+	if err != nil || len(wals) != 1 {
+		t.Fatalf("journals under TMPDIR while serving an upload: %v (%v), want one gsnpd-*/wal.ndjson", wals, err)
+	}
+	if _, state := gsnpdStream(t, base, accepted.ID); state != "done" {
+		t.Fatalf("uploaded job final state %q, want done", state)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("gsnpd exit after SIGTERM: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Errorf("TMPDIR after a clean exit holds %d entries (%v), want none", len(ents), err)
+	}
+}
+
 // gsnpdJobDoc decodes GET /jobs/{id} (wire shape pinned, not imported).
 type gsnpdJobDoc struct {
 	ID        string `json:"id"`
@@ -382,39 +479,8 @@ func TestGsnpdCrashRecovery(t *testing.T) {
 
 	// The job uploads its inputs inline, so the only copy the restarted
 	// server can run from is the journal-owned spool.
-	fas, err := filepath.Glob(filepath.Join(dir, "*.fa"))
-	if err != nil || len(fas) == 0 {
-		t.Fatalf("no generated chromosomes: %v", err)
-	}
-	type inputDoc struct {
-		Name string `json:"name"`
-		Ref  string `json:"ref"`
-		Aln  string `json:"aln"`
-		SNP  string `json:"snp,omitempty"`
-	}
-	var inputs []inputDoc
-	for _, fa := range fas {
-		base := strings.TrimSuffix(fa, ".fa")
-		ref, err := os.ReadFile(fa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aln, err := os.ReadFile(base + ".soap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := inputDoc{Name: filepath.Base(base), Ref: string(ref), Aln: string(aln)}
-		if snp, err := os.ReadFile(base + ".snp"); err == nil {
-			in.SNP = string(snp)
-		}
-		inputs = append(inputs, in)
-	}
-	specBody, err := json.Marshal(map[string]any{
-		"inputs": inputs, "engine": "gsnp-cpu", "window": 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	specBody := gsnpdUploadBody(t, dir, ".soap", nil)
+	fas, _ := filepath.Glob(filepath.Join(dir, "*.fa")) // the body's chromosomes
 
 	jdir := filepath.Join(t.TempDir(), "journal")
 	cmdA, baseA, _ := startGsnpd(t, "-workers", "1", "-journal-dir", jdir)
@@ -563,40 +629,8 @@ func TestGsnpdCrashRecoveryFASTQ(t *testing.T) {
 	run(t, "gsnp", "-genome-dir", dir, "-format", "fastq", "-output-format", "vcf",
 		"-engine", "gsnp-cpu", "-window", "256", "-workers", "1")
 
-	fas, err := filepath.Glob(filepath.Join(dir, "*.fa"))
-	if err != nil || len(fas) == 0 {
-		t.Fatalf("no generated chromosomes: %v", err)
-	}
-	type inputDoc struct {
-		Name string `json:"name"`
-		Ref  string `json:"ref"`
-		Aln  string `json:"aln"`
-		SNP  string `json:"snp,omitempty"`
-	}
-	var inputs []inputDoc
-	for _, fa := range fas {
-		base := strings.TrimSuffix(fa, ".fa")
-		ref, err := os.ReadFile(fa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fq, err := os.ReadFile(base + ".fq")
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := inputDoc{Name: filepath.Base(base), Ref: string(ref), Aln: string(fq)}
-		if snp, err := os.ReadFile(base + ".snp"); err == nil {
-			in.SNP = string(snp)
-		}
-		inputs = append(inputs, in)
-	}
-	specBody, err := json.Marshal(map[string]any{
-		"inputs": inputs, "engine": "gsnp-cpu", "window": 256,
-		"format": "fastq", "output_format": "vcf",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	specBody := gsnpdUploadBody(t, dir, ".fq", map[string]any{"format": "fastq", "output_format": "vcf"})
+	fas, _ := filepath.Glob(filepath.Join(dir, "*.fa")) // the body's chromosomes
 	submit := func(base string) string {
 		t.Helper()
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(specBody))

@@ -31,6 +31,10 @@ func TestFileDigestAllocatesNoCopyBuffer(t *testing.T) {
 		t.Fatalf("FileDigest = %q, %v; want %q", got, err, want)
 	}
 
+	// One P: a goroutine a file syscall moves to another P cannot see the
+	// pool's slot on the old one and would allocate a fresh buffer — a
+	// scheduling artifact, not the allocation this test is about.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const calls = 100
 	var before, after runtime.MemStats
 	runtime.GC()

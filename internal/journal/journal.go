@@ -271,8 +271,7 @@ func (j *Journal) MaxSeq() int {
 }
 
 // SpoolDir returns the journal-owned spool directory for a job's
-// uploaded inputs. Unlike temp-dir spools, it survives restarts; Final
-// removes it.
+// uploaded inputs. It survives restarts; Final removes it.
 func (j *Journal) SpoolDir(job string) string {
 	return filepath.Join(j.cfg.Dir, "spool", job)
 }

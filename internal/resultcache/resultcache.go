@@ -6,17 +6,11 @@
 // *exactly* from a prior run's recorded bytes: caching is not an
 // approximation here, it is replay.
 //
-// The package provides two pieces the service composes:
-//
-//   - Cache[V]: a strictly byte-budgeted LRU index (least recently *hit*
-//     entry evicted first) with hit/miss/eviction accounting; a value that
-//     leaves it is handed to the owner's callback, so what it refers to
-//     (for gsnpd, files in its result store) can be released.
-//   - Flights[T]: a single-flight registry so concurrently submitted
-//     identical jobs share one execution — the second submission joins
-//     the first job's stream instead of spawning duplicate pool work.
-//
-// Both are safe for concurrent use.
+// Cache[V] is a strictly byte-budgeted LRU index (least recently *hit*
+// entry evicted first) with hit/miss/eviction accounting; a value that
+// leaves it is handed to the owner's callback, so what it refers to (for
+// gsnpd, files in its result store) can be released. It is safe for
+// concurrent use.
 package resultcache
 
 import (
@@ -152,49 +146,4 @@ func (c *Cache[V]) Stats() Stats {
 		Evictions: c.evictions, Rejected: c.rejected,
 		Entries: c.ll.Len(), Bytes: c.bytes, MaxBytes: c.max,
 	}
-}
-
-// Flights tracks in-progress computations by key so duplicate work can
-// join the leader instead of executing again. T is the leader's token
-// (for gsnpd, the leader job's registry entry).
-type Flights[T any] struct {
-	mu    sync.Mutex
-	m     map[string]T
-	joins uint64
-}
-
-// NewFlights builds an empty registry.
-func NewFlights[T any]() *Flights[T] {
-	return &Flights[T]{m: make(map[string]T)}
-}
-
-// Begin registers t as the leader for key if no flight is in progress,
-// returning (t, false). If a leader already exists, Begin counts a join
-// and returns (leader, true) — the caller should attach to the leader's
-// result instead of executing.
-func (f *Flights[T]) Begin(key string, t T) (T, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cur, ok := f.m[key]; ok {
-		f.joins++
-		return cur, true
-	}
-	f.m[key] = t
-	return t, false
-}
-
-// End closes the flight for key. The leader must call it exactly once
-// when its execution resolves (success or failure), after any cache Put,
-// so late submissions either join a live leader or hit the cache.
-func (f *Flights[T]) End(key string) {
-	f.mu.Lock()
-	delete(f.m, key)
-	f.mu.Unlock()
-}
-
-// Joins returns how many submissions joined an existing flight.
-func (f *Flights[T]) Joins() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.joins
 }

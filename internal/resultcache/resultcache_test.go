@@ -134,31 +134,10 @@ func TestCacheHandsOverEveryLeavingValue(t *testing.T) {
 	}
 }
 
-func TestFlightsSingleLeader(t *testing.T) {
-	f := NewFlights[int]()
-	lead, joined := f.Begin("k", 1)
-	if joined || lead != 1 {
-		t.Fatalf("first Begin = %d, joined %v", lead, joined)
-	}
-	lead, joined = f.Begin("k", 2)
-	if !joined || lead != 1 {
-		t.Fatalf("second Begin = %d, joined %v; want join of leader 1", lead, joined)
-	}
-	if f.Joins() != 1 {
-		t.Fatalf("joins %d, want 1", f.Joins())
-	}
-	f.End("k")
-	lead, joined = f.Begin("k", 3)
-	if joined || lead != 3 {
-		t.Fatalf("Begin after End = %d, joined %v; want fresh leader", lead, joined)
-	}
-}
-
-// TestConcurrency hammers the cache and flights from many goroutines so
-// the race detector can audit the locking.
+// TestConcurrency hammers the cache from many goroutines so the race
+// detector can audit the locking.
 func TestConcurrency(t *testing.T) {
 	c := New[int](1 << 10)
-	f := NewFlights[int]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -168,9 +147,6 @@ func TestConcurrency(t *testing.T) {
 				k := fmt.Sprintf("k%d", i%17)
 				c.Put(k, g, 64)
 				c.Get(k)
-				if _, joined := f.Begin(k, g); !joined {
-					f.End(k)
-				}
 				c.Stats()
 			}
 		}(g)

@@ -13,18 +13,22 @@ func benchGenome(b *testing.B) (string, map[string]any) {
 	return dir, map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
 }
 
-// BenchmarkServeColdJob measures end-to-end job serving with the result
-// cache disabled: every iteration executes the engine. This is the
-// baseline the cached path is compared against.
+// BenchmarkServeColdJob measures end-to-end job serving with a result
+// cache too small to keep a result: every iteration executes the engine.
+// This is the baseline the cached path is compared against.
 func BenchmarkServeColdJob(b *testing.B) {
 	_, spec := benchGenome(b)
-	_, ts := newTestServer(b, Config{Workers: 2, CacheOff: true})
+	srv, ts := newTestServer(b, Config{Workers: 2, CacheBytes: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := postJob(b, ts, spec)
 		if _, state := readStream(b, ts, id); state != StateDone {
 			b.Fatalf("state %q", state)
 		}
+		srv.mu.Lock()
+		js := srv.jobs[id]
+		srv.mu.Unlock()
+		settle(js)
 	}
 }
 

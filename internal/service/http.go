@@ -163,7 +163,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.Statz()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "draining": st.Draining, "jobs": st.Jobs,
-		"cache_enabled": st.CacheEnabled, "cache_bytes": st.Cache.Bytes,
+		"cache_bytes": st.Cache.Bytes,
 	})
 }
 

@@ -89,8 +89,8 @@ func TestServiceJournalRecovery(t *testing.T) {
 		Workers: 2, JournalDir: jdir,
 		OnDequeue: func(string, int) { dispatches.Add(1) },
 	})
-	if st := srvB.Statz(); st.RecoveredJobs != 1 || !st.JournalEnabled {
-		t.Fatalf("statz after recovery: recovered=%d journal=%t, want 1/true", st.RecoveredJobs, st.JournalEnabled)
+	if st := srvB.Statz(); st.RecoveredJobs != 1 {
+		t.Fatalf("statz after recovery: recovered=%d, want 1", st.RecoveredJobs)
 	}
 	recs, state := readStream(t, tsB, id)
 	if state != StateDone {
@@ -259,7 +259,7 @@ func TestServiceMaxQueued(t *testing.T) {
 	writeGenomeDir(t, dirLong, testSpecs(6, 5000, 17))
 	writeGenomeDir(t, dirSmall, testSpecs(1, 1200, 53))
 
-	_, ts := newTestServer(t, Config{Workers: 1, MaxQueued: 1, CacheOff: true})
+	_, ts := newTestServer(t, Config{Workers: 1, MaxQueued: 1})
 	idLong := postJob(t, ts, map[string]any{"genome_dir": dirLong, "engine": "gsnp-cpu", "window": 256})
 
 	body, _ := json.Marshal(map[string]any{"genome_dir": dirSmall, "engine": "gsnp-cpu", "window": 256})
@@ -305,19 +305,23 @@ func TestServiceMaxQueued(t *testing.T) {
 }
 
 // TestServiceJournalConcurrentSubmissions: many concurrent journaled
-// submissions (uploads included) all land durably and resolve; the WAL
-// ends the session with nothing pending.
+// submissions all land durably and resolve; the WAL ends the session with
+// nothing pending. Each job has its own inputs, so every one executes.
 func TestServiceJournalConcurrentSubmissions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")
 	}
-	dir := t.TempDir()
-	writeGenomeDir(t, dir, testSpecs(1, 1200, 97))
+	const jobs = 6
+	var dirs [jobs]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		writeGenomeDir(t, dirs[i], testSpecs(1, 1200, int64(97+i)))
+	}
 	jdir := filepath.Join(t.TempDir(), "journal")
 
-	srv, ts := newTestServer(t, Config{Workers: 2, JournalDir: jdir, CacheOff: true})
+	srv, ts := newTestServer(t, Config{Workers: 2, JournalDir: jdir})
 	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
+	for _, dir := range dirs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -435,7 +439,7 @@ func TestServiceJournalRefusesWhileDraining(t *testing.T) {
 		if wal, err := os.ReadFile(filepath.Join(jdir, journal.WALName)); err != nil || len(wal) != 0 {
 			t.Errorf("WAL after a refused submission: %q (%v), want empty", wal, err)
 		}
-		if ents, err := os.ReadDir(srv.spool); err != nil || len(ents) != 0 {
+		if ents, err := os.ReadDir(filepath.Join(jdir, "spool")); err != nil || len(ents) != 0 {
 			t.Errorf("spool after a refused submission: %d entries (%v), want none", len(ents), err)
 		}
 	})

@@ -29,7 +29,6 @@ type jobState struct {
 	id      string
 	spec    *JobSpec
 	created time.Time
-	dir     string // per-job spool dir for uploaded inputs ("" for genome_dir jobs)
 
 	// ctx is cancelled (cause errJobCancelled) by DELETE /jobs/{id}; the
 	// sources watch it. done closes when the job reaches a final state,
@@ -40,10 +39,9 @@ type jobState struct {
 
 	// key is the content-addressed cache key of the flight this job leads:
 	// finish records a clean result under it and closes the flight. Empty
-	// for cache replays, single-flight followers and uncacheable jobs.
+	// for cache replays and single-flight followers.
 	key string
 
-	// Journal state (zero-valued when the server runs without a journal).
 	// journalSeq is the WAL sequence the job was accepted under; recovered
 	// marks a job re-admitted from the journal after a restart, and durable
 	// lists the chromosomes its previous incarnation made durable.
@@ -130,25 +128,25 @@ func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) e
 	}
 
 	var sources []source
-	if s.cache != nil && digests != nil {
-		key, joinedID := jobKey(js.spec.Options, digests), ""
-		s.mu.Lock()
-		if cj, ok := s.cache.Get(key); ok {
-			s.acquire(cj.records)
-			sources = []source{replay(cj.records, StateCached)}
-			unwind = func() { s.release(cj.records) }
-		} else if leader, joined := s.flights.Begin(key, js); joined {
-			leader.holds++
-			sources = []source{s.tail(leader)}
-			unwind = func() { s.unhold(leader) }
-			joinedID = leader.id
-		} else {
-			js.key = key
-		}
-		s.mu.Unlock()
-		if joinedID != "" {
-			s.cfg.Logf("job %s: joined identical in-flight job %s (single-flight)", js.id, joinedID)
-		}
+	key, joinedID := jobKey(js.spec.Options, digests), ""
+	s.mu.Lock()
+	if cj, ok := s.cache.Get(key); ok {
+		s.acquire(cj.records)
+		sources = []source{replay(cj.records, StateCached)}
+		unwind = func() { s.release(cj.records) }
+	} else if leader, ok := s.flights[key]; ok {
+		s.joins++
+		leader.holds++
+		sources = []source{s.tail(leader)}
+		unwind = func() { s.unhold(leader) }
+		joinedID = leader.id
+	} else {
+		s.flights[key] = js
+		js.key = key
+	}
+	s.mu.Unlock()
+	if joinedID != "" {
+		s.cfg.Logf("job %s: joined identical in-flight job %s (single-flight)", js.id, joinedID)
 	}
 	executes := sources == nil
 	if err := s.admit(js, executes); err != nil {
@@ -233,9 +231,9 @@ func (js *jobState) publish(rec logRecord) {
 //
 //  1. the terminal state is journaled — before done closes, because Drain
 //     treats a closed done as "settled" and may then close the journal —
-//     and the job's spool directory is removed (by Final, for a journaled
-//     job): a client that has read the Final record must not find it, and
-//     everything it can ask for is in the stream by now. If the append
+//     and Final removes the job's spool directory: a client that has read
+//     the Final record must not find it, and everything it can ask for is
+//     in the stream by now. If the append
 //     fails the job stays pending in the WAL and its spool is kept, so a
 //     restart re-runs it from its durable chromosomes instead of finding
 //     its inputs gone;
@@ -252,9 +250,7 @@ func (js *jobState) publish(rec logRecord) {
 //     Only then does the job join the finished list, so a job is never
 //     forgotten while a follower can still join it.
 func (s *Server) finish(js *jobState, state string) {
-	if js.journalSeq == 0 {
-		s.removeDir("job "+js.id+" spool dir", js.dir)
-	} else if err := s.journal.Final(js.journalSeq, js.id, state); err != nil {
+	if err := s.journal.Final(js.journalSeq, js.id, state); err != nil {
 		s.cfg.Logf("job %s: journal final: %v (job will re-run on recovery)", js.id, err)
 	}
 	if js.key != "" && state == StateDone {
@@ -306,7 +302,7 @@ func (s *Server) finish(js *jobState, state string) {
 	close(js.done)
 	s.mu.Lock()
 	if js.key != "" {
-		s.flights.End(js.key)
+		delete(s.flights, js.key)
 	}
 	if registered {
 		s.finished = append(s.finished, js)
@@ -421,7 +417,7 @@ func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 			// named in the journal before its record publishes; a failure
 			// only means it recomputes after a restart. Partial results never
 			// are journaled — they must recompute, same as the CLI's -resume.
-			if rec.State == StateOK && js.journalSeq != 0 {
+			if rec.State == StateOK {
 				c := journal.Chrom{File: js.spec.OutName(rec.Name), SHA256: rec.out.digest, Sites: rec.Sites}
 				if err := s.journal.Complete(js.journalSeq, js.id, rec.Name, c); err != nil {
 					s.cfg.Logf("job %s: persisting %s: %v (it recomputes after a restart)", js.id, rec.Name, err)

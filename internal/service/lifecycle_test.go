@@ -369,10 +369,11 @@ func TestServiceSpoolFailure(t *testing.T) {
 	writeGenomeDir(t, dir, testSpecs(1, 1200, 29))
 	jdir := filepath.Join(t.TempDir(), "journal")
 	srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir})
-	if err := os.RemoveAll(srv.spool); err != nil {
+	spool := filepath.Join(jdir, "spool")
+	if err := os.RemoveAll(spool); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(srv.spool, []byte("not a directory\n"), 0o644); err != nil {
+	if err := os.WriteFile(spool, []byte("not a directory\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -58,8 +58,7 @@ func (s *Server) recoverJob(js *jobState, e journal.Entry) error {
 
 	dir := spec.GenomeDir
 	if dir == "" { // an upload: its inputs are in the job's spool directory
-		js.dir = s.journal.SpoolDir(e.Job)
-		dir = js.dir
+		dir = s.journal.SpoolDir(e.Job)
 	}
 	units, _, err := genomejob.Discover(dir, spec.Options)
 	if err != nil {

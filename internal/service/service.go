@@ -41,18 +41,14 @@ type Config struct {
 	Retries      int
 	RetryBackoff time.Duration
 	TaskTimeout  time.Duration
-	// SpoolDir is where uploaded inputs are materialised; required unless
-	// JournalDir is set, in which case it is ignored — the journal owns the
-	// spool so uploads survive restarts.
-	SpoolDir string
-	// JournalDir enables crash durability: every accepted job is
-	// journaled (write-ahead, fsync'd) before it is acknowledged,
-	// uploaded inputs spool under the journal so they survive restarts,
-	// each clean chromosome is journaled (stored file + chrom record)
-	// before it is published, and New replays the journal to re-enqueue
-	// jobs a crash interrupted — journaled chromosomes are served, not
-	// re-executed, and outputs stay byte-identical to an uninterrupted
-	// run. Empty disables journaling (jobs die with the process, as before).
+	// JournalDir is the server's one directory, and required: every
+	// accepted job is journaled (write-ahead, fsync'd) before it is
+	// acknowledged, uploaded inputs spool under it so they survive
+	// restarts, each clean chromosome is journaled (stored file + chrom
+	// record) before it is published, the result store lives in its store
+	// subdirectory, and New replays the journal to re-enqueue jobs a crash
+	// interrupted — journaled chromosomes are served, not re-executed, and
+	// outputs stay byte-identical to an uninterrupted run.
 	JournalDir string
 	// MaxQueued bounds admission: when that many admitted jobs are still
 	// unfinished, new submissions are rejected with ErrQueueFull (HTTP
@@ -74,9 +70,6 @@ type Config struct {
 	// result store, so it bounds the disk the cache pins, and replayed
 	// exactly for identical resubmissions.
 	CacheBytes int64
-	// CacheOff disables the result cache and single-flight dedup: every
-	// submission executes on the pool.
-	CacheOff bool
 
 	// fs is the durable-write seam every change to the spool and the
 	// journal goes through (nil selects checkpoint.OS); the package's tests
@@ -126,27 +119,22 @@ const maxFinishedJobs = 100
 
 // Server owns the shared worker pool and the job registry.
 type Server struct {
-	cfg   Config
-	pool  *sched.Pool[chromResult, *genomejob.Worker]
-	spool string
+	cfg  Config
+	pool *sched.Pool[chromResult, *genomejob.Worker]
 
-	// journal is the crash-durability WAL; nil unless Config.JournalDir
-	// is set.
+	// journal is the crash-durability WAL; store holds every payload the
+	// server serves, under the journal directory.
 	journal *journal.Journal
-	// store holds every payload the server serves, under the journal
-	// directory, else under the spool root.
-	store *store
+	store   *store
 
-	// cache and flights are nil when Config.CacheOff is set. cache maps a
-	// job's content key to its recorded stream; flights tracks in-flight
-	// executions so identical concurrent submissions share one run.
-	cache   *resultcache.Cache[cachedJob]
-	flights *resultcache.Flights[*jobState]
+	// cache maps a job's content key to its recorded stream.
+	cache *resultcache.Cache[cachedJob]
 
-	// mu guards the registry and every job's holds. A cache lookup and
-	// the references it takes, a cache store and its evictions, and a
-	// single-flight join and its hold on the leader each happen under it,
-	// so no release can come between finding a record and referencing it.
+	// mu guards the registry, the flights and every job's holds. A cache
+	// lookup and the references it takes, a cache store and its evictions,
+	// and a single-flight join and its hold on the leader each happen under
+	// it, so no release can come between finding a record and referencing
+	// it.
 	mu   sync.Mutex
 	jobs map[string]*jobState
 	// finished lists the registered finished jobs, oldest first.
@@ -159,6 +147,11 @@ type Server struct {
 	active int
 	// recoveredN counts jobs re-admitted from the journal this process.
 	recoveredN uint64
+	// flights maps the content key of each executing job that leads a
+	// flight to that job, so identical concurrent submissions share one
+	// run; joins counts the submissions that joined one.
+	flights map[string]*jobState
+	joins   uint64
 
 	// encodes counts encodeOutput's calls: one per chromosome payload a
 	// pool task made.
@@ -186,59 +179,35 @@ func New(cfg Config) (*Server, error) {
 	if cfg.fs == nil {
 		cfg.fs = checkpoint.OS
 	}
-	s := &Server{cfg: cfg, jobs: make(map[string]*jobState)}
-	if !cfg.CacheOff {
-		if cfg.CacheBytes <= 0 {
-			cfg.CacheBytes = 256 << 20
-		}
-		s.cfg.CacheBytes = cfg.CacheBytes
-		s.cache = resultcache.NewEvicting(cfg.CacheBytes, func(cj cachedJob) { s.release(cj.records) })
-		s.flights = resultcache.NewFlights[*jobState]()
+	if cfg.JournalDir == "" {
+		return nil, errors.New("service: Config needs a JournalDir")
 	}
-	root := cfg.SpoolDir
-	keep := map[string]bool{} // the stored files pending jobs name
-	switch {
-	case cfg.JournalDir != "":
-		jn, err := journal.Open(journal.Config{Dir: cfg.JournalDir, FS: cfg.fs, Logf: cfg.Logf})
-		if err != nil {
-			return nil, err
-		}
-		s.journal = jn
-		s.seq = jn.MaxSeq()
-		// The journal owns the spool: uploaded inputs must survive a
-		// restart, so they live in named per-job directories under the
-		// journal.
-		root = cfg.JournalDir
-		s.spool = filepath.Join(root, "spool")
-		for _, e := range jn.Pending() {
-			for _, c := range e.Chroms {
-				keep[c.SHA256] = true
-			}
-		}
-	case cfg.SpoolDir != "":
-		if err := cfg.fs.MkdirAll(cfg.SpoolDir); err != nil {
-			return nil, err
-		}
-		s.spool = cfg.SpoolDir
-	default:
-		return nil, errors.New("service: Config needs a JournalDir or a SpoolDir")
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = 256 << 20
 	}
-	st, err := openStore(cfg.fs, filepath.Join(root, "store"), keep, cfg.Logf)
-	if err != nil {
-		if s.journal != nil {
-			s.journal.Close()
-		}
+	s := &Server{cfg: cfg, jobs: make(map[string]*jobState), flights: make(map[string]*jobState)}
+	s.cache = resultcache.NewEvicting(cfg.CacheBytes, func(cj cachedJob) { s.release(cj.records) })
+	var err error
+	if s.journal, err = journal.Open(journal.Config{Dir: cfg.JournalDir, FS: cfg.fs, Logf: cfg.Logf}); err != nil {
 		return nil, err
 	}
-	s.store = st
+	s.seq = s.journal.MaxSeq()
+	keep := map[string]bool{} // the stored files pending jobs name
+	for _, e := range s.journal.Pending() {
+		for _, c := range e.Chroms {
+			keep[c.SHA256] = true
+		}
+	}
+	if s.store, err = openStore(cfg.fs, filepath.Join(cfg.JournalDir, "store"), keep, cfg.Logf); err != nil {
+		s.journal.Close()
+		return nil, err
+	}
 	s.pool = sched.NewPool[chromResult, *genomejob.Worker](sched.PoolConfig{
 		Workers:   cfg.Workers,
 		Policy:    genomejob.Policy(cfg.Retries, cfg.RetryBackoff, cfg.TaskTimeout),
 		OnDequeue: s.onDequeue,
 	}, func(int) *genomejob.Worker { return new(genomejob.Worker) })
-	if s.journal != nil {
-		s.recoverPending()
-	}
+	s.recoverPending()
 	return s, nil
 }
 
@@ -325,8 +294,16 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	//gsnplint:ignore determinism arrival timestamp is job metadata for listing order, never part of a result stream
 	js := newJob(fmt.Sprintf("j%d", seq), time.Now())
 	js.spec = spec
+	// spool is an upload's spool directory. Until the job is journaled
+	// nothing else removes it; a removal failure is leaked disk the
+	// operator should hear about.
+	spool := ""
 	fail := func(err error) (*jobState, error) {
-		s.removeDir("job "+js.id+" spool dir", js.dir)
+		if spool != "" {
+			if rerr := s.cfg.fs.RemoveAll(spool); rerr != nil {
+				s.cfg.Logf("removing job %s spool dir %s: %v", js.id, spool, rerr)
+			}
+		}
 		return nil, err
 	}
 
@@ -334,8 +311,8 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 	// job share Discover and Call verbatim.
 	dir := spec.GenomeDir
 	if dir == "" {
-		js.dir = filepath.Join(s.spool, js.id)
-		dir = js.dir
+		spool = s.journal.SpoolDir(js.id)
+		dir = spool
 		if err := s.spoolInputs(dir, spec); err != nil {
 			return fail(fmt.Errorf("%w: %v", ErrSpool, err))
 		}
@@ -348,32 +325,21 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 		return fail(fmt.Errorf("job has no runnable chromosomes"))
 	}
 
-	// Content digests feed two consumers: the result-cache key and the
-	// journal's recorded input identity (what recovery re-validates
-	// against). An unhashable input (e.g. a file racing deletion) makes
-	// the job uncacheable and falls through to normal execution — unless
-	// a journal must record it, in which case the job is refused: the
-	// journal cannot promise to recover inputs it could not hash.
-	var digests []string
-	if s.cache != nil || s.journal != nil {
-		digests, err = genomejob.UnitDigests(units)
-		if err != nil {
-			if s.journal != nil {
-				return fail(fmt.Errorf("hashing inputs for the job journal: %w", err))
-			}
-			s.cfg.Logf("job %s: uncacheable inputs: %v", js.id, err)
-			digests = nil
-		}
+	// Content digests are the result-cache key and the journal's recorded
+	// input identity (what recovery re-validates against). An unhashable
+	// input (e.g. a file racing deletion) refuses the job: the journal
+	// cannot promise to recover inputs it could not hash.
+	digests, err := genomejob.UnitDigests(units)
+	if err != nil {
+		return fail(fmt.Errorf("hashing inputs for the job journal: %w", err))
 	}
 
 	// Write-ahead: the job is journaled durably before the client sees
 	// its 202 — whatever will serve it, so every accepted job is on disk.
 	// An append failure fails this one job cleanly (the server keeps
 	// serving); nothing was acknowledged, nothing recovers.
-	if s.journal != nil {
-		if err := s.journalAccept(js, seq, digests); err != nil {
-			return fail(fmt.Errorf("%w: %w", ErrJournal, err))
-		}
+	if err := s.journalAccept(js, seq, digests); err != nil {
+		return fail(fmt.Errorf("%w: %w", ErrJournal, err))
 	}
 	if err := s.start(js, units, digests); err != nil {
 		return nil, err
@@ -438,19 +404,6 @@ func jobKey(opts genomejob.Options, digests []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// removeDir removes a directory tree, logging (not discarding) removal
-// failures: a leftover spool directory is leaked disk the
-// operator should hear about, and the failure mode (EACCES, busy mounts)
-// is actionable. An empty path is a no-op.
-func (s *Server) removeDir(what, dir string) {
-	if dir == "" {
-		return
-	}
-	if err := s.cfg.fs.RemoveAll(dir); err != nil {
-		s.cfg.Logf("removing %s %s: %v", what, dir, err)
-	}
-}
-
 // spoolInputs writes a job's uploaded inputs as a genome directory.
 func (s *Server) spoolInputs(dir string, spec *JobSpec) error {
 	if err := s.cfg.fs.MkdirAll(dir); err != nil {
@@ -467,10 +420,9 @@ func (s *Server) spoolInputs(dir string, spec *JobSpec) error {
 			files = append(files, spoolFile{in.Name + ".snp", in.SNP})
 		}
 		for _, f := range files {
-			// The spool dir outlives a crash when journaling is on: recovery
-			// replays the job from these files, so a torn spool input must
-			// not be possible. The seam's atomic write leaves either the
-			// whole input or nothing.
+			// The spool dir outlives a crash: recovery replays the job from
+			// these files, so a torn spool input must not be possible. The
+			// seam's atomic write leaves either the whole input or nothing.
 			if err := s.cfg.fs.WriteFile(filepath.Join(dir, f.name), []byte(f.content)); err != nil {
 				return err
 			}
@@ -513,8 +465,7 @@ func (s *Server) cancel(js *jobState) {
 }
 
 // Statz is the GET /statz document: serving-layer counters for the
-// result cache and single-flight dedup, plus registry size. Cache stats
-// are zero-valued when the cache is disabled.
+// result cache and single-flight dedup, plus registry size.
 type Statz struct {
 	Jobs     int  `json:"jobs"`
 	Draining bool `json:"draining"`
@@ -523,14 +474,9 @@ type Statz struct {
 	// configured bound (0 = unlimited).
 	ActiveJobs int `json:"active_jobs"`
 	MaxQueued  int `json:"max_queued,omitempty"`
-	// JournalEnabled reports whether the crash-durability job journal is
-	// active; RecoveredJobs counts jobs re-enqueued from it when this
+	// RecoveredJobs counts jobs re-enqueued from the journal when this
 	// process started.
-	JournalEnabled bool   `json:"journal_enabled,omitempty"`
-	RecoveredJobs  uint64 `json:"recovered_jobs,omitempty"`
-	// CacheEnabled reports whether the result cache (and single-flight
-	// dedup) is active.
-	CacheEnabled bool `json:"cache_enabled"`
+	RecoveredJobs uint64 `json:"recovered_jobs,omitempty"`
 	// Cache carries hit/miss/eviction counters and byte occupancy.
 	Cache resultcache.Stats `json:"cache"`
 	// SingleFlightJoins counts submissions served by joining an identical
@@ -546,15 +492,11 @@ func (s *Server) Statz() Statz {
 	st := Statz{
 		Jobs: len(s.jobs), Draining: s.draining,
 		ActiveJobs: s.active, MaxQueued: s.cfg.MaxQueued,
-		JournalEnabled: s.journal != nil, RecoveredJobs: s.recoveredN,
+		RecoveredJobs: s.recoveredN, SingleFlightJoins: s.joins,
 	}
 	s.mu.Unlock()
 	st.Store = s.store.snapshot()
-	if s.cache != nil {
-		st.CacheEnabled = true
-		st.Cache = s.cache.Stats()
-		st.SingleFlightJoins = s.flights.Joins()
-	}
+	st.Cache = s.cache.Stats()
 	return st
 }
 
@@ -601,10 +543,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // Idempotent.
 func (s *Server) shutdown() {
 	s.pool.Close()
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil {
-			s.cfg.Logf("journal close: %v", err)
-		}
+	if err := s.journal.Close(); err != nil {
+		s.cfg.Logf("journal close: %v", err)
 	}
 }
 

@@ -168,7 +168,9 @@ func getStatus(t testing.TB, ts *httptest.Server, id string) JobStatus {
 
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg.SpoolDir = filepath.Join(t.TempDir(), "spool")
+	if cfg.JournalDir == "" {
+		cfg.JournalDir = filepath.Join(t.TempDir(), "journal")
+	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,14 +365,13 @@ func TestServiceUploadedInputs(t *testing.T) {
 			t.Errorf("%s: uploaded-input bytes differ from direct run", name)
 		}
 	}
-	// The job's spool directory is cleaned up once the job finishes; the
-	// result store, which lives under the spool root without a journal,
-	// is all that is left there.
-	entries, err := os.ReadDir(srv.spool)
+	// The job's spool directory is cleaned up once the job finishes, and
+	// the result store lives beside the spool root, not in it.
+	entries, err := os.ReadDir(filepath.Join(srv.cfg.JournalDir, "spool"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "store" {
+	if len(entries) != 0 {
 		t.Errorf("spool dir not cleaned after job: %v", entries)
 	}
 }
@@ -426,8 +427,14 @@ func TestServiceDrain(t *testing.T) {
 }
 
 // TestServiceBadSpecs: malformed submissions fail with 400 and never
-// create a job.
+// create a job, and a Config without a JournalDir makes no server.
 func TestServiceBadSpecs(t *testing.T) {
+	if srv, err := New(Config{Workers: 1}); err == nil || !strings.Contains(err.Error(), "JournalDir") {
+		if srv != nil {
+			srv.Close()
+		}
+		t.Fatalf("New without a JournalDir: %v, want an error naming JournalDir", err)
+	}
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, body := range []string{
 		``,

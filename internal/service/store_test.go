@@ -39,7 +39,16 @@ func runJob(t testing.TB, srv *Server, spec map[string]any) *jobState {
 	case <-timeout.C:
 		t.Fatalf("job %s never finished", js.id)
 	}
+	settle(js)
 	return js
+}
+
+// settle waits for finish to return on a job whose done has closed.
+// finish releases the job's flight after done closes and cancels the
+// job's context last, so an identical submission made after settle
+// executes (or hits the cache) instead of joining the finished job.
+func settle(js *jobState) {
+	<-js.ctx.Done()
 }
 
 // cachedSize is what the result cache charges for spec's clean result.
@@ -60,8 +69,8 @@ func heapAfterGC() uint64 {
 	return m.HeapAlloc
 }
 
-// TestServiceRegistryForgetsFinishedJobs: 200 sequential jobs with the cache
-// off leave the heap flat — a finished job keeps no result bytes, and the
+// TestServiceRegistryForgetsFinishedJobs: 200 sequential jobs with a cache
+// too small to keep a result leave the heap flat — a finished job keeps no result bytes, and the
 // registry forgets finished jobs past maxFinishedJobs — and the store holds
 // exactly the files the remembered jobs refer to: the first job, whose
 // result no later job shares, answers 404 and its file is gone.
@@ -72,7 +81,7 @@ func TestServiceRegistryForgetsFinishedJobs(t *testing.T) {
 	dirFirst, dir := t.TempDir(), t.TempDir()
 	writeGenomeDir(t, dirFirst, testSpecs(1, 1400, 17))
 	writeGenomeDir(t, dir, testSpecs(1, 1400, 61))
-	srv, ts := newTestServer(t, Config{Workers: 1, CacheOff: true})
+	srv, ts := newTestServer(t, Config{Workers: 1, CacheBytes: 1})
 	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
 
 	const jobs, settled = 200, maxFinishedJobs + 20
@@ -314,8 +323,8 @@ func TestServiceStoreWriteFailureFailsChromosome(t *testing.T) {
 	dir := t.TempDir()
 	writeGenomeDir(t, dir, testSpecs(2, 1400, 61))
 	base := serialBaseline(t, dir, opts)
-	spool := filepath.Join(t.TempDir(), "spool")
-	lost := filepath.Base(storedPath(spool, base["chr01.fa"]))
+	jdir := filepath.Join(t.TempDir(), "journal")
+	lost := filepath.Base(storedPath(jdir, base["chr01.fa"]))
 	var failed atomic.Bool
 	fs := &scriptFS{script: func(_ int, op fsOp) fate {
 		if writeOf(lost)(op) && failed.CompareAndSwap(false, true) {
@@ -323,7 +332,7 @@ func TestServiceStoreWriteFailureFailsChromosome(t *testing.T) {
 		}
 		return pass
 	}}
-	srv, err := New(Config{Workers: 1, SpoolDir: spool, fs: fs})
+	srv, err := New(Config{Workers: 1, JournalDir: jdir, fs: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
