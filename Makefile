@@ -148,11 +148,13 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/soapsnp
 
 # One iteration of every benchmark of the simulator, the sort, the
-# aligner (index build and read placement) and the text parsers (FASTQ
-# among them), no tests: a benchmark an API change broke fails the gate
-# here rather than in the hands of the next person who runs it.
+# aligner (index build and read placement), the text parsers (FASTQ
+# among them), the codecs, the Bayesian tables, the sparse engine and the
+# calling service, no tests: a benchmark an API change broke fails the
+# gate here rather than in the hands of the next person who runs it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gpu ./internal/sortnet ./internal/align ./internal/snpio
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/gpu ./internal/sortnet ./internal/align ./internal/snpio \
+		./internal/compress ./internal/bayes ./internal/gsnp ./internal/service
 
 # The benchmark lives in two modules of its own. Its tests check the
 # command against BENCHMARK.json, and bench/layerprobe calls the leaf
@@ -183,7 +185,7 @@ loc:
 # A change that removes lines lowers the ceiling to its new total. A change
 # that must raise it explains why in CHANGES.md, package by package, with
 # the lines it added to each (`make loc` before and after).
-LOC_CEILING = 18750
+LOC_CEILING = 18731
 
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \

@@ -18,6 +18,7 @@ import (
 
 	"gsnp/internal/gsnp"
 	"gsnp/internal/harness"
+	"gsnp/internal/pipeline"
 	"gsnp/internal/sched"
 	"gsnp/internal/seqsim"
 )
@@ -243,14 +244,14 @@ func BenchmarkAblationCompressedOutput(b *testing.B) {
 	s := harness.NewSession(benchScale())
 	ds := s.Dataset("chr21")
 	for _, c := range []struct {
-		name     string
-		compress bool
-	}{{"text", false}, {"compressed", true}} {
+		name   string
+		output pipeline.Codec
+	}{{"text", pipeline.CodecRows}, {"compressed", pipeline.CodecPacked}} {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				rep, _ := s.RunGSNP(ds, harness.GSNPOptions{Mode: gsnp.ModeGPU, Compress: c.compress})
+				rep, _ := s.RunGSNP(ds, harness.GSNPOptions{Mode: gsnp.ModeGPU, Output: c.output})
 				bytes = rep.OutputBytes
 			}
 			b.ReportMetric(float64(bytes), "output-bytes")

@@ -8,10 +8,10 @@
 //
 // Every result the server streams lives on disk, not in its heap: one
 // file per distinct result text under <journal-dir>/store, named by its
-// sha256 and written to the client from a mapping of the file. Completed
-// results are indexed by a content-addressed cache: resubmitting a job
-// whose input bytes and output-shaping options are identical replays the
-// recorded stream without touching the scheduler, and identical jobs
+// sha256 and written to the client from a mapping of the file. Jobs that
+// finished clean are kept in a content-addressed cache: resubmitting a job
+// whose input bytes and output-shaping options are identical mirrors the
+// finished job's stream without touching the scheduler, and identical jobs
 // submitted while one is still running share that single execution
 // (single-flight dedup). The cache is bounded by -cache-bytes — the disk
 // bytes of stored results it keeps. The server remembers its last 100

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.CompressOutput = true
+	cfg.Output = pipeline.CodecPacked
 	var blob bytes.Buffer
 	if _, err := pipeline.Run(ctx, cfg, pipeline.MemSource(ds.Reads), &blob, binEng); err != nil {
 		log.Fatal(err)

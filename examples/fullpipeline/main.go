@@ -79,7 +79,7 @@ func main() {
 	}
 	cfg := pipeline.Config{
 		Chr: ds.Spec.Name, Ref: ds.Ref.Seq, Known: harness.KnownSNPs(ds),
-		Window: gsnp.DefaultWindow, CompressOutput: true,
+		Window: gsnp.DefaultWindow, Output: pipeline.CodecPacked,
 	}
 	var out bytes.Buffer
 	rep, err := pipeline.Run(context.Background(), cfg, src, &out, eng)

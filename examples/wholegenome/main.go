@@ -104,7 +104,7 @@ func runChromosome(ctx context.Context, spec seqsim.ChromosomeSpec) (chrTimes, e
 
 	// Full GSNP on the simulated GPU with compressed output; the device is
 	// task-local so concurrent chromosomes never share device state.
-	cfg.CompressOutput = true
+	cfg.Output = pipeline.CodecPacked
 	gpuEng, err := gsnp.New(gsnp.Config{Mode: gsnp.ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if err != nil {
 		return chrTimes{}, err

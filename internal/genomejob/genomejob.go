@@ -73,8 +73,17 @@ type Options struct {
 	AlignWorkers int `json:"-"`
 }
 
-// VCF reports whether the options select the VCF output codec.
-func (o *Options) VCF() bool { return o.OutputFormat == "vcf" }
+// Codec is the output codec the options select: the one place Compress and
+// OutputFormat map to a run's codec.
+func (o *Options) Codec() pipeline.Codec {
+	switch {
+	case o.Compress:
+		return pipeline.CodecPacked
+	case o.OutputFormat == "vcf":
+		return pipeline.CodecVCF
+	}
+	return pipeline.CodecRows
+}
 
 // alignParams resolves the aligner's fingerprinted parameters to their
 // effective values, so "default" and "explicitly the default" fingerprint
@@ -146,7 +155,7 @@ func (o *Options) Validate() error {
 // compatibility test in this package).
 func (o *Options) Fingerprint() string {
 	var extra []string
-	if o.VCF() {
+	if o.OutputFormat == "vcf" {
 		extra = append(extra, "output=vcf")
 	}
 	if o.Format == "fastq" {
@@ -159,10 +168,10 @@ func (o *Options) Fingerprint() string {
 // OutSuffix is the output-file suffix the options imply (.result,
 // .result.gsnp for compressed containers, or .vcf).
 func (o *Options) OutSuffix() string {
-	if o.VCF() {
+	switch o.Codec() {
+	case pipeline.CodecVCF:
 		return ".vcf"
-	}
-	if o.Compress {
+	case pipeline.CodecPacked:
 		return ".result.gsnp"
 	}
 	return ".result"
@@ -478,7 +487,7 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 	cfg := pipeline.Config{
 		Chr: ref.Name, Ref: ref.Seq, Known: known, Window: o.Window,
 		Quarantine: o.Quarantine, WindowHook: hook,
-		VCFOutput: o.VCF(), CompressOutput: o.Compress, Scratch: &w.scratch,
+		Output: o.Codec(), Scratch: &w.scratch,
 	}
 	var kernel pipeline.Kernel
 	var dev *gpu.Device

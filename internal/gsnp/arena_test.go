@@ -421,8 +421,8 @@ func TestRunContextWarmArena(t *testing.T) {
 	cfg := Config{Mode: ModeCPU, SortWorkers: 1, ComputeWorkers: 1}
 	for _, mode := range []pipeline.Config{
 		{Window: 800},
-		{Window: 800, VCFOutput: true},
-		{Window: 800, CompressOutput: true},
+		{Window: 800, Output: pipeline.CodecVCF},
+		{Window: 800, Output: pipeline.CodecPacked},
 	} {
 		_, want := runGSNP(t, second, mode, cfg)
 		warm, warmMode := cfg, mode

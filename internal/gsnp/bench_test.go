@@ -44,7 +44,7 @@ func gpuConfig() Config { return Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu
 func BenchmarkEngineGPU(b *testing.B) { benchEngine(b, pipeline.Config{}, gpuConfig) }
 
 func BenchmarkEngineGPUCompressed(b *testing.B) {
-	benchEngine(b, pipeline.Config{CompressOutput: true}, gpuConfig)
+	benchEngine(b, pipeline.Config{Output: pipeline.CodecPacked}, gpuConfig)
 }
 
 func BenchmarkSparseLikelihoodCPUWindow(b *testing.B) {

@@ -47,7 +47,7 @@ func checkDeviceProgram(t *testing.T, sort SortMethod, file string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := testDataset(t, 3000, 10, 31)
 	dev := gpu.NewDevice(gpu.M2050())
-	runGSNP(t, ds, pipeline.Config{Window: 1100, CompressOutput: true}, Config{Mode: ModeGPU, Device: dev, Sort: sort})
+	runGSNP(t, ds, pipeline.Config{Window: 1100, Output: pipeline.CodecPacked}, Config{Mode: ModeGPU, Device: dev, Sort: sort})
 	got := deviceProgram(dev)
 
 	path := filepath.Join("testdata", file)

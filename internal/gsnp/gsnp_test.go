@@ -171,17 +171,17 @@ func TestLongReadsMatchAcrossEngines(t *testing.T) {
 		rs, mask := seqsim.SampleReads(dip, rspec)
 		ds := &seqsim.Dataset{Spec: spec, Ref: ref, Diploid: dip, Reads: rs, Mask: mask, ReadSpec: rspec}
 
-		for _, vcf := range []bool{false, true} {
-			want := bytes.NewBuffer(soapsnpText(t, ds, pipeline.Config{Window: 1000, VCFOutput: vcf}))
-			_, cpu := runGSNP(t, ds, pipeline.Config{Window: 1700, VCFOutput: vcf}, Config{Mode: ModeCPU, ComputeWorkers: 2, forceShardWorkers: 2})
+		for _, out := range []pipeline.Codec{pipeline.CodecRows, pipeline.CodecVCF} {
+			want := bytes.NewBuffer(soapsnpText(t, ds, pipeline.Config{Window: 1000, Output: out}))
+			_, cpu := runGSNP(t, ds, pipeline.Config{Window: 1700, Output: out}, Config{Mode: ModeCPU, ComputeWorkers: 2, forceShardWorkers: 2})
 			if !bytes.Equal(cpu, want.Bytes()) {
-				t.Errorf("%d bp, vcf=%t: gsnp-cpu output differs from soapsnp", readLen, vcf)
+				t.Errorf("%d bp, codec %d: gsnp-cpu output differs from soapsnp", readLen, out)
 			}
-			_, dev := runGSNP(t, ds, pipeline.Config{Window: 2900, VCFOutput: vcf}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+			_, dev := runGSNP(t, ds, pipeline.Config{Window: 2900, Output: out}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 			if !bytes.Equal(dev, want.Bytes()) {
-				t.Errorf("%d bp, vcf=%t: gsnp-gpu output differs from soapsnp", readLen, vcf)
+				t.Errorf("%d bp, codec %d: gsnp-gpu output differs from soapsnp", readLen, out)
 			}
-			if vcf {
+			if out == pipeline.CodecVCF {
 				continue
 			}
 			rows, err := snpio.ReadResults(want)
@@ -235,7 +235,7 @@ func TestCompressedOutputDecodesToSameRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, blob := runGSNP(t, ds, pipeline.Config{Window: 600, CompressOutput: true}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+	rep, blob := runGSNP(t, ds, pipeline.Config{Window: 600, Output: pipeline.CodecPacked}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	gotRows, err := snpio.ReadAllBlocks(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestPeakDeviceBytesGrowsWithWindow(t *testing.T) {
 	dev := gpu.NewDevice(gpu.M2050())
 	last := int64(0)
 	for _, win := range []int{3000, 1500, 750, 375} {
-		rep, _ := runGSNP(t, ds, pipeline.Config{Window: win, CompressOutput: true}, Config{Mode: ModeGPU, Device: dev})
+		rep, _ := runGSNP(t, ds, pipeline.Config{Window: win, Output: pipeline.CodecPacked}, Config{Mode: ModeGPU, Device: dev})
 		peak := rep.Device.PeakDeviceBytes
 		t.Logf("window %d: peak device memory %d B", win, peak)
 		if last != 0 && peak >= last {

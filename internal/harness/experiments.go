@@ -181,7 +181,7 @@ func (s *Session) Table4() *Result {
 	for _, name := range []string{"chr1", "chr21"} {
 		base, _ := s.RunSOAPsnp(name)
 		ds := s.Dataset(name)
-		rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Compress: true})
+		rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Output: pipeline.CodecPacked})
 		tm := rep.Times
 		bt := base.Times
 		cell := func(g, b float64) string {

@@ -327,7 +327,7 @@ func (s *Session) Fig9() *Result {
 		gzSec := base.Times.Output.Seconds() + time.Since(t0).Seconds() + float64(len(gz))/paperDiskBandwidth
 
 		// GSNP: row assembly + device compression + compressed bytes.
-		rep, blob := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Compress: true})
+		rep, blob := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Output: pipeline.CodecPacked})
 		gsnpSec := rep.Times.Output.Seconds() + float64(len(blob))/paperDiskBandwidth
 
 		g := float64(len(blob))
@@ -348,7 +348,7 @@ func (s *Session) Fig10a() *Result {
 	for _, name := range []string{"chr1", "chr21"} {
 		_, text := s.RunSOAPsnp(name)
 		ds := s.Dataset(name)
-		_, blob := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Compress: true})
+		_, blob := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Output: pipeline.CodecPacked})
 		gz, err := compress.Gzip(text)
 		if err != nil {
 			panic(err)
@@ -436,7 +436,7 @@ func (s *Session) Fig11() *Result {
 	}
 	var rows []row
 	for _, win := range wins {
-		rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Window: win, Compress: true})
+		rep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Window: win, Output: pipeline.CodecPacked})
 		rows = append(rows, row{win, rep.Times.Total().Seconds(), rep.Device.PeakDeviceBytes})
 	}
 	largest = rows[len(rows)-1].sec
@@ -464,8 +464,8 @@ func (s *Session) Fig12() *Result {
 	for _, spec := range seqsim.ScaledHumanGenome(scale, s.Scale.Seed) {
 		ds := seqsim.BuildDataset(spec)
 		soapRep, _ := run(ds, pipeline.Config{Window: soapsnp.DefaultWindow}, soapsnp.New(soapsnp.Config{}))
-		cpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Compress: true})
-		gpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Compress: true, Device: dev})
+		cpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeCPU, Output: pipeline.CodecPacked})
+		gpuRep, _ := s.RunGSNP(ds, GSNPOptions{Mode: gsnp.ModeGPU, Output: pipeline.CodecPacked, Device: dev})
 
 		so := soapRep.Times.Total().Seconds()
 		cp := cpuRep.Times.Total().Seconds()

@@ -148,12 +148,12 @@ func run(ds *seqsim.Dataset, cfg pipeline.Config, k pipeline.Kernel) (*pipeline.
 
 // GSNPOptions tweaks a GSNP run.
 type GSNPOptions struct {
-	Mode     gsnp.Mode
-	Variant  gsnp.Variant
-	Sort     gsnp.SortMethod
-	Window   int
-	Compress bool
-	Device   *gpu.Device
+	Mode    gsnp.Mode
+	Variant gsnp.Variant
+	Sort    gsnp.SortMethod
+	Window  int
+	Output  pipeline.Codec
+	Device  *gpu.Device
 	// SortWorkers sets the CPU-mode likelihood_sort worker count. Zero
 	// pins 1 — the paper's single-threaded GSNP_CPU configuration — so
 	// the Figure 5/6, Table IV and Figure 12 comparisons keep their
@@ -200,7 +200,7 @@ func (s *Session) RunGSNP(ds *seqsim.Dataset, opts GSNPOptions) (*GSNPReport, []
 	if err != nil {
 		panic(fmt.Sprintf("harness: gsnp config: %v", err))
 	}
-	rep, out := run(ds, pipeline.Config{Window: window, CompressOutput: opts.Compress}, eng)
+	rep, out := run(ds, pipeline.Config{Window: window, Output: opts.Output}, eng)
 	return &GSNPReport{Report: rep, Device: eng.Report()}, out
 }
 

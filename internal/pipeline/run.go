@@ -53,17 +53,26 @@ type Config struct {
 	// is treated exactly like a failure of the window itself — the seam
 	// internal/faults uses to inject worker panics and stalls.
 	WindowHook func(ctx context.Context, window, start, end int) error
-	// VCFOutput writes VCFv4.2 variant records instead of the 17-column
-	// result table (SNP rows only — the codec filters homozygous-reference
-	// sites).
-	VCFOutput bool
-	// CompressOutput writes the GSNP compressed container instead of text;
-	// it takes precedence over VCFOutput.
-	CompressOutput bool
+	// Output is the codec the run writes its rows in; the zero value is
+	// the 17-column result table.
+	Output Codec
 	// Scratch supplies the driver's recycled per-run storage; nil runs on
 	// fresh storage.
 	Scratch *Scratch
 }
+
+// Codec is a run's output codec.
+type Codec uint8
+
+const (
+	// CodecRows writes the paper's 17-column result table.
+	CodecRows Codec = iota
+	// CodecVCF writes VCFv4.2 variant records: SNP rows only, the codec
+	// filters homozygous-reference sites.
+	CodecVCF
+	// CodecPacked writes the GSNP compressed container.
+	CodecPacked
+)
 
 // Kernel is one engine's implementation of components 3-7 (counting,
 // likelihood, posterior, output, recycle) over one window, plus the tables
@@ -148,13 +157,13 @@ type blockEncoder interface {
 
 // newSink selects the run's output codec over w.
 func newSink(cfg *Config, w io.Writer, k Kernel) Sink {
-	switch {
-	case cfg.CompressOutput:
+	switch cfg.Output {
+	case CodecPacked:
 		if be, ok := k.(blockEncoder); ok {
 			return be.BlockWriter(w)
 		}
 		return snpio.NewBlockWriter(w)
-	case cfg.VCFOutput:
+	case CodecVCF:
 		return RowSink(snpio.NewVCFWriter(w))
 	default:
 		return RowSink(snpio.NewResultWriter(w))

@@ -9,7 +9,8 @@
 // Cache[V] is a strictly byte-budgeted LRU index (least recently *hit*
 // entry evicted first) with hit/miss/eviction accounting; a value that
 // leaves it is handed to the owner's callback, so what it refers to (for
-// gsnpd, files in its result store) can be released. It is safe for
+// gsnpd, a finished job and the result files its stream holds) can be
+// released. It is safe for
 // concurrent use.
 package resultcache
 

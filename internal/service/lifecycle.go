@@ -11,16 +11,17 @@ import (
 	"gsnp/internal/sched"
 )
 
-// Every job — fresh or recovered from the journal; executed, replayed from
-// the cache, or mirrored from an identical job in flight — takes the one
-// lifecycle in this file:
+// Every job — fresh or recovered from the journal; executed, or served by
+// an identical job that is still running (single-flight) or already
+// finished (the result cache) — takes the one lifecycle in this file:
 //
-//	admit → run(sources…) → publish(record)… → finish(state)
+//	admit → run(source) → publish(record)… → finish(state)
 //
-// admit registers the job, run feeds its stream from its sources in order,
+// admit registers the job, run feeds its stream from its one source,
 // publish is the only way a chromosome record enters the stream, and finish
-// is the only way a job ends. The paths differ in nothing but the sources
-// start picks for them.
+// is the only way a job ends. A job's source is the pool, or the tail of
+// another job with the same content key: a cache hit and a single-flight
+// join differ only in the counter they bump.
 
 // jobState is the registry entry for one job. Its stream is an append-only
 // log: publish and finish append under mu and wake notify's waiters;
@@ -38,8 +39,8 @@ type jobState struct {
 	done   chan struct{}
 
 	// key is the content-addressed cache key of the flight this job leads:
-	// finish records a clean result under it and closes the flight. Empty
-	// for cache replays and single-flight followers.
+	// finish caches the job under it when it ends clean and closes the
+	// flight. Empty for a job that tails another.
 	key string
 
 	// journalSeq is the WAL sequence the job was accepted under; recovered
@@ -56,8 +57,9 @@ type jobState struct {
 	taskUnit []int
 
 	// holds counts, under Server.mu, who can still read the stream: the
-	// registry, each client streaming it and each follower tailing it. The
-	// last to let go releases the stream's store references.
+	// registry, the result cache, each client streaming it and each job
+	// tailing it. The last to let go releases the stream's store
+	// references.
 	holds int
 
 	mu       sync.Mutex
@@ -82,8 +84,8 @@ func newJob(id string, created time.Time) *jobState {
 
 // admit registers a job: the only writer of the registry and the only
 // place the admission rules are checked. executes says the job will occupy
-// pool capacity, so it is charged against MaxQueued; cache replays and
-// single-flight followers are not. A recovered job was admitted by the
+// pool capacity, so it is charged against MaxQueued; a job that tails
+// another is not. A recovered job was admitted by the
 // incarnation that journaled it and bypasses both checks.
 func (s *Server) admit(js *jobState, executes bool) error {
 	s.mu.Lock()
@@ -106,100 +108,90 @@ func (s *Server) admit(js *jobState, executes bool) error {
 }
 
 // start launches an accepted job — journaled by this process or recovered
-// from a previous one — on the cheapest sources that can serve it: an exact
-// prior result replays from the cache, an identical job already executing
-// is tailed (single-flight), and only otherwise does the job lead a flight
-// and go to the pool, after replaying whatever chromosomes a previous
-// incarnation journaled. An error means the job was refused; it has
-// then been finished as failed, which journals the refusal, removes its
+// from a previous one — on the cheapest source that can serve it: an
+// identical job, finished clean (a cache hit) or still executing
+// (single-flight), is held and tailed; only otherwise does the job lead a
+// flight and go to the pool, after publishing whatever chromosomes a
+// previous incarnation journaled. An error means the job was refused; it
+// has then been finished as failed, which journals the refusal, removes its
 // spool directory and resolves any follower that joined it in the meantime.
 func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) error {
 	js.chroms = make([]ChromStatus, len(units))
 	for i, u := range units {
 		js.chroms[i].Name, js.chroms[i].State = u.Name, StatePending
 	}
-	// unwind lets go of what the chosen sources hold when the job is
-	// refused before they run.
-	unwind := func() {}
-	refuse := func(err error) error {
-		unwind()
+	key := jobKey(js.spec.Options, digests)
+	s.mu.Lock()
+	leader, hit := s.cache.Get(key)
+	if !hit {
+		if leader = s.flights[key]; leader != nil {
+			s.joins++
+		} else {
+			s.flights[key] = js
+			js.key = key
+		}
+	}
+	if leader != nil {
+		leader.holds++
+	}
+	s.mu.Unlock()
+	if err := s.admit(js, leader == nil); err != nil {
+		if leader != nil {
+			s.unhold(leader)
+		}
 		s.finish(js, StateFailed)
 		return err
 	}
+	if leader != nil {
+		s.cfg.Logf("job %s: tails identical job %s (cache hit %t)", js.id, leader.id, hit)
+		go s.run(js, s.tail(leader))
+		return nil
+	}
 
-	var sources []source
-	key, joinedID := jobKey(js.spec.Options, digests), ""
-	s.mu.Lock()
-	if cj, ok := s.cache.Get(key); ok {
-		s.acquire(cj.records)
-		sources = []source{replay(cj.records, StateCached)}
-		unwind = func() { s.release(cj.records) }
-	} else if leader, ok := s.flights[key]; ok {
-		s.joins++
-		leader.holds++
-		sources = []source{s.tail(leader)}
-		unwind = func() { s.unhold(leader) }
-		joinedID = leader.id
-	} else {
-		s.flights[key] = js
-		js.key = key
-	}
-	s.mu.Unlock()
-	if joinedID != "" {
-		s.cfg.Logf("job %s: joined identical in-flight job %s (single-flight)", js.id, joinedID)
-	}
-	executes := sources == nil
-	if err := s.admit(js, executes); err != nil {
-		return refuse(err)
-	}
-	if executes {
-		var checkpointed []logRecord
-		var rest []genomejob.Unit
-		for i, u := range units {
-			if c, ok := js.durable[u.Name]; ok {
-				// Hashed as a stream against its digest, never read into
-				// memory; a tampered, torn or missing file just runs again.
-				out, err := s.store.adopt(c.SHA256)
-				if err == nil {
-					checkpointed = append(checkpointed, logRecord{
-						StreamRecord: StreamRecord{Index: i, Recovered: true,
-							Outcome: genomejob.Outcome{Name: u.Name, State: StateOK, Sites: c.Sites}},
-						out: out,
-					})
-					continue
-				}
-				s.cfg.Logf("job %s: durable output of %s unusable (%v), recomputing", js.id, u.Name, err)
+	var checkpointed []logRecord
+	var rest []genomejob.Unit
+	for i, u := range units {
+		if c, ok := js.durable[u.Name]; ok {
+			// Hashed as a stream against its digest, never read into
+			// memory; a tampered, torn or missing file just runs again.
+			out, err := s.store.adopt(c.SHA256)
+			if err == nil {
+				checkpointed = append(checkpointed, logRecord{
+					StreamRecord: StreamRecord{Index: i, Recovered: true,
+						Outcome: genomejob.Outcome{Name: u.Name, State: StateOK, Sites: c.Sites}},
+					out: out,
+				})
+				continue
 			}
-			rest = append(rest, u)
-			js.taskUnit = append(js.taskUnit, i)
+			s.cfg.Logf("job %s: durable output of %s unusable (%v), recomputing", js.id, u.Name, err)
 		}
-		// The registry entry exists (admit) before the pool can dispatch
-		// the first task: the dequeue hook looks the job up by id.
-		handle, err := s.pool.Submit(js.id, buildTasks(js.spec.Options, rest))
-		if err != nil {
-			unwind = func() { s.release(checkpointed) }
-			return refuse(err)
-		}
-		if js.recovered {
-			s.cfg.Logf("job %s: recovered (%d of %d chromosomes from checkpoints, %d re-enqueued)",
-				js.id, len(checkpointed), len(units), len(rest))
-		}
-		sources = []source{replay(checkpointed, ""), s.pooled(handle)}
+		rest = append(rest, u)
+		js.taskUnit = append(js.taskUnit, i)
 	}
-	go s.run(js, sources...)
+	// The registry entry exists (admit) before the pool can dispatch the
+	// first task: the dequeue hook looks the job up by id.
+	handle, err := s.pool.Submit(js.id, buildTasks(js.spec.Options, rest))
+	if err != nil {
+		s.release(checkpointed)
+		s.finish(js, StateFailed)
+		return err
+	}
+	for _, rec := range checkpointed {
+		js.publish(rec)
+	}
+	if js.recovered {
+		s.cfg.Logf("job %s: recovered (%d of %d chromosomes from checkpoints, %d re-enqueued)",
+			js.id, len(checkpointed), len(units), len(rest))
+	}
+	go s.run(js, s.pooled(handle))
 	return nil
 }
 
-// run is the body of every job: drain the sources in order, then finish.
-// The last state a source vouches for is the job's; when none does, the
+// run is the body of every job: drain its source, then finish. The state
+// the source vouches for is the job's; when it vouches for none, the
 // chromosome table decides, and a client's cancel overrides both.
-func (s *Server) run(js *jobState, sources ...source) {
-	state := ""
-	for _, src := range sources {
-		if st := src(js); st != "" {
-			state = st
-		}
-	}
+func (s *Server) run(js *jobState, src source) {
+	state := src(js)
 	switch {
 	case js.ctx.Err() != nil:
 		state = StateCancelled
@@ -237,16 +229,18 @@ func (js *jobState) publish(rec logRecord) {
 //     fails the job stays pending in the WAL and its spool is kept, so a
 //     restart re-runs it from its durable chromosomes instead of finding
 //     its inputs gone;
-//  2. a flight leader's clean result enters the cache. Partial, failed and
-//     cancelled runs never do — their bytes are not the configuration's
-//     true result — and must recompute;
+//  2. a flight leader that ran clean enters the cache, which holds the job
+//     itself until it is evicted. Partial, failed and cancelled runs never
+//     do — their bytes are not the configuration's true result — and must
+//     recompute. Put runs outside s.mu: its eviction callback takes it;
 //  3. a registered job makes room for itself in the finished list: the
 //     oldest finished jobs past maxFinishedJobs are forgotten, and what only
 //     they held is released;
 //  4. the Final record becomes visible and done closes;
 //  5. the flight is released. The Put of step 2 came first, so an identical
-//     submission arriving at any moment either joins the open flight or hits
-//     the cache; there is no window in which it re-executes a clean run.
+//     submission arriving at any moment tails this job, through the open
+//     flight or the cache; there is no window in which it re-executes a
+//     clean run.
 //     Only then does the job join the finished list, so a job is never
 //     forgotten while a follower can still join it.
 func (s *Server) finish(js *jobState, state string) {
@@ -255,24 +249,14 @@ func (s *Server) finish(js *jobState, state string) {
 	}
 	if js.key != "" && state == StateDone {
 		js.mu.Lock()
-		recs := append([]logRecord(nil), js.stream...)
+		size := resultSize(js.stream)
 		js.mu.Unlock()
-		for i := range recs {
-			// The serving job's id is written on replay. A checkpoint-
-			// replayed chromosome carries the Recovered marker; a cache
-			// replay of the finished result is a clean serve and must not.
-			recs[i].Job, recs[i].Recovered = "", false
-		}
-		cj := cachedJob{records: recs}
 		s.mu.Lock()
-		s.acquire(recs)
-		cached := s.cache.Put(js.key, cj, cj.size())
-		if !cached {
-			s.release(recs)
-		}
+		js.holds++ // the cache entry's
 		s.mu.Unlock()
-		if !cached {
-			s.cfg.Logf("job %s: result (%d bytes) exceeds the cache budget, not cached", js.id, cj.size())
+		if !s.cache.Put(js.key, js, size) {
+			s.unhold(js)
+			s.cfg.Logf("job %s: result (%d bytes) exceeds the cache budget, not cached", js.id, size)
 		}
 	}
 	var forgotten []*jobState
@@ -343,28 +327,17 @@ func (js *jobState) followLog(ctx context.Context, emit func([]logRecord) error)
 
 // A source feeds one job's stream: it publishes chromosome records until
 // it runs dry and returns the job state it vouches for, or "" when the
-// chromosome table should decide. Cold jobs are pooled; cached jobs replay;
-// joined jobs tail; recovered jobs replay their checkpoints, then pool the
-// rest.
+// chromosome table should decide. An executing job is pooled; any other
+// tails the identical job that executes, or executed, for it.
 type source func(js *jobState) string
 
-// replay publishes records that already exist: a cache entry (state
-// "cached"), or the checkpointed chromosomes of a recovered job (state "").
-func replay(records []logRecord, state string) source {
-	return func(js *jobState) string {
-		for _, rec := range records {
-			js.publish(rec)
-		}
-		return state
-	}
-}
-
-// tail mirrors an identical in-flight job (single-flight): everything the
-// leader has emitted, then its live completions until it finishes. A clean
-// leader resolves the follower as "cached"; any other outcome — including
-// a leader refused before it emitted a record — is mirrored verbatim.
-// Cancelling the follower ends the tail without touching the leader. The
-// follower holds the leader (start took the hold) until the tail ends.
+// tail mirrors an identical job: everything the leader has emitted, then
+// its live completions until it finishes — all at once when it already
+// has (a cache hit). A clean leader resolves the follower as "cached"; any
+// other outcome — including a leader refused before it emitted a record —
+// is mirrored verbatim. Cancelling the follower ends the tail without
+// touching the leader. The follower holds the leader (start took the
+// hold) until the tail ends.
 func (s *Server) tail(leader *jobState) source {
 	return func(js *jobState) string {
 		defer s.unhold(leader)
@@ -375,10 +348,13 @@ func (s *Server) tail(leader *jobState) source {
 			for _, rec := range recs {
 				if rec.Final {
 					state = rec.State
-				} else {
-					s.store.acquire(rec.out)
-					js.publish(rec)
+					continue
 				}
+				// A chromosome the leader served from its checkpoint is,
+				// to the follower, a clean serve like any other.
+				rec.Recovered = false
+				s.store.acquire(rec.out)
+				js.publish(rec)
 			}
 			return nil
 		})
@@ -429,13 +405,6 @@ func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 	}
 }
 
-// acquire takes a store reference for each of recs' payloads.
-func (s *Server) acquire(recs []logRecord) {
-	for i := range recs {
-		s.store.acquire(recs[i].out)
-	}
-}
-
 // release drops a store reference for each of recs' payloads.
 func (s *Server) release(recs []logRecord) {
 	for i := range recs {
@@ -444,8 +413,8 @@ func (s *Server) release(recs []logRecord) {
 }
 
 // unhold lets go of one hold on js; the last releases its stream's store
-// references. Nothing can hold js again by then: it has left the registry
-// and its flight.
+// references. Nothing can hold js again by then: it has left the registry,
+// its flight and the cache.
 func (s *Server) unhold(js *jobState) {
 	s.mu.Lock()
 	js.holds--

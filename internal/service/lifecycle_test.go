@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -298,6 +299,64 @@ func TestServiceJournalFullRecoveryIsCached(t *testing.T) {
 	}
 	if got := dequeues.Load(); got != 0 {
 		t.Errorf("%d pool dequeues after the restart, want 0", got)
+	}
+}
+
+// TestServiceJournalFollowerOfRecoveredLeader: a submission that joins a
+// recovered job still running mirrors its chromosomes as a clean serve.
+// The leader marks the chromosomes it took from its checkpoints
+// "recovered"; the follower, which recovered nothing, marks none — as a
+// cache hit on a recovered job's result never has.
+func TestServiceJournalFollowerOfRecoveredLeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service e2e in -short mode")
+	}
+	dir := t.TempDir()
+	writeGenomeDir(t, dir, testSpecs(3, 1400, 61))
+	spec := map[string]any{"genome_dir": dir, "engine": "gsnp-cpu", "window": 256}
+	jdir := filepath.Join(t.TempDir(), "journal")
+	// j1 is left pending with chr02 and chr03 durable: chr01 recomputes
+	// after the restart.
+	fs := failing(anyOf(chromOf("j1", "chr01.fa"), appendOf(journal.KindFinal, "j1")))
+	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalDir: jdir, fs: fs})
+	if _, state := readStream(t, tsA, postJob(t, tsA, spec)); state != StateDone {
+		t.Fatalf("first run state %q, want done", state)
+	}
+	tsA.Close()
+	drainT(t, srvA)
+
+	release := make(chan struct{})
+	gate := sync.OnceFunc(func() { <-release })
+	srv, ts := newTestServer(t, Config{Workers: 1, JournalDir: jdir,
+		OnDequeue: func(job string, _ int) {
+			if job == "j1" { // the recovered leader waits for its follower
+				gate()
+			}
+		}})
+	follower := postJob(t, ts, spec)
+	close(release)
+	if joins := srv.Statz().SingleFlightJoins; joins != 1 {
+		t.Fatalf("%d single-flight joins, want the follower's", joins)
+	}
+	leaderRecs, leaderState := readStream(t, ts, "j1")
+	recs, state := readStream(t, ts, follower)
+	if leaderState != StateDone || state != StateCached {
+		t.Fatalf("final states %q/%q, want done/cached", leaderState, state)
+	}
+	recovered := 0
+	for name, rec := range leaderRecs {
+		if rec.Recovered {
+			recovered++
+		}
+		if !bytes.Equal(recs[name].OutputB64, rec.OutputB64) {
+			t.Errorf("%s: the follower's bytes differ from the leader's", name)
+		}
+		if recs[name].Recovered {
+			t.Errorf("%s: the follower mirrors the leader's recovered marker", name)
+		}
+	}
+	if recovered != 2 {
+		t.Errorf("the leader served %d chromosomes from checkpoints, want 2", recovered)
 	}
 }
 

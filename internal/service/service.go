@@ -65,10 +65,10 @@ type Config struct {
 	// the caching tests and benchmarks.
 	OnDequeue func(job string, index int)
 	// CacheBytes bounds the content-addressed result cache (0 selects
-	// 256 MiB). Completed jobs' stream records are retained up to this
-	// budget, charged at the length of the base64 text they keep in the
-	// result store, so it bounds the disk the cache pins, and replayed
-	// exactly for identical resubmissions.
+	// 256 MiB). Jobs that finished clean are kept up to this budget,
+	// charged at the length of the base64 text their streams keep in the
+	// result store, so it bounds the disk the cache pins; an identical
+	// resubmission tails the kept job instead of executing.
 	CacheBytes int64
 
 	// fs is the durable-write seam every change to the spool and the
@@ -89,24 +89,16 @@ type chromResult struct {
 // chromosome it has run.
 var outBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// cachedJob is one completed job's replayable output: its chromosome
-// stream records (Job field cleared; rewritten to the new id on replay),
-// each holding a reference to its stored text. Records are immutable once
-// cached.
-type cachedJob struct {
-	records []logRecord
-}
-
 // recordOverhead is the per-record byte charge beyond the variable-size
 // fields, approximating the struct + JSON framing so the cache budget
 // tracks real memory, not just payload bytes.
 const recordOverhead = 128
 
-// size is the cache byte charge for a cached job: the stored text the
-// entry pins, plus the per-record overhead.
-func (cj cachedJob) size() int64 {
+// resultSize is the cache byte charge for a finished job: the stored text
+// its stream pins, plus the per-record overhead.
+func resultSize(recs []logRecord) int64 {
 	n := int64(0)
-	for _, r := range cj.records {
+	for _, r := range recs {
 		n += recordOverhead + int64(r.out.n) + int64(len(r.Name)) + int64(len(r.Error))
 	}
 	return n
@@ -127,14 +119,15 @@ type Server struct {
 	journal *journal.Journal
 	store   *store
 
-	// cache maps a job's content key to its recorded stream.
-	cache *resultcache.Cache[cachedJob]
+	// cache maps a job's content key to the finished flight leader that
+	// produced its clean result; each entry holds its job.
+	cache *resultcache.Cache[*jobState]
 
 	// mu guards the registry, the flights and every job's holds. A cache
-	// lookup and the references it takes, a cache store and its evictions,
-	// and a single-flight join and its hold on the leader each happen under
-	// it, so no release can come between finding a record and referencing
-	// it.
+	// lookup and a single-flight join each take their hold on the job they
+	// find under it, so no release can come between finding a job and
+	// holding it. A cache store runs outside it: the eviction callback
+	// takes it to let go of the evicted job.
 	mu   sync.Mutex
 	jobs map[string]*jobState
 	// finished lists the registered finished jobs, oldest first.
@@ -142,8 +135,8 @@ type Server struct {
 	seq      int
 	draining bool
 	// active counts admitted jobs that execute and have not finished — the
-	// MaxQueued admission bound. Cache replays and single-flight
-	// followers never count (they occupy no pool capacity).
+	// MaxQueued admission bound. A job that tails another never counts
+	// (it occupies no pool capacity).
 	active int
 	// recoveredN counts jobs re-admitted from the journal this process.
 	recoveredN uint64
@@ -186,7 +179,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.CacheBytes = 256 << 20
 	}
 	s := &Server{cfg: cfg, jobs: make(map[string]*jobState), flights: make(map[string]*jobState)}
-	s.cache = resultcache.NewEvicting(cfg.CacheBytes, func(cj cachedJob) { s.release(cj.records) })
+	s.cache = resultcache.NewEvicting(cfg.CacheBytes, s.unhold)
 	var err error
 	if s.journal, err = journal.Open(journal.Config{Dir: cfg.JournalDir, FS: cfg.fs, Logf: cfg.Logf}); err != nil {
 		return nil, err
@@ -224,8 +217,8 @@ const (
 	StateCancelled = genomejob.StateCancelled
 	StatePending   = "pending"
 	// StateCached is the final state of a job served without pool work:
-	// a cache replay of a prior identical job, or a single-flight join
-	// whose leader completed cleanly. Clients distinguishing replays
+	// it tailed an identical job, finished (a cache hit) or still running
+	// (a single-flight join), that completed cleanly. Clients distinguishing replays
 	// from fresh runs key on it; per-chromosome records keep their
 	// recorded states (always "ok" — only fully clean jobs are cached).
 	StateCached = "cached"
@@ -316,6 +309,9 @@ func (s *Server) submit(spec *JobSpec) (*jobState, error) {
 		if err := s.spoolInputs(dir, spec); err != nil {
 			return fail(fmt.Errorf("%w: %v", ErrSpool, err))
 		}
+		// The spool holds the inputs now; the job, which the registry and
+		// the cache may keep long after it ran, keeps no copy.
+		spec.Inputs = nil
 	}
 	units, _, err := genomejob.Discover(dir, spec.Options)
 	if err != nil {
@@ -370,13 +366,11 @@ func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chr
 	return tasks
 }
 
-// journalAccept records the job in the WAL. Uploaded input bodies are
-// stripped from the journaled spec — they live in the journal-owned spool
-// directory, which survives restarts.
+// journalAccept records the job in the WAL. The spec carries no uploaded
+// input bodies by now — they live in the journal-owned spool directory,
+// which survives restarts.
 func (s *Server) journalAccept(js *jobState, seq int, digests []string) error {
-	walSpec := *js.spec
-	walSpec.Inputs = nil
-	raw, err := json.Marshal(&walSpec)
+	raw, err := json.Marshal(js.spec)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 
 	"gsnp/internal/bayes"
 	"gsnp/internal/genomejob"
+	"gsnp/internal/journal"
 	"gsnp/internal/seqsim"
 	"gsnp/internal/snpio"
 )
@@ -373,6 +374,42 @@ func TestServiceUploadedInputs(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("spool dir not cleaned after job: %v", entries)
+	}
+}
+
+// TestServiceUploadKeepsNoInputText: once an upload is spooled, the job the
+// registry and the result cache keep carries none of the uploaded text,
+// and neither does its journal entry.
+func TestServiceUploadKeepsNoInputText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service e2e in -short mode")
+	}
+	dir := t.TempDir()
+	writeGenomeDir(t, dir, testSpecs(1, 1400, 55))
+	aln, err := os.ReadFile(filepath.Join(dir, "chr01.soap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	id := postJob(t, ts, uploadSpec(t, dir, "chr01"))
+	if _, state := readStream(t, ts, id); state != StateDone {
+		t.Fatalf("uploaded job state %q, want done", state)
+	}
+	srv.mu.Lock()
+	js := srv.jobs[id]
+	srv.mu.Unlock()
+	if n := len(js.spec.Inputs); n != 0 {
+		t.Errorf("the registered job keeps %d uploaded inputs", n)
+	}
+	if st := srv.Statz().Cache; st.Entries != 1 {
+		t.Errorf("cache holds %d entries, want the upload's", st.Entries)
+	}
+	wal, err := os.ReadFile(filepath.Join(srv.cfg.JournalDir, journal.WALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, _, _ := bytes.Cut(aln, []byte("\n")); bytes.Contains(wal, line) {
+		t.Error("the journal holds uploaded alignment text")
 	}
 }
 

@@ -18,10 +18,9 @@ import (
 // sha256, so identical results share a file. A file is written once,
 // through the durable-write seam, before any record referring to it is
 // published, and never changes after: streams map it, and a mapped file
-// must not shrink. Three things pin a file — a job's stream (while the job
-// is registered, streamed to a client or tailed by a follower), a cache
-// entry, and the writer that just stored it — and the last release removes
-// it.
+// must not shrink. Two things pin a file — a job's stream (while the job
+// is registered, cached, streamed to a client or tailed by another job)
+// and the writer that just stored it — and the last release removes it.
 
 // ref names one stored payload: the digest of its text, which is also its
 // file name, and the text's length. The zero ref is no payload.

@@ -10,7 +10,7 @@ import (
 // logRecord is one record of a job's stream as the server keeps it: the
 // wire record with OutputB64 left empty, and out, a reference to the
 // base64 text of the chromosome's bytes in the result store. Every job
-// that replays or mirrors the record refers to the same file, and every
+// that mirrors the record refers to the same file, and every
 // subscriber writes it from a mapping of that file.
 type logRecord struct {
 	StreamRecord

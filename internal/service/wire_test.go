@@ -137,6 +137,7 @@ func TestWireDocumentsPinned(t *testing.T) {
 		}
 		defer jn.Close()
 		spec := wireSpec()
+		spec.Inputs = nil // submit drops the upload bodies once they are spooled
 		js := newJob("j7", wireCreated)
 		js.spec = &spec
 		if err := (&Server{journal: jn}).journalAccept(js, 7, []string{"d1", "d2"}); err != nil {

@@ -331,10 +331,10 @@ func TestMultithreadedLikelihoodIdenticalOutput(t *testing.T) {
 func TestRunContextWarmScratch(t *testing.T) {
 	first := testDataset(t, 3000, 12, 71)
 	second := testDataset(t, 2000, 7, 72)
-	for _, vcf := range []bool{false, true} {
+	for _, out := range []pipeline.Codec{pipeline.CodecRows, pipeline.CodecVCF} {
 		run := func(eng *Engine, sc *pipeline.Scratch, ds *seqsim.Dataset) []byte {
 			var buf bytes.Buffer
-			if _, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: 800, VCFOutput: vcf, Scratch: sc}, &buf); err != nil {
+			if _, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: 800, Output: out, Scratch: sc}, &buf); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -343,7 +343,7 @@ func TestRunContextWarmScratch(t *testing.T) {
 		warm, sc := New(Config{}), new(pipeline.Scratch)
 		run(warm, sc, first)
 		if got := run(warm, sc, second); !bytes.Equal(got, want) {
-			t.Errorf("vcf=%t: output of an engine warmed by another chromosome differs from a fresh engine's", vcf)
+			t.Errorf("codec %d: output of an engine warmed by another chromosome differs from a fresh engine's", out)
 		}
 	}
 
