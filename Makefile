@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzUnpack2Bit$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzSparseLikelihoodGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
+	$(GO) test -run '^$$' -fuzz 'FuzzCountGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
 
 # One pass over every paper table/figure benchmark plus the scheduler
 # benchmark, and over the dense baseline's own: its likelihood and recycle
@@ -185,7 +186,7 @@ loc:
 # A change that removes lines lowers the ceiling to its new total. A change
 # that must raise it explains why in CHANGES.md, package by package, with
 # the lines it added to each (`make loc` before and after).
-LOC_CEILING = 18731
+LOC_CEILING = 18868
 
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \

@@ -273,6 +273,44 @@ func TestCLISingleFileQuarantineExitCodes(t *testing.T) {
 	}
 }
 
+// TestCLIUnsortedInputRefused: an alignment file whose first line (the
+// read with the lowest position) is moved to the end is refused — exit 1,
+// naming the read — on both sparse engines instead of being silently
+// mis-windowed: the windows that read belongs to are computed before it
+// arrives. With -quarantine the window it arrives in is quarantined (exit
+// 2).
+func TestCLIUnsortedInputRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	dir := t.TempDir()
+	run(t, "gsnp-gen", "-out", dir, "-sites", "4000", "-depth", "8", "-seed", "7")
+	aln := filepath.Join(dir, "chrSim.soap")
+	data, err := os.ReadFile(aln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rest, _ := bytes.Cut(data, []byte("\n"))
+	if err := os.WriteFile(aln, append(append(rest, first...), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"gsnp-cpu", "gsnp-gpu"} {
+		args := []string{
+			"-ref", filepath.Join(dir, "chrSim.fa"), "-aln", aln,
+			"-engine", engine, "-window", "1000",
+			"-out", filepath.Join(dir, engine+".txt"),
+		}
+		code, _, stderr := runCode(t, "gsnp", args...)
+		if code != 1 || !strings.Contains(stderr, "not sorted by position") {
+			t.Errorf("%s: unsorted input exit = %d, want 1 with the read named\nstderr:\n%s", engine, code, stderr)
+		}
+		code, _, stderr = runCode(t, "gsnp", append(args, "-quarantine")...)
+		if code != 2 || !strings.Contains(stderr, "window 3 [3000,4000)") {
+			t.Errorf("%s: quarantined unsorted run exit = %d, want 2 with the last window quarantined\nstderr:\n%s", engine, code, stderr)
+		}
+	}
+}
+
 // TestCLIFaultToleranceGenome is the acceptance scenario of the
 // fault-tolerance work: a whole-genome run with injected parse corruption,
 // transient I/O errors and one worker panic completes with only the

@@ -75,6 +75,7 @@ func grow[T any](s []T, n int) []T {
 // reset prepares the arena's window for [start, end).
 func (w *window) reset(start, end int) {
 	w.start, w.end, w.n = start, end, end-start
-	w.obsSite = w.obsSite[:0]
+	w.runs = w.runs[:0]
 	w.obsWord = w.obsWord[:0]
+	w.maxExtent = 0
 }

@@ -300,7 +300,6 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 
 	w := &eng.cfg.Arena.w
 	before := [][]uint32{w.hostBounds[:1], w.hostStats[:1], w.hostBest[:1], w.hostSecond[:1], w.hostQual[:1], w.words.Data[:1]}
-	tlBefore := &w.typeLikely[0]
 	runAll()
 	after := [][]uint32{w.hostBounds[:1], w.hostStats[:1], w.hostBest[:1], w.hostSecond[:1], w.hostQual[:1], w.words.Data[:1]}
 	names := []string{"hostBounds", "hostStats", "hostBest", "hostSecond", "hostQual", "words.Data"}
@@ -309,8 +308,8 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 			t.Errorf("GPU staging buffer %s was reallocated in steady state", names[i])
 		}
 	}
-	if tlBefore != &w.typeLikely[0] {
-		t.Error("typeLikely was reallocated in steady state")
+	if w.typeLikely != nil {
+		t.Error("the GPU window staged type_likely on the host")
 	}
 }
 

@@ -1,11 +1,13 @@
 package gsnp
 
 import (
+	"cmp"
 	"io"
 	"slices"
 	"testing"
 
 	"gsnp/internal/bayes"
+	"gsnp/internal/dna"
 	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
@@ -13,25 +15,32 @@ import (
 	"gsnp/internal/snpio"
 )
 
-// buildTestWindow reconstructs one window's observation arrays directly
-// from a dataset, for tests that drive individual components.
+// buildTestWindow flattens a dataset's reads over the window [0, n), for
+// tests that drive individual components.
 func buildTestWindow(ds *seqsim.Dataset, n int) *window {
-	w := &window{start: 0, end: n, n: n}
-	for i := range ds.Reads {
-		r := &ds.Reads[i]
-		for pos := r.Pos; pos < r.Pos+len(r.Bases) && pos < n; pos++ {
-			if pos < 0 {
-				continue
-			}
-			o, ok := pipeline.ObsOf(r, pos)
-			if !ok {
-				continue
-			}
-			w.obsSite = append(w.obsSite, uint32(pos))
-			w.obsWord = append(w.obsWord, PackWord(o))
-		}
-	}
+	w := new(window)
+	w.reset(0, n)
+	w.flatten(ds.Reads)
 	return w
+}
+
+// likelihoodCompGPU runs likelihood_comp on the window's host segments the
+// way a test compares it with likelihoodCompCPU: the bounds go up, and
+// type_likely comes back into w.typeLikely. (runWindowGPU does neither: its
+// bounds come from counting and its type_likely stays for posterior.)
+func (e *Engine) likelihoodCompGPU(w *window) {
+	d := e.cfg.Device
+	bounds := gpu.Alloc[uint32](d, w.n+1)
+	defer bounds.Free()
+	for i, b := range w.words.Bounds {
+		bounds.Host()[i] = uint32(b)
+	}
+	bounds.CopyIn(bounds.Host())
+	gTL := gpu.Alloc[float64](d, w.n*dna.NGenotypes)
+	defer gTL.Free()
+	e.likelihoodCompDevice(w, bounds, gTL)
+	w.typeLikely = grow(w.typeLikely, gTL.Len())
+	gTL.CopyOut(w.typeLikely)
 }
 
 // likelihoodOnDevice runs counting+sort+likelihood_comp for one window on
@@ -180,29 +189,63 @@ func TestFlattenMatchesObsOf(t *testing.T) {
 	}
 
 	for _, win := range [][2]int{{start, end}, {0, 300}} {
-		var wantSite, wantWord []uint32
+		// The rule's observations, grouped by read and ordered by the
+		// read's first kept site in the window, stably: the reads above are
+		// not in position order, and a long − strand read's first kept site
+		// lies past later reads' starts, so flatten must sort its run table.
+		type group struct {
+			site, word []uint32
+		}
+		var groups []group
+		ext := 0
 		for i := range rs {
+			var g group
 			for pos := win[0]; pos < win[1]; pos++ {
 				if o, ok := pipeline.ObsOf(&rs[i], pos); ok {
-					wantSite = append(wantSite, uint32(pos-win[0]))
-					wantWord = append(wantWord, PackWord(o))
+					g.site = append(g.site, uint32(pos-win[0]))
+					g.word = append(g.word, PackWord(o))
 				}
 			}
+			if len(g.site) > 0 {
+				groups = append(groups, g)
+				ext = max(ext, int(g.site[len(g.site)-1]+1-g.site[0]))
+			}
 		}
+		slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(a.site[0], b.site[0]) })
+		var wantSite, wantWord, wantFirst []uint32
+		for _, g := range groups {
+			wantSite = append(wantSite, g.site...)
+			wantWord = append(wantWord, g.word...)
+			wantFirst = append(wantFirst, g.site[0])
+		}
+
 		var w window
 		w.reset(win[0], win[1])
 		w.flatten(rs)
-		if len(wantSite) == 0 || !slices.Equal(w.obsSite, wantSite) || !slices.Equal(w.obsWord, wantWord) {
+		var site, word, runFirst []uint32
+		for _, r := range w.runs {
+			runFirst = append(runFirst, r.first)
+			for s := r.first; s < r.end; s++ {
+				site = append(site, s)
+				word = append(word, w.obsWord[r.off+s-r.first])
+			}
+		}
+		if len(wantSite) == 0 || !slices.Equal(site, wantSite) || !slices.Equal(word, wantWord) {
 			t.Errorf("window [%d,%d): flatten yields %d observations, the ObsOf+PackWord rule %d; streams equal: site %t, word %t",
-				win[0], win[1], len(w.obsSite), len(wantSite), slices.Equal(w.obsSite, wantSite), slices.Equal(w.obsWord, wantWord))
+				win[0], win[1], len(site), len(wantSite), slices.Equal(site, wantSite), slices.Equal(word, wantWord))
+		}
+		if !slices.Equal(runFirst, wantFirst) || len(w.obsWord) != len(wantWord) || w.maxExtent != ext {
+			t.Errorf("window [%d,%d): %d runs over %d words, extent %d; want %d runs (first sites equal: %t) over %d words, extent %d",
+				win[0], win[1], len(w.runs), len(w.obsWord), w.maxExtent, len(wantFirst), slices.Equal(runFirst, wantFirst), len(wantWord), ext)
 		}
 	}
 }
 
-// TestFlattenAllocatesOncePerArray: flatten sizes both observation arrays
-// from the clamped spans of the window's reads before it appends, so a cold
-// window — the first of a run, or one larger than any before it — costs one
-// allocation per array instead of a doubling series.
+// TestFlattenAllocatesOncePerArray: flatten sizes the run table from the
+// read count and the word array from the clamped spans of the window's
+// reads before it appends, so a cold window — the first of a run, or one
+// larger than any before it — costs one allocation per array instead of a
+// doubling series.
 func TestFlattenAllocatesOncePerArray(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector the allocation count varies from run to run")
@@ -214,7 +257,7 @@ func TestFlattenAllocatesOncePerArray(t *testing.T) {
 		w.reset(500, 2500)
 		w.flatten(ds.Reads)
 	})
-	if len(w.obsSite) == 0 || allocs != 2 {
-		t.Errorf("a cold flatten of %d observations made %.0f allocations, want 2", len(w.obsSite), allocs)
+	if len(w.runs) == 0 || len(w.obsWord) == 0 || allocs != 2 {
+		t.Errorf("a cold flatten of %d runs over %d observations made %.0f allocations, want 2", len(w.runs), len(w.obsWord), allocs)
 	}
 }

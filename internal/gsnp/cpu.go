@@ -74,42 +74,51 @@ func (e *Engine) runWindowCPU(w *window) error {
 	// capacity persists, and the tagged dep_count arrays invalidate by
 	// epoch.
 	t0 = time.Now()
-	w.obsSite, w.obsWord = w.obsSite[:0], w.obsWord[:0]
+	w.runs, w.obsWord = w.runs[:0], w.obsWord[:0]
 	rep.Times.Recycle += time.Since(t0)
 	return nil
 }
 
-// countCPU builds the per-site base_word segments and summaries. The
-// observation quality and uniq flag are decoded from the packed word; the
-// uniq bit sits above the 17-bit sort key and is stripped before the word
-// enters the sort batches, preserving the canonical ascending order.
+// countCPU builds the per-site base_word segments and summaries, walking
+// the runs in table order as countGPU's gather does, so each segment holds
+// its words in the same order on both engines. A site's depth is the
+// number of runs open at it, summed from +1 at each run's first site and
+// −1 at its end. The observation quality and uniq flag are decoded from
+// the packed word; the uniq bit sits above the 17-bit sort key and is
+// stripped before the word enters the sort batches, preserving the
+// canonical ascending order.
 func (e *Engine) countCPU(w *window) {
 	n := w.n
 	w.counts = grow(w.counts, n)
 	clear(w.counts)
-	w.sizes = grow(w.sizes, n)
+	w.sizes = grow(w.sizes, n+1)
 	clear(w.sizes)
-	for _, s := range w.obsSite {
-		w.sizes[s]++
+	for _, r := range w.runs {
+		w.sizes[r.first]++
+		w.sizes[r.end]--
 	}
 	w.words.Reset(n, len(w.obsWord))
 	bounds := w.words.Bounds
 	bounds[0] = 0
+	depth := int32(0)
 	for i := 0; i < n; i++ {
-		bounds[i+1] = bounds[i] + w.sizes[i]
+		depth += w.sizes[i]
+		bounds[i+1] = bounds[i] + depth
 	}
 	w.cursor = grow(w.cursor, n)
-	clear(w.cursor)
+	copy(w.cursor, bounds)
 	data := w.words.Data
-	for k, s := range w.obsSite {
-		word := w.obsWord[k]
-		data[bounds[s]+w.cursor[s]] = word &^ wordUniqBit
-		w.cursor[s]++
-		w.counts[s].Add(pipeline.Obs{
-			Base: dna.Base(word >> 15 & 3),
-			Qual: dna.Quality(dna.QMax - 1 - word>>9&(dna.QMax-1)),
-			Uniq: word&wordUniqBit != 0,
-		})
+	for _, r := range w.runs {
+		for k, word := range w.obsWord[r.off : r.off+r.end-r.first] {
+			s := int(r.first) + k
+			data[w.cursor[s]] = word &^ wordUniqBit
+			w.cursor[s]++
+			w.counts[s].Add(pipeline.Obs{
+				Base: dna.Base(word >> 15 & 3),
+				Qual: dna.Quality(dna.QMax - 1 - word>>9&(dna.QMax-1)),
+				Uniq: word&wordUniqBit != 0,
+			})
+		}
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 // launch count, every integer counter summed over the kernel's launches, and
 // the sums of its coalescing factors and simulated seconds. A host-side
 // rewrite of the simulator or of an engine must leave this file unchanged;
-// a change to what the device executes shows up here first. At GOMAXPROCS=1
-// every launch runs inline, so count_scatter's atomic slots, and with them
-// the pre-sort word order batch_bitonic meters, are reproducible. Regenerate
-// deliberately with:
+// a change to what the device executes shows up here first. The program
+// is the same at any GOMAXPROCS (TestDeviceProgramIndependentOfGOMAXPROCS);
+// the run pins 1, where every launch runs inline. Regenerate deliberately
+// with:
 //
 //	go test ./internal/gsnp -run TestDeviceProgramPinned -update-golden
 func TestDeviceProgramPinned(t *testing.T) {
@@ -38,6 +38,35 @@ func TestDeviceProgramPinned(t *testing.T) {
 func TestSortBaselineProgramsPinned(t *testing.T) {
 	checkDeviceProgram(t, SortSinglePass, "device_program_singlepass.txt")
 	checkDeviceProgram(t, SortNonEq, "device_program_noneq.txt")
+}
+
+// TestDeviceProgramIndependentOfGOMAXPROCS runs one GPU window of 70,000
+// sites — wide enough that every per-site launch fans out over the host's
+// goroutines — with compressed output at GOMAXPROCS 1, 2 and 4: the device
+// program (every kernel's launch statistics and the copy volumes) must not
+// change. Counting claims no slot with an atomic, so the order of the
+// words batch_bitonic sorts, and with it every counter, is the input's.
+func TestDeviceProgramIndependentOfGOMAXPROCS(t *testing.T) {
+	ds := testDataset(t, 70000, 3, 41)
+	var want string
+	for _, procs := range []int{1, 2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dev := gpu.NewDevice(gpu.M2050())
+			runGSNP(t, ds, pipeline.Config{Window: 70000, Output: pipeline.CodecPacked}, Config{Mode: ModeGPU, Device: dev})
+			got := deviceProgram(dev)
+			if procs == 1 {
+				want = got
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := range max(len(gl), len(wl)) {
+				if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
+					t.Errorf("GOMAXPROCS=%d, line %d of the device program differs from GOMAXPROCS=1:\n got: %s\nwant: %s", procs, i+1, gl[min(i, len(gl)-1)], wl[min(i, len(wl)-1)])
+				}
+			}
+		}()
+	}
 }
 
 // checkDeviceProgram runs the pinned GPU window pipeline with the given

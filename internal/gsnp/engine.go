@@ -1,6 +1,7 @@
 package gsnp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -205,20 +206,26 @@ type window struct {
 	start, end int
 	n          int
 
-	// Flattened observations (read_site output). The packed base_word
-	// carries quality and the uniq flag (bit 18), so these two arrays are
-	// the complete counting input.
-	obsSite []uint32
-	obsWord []uint32
+	// Flattened observations (read_site output): one run per read with a
+	// kept observation, sorted by first kept site, and the runs' packed
+	// base_words back to back. The base_word carries quality and the uniq
+	// flag (bit 18), so runs and obsWord are the complete counting input.
+	// maxExtent is the widest run's end-first, at most bayes.MaxReadLen: a
+	// site is covered only by runs whose first site lies less than
+	// maxExtent sites before it.
+	runs      []obsRun
+	obsWord   []uint32
+	maxExtent int
 
 	// Counting output: per-site base_word segments and summaries, plus
-	// the size/cursor scratch of the scatter pass.
+	// the depth/cursor scratch of the host's scatter pass.
 	words  sortnet.Batches
 	counts []pipeline.SiteCounts
 	sizes  []int32
 	cursor []int32
 
-	// Likelihood output: ten genotype log-likelihoods per site.
+	// Likelihood output of the CPU path: ten genotype log-likelihoods per
+	// site. The GPU path keeps its type_likely on the device.
 	typeLikely []float64
 
 	// Posterior output. priors backs the GPU posterior kernel input; the
@@ -271,39 +278,65 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	return nil
 }
 
-// flatten appends the window's observations — what pipeline.ObsOf yields
-// over each read's span of [start, end), packed as PackWord packs it — to
-// obsSite/obsWord. It walks the clamped span and packs from the read's own
-// fields instead of building an Obs per base: this loop runs once per aligned
-// base, and an Obs result materialised on the stack made its speed depend on
-// the stack alignment the callers' frames happened to leave
+// obsRun is one read's kept observations in a window, window-relative:
+// [first, end) the sites it has a kept observation at, and off the index of
+// first's word in obsWord. The kept sites are one range, of at most
+// bayes.MaxReadLen sites, because a read loses only its cycles at or past
+// bayes.MaxReadLen, a suffix on the + strand and a prefix on the − strand.
+type obsRun struct {
+	first, end, off uint32
+}
+
+// flatten records the window's observations — what pipeline.ObsOf yields
+// over each read's span of [start, end), packed as PackWord packs it — as
+// runs over obsWord. It walks the kept range and packs from the read's own
+// fields instead of building an Obs per base: this loop runs once per
+// aligned base, and an Obs result materialised on the stack made its speed
+// depend on the stack alignment the callers' frames happened to leave
 // (TestFlattenMatchesObsOf ties the two). Both arrays are sized first, from
-// the clamped spans, so a cold window allocates each once instead of
-// growing it by doubling.
+// the read count and the clamped spans, so a cold window allocates each
+// once instead of growing it by doubling. Both counting engines walk the
+// runs in order of first site. pipeline.Run's reads arrive in position
+// order, which leaves the table in that order unless a − strand read is
+// longer than bayes.MaxReadLen (its first kept site lies past later reads'
+// starts); a table out of order is stable-sorted.
 func (w *window) flatten(rs []reads.AlignedRead) {
 	span := 0
 	for i := range rs {
 		r := &rs[i]
 		span += max(0, min(w.end, r.Pos+len(r.Bases))-max(w.start, r.Pos))
 	}
-	w.obsSite = slices.Grow(w.obsSite, span)
+	w.runs = slices.Grow(w.runs, len(rs))
 	w.obsWord = slices.Grow(w.obsWord, span)
+	sorted := true
 	for i := range rs {
 		r := &rs[i]
 		flags := uint32(r.Strand)
 		if r.Hits == 1 {
 			flags |= wordUniqBit
 		}
-		lo, hi := max(w.start, r.Pos), min(w.end, r.Pos+len(r.Bases))
-		for pos := lo; pos < hi; pos++ {
-			off := pos - r.Pos
-			cyc := r.Cycle(off)
-			if cyc >= bayes.MaxReadLen {
-				continue
-			}
-			w.obsSite = append(w.obsSite, uint32(pos-w.start))
-			w.obsWord = append(w.obsWord, packWord(r.Bases[off], r.Quals[off], cyc, flags))
+		first, end := max(w.start, r.Pos), min(w.end, r.Pos+len(r.Bases))
+		if r.Strand == 1 {
+			first = max(first, r.Pos+len(r.Bases)-bayes.MaxReadLen)
+		} else {
+			end = min(end, r.Pos+bayes.MaxReadLen)
 		}
+		if first >= end {
+			continue
+		}
+		run := obsRun{uint32(first - w.start), uint32(end - w.start), uint32(len(w.obsWord))}
+		if k := len(w.runs); k > 0 && w.runs[k-1].first > run.first {
+			sorted = false
+		}
+		w.runs = append(w.runs, run)
+		w.maxExtent = max(w.maxExtent, end-first)
+		for pos := first; pos < end; pos++ {
+			off := pos - r.Pos
+			w.obsWord = append(w.obsWord, packWord(r.Bases[off], r.Quals[off], r.Cycle(off), flags))
+		}
+	}
+	if !sorted {
+		slices.SortStableFunc(w.runs, func(a, b obsRun) int { return cmp.Compare(a.first, b.first) })
 	}
 }
 

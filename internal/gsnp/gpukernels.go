@@ -19,16 +19,19 @@ var zeroTL [dna.NGenotypes]float64
 const likeliBlock = 256
 
 // runWindowGPU executes components 3-7 of one window on the simulated
-// device.
+// device. Between kernels the window's data stays on the device where the
+// next component reads it: the segment bounds from counting into
+// likelihood_comp, type_likely from likelihood_comp into posterior.
 func (e *Engine) runWindowGPU(w *window) error {
 	rep := e.run.Report
 	d := e.cfg.Device
 
-	// Component 3: counting — build the per-site base_word segments with
-	// count/scan/scatter kernels and accumulate the per-site summaries
-	// with atomic kernels. (The host flattening leg was already charged
-	// by runWindow.)
-	sim := e.simSpan(func() { e.countGPU(w) })
+	// Component 3: counting — one thread per site gathers its base_word
+	// segment and per-base summaries from the window's read runs. (The
+	// host flattening leg was already charged by Window.)
+	bounds := gpu.Alloc[uint32](d, w.n+1)
+	defer bounds.Free()
+	sim := e.simSpan(func() { e.countGPU(w, bounds) })
 	rep.Times.Count += sim
 
 	// Component 4a: likelihood_sort — multipass batch bitonic by default.
@@ -47,8 +50,10 @@ func (e *Engine) runWindowGPU(w *window) error {
 	rep.Times.LikeliSort += time.Duration(st.SimSeconds * float64(time.Second))
 
 	// Component 4b: likelihood_comp.
+	gTL := gpu.Alloc[float64](d, w.n*dna.NGenotypes)
+	defer gTL.Free()
 	before := d.Stats()
-	sim = e.simSpan(func() { e.likelihoodCompGPU(w) })
+	sim = e.simSpan(func() { e.likelihoodCompDevice(w, bounds, gTL) })
 	delta := d.Stats().Sub(before)
 	delta.SimSeconds = 0
 	e.likeliStats.Add(delta)
@@ -58,7 +63,7 @@ func (e *Engine) runWindowGPU(w *window) error {
 	t0 := time.Now()
 	priors := e.buildPriors(w)
 	hostPrep := time.Since(t0)
-	sim = e.simSpan(func() { e.posteriorGPU(w, priors) })
+	sim = e.simSpan(func() { e.posteriorGPU(w, gTL, priors) })
 	rep.Times.Post += sim + hostPrep
 
 	// Component 6: output — row assembly on the host (wall time), column
@@ -76,78 +81,112 @@ func (e *Engine) runWindowGPU(w *window) error {
 
 	// Component 7: recycle — the sparse representation leaves nothing to
 	// sweep: dep_count lived in each likelihood thread's local memory, the
-	// device buffers went back to the device free-list as each component
-	// finished, and the per-window host arrays return to the arena with
-	// lengths reset.
+	// device buffers go back to the device free-list as each component
+	// finishes (bounds and type_likely as the window returns), and the
+	// per-window host arrays return to the arena with lengths reset.
 	t0 = time.Now()
-	w.obsSite, w.obsWord = w.obsSite[:0], w.obsWord[:0]
+	w.runs, w.obsWord = w.runs[:0], w.obsWord[:0]
 	rep.Times.Recycle += time.Since(t0)
 	return nil
 }
 
-// countGPU runs the counting component's kernels.
-func (e *Engine) countGPU(w *window) {
+// countGPU runs the counting component's kernels. One thread per site
+// gathers the site's words from the runs that cover it, in run order —
+// countCPU's order — so each word and each summary has exactly one writer
+// and no atomic decides where a word lands:
+//
+//	count_index  one thread per run: index[s] = the first run whose first
+//	             site is at least s, each entry written once;
+//	count_depth  one thread per site: the runs whose first site lies in
+//	             (s-maxExtent, s] and that cover s;
+//	scan_u32     the depths' exclusive scan over n+1 entries, so bounds[n]
+//	             is the word count;
+//	count_fill   one thread per site: the same runs again, each covering
+//	             run's word stored at the site's next slot and its count,
+//	             quality sum and uniq flag summed per base in registers.
+//
+// bounds (n+1 entries) stays on the device for likelihood_comp; the words,
+// the bounds and the per-site summaries are read back for the host sort and
+// the rows (readCounts).
+func (e *Engine) countGPU(w *window, bounds *gpu.Buffer[uint32]) {
 	d := e.cfg.Device
-	n := w.n
-	m := len(w.obsWord)
+	n, m, nr, ext := w.n, len(w.obsWord), len(w.runs), w.maxExtent
 
-	obsSite := gpu.Alloc[uint32](d, m)
-	defer obsSite.Free()
-	obsSite.CopyIn(w.obsSite)
+	runs := gpu.Alloc[obsRun](d, nr)
+	defer runs.Free()
+	runs.CopyIn(w.runs)
 	obsWord := gpu.Alloc[uint32](d, m)
 	defer obsWord.Free()
 	obsWord.CopyIn(w.obsWord)
 
-	siteCount := gpu.Alloc[uint32](d, n)
-	defer siteCount.Free()
-	bounds := gpu.Alloc[uint32](d, n)
-	defer bounds.Free()
-	grid := (m + likeliBlock - 1) / likeliBlock
-	if grid > 0 {
-		d.MustLaunch(gpu.LaunchConfig{Name: "count_sites", Grid: grid, Block: likeliBlock}, func(t *gpu.Thread) {
-			i := t.GlobalID()
-			if i >= m {
-				return
+	index := gpu.Alloc[uint32](d, n+1)
+	defer index.Free()
+	countIndex(d, runs, index, n, nr)
+
+	// depth[n] stays zero, so the scan's total lands in bounds[n].
+	depth := gpu.Alloc[uint32](d, n+1)
+	defer depth.Free()
+	siteGrid := (n + likeliBlock - 1) / likeliBlock
+	d.MustLaunch(gpu.LaunchConfig{Name: "count_depth", Grid: siteGrid, Block: likeliBlock}, func(t *gpu.Thread) {
+		s := t.GlobalID()
+		if s >= n {
+			return
+		}
+		near := runsNear(t, runs, index, s, ext)
+		t.Exec(2 * len(near))
+		c := uint32(0)
+		for _, r := range near {
+			if covers(r, s) {
+				c++
 			}
-			gpu.AtomicAddU32(t, siteCount, int(gpu.Ld(t, obsSite, i)), 1)
-		})
-	}
-	gpu.ExclusiveScanU32(d, siteCount, bounds)
+		}
+		gpu.St(t, depth, s, c)
+	})
+	gpu.ExclusiveScanU32(d, depth, bounds)
 
 	words := gpu.Alloc[uint32](d, m)
 	defer words.Free()
-	cursor := gpu.Alloc[uint32](d, n)
-	defer cursor.Free()
-	stats := gpu.Alloc[uint32](d, 3*4*n) // count, qualsum, uniq per (site, base)
+	stats := gpu.Alloc[uint32](d, siteStats*n)
 	defer stats.Free()
-	if grid > 0 {
-		d.MustLaunch(gpu.LaunchConfig{Name: "count_scatter", Grid: grid, Block: likeliBlock}, func(t *gpu.Thread) {
-			i := t.GlobalID()
-			if i >= m {
-				return
+	d.MustLaunch(gpu.LaunchConfig{Name: "count_fill", Grid: siteGrid, Block: likeliBlock}, func(t *gpu.Thread) {
+		s := t.GlobalID()
+		if s >= n {
+			return
+		}
+		near := runsNear(t, runs, index, s, ext)
+		k := int(gpu.Ld(t, bounds, s))
+		t.Exec(2 * len(near))
+		var sum [siteStats]uint32 // count, qualsum, uniq per base: registers
+		for _, r := range near {
+			if !covers(r, s) {
+				continue
 			}
-			site := int(gpu.Ld(t, obsSite, i))
-			word := gpu.Ld(t, obsWord, i)
-			t.Exec(5) // the slot's offset, then the word's fields
-			off := gpu.Ld(t, bounds, site) + gpu.AtomicAddU32(t, cursor, site, 1)
+			word := gpu.Ld(t, obsWord, int(r.off)+s-int(r.first))
 			// The uniq flag rides above the 17-bit sort key; strip it so
 			// the segment sorts in the canonical base_word order.
-			gpu.St(t, words, int(off), word&^wordUniqBit)
-			base := int(word >> 15 & 3)
-			qual := dna.QMax - 1 - word>>9&(dna.QMax-1)
-			uniq := word >> 18 & 1
-			sb := site*4 + base
-			gpu.AtomicAddU32(t, stats, sb, 1)
-			gpu.AtomicAddU32(t, stats, 4*n+sb, qual)
-			gpu.AtomicAddU32(t, stats, 8*n+sb, uniq)
-		})
-	}
+			gpu.St(t, words, k, word&^wordUniqBit)
+			k++
+			base := word >> 15 & 3
+			sum[base]++
+			sum[4+base] += dna.QMax - 1 - word>>9&(dna.QMax-1)
+			sum[8+base] += word >> 18 & 1
+			t.Exec(6)
+		}
+		gpu.StRun(t, stats, siteStats*s, sum[:])
+	})
 
-	// Assemble the host-side structures the later components use, reading
-	// back into the window's recycled staging buffers.
+	w.readCounts(bounds, words, stats)
+}
+
+// readCounts reads counting's output back into the window's recycled
+// staging buffers and assembles the host-side structures the later
+// components use: the segments with their bounds, and the per-site
+// summaries.
+func (w *window) readCounts(bounds, words, stats *gpu.Buffer[uint32]) {
+	n, m := w.n, words.Len()
 	w.hostBounds = grow(w.hostBounds, n)
 	bounds.CopyOut(w.hostBounds)
-	w.hostStats = grow(w.hostStats, 3*4*n)
+	w.hostStats = grow(w.hostStats, siteStats*n)
 	stats.CopyOut(w.hostStats)
 	hostStats := w.hostStats
 
@@ -164,19 +203,61 @@ func (e *Engine) countGPU(w *window) {
 	for site := 0; site < n; site++ {
 		c := &w.counts[site]
 		c.Depth = pipeline.SatDepth(uint32(b[site+1] - b[site]))
+		st := hostStats[siteStats*site:][:siteStats]
 		for base := 0; base < 4; base++ {
-			sb := site*4 + base
-			c.Count[base] = pipeline.SatDepth(hostStats[sb])
-			c.QualSum[base] = hostStats[4*n+sb]
-			c.Uniq[base] = pipeline.SatDepth(hostStats[8*n+sb])
+			c.Count[base] = pipeline.SatDepth(st[base])
+			c.QualSum[base] = st[4+base]
+			c.Uniq[base] = pipeline.SatDepth(st[8+base])
 		}
 	}
 }
 
-// likelihoodCompGPU launches the likelihood_comp kernel variant configured
-// for the engine: one thread per site over the sorted base_word segments
-// (Algorithm 4).
-func (e *Engine) likelihoodCompGPU(w *window) {
+// countIndex launches count_index over the nr runs, sorted by first site,
+// and the n+1 entries of index: thread i stores i at the entries (first of
+// run i-1, first of run i], thread nr at those past the last run's first
+// site, so index[s] is the first run whose first site is at least s.
+func countIndex(d *gpu.Device, runs *gpu.Buffer[obsRun], index *gpu.Buffer[uint32], n, nr int) {
+	d.MustLaunch(gpu.LaunchConfig{Name: "count_index", Grid: nr/likeliBlock + 1, Block: likeliBlock}, func(t *gpu.Thread) {
+		i := t.GlobalID()
+		if i > nr {
+			return
+		}
+		lo, hi := 0, n
+		if i > 0 {
+			lo = int(gpu.Ld(t, runs, i-1).first) + 1
+		}
+		if i < nr {
+			hi = int(gpu.Ld(t, runs, i).first)
+		}
+		t.Exec(2)
+		for s := lo; s <= hi; s++ {
+			gpu.St(t, index, s, uint32(i))
+		}
+	})
+}
+
+// siteStats is the number of per-site summaries count_fill stores: count,
+// quality sum and uniq count for each of the four bases.
+const siteStats = 3 * 4
+
+// runsNear loads the runs that can cover site s — those whose first site
+// lies in (s-ext, s], one contiguous slice of the sorted table — as a view
+// valid within the kernel invocation.
+func runsNear(t *gpu.Thread, runs *gpu.Buffer[obsRun], index *gpu.Buffer[uint32], s, ext int) []obsRun {
+	t.Exec(2)
+	lo := int(gpu.Ld(t, index, max(0, s-ext+1)))
+	hi := int(gpu.Ld(t, index, s+1))
+	return gpu.LdRun(t, runs, lo, hi-lo)
+}
+
+// covers reports whether run r has a kept observation at site s.
+func covers(r obsRun, s int) bool { return int(r.first) <= s && s < int(r.end) }
+
+// likelihoodCompDevice launches the likelihood_comp kernel variant
+// configured for the engine: one thread per site over the sorted base_word
+// segments (Algorithm 4), uploaded from the host sort, whose bounds counting
+// left on the device. It writes type_likely to gTL.
+func (e *Engine) likelihoodCompDevice(w *window, bounds *gpu.Buffer[uint32], gTL *gpu.Buffer[float64]) {
 	d := e.cfg.Device
 	n := w.n
 	readLen := e.run.Stride
@@ -184,15 +265,6 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 	words := gpu.Alloc[uint32](d, len(w.words.Data))
 	defer words.Free()
 	words.CopyIn(w.words.Data)
-	bounds := gpu.Alloc[uint32](d, n+1)
-	defer bounds.Free()
-	hb := bounds.Host()
-	for i := range w.words.Bounds {
-		hb[i] = uint32(w.words.Bounds[i])
-	}
-
-	gTL := gpu.Alloc[float64](d, n*dna.NGenotypes)
-	defer gTL.Free()
 
 	variant := e.cfg.Variant
 	useShared := variant == VariantOptimized || variant == VariantShared
@@ -319,22 +391,16 @@ func (e *Engine) likelihoodCompGPU(w *window) {
 			gpu.StRun(t, gTL, tl, t.SharedF64Run(shBase, dna.NGenotypes))
 		}
 	})
-
-	w.typeLikely = grow(w.typeLikely, n*dna.NGenotypes)
-	gTL.CopyOut(w.typeLikely)
 }
 
 // posteriorGPU launches the posterior kernel: per site, combine the ten
-// genotype log-likelihoods with the log priors and select the best and
-// second-best genotypes. The comparison sequence matches posteriorSite and
-// bayes.Posterior exactly.
-func (e *Engine) posteriorGPU(w *window, priors []float64) {
+// genotype log-likelihoods likelihood_comp left in gTL with the log priors
+// and select the best and second-best genotypes. The comparison sequence
+// matches posteriorSite and bayes.Posterior exactly.
+func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64], priors []float64) {
 	d := e.cfg.Device
 	n := w.n
 
-	gTL := gpu.Alloc[float64](d, len(w.typeLikely))
-	defer gTL.Free()
-	gTL.CopyIn(w.typeLikely)
 	gPri := gpu.Alloc[float64](d, len(priors))
 	defer gPri.Free()
 	gPri.CopyIn(priors)

@@ -15,15 +15,15 @@ import (
 )
 
 // TestMeteredRunsMatchPerAccess holds the window kernels that charge runs
-// of accesses in one counter update — likelihood_comp in all four variants
-// and posterior — and count_scatter, whose Execs fold into one, to their
-// per-access forms kept below: each access and Exec metered on its own, in
-// the order the device program issues them. Every launch's LaunchStats
-// (counters, warp instructions, coalescing factor), the device totals and
-// the output bytes must match. The window has fuzzBlocks·likeliBlock sites,
-// so at GOMAXPROCS=3 the per-site kernels fan out over three host
-// goroutines. The counting kernels run at GOMAXPROCS=1 only: the slot an
-// atomic hands a word depends on how blocks interleave, in either form.
+// of accesses in one counter update — count_depth and count_fill, which
+// load a site's runs as one slice and store its summaries as one run,
+// likelihood_comp in all four variants and posterior — to their per-access
+// forms kept below: each access and Exec metered on its own, in the order
+// the device program issues them. Every launch's LaunchStats (counters,
+// warp instructions, coalescing factor), the device totals and the output
+// bytes must match. The window has fuzzBlocks·likeliBlock sites, so at
+// GOMAXPROCS=3 the per-site kernels fan out over three host goroutines;
+// counting has no atomic, so its words land in the same slots either way.
 func TestMeteredRunsMatchPerAccess(t *testing.T) {
 	eng, err := New(Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
 	if err != nil {
@@ -69,14 +69,16 @@ func TestMeteredRunsMatchPerAccess(t *testing.T) {
 		}
 	}
 
+	bounds := gpu.Alloc[uint32](d, w.n+1)
+	defer bounds.Free()
 	countOut := func() []uint64 {
-		return words64(w.words.Data, w.hostBounds, w.hostStats)
+		return words64(w.words.Data, w.hostBounds, w.hostStats, bounds.Host())
 	}
-	check("count", []int{1}, func() []uint64 { eng.countGPU(w); return countOut() }, func() []uint64 {
-		w.words.Data, w.hostBounds, w.hostStats = eng.countPerAccess(w)
+	check("count", []int{1, 3}, func() []uint64 { eng.countGPU(w, bounds); return countOut() }, func() []uint64 {
+		eng.countPerAccess(w, bounds)
 		return countOut()
 	})
-	eng.countGPU(w)
+	eng.countGPU(w, bounds)
 	sortnet.ParallelQuicksort(&w.words, 1)
 
 	for _, v := range []Variant{VariantOptimized, VariantBaseline, VariantShared, VariantNewTable} {
@@ -88,19 +90,22 @@ func TestMeteredRunsMatchPerAccess(t *testing.T) {
 	eng.cfg.Variant = VariantOptimized
 	eng.likelihoodCompGPU(w)
 
+	gTL := gpu.Alloc[float64](d, len(w.typeLikely))
+	defer gTL.Free()
+	gTL.CopyIn(w.typeLikely)
 	priors := make([]float64, len(w.typeLikely))
 	for i := range priors {
 		priors[i] = -float64(i%17) / 3
 	}
 	check("posterior", []int{1, 3}, func() []uint64 {
-		eng.posteriorGPU(w, priors)
+		eng.posteriorGPU(w, gTL, priors)
 		return words64(w.hostBest, w.hostSecond, w.hostQual)
-	}, func() []uint64 { return words64(eng.posteriorPerAccess(w, priors)) })
+	}, func() []uint64 { return words64(eng.posteriorPerAccess(w, gTL, priors)) })
 }
 
-// meteredWindow returns a window over fuzzBlocks·likeliBlock sites with
-// 0-8 observations a site in a scattered order, a 400-deep site in block 0
-// and an empty tail, flattened into obsSite/obsWord as read_site leaves it.
+// meteredWindow returns a window over fuzzBlocks·likeliBlock sites as
+// flatten leaves it: at each site up to two runs of 1-16 sites beginning
+// there, 400 runs over site 5 in block 0, and an empty tail of 1000 sites.
 func meteredWindow(readLen int) *window {
 	n := fuzzBlocks * likeliBlock
 	w := &window{start: 0, end: n, n: n}
@@ -111,16 +116,19 @@ func meteredWindow(readLen int) *window {
 		x ^= x << 5
 		return x
 	}
-	for site := 0; site < n-1000; site++ {
-		depth := int(next() % 9)
-		if site == 5 {
-			depth = 400
+	for first := 0; first < n-1000-18; first++ {
+		runs := int(next() % 3)
+		if first == 5 {
+			runs = 400
 		}
-		for k := 0; k < depth; k++ {
-			r := next()
-			s := (site*40503 + k) % (n - 1000)
-			w.obsSite = append(w.obsSite, uint32(s))
-			w.obsWord = append(w.obsWord, packWord(dna.Base(r&3), dna.Quality(r>>2%dna.QMax), int(r>>8)%readLen, r>>16&1|r>>17&1*wordUniqBit))
+		for ; runs > 0; runs-- {
+			end := first + 1 + int(next()>>2%16)
+			w.runs = append(w.runs, obsRun{uint32(first), uint32(end), uint32(len(w.obsWord))})
+			w.maxExtent = max(w.maxExtent, end-first)
+			for s := first; s < end; s++ {
+				r := next()
+				w.obsWord = append(w.obsWord, packWord(dna.Base(r&3), dna.Quality(r>>2%dna.QMax), int(r>>8)%readLen, r>>16&1|r>>17&1*wordUniqBit))
+			}
 		}
 	}
 	return w
@@ -145,66 +153,82 @@ func floats64(v []float64) []uint64 {
 	return out
 }
 
-// countPerAccess is countGPU's device program with count_scatter's Execs
-// issued where the instructions sit, and each atomic metered as the load
-// and store it is. It returns the scattered words, the segment bounds and
-// the per-(site, base) sums.
-func (e *Engine) countPerAccess(w *window) (words, bounds, stats []uint32) {
+// countPerAccess is countGPU's device program with every access metered on
+// its own: a thread's runs loaded one by one, each Exec where its
+// instructions sit, the twelve summaries stored one by one. It leaves the
+// segments, bounds and summaries in w's staging as countGPU does.
+func (e *Engine) countPerAccess(w *window, bounds *gpu.Buffer[uint32]) {
 	d := e.cfg.Device
-	n, m := w.n, len(w.obsWord)
-	obsSite := gpu.Alloc[uint32](d, m)
-	defer obsSite.Free()
-	obsSite.CopyIn(w.obsSite)
+	n, m, nr, ext := w.n, len(w.obsWord), len(w.runs), w.maxExtent
+	runs := gpu.Alloc[obsRun](d, nr)
+	defer runs.Free()
+	runs.CopyIn(w.runs)
 	obsWord := gpu.Alloc[uint32](d, m)
 	defer obsWord.Free()
 	obsWord.CopyIn(w.obsWord)
-	siteCount := gpu.Alloc[uint32](d, n)
-	defer siteCount.Free()
-	gBounds := gpu.Alloc[uint32](d, n)
-	defer gBounds.Free()
-	atomicAdd := func(t *gpu.Thread, b *gpu.Buffer[uint32], i int, v uint32) uint32 {
-		old := gpu.Ld(t, b, i)
-		gpu.St(t, b, i, old+v)
-		return old
-	}
-	cfg := gpu.LaunchConfig{Name: "count_sites", Grid: (m + likeliBlock - 1) / likeliBlock, Block: likeliBlock}
-	d.MustLaunch(cfg, func(t *gpu.Thread) {
-		if i := t.GlobalID(); i < m {
-			atomicAdd(t, siteCount, int(gpu.Ld(t, obsSite, i)), 1)
+	index := gpu.Alloc[uint32](d, n+1)
+	defer index.Free()
+	countIndex(d, runs, index, n, nr)
+	near := func(t *gpu.Thread, s int) []obsRun {
+		t.Exec(2)
+		lo := int(gpu.Ld(t, index, max(0, s-ext+1)))
+		hi := int(gpu.Ld(t, index, s+1))
+		var rs []obsRun
+		for k := lo; k < hi; k++ {
+			rs = append(rs, gpu.Ld(t, runs, k))
 		}
-	})
-	gpu.ExclusiveScanU32(d, siteCount, gBounds)
-	gWords := gpu.Alloc[uint32](d, m)
-	defer gWords.Free()
-	cursor := gpu.Alloc[uint32](d, n)
-	defer cursor.Free()
-	gStats := gpu.Alloc[uint32](d, 3*4*n)
-	defer gStats.Free()
-	cfg.Name = "count_scatter"
+		return rs
+	}
+	depth := gpu.Alloc[uint32](d, n+1)
+	defer depth.Free()
+	cfg := gpu.LaunchConfig{Name: "count_depth", Grid: (n + likeliBlock - 1) / likeliBlock, Block: likeliBlock}
 	d.MustLaunch(cfg, func(t *gpu.Thread) {
-		i := t.GlobalID()
-		if i >= m {
+		s := t.GlobalID()
+		if s >= n {
 			return
 		}
-		site := int(gpu.Ld(t, obsSite, i))
-		word := gpu.Ld(t, obsWord, i)
-		t.Exec(3)
-		off := gpu.Ld(t, gBounds, site) + atomicAdd(t, cursor, site, 1)
-		gpu.St(t, gWords, int(off), word&^wordUniqBit)
-		base := int(word >> 15 & 3)
-		qual := dna.QMax - 1 - word>>9&(dna.QMax-1)
-		uniq := word >> 18 & 1
-		t.Exec(2)
-		sb := site*4 + base
-		atomicAdd(t, gStats, sb, 1)
-		atomicAdd(t, gStats, 4*n+sb, qual)
-		atomicAdd(t, gStats, 8*n+sb, uniq)
+		c := uint32(0)
+		for _, r := range near(t, s) {
+			t.Exec(2)
+			if covers(r, s) {
+				c++
+			}
+		}
+		gpu.St(t, depth, s, c)
 	})
-	words, bounds, stats = make([]uint32, m), make([]uint32, n), make([]uint32, 3*4*n)
-	gBounds.CopyOut(bounds)
-	gStats.CopyOut(stats)
-	gWords.CopyOut(words)
-	return words, bounds, stats
+	gpu.ExclusiveScanU32(d, depth, bounds)
+	words := gpu.Alloc[uint32](d, m)
+	defer words.Free()
+	stats := gpu.Alloc[uint32](d, siteStats*n)
+	defer stats.Free()
+	cfg.Name = "count_fill"
+	d.MustLaunch(cfg, func(t *gpu.Thread) {
+		s := t.GlobalID()
+		if s >= n {
+			return
+		}
+		rs := near(t, s)
+		k := int(gpu.Ld(t, bounds, s))
+		var sum [siteStats]uint32
+		for _, r := range rs {
+			t.Exec(2)
+			if !covers(r, s) {
+				continue
+			}
+			word := gpu.Ld(t, obsWord, int(r.off)+s-int(r.first))
+			gpu.St(t, words, k, word&^wordUniqBit)
+			k++
+			base := word >> 15 & 3
+			sum[base]++
+			sum[4+base] += dna.QMax - 1 - word>>9&(dna.QMax-1)
+			sum[8+base] += word >> 18 & 1
+			t.Exec(6)
+		}
+		for i, v := range sum {
+			gpu.St(t, stats, siteStats*s+i, v)
+		}
+	})
+	w.readCounts(bounds, words, stats)
 }
 
 // likelihoodPerAccess is likelihoodCompGPU's device program, every access
@@ -220,6 +244,7 @@ func (e *Engine) likelihoodPerAccess(w *window) []float64 {
 	for i, b := range w.words.Bounds {
 		bounds.Host()[i] = uint32(b)
 	}
+	bounds.CopyIn(bounds.Host())
 	gTL := gpu.Alloc[float64](d, n*dna.NGenotypes)
 	defer gTL.Free()
 	variant := e.cfg.Variant
@@ -316,12 +341,9 @@ func (e *Engine) likelihoodPerAccess(w *window) []float64 {
 // posteriorPerAccess is posteriorGPU's device program with each site's
 // type_likely and prior loads interleaved, genotype by genotype, and
 // returns the best and second-best ranks and the quality.
-func (e *Engine) posteriorPerAccess(w *window, priors []float64) (best, second, qual []uint32) {
+func (e *Engine) posteriorPerAccess(w *window, gTL *gpu.Buffer[float64], priors []float64) (best, second, qual []uint32) {
 	d := e.cfg.Device
 	n := w.n
-	gTL := gpu.Alloc[float64](d, len(w.typeLikely))
-	defer gTL.Free()
-	gTL.CopyIn(w.typeLikely)
 	gPri := gpu.Alloc[float64](d, len(priors))
 	defer gPri.Free()
 	gPri.CopyIn(priors)

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"io"
+	"math"
 
 	"gsnp/internal/reads"
 )
@@ -18,14 +20,20 @@ type Windower struct {
 	next    reads.AlignedRead
 	hasNext bool
 	done    bool
+	// last is the position of the latest read pulled from it; no later
+	// read may start before it.
+	last int
 }
 
 // NewWindower wraps a position-sorted read iterator.
-func NewWindower(it ReadIter) *Windower { return &Windower{it: it} }
+func NewWindower(it ReadIter) *Windower { return &Windower{it: it, last: math.MinInt} }
 
 // AppendReads appends every read overlapping [start, end) to out and
 // returns the extended slice, letting a caller recycle one buffer across
 // windows. Windows must be requested in increasing, non-overlapping order.
+// A read that starts before the one pulled ahead of it is an *OrderError:
+// the windows it belongs to may already be done, and the engines count a
+// window's reads in the order they come.
 func (w *Windower) AppendReads(out []reads.AlignedRead, start, end int) ([]reads.AlignedRead, error) {
 	// Reads carried over from earlier windows.
 	keep := w.carry[:0]
@@ -61,6 +69,10 @@ func (w *Windower) AppendReads(out []reads.AlignedRead, start, end int) ([]reads
 		if err != nil {
 			return nil, err
 		}
+		if r.Pos < w.last {
+			return nil, &OrderError{ID: r.ID, Pos: r.Pos, Prev: w.last}
+		}
+		w.last = r.Pos
 		if r.Pos >= end {
 			w.next, w.hasNext = r, true
 			break
@@ -74,3 +86,19 @@ func (w *Windower) AppendReads(out []reads.AlignedRead, start, end int) ([]reads
 	}
 	return out, nil
 }
+
+// OrderError reports a pass-two read that starts before the read preceding
+// it in the input. It is a RecordError: the stream stays readable past it,
+// and the read is dropped.
+type OrderError struct {
+	// ID and Pos identify the read; Prev is the preceding read's position.
+	ID        int64
+	Pos, Prev int
+}
+
+func (e *OrderError) Error() string {
+	return fmt.Sprintf("read %d at %d follows a read at %d: the alignments are not sorted by position", e.ID, e.Pos, e.Prev)
+}
+
+// Record implements RecordError; the input position is not tracked here.
+func (e *OrderError) Record() (line int, offset int64) { return 0, -1 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 
 	"gsnp/internal/dna"
@@ -79,5 +80,31 @@ func TestWindowerAbuttingBoundary(t *testing.T) {
 		if r.Pos == 90 {
 			t.Error("read ending exactly at the boundary leaked into the next window")
 		}
+	}
+}
+
+// TestWindowerRefusesOutOfOrderRead: a read that starts before the read
+// pulled ahead of it is an *OrderError (a RecordError, so quarantine can
+// contain it) naming the read; the stream stays usable past it, and reads
+// at equal positions are in order.
+func TestWindowerRefusesOutOfOrderRead(t *testing.T) {
+	rs := []reads.AlignedRead{mkRead(10, 5), mkRead(10, 5), mkRead(150, 5), mkRead(20, 5), mkRead(160, 5)}
+	rs[3].ID = 4
+	it, _ := MemSource(rs).Open()
+	w := NewWindower(it)
+	if got, err := w.AppendReads(nil, 0, 100); err != nil || len(got) != 2 {
+		t.Fatalf("window 0: %d reads, err %v; want 2, nil", len(got), err)
+	}
+	_, err := w.AppendReads(nil, 100, 200)
+	var oe *OrderError
+	if !errors.As(err, &oe) || oe.ID != 4 || oe.Pos != 20 || oe.Prev != 150 {
+		t.Fatalf("window 1: err %v, want an OrderError for read 4 at 20 after 150", err)
+	}
+	var re RecordError = oe
+	if !Containable(re) {
+		t.Error("an OrderError is not containable by quarantine")
+	}
+	if got, err := w.AppendReads(nil, 200, 300); err != nil || len(got) != 0 {
+		t.Errorf("window 2 after the refused read: %d reads, err %v; want 0, nil", len(got), err)
 	}
 }
