@@ -273,6 +273,37 @@ func TestCLISingleFileQuarantineExitCodes(t *testing.T) {
 	}
 }
 
+// TestCLIGenomeOnlyFlagsRefused: -retries, -resume and -failure-report act
+// on the chromosomes of a genome directory; in single-file mode each is
+// refused (exit 1, naming the flag) rather than silently ignored, while
+// -workers stays accepted there.
+func TestCLIGenomeOnlyFlagsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	dir := t.TempDir()
+	run(t, "gsnp-gen", "-out", dir, "-sites", "2000", "-depth", "6", "-seed", "7")
+	args := []string{
+		"-ref", filepath.Join(dir, "chrSim.fa"),
+		"-aln", filepath.Join(dir, "chrSim.soap"),
+		"-engine", "gsnp-cpu", "-out", filepath.Join(dir, "out.txt"),
+	}
+	for _, extra := range [][]string{
+		{"-retries", "2"},
+		{"-resume"},
+		{"-failure-report", filepath.Join(dir, "report.json")},
+	} {
+		code, _, stderr := runCode(t, "gsnp", append(append([]string(nil), args...), extra...)...)
+		if code != 1 || !strings.Contains(stderr, extra[0]+" requires -genome-dir") {
+			t.Errorf("%v without -genome-dir: exit %d, want 1 naming the flag\nstderr:\n%s", extra, code, stderr)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "report.json")); !os.IsNotExist(err) {
+		t.Errorf("refused -failure-report still wrote a report (stat: %v)", err)
+	}
+	run(t, "gsnp", append(args, "-workers", "1")...)
+}
+
 // TestCLIUnsortedInputRefused: an alignment file whose first line (the
 // read with the lowest position) is moved to the end is refused — exit 1,
 // naming the read — on both sparse engines instead of being silently

@@ -37,7 +37,7 @@
 // and the process distinguishes partial success (exit code 2: some
 // chromosomes failed or were degraded, the rest are on disk) from fatal
 // errors (exit code 1: nothing usable happened). The fault-tolerance
-// flags:
+// flags (-retries, -resume and -failure-report need -genome-dir):
 //
 //	-retries N          re-run a failed chromosome up to N times with
 //	                    exponential backoff (-retry-backoff, default 100ms)
@@ -123,12 +123,12 @@ func run() (err error) {
 		alignK    = flag.Int("align-k", 0, "aligner k-mer seed length (-format fastq; 0 = default 16, max 31)")
 		alignW    = flag.Int("align-workers", 0, "alignment-stage workers per chromosome (-format fastq; 0 = GOMAXPROCS)")
 
-		retries    = flag.Int("retries", 0, "re-run a failed chromosome up to N times (exponential backoff)")
+		retries    = flag.Int("retries", 0, "re-run a failed chromosome up to N times (exponential backoff; -genome-dir only)")
 		backoff    = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay between retries of a failed chromosome")
 		taskTO     = flag.Duration("task-timeout", 0, "per-chromosome deadline (0 = none)")
 		quarantine = flag.Bool("quarantine", false, "contain malformed records and panicking windows instead of aborting")
-		resume     = flag.Bool("resume", false, "skip chromosomes recorded in the genome directory's checkpoint manifest")
-		failReport = flag.String("failure-report", "", "write a JSON report of per-chromosome outcomes to this file")
+		resume     = flag.Bool("resume", false, "skip chromosomes recorded in the genome directory's checkpoint manifest (-genome-dir only)")
+		failReport = flag.String("failure-report", "", "write a JSON report of per-chromosome outcomes to this file (-genome-dir only)")
 		faultSpec  = flag.String("faults", "", "inject deterministic failures, e.g. seed=1,corrupt-every=40 (testing)")
 	)
 	flag.Parse()
@@ -157,6 +157,14 @@ func run() (err error) {
 
 	if *genomeDir != "" {
 		return runGenome(*genomeDir, opts)
+	}
+	switch {
+	case opts.retries != 0:
+		return errors.New("-retries requires -genome-dir")
+	case opts.resume:
+		return errors.New("-resume requires -genome-dir")
+	case opts.failureReport != "":
+		return errors.New("-failure-report requires -genome-dir")
 	}
 	if *refPath == "" || *alnPath == "" {
 		flag.Usage()

@@ -367,17 +367,15 @@ func Report[R any](r sched.Result[R], res Result, output string) checkpoint.Task
 	return rep
 }
 
-// Policy is the fault-tolerance contract both front-ends run their
-// chromosomes under: the pool keeps going past failures, task panics
-// become errors, and everything is retried except permanent record-level
+// Policy is the retry contract both front-ends run their chromosomes
+// under (sched contains every task: a failure or panic never stops a
+// sibling): everything is retried except permanent record-level
 // corruption — reparsing the same bytes cannot succeed.
 func Policy(retries int, backoff, timeout time.Duration) sched.Policy {
 	return sched.Policy{
-		Retries:         retries,
-		Backoff:         backoff,
-		Timeout:         timeout,
-		RecoverPanics:   true,
-		ContinueOnError: true,
+		Retries: retries,
+		Backoff: backoff,
+		Timeout: timeout,
 		RetryIf: func(err error) bool {
 			var re pipeline.RecordError
 			return !errors.As(err, &re)

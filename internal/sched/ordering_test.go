@@ -14,8 +14,8 @@ import (
 
 // TestRunPolicyResultOrderingMixedFailures makes the scheduler's in-order
 // result guarantee explicit under the worst mix the byte-identity tests
-// only exercise implicitly: ContinueOnError with successes, recovered
-// panics and per-task deadline hits interleaved across a parallel pool.
+// only exercise implicitly: successes, recovered panics and per-task
+// deadline hits interleaved across a parallel pool.
 // Every result must land at its input index with its own task's name and
 // value, the run error must be the lowest-index failure, and nothing may
 // be skipped.
@@ -49,11 +49,7 @@ func TestRunPolicyResultOrderingMixedFailures(t *testing.T) {
 			},
 		}
 	}
-	pol := Policy{
-		Timeout:         20 * time.Millisecond,
-		RecoverPanics:   true,
-		ContinueOnError: true,
-	}
+	pol := Policy{Timeout: 20 * time.Millisecond}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			results, stats, err := Run(context.Background(), workers, pol, nil, tasks)
@@ -65,7 +61,7 @@ func TestRunPolicyResultOrderingMixedFailures(t *testing.T) {
 					t.Fatalf("result %d holds %q: results out of input order", i, r.Name)
 				}
 				if r.Skipped {
-					t.Errorf("%s skipped under ContinueOnError", r.Name)
+					t.Errorf("%s skipped after a sibling failed", r.Name)
 				}
 				switch kind(i) {
 				case "panic":
@@ -101,7 +97,7 @@ func TestRunPolicyResultOrderingMixedFailures(t *testing.T) {
 
 // TestRunPolicyLowestIndexErrorBeatsEarlierCompletion pins the error
 // selection rule when a HIGHER-index task fails FIRST in wall-clock time:
-// with ContinueOnError the reported error must still be the lowest-index
+// every task runs, and the reported error must still be the lowest-index
 // failure, no matter the completion order.
 func TestRunPolicyLowestIndexErrorBeatsEarlierCompletion(t *testing.T) {
 	lowStarted := make(chan struct{})
@@ -124,7 +120,7 @@ func TestRunPolicyLowestIndexErrorBeatsEarlierCompletion(t *testing.T) {
 			return 0, errors.New("high error")
 		}},
 	}
-	_, _, err := Run(context.Background(), 3, Policy{ContinueOnError: true}, nil, tasks)
+	_, _, err := Run(context.Background(), 3, Policy{}, nil, tasks)
 	if err == nil || !strings.Contains(err.Error(), "low error") {
 		t.Fatalf("run error %v, want the lowest-index failure (low error)", err)
 	}

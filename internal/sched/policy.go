@@ -9,14 +9,16 @@ import (
 	"gsnp/internal/par"
 )
 
-// Policy is the pool's fault-tolerance contract: how a task failure is
-// contained (panic→error conversion), bounded (per-attempt deadlines),
-// retried (exponential backoff) and propagated (first-error cancellation
-// vs. run-everything). The zero Policy reproduces the original scheduler
-// semantics exactly: one attempt, no deadline, panics propagate, the first
-// failure cancels queued tasks.
+// Policy is the pool's retry contract: how a task attempt is bounded
+// (per-attempt deadlines) and retried (exponential backoff). The zero
+// Policy runs one attempt with no deadline. Containment is not a setting:
+// every attempt converts a panic into a *par.PanicError with the stack
+// captured — the same type a shard of a parallel pass re-raises (par.Do)
+// and the driver's window containment produces, so a panic that crossed
+// those on its way up arrives here once, with the stack of the goroutine
+// it happened on — and every task runs, whatever its siblings did.
 //
-// Determinism: the scheduler's ordering guarantees are unchanged — tasks
+// Determinism: no setting touches the scheduler's ordering guarantees — tasks
 // dispatch in input order, results land at their input index, and the
 // error returned by the run is the lowest-index failure.
 type Policy struct {
@@ -31,17 +33,6 @@ type Policy struct {
 	// ignores its context runs to completion, but the engines check their
 	// context at every window boundary.
 	Timeout time.Duration
-	// RecoverPanics converts a panicking attempt into a *par.PanicError
-	// with the stack captured, instead of crashing the process — the same
-	// type a shard of a parallel pass re-raises (par.Do) and the driver's
-	// window containment produces, so a panic that crossed those on its way
-	// up arrives here once, with the stack of the goroutine it happened on.
-	// Sibling tasks are unaffected (subject to ContinueOnError).
-	RecoverPanics bool
-	// ContinueOnError keeps the pool running after a failure: every task
-	// still executes, and the run error is the lowest-index failure. The
-	// default (false) preserves first-error cancellation.
-	ContinueOnError bool
 	// RetryIf decides whether an error is worth retrying. Nil selects the
 	// default: retry everything except recovered panics and parent-context
 	// cancellation.
@@ -90,8 +81,8 @@ func (p *Policy) sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// runAttempt executes one attempt under the policy's deadline and panic
-// containment.
+// runAttempt executes one attempt under the policy's deadline, with its
+// panic contained.
 func runAttempt[R, L any](ctx context.Context, p *Policy, t Task[R, L], local L) (v R, err error, panicked bool) {
 	actx := ctx
 	if p.Timeout > 0 {
@@ -99,13 +90,11 @@ func runAttempt[R, L any](ctx context.Context, p *Policy, t Task[R, L], local L)
 		actx, cancel = context.WithTimeout(ctx, p.Timeout)
 		defer cancel()
 	}
-	if p.RecoverPanics {
-		defer func() {
-			if pe := par.Recovered(recover()); pe != nil {
-				err, panicked = pe, true
-			}
-		}()
-	}
+	defer func() {
+		if pe := par.Recovered(recover()); pe != nil {
+			err, panicked = pe, true
+		}
+	}()
 	v, err = t.Run(actx, local)
 	// Distinguish the per-attempt deadline from ambient cancellation so
 	// reports say what actually happened.

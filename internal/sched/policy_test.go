@@ -140,8 +140,7 @@ func TestPolicyPanicBecomesError(t *testing.T) {
 			return i, nil
 		}}
 	}
-	pol := Policy{RecoverPanics: true, ContinueOnError: true}
-	results, _, err := Run(context.Background(), 2, pol, nil, tasks)
+	results, _, err := Run(context.Background(), 2, Policy{}, nil, tasks)
 
 	var pe *par.PanicError
 	if !errors.As(err, &pe) {
@@ -182,7 +181,7 @@ func TestPolicyShardPanicKeepsItsStack(t *testing.T) {
 		})
 		return 0, nil
 	}}}
-	results, _, err := Run(context.Background(), 1, Policy{RecoverPanics: true}, nil, tasks)
+	results, _, err := Run(context.Background(), 1, Policy{}, nil, tasks)
 	var pe *par.PanicError
 	if !errors.As(err, &pe) || pe != shard || results[0].Err != error(shard) || !results[0].Panicked {
 		t.Fatalf("err = %v, task err = %v, want the shard's own *par.PanicError; panicked = %t", err, results[0].Err, results[0].Panicked)
@@ -195,8 +194,8 @@ func TestPolicyShardPanicKeepsItsStack(t *testing.T) {
 	}
 }
 
-// TestPolicyContinueOnError: with ContinueOnError every task runs, nothing
-// is skipped, and the returned error is still the lowest-index failure.
+// TestPolicyContinueOnError: every task runs whatever its siblings did,
+// nothing is skipped, and the returned error is the lowest-index failure.
 func TestPolicyContinueOnError(t *testing.T) {
 	const n = 12
 	tasks := make([]Task[int, struct{}], n)
@@ -209,7 +208,7 @@ func TestPolicyContinueOnError(t *testing.T) {
 			return i, nil
 		}}
 	}
-	results, stats, err := Run(context.Background(), 4, Policy{ContinueOnError: true}, nil, tasks)
+	results, stats, err := Run(context.Background(), 4, Policy{}, nil, tasks)
 	if err == nil || !strings.Contains(err.Error(), "fail-3") {
 		t.Fatalf("run error %v, want the lowest-index failure fail-3", err)
 	}
@@ -218,34 +217,8 @@ func TestPolicyContinueOnError(t *testing.T) {
 	}
 	for i, r := range results {
 		if r.Skipped {
-			t.Errorf("task %d skipped under ContinueOnError", i)
+			t.Errorf("task %d skipped after a sibling failed", i)
 		}
-	}
-}
-
-// TestPolicyZeroMatchesLegacy: the zero policy keeps first-error
-// cancellation and single attempts.
-func TestPolicyZeroMatchesLegacy(t *testing.T) {
-	const n = 64
-	block := make(chan struct{})
-	tasks := make([]Task[int, struct{}], n)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task[int, struct{}]{Name: fmt.Sprintf("t%d", i), Run: func(ctx context.Context, _ struct{}) (int, error) {
-			if i == 0 {
-				close(block)
-				return 0, errors.New("first fails")
-			}
-			<-block
-			return i, nil
-		}}
-	}
-	_, stats, err := Run(context.Background(), 2, Policy{}, nil, tasks)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if stats.SkippedTasks == 0 {
-		t.Error("zero policy should cancel queued tasks on first error")
 	}
 }
 

@@ -14,10 +14,10 @@ var ErrPoolClosed = errors.New("sched: pool closed")
 type PoolConfig struct {
 	// Workers is the number of worker goroutines (<= 0 selects GOMAXPROCS).
 	Workers int
-	// Policy is the fault-tolerance contract applied to every task of every
-	// job: deadlines, panic containment and retries, exactly as in
-	// Run. ContinueOnError is implied — one job's failure never
-	// cancels another job, and within a job every task still runs.
+	// Policy is the retry contract applied to every task of every job:
+	// deadlines and retries. Every task is contained whatever the policy:
+	// a panic becomes its *par.PanicError, and one task's failure cancels
+	// neither its siblings nor another job.
 	Policy Policy
 	// OnDequeue, when set, observes dispatch order: it is called under the
 	// pool's scheduling lock, in exactly the order tasks are handed to
@@ -27,26 +27,28 @@ type PoolConfig struct {
 	OnDequeue func(job string, index int)
 }
 
-// Pool is the long-lived counterpart of Run: a fixed set of workers
-// (each with its own worker-local state, e.g. a genomejob.Worker) serving many
-// jobs submitted over time. Scheduling is fair across jobs by round-robin:
-// a worker looking for work takes ONE task from the least-recently-served
-// job with pending tasks, so a 24-chromosome whole genome queued first
-// cannot starve a single-chromosome request submitted later — the small
-// job's task is dispatched within one rotation (at most one task per
-// active job) of its submission.
+// Pool is the scheduler: a fixed set of workers (each with its own
+// worker-local state, e.g. a genomejob.Worker) serving many jobs submitted
+// over time; Run is one job on a Pool of its own. Scheduling is fair
+// across jobs by round-robin: a worker looking for work takes ONE task
+// from the least-recently-served job with pending tasks, so a
+// 24-chromosome whole genome queued first cannot starve a
+// single-chromosome request submitted later — the small job's task is
+// dispatched within one rotation (at most one task per active job) of its
+// submission.
 //
 // Within a job, tasks dispatch in input order and every result carries its
 // input index, so a consumer can reassemble input order from the
-// completion-order stream. Jobs are isolated: cancellation and failure of
-// one job never affect another job's tasks or bytes.
+// completion-order stream. A job's cancellation is the context it was
+// submitted with. Jobs are isolated: cancellation and failure of one job
+// never affect another job's tasks or bytes.
 type Pool[R, L any] struct {
 	cfg      PoolConfig
 	newLocal func(worker int) L
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ring   []*poolJob[R, L] // jobs with undispatched tasks, round-robin order
+	ring   []*poolJob[R, L] // jobs with undispatched tasks (or cancelled since), round-robin order
 	live   map[*poolJob[R, L]]struct{}
 	closed bool
 	wg     sync.WaitGroup
@@ -58,9 +60,9 @@ type poolJob[R, L any] struct {
 	tasks   []Task[R, L]
 	next    int // next undispatched task index
 	pending int // tasks not yet resolved (running, queued or undelivered)
-	inRing  bool
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
+	stop    func() bool // unregisters skipQueued once the job has resolved
 	results chan JobResult[R]
 	done    chan struct{}
 }
@@ -75,9 +77,8 @@ type JobResult[R any] struct {
 
 // Job is the caller's handle on a submitted job.
 type Job[R any] struct {
-	results  chan JobResult[R]
-	done     chan struct{}
-	cancelFn func(cause error)
+	results chan JobResult[R]
+	done    chan struct{}
 }
 
 // Results streams task outcomes in completion order. The channel is
@@ -89,15 +90,9 @@ func (j *Job[R]) Results() <-chan JobResult[R] { return j.results }
 // Done closes when every task of the job has resolved.
 func (j *Job[R]) Done() <-chan struct{} { return j.done }
 
-// Cancel cancels the job: undispatched tasks resolve immediately as
-// Skipped with cause as their error, and running tasks see their context
-// cancelled (the engines abort at the next window boundary). Other jobs
-// are unaffected. Cancel is idempotent; a nil cause means
-// context.Canceled.
-func (j *Job[R]) Cancel(cause error) { j.cancelFn(cause) }
-
 // NewPool starts the workers and returns the pool. newLocal runs once in
-// each worker goroutine before it takes tasks, exactly as in Run.
+// each worker goroutine before it takes tasks, and every task that worker
+// executes receives the same L value; nil leaves L at its zero value.
 func NewPool[R, L any](cfg PoolConfig, newLocal func(worker int) L) *Pool[R, L] {
 	if cfg.Workers <= 0 {
 		cfg.Workers = Clamp(cfg.Workers, 1<<30)
@@ -112,15 +107,18 @@ func NewPool[R, L any](cfg PoolConfig, newLocal func(worker int) L) *Pool[R, L] 
 }
 
 // Submit enqueues a job's tasks behind every currently-active job's next
-// turn and returns its handle. An empty task slice yields an
+// turn and returns its handle. The job's context derives from ctx: when
+// ctx ends, every undispatched task resolves as Skipped with
+// context.Cause(ctx), and running tasks see their context end (the engines
+// abort at the next window boundary). An empty task slice yields an
 // already-finished job. Submit fails only after Close has begun.
-func (p *Pool[R, L]) Submit(id string, tasks []Task[R, L]) (*Job[R], error) {
+func (p *Pool[R, L]) Submit(ctx context.Context, id string, tasks []Task[R, L]) (*Job[R], error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, ErrPoolClosed
 	}
-	ctx, cancel := context.WithCancelCause(context.Background())
+	ctx, cancel := context.WithCancelCause(ctx)
 	j := &poolJob[R, L]{
 		id: id, tasks: tasks, pending: len(tasks),
 		ctx: ctx, cancel: cancel,
@@ -134,25 +132,20 @@ func (p *Pool[R, L]) Submit(id string, tasks []Task[R, L]) (*Job[R], error) {
 	} else {
 		p.live[j] = struct{}{}
 		p.ring = append(p.ring, j)
-		j.inRing = true
+		j.stop = context.AfterFunc(ctx, func() { p.skipQueued(j) })
 		p.cond.Broadcast()
 	}
-	return &Job[R]{
-		results: j.results, done: j.done,
-		cancelFn: func(cause error) { p.cancelJob(j, cause) },
-	}, nil
+	return &Job[R]{results: j.results, done: j.done}, nil
 }
 
-// CancelAll cancels every live job (used for forced shutdown).
+// CancelAll cancels every live job's context with cause, exactly as if
+// the context each was submitted with had ended (used for forced
+// shutdown).
 func (p *Pool[R, L]) CancelAll(cause error) {
 	p.mu.Lock()
-	jobs := make([]*poolJob[R, L], 0, len(p.live))
+	defer p.mu.Unlock()
 	for j := range p.live {
-		jobs = append(jobs, j)
-	}
-	p.mu.Unlock()
-	for _, j := range jobs {
-		p.cancelJob(j, cause)
+		j.cancel(cause)
 	}
 }
 
@@ -167,10 +160,14 @@ func (p *Pool[R, L]) Close() {
 	p.wg.Wait()
 }
 
-// worker executes tasks until the pool is closed and drained.
+// worker executes tasks until the pool is closed and drained. It is the
+// only loop in the package that runs tasks.
 func (p *Pool[R, L]) worker(w int) {
 	defer p.wg.Done()
-	local := p.newLocal(w)
+	var local L
+	if p.newLocal != nil {
+		local = p.newLocal(w)
+	}
 	p.mu.Lock()
 	for {
 		if j, idx, ok := p.pickLocked(); ok {
@@ -195,20 +192,20 @@ func (p *Pool[R, L]) worker(w int) {
 
 // pickLocked pops the next (job, task) pair in round-robin order: the job
 // at the front of the ring gives up exactly one task and, if it still has
-// undispatched tasks, rejoins at the back.
+// undispatched tasks, rejoins at the back. A job whose context has ended
+// leaves the ring without dispatching: its context's AfterFunc resolves
+// the rest as skipped, so no task of it starts once it is cancelled.
 func (p *Pool[R, L]) pickLocked() (*poolJob[R, L], int, bool) {
 	for len(p.ring) > 0 {
 		j := p.ring[0]
 		p.ring = p.ring[1:]
-		j.inRing = false
-		if j.next >= len(j.tasks) {
-			continue // fully dispatched (e.g. drained by cancellation)
+		if j.next >= len(j.tasks) || j.ctx.Err() != nil {
+			continue // fully dispatched, or cancelled
 		}
 		idx := j.next
 		j.next++
 		if j.next < len(j.tasks) {
 			p.ring = append(p.ring, j)
-			j.inRing = true
 		}
 		if p.cfg.OnDequeue != nil {
 			p.cfg.OnDequeue(j.id, idx)
@@ -225,6 +222,7 @@ func (p *Pool[R, L]) deliverLocked(j *poolJob[R, L], r JobResult[R]) {
 	j.results <- r
 	j.pending--
 	if j.pending == 0 {
+		j.stop()
 		j.cancel(nil) // release the job context's resources
 		close(j.results)
 		close(j.done)
@@ -232,15 +230,13 @@ func (p *Pool[R, L]) deliverLocked(j *poolJob[R, L], r JobResult[R]) {
 	}
 }
 
-// cancelJob implements Job.Cancel: resolve every undispatched task as
-// skipped and cancel the job context for running ones.
-func (p *Pool[R, L]) cancelJob(j *poolJob[R, L], cause error) {
-	if cause == nil {
-		cause = context.Canceled
-	}
+// skipQueued runs when a job's context ends: every undispatched task
+// resolves as skipped with the context's cause. Running tasks see their
+// context end.
+func (p *Pool[R, L]) skipQueued(j *poolJob[R, L]) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	j.cancel(cause)
+	cause := context.Cause(j.ctx)
 	for j.next < len(j.tasks) {
 		idx := j.next
 		j.next++
@@ -248,14 +244,5 @@ func (p *Pool[R, L]) cancelJob(j *poolJob[R, L], cause error) {
 		p.deliverLocked(j, JobResult[R]{Index: idx, Result: Result[R]{
 			Name: j.tasks[idx].Name, Err: cause, Worker: -1, Skipped: true,
 		}})
-	}
-	if j.inRing {
-		for i, rj := range p.ring {
-			if rj == j {
-				p.ring = append(p.ring[:i], p.ring[i+1:]...)
-				break
-			}
-		}
-		j.inRing = false
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,7 +89,7 @@ func TestPoolFairnessSmallJobNotStarved(t *testing.T) {
 				return i, nil
 			}}
 	}
-	lj, err := p.Submit("long", long)
+	lj, err := p.Submit(context.Background(), "long", long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestPoolFairnessSmallJobNotStarved(t *testing.T) {
 	// The single worker is now inside long:0; everything else the long job
 	// owns is still queued. Submit the small job, then let long:0 finish.
 	<-firstStarted
-	sj, err := p.Submit("small", []Task[int, struct{}]{{Name: "small-0",
+	sj, err := p.Submit(context.Background(), "small", []Task[int, struct{}]{{Name: "small-0",
 		Run: func(ctx context.Context, _ struct{}) (int, error) { return 100, nil }}})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +132,7 @@ func TestPoolRoundRobinAcrossThreeJobs(t *testing.T) {
 	defer p.Close()
 
 	// A gate job holds the worker while the three real jobs queue up.
-	gate, err := p.Submit("gate", []Task[int, struct{}]{{Name: "gate",
+	gate, err := p.Submit(context.Background(), "gate", []Task[int, struct{}]{{Name: "gate",
 		Run: func(ctx context.Context, _ struct{}) (int, error) {
 			close(gateStarted)
 			<-release
@@ -150,9 +152,9 @@ func TestPoolRoundRobinAcrossThreeJobs(t *testing.T) {
 		}
 		return ts
 	}
-	j1, _ := p.Submit("j1", mk(2))
-	j2, _ := p.Submit("j2", mk(2))
-	j3, _ := p.Submit("j3", mk(2))
+	j1, _ := p.Submit(context.Background(), "j1", mk(2))
+	j2, _ := p.Submit(context.Background(), "j2", mk(2))
+	j3, _ := p.Submit(context.Background(), "j3", mk(2))
 	close(release)
 
 	drain(t, gate, 1)
@@ -181,7 +183,7 @@ func TestPoolResultsCompleteAndIndexed(t *testing.T) {
 		tasks[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
 			Run: func(ctx context.Context, _ struct{}) (int, error) { return i * i, nil }}
 	}
-	j, err := p.Submit("job", tasks)
+	j, err := p.Submit(context.Background(), "job", tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,18 +226,19 @@ func TestPoolCancelSkipsQueuedOnly(t *testing.T) {
 				return i, nil
 			}}
 	}
-	victim, err := p.Submit("victim", tasks)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	victim, err := p.Submit(ctx, "victim", tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	bystander, err := p.Submit("bystander", []Task[int, struct{}]{{Name: "b",
+	bystander, err := p.Submit(context.Background(), "bystander", []Task[int, struct{}]{{Name: "b",
 		Run: func(ctx context.Context, _ struct{}) (int, error) { return 42, nil }}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	victim.Cancel(cause)
+	cancel(cause)
 	close(release)
 
 	vres := drain(t, victim, n)
@@ -260,6 +263,77 @@ func TestPoolCancelSkipsQueuedOnly(t *testing.T) {
 	}
 }
 
+// TestPoolSubmitContextSkipsWhileWorkersBusy: a job whose submit context
+// ends while every worker is busy on another job resolves all of its tasks
+// as skipped with the context's cause — without waiting for a worker — and
+// none of them is dispatched or started, then or later.
+func TestPoolSubmitContextSkipsWhileWorkersBusy(t *testing.T) {
+	const workers = 2
+	var log dequeueLog
+	var busy sync.WaitGroup
+	busy.Add(workers)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+
+	p := NewPool[int, struct{}](PoolConfig{Workers: workers, OnDequeue: log.hook}, nil)
+	defer p.Close()
+	defer free() // a failed drain must not leave Close waiting on the blockers
+
+	blockers := make([]Task[int, struct{}], workers)
+	for i := range blockers {
+		blockers[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
+			Run: func(ctx context.Context, _ struct{}) (int, error) {
+				busy.Done()
+				<-release
+				return 0, nil
+			}}
+	}
+	bj, err := p.Submit(context.Background(), "busy", blockers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy.Wait()
+
+	const n = 4
+	var started atomic.Int32
+	tasks := make([]Task[int, struct{}], n)
+	for i := range tasks {
+		tasks[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
+			Run: func(ctx context.Context, _ struct{}) (int, error) {
+				started.Add(1)
+				return 1, nil
+			}}
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("client went away")
+	victim, err := p.Submit(ctx, "victim", tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel(cause)
+
+	// Every worker is still inside a blocker: the skips cannot come from one.
+	res := drain(t, victim, n)
+	<-victim.Done()
+	for i, r := range res {
+		if !r.Skipped || !errors.Is(r.Err, cause) || r.Worker != -1 || r.Attempts != 0 {
+			t.Errorf("task %d: %+v, want skipped with the context's cause", i, r)
+		}
+	}
+
+	free()
+	drain(t, bj, workers)
+	if n := started.Load(); n != 0 {
+		t.Errorf("%d tasks of the cancelled job started", n)
+	}
+	for _, d := range log.snapshot() {
+		if strings.HasPrefix(d, "victim:") {
+			t.Errorf("cancelled job dispatched %s", d)
+		}
+	}
+}
+
 // TestPoolCloseDrainsQueuedTasks: Close is a graceful drain — tasks queued
 // before Close still run to completion.
 func TestPoolCloseDrainsQueuedTasks(t *testing.T) {
@@ -272,12 +346,12 @@ func TestPoolCloseDrainsQueuedTasks(t *testing.T) {
 		tasks[i] = Task[int, struct{}]{Name: fmt.Sprint(i),
 			Run: func(ctx context.Context, _ struct{}) (int, error) { return i, nil }}
 	}
-	j, err := p.Submit("job", tasks)
+	j, err := p.Submit(context.Background(), "job", tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, err := p.Submit("late", tasks); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.Submit(context.Background(), "late", tasks); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close: err %v, want ErrPoolClosed", err)
 	}
 	res := drain(t, j, n)
@@ -293,7 +367,7 @@ func TestPoolEmptyJob(t *testing.T) {
 	p := NewPool[int, struct{}](PoolConfig{Workers: 1},
 		func(int) struct{} { return struct{}{} })
 	defer p.Close()
-	j, err := p.Submit("empty", nil)
+	j, err := p.Submit(context.Background(), "empty", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +384,7 @@ func TestPoolPolicyAppliesPerTask(t *testing.T) {
 	var attempts sync.Map
 	p := NewPool[int, struct{}](PoolConfig{
 		Workers: 2,
-		Policy:  Policy{Retries: 2, RecoverPanics: true},
+		Policy:  Policy{Retries: 2},
 	}, func(int) struct{} { return struct{}{} })
 	defer p.Close()
 
@@ -329,7 +403,7 @@ func TestPoolPolicyAppliesPerTask(t *testing.T) {
 		}},
 		{Name: "ok", Run: func(ctx context.Context, _ struct{}) (int, error) { return 1, nil }},
 	}
-	j, err := p.Submit("mixed", tasks)
+	j, err := p.Submit(context.Background(), "mixed", tasks)
 	if err != nil {
 		t.Fatal(err)
 	}

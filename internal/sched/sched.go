@@ -5,6 +5,12 @@
 // process several at once while each engine run stays internally
 // sequential.
 //
+// Pool is the one scheduler: a fixed set of workers serving jobs, each job
+// a slice of tasks whose context is its cancellation. Run is one job on a
+// Pool of its own, for a caller with one batch of tasks. Every task is
+// contained: a panic becomes its *par.PanicError, and no task's failure
+// keeps a sibling from running.
+//
 // The scheduler is deliberately deterministic where it matters for the
 // byte-identity guarantee (Section IV-G): tasks are dispatched in input
 // order, results are returned indexed by input position regardless of
@@ -17,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -39,11 +44,11 @@ type Result[R any] struct {
 	// Attempts is the number of executions the task's Policy spent on it
 	// (1 with the zero policy; 0 when skipped).
 	Attempts int
-	// Panicked marks a task whose final attempt panicked and was converted
-	// to Err by Policy.RecoverPanics.
+	// Panicked marks a task whose final attempt panicked; Err is then the
+	// panic's *par.PanicError.
 	Panicked bool
-	// Skipped marks tasks that never started because an earlier task
-	// failed (first-error cancellation) or the caller's context ended.
+	// Skipped marks tasks that never started because their job's context
+	// ended first.
 	Skipped bool
 }
 
@@ -73,12 +78,6 @@ func (s Stats) Speedup() float64 {
 	return s.TaskWall.Seconds() / s.Wall.Seconds()
 }
 
-func (s Stats) String() string {
-	return fmt.Sprintf("workers=%d wall=%v task-wall=%v speedup=%.2fx longest=%v(%s) ran=%d skipped=%d",
-		s.Workers, s.Wall.Round(time.Millisecond), s.TaskWall.Round(time.Millisecond), s.Speedup(),
-		s.Longest.Round(time.Millisecond), s.LongestName, s.Ran, s.SkippedTasks)
-}
-
 // Clamp normalises a worker count: n <= 0 selects GOMAXPROCS, and the
 // count never exceeds the number of tasks.
 func Clamp(n, tasks int) int {
@@ -96,9 +95,9 @@ func Clamp(n, tasks int) int {
 
 // Task is one unit of work: an independent job (typically one chromosome)
 // with a name for reporting. Its Run receives worker-local state of type L,
-// created once per worker by Run's newLocal: a scratch arena, a connection,
-// a reusable buffer — anything worth amortising across the tasks one worker
-// processes. Tasks without such state use struct{}.
+// created once per worker by the pool's newLocal: a scratch arena, a
+// connection, a reusable buffer — anything worth amortising across the
+// tasks one worker processes. Tasks without such state use struct{}.
 type Task[R, L any] struct {
 	// Name identifies the task in results and stats.
 	Name string
@@ -109,17 +108,16 @@ type Task[R, L any] struct {
 	Run func(ctx context.Context, local L) (R, error)
 }
 
-// Run executes tasks on a pool of bounded size. workers <= 0 selects
-// GOMAXPROCS. Tasks start in input order; results come back indexed by
-// input position. newLocal runs once in each worker goroutine before it
-// takes tasks, and every task that worker executes receives the same L
-// value; nil leaves L at its zero value. Each task runs under pol's
-// deadline, panic containment and retry schedule. With the zero Policy the
-// first failure (lowest task index among failures) cancels the pool: queued
-// tasks are skipped, already-running tasks finish, and Run returns that
-// error alongside the full result slice; Policy.ContinueOnError runs every
-// task instead. The in-order dispatch, in-order results and
-// lowest-index-error guarantees hold at every policy setting.
+// Run executes tasks as one job on a Pool of Clamp(workers, len(tasks))
+// workers; workers <= 0 selects GOMAXPROCS. Tasks start in input order;
+// results come back indexed by input position. newLocal runs once in each
+// worker goroutine before it takes tasks, and every task that worker
+// executes receives the same L value; nil leaves L at its zero value. Each
+// task runs under pol's deadline and retry schedule, a panic becomes its
+// *par.PanicError, and every task runs whatever its siblings did. When ctx
+// ends, the tasks not yet started are skipped with its cause. Run returns
+// the full result slice and the lowest-index failure, or ctx's cause when
+// no task failed.
 func Run[R, L any](ctx context.Context, workers int, pol Policy, newLocal func(worker int) L, tasks []Task[R, L]) ([]Result[R], Stats, error) {
 	results := make([]Result[R], len(tasks))
 	if len(tasks) == 0 {
@@ -127,70 +125,14 @@ func Run[R, L any](ctx context.Context, workers int, pol Policy, newLocal func(w
 	}
 	stats := Stats{Workers: Clamp(workers, len(tasks))}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	start := time.Now()
-	next := make(chan int) // task indexes, dispatched in order
-	go func() {
-		defer close(next)
-		for i := range tasks {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	started := make([]bool, len(tasks))
-	for w := 0; w < stats.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var local L
-			if newLocal != nil {
-				local = newLocal(worker)
-			}
-			for i := range next {
-				if ctx.Err() != nil {
-					// Cancelled after dispatch: drain without running so
-					// the task is reported as skipped.
-					continue
-				}
-				mu.Lock()
-				started[i] = true
-				mu.Unlock()
-				t0 := time.Now()
-				v, err, attempts, panicked := execute(ctx, &pol, tasks[i], local)
-				results[i] = Result[R]{
-					Name:     tasks[i].Name,
-					Value:    v,
-					Err:      err,
-					Wall:     time.Since(t0),
-					Worker:   worker,
-					Attempts: attempts,
-					Panicked: panicked,
-				}
-				if err != nil && !pol.ContinueOnError {
-					cancel() // first-error cancellation
-				}
-			}
-		}(w)
+	p := NewPool[R, L](PoolConfig{Workers: stats.Workers, Policy: pol}, newLocal)
+	job, _ := p.Submit(ctx, "", tasks) // a fresh pool is open
+	for r := range job.Results() {
+		results[r.Index] = r.Result
 	}
-	wg.Wait()
+	p.Close()
 	stats.Wall = time.Since(start)
-
-	// Mark tasks the cancellation kept from starting.
-	cause := context.Cause(ctx)
-	for i := range tasks {
-		if started[i] {
-			continue
-		}
-		results[i] = Result[R]{Name: tasks[i].Name, Err: cause, Worker: -1, Skipped: true}
-	}
 
 	var firstErr error
 	for i := range results {
@@ -209,8 +151,8 @@ func Run[R, L any](ctx context.Context, workers int, pol Policy, newLocal func(w
 			firstErr = fmt.Errorf("%s: %w", r.Name, r.Err)
 		}
 	}
-	if firstErr == nil && cause != nil {
-		firstErr = cause
+	if firstErr == nil {
+		firstErr = context.Cause(ctx)
 	}
 	return results, stats, firstErr
 }

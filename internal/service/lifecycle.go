@@ -170,7 +170,7 @@ func (s *Server) start(js *jobState, units []genomejob.Unit, digests []string) e
 	}
 	// The registry entry exists (admit) before the pool can dispatch the
 	// first task: the dequeue hook looks the job up by id.
-	handle, err := s.pool.Submit(js.id, buildTasks(js.spec.Options, rest))
+	handle, err := s.pool.Submit(js.ctx, js.id, buildTasks(js.spec.Options, rest))
 	if err != nil {
 		s.release(checkpointed)
 		s.finish(js, StateFailed)
@@ -233,14 +233,16 @@ func (js *jobState) publish(rec logRecord) {
 //     itself until it is evicted. Partial, failed and cancelled runs never
 //     do — their bytes are not the configuration's true result — and must
 //     recompute. Put runs outside s.mu: its eviction callback takes it;
-//  3. a registered job makes room for itself in the finished list: the
-//     oldest finished jobs past maxFinishedJobs are forgotten, and what only
-//     they held is released;
+//  3. a leader that did not run clean releases its flight, so an identical
+//     submission from here on executes afresh instead of tailing a degraded
+//     result; and a registered job makes room for itself in the finished
+//     list: the oldest finished jobs past maxFinishedJobs are forgotten,
+//     and what only they held is released;
 //  4. the Final record becomes visible and done closes;
-//  5. the flight is released. The Put of step 2 came first, so an identical
-//     submission arriving at any moment tails this job, through the open
-//     flight or the cache; there is no window in which it re-executes a
-//     clean run.
+//  5. a clean leader's flight is released. The Put of step 2 came first, so
+//     an identical submission arriving at any moment tails this job,
+//     through the open flight or the cache; there is no window in which it
+//     re-executes a clean run.
 //     Only then does the job join the finished list, so a job is never
 //     forgotten while a follower can still join it.
 func (s *Server) finish(js *jobState, state string) {
@@ -264,6 +266,9 @@ func (s *Server) finish(js *jobState, state string) {
 	if js.counted {
 		s.active--
 	}
+	if js.key != "" && state != StateDone {
+		delete(s.flights, js.key)
+	}
 	registered := s.jobs[js.id] == js
 	for registered && len(s.finished) >= maxFinishedJobs {
 		forgotten = append(forgotten, s.finished[0])
@@ -285,7 +290,7 @@ func (s *Server) finish(js *jobState, state string) {
 	js.mu.Unlock()
 	close(js.done)
 	s.mu.Lock()
-	if js.key != "" {
+	if js.key != "" && state == StateDone {
 		delete(s.flights, js.key)
 	}
 	if registered {
@@ -367,12 +372,11 @@ func (s *Server) tail(leader *jobState) source {
 
 // pooled drains the job's pool results: the only source that makes new
 // bytes, so the only one that stores them, and the place they are encoded.
-// Cancelling the job cancels its pool tasks — undispatched chromosomes
-// resolve as skipped, running ones abort at their next window boundary.
+// The pool job runs under js.ctx, so cancelling the job cancels its pool
+// tasks — undispatched chromosomes resolve as skipped, running ones abort
+// at their next window boundary.
 func (s *Server) pooled(handle *sched.Job[chromResult]) source {
 	return func(js *jobState) string {
-		stop := context.AfterFunc(js.ctx, func() { handle.Cancel(context.Cause(js.ctx)) })
-		defer stop()
 		for r := range handle.Results() {
 			rec := logRecord{StreamRecord: StreamRecord{
 				Index: js.taskUnit[r.Index], Outcome: genomejob.Classify(r.Result, r.Value.res),

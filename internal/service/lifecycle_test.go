@@ -65,7 +65,7 @@ type lifecycleFixture struct {
 	jdir     string
 	dequeues *atomic.Int64
 	id       string
-	spec     map[string]any // resubmitting it must hit the cache
+	spec     map[string]any // resubmitting it must hit the cache, or execute afresh
 	puts     uint64         // cache.puts the Final record must already see
 }
 
@@ -75,14 +75,17 @@ type lifecycleFixture struct {
 // still be running in the job's — the WAL already holds the job's final
 // entry, its spool directory is gone and a clean leader's
 // result is in the cache, so an identical submission made right then is a
-// cache hit: it neither joins the closing flight nor executes.
+// cache hit: it neither joins the closing flight nor executes. A leader
+// that did not run clean (cancelled) has released its flight by then, so
+// the identical submission is neither a join nor a hit: it executes.
 func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("service e2e in -short mode")
 	}
-	dir, dirJoin := t.TempDir(), t.TempDir()
+	dir, dirJoin, dirCancel := t.TempDir(), t.TempDir(), t.TempDir()
 	writeGenomeDir(t, dir, testSpecs(3, 1400, 61))
 	writeGenomeDir(t, dirJoin, testSpecs(4, 2500, 83))
+	writeGenomeDir(t, dirCancel, testSpecs(6, 4000, 47))
 	upload := uploadSpec(t, dir, "chr01", "chr02", "chr03")
 
 	// cold, cached and joined share one server; recovered needs a restart.
@@ -97,6 +100,7 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 		name      string
 		state     string
 		recovered bool
+		rerun     bool // the resubmission executes instead of hitting the cache
 		setup     func(t *testing.T) lifecycleFixture
 	}{
 		{name: "cold", state: StateDone, setup: func(t *testing.T) lifecycleFixture {
@@ -116,6 +120,16 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 			// The leader's Put precedes its Final record, which the
 			// follower's own Final record follows.
 			return shared(follower, spec, 2)
+		}},
+		{name: "cancelled", state: StateCancelled, rerun: true, setup: func(t *testing.T) lifecycleFixture {
+			spec := map[string]any{"genome_dir": dirCancel, "engine": "gsnp-cpu", "window": 256}
+			puts := srv.Statz().Cache.Puts
+			id := postJob(t, ts, spec)
+			srv.mu.Lock()
+			js := srv.jobs[id]
+			srv.mu.Unlock()
+			srv.cancel(js)
+			return shared(id, spec, puts)
 		}},
 		{name: "recovered", state: StateDone, recovered: true, setup: func(t *testing.T) lifecycleFixture {
 			// Incarnation A completes the job but its Final append is
@@ -148,13 +162,22 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 				t.Fatalf("job %s not registered", f.id)
 			}
 			var final logRecord
+			joinable := false // a degraded leader still open as a flight at its Final record
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			if err := js.followLog(ctx, func(recs []logRecord) error {
 				final = recs[len(recs)-1]
+				if final.Final && tc.rerun {
+					f.srv.mu.Lock()
+					joinable = f.srv.flights[js.key] == js
+					f.srv.mu.Unlock()
+				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
+			}
+			if joinable {
+				t.Error("a leader that did not run clean is still joinable when its Final record is visible")
 			}
 
 			if !final.Final || final.State != tc.state || final.Recovered != tc.recovered {
@@ -172,10 +195,22 @@ func TestServiceJournalLifecycleFinalOrder(t *testing.T) {
 			}
 
 			dequeued := f.dequeues.Load()
-			if _, state := readStream(t, f.ts, postJob(t, f.ts, f.spec)); state != StateCached {
-				t.Errorf("identical resubmission at the Final record: state %q, want cached", state)
+			want := StateCached
+			if tc.rerun {
+				want = StateDone
+			}
+			if _, state := readStream(t, f.ts, postJob(t, f.ts, f.spec)); state != want {
+				t.Errorf("identical resubmission at the Final record: state %q, want %s", state, want)
 			}
 			after := f.srv.Statz()
+			if tc.rerun {
+				if after.Cache.Hits != before.Cache.Hits || after.SingleFlightJoins != before.SingleFlightJoins ||
+					f.dequeues.Load() == dequeued {
+					t.Errorf("resubmission after a degraded leader did not execute afresh: hits %d -> %d, joins %d -> %d, %d pool tasks",
+						before.Cache.Hits, after.Cache.Hits, before.SingleFlightJoins, after.SingleFlightJoins, f.dequeues.Load()-dequeued)
+				}
+				return
+			}
 			if after.Cache.Hits != before.Cache.Hits+1 || after.SingleFlightJoins != before.SingleFlightJoins {
 				t.Errorf("resubmission was not a cache hit: hits %d -> %d, joins %d -> %d",
 					before.Cache.Hits, after.Cache.Hits, before.SingleFlightJoins, after.SingleFlightJoins)
