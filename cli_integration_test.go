@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +211,21 @@ func TestCLILongReads(t *testing.T) {
 	}
 }
 
+// refLen is the length of the one sequence in a FASTA file.
+func refLen(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := snpio.ReadFASTA(f)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("%s: %d records (%v), want 1", path, len(recs), err)
+	}
+	return len(recs[0].Seq)
+}
+
 // countLines counts newline-terminated records in a file.
 func countLines(t *testing.T, path string) int {
 	t.Helper()
@@ -273,35 +289,175 @@ func TestCLISingleFileQuarantineExitCodes(t *testing.T) {
 	}
 }
 
-// TestCLIGenomeOnlyFlagsRefused: -retries, -resume and -failure-report act
-// on the chromosomes of a genome directory; in single-file mode each is
-// refused (exit 1, naming the flag) rather than silently ignored, while
-// -workers stays accepted there.
-func TestCLIGenomeOnlyFlagsRefused(t *testing.T) {
+// TestCLISingleFileIsOneUnit: a single-file run is a genome run of one
+// chromosome, so the fault-tolerance flags act on it as on a genome
+// directory — -retries cures a transient fault, -failure-report lists its
+// one task, a failed run leaves no output file — and only -resume, which
+// needs the directory's manifest, is refused. Output on stdout is the
+// bytes -out writes, and an attempt that already printed is not retried.
+func TestCLISingleFileIsOneUnit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration in -short mode")
 	}
 	dir := t.TempDir()
-	run(t, "gsnp-gen", "-out", dir, "-sites", "2000", "-depth", "6", "-seed", "7")
-	args := []string{
+	run(t, "gsnp-gen", "-out", dir, "-sites", "40000", "-depth", "8", "-seed", "7")
+	in := []string{
 		"-ref", filepath.Join(dir, "chrSim.fa"),
 		"-aln", filepath.Join(dir, "chrSim.soap"),
-		"-engine", "gsnp-cpu", "-out", filepath.Join(dir, "out.txt"),
+		"-engine", "gsnp-cpu", "-window", "1000",
 	}
-	for _, extra := range [][]string{
-		{"-retries", "2"},
-		{"-resume"},
-		{"-failure-report", filepath.Join(dir, "report.json")},
-	} {
-		code, _, stderr := runCode(t, "gsnp", append(append([]string(nil), args...), extra...)...)
-		if code != 1 || !strings.Contains(stderr, extra[0]+" requires -genome-dir") {
-			t.Errorf("%v without -genome-dir: exit %d, want 1 naming the flag\nstderr:\n%s", extra, code, stderr)
+	with := func(extra ...string) []string { return append(append([]string(nil), in...), extra...) }
+	read := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	run(t, "gsnp", with("-out", filepath.Join(dir, "clean.txt"), "-workers", "1")...)
+	clean := read("clean.txt")
+	if stdout, _ := run(t, "gsnp", in...); stdout != string(clean) {
+		t.Errorf("stdout run wrote %d bytes, -out run %d: they differ", len(stdout), len(clean))
+	}
+
+	// A transient I/O error at record 5 fails the first attempt; -retries
+	// reruns it to the clean bytes.
+	reportPath := filepath.Join(dir, "report.json")
+	code, _, stderr := runCode(t, "gsnp", with("-out", filepath.Join(dir, "retried.txt"),
+		"-faults", "transient-every=5", "-retries", "1", "-failure-report", reportPath)...)
+	if code != 0 {
+		t.Fatalf("-retries 1 over one transient fault: exit %d, want 0\nstderr:\n%s", code, stderr)
+	}
+	if !bytes.Equal(read("retried.txt"), clean) {
+		t.Error("retried run differs from the clean run")
+	}
+	var fr checkpoint.FailureReport
+	if err := json.Unmarshal(read("report.json"), &fr); err != nil {
+		t.Fatalf("failure report does not parse: %v", err)
+	}
+	if fr.ExitCode != 0 || len(fr.Tasks) != 1 || fr.Tasks[0].Status != checkpoint.StatusOK ||
+		fr.Tasks[0].Attempts != 2 || fr.Tasks[0].Output != "retried.txt" {
+		t.Errorf("failure report %+v: want exit 0 and one ok task of 2 attempts writing retried.txt", fr)
+	}
+
+	// A failed or panicking run leaves no half-written output behind.
+	failed := filepath.Join(dir, "failed.txt")
+	for _, spec := range []string{"corrupt-every=100", "panic-window=30"} {
+		code, _, stderr = runCode(t, "gsnp", with("-out", failed, "-faults", spec)...)
+		if code != 1 || !strings.Contains(stderr, "FAILED") {
+			t.Errorf("%s: exit %d, want 1 with the chromosome FAILED\nstderr:\n%s", spec, code, stderr)
+		}
+		if _, err := os.Stat(failed); !os.IsNotExist(err) {
+			t.Errorf("%s: failed run left its output behind (stat: %v)", spec, err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "report.json")); !os.IsNotExist(err) {
-		t.Errorf("refused -failure-report still wrote a report (stat: %v)", err)
+
+	// Window 30 panics once. By then more than the driver's 1 MB output
+	// buffer has gone to stdout, which a retry cannot take back.
+	code, stdout, stderr := runCode(t, "gsnp", with("-faults", "panic-window=30", "-retries", "1")...)
+	if code != 1 || !strings.Contains(stderr, "FAILED after 1 attempt(s)") || len(stdout) >= len(clean) {
+		t.Errorf("stdout run panicking after output: exit %d with %d of %d bytes, want 1 after one attempt\nstderr:\n%s",
+			code, len(stdout), len(clean), stderr)
 	}
-	run(t, "gsnp", append(args, "-workers", "1")...)
+
+	code, _, stderr = runCode(t, "gsnp", with("-resume")...)
+	if code != 1 || !strings.Contains(stderr, "-resume requires -genome-dir") {
+		t.Errorf("-resume without -genome-dir: exit %d, want 1 naming the flag\nstderr:\n%s", code, stderr)
+	}
+}
+
+// TestCLINothingUsableExitsOne: a genome run in which every chromosome
+// fails has no usable output, so it exits 1 — not 2, which says usable
+// output sits beside the failures — and its failure report says so.
+func TestCLINothingUsableExitsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	dir := t.TempDir()
+	run(t, "gsnp-gen", "-out", dir, "-genome", "-scale", "2", "-seed", "7")
+	reportPath := filepath.Join(t.TempDir(), "report.json")
+	code, _, stderr := runCode(t, "gsnp", "-genome-dir", dir, "-engine", "gsnp-cpu",
+		"-faults", "corrupt-every=10", "-failure-report", reportPath)
+	if code != 1 {
+		t.Fatalf("all chromosomes failed: exit %d, want 1\nstderr:\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr checkpoint.FailureReport
+	if err := json.Unmarshal(data, &fr); err != nil {
+		t.Fatalf("failure report does not parse: %v", err)
+	}
+	if fr.ExitCode != 1 || len(fr.Tasks) != 24 {
+		t.Fatalf("report: exit_code=%d tasks=%d, want 1 and 24", fr.ExitCode, len(fr.Tasks))
+	}
+	for _, task := range fr.Tasks {
+		if task.Status != checkpoint.StatusFailed {
+			t.Errorf("%s: status %q, want failed", task.Name, task.Status)
+		}
+	}
+	if outs, _ := filepath.Glob(filepath.Join(dir, "*.result")); len(outs) != 0 {
+		t.Errorf("failed chromosomes left outputs behind: %v", outs)
+	}
+}
+
+// TestCLIFaultedRunIndependentOfWorkers: every fault schedule is keyed to
+// its chromosome, panic-window included, so a faulted genome run writes the
+// same failure report, results and manifest at -workers 1 and 4 — every
+// chromosome that reaches the window panics there once, whichever ran
+// first, and the shorter ones finish clean and are checkpointed.
+func TestCLIFaultedRunIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	var dirs [2]string
+	for i, workers := range []string{"1", "4"} {
+		dirs[i] = t.TempDir()
+		run(t, "gsnp-gen", "-out", dirs[i], "-genome", "-scale", "4", "-seed", "7")
+		code, _, stderr := runCode(t, "gsnp", "-genome-dir", dirs[i], "-engine", "gsnp-cpu",
+			"-workers", workers, "-quarantine", "-window", "256", "-faults", "panic-window=1",
+			"-failure-report", filepath.Join(dirs[i], "report.json"))
+		if code != 2 {
+			t.Fatalf("-workers %s: exit %d, want 2\nstderr:\n%s", workers, code, stderr)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dirs[0], "report.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr checkpoint.FailureReport
+	if err := json.Unmarshal(data, &fr); err != nil {
+		t.Fatalf("failure report does not parse: %v", err)
+	}
+	for _, task := range fr.Tasks {
+		q, want := task.Quarantined, 0
+		if task.Sites > 256 { // the chromosome has a window 1
+			want = 1
+		}
+		if len(q) != want || (want == 1 && (q[0].Window != 1 || !q[0].Panicked)) {
+			t.Errorf("%s (%d sites): quarantined %+v, want window 1 panicked exactly when it has one",
+				task.Name, task.Sites, q)
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(dirs[0], "*.result"))
+	if err != nil || len(names) != 24 {
+		t.Fatalf("have %d results, want 24 (%v)", len(names), err)
+	}
+	for _, name := range append(names, filepath.Join(dirs[0], "report.json"), checkpoint.Path(dirs[0])) {
+		want, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dirs[1], filepath.Base(name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("%s differs between -workers 1 and -workers 4", filepath.Base(name))
+		}
+	}
 }
 
 // TestCLIUnsortedInputRefused: an alignment file whose first line (the
@@ -361,13 +517,15 @@ func TestCLIFaultToleranceGenome(t *testing.T) {
 
 	// Aim the per-stream fault schedules at the largest chromosome only:
 	// corruption and transient errors fire at record maxLines, which only
-	// that chromosome's stream reaches. Smaller chromosomes stay clean and
-	// must checkpoint.
+	// that chromosome's stream reaches, and the panic at the first window
+	// past the second-longest reference, which only the longest has.
+	// Smaller chromosomes stay clean and must checkpoint.
 	soaps, err := filepath.Glob(filepath.Join(faultDir, "*.soap"))
 	if err != nil || len(soaps) != 24 {
 		t.Fatalf("have %d .soap files, want 24 (%v)", len(soaps), err)
 	}
 	maxLines, minLines := 0, 1<<62
+	var lens []int
 	for _, s := range soaps {
 		n := countLines(t, s)
 		if n > maxLines {
@@ -376,17 +534,22 @@ func TestCLIFaultToleranceGenome(t *testing.T) {
 		if n < minLines {
 			minLines = n
 		}
+		lens = append(lens, refLen(t, strings.TrimSuffix(s, ".soap")+".fa"))
 	}
 	if maxLines <= minLines {
 		t.Fatalf("degenerate genome: every chromosome has %d records", maxLines)
 	}
+	sort.Ints(lens)
+	panicWindow := (lens[22] + 255) / 256 // window size 256
+	if panicWindow*256 >= lens[23] {
+		t.Fatalf("degenerate genome: the two longest references (%d, %d sites) have the same windows", lens[22], lens[23])
+	}
 
 	// Two transient failures burn two attempts (retries=3 leaves headroom);
 	// the surviving attempt hits the corrupt record, which quarantine
-	// contains. panic-window=1 panics the first window-1 computation of the
-	// whole run; quarantine contains that too.
-	spec := fmt.Sprintf("corrupt-every=%d,transient-every=%d,transient-fails=2,panic-window=1",
-		maxLines, maxLines)
+	// contains, and its panicking window, which quarantine contains too.
+	spec := fmt.Sprintf("corrupt-every=%d,transient-every=%d,transient-fails=2,panic-window=%d",
+		maxLines, maxLines, panicWindow)
 	reportPath := filepath.Join(t.TempDir(), "report.json")
 	code, _, stderr := runCode(t, "gsnp",
 		"-genome-dir", faultDir, "-engine", "gsnp-cpu", "-window", "256",

@@ -32,12 +32,12 @@
 //
 //	gsnp -genome-dir data/ [-engine gsnp-gpu] [-workers N] [-compress] [-stats]
 //
-// Long runs degrade instead of dying. A failing chromosome no longer
-// discards the completed ones: each chromosome reports its own outcome,
-// and the process distinguishes partial success (exit code 2: some
-// chromosomes failed or were degraded, the rest are on disk) from fatal
-// errors (exit code 1: nothing usable happened). The fault-tolerance
-// flags (-retries, -resume and -failure-report need -genome-dir):
+// A single-file run is a genome run of one chromosome. Long runs degrade
+// instead of dying: each chromosome reports its own outcome, and the exit
+// code is 0 when all are clean, 2 when usable output sits beside failed or
+// partial chromosomes, and 1 when none left usable output (one skipped by
+// -resume counts as usable) or the flags are bad. The fault-tolerance
+// flags (only -resume needs -genome-dir):
 //
 //	-retries N          re-run a failed chromosome up to N times with
 //	                    exponential backoff (-retry-backoff, default 100ms)
@@ -69,6 +69,7 @@ import (
 	"gsnp/internal/checkpoint"
 	"gsnp/internal/faults"
 	"gsnp/internal/genomejob"
+	"gsnp/internal/pipeline"
 	"gsnp/internal/sched"
 )
 
@@ -78,6 +79,7 @@ import (
 type options struct {
 	call    genomejob.Options
 	workers int
+	stats   bool
 
 	retries       int
 	retryBackoff  time.Duration
@@ -104,7 +106,7 @@ func main() {
 	}
 }
 
-func run() (err error) {
+func run() error {
 	var (
 		refPath   = flag.String("ref", "", "reference FASTA file")
 		alnPath   = flag.String("aln", "", "alignment file (or raw FASTQ reads with -format fastq)")
@@ -123,12 +125,12 @@ func run() (err error) {
 		alignK    = flag.Int("align-k", 0, "aligner k-mer seed length (-format fastq; 0 = default 16, max 31)")
 		alignW    = flag.Int("align-workers", 0, "alignment-stage workers per chromosome (-format fastq; 0 = GOMAXPROCS)")
 
-		retries    = flag.Int("retries", 0, "re-run a failed chromosome up to N times (exponential backoff; -genome-dir only)")
+		retries    = flag.Int("retries", 0, "re-run a failed chromosome up to N times (exponential backoff)")
 		backoff    = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay between retries of a failed chromosome")
 		taskTO     = flag.Duration("task-timeout", 0, "per-chromosome deadline (0 = none)")
 		quarantine = flag.Bool("quarantine", false, "contain malformed records and panicking windows instead of aborting")
 		resume     = flag.Bool("resume", false, "skip chromosomes recorded in the genome directory's checkpoint manifest (-genome-dir only)")
-		failReport = flag.String("failure-report", "", "write a JSON report of per-chromosome outcomes to this file (-genome-dir only)")
+		failReport = flag.String("failure-report", "", "write a JSON report of per-chromosome outcomes to this file")
 		faultSpec  = flag.String("faults", "", "inject deterministic failures, e.g. seed=1,corrupt-every=40 (testing)")
 	)
 	flag.Parse()
@@ -136,11 +138,11 @@ func run() (err error) {
 	opts := options{
 		call: genomejob.Options{
 			Engine: *engine, Format: *format, Window: *window,
-			ComputeWorkers: *computeW, Compress: *compress, Stats: *stats, Quarantine: *quarantine,
+			ComputeWorkers: *computeW, Compress: *compress, Quarantine: *quarantine,
 			OutputFormat:     *outFormat,
 			AlignMaxMismatch: *alignMM, AlignSeedLen: *alignK, AlignWorkers: *alignW,
 		},
-		workers: *workers,
+		workers: *workers, stats: *stats,
 		retries: *retries, retryBackoff: *backoff, taskTimeout: *taskTO,
 		resume: *resume, failureReport: *failReport,
 	}
@@ -155,133 +157,107 @@ func run() (err error) {
 		return err
 	}
 
+	var units []genomejob.Unit
 	if *genomeDir != "" {
-		return runGenome(*genomeDir, opts)
-	}
-	switch {
-	case opts.retries != 0:
-		return errors.New("-retries requires -genome-dir")
-	case opts.resume:
-		return errors.New("-resume requires -genome-dir")
-	case opts.failureReport != "":
-		return errors.New("-failure-report requires -genome-dir")
-	}
-	if *refPath == "" || *alnPath == "" {
-		flag.Usage()
-		return fmt.Errorf("-ref and -aln are required (or use -genome-dir)")
-	}
-
-	var out io.Writer = os.Stdout
-	if *outPath != "" && *outPath != "-" {
-		f, cerr := os.Create(*outPath)
-		if cerr != nil {
-			return cerr
+		var skipped []genomejob.Skipped
+		var err error
+		if units, skipped, err = genomejob.Discover(*genomeDir, opts.call); err != nil {
+			return err
 		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("close %s: %w", *outPath, cerr)
-			}
-		}()
-		out = f
-	}
-	ctx := context.Background()
-	if opts.taskTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.taskTimeout)
-		defer cancel()
-	}
-	unit := genomejob.Unit{Name: filepath.Base(*refPath), Ref: *refPath, Aln: *alnPath, SNP: *snpPath}
-	res, err := new(genomejob.Worker).Call(ctx, opts.call, unit, out, os.Stderr)
-	if err != nil {
-		return err
-	}
-	if res.Partial() {
-		for _, q := range res.Quarantined {
-			fmt.Fprintf(os.Stderr, "gsnp: quarantined %v\n", q)
+		for _, sk := range skipped {
+			fmt.Fprintf(os.Stderr, "gsnp: skipping %s: no alignment file %s\n", sk.Ref, sk.Aln)
 		}
-		return fmt.Errorf("%w: %d window(s) quarantined, %d calibration record(s) skipped",
-			errPartial, len(res.Quarantined), res.CalSkipped)
+	} else {
+		switch {
+		case opts.resume:
+			return errors.New("-resume requires -genome-dir")
+		case *refPath == "" || *alnPath == "":
+			flag.Usage()
+			return fmt.Errorf("-ref and -aln are required (or use -genome-dir)")
+		}
+		out := *outPath
+		if out == "" {
+			out = "-"
+		}
+		units = []genomejob.Unit{{Name: filepath.Base(*refPath), Ref: *refPath, Aln: *alnPath, SNP: *snpPath, OutPath: out}}
 	}
-	return nil
+	return runUnits(*genomeDir, units, opts)
 }
 
-// chrOutput is one chromosome's buffered result in genome mode.
+// chrOutput is one chromosome's result: its engine report and its
+// buffered -stats diagnostics, printed in input order.
 type chrOutput struct {
-	outPath string
-	diag    string // buffered -stats diagnostics, printed in input order
-	res     genomejob.Result
+	diag string
+	rep  *pipeline.Report
 }
 
-// runGenome processes every chromosome of a directory — the 24-file
-// production layout of the paper — on a bounded worker pool. Each task
-// owns its own output file and (for gsnp-gpu) its own simulated device,
+// runUnits runs chromosomes — every one of a genome directory (the
+// 24-file production layout of the paper), or the one of a single-file run
+// (dir "") — on a bounded worker pool. Each task owns its own output (an
+// OutPath of "-" is stdout) and, for gsnp-gpu, its own simulated device,
 // so chromosomes never share mutable state and the result files are
 // byte-identical to a serial run. Diagnostics are buffered per chromosome
 // and printed in input order once the pool drains, keeping terminal
 // output deterministic at any worker count.
 //
 // A failing chromosome does not discard the others: the pool runs every
-// task, each chromosome's outcome is reported individually (and in the
-// -failure-report JSON), clean completions are checkpointed for -resume,
-// and the run as a whole returns errPartial (exit code 2) when usable
-// output coexists with failures.
-func runGenome(dir string, opts options) error {
-	units, skipped, err := genomejob.Discover(dir, opts.call)
-	if err != nil {
-		return err
-	}
-	for _, sk := range skipped {
-		fmt.Fprintf(os.Stderr, "gsnp: skipping %s: no alignment file %s\n", sk.Ref, sk.Aln)
-	}
+// task, a failed one leaves no output file behind, each chromosome's
+// outcome is reported individually (and in the -failure-report JSON), and
+// with a genome directory clean completions are checkpointed for -resume.
+// The run returns errPartial (exit code 2) when usable output coexists
+// with failures, and a plain error (exit code 1) when nothing usable is
+// left.
+func runUnits(dir string, units []genomejob.Unit, opts options) error {
 	fingerprint := opts.call.Fingerprint()
-	cp, err := checkpoint.NewWriter(checkpoint.Path(dir), fingerprint, opts.resume)
-	if err != nil {
-		return err
+	var cp *checkpoint.Writer
+	if dir != "" {
+		var err error
+		if cp, err = checkpoint.NewWriter(checkpoint.Path(dir), fingerprint, opts.resume); err != nil {
+			return err
+		}
 	}
 
-	// taskRep[i] is the report slot of tasks[i]; checkpoint-skipped
-	// chromosomes get their report entry up front and never enter the pool.
-	reports := make([]checkpoint.TaskReport, 0, len(units))
-	var taskRep []int
+	// reports[i] is units[i]'s report entry and taskUnit[j] the unit of
+	// tasks[j]; checkpoint-skipped chromosomes get their entry up front and
+	// never enter the pool.
+	reports := make([]checkpoint.TaskReport, len(units))
+	var taskUnit []int
+	// printed counts what the run writes to stdout, which only a
+	// single-file run without -out does (at most one unit).
+	var printed stdout
 	var tasks []sched.Task[chrOutput, *genomejob.Worker]
-	for _, unit := range units {
+	for i, unit := range units {
 		name := unit.Name
-		if e, ok := cp.Done(name); ok {
-			fmt.Fprintf(os.Stderr, "gsnp: %s: skipped (checkpoint: %s)\n", name, e.Output)
-			reports = append(reports, checkpoint.TaskReport{
-				Name: name, Status: checkpoint.StatusSkipped, Output: e.Output, Sites: e.Sites})
-			continue
+		if cp != nil {
+			if e, ok := cp.Done(name); ok {
+				fmt.Fprintf(os.Stderr, "gsnp: %s: skipped (checkpoint: %s)\n", name, e.Output)
+				reports[i] = checkpoint.TaskReport{
+					Name: name, Status: checkpoint.StatusSkipped, Output: e.Output, Sites: e.Sites}
+				continue
+			}
 		}
-		reports = append(reports, checkpoint.TaskReport{Name: name})
-		taskRep = append(taskRep, len(reports)-1)
+		taskUnit = append(taskUnit, i)
 		unit := unit
 		tasks = append(tasks, sched.Task[chrOutput, *genomejob.Worker]{
 			Name: name,
-			Run: func(ctx context.Context, wk *genomejob.Worker) (chrOutput, error) {
+			Run: func(ctx context.Context, wk *genomejob.Worker) (out chrOutput, err error) {
 				var diag strings.Builder
-				f, err := os.Create(unit.OutPath)
-				if err != nil {
-					return chrOutput{}, err
+				var diagW io.Writer // nil: no diagnostics
+				if opts.stats {
+					diagW = &diag
 				}
-				res, err := wk.Call(ctx, opts.call, unit, f, &diag)
-				if cerr := f.Close(); err == nil {
-					err = cerr
+				if unit.OutPath == "-" {
+					out.rep, err = wk.Call(ctx, opts.call, unit, &printed, diagW)
+				} else {
+					out.rep, err = callToFile(ctx, wk, opts.call, unit, diagW)
 				}
-				out := chrOutput{outPath: unit.OutPath, diag: diag.String(), res: res}
-				if err != nil {
-					// Leave no half-written output behind: a later -resume
-					// must recompute this chromosome from scratch.
-					os.Remove(unit.OutPath)
-					return out, err
-				}
+				out.diag = diag.String()
 				// Degraded completions stay on disk but are never
 				// checkpointed, so -resume recomputes them.
-				if !res.Partial() {
-					if cerr := cp.Complete(name, unit.OutPath, res.Sites); cerr != nil {
-						return out, cerr
-					}
+				if err == nil && cp != nil && !out.rep.Partial() {
+					err = cp.Complete(name, unit.OutPath, out.rep.Sites)
 				}
-				return out, nil
+				return out, err
 			},
 		})
 	}
@@ -290,18 +266,20 @@ func runGenome(dir string, opts options) error {
 	// recycles the same storage (outputs are unaffected — the worker only
 	// carries buffer capacity and a dense kernel between runs).
 	pol := genomejob.Policy(opts.retries, opts.retryBackoff, opts.taskTimeout)
+	// What a failed attempt printed cannot be taken back: after that,
+	// nothing is retried.
+	retryIf := pol.RetryIf
+	pol.RetryIf = func(err error) bool { return printed == 0 && retryIf(err) }
 	results, stats, _ := sched.Run(context.Background(), opts.workers, pol,
 		func(int) *genomejob.Worker { return new(genomejob.Worker) }, tasks)
 
 	var okN, partialN, failedN, quarantinedN int
 	for i, r := range results {
-		rep := genomejob.Report(r, r.Value.res, filepath.Base(r.Value.outPath))
-		reports[taskRep[i]] = rep
+		u := taskUnit[i]
+		rep := genomejob.Report(r, r.Value.rep, filepath.Base(units[u].OutPath))
+		reports[u] = rep
 		switch rep.Status {
-		case checkpoint.StatusSkipped:
-			fmt.Fprintf(os.Stderr, "gsnp: %s: not run (%s)\n", rep.Name, rep.Error)
-			continue
-		case checkpoint.StatusFailed:
+		case checkpoint.StatusFailed, checkpoint.StatusSkipped: // skipped: never ran
 			failedN++
 			fmt.Fprintf(os.Stderr, "gsnp: %s: FAILED after %d attempt(s): %s\n", rep.Name, rep.Attempts, rep.Error)
 			continue
@@ -320,35 +298,66 @@ func runGenome(dir string, opts options) error {
 				fmt.Fprintf(os.Stderr, "gsnp: quarantined %v\n", q)
 			}
 		}
-		if opts.call.Stats {
+		if opts.stats {
 			line += fmt.Sprintf(" (worker %d, %v, %s)",
 				r.Worker, r.Wall.Round(time.Millisecond), siteRate(rep.Sites, r.Wall))
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}
-	if opts.call.Stats {
+	if opts.stats {
 		fmt.Fprintf(os.Stderr, "gsnp: scheduler: %d workers ran %d chromosomes in %v (task time %v, speedup %.2fx, longest %s %v)\n",
 			stats.Workers, stats.Ran, stats.Wall.Round(time.Millisecond),
 			stats.TaskWall.Round(time.Millisecond), stats.Speedup(),
 			stats.LongestName, stats.Longest.Round(time.Millisecond))
 	}
 
-	var runErr error
-	if failedN > 0 || partialN > 0 {
-		runErr = fmt.Errorf("%w: %d ok, %d partial, %d failed (%d window(s) quarantined)",
-			errPartial, okN, partialN, failedN, quarantinedN)
+	// Checkpoint-skipped chromosomes are usable: their outputs are on disk.
+	usable := okN + partialN + len(units) - len(tasks)
+	summary := fmt.Sprintf("%d ok, %d partial, %d failed (%d window(s) quarantined)",
+		okN, partialN, failedN, quarantinedN)
+	code, runErr := 0, error(nil)
+	switch {
+	case failedN == 0 && partialN == 0:
+	case usable > 0:
+		code, runErr = 2, fmt.Errorf("%w: %s", errPartial, summary)
+	default:
+		code, runErr = 1, fmt.Errorf("no usable output: %s", summary)
 	}
 	if opts.failureReport != "" {
-		code := 0
-		if runErr != nil {
-			code = 2
-		}
 		fr := &checkpoint.FailureReport{Fingerprint: fingerprint, ExitCode: code, Tasks: reports}
 		if err := fr.Save(opts.failureReport); err != nil {
 			return fmt.Errorf("failure report: %w", err)
 		}
 	}
 	return runErr
+}
+
+// callToFile runs one attempt of a unit into its output file. A failed or
+// panicking attempt leaves no half-written file behind: a retry or a later
+// -resume recomputes the chromosome from scratch.
+func callToFile(ctx context.Context, wk *genomejob.Worker, o genomejob.Options, u genomejob.Unit, diag io.Writer) (rep *pipeline.Report, err error) {
+	f, err := os.Create(u.OutPath)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil || rep == nil { // rep is nil while a panic unwinds
+			os.Remove(u.OutPath)
+		}
+	}()
+	return wk.Call(ctx, o, u, f, diag)
+}
+
+// stdout counts the bytes a unit writes to standard output.
+type stdout int64
+
+func (n *stdout) Write(p []byte) (int, error) {
+	k, err := os.Stdout.Write(p)
+	*n += stdout(k)
+	return k, err
 }
 
 // siteRate formats a sites-per-second throughput.

@@ -18,8 +18,8 @@
 //	                  scheduler's retry policy must recover it
 //	transient-fails=N total transient errors per stream across reopens
 //	                  and retries (default 1), so retries eventually pass
-//	panic-window=W    the first task to reach window W panics (once per
-//	                  injector, so a retried task passes)
+//	panic-window=W    window W panics (once per stream, so a retried
+//	                  task passes)
 //	stall-window=W    window W sleeps for the stall duration (once per
 //	                  stream), tripping per-task deadlines
 //	stall=D           the stall duration (default 1s)
@@ -112,20 +112,15 @@ type Injector struct {
 
 	mu      sync.Mutex
 	streams map[string]*Stream
-
-	// panicFired makes panic-window a once-per-injector event: the first
-	// task to reach the window panics, every later visit (including the
-	// retried task) passes.
-	panicFired atomic.Bool
 }
 
 // Config returns the injector's parsed configuration.
 func (inj *Injector) Config() Config { return inj.cfg }
 
 // Stream returns the named stream's fault state, creating it on first use.
-// Stream state — the transient-error and stall budgets — persists across
-// iterator reopens and task retries; the record schedules restart with
-// each iterator, so corruption hits the same records on every pass.
+// Stream state — the transient-error, panic and stall budgets — persists
+// across iterator reopens and task retries; the record schedules restart
+// with each iterator, so corruption hits the same records on every pass.
 func (inj *Injector) Stream(name string) *Stream {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -133,6 +128,7 @@ func (inj *Injector) Stream(name string) *Stream {
 	if !ok {
 		s = &Stream{inj: inj, name: name,
 			transientLeft: int64(inj.cfg.TransientFails),
+			panicsLeft:    1,
 			stallsLeft:    int64(inj.cfg.StallTimes)}
 		inj.streams[name] = s
 	}
@@ -145,6 +141,7 @@ type Stream struct {
 	name string
 
 	transientLeft int64
+	panicsLeft    int64
 	stallsLeft    int64
 }
 
@@ -192,7 +189,7 @@ func (s *Stream) WindowHook(ctx context.Context, window, start, end int) error {
 			return ctx.Err()
 		}
 	}
-	if window == cfg.PanicWindow && s.inj.panicFired.CompareAndSwap(false, true) {
+	if window == cfg.PanicWindow && takeBudget(&s.panicsLeft) {
 		panic(fmt.Sprintf("faults: injected panic at %s window %d [%d,%d)",
 			s.name, window, start, end))
 	}

@@ -54,8 +54,6 @@ type Options struct {
 	// Quarantine contains malformed records and panicking windows instead
 	// of aborting the unit.
 	Quarantine bool `json:"quarantine,omitempty"`
-	// Stats writes per-component timing diagnostics to Call's diag writer.
-	Stats bool `json:"-"`
 	// Injector injects deterministic failures (testing; see internal/faults).
 	Injector *faults.Injector `json:"-"`
 	// OutputFormat selects the result codec: "" or "rows" for the paper's
@@ -290,20 +288,6 @@ func Discover(dir string, o Options) (units []Unit, skipped []Skipped, err error
 	return units, skipped, nil
 }
 
-// Result is what one unit's engine run reports back.
-type Result struct {
-	// Sites is the number of reference sites processed.
-	Sites int
-	// CalSkipped counts calibration records skipped under quarantine.
-	CalSkipped int
-	// Quarantined lists the windows quarantine mode contained.
-	Quarantined []pipeline.Quarantine
-}
-
-// Partial reports whether the unit completed degraded: output exists but
-// some windows or calibration records were lost to quarantine.
-func (r Result) Partial() bool { return len(r.Quarantined) > 0 || r.CalSkipped > 0 }
-
 // Chromosome states of an Outcome.
 const (
 	StateOK        = "ok"        // clean completion
@@ -330,7 +314,7 @@ type Outcome struct {
 // Classify turns one chromosome's pool result into its Outcome: ok,
 // partial, failed, or cancelled when it never ran. res is the unit's
 // engine report, read only when the task succeeded.
-func Classify[R any](r sched.Result[R], res Result) Outcome {
+func Classify[R any](r sched.Result[R], res *pipeline.Report) Outcome {
 	o := Outcome{Name: r.Name, Attempts: r.Attempts, WallMS: r.Wall.Milliseconds()}
 	switch {
 	case r.Skipped:
@@ -352,7 +336,7 @@ func Classify[R any](r sched.Result[R], res Result) Outcome {
 // never ran is "skipped", its quarantined windows are listed rather than
 // counted, and it names the output file a chromosome wrote and says whether
 // the last attempt panicked.
-func Report[R any](r sched.Result[R], res Result, output string) checkpoint.TaskReport {
+func Report[R any](r sched.Result[R], res *pipeline.Report, output string) checkpoint.TaskReport {
 	o := Classify(r, res)
 	rep := checkpoint.TaskReport{
 		Name: o.Name, Status: o.State, Sites: o.Sites, Attempts: o.Attempts,
@@ -394,22 +378,22 @@ type Worker struct {
 }
 
 // Call runs one unit through the selected engine on the worker's storage,
-// writing result rows to out and (with Options.Stats) diagnostics to diag.
-func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Writer) (Result, error) {
-	var zero Result
+// writing result rows to out and, unless diag is nil, per-component timing
+// diagnostics to diag. It returns the run's report.
+func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Writer) (*pipeline.Report, error) {
 	refFile, err := os.Open(u.Ref)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	recs, err := snpio.ReadFASTA(refFile)
 	if cerr := refFile.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
 	if len(recs) != 1 {
-		return zero, fmt.Errorf("reference must hold exactly one sequence, found %d", len(recs))
+		return nil, fmt.Errorf("reference must hold exactly one sequence, found %d", len(recs))
 	}
 	ref := recs[0]
 
@@ -417,14 +401,14 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 	if u.SNP != "" {
 		f, err := os.Open(u.SNP)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
 		all, err := snpio.ReadKnownSNPs(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
 		known = all[ref.Name]
 	}
@@ -440,7 +424,7 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 	if o.Format == "fastq" {
 		aligned, err := alignUnit(&o, ref.Seq, u.Aln)
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
 		src = pipeline.MemSource(aligned)
 	} else {
@@ -504,7 +488,7 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 			kc.Mode, kc.Device = gsnp.ModeGPU, dev
 		}
 		if kernel, err = gsnp.New(kc); err != nil {
-			return zero, err
+			return nil, err
 		}
 	}
 	if cfg.Window == 0 {
@@ -512,9 +496,9 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 	}
 	rep, err := pipeline.Run(ctx, cfg, src, out, kernel)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
-	if o.Stats {
+	if diag != nil {
 		fmt.Fprintf(diag, "%s: %d sites, %d SNPs, mean depth %.1fX, %d output bytes\n%v\n",
 			o.Engine, rep.Sites, rep.SNPs, rep.MeanDepth, rep.OutputBytes, rep.Times)
 		if dev != nil {
@@ -522,7 +506,7 @@ func (w *Worker) Call(ctx context.Context, o Options, u Unit, out, diag io.Write
 				dev.Config().Name, dev.FormatProfile())
 		}
 	}
-	return Result{Sites: rep.Sites, CalSkipped: rep.CalSkipped, Quarantined: rep.Quarantined}, nil
+	return rep, nil
 }
 
 // alignUnit runs the alignment stage of a fastq unit: parse the raw

@@ -61,13 +61,12 @@ func TestFingerprintEnumeratesOptionsFields(t *testing.T) {
 	// Fields exempt from the fingerprint, each with the reason it is safe.
 	exempt := map[string]string{
 		"ComputeWorkers": "byte-identity pinned at every compute-worker count (PR 2/6 tests)",
-		"Stats":          "writes diagnostics to the diag writer, never to result bytes",
 		"Injector":       "test-only fault injection; never set by production front-ends",
 		"AlignWorkers":   "byte-identity pinned at every align-worker count (TestAlignReadsParallelMatchesSerial)",
 	}
 	// Every field also decides whether gsnpd accepts it: a JSON name puts it
 	// in the job spec, "-" keeps it the CLI's. Only these are "-".
-	cliOnly := map[string]bool{"Stats": true, "Injector": true, "AlignWorkers": true}
+	cliOnly := map[string]bool{"Injector": true, "AlignWorkers": true}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -140,7 +139,6 @@ func TestFingerprintDistinguishesEveryInput(t *testing.T) {
 	// recorded at one worker count serves any other.
 	same := base
 	same.ComputeWorkers = 7
-	same.Stats = true
 	if same.Fingerprint() != fp {
 		t.Errorf("exempt fields changed the fingerprint: %q vs %q", same.Fingerprint(), fp)
 	}

@@ -203,9 +203,9 @@ func (e *Engine) posteriorRange(w *window, lo, hi int) {
 }
 
 // posteriorSite selects the best and second-best genotypes from the ten
-// log posteriors. The same comparison sequence runs in the GPU posterior
-// kernel, keeping results identical across engines; dense-engine parity is
-// guaranteed because bayes.Posterior performs the same loop.
+// log posteriors. The GPU posterior kernel calls it per site, keeping
+// results identical across modes; dense-engine parity is guaranteed
+// because bayes.Posterior performs the same loop.
 func posteriorSite(tl, priors []float64, best, second, quality *uint8) {
 	b, s := -1, -1
 	var lb, ls float64

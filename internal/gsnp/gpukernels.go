@@ -395,8 +395,8 @@ func (e *Engine) likelihoodCompDevice(w *window, bounds *gpu.Buffer[uint32], gTL
 
 // posteriorGPU launches the posterior kernel: per site, combine the ten
 // genotype log-likelihoods likelihood_comp left in gTL with the log priors
-// and select the best and second-best genotypes. The comparison sequence
-// matches posteriorSite and bayes.Posterior exactly.
+// and select the best and second-best genotypes by posteriorSite, the CPU
+// path's own rule.
 func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64], priors []float64) {
 	d := e.cfg.Device
 	n := w.n
@@ -423,25 +423,8 @@ func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64], priors []floa
 		tl := gpu.LdRun(t, gTL, site*dna.NGenotypes, dna.NGenotypes)
 		pri := gpu.LdRun(t, gPri, site*dna.NGenotypes, dna.NGenotypes)
 		t.Exec(2*dna.NGenotypes + 3)
-		b, s := -1, -1
-		var lb, ls float64
-		for r, x := range tl {
-			lp := x + pri[r]
-			switch {
-			case b < 0 || lp > lb:
-				s, ls = b, lb
-				b, lb = r, lp
-			case s < 0 || lp > ls:
-				s, ls = r, lp
-			}
-		}
-		q := 10 * (lb - ls)
-		if !(q >= 0) {
-			q = 0
-		}
-		if q > 99 {
-			q = 99
-		}
+		var b, s, q uint8
+		posteriorSite(tl, pri, &b, &s, &q)
 		gpu.St(t, gBest, site, uint32(b))
 		gpu.St(t, gSecond, site, uint32(s))
 		gpu.St(t, gQual, site, uint32(q))

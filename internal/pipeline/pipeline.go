@@ -101,7 +101,7 @@ func ObsOf(r *reads.AlignedRead, pos int) (Obs, bool) {
 // (repeat regions collapse tens of thousands of reads onto one site) would
 // otherwise wrap the 16-bit counters and scramble the best/second-base
 // ranking. Saturating addition is order-independent for non-negative
-// increments, so the GPU engine's atomic accumulation clamps to the same
+// increments, so the GPU engine's per-site gather clamps to the same
 // values.
 type SiteCounts struct {
 	// Depth is the total number of aligned bases, saturating at 65,535.

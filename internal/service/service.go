@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -28,6 +27,7 @@ import (
 	"gsnp/internal/checkpoint"
 	"gsnp/internal/genomejob"
 	"gsnp/internal/journal"
+	"gsnp/internal/pipeline"
 	"gsnp/internal/resultcache"
 	"gsnp/internal/sched"
 )
@@ -81,7 +81,7 @@ type Config struct {
 // comes from outBufs; pooled returns it once the bytes are stored.
 type chromResult struct {
 	output *bytes.Buffer
-	res    genomejob.Result
+	res    *pipeline.Report
 }
 
 // outBufs recycles the buffers pool tasks write chromosome outputs into, so
@@ -354,7 +354,7 @@ func buildTasks(opts genomejob.Options, units []genomejob.Unit) []sched.Task[chr
 			Run: func(ctx context.Context, wk *genomejob.Worker) (chromResult, error) {
 				buf := outBufs.Get().(*bytes.Buffer)
 				buf.Reset()
-				res, err := wk.Call(ctx, opts, u, buf, io.Discard)
+				res, err := wk.Call(ctx, opts, u, buf, nil)
 				if err != nil {
 					outBufs.Put(buf)
 					return chromResult{}, err

@@ -480,8 +480,8 @@ func TestServiceBadSpecs(t *testing.T) {
 		`{"genome_dir":"/x","inputs":[{"name":"a"}]}`, // both
 		`{"genome_dir":"/x","engine":"warp"}`,         // unknown engine
 		`{"genome_dir":"/x","unknown_field":1}`,       // unknown field
-		`{"genome_dir":"/x","Stats":true}`,            // CLI-only options
-		`{"genome_dir":"/x","AlignWorkers":2}`,
+		`{"genome_dir":"/x","Stats":true}`,            // no such option
+		`{"genome_dir":"/x","AlignWorkers":2}`,        // CLI-only options
 		`{"genome_dir":"/x","injector":{}}`,
 		`{"inputs":[{"name":"../evil","ref":"r","aln":"a"}]}`, // path escape
 		`{"inputs":[{"name":"a","ref":"r"}]}`,                 // missing aln

@@ -22,7 +22,7 @@ type JobSpec struct {
 	Inputs []InputSpec `json:"inputs,omitempty"`
 	// Options are the engine options under their JSON names; the engine
 	// defaults to gsnp-cpu and the format to soap. The CLI-only fields
-	// (Stats, Injector, AlignWorkers) have none, so a spec naming one is
+	// (Injector, AlignWorkers) have none, so a spec naming one is
 	// rejected as an unknown field.
 	genomejob.Options
 }

@@ -214,25 +214,25 @@ func TestClassifyRenderings(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		r      sched.Result[int]
-		res    genomejob.Result
+		res    *pipeline.Report
 		stream string
 		report checkpoint.TaskReport
 	}{{
 		name:   "clean",
 		r:      sched.Result[int]{Name: "chr1.fa", Attempts: 1, Wall: 12 * time.Millisecond},
-		res:    genomejob.Result{Sites: 100},
+		res:    &pipeline.Report{Sites: 100},
 		stream: `"name":"chr1.fa","state":"ok","sites":100,"attempts":1,"wall_ms":12}`,
 		report: checkpoint.TaskReport{Name: "chr1.fa", Status: checkpoint.StatusOK, Output: "chr1.result", Sites: 100, Attempts: 1},
 	}, {
 		name:   "partial by quarantine",
 		r:      sched.Result[int]{Name: "chr1.fa", Attempts: 1, Wall: 12 * time.Millisecond},
-		res:    genomejob.Result{Sites: 100, Quarantined: q},
+		res:    &pipeline.Report{Sites: 100, Quarantined: q},
 		stream: `"name":"chr1.fa","state":"partial","sites":100,"quarantined":1,"attempts":1,"wall_ms":12}`,
 		report: checkpoint.TaskReport{Name: "chr1.fa", Status: checkpoint.StatusPartial, Output: "chr1.result", Sites: 100, Attempts: 1, Quarantined: q},
 	}, {
 		name:   "partial by skipped calibration records",
 		r:      sched.Result[int]{Name: "chr1.fa", Attempts: 2},
-		res:    genomejob.Result{Sites: 100, CalSkipped: 3},
+		res:    &pipeline.Report{Sites: 100, CalSkipped: 3},
 		stream: `"name":"chr1.fa","state":"partial","sites":100,"cal_skipped":3,"attempts":2}`,
 		report: checkpoint.TaskReport{Name: "chr1.fa", Status: checkpoint.StatusPartial, Output: "chr1.result", Sites: 100, Attempts: 2, CalSkipped: 3},
 	}, {
