@@ -138,6 +138,8 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzSparseDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzUnpack2Bit$$' -fuzztime $(FUZZ_TIME) ./internal/compress
+	$(GO) test -fuzz 'FuzzBitonicNetwork$$' -fuzztime $(FUZZ_TIME) ./internal/gpu
+	$(GO) test -fuzz 'FuzzStepTable$$' -fuzztime $(FUZZ_TIME) ./internal/gpu
 	$(GO) test -run '^$$' -fuzz 'FuzzSparseLikelihoodGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
 	$(GO) test -run '^$$' -fuzz 'FuzzCountGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
 
@@ -186,7 +188,7 @@ loc:
 # A change that removes lines lowers the ceiling to its new total. A change
 # that must raise it explains why in CHANGES.md, package by package, with
 # the lines it added to each (`make loc` before and after).
-LOC_CEILING = 18769
+LOC_CEILING = 19161
 
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \

@@ -24,12 +24,14 @@ import (
 // the *gpu.Thread a kernel is handed lives inside the recycled block
 // scratch — the one context stepped through every lane of a barrier-free
 // block, or a per-lane context reset for the next block — and so do the
-// []gpu.Thread lanes a phased kernel is handed, so a kernel that parks
-// either anywhere that outlives its own invocation — a field, a channel, a
-// variable of the function around the kernel — reads another lane's,
-// block's or launch's state through it. A view a metered-run primitive
-// hands out (gpu.LdRun, Thread.SharedF64Run: device storage or the block's
-// shared memory) is lane state in the same sense, under the same rules.
+// []gpu.Thread lanes a phased kernel is handed, and so does the *gpu.Block
+// a kernel charged a block at a time is handed, so a kernel that parks any
+// of them anywhere that outlives its own invocation — a field, a channel,
+// a variable of the function around the kernel — reads another lane's,
+// block's or launch's state through it. A view a metered-run or block-wide
+// primitive hands out (gpu.LdRun, Thread.SharedF64Run, gpu.LdWide: device
+// storage or the block's shared memory) is lane state in the same sense,
+// under the same rules.
 var ArenaLifetime = &Analyzer{
 	Name: "arenalifetime",
 	Doc: "flag arena-owned slices and the GPU lane cursor escaping their " +
@@ -48,7 +50,7 @@ var ArenaLifetime = &Analyzer{
 func isArenaType(t types.Type) bool {
 	return isNamed(t, "", "Arena") || isNamed(t, "gsnp", "window") ||
 		isNamed(t, "gpu", "blockScratch") || isNamed(t, "gpu", "blockRT") ||
-		isNamed(t, "gpu", "Thread")
+		isNamed(t, "gpu", "Thread") || isNamed(t, "gpu", "Block")
 }
 
 // arenaRooted reports whether e reads through an Arena/window value or a
@@ -89,13 +91,17 @@ func arenaDerivedSlice(info *types.Info, e ast.Expr, derived map[types.Object]bo
 // laneState names e when it is lane state of the simulator: a *gpu.Thread
 // — the cursor inside a block scratch (&sc.cur), a lane context of a kernel
 // with barriers (&sc.lanes[l]), or the parameter through which a kernel
-// received either — or a []gpu.Thread, the lanes a phased kernel is
-// handed. It returns "" for anything else.
+// received either — a *gpu.Block, the block-wide context, or a
+// []gpu.Thread, the lanes a phased kernel is handed. It returns "" for
+// anything else.
 func laneState(info *types.Info, e ast.Expr) string {
 	switch t := types.Unalias(info.TypeOf(e)).(type) {
 	case *types.Pointer:
 		if isNamed(t.Elem(), "gpu", "Thread") {
 			return "lane cursor"
+		}
+		if isNamed(t.Elem(), "gpu", "Block") {
+			return "block context"
 		}
 	case *types.Slice:
 		if isNamed(t.Elem(), "gpu", "Thread") {
@@ -106,8 +112,9 @@ func laneState(info *types.Info, e ast.Expr) string {
 }
 
 // runView reports whether e is a view a metered-run primitive returned — a
-// call of a package gpu function or method that takes the lane cursor and
-// returns a slice — or a variable or re-slice of one (views).
+// call of a package gpu function or method that takes the lane cursor or
+// the block-wide context and returns a slice — or a variable or re-slice of
+// one (views).
 func runView(info *types.Info, e ast.Expr, views map[types.Object]bool) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -128,7 +135,7 @@ func runView(info *types.Info, e ast.Expr, views map[types.Object]bool) bool {
 		}
 		cursor := func(v *types.Var) bool {
 			p, ok := v.Type().(*types.Pointer)
-			return ok && isNamed(p.Elem(), "gpu", "Thread")
+			return ok && (isNamed(p.Elem(), "gpu", "Thread") || isNamed(p.Elem(), "gpu", "Block"))
 		}
 		return sig.Recv() != nil && cursor(sig.Recv()) || sig.Params().Len() > 0 && cursor(sig.Params().At(0))
 	}

@@ -41,9 +41,23 @@ func (t *Thread) SharedF64Run(i, n int) []float64 {
 	return t.block.sharedF64[i : i+n]
 }
 
+// Block is the block-wide context of a kernel charged a block at a time.
+type Block struct {
+	rt    *blockRT
+	instr []int64
+}
+
+// LdWide is a block-wide primitive: it charges one load to each of n
+// lanes and hands out a view of device storage.
+func LdWide[T any](b *Block, buf *Buffer[T], l0, i, n int) []T {
+	b.instr[l0] += int64(n)
+	return buf.data[i : i+n]
+}
+
 // blockScratch is the recycled per-block execution state.
 type blockScratch struct {
 	rt      blockRT
+	blk     Block
 	cur     Thread
 	instr   []int64
 	samples [][]int64
@@ -229,6 +243,30 @@ func MeteredRuns(sc *blockScratch, b *Buffer[float64]) {
 		v := LdRun(t, b, t.Lane, 10) // local views die with the invocation
 		sh := t.SharedF64Run(0, 10)
 		sh[0] += v[0]
+	})
+	_ = last
+}
+
+// runWide hands the block-wide context to a kernel, once per block.
+func runWide(sc *blockScratch, kernel func(*Block)) {
+	kernel(&sc.blk)
+}
+
+type wideTracer struct{ last *Block }
+
+// WideKernels keeps the block-wide context and a block-wide view past the
+// kernel invocation, where they are the next block's.
+func WideKernels(sc *blockScratch, tr *wideTracer, b *Buffer[uint32]) {
+	var last []uint32
+	runWide(sc, func(blk *Block) {
+		tr.last = blk // want "block context stored in field last"
+	})
+	runWide(sc, func(blk *Block) {
+		last = LdWide(blk, b, 0, 0, 4) // want "metered-run view stored in last, which outlives the kernel invocation"
+	})
+	runWide(sc, func(blk *Block) {
+		v := LdWide(blk, b, 0, 0, 4) // a local view dies with the invocation
+		v[0]++
 	})
 	_ = last
 }

@@ -11,6 +11,9 @@ import "gsnp/internal/gpu"
 // The byte output is identical to the CPU encoder's, so files compressed on
 // the device decode with the host decoder and vice versa.
 
+// rleBlock is the thread-block size of the RLE kernels.
+const rleBlock = 256
+
 // RLEEncodeGPU computes the run decomposition on the device.
 func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 	n := len(vals)
@@ -21,24 +24,32 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 	defer in.Free()
 	in.CopyIn(vals)
 
-	// Flag run heads.
+	// Flag run heads. Each kernel runs a block at a time through the
+	// block-wide primitives; its comment is the per-lane program they
+	// charge.
 	flags := gpu.Alloc[uint32](d, n)
 	defer flags.Free()
-	block := 256
-	grid := (n + block - 1) / block
-	d.MustLaunch(gpu.LaunchConfig{Name: "rle_flag", Grid: grid, Block: block}, func(t *gpu.Thread) {
-		i := t.GlobalID()
-		if i >= n {
-			return
+	grid := (n + rleBlock - 1) / rleBlock
+	d.MustLaunchWide(gpu.LaunchConfig{Name: "rle_flag", Grid: grid, Block: rleBlock}, func(b *gpu.Block) {
+		// Lane l: f := 1; if i > 0 { t.Exec(1); if Ld(in, i-1) ==
+		// Ld(in, i) { f = 0 } }; St(flags, i, f).
+		i0 := b.Index * rleBlock
+		m := min(rleBlock, n-i0)
+		l0 := 0
+		if i0 == 0 {
+			l0 = 1 // element 0 heads a run and loads nothing
 		}
-		f := uint32(1)
-		if i > 0 {
-			t.Exec(1)
-			if gpu.Ld(t, in, i-1) == gpu.Ld(t, in, i) {
-				f = 0
+		b.Exec(l0, m-l0, 1)
+		prev := gpu.LdWide(b, in, l0, i0+l0-1, m-l0)
+		cur := gpu.LdWide(b, in, l0, i0+l0, m-l0)
+		var f [rleBlock]uint32
+		f[0] = uint32(l0)
+		for k := range cur {
+			if prev[k] != cur[k] {
+				f[l0+k] = 1
 			}
 		}
-		gpu.St(t, flags, i, f)
+		gpu.StWide(b, flags, 0, i0, f[:m])
 	})
 
 	// Scan flags into run destinations, scatter run heads.
@@ -49,15 +60,17 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 	defer outVals.Free()
 	starts := gpu.Alloc[uint32](d, runs+1)
 	defer starts.Free()
-	d.MustLaunch(gpu.LaunchConfig{Name: "rle_scatter", Grid: grid, Block: block}, func(t *gpu.Thread) {
-		i := t.GlobalID()
-		if i >= n {
-			return
-		}
-		if gpu.Ld(t, flags, i) == 1 {
-			r := int(gpu.Ld(t, dst, i))
-			gpu.St(t, outVals, r, gpu.Ld(t, in, i))
-			gpu.St(t, starts, r, uint32(i))
+	d.MustLaunchWide(gpu.LaunchConfig{Name: "rle_scatter", Grid: grid, Block: rleBlock}, func(b *gpu.Block) {
+		// Lane l: if Ld(flags, i) == 1 { r := Ld(dst, i);
+		// St(outVals, r, Ld(in, i)); St(starts, r, i) }.
+		i0 := b.Index * rleBlock
+		for l, f := range gpu.LdWide(b, flags, 0, i0, min(rleBlock, n-i0)) {
+			if f == 1 {
+				i := i0 + l
+				r := int(gpu.LdLane(b, dst, l, i))
+				gpu.StLane(b, outVals, l, r, gpu.LdLane(b, in, l, i))
+				gpu.StLane(b, starts, l, r, uint32(i))
+			}
 		}
 	})
 	starts.Host()[runs] = uint32(n)
@@ -65,14 +78,18 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 	// Run lengths from adjacent start positions.
 	outLens := gpu.Alloc[uint32](d, runs)
 	defer outLens.Free()
-	lgrid := (runs + block - 1) / block
-	d.MustLaunch(gpu.LaunchConfig{Name: "rle_lengths", Grid: lgrid, Block: block}, func(t *gpu.Thread) {
-		i := t.GlobalID()
-		if i >= runs {
-			return
+	lgrid := (runs + rleBlock - 1) / rleBlock
+	d.MustLaunchWide(gpu.LaunchConfig{Name: "rle_lengths", Grid: lgrid, Block: rleBlock}, func(b *gpu.Block) {
+		// Lane l: t.Exec(1); St(outLens, i, Ld(starts, i+1)-Ld(starts, i)).
+		i0 := b.Index * rleBlock
+		m := min(rleBlock, runs-i0)
+		b.Exec(0, m, 1)
+		next := gpu.LdWide(b, starts, 0, i0+1, m)
+		var lens [rleBlock]uint32
+		for k, s := range gpu.LdWide(b, starts, 0, i0, m) {
+			lens[k] = next[k] - s
 		}
-		t.Exec(1)
-		gpu.St(t, outLens, i, gpu.Ld(t, starts, i+1)-gpu.Ld(t, starts, i))
+		gpu.StWide(b, outLens, 0, i0, lens[:m])
 	})
 
 	values = make([]uint32, runs)

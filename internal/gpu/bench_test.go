@@ -9,27 +9,35 @@ import (
 // bitonic network in order, and bitonicPhases counts the phases of
 // bitonicKernel: a load, one per step, a store.
 var (
-	bitonicSteps = func() (s [][2]int) {
-		for k := 2; k <= 256; k *= 2 {
-			for j := k / 2; j > 0; j /= 2 {
-				s = append(s, [2]int{k, j})
-			}
-		}
-		return s
-	}()
+	bitonicSteps  = networkSteps(256)
 	bitonicPhases = len(bitonicSteps) + 2
+)
+
+// The three forms of bitonicKernel's network and its loads and stores.
+const (
+	perAccess = iota // every access metered on its own lane, a phase a step
+	perStep          // CompareExchangeU32, a phase a step
+	fused            // wide loads and stores, one BitonicNetworkU32 call
 )
 
 // bitonicKernel is the shape of sortnet's batch_bitonic in a 256-lane
 // block: the block's slice of buf into shared memory (padded with the
-// largest key), the whole network one step a phase, each step a walk over
-// its compare-exchange pairs, and the slice back. A step is
-// CompareExchangeU32 when runs is set, and otherwise its per-access form,
-// each pair's loads, Exec and stores metered one at a time.
-func bitonicKernel(buf *Buffer[uint32], runs bool) BlockKernel {
+// largest key), the whole network, and the slice back. The network runs in
+// form: per access, each pair's loads, Exec and stores metered one at a
+// time; per step, CompareExchangeU32; or fused, one BitonicNetworkU32 call
+// after wide loads and before wide stores.
+func bitonicKernel(buf *Buffer[uint32], form int) BlockKernel {
 	n := buf.Len()
 	return func(lanes []Thread, p int) {
 		switch {
+		case p == 0 && form == fused:
+			b := lanes[0].Wide()
+			i0 := b.Index * len(lanes)
+			m := min(len(lanes), n-i0)
+			b.SetSharedU32Wide(0, 0, LdWide(b, buf, 0, i0, m))
+			for l := m; l < len(lanes); l++ {
+				b.SetSharedU32Wide(l, l, []uint32{^uint32(0)})
+			}
 		case p == 0:
 			for l := range lanes {
 				t := &lanes[l]
@@ -39,9 +47,11 @@ func bitonicKernel(buf *Buffer[uint32], runs bool) BlockKernel {
 				}
 				t.SetSharedU32(l, v)
 			}
+		case p == 1 && form == fused:
+			BitonicNetworkU32(lanes[0].Wide(), len(lanes), len(lanes))
 		case p <= len(bitonicSteps):
 			k, j := bitonicSteps[p-1][0], bitonicSteps[p-1][1]
-			if runs {
+			if form == perStep {
 				CompareExchangeU32(lanes, k, j, len(lanes))
 				return
 			}
@@ -55,6 +65,13 @@ func bitonicKernel(buf *Buffer[uint32], runs bool) BlockKernel {
 						t.SetSharedU32(l+j, a)
 					}
 				}
+			}
+		case form == fused:
+			b := lanes[0].Wide()
+			i0 := b.Index * len(lanes)
+			StWide(b, buf, 0, i0, b.SharedU32Wide(0, 0, min(len(lanes), n-i0)))
+			for l := range lanes {
+				lanes[l].Retire()
 			}
 		default:
 			for l := range lanes {
@@ -105,7 +122,7 @@ func BenchmarkRunWindowSimKernels(b *testing.B) {
 		ExclusiveScanU32(d, siteCount, bounds)
 		// One full shared-memory bitonic network per 256-lane block, the
 		// phased form the sort pipeline uses.
-		d.MustLaunchPhased(LaunchConfig{Name: "batch_bitonic", Grid: (m + 255) / 256, Block: 256, SharedU32: 256}, bitonicPhases, bitonicKernel(obs, false))
+		d.MustLaunchPhased(LaunchConfig{Name: "batch_bitonic", Grid: (m + 255) / 256, Block: 256, SharedU32: 256}, bitonicPhases, bitonicKernel(obs, fused))
 		bounds.Free()
 		siteCount.Free()
 		obs.Free()
@@ -124,9 +141,9 @@ func BenchmarkRunWindowSimKernels(b *testing.B) {
 
 // BenchmarkLaunchOverhead measures what the simulator itself charges the
 // host for a launch whose kernels do nothing: 64 blocks of 256 lanes, in
-// the async and the phased (two-phase) form. ns/op divided by 16,384 is the
-// host cost of stepping one lane. Run at -cpu 1,2 to see what the dispatch
-// rule does with a second core.
+// the async, the phased (two-phase) and the wide form. ns/op divided by
+// 16,384 is the host cost of stepping one lane. Run at -cpu 1,2 to see what
+// the dispatch rule does with a second core.
 func BenchmarkLaunchOverhead(b *testing.B) {
 	cfg := LaunchConfig{Name: "empty", Grid: 64, Block: 256}
 	b.Run("async", func(b *testing.B) {
@@ -147,6 +164,13 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 					}
 				}
 			})
+		}
+	})
+	b.Run("wide", func(b *testing.B) {
+		d := NewDevice(M2050())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.MustLaunchWide(cfg, func(*Block) {})
 		}
 	})
 }
@@ -182,7 +206,7 @@ func BenchmarkPhasedLanePhase(b *testing.B) {
 	defer buf.Free()
 	keys := xorshiftKeys(buf.Len())
 	cfg := LaunchConfig{Name: "batch_bitonic", Grid: grid, Block: primBlock, SharedU32: primBlock}
-	kernel := bitonicKernel(buf, false)
+	kernel := bitonicKernel(buf, perAccess)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -195,12 +219,16 @@ func BenchmarkPhasedLanePhase(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*grid*primBlock*bitonicPhases), "ns/lane-phase")
 }
 
-// BenchmarkMeteredRun compares the per-access and the run form of the two
-// access patterns the window pipeline's host time goes to, in host ns per
-// metered global or shared access, inline over 64 blocks of 256 lanes:
-// likelihood_comp's ten-wide table load and shared-memory accumulate (16 of
-// them a lane), and the batch_bitonic network (a load phase, 36
-// compare-exchange steps, a store phase).
+// BenchmarkMeteredRun compares the per-access form of the access patterns
+// the window pipeline's host time goes to with the metered forms that
+// charge them in bulk, in host ns per metered global or shared access,
+// inline over 64 blocks of 256 lanes: likelihood_comp's ten-wide table load
+// and shared-memory accumulate (16 of them a lane; per access against
+// runs), the batch_bitonic network (a load phase, 36 compare-exchange
+// steps, a store phase; per access, per step with CompareExchangeU32, and
+// fused with wide loads and stores), and rle_flag's one-element-per-lane
+// compare of neighbours (through the lane cursor against a block at a
+// time).
 func BenchmarkMeteredRun(b *testing.B) {
 	const grid, obs, w = 64, 16, 10
 	d := NewDevice(M2050())
@@ -228,12 +256,49 @@ func BenchmarkMeteredRun(b *testing.B) {
 			})
 		}
 	}
-	bitonic := func(runs bool) func() LaunchStats {
+	bitonic := func(form int) func() LaunchStats {
 		cfg := LaunchConfig{Name: "batch_bitonic", Grid: grid, Block: primBlock, SharedU32: primBlock}
-		kernel := bitonicKernel(buf, runs)
+		kernel := bitonicKernel(buf, form)
 		return func() LaunchStats {
 			copy(buf.Host(), keys)
 			return d.MustLaunchPhased(cfg, bitonicPhases, kernel)
+		}
+	}
+	flags := Alloc[uint32](d, len(keys))
+	defer flags.Free()
+	elementwise := func(wide bool) func() LaunchStats {
+		cfg := LaunchConfig{Name: "rle_flag", Grid: grid, Block: primBlock}
+		if !wide {
+			return func() LaunchStats {
+				return d.MustLaunch(cfg, func(t *Thread) {
+					i, f := t.GlobalID(), uint32(1)
+					if i > 0 {
+						t.Exec(1)
+						if Ld(t, buf, i-1) == Ld(t, buf, i) {
+							f = 0
+						}
+					}
+					St(t, flags, i, f)
+				})
+			}
+		}
+		return func() LaunchStats {
+			return d.MustLaunchWide(cfg, func(b *Block) {
+				i0, l0 := b.Index*primBlock, 0
+				if i0 == 0 {
+					l0 = 1
+				}
+				b.Exec(l0, primBlock-l0, 1)
+				prev := LdWide(b, buf, l0, i0+l0-1, primBlock-l0)
+				var f [primBlock]uint32
+				f[0] = uint32(l0)
+				for k, x := range LdWide(b, buf, l0, i0+l0, primBlock-l0) {
+					if x != prev[k] {
+						f[l0+k] = 1
+					}
+				}
+				StWide(b, flags, 0, i0, f[:])
+			})
 		}
 	}
 	for _, c := range []struct {
@@ -242,8 +307,11 @@ func BenchmarkMeteredRun(b *testing.B) {
 	}{
 		{"likelihood/per-access", likelihood(false)},
 		{"likelihood/runs", likelihood(true)},
-		{"bitonic/per-access", bitonic(false)},
-		{"bitonic/runs", bitonic(true)},
+		{"bitonic/per-access", bitonic(perAccess)},
+		{"bitonic/per-step", bitonic(perStep)},
+		{"bitonic/fused", bitonic(fused)},
+		{"elementwise/cursor", elementwise(false)},
+		{"elementwise/wide", elementwise(true)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var accesses int64
@@ -273,10 +341,11 @@ func xorshiftKeys(n int) []uint32 {
 }
 
 // BenchmarkFanoutBreakEven is the measurement behind minFanoutLanes: one
-// pass of a cheap load/compare/store kernel at three launch sizes, and
-// bitonicKernel at three grids, run inline and forced onto two goroutines.
-// Sizes are in lane invocations, grid x block x phases, the unit of the
-// rule. Meaningful at -cpu 2 or more.
+// pass of a cheap load/compare/store kernel at three launch sizes, through
+// the lane cursor and a block at a time, and the fused bitonicKernel at
+// three grids, run inline and forced onto two goroutines. Sizes are in
+// lane invocations, grid x block x phases, the unit of the rule; a fused
+// network counts a phase per step. Meaningful at -cpu 2 or more.
 func BenchmarkFanoutBreakEven(b *testing.B) {
 	run := func(b *testing.B, workers, n int, launch func(d *Device, buf *Buffer[uint32])) {
 		d := NewDevice(M2050())
@@ -293,8 +362,8 @@ func BenchmarkFanoutBreakEven(b *testing.B) {
 	}
 	for _, lanes := range []int{16 << 10, 64 << 10, 256 << 10} {
 		for _, workers := range []int{1, 2} {
+			cfg := LaunchConfig{Name: "compare_exchange", Grid: lanes / primBlock, Block: primBlock}
 			b.Run(fmt.Sprintf("async/lanes=%dK/workers=%d", lanes>>10, workers), func(b *testing.B) {
-				cfg := LaunchConfig{Name: "compare_exchange", Grid: lanes / primBlock, Block: primBlock}
 				run(b, workers, 2*lanes, func(d *Device, buf *Buffer[uint32]) {
 					d.MustLaunch(cfg, func(t *Thread) {
 						i := 2 * t.GlobalID()
@@ -302,6 +371,21 @@ func BenchmarkFanoutBreakEven(b *testing.B) {
 						if x, y := Ld(t, buf, i), Ld(t, buf, i+1); x > y {
 							St(t, buf, i, y)
 							St(t, buf, i+1, x)
+						}
+					})
+				})
+			})
+			b.Run(fmt.Sprintf("wide/lanes=%dK/workers=%d", lanes>>10, workers), func(b *testing.B) {
+				run(b, workers, 2*lanes, func(d *Device, buf *Buffer[uint32]) {
+					d.MustLaunchWide(cfg, func(b *Block) {
+						i0 := 2 * b.Index * primBlock
+						b.Exec(0, primBlock, 5)
+						for l := range primBlock {
+							i := i0 + 2*l
+							if x, y := LdLane(b, buf, l, i), LdLane(b, buf, l, i+1); x > y {
+								StLane(b, buf, l, i, y)
+								StLane(b, buf, l, i+1, x)
+							}
 						}
 					})
 				})
@@ -316,7 +400,7 @@ func BenchmarkFanoutBreakEven(b *testing.B) {
 				keys := xorshiftKeys(grid * primBlock)
 				run(b, workers, len(keys), func(d *Device, buf *Buffer[uint32]) {
 					copy(buf.Host(), keys)
-					d.MustLaunchPhased(cfg, bitonicPhases, bitonicKernel(buf, false))
+					d.MustLaunchPhased(cfg, bitonicPhases, bitonicKernel(buf, fused))
 				})
 			})
 		}

@@ -19,12 +19,20 @@
 // threads:
 //
 //   - Launch: the lane cursor, one Thread stepped through the lanes in order,
-//     each lane running to completion — barrier-free kernels;
+//     each lane running to completion — barrier-free kernels whose lanes
+//     gather a varying number of elements, such as counting, likelihood_comp
+//     and posterior;
+//   - LaunchWide: one kernel call per block and no Thread at all, the kernel
+//     (a WideKernel) charging ranges of lanes through the block-wide
+//     primitives of Block — barrier-free kernels whose lanes make one access
+//     or a few each, such as the RLE and DICT codec kernels;
 //   - LaunchPhased: a Thread per lane and one kernel call per phase, in which
 //     the kernel (a BlockKernel) does every live lane's work of the phase,
-//     each access metered on its own lane; the barrier is the call boundary,
-//     and a lane leaves early through Thread.Retire — kernels whose barriers
-//     are static, such as every bitonic sort, scan and reduce here;
+//     each access metered on its own lane or a range of lanes at once
+//     (Thread.Wide); the barrier is the call boundary, and a lane leaves
+//     early through Thread.Retire — kernels whose barriers are static, such
+//     as every bitonic sort, scan and reduce here, a whole sorting network
+//     in one call (BitonicNetworkU32);
 //   - Launch with LaunchConfig.Sync: a goroutine per lane meeting at a cyclic
 //     barrier on Thread.Sync — the accounting oracle the other two are
 //     tested against, with no production kernel.

@@ -160,14 +160,28 @@ type Kernel func(t *Thread)
 // from then on — the analogue of returning from a Kernel body before the
 // next __syncthreads — and the body must not run it again. Per-lane state
 // that must survive a barrier lives in Thread.Reg, the simulated register
-// file. A phased launch spawns no per-thread goroutines and allocates
+// file. A call may do the work of several consecutive phases at once when
+// a primitive passes the barriers between them (BitonicNetworkU32 runs a
+// whole network, a phase per step); the block's next call then comes at
+// the phase after the last of them, so phase counts barriers passed, not
+// calls. A phased launch spawns no per-thread goroutines and allocates
 // nothing in steady state.
 type BlockKernel func(lanes []Thread, phase int)
+
+// WideKernel is the body of a barrier-free kernel charged a block at a
+// time, run by LaunchWide: it is called once per block and does every lane's
+// work through the block-wide primitives (LdWide, StWide, Block.Exec, ...),
+// each of which charges a range of lanes in one update per counter, the
+// issued instructions to each lane and, in block 0, each lane's coalescing
+// sample in its own order. It suits kernels whose lanes make one access or
+// a few each; a kernel whose lanes gather a varying number of elements runs
+// through the lane cursor (Launch) instead.
+type WideKernel func(b *Block)
 
 // Launch executes the kernel over cfg.Grid x cfg.Block threads, meters it,
 // advances the simulated clock and returns the per-launch statistics.
 func (d *Device) Launch(cfg LaunchConfig, kernel Kernel) (LaunchStats, error) {
-	return d.launch(cfg, kernel, nil, 0)
+	return d.launch(&launchSpec{LaunchConfig: cfg, kernel: kernel})
 }
 
 // MustLaunch is Launch but panics on configuration errors; convenient for
@@ -190,7 +204,7 @@ func (d *Device) LaunchPhased(cfg LaunchConfig, phases int, kernel BlockKernel) 
 	if phases < 1 {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: phased launch needs at least 1 phase, got %d", cfg.Name, phases)
 	}
-	return d.launch(cfg, nil, kernel, phases)
+	return d.launch(&launchSpec{LaunchConfig: cfg, phased: kernel, phases: phases})
 }
 
 // MustLaunchPhased is LaunchPhased but panics on configuration errors.
@@ -202,33 +216,54 @@ func (d *Device) MustLaunchPhased(cfg LaunchConfig, phases int, kernel BlockKern
 	return ls
 }
 
+// LaunchWide executes a barrier-free kernel a block at a time: one kernel
+// call per block, metered through the block-wide primitives. Its metering
+// is that of the per-lane kernel each primitive documents, run by Launch.
+func (d *Device) LaunchWide(cfg LaunchConfig, kernel WideKernel) (LaunchStats, error) {
+	return d.launch(&launchSpec{LaunchConfig: cfg, wide: kernel})
+}
+
+// MustLaunchWide is LaunchWide but panics on configuration errors.
+func (d *Device) MustLaunchWide(cfg LaunchConfig, kernel WideKernel) LaunchStats {
+	ls, err := d.LaunchWide(cfg, kernel)
+	if err != nil {
+		panic(err)
+	}
+	return ls
+}
+
 // launchSpec is one validated launch: its geometry and exactly one of the
-// two kernel forms.
+// three kernel forms.
 type launchSpec struct {
 	LaunchConfig
 	kernel Kernel
 	phased BlockKernel
 	phases int
+	wide   WideKernel
 }
 
 // minFanoutLanes is the launch size, in lane invocations (grid x block x
 // phases), from which a launch is spread over the host's cores; anything
-// smaller runs inline on the launching goroutine. BenchmarkFanoutBreakEven
-// on the 2-core bench host, inline against two goroutines, three runs
-// each: a cheap async kernel (~18 ns a lane) 16 K lanes 279-312 against
-// 222-251 us, 64 K 1.03-1.29 against 0.61-0.68 ms; a phased bitonic network
-// (~10.5 ns a lane-phase) 19 K lane-phases 185-207 against 171-178 us, 76 K
-// 0.78-0.82 against 0.47-0.50 ms, 304 K 3.20-3.26 against 1.76-1.83 ms.
-// Both forms break even below 20 K lane invocations, a launch of about
+// smaller runs inline on the launching goroutine. A phased launch counts
+// every phase of its device program, so a fused bitonic network counts a
+// phase per step though the kernel is called once for all of them.
+// BenchmarkFanoutBreakEven on the 2-core bench host, inline against two
+// goroutines, three runs each: a cheap compare-exchange kernel through the
+// lane cursor (~15 ns a lane) 16 K lanes 253-280 against 169-243 us, 64 K
+// 0.83-1.06 against 0.57-0.68 ms; the same kernel a block at a time (~11 ns
+// a lane) 16 K 200-210 against 174-199 us, 64 K 0.72-0.78 against
+// 0.46-0.54 ms; the fused bitonic network of batch_bitonic (~3.5 ns a
+// lane-phase) 19 K lane-phases 65-66 against 84-88 us, 76 K 249-315
+// against 210-217 us, 304 K 0.96-1.21 against 0.70-0.84 ms. Every form
+// breaks even between 20 K and 60 K lane invocations, a launch of about
 // 200 us: waking a parked core and joining the helper costs tens of
 // microseconds, and when the host has taken the second core away the
-// helper waits a millisecond or more. A lane-phase and an async lane cost
-// the host the same order, so one constant in lane invocations serves both
-// forms, at about three times the break-even. At the bench's window size
-// the output codec's launches over run values and run lengths (and every
-// bitonic_global pass, when a column is sorted) fall below it; its launches
-// over the window's sites and every kernel of the window pipeline are
-// above it.
+// helper waits a millisecond or more. One constant in lane invocations
+// serves every form, at or above the break-even. At the bench's window
+// size the output codec's launches over run values and run lengths (and
+// every bitonic_global pass, when a column is sorted) fall below it; its
+// launches over the window's sites and every kernel of the window pipeline
+// are above it.
 const minFanoutLanes = 1 << 16
 
 // fanout decides how many host goroutines run the blocks of a launch. A
@@ -247,9 +282,9 @@ func (d *Device) fanout(sp *launchSpec, alone bool) int {
 	return min(w, sp.Grid)
 }
 
-// launch is the common body of Launch and LaunchPhased: exactly one of
-// kernel and phased is non-nil.
-func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased BlockKernel, phases int) (LaunchStats, error) {
+// launch is the common body of Launch, LaunchPhased and LaunchWide.
+func (d *Device) launch(sp *launchSpec) (LaunchStats, error) {
+	cfg := sp.LaunchConfig
 	if cfg.Grid <= 0 || cfg.Block <= 0 {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: invalid geometry %dx%d", cfg.Name, cfg.Grid, cfg.Block)
 	}
@@ -262,7 +297,7 @@ func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased BlockKernel, pha
 	if shBytes := cfg.SharedF64*8 + cfg.SharedU32*4; shBytes > d.cfg.SharedMemPerBlock {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: %d B shared memory requested, %d B available", cfg.Name, shBytes, d.cfg.SharedMemPerBlock)
 	}
-	if cfg.LocalU32 < 0 || cfg.LocalU32 > 0 && (phased != nil || cfg.Sync) {
+	if cfg.LocalU32 < 0 || cfg.LocalU32 > 0 && (sp.kernel == nil || cfg.Sync) {
 		return LaunchStats{}, fmt.Errorf("gpu: launch %q: %d words of local memory requested; only a barrier-free Launch has local memory", cfg.Name, cfg.LocalU32)
 	}
 
@@ -273,7 +308,6 @@ func (d *Device) launch(cfg LaunchConfig, kernel Kernel, phased BlockKernel, pha
 	alone := d.inflight.Add(1) == 1
 	defer d.inflight.Add(-1)
 
-	sp := &launchSpec{LaunchConfig: cfg, kernel: kernel, phased: phased, phases: phases}
 	var acc launchAccumulator
 	if workers := d.fanout(sp, alone); workers <= 1 {
 		d.runRange(sp, 0, cfg.Grid, &acc)
@@ -314,12 +348,14 @@ func (a *launchAccumulator) merge(o *launchAccumulator) {
 // lanes of the block, where only the issued-instruction count (instr, for
 // the warp accounting) and the coalescing-sample stream of block 0 are kept
 // per lane, and one lane's local memory (rt.local) serves every lane in
-// turn. Kernels with barriers suspend every lane at every barrier, so
-// they get a Thread per lane (lanes): the phased runner hands them all to
-// the kernel once per phase, the Sync runner gives each its goroutine. One
-// scratch serves one host goroutine at a time and returns to the device
-// free-list after the launch, so steady-state launches allocate nothing. Everything a
-// scratch owns — the Thread a kernel is handed included — is valid only
+// turn. A wide kernel needs no Thread at all: the block-wide primitives
+// charge the same per-lane arrays through rt.blk. Kernels with barriers
+// suspend every lane at every barrier, so they get a Thread per lane
+// (lanes): the phased runner hands them all to the kernel once per phase,
+// the Sync runner gives each its goroutine. One scratch serves one host
+// goroutine at a time and returns to the device free-list after the
+// launch, so steady-state launches allocate nothing. Everything a scratch
+// owns — the Thread or Block a kernel is handed included — is valid only
 // while its block runs; nothing may escape the launch.
 type blockScratch struct {
 	rt      blockRT
@@ -389,8 +425,11 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 
 	n := sp.Block
 	sc.instr = grow(sc.instr, n)
+	clear(sc.instr)
 	// Block 0 is the coalescing sample, as in a sampling profiler.
 	sampling := bid == 0
+	b := &rt.blk
+	*b = Block{Dev: d, Index: bid, Dim: n, GridDim: sp.Grid, rt: rt, instr: sc.instr}
 	if sampling {
 		for len(sc.samples) < n {
 			sc.samples = append(sc.samples, make([]int64, 0, 256))
@@ -398,41 +437,44 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 		for l := range sc.samples[:n] {
 			sc.samples[l] = sc.samples[l][:0]
 		}
+		b.samples = sc.samples[:n]
 	}
 
-	var s Stats
 	switch {
+	case sp.wide != nil:
+		sp.wide(b)
 	case sp.phased != nil:
 		d.resetLanes(sp, bid, sc, sampling)
 		runBlockPhased(sp, sc)
-		s = sumLanes(sc, sampling)
+		sumLanes(sc, b)
 	case sp.Sync:
 		d.resetLanes(sp, bid, sc, sampling)
 		runLanesSync(sp.kernel, sc)
-		s = sumLanes(sc, sampling)
+		sumLanes(sc, b)
 	default:
 		sc.cur = Thread{Dev: d, Block: bid, BlockDim: n, GridDim: sp.Grid, block: rt}
 		runLanesAsync(sp.kernel, sc, n, sampling)
-		t := &sc.cur
-		s = Stats{
-			GlobalLoads: t.gld, GlobalStores: t.gst,
-			GlobalLoadBytes: t.gldB, GlobalStoreBytes: t.gstB,
-			SharedLoads: t.sld, SharedStores: t.sst,
-			ConstLoads: t.cld,
-		}
+		b.addCounters(&sc.cur)
+	}
+	s := Stats{
+		GlobalLoads: b.gld, GlobalStores: b.gst,
+		GlobalLoadBytes: b.gldB, GlobalStoreBytes: b.gstB,
+		SharedLoads: b.sld, SharedStores: b.sst,
+		ConstLoads: b.cld,
 	}
 
 	// SIMT issue accounting: a warp occupies its issue slots for as long
-	// as its longest-running lane.
+	// as its longest-running lane. Every lane issued b.every more than its
+	// entry of sc.instr.
 	ws := d.cfg.WarpSize
-	var instr, warpInstr int64
+	instr, warpInstr := b.every*int64(n), int64(0)
 	for w0 := 0; w0 < n; w0 += ws {
 		var maxInstr int64
 		for _, in := range sc.instr[w0:min(w0+ws, n)] {
 			instr += in
 			maxInstr = max(maxInstr, in)
 		}
-		warpInstr += maxInstr
+		warpInstr += maxInstr + b.every
 	}
 	s.Instructions, s.WarpInstructions = instr, warpInstr
 	acc.stats.Add(s)
@@ -456,13 +498,10 @@ func runLanesAsync(kernel Kernel, sc *blockScratch, n int, sampling bool) {
 		sc.rt.clearLocal()
 		t.instr = 0
 		if sampling {
-			t.sample = sc.samples[l]
+			t.sample = &sc.samples[l]
 		}
 		kernel(t)
 		sc.instr[l] = t.instr
-		if sampling {
-			sc.samples[l] = t.sample
-		}
 	}
 }
 
@@ -485,45 +524,35 @@ func (d *Device) resetLanes(sp *launchSpec, bid int, sc *blockScratch, sampling 
 		t.instr, t.gld, t.gst, t.gldB, t.gstB, t.sld, t.sst, t.cld = 0, 0, 0, 0, 0, 0, 0, 0
 		t.sample = nil
 		if sampling {
-			t.sample = sc.samples[l]
+			t.sample = &sc.samples[l]
 		}
 	}
 }
 
-// sumLanes collects what the lanes of a finished block metered: the
-// per-lane instruction counts and sample streams into the scratch's side
-// arrays, the sum-only counters into the returned Stats.
-func sumLanes(sc *blockScratch, sampling bool) Stats {
-	var s Stats
+// sumLanes adds what the lanes of a finished block metered to what the
+// block-wide primitives charged: each lane's instruction count to its entry
+// of the block's array, the sum-only counters to the block's.
+func sumLanes(sc *blockScratch, b *Block) {
 	for l := range sc.lanes {
 		t := &sc.lanes[l]
-		sc.instr[l] = t.instr
-		s.GlobalLoads += t.gld
-		s.GlobalStores += t.gst
-		s.GlobalLoadBytes += t.gldB
-		s.GlobalStoreBytes += t.gstB
-		s.SharedLoads += t.sld
-		s.SharedStores += t.sst
-		s.ConstLoads += t.cld
-		if sampling {
-			sc.samples[l] = t.sample
-		}
+		sc.instr[l] += t.instr
+		b.addCounters(t)
 	}
-	return s
 }
 
 // runBlockPhased runs a phased kernel over one block: one kernel call per
 // phase with all the block's lanes, until the phases run out or every lane
-// has retired — the barrier is the call boundary. The barrier charges are
-// settled per lane rather than per phase: Thread.Retire charges a lane
-// retiring in phase p for the p barriers it reached, and a lane still live
-// after the last phase is charged here for one barrier per phase.
+// has retired — the barrier is the call boundary. A call that passes
+// barriers itself (BitonicNetworkU32) advances rt.phase past them. The
+// barrier charges are settled per lane rather than per phase:
+// Thread.Retire charges a lane retiring in phase p for the p barriers it
+// reached, and a lane still live after the last phase is charged here for
+// one barrier per phase.
 func runBlockPhased(sp *launchSpec, sc *blockScratch) {
 	rt := &sc.rt
 	rt.live = len(sc.lanes)
-	for p := 0; p < sp.phases && rt.live > 0; p++ {
-		rt.phase = p
-		sp.phased(sc.lanes, p)
+	for rt.phase = 0; rt.phase < sp.phases && rt.live > 0; rt.phase++ {
+		sp.phased(sc.lanes, rt.phase)
 	}
 	if rt.live > 0 {
 		for l := range sc.lanes {
@@ -669,6 +698,10 @@ type blockRT struct {
 	// phase is the phase a phased block is running, live the number of
 	// its lanes not yet retired (zero outside the phased runner).
 	phase, live int
+
+	// blk is the block-wide context of the block running: the wide
+	// kernel's argument, and a phased kernel's through Thread.Wide.
+	blk Block
 
 	// local is LaunchConfig.LocalU32 words; localSet lists the words the
 	// running lane has stored, so that the next lane finds them zero at the

@@ -67,16 +67,24 @@ func searchDict(n int) []uint32 {
 }
 
 // search looks keys drawn from dict up with BatchBinarySearchU32, or with
-// its per-access form: each search step one Exec(3) and one metered load of
-// the dictionary, from constant memory when it fits and global memory
-// otherwise.
+// its per-access form (searchKeys).
 func search(dict []uint32, perAccess bool) func(*gpu.Device) []uint32 {
+	keys := make([]uint32, 3*oracleBlock+77)
+	for i := range keys {
+		keys[i] = dict[(i*2654435761)%len(dict)]
+	}
+	return searchKeys(dict, keys, perAccess)
+}
+
+// searchKeys looks keys up in dict with BatchBinarySearchU32, or with its
+// per-access form: each search step one Exec(3) and one metered load of the
+// dictionary, from constant memory when it fits and global memory
+// otherwise.
+func searchKeys(dict, keyList []uint32, perAccess bool) func(*gpu.Device) []uint32 {
 	return func(d *gpu.Device) []uint32 {
-		const n = 3*oracleBlock + 77
+		n := len(keyList)
 		keys, out := gpu.Alloc[uint32](d, n), gpu.Alloc[uint32](d, n)
-		for i, h := 0, keys.Host(); i < n; i++ {
-			h[i] = dict[(i*2654435761)%len(dict)]
-		}
+		copy(keys.Host(), keyList)
 		if !perAccess {
 			gpu.BatchBinarySearchU32(d, keys, dict, out)
 			return out.Host()
@@ -113,6 +121,52 @@ func search(dict []uint32, perAccess bool) func(*gpu.Device) []uint32 {
 		})
 		return out.Host()
 	}
+}
+
+// FuzzStepTable holds dict_search_const's step table to the per-lane search
+// it stands for: a random ascending dictionary — from a base, each entry
+// past the last by a gap of the input, so that its values span few or many
+// slots a key and the table is built or not — and keys drawn from it, some
+// of them moved off their entry, so that they may be absent from it. The
+// table path must give the per-access form's LaunchStats (every counter,
+// the coalescing factor), device totals and indexes.
+func FuzzStepTable(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 3, 0, 7}, uint32(5), uint16(300), uint8(0))
+	f.Add([]byte{200, 255, 17, 90}, uint32(1<<30), uint16(40), uint8(64))
+	f.Add([]byte{0}, uint32(0), uint16(1), uint8(255))
+	f.Add(make([]byte, 1500), uint32(77), uint16(1999), uint8(9))
+	f.Fuzz(func(t *testing.T, gaps []byte, base uint32, nkeys uint16, moved uint8) {
+		if len(gaps) == 0 || len(gaps) > 2000 {
+			return
+		}
+		dict := make([]uint32, len(gaps))
+		v := base >> 2 // room for 2000 gaps of 256 below 1<<32
+		for i, g := range gaps {
+			v += uint32(g)
+			dict[i] = v
+			v++
+		}
+		keys := make([]uint32, 1+int(nkeys)%2000)
+		for i := range keys {
+			keys[i] = dict[(i*2654435761)%len(dict)]
+			if i%256 < int(moved) {
+				keys[i] += uint32(i%3) - 1
+			}
+		}
+		run := func(form func(*gpu.Device) []uint32) ([]gpu.LaunchStats, gpu.Stats, []uint32) {
+			d := gpu.NewDevice(gpu.M2050())
+			out := form(d)
+			return d.Launches(), d.Stats(), out
+		}
+		want, wantTotals, wantOut := run(searchKeys(dict, keys, true))
+		got, totals, out := run(searchKeys(dict, keys, false))
+		if !reflect.DeepEqual(got, want) || totals != wantTotals {
+			t.Errorf("launches differ from the per-lane search:\n got %+v\nwant %+v", got, want)
+		}
+		if !reflect.DeepEqual(out, wantOut) {
+			t.Errorf("indexes differ from the per-lane search")
+		}
+	})
 }
 
 // meteredRuns is a kernel that uses the global and shared-memory runs, in

@@ -3,6 +3,7 @@ package gpu
 import (
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // This file provides the classic data-parallel primitives GSNP's
@@ -18,6 +19,9 @@ import (
 const primBlock = 256
 
 var primLog = bits.Len(uint(primBlock)) - 1
+
+// zeroU32 is a block of zero words, the scan's padding.
+var zeroU32 [primBlock]uint32
 
 // ReduceMaxU32 returns the largest element of the device buffer (0 for an
 // empty one): a shared-memory tree per block, then a host combine of the
@@ -64,13 +68,14 @@ func blockReduceU32(d *Device, in *Buffer[uint32], name string, op func(a, b uin
 			// Lane l < stride: Exec(1), two shared loads and a store,
 			// charged to its instr once and to the block's shared sums.
 			stride := primBlock >> p
-			sh := lanes[0].block.sharedU32
-			for l := range lanes[:stride] {
+			b := lanes[0].Wide()
+			sh := b.rt.sharedU32
+			for l := range stride {
 				sh[l] = op(sh[l], sh[l+stride])
-				lanes[l].instr += 4
 			}
-			lanes[0].sld += 2 * int64(stride)
-			lanes[0].sst += int64(stride)
+			b.Exec(0, stride, 4)
+			b.sld += 2 * int64(stride)
+			b.sst += int64(stride)
 		default:
 			t := &lanes[0]
 			St(t, partial, t.Block, t.SharedU32(0))
@@ -100,52 +105,47 @@ func ExclusiveScanU32(d *Device, in, out *Buffer[uint32]) uint64 {
 	defer blockTotals.Free()
 
 	// Double-buffered inclusive Hillis-Steele scan, phased: one load
-	// round, primLog doubling strides, one store round. Each lane carries
-	// its own input value across the barriers in a register (Reg[0]) so
-	// the exclusive result costs no extra shared-memory traffic.
+	// round, primLog doubling strides, one store round. Lane l keeps its
+	// input in a register, so the exclusive result, inclusive − self,
+	// costs no extra shared-memory traffic; that difference is the
+	// inclusive value of lane l−1, which the store phase reads instead.
 	d.MustLaunchPhased(LaunchConfig{Name: "scan_u32", Grid: grid, Block: primBlock, SharedU32: 2 * primBlock}, primLog+2, func(lanes []Thread, p int) {
+		b := lanes[0].Wide()
+		i0 := b.Index * primBlock
+		m := min(primBlock, n-i0)
 		switch {
 		case p == 0:
-			for l := range lanes {
-				t := &lanes[l]
-				i := t.GlobalID()
-				v := uint32(0)
-				if i < n {
-					v = Ld(t, in, i)
-				}
-				t.Reg[0] = uint64(v)
-				t.SetSharedU32(l, v)
-			}
+			// Lane l: v := 0; if i < n { v = Ld(t, in, i) };
+			// t.SetSharedU32(l, v).
+			b.SetSharedU32Wide(0, 0, LdWide(b, in, 0, i0, m))
+			b.SetSharedU32Wide(m, m, zeroU32[:primBlock-m])
 		case p <= primLog:
 			// Lane l: a shared load, past stride an Exec(1) and a second
 			// load, a store; charged to its instr once and the block sums.
 			stride := 1 << (p - 1)
 			cur := ((p - 1) & 1) * primBlock
-			sh := lanes[0].block.sharedU32
+			sh := b.rt.sharedU32
 			src, dst := sh[cur:][:primBlock], sh[primBlock-cur:][:primBlock]
-			for l := range lanes {
-				x, cost := src[l], int64(2)
-				if l >= stride {
-					x, cost = x+src[l-stride], 4
-				}
-				dst[l] = x
-				lanes[l].instr += cost
+			copy(dst[:stride], src)
+			for l := stride; l < primBlock; l++ {
+				dst[l] = src[l] + src[l-stride]
 			}
-			lanes[0].sld += 2*primBlock - int64(stride)
-			lanes[0].sst += primBlock
+			b.Exec(0, primBlock, 2)
+			b.Exec(stride, primBlock-stride, 2)
+			b.sld += 2*primBlock - int64(stride)
+			b.sst += primBlock
 		default:
-			// After primLog buffer swaps from offset 0 the inclusive
-			// values sit at offset 0 iff primLog is even.
+			// Lane l: incl := t.SharedU32(l) of the buffer the last stride
+			// wrote (offset 0 iff primLog is even); if i < n {
+			// St(t, out, i, incl − self) }; lane primBlock−1 then stores
+			// incl to blockTotals.
+			incl := b.SharedU32Wide(0, (primLog&1)*primBlock, primBlock)
+			var excl [primBlock]uint32
+			copy(excl[1:m], incl)
+			StWide(b, out, 0, i0, excl[:m])
+			StLane(b, blockTotals, primBlock-1, b.Index, incl[primBlock-1])
 			for l := range lanes {
-				t := &lanes[l]
-				incl := t.SharedU32((primLog&1)*primBlock + l)
-				if i := t.GlobalID(); i < n {
-					St(t, out, i, incl-uint32(t.Reg[0])) // exclusive = inclusive - self
-				}
-				if l == primBlock-1 {
-					St(t, blockTotals, t.Block, incl)
-				}
-				t.Retire()
+				lanes[l].Retire()
 			}
 		}
 	})
@@ -164,14 +164,18 @@ func ExclusiveScanU32(d *Device, in, out *Buffer[uint32]) uint64 {
 		carry += uint64(totals[b])
 	}
 	carryBuf.CopyIn(carries)
-	d.MustLaunch(LaunchConfig{Name: "scan_carry", Grid: grid, Block: primBlock}, func(t *Thread) {
-		i := t.GlobalID()
-		if i >= n {
-			return
+	d.MustLaunchWide(LaunchConfig{Name: "scan_carry", Grid: grid, Block: primBlock}, func(b *Block) {
+		// Lane l: if i < n { c := Ld(t, carryBuf, block); t.Exec(1);
+		// St(t, out, i, Ld(t, out, i)+c) }.
+		i0 := b.Index * primBlock
+		m := min(primBlock, n-i0)
+		c := LdBcast(b, carryBuf, 0, m, b.Index)
+		b.Exec(0, m, 1)
+		var sum [primBlock]uint32
+		for k, x := range LdWide(b, out, 0, i0, m) {
+			sum[k] = x + c
 		}
-		c := Ld(t, carryBuf, t.Block)
-		t.Exec(1)
-		St(t, out, i, Ld(t, out, i)+c)
+		StWide(b, out, 0, i0, sum[:m])
 	})
 	return carry
 }
@@ -282,18 +286,25 @@ func DistinctU32(d *Device, in *Buffer[uint32], limit int) *Buffer[uint32] {
 	}
 	present := Alloc[uint32](d, limit)
 	defer present.Free()
-	d.MustLaunch(LaunchConfig{Name: "dict_mark", Grid: (n + primBlock - 1) / primBlock, Block: primBlock}, func(t *Thread) {
-		if i := t.GlobalID(); i < n {
-			AtomicExchU32(t, present, int(Ld(t, in, i)), 1)
+	d.MustLaunchWide(LaunchConfig{Name: "dict_mark", Grid: (n + primBlock - 1) / primBlock, Block: primBlock}, func(b *Block) {
+		// Lane l: if i < n { AtomicExchU32(t, present, int(Ld(t, in, i)), 1) }.
+		i0 := b.Index * primBlock
+		for l, v := range LdWide(b, in, 0, i0, min(primBlock, n-i0)) {
+			AtomicExchLaneU32(b, present, l, int(v), 1)
 		}
 	})
 	dst := Alloc[uint32](d, limit)
 	defer dst.Free()
 	total := ExclusiveScanU32(d, present, dst)
 	out := Alloc[uint32](d, int(total))
-	d.MustLaunch(LaunchConfig{Name: "dict_compact", Grid: (limit + primBlock - 1) / primBlock, Block: primBlock}, func(t *Thread) {
-		if v := t.GlobalID(); v < limit && Ld(t, present, v) == 1 {
-			St(t, out, int(Ld(t, dst, v)), uint32(v))
+	d.MustLaunchWide(LaunchConfig{Name: "dict_compact", Grid: (limit + primBlock - 1) / primBlock, Block: primBlock}, func(b *Block) {
+		// Lane l: if v < limit && Ld(t, present, v) == 1 {
+		// St(t, out, int(Ld(t, dst, v)), uint32(v)) }.
+		v0 := b.Index * primBlock
+		for l, p := range LdWide(b, present, 0, v0, min(primBlock, limit-v0)) {
+			if p == 1 {
+				StLane(b, out, l, int(LdLane(b, dst, l, v0+l)), uint32(v0+l))
+			}
 		}
 	})
 	return out
@@ -318,24 +329,21 @@ func BatchBinarySearchU32(d *Device, keys *Buffer[uint32], dict []uint32, out *B
 	cb, err := newConst(d, dict, true)
 	if err == nil {
 		defer cb.Free()
-		d.MustLaunch(LaunchConfig{Name: "dict_search_const", Grid: grid, Block: primBlock}, func(t *Thread) {
-			i := t.GlobalID()
-			if i >= n {
-				return
+		steps := newStepTable(cb.data, n)
+		defer steps.free()
+		d.MustLaunchWide(LaunchConfig{Name: "dict_search_const", Grid: grid, Block: primBlock}, func(b *Block) {
+			// Lane l: key := Ld(t, keys, i); then per search step an
+			// Exec(3) and a CLd at mid; St(t, out, i, lo).
+			i0 := b.Index * primBlock
+			m := min(primBlock, n-i0)
+			var found [primBlock]uint32
+			for l, key := range LdWide(b, keys, 0, i0, m) {
+				lo, k := steps.find(key)
+				b.instr[l] += 4 * int64(k)
+				b.cld += int64(k)
+				found[l] = uint32(lo)
 			}
-			key := Ld(t, keys, i)
-			// Each step, Exec(3) and a CLd at mid, is charged at the end.
-			lo, hi, steps := 0, len(cb.data), 0
-			for ; lo < hi; steps++ {
-				if mid := (lo + hi) / 2; cb.data[mid] < key {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			t.instr += 4 * int64(steps)
-			t.cld += int64(steps)
-			St(t, out, i, uint32(lo))
+			StWide(b, out, 0, i0, found[:m])
 		})
 		return
 	}
@@ -354,8 +362,8 @@ func BatchBinarySearchU32(d *Device, keys *Buffer[uint32], dict []uint32, out *B
 		lo, hi, steps := 0, len(dict), 0
 		for ; lo < hi; steps++ {
 			mid := (lo + hi) / 2
-			if t.sample != nil && len(t.sample) < sampleCap {
-				t.sample = append(t.sample, gdict.addr(mid))
+			if s := t.sample; s != nil && len(*s) < sampleCap {
+				*s = append(*s, gdict.addr(mid))
 			}
 			if gdict.data[mid] < key {
 				lo = mid + 1
@@ -368,4 +376,86 @@ func BatchBinarySearchU32(d *Device, keys *Buffer[uint32], dict []uint32, out *B
 		t.gldB += 4 * int64(steps)
 		St(t, out, i, uint32(lo))
 	})
+}
+
+// searchSteps is the batched search of one key: the index lo it finds in
+// dict (the first entry not below key, for a sorted dict) and the number of
+// steps it takes.
+func searchSteps(dict []uint32, key uint32) (lo, steps int) {
+	hi := len(dict)
+	for ; lo < hi; steps++ {
+		if mid := (lo + hi) / 2; dict[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, steps
+}
+
+// stepTable is searchSteps precomputed for the values of one dictionary:
+// slot v−min holds searchSteps(dict, v) for each value v of dict, as lo |
+// steps<<stepShift. The table is built when the dictionary's values span
+// fewer than stepTableRangePerKey slots a key searched — at most as many
+// searches as the keys would make, and a slot array no larger than the
+// presence table DistinctU32 builds for such a column — and its slots are
+// recycled storage that is never cleared: find trusts a slot only when
+// dict[lo] is the key itself, which an unfilled slot cannot fake for a key
+// outside the dictionary. Any other key, and every key of a dictionary
+// without a table, is searched.
+type stepTable struct {
+	dict  []uint32
+	min   uint32
+	slots *[]uint32 // nil: no table
+}
+
+const (
+	stepTableRangePerKey = 4
+	stepShift            = 26 // lo below 1<<26, steps (at most 27) above
+)
+
+// stepSlots recycles the slot arrays of step tables.
+var stepSlots sync.Pool
+
+func newStepTable(dict []uint32, keys int) stepTable {
+	st := stepTable{dict: dict}
+	if len(dict) == 0 || len(dict) >= 1<<stepShift || len(dict) > keys {
+		return st
+	}
+	lo, hi := slices.Min(dict), slices.Max(dict)
+	if uint64(hi-lo) >= stepTableRangePerKey*uint64(keys) {
+		return st
+	}
+	slots, _ := stepSlots.Get().(*[]uint32)
+	if slots == nil {
+		slots = new([]uint32)
+	}
+	*slots = grow(*slots, int(hi-lo)+1)
+	for _, v := range dict {
+		x, k := searchSteps(dict, v)
+		(*slots)[v-lo] = uint32(x) | uint32(k)<<stepShift
+	}
+	st.min, st.slots = lo, slots
+	return st
+}
+
+// find is searchSteps(dict, key), from the table when it holds the key.
+func (st *stepTable) find(key uint32) (lo, steps int) {
+	if st.slots != nil {
+		if o := key - st.min; o < uint32(len(*st.slots)) {
+			e := (*st.slots)[o]
+			if lo := int(e & (1<<stepShift - 1)); lo < len(st.dict) && st.dict[lo] == key {
+				return lo, int(e >> stepShift)
+			}
+		}
+	}
+	return searchSteps(st.dict, key)
+}
+
+// free returns the slot array for the next table.
+func (st *stepTable) free() {
+	if st.slots != nil {
+		stepSlots.Put(st.slots)
+		st.slots = nil
+	}
 }

@@ -25,8 +25,8 @@ type Thread struct {
 	Reg [2]uint64
 
 	block   *blockRT
-	sample  []int64 // sampled global-access addresses (block 0 only)
-	retired bool    // the lane has left a phased kernel (Retire)
+	sample  *[]int64 // the lane's coalescing sample (block 0 only, else nil)
+	retired bool     // the lane has left a phased kernel (Retire)
 
 	instr, gld, gst, gldB, gstB, sld, sst, cld int64
 }
@@ -141,34 +141,6 @@ func (t *Thread) SetSharedU32(i int, v uint32) {
 	t.block.sharedU32[i] = v
 }
 
-// CompareExchangeU32 is one (k, j) step of a bitonic network over the
-// block's shared uint32 array, one phase of a BlockKernel: every aligned
-// size-element sub-array ends ascending. Lane l with l&j == 0 and l+j <
-// len(lanes) runs a, b := t.SharedU32(l), t.SharedU32(l+j); t.Exec(2), and
-// if (a > b) == (l&(size-1)&k == 0) stores b at l and a at l+j. Only instr,
-// which the warp maximum reads, is charged per lane; the sum-only shared
-// loads and stores are charged to lanes[0] once.
-func CompareExchangeU32(lanes []Thread, k, j, size int) {
-	n := len(lanes)
-	sh := lanes[0].block.sharedU32
-	var pairs, swaps int64
-	for base := 0; base < n; base += 2 * j {
-		for l := base; l < min(base+j, n-j); l++ {
-			pairs++
-			a, b := sh[l], sh[l+j]
-			if (a > b) == (l&(size-1)&k == 0) {
-				sh[l], sh[l+j] = b, a
-				lanes[l].instr += 6
-				swaps++
-			} else {
-				lanes[l].instr += 4
-			}
-		}
-	}
-	lanes[0].sld += 2 * pairs
-	lanes[0].sst += 2 * swaps
-}
-
 // LocalU32 reads word i of the thread's local memory (LaunchConfig.LocalU32
 // words, zero when the thread starts). Local memory is per-thread storage in
 // device DRAM, so the read is metered as a 4-byte global load at the address
@@ -231,8 +203,8 @@ func (t *Thread) recordGlobal(addr int64, size int64, store bool) {
 		t.gld++
 		t.gldB += size
 	}
-	if t.sample != nil && len(t.sample) < sampleCap {
-		t.sample = append(t.sample, addr)
+	if s := t.sample; s != nil && len(*s) < sampleCap {
+		*s = append(*s, addr)
 	}
 }
 
@@ -248,8 +220,16 @@ func (t *Thread) recordRun(addr, size int64, n int, store bool) {
 		t.gld += int64(n)
 		t.gldB += int64(n) * size
 	}
-	for k := 0; t.sample != nil && k < n && len(t.sample) < sampleCap; k++ {
-		t.sample = append(t.sample, addr+int64(k)*size)
+	if s := t.sample; s != nil {
+		appendRun(s, addr, size, n)
+	}
+}
+
+// appendRun appends the n addresses addr, addr+size, ... to a lane's
+// coalescing sample, up to the sample cap.
+func appendRun(s *[]int64, addr, size int64, n int) {
+	for k := 0; k < n && len(*s) < sampleCap; k++ {
+		*s = append(*s, addr+int64(k)*size)
 	}
 }
 

@@ -228,9 +228,13 @@ type window struct {
 	// site. The GPU path keeps its type_likely on the device.
 	typeLikely []float64
 
-	// Posterior output. priors backs the GPU posterior kernel input; the
-	// CPU path fuses the priors into the posterior pass instead.
-	priors     []float64
+	// Posterior input of the GPU path (buildPriors): the prior table and
+	// each site's row of it. The CPU path fuses the priors into the
+	// posterior pass instead.
+	priorRow   []uint32
+	priorTable []float64
+
+	// Posterior output.
 	bestRank   []uint8
 	secondRank []uint8
 	quality    []uint8
@@ -340,23 +344,28 @@ func (w *window) flatten(rs []reads.AlignedRead) {
 	}
 }
 
-// buildPriors fills the window's per-site log prior vectors (GPU posterior
-// kernel input; the CPU path computes priors inside posteriorRange and
-// never materialises this array).
-func (e *Engine) buildPriors(w *window) []float64 {
+// buildPriors fills the GPU posterior's prior table and each site's row of
+// it: rows 0-3 are the novel priors of each reference base, then one row per
+// known site of the window, in site order. A site costs the host its row
+// index, not its ten priors; the CPU path computes priors inside
+// posteriorRange and builds neither.
+func (e *Engine) buildPriors(w *window) {
 	cfg := &e.run.Config
-	w.priors = grow(w.priors, w.n*dna.NGenotypes)
-	pri := w.priors
-	for site := 0; site < w.n; site++ {
+	w.priorRow = grow(w.priorRow, w.n)
+	w.priorTable = w.priorTable[:0]
+	for _, row := range e.novelPriors {
+		w.priorTable = append(w.priorTable, row[:]...)
+	}
+	for site := range w.priorRow {
 		ref := cfg.Ref[w.start+site]
 		if known := cfg.Known[w.start+site]; known != nil {
 			lp := cfg.Priors.LogPriors(ref, known)
-			copy(pri[site*dna.NGenotypes:], lp[:])
+			w.priorRow[site] = uint32(len(w.priorTable) / dna.NGenotypes)
+			w.priorTable = append(w.priorTable, lp[:]...)
 		} else {
-			copy(pri[site*dna.NGenotypes:], e.novelPriors[ref][:])
+			w.priorRow[site] = uint32(ref)
 		}
 	}
-	return pri
 }
 
 // output runs component 6 on the host path: assemble rows and write them.

@@ -21,7 +21,9 @@ const likeliBlock = 256
 // runWindowGPU executes components 3-7 of one window on the simulated
 // device. Between kernels the window's data stays on the device where the
 // next component reads it: the segment bounds from counting into
-// likelihood_comp, type_likely from likelihood_comp into posterior.
+// likelihood_comp, type_likely from likelihood_comp into posterior. The
+// priors go up as a table of the window's distinct prior rows and a row
+// index per site (buildPriors), not as ten values a site.
 func (e *Engine) runWindowGPU(w *window) error {
 	rep := e.run.Report
 	d := e.cfg.Device
@@ -61,9 +63,9 @@ func (e *Engine) runWindowGPU(w *window) error {
 
 	// Component 5: posterior.
 	t0 := time.Now()
-	priors := e.buildPriors(w)
+	e.buildPriors(w)
 	hostPrep := time.Since(t0)
-	sim = e.simSpan(func() { e.posteriorGPU(w, gTL, priors) })
+	sim = e.simSpan(func() { e.posteriorGPU(w, gTL) })
 	rep.Times.Post += sim + hostPrep
 
 	// Component 6: output — row assembly on the host (wall time), column
@@ -394,16 +396,19 @@ func (e *Engine) likelihoodCompDevice(w *window, bounds *gpu.Buffer[uint32], gTL
 }
 
 // posteriorGPU launches the posterior kernel: per site, combine the ten
-// genotype log-likelihoods likelihood_comp left in gTL with the log priors
-// and select the best and second-best genotypes by posteriorSite, the CPU
-// path's own rule.
-func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64], priors []float64) {
+// genotype log-likelihoods likelihood_comp left in gTL with the site's row of
+// the prior table buildPriors staged, and select the best and second-best
+// genotypes by posteriorSite, the CPU path's own rule.
+func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64]) {
 	d := e.cfg.Device
 	n := w.n
 
-	gPri := gpu.Alloc[float64](d, len(priors))
+	gRow := gpu.Alloc[uint32](d, n)
+	defer gRow.Free()
+	gRow.CopyIn(w.priorRow)
+	gPri := gpu.Alloc[float64](d, len(w.priorTable))
 	defer gPri.Free()
-	gPri.CopyIn(priors)
+	gPri.CopyIn(w.priorTable)
 	gBest := gpu.Alloc[uint32](d, n)
 	defer gBest.Free()
 	gSecond := gpu.Alloc[uint32](d, n)
@@ -420,8 +425,9 @@ func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64], priors []floa
 		}
 		// Two 10-wide runs for ten interleaved load pairs: every lane of a
 		// warp reorders alike, so each warp instruction's segments stay.
+		row := int(gpu.Ld(t, gRow, site))
 		tl := gpu.LdRun(t, gTL, site*dna.NGenotypes, dna.NGenotypes)
-		pri := gpu.LdRun(t, gPri, site*dna.NGenotypes, dna.NGenotypes)
+		pri := gpu.LdRun(t, gPri, row*dna.NGenotypes, dna.NGenotypes)
 		t.Exec(2*dna.NGenotypes + 3)
 		var b, s, q uint8
 		posteriorSite(tl, pri, &b, &s, &q)

@@ -93,14 +93,23 @@ func TestMeteredRunsMatchPerAccess(t *testing.T) {
 	gTL := gpu.Alloc[float64](d, len(w.typeLikely))
 	defer gTL.Free()
 	gTL.CopyIn(w.typeLikely)
-	priors := make([]float64, len(w.typeLikely))
-	for i := range priors {
-		priors[i] = -float64(i%17) / 3
+	// Four novel rows and a known row for every seventh site.
+	w.priorTable = make([]float64, 4*dna.NGenotypes)
+	w.priorRow = make([]uint32, w.n)
+	for site := range w.priorRow {
+		w.priorRow[site] = uint32(site % 4)
+		if site%7 == 0 {
+			w.priorRow[site] = uint32(len(w.priorTable) / dna.NGenotypes)
+			w.priorTable = append(w.priorTable, make([]float64, dna.NGenotypes)...)
+		}
+	}
+	for i := range w.priorTable {
+		w.priorTable[i] = -float64(i%17) / 3
 	}
 	check("posterior", []int{1, 3}, func() []uint64 {
-		eng.posteriorGPU(w, gTL, priors)
+		eng.posteriorGPU(w, gTL)
 		return words64(w.hostBest, w.hostSecond, w.hostQual)
-	}, func() []uint64 { return words64(eng.posteriorPerAccess(w, gTL, priors)) })
+	}, func() []uint64 { return words64(eng.posteriorPerAccess(w, gTL)) })
 }
 
 // meteredWindow returns a window over fuzzBlocks·likeliBlock sites as
@@ -339,14 +348,18 @@ func (e *Engine) likelihoodPerAccess(w *window) []float64 {
 }
 
 // posteriorPerAccess is posteriorGPU's device program with each site's
-// type_likely and prior loads interleaved, genotype by genotype, and
-// returns the best and second-best ranks and the quality.
-func (e *Engine) posteriorPerAccess(w *window, gTL *gpu.Buffer[float64], priors []float64) (best, second, qual []uint32) {
+// type_likely and prior loads interleaved, genotype by genotype, after the
+// load of its prior row, and returns the best and second-best ranks and the
+// quality.
+func (e *Engine) posteriorPerAccess(w *window, gTL *gpu.Buffer[float64]) (best, second, qual []uint32) {
 	d := e.cfg.Device
 	n := w.n
-	gPri := gpu.Alloc[float64](d, len(priors))
+	gRow := gpu.Alloc[uint32](d, n)
+	defer gRow.Free()
+	gRow.CopyIn(w.priorRow)
+	gPri := gpu.Alloc[float64](d, len(w.priorTable))
 	defer gPri.Free()
-	gPri.CopyIn(priors)
+	gPri.CopyIn(w.priorTable)
 	gBest, gSecond, gQual := gpu.Alloc[uint32](d, n), gpu.Alloc[uint32](d, n), gpu.Alloc[uint32](d, n)
 	defer gBest.Free()
 	defer gSecond.Free()
@@ -356,10 +369,11 @@ func (e *Engine) posteriorPerAccess(w *window, gTL *gpu.Buffer[float64], priors 
 		if site >= n {
 			return
 		}
+		row := int(gpu.Ld(t, gRow, site))
 		b, s := -1, -1
 		var lb, ls float64
 		for r := 0; r < dna.NGenotypes; r++ {
-			lp := gpu.Ld(t, gTL, site*dna.NGenotypes+r) + gpu.Ld(t, gPri, site*dna.NGenotypes+r)
+			lp := gpu.Ld(t, gTL, site*dna.NGenotypes+r) + gpu.Ld(t, gPri, row*dna.NGenotypes+r)
 			t.Exec(2)
 			switch {
 			case b < 0 || lp > lb:

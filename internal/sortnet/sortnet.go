@@ -170,60 +170,48 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 	data.CopyIn(b.Data)
 
 	// Phase 0 stages the descriptor, phase 1 loads the array, then one
-	// phase per (k, j) network step. Blocks with a smaller pad run a
-	// prefix of the full maxClassSize network (k ascends, j descends
-	// within k), write back and retire early, exactly as their goroutines
-	// used to leave the barrier early.
-	merges := nkjPhases(maxClassSize)
+	// phase per step of its pad's network — one BitonicNetworkU32 call
+	// from phase 2 — and the phase after them writes it back. Blocks with
+	// a smaller pad run fewer steps than the maxClassSize network the
+	// launch is sized for and retire early; lanes past the pad retire at
+	// the load, the imbalance this baseline suffers from: the block still
+	// occupies a full 256-thread slot.
 	d.MustLaunchPhased(gpu.LaunchConfig{
 		Name: "bitonic_noneq", Grid: n, Block: maxClassSize,
 		SharedU32: maxClassSize + 2,
-	}, merges+3, func(lanes []gpu.Thread, p int) {
-		switch {
-		case p == 0:
+	}, gpu.NetworkSteps(maxClassSize)+3, func(lanes []gpu.Thread, p int) {
+		b := lanes[0].Wide()
+		switch p {
+		case 0:
 			// Lane 0 stages the block's array descriptor through shared
 			// memory; a naive per-lane load would multiply global traffic.
 			t := &lanes[0]
 			t.SetSharedU32(maxClassSize, gpu.Ld(t, bounds, 2*t.Block))
 			t.SetSharedU32(maxClassSize+1, gpu.Ld(t, bounds, 2*t.Block+1))
-		case p == 1:
-			for l := range lanes {
-				t := &lanes[l]
-				off := t.SharedU32(maxClassSize)
-				size := t.SharedU32(maxClassSize + 1)
-				t.Reg[0] = uint64(off)
-				t.Reg[1] = uint64(size)
-				if l >= ceilPow2(int(size)) {
-					// Lanes beyond this array's padded size retire; the
-					// block still occupies a full 256-thread slot, the
-					// imbalance this baseline suffers from.
-					t.Retire()
-					continue
-				}
-				v := padValue
-				if l < int(size) {
-					v = gpu.Ld(t, data, int(off)+l)
-				}
-				t.SetSharedU32(l, v)
-			}
-		default:
-			// Every live lane holds the same descriptor; they are the
-			// first pad lanes.
-			off := int(lanes[0].Reg[0])
-			size := int(lanes[0].Reg[1])
+		case 1:
+			// Lane l: off, size := t.SharedU32(256), t.SharedU32(257); past
+			// the pad it retires, below it loads element l (padding past
+			// size) into shared memory. Lane 0 keeps the descriptor in its
+			// registers for the later phases.
+			off := int(b.SharedU32Bcast(0, maxClassSize, maxClassSize))
+			size := int(b.SharedU32Bcast(0, maxClassSize, maxClassSize+1))
 			pad := ceilPow2(size)
-			live := lanes[:pad]
-			if p-2 < nkjPhases(pad) {
-				kk, jj := kjAt(p - 2)
-				gpu.CompareExchangeU32(live, kk, jj, pad)
-				return
+			lanes[0].Reg = [2]uint64{uint64(off), uint64(size)}
+			for l := pad; l < maxClassSize; l++ {
+				lanes[l].Retire()
 			}
-			for l := range live {
-				t := &live[l]
-				if l < size {
-					gpu.St(t, data, off+l, t.SharedU32(l))
-				}
-				t.Retire()
+			b.SetSharedU32Wide(0, 0, gpu.LdWide(b, data, 0, off, size))
+			b.SetSharedU32Wide(size, size, padRow[:pad-size])
+		case 2:
+			pad := ceilPow2(int(lanes[0].Reg[1]))
+			gpu.BitonicNetworkU32(b, pad, pad)
+		default:
+			// Lane l below the pad: if l < size { St(data, off+l,
+			// t.SharedU32(l)) }; then it retires.
+			off, size := int(lanes[0].Reg[0]), int(lanes[0].Reg[1])
+			gpu.StWide(b, data, 0, off, b.SharedU32Wide(0, 0, size))
+			for l := range lanes[:ceilPow2(size)] {
+				lanes[l].Retire()
 			}
 		}
 	})
@@ -291,61 +279,44 @@ func batchBitonicEqual(d *gpu.Device, batch *gpu.Buffer[uint32], class int) int 
 		}
 	}
 	grid := (total + block - 1) / block
-	merges := nkjPhases(class)
+	// Phase 0 loads the block's slice (padding past the batch), then one
+	// phase per network step over every class-size segment — one
+	// BitonicNetworkU32 call from phase 1 — and the last phase writes the
+	// slice back.
 	d.MustLaunchPhased(gpu.LaunchConfig{
 		Name: "batch_bitonic", Grid: grid, Block: block,
 		SharedU32: block,
-	}, merges+2, func(lanes []gpu.Thread, p int) {
-		switch {
-		case p == 0:
-			for l := range lanes {
-				t := &lanes[l]
-				i := t.GlobalID()
-				v := padValue
-				if i < total {
-					v = gpu.Ld(t, batch, i)
-				}
-				t.SetSharedU32(l, v)
-			}
-		case p <= merges:
-			kk, jj := kjAt(p - 1)
-			gpu.CompareExchangeU32(lanes, kk, jj, class)
+	}, gpu.NetworkSteps(class)+2, func(lanes []gpu.Thread, p int) {
+		b := lanes[0].Wide()
+		i0 := b.Index * block
+		m := min(block, total-i0)
+		switch p {
+		case 0:
+			// Lane l: v := padValue; if i < total { v = Ld(batch, i) };
+			// t.SetSharedU32(l, v).
+			b.SetSharedU32Wide(0, 0, gpu.LdWide(b, batch, 0, i0, m))
+			b.SetSharedU32Wide(m, m, padRow[:block-m])
+		case 1:
+			gpu.BitonicNetworkU32(b, block, class)
 		default:
+			// Lane l: if i < total { St(batch, i, t.SharedU32(l)) }; then
+			// it retires.
+			gpu.StWide(b, batch, 0, i0, b.SharedU32Wide(0, 0, m))
 			for l := range lanes {
-				t := &lanes[l]
-				if i := t.GlobalID(); i < total {
-					gpu.St(t, batch, i, t.SharedU32(l))
-				}
-				t.Retire()
+				lanes[l].Retire()
 			}
 		}
 	})
 	return 1
 }
 
-// nkjPhases is the number of (k, j) compare-exchange steps of a bitonic
-// network over size elements: log2(size) * (log2(size)+1) / 2.
-func nkjPhases(size int) int {
-	l := bits.Len(uint(size)) - 1
-	return l * (l + 1) / 2
-}
-
-// kjSteps lists the (k, j) pairs of the maxClassSize network in step order
-// — k ascends 2, 4, ... and within each k the stride j halves from k/2 down
-// to 1 — so the step sequence of a smaller power of two is a prefix of it,
-// which is what lets non-equal-size blocks share one phase counter. The
-// phased kernels look a step up once per block and phase.
-var kjSteps = func() (s [][2]int) {
-	for k := 2; k <= maxClassSize; k *= 2 {
-		for j := k / 2; j > 0; j /= 2 {
-			s = append(s, [2]int{k, j})
-		}
+// padRow is a shared-memory row of padding.
+var padRow = func() (r [maxClassSize]uint32) {
+	for i := range r {
+		r[i] = padValue
 	}
-	return s
+	return r
 }()
-
-// kjAt returns the (k, j) pair of flat step q.
-func kjAt(q int) (k, j int) { return kjSteps[q][0], kjSteps[q][1] }
 
 // sortOversized host-sorts the rare arrays larger than maxClassSize.
 func sortOversized(b *Batches) {
