@@ -23,15 +23,15 @@ import (
 // The simulated GPU's lane cursor is held to the same rules as a pointer:
 // the *gpu.Thread a kernel is handed lives inside the recycled block
 // scratch — the one context stepped through every lane of a barrier-free
-// block, or a per-lane context reset for the next block — and so do the
-// []gpu.Thread lanes a phased kernel is handed, and so does the *gpu.Block
-// a kernel charged a block at a time is handed, so a kernel that parks any
-// of them anywhere that outlives its own invocation — a field, a channel,
-// a variable of the function around the kernel — reads another lane's,
-// block's or launch's state through it. A view a metered-run or block-wide
-// primitive hands out (gpu.LdRun, Thread.SharedF64Run, gpu.LdWide: device
-// storage or the block's shared memory) is lane state in the same sense,
-// under the same rules.
+// block, or a per-lane context readied for one block — and so do the lanes
+// a phased kernel readies (Block.Lanes' []gpu.Thread, Block.Lane's
+// *gpu.Thread), and so does the *gpu.Block a phased or wide kernel is
+// handed, so a kernel that parks any of them anywhere that outlives its own
+// invocation — a field, a channel, a variable of the function around the
+// kernel — reads another lane's, block's or launch's state through it. A
+// view a metered-run or block-wide primitive hands out (gpu.LdRun,
+// Thread.SharedF64Run, gpu.LdWide: device storage or the block's shared
+// memory) is lane state in the same sense, under the same rules.
 var ArenaLifetime = &Analyzer{
 	Name: "arenalifetime",
 	Doc: "flag arena-owned slices and the GPU lane cursor escaping their " +
@@ -89,11 +89,10 @@ func arenaDerivedSlice(info *types.Info, e ast.Expr, derived map[types.Object]bo
 }
 
 // laneState names e when it is lane state of the simulator: a *gpu.Thread
-// — the cursor inside a block scratch (&sc.cur), a lane context of a kernel
-// with barriers (&sc.lanes[l]), or the parameter through which a kernel
-// received either — a *gpu.Block, the block-wide context, or a
-// []gpu.Thread, the lanes a phased kernel is handed. It returns "" for
-// anything else.
+// — the cursor inside a block scratch (&sc.cur), a lane context a block
+// readied (Block.Lane), or the parameter through which a kernel received
+// either — a *gpu.Block, the block-wide context, or a []gpu.Thread, the
+// lanes a block readied (Block.Lanes). It returns "" for anything else.
 func laneState(info *types.Info, e ast.Expr) string {
 	switch t := types.Unalias(info.TypeOf(e)).(type) {
 	case *types.Pointer:
@@ -144,15 +143,20 @@ func runView(info *types.Info, e ast.Expr, views map[types.Object]bool) bool {
 
 // borrowed names what e lends out of recycled memory — an arena-owned
 // slice, the lane cursor, a block's lane contexts or a metered-run view —
-// or returns "" when it is none of them.
+// or returns "" when it is none of them. Lane state is named before views:
+// Block.Lanes returns a slice from a method of the block-wide context, the
+// shape of a view, but what it lends is the block's lane contexts.
 func borrowed(info *types.Info, e ast.Expr, derived, views map[types.Object]bool) string {
 	if arenaDerivedSlice(info, e, derived) {
 		return "arena-owned slice"
 	}
+	if what := laneState(info, e); what != "" {
+		return what
+	}
 	if runView(info, e, views) {
 		return "metered-run view"
 	}
-	return laneState(info, e)
+	return ""
 }
 
 // outlivesFunc reports whether the variable id names is declared outside

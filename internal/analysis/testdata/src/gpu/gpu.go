@@ -23,6 +23,7 @@ type Thread struct {
 type blockRT struct {
 	sharedU32 []uint32
 	sharedF64 []float64
+	lanes     []Thread
 }
 
 // Buffer is an array in device memory.
@@ -45,6 +46,16 @@ func (t *Thread) SharedF64Run(i, n int) []float64 {
 type Block struct {
 	rt    *blockRT
 	instr []int64
+}
+
+// Lanes readies every lane's context of the block and returns them.
+func (b *Block) Lanes() []Thread {
+	return b.rt.lanes
+}
+
+// Lane readies lane l's context and returns it.
+func (b *Block) Lane(l int) *Thread {
+	return &b.rt.lanes[l]
 }
 
 // LdWide is a block-wide primitive: it charges one load to each of n
@@ -116,11 +127,11 @@ func runLanes(sc *blockScratch, kernel func(*Thread)) {
 	}
 }
 
-// runPhased is the phased idiom that must stay silent: the block's lane
-// contexts handed to the kernel once per phase.
-func runPhased(sc *blockScratch, phases int, kernel func([]Thread, int)) {
+// runPhased is the phased idiom that must stay silent: the block handed to
+// the kernel once per phase.
+func runPhased(sc *blockScratch, phases int, kernel func(*Block, int)) {
 	for p := 0; p < phases; p++ {
-		kernel(sc.lanes, p)
+		kernel(&sc.blk, p)
 	}
 }
 
@@ -203,23 +214,34 @@ func Kernels(sc *blockScratch, tr *tracer, ch chan *Thread) {
 
 var lastBlock []Thread
 
-// PhasedKernels is the same for the lanes a phased kernel is handed: they
-// are the next block's by the time anyone looks.
-func PhasedKernels(sc *blockScratch, tr *tracer) {
+// PhasedKernels is the same for the lanes a phased kernel readies and the
+// block it is handed: they are the next block's by the time anyone looks.
+func PhasedKernels(sc *blockScratch, tr *tracer, wt *wideTracer) {
 	var saved []Thread
-	runPhased(sc, 2, func(lanes []Thread, p int) {
-		saved = lanes[1:] // want "lane contexts stored in saved, which outlives the kernel invocation"
+	runPhased(sc, 2, func(b *Block, p int) {
+		saved = b.Lanes()[1:] // want "lane contexts stored in saved, which outlives the kernel invocation"
 	})
-	runPhased(sc, 2, func(lanes []Thread, p int) {
-		tr.block = lanes // want "lane contexts stored in field block"
+	runPhased(sc, 2, func(b *Block, p int) {
+		tr.block = b.Lanes() // want "lane contexts stored in field block"
 	})
-	runPhased(sc, 2, func(lanes []Thread, p int) {
+	runPhased(sc, 2, func(b *Block, p int) {
+		lanes := b.Lanes()
 		lastBlock = lanes // want "lane contexts stored in lastBlock, which outlives the kernel invocation"
 	})
-	runPhased(sc, 2, func(lanes []Thread, p int) {
-		live := lanes[:2] // a local view dies with the invocation
+	runPhased(sc, 2, func(b *Block, p int) {
+		tr.last = b.Lane(0) // want "lane cursor stored in field last"
+	})
+	runPhased(sc, 2, func(b *Block, p int) {
+		lastLane = b.Lane(p) // want "lane cursor stored in lastLane, which outlives the kernel invocation"
+	})
+	runPhased(sc, 2, func(b *Block, p int) {
+		wt.last = b // want "block context stored in field last"
+	})
+	runPhased(sc, 2, func(b *Block, p int) {
+		live := b.Lanes()[:2] // a local view dies with the invocation
 		t := &live[p]
 		t.instr++
+		b.Lane(1).instr++
 	})
 	_ = saved
 }

@@ -28,17 +28,17 @@ const (
 // after wide loads and before wide stores.
 func bitonicKernel(buf *Buffer[uint32], form int) BlockKernel {
 	n := buf.Len()
-	return func(lanes []Thread, p int) {
+	return func(b *Block, p int) {
 		switch {
 		case p == 0 && form == fused:
-			b := lanes[0].Wide()
-			i0 := b.Index * len(lanes)
-			m := min(len(lanes), n-i0)
+			i0 := b.Index * b.Dim
+			m := min(b.Dim, n-i0)
 			b.SetSharedU32Wide(0, 0, LdWide(b, buf, 0, i0, m))
-			for l := m; l < len(lanes); l++ {
+			for l := m; l < b.Dim; l++ {
 				b.SetSharedU32Wide(l, l, []uint32{^uint32(0)})
 			}
 		case p == 0:
+			lanes := b.Lanes()
 			for l := range lanes {
 				t := &lanes[l]
 				v := ^uint32(0)
@@ -48,8 +48,9 @@ func bitonicKernel(buf *Buffer[uint32], form int) BlockKernel {
 				t.SetSharedU32(l, v)
 			}
 		case p == 1 && form == fused:
-			BitonicNetworkU32(lanes[0].Wide(), len(lanes), len(lanes))
+			BitonicNetworkU32(b, b.Dim, b.Dim)
 		case p <= len(bitonicSteps):
+			lanes := b.Lanes()
 			k, j := bitonicSteps[p-1][0], bitonicSteps[p-1][1]
 			if form == perStep {
 				CompareExchangeU32(lanes, k, j, len(lanes))
@@ -67,13 +68,11 @@ func bitonicKernel(buf *Buffer[uint32], form int) BlockKernel {
 				}
 			}
 		case form == fused:
-			b := lanes[0].Wide()
-			i0 := b.Index * len(lanes)
-			StWide(b, buf, 0, i0, b.SharedU32Wide(0, 0, min(len(lanes), n-i0)))
-			for l := range lanes {
-				lanes[l].Retire()
-			}
+			i0 := b.Index * b.Dim
+			StWide(b, buf, 0, i0, b.SharedU32Wide(0, 0, min(b.Dim, n-i0)))
+			b.Retire(0, b.Dim)
 		default:
+			lanes := b.Lanes()
 			for l := range lanes {
 				t := &lanes[l]
 				if i := t.GlobalID(); i < n {
@@ -157,11 +156,9 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 		d := NewDevice(M2050())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d.MustLaunchPhased(cfg, 2, func(lanes []Thread, p int) {
+			d.MustLaunchPhased(cfg, 2, func(b *Block, p int) {
 				if p == 1 {
-					for l := range lanes {
-						lanes[l].Retire()
-					}
+					b.Retire(0, b.Dim)
 				}
 			})
 		}

@@ -3,17 +3,16 @@ package gpu
 import "math/bits"
 
 // Block is the block-wide context of a kernel charged a block at a time:
-// the argument of a WideKernel, and of a phased kernel's block through
-// Thread.Wide. Its primitives each charge a range of the block's lanes —
-// every lane in the range makes the same access or issues the same
-// instructions — and document the per-lane loop of Thread calls they
-// equal: one update per counter for the whole range, each lane's
-// instructions to its own entry of the block's array (which the warp
-// accounting reads), and in block 0 each lane's addresses appended to its
-// own coalescing sample, so that the k-th access of every lane still forms
-// the k-th warp instruction. A Block lives in the recycled block scratch,
-// and so do the views its primitives return: both are valid only while the
-// block runs.
+// the argument of a WideKernel and of a BlockKernel. Its primitives each
+// charge a range of the block's lanes — every lane in the range makes the
+// same access or issues the same instructions — and document the per-lane
+// loop of Thread calls they equal: one update per counter for the whole
+// range, each lane's instructions to its own entry of the block's array
+// (which the warp accounting reads), and in block 0 each lane's addresses
+// appended to its own coalescing sample, so that the k-th access of every
+// lane still forms the k-th warp instruction. A Block lives in the recycled
+// block scratch, and so do the views its primitives return and the Threads
+// it readies: all are valid only while the block runs.
 type Block struct {
 	// Dev is the device running the kernel.
 	Dev *Device
@@ -29,15 +28,83 @@ type Block struct {
 	gld, gst, gldB, gstB, sld, sst, cld int64
 }
 
-// Wide returns the block-wide context of the thread's block in a phased
-// launch: the block-wide primitives charge the lanes Thread calls would, so
-// a phase may mix the two forms (they do not retire lanes). Wide outside a
-// phased launch panics: a lane of the cursor has no block to charge.
-func (t *Thread) Wide() *Block {
-	if t.block.live == 0 {
-		panic("gpu: Thread.Wide called outside a phased launch")
+// Lanes readies the Thread of every lane of the block (Lane) and returns
+// them all, lanes[l].Lane == l: the per-lane form of a kernel handed a
+// Block. The block-wide primitives charge the lanes the Thread calls would,
+// so a kernel may mix the two forms.
+func (b *Block) Lanes() []Thread {
+	for l := range b.Dim {
+		b.Lane(l)
 	}
-	return &t.block.blk
+	return b.rt.lanes[:b.Dim]
+}
+
+// Lane readies lane l's Thread, if the block has not yet, and returns it.
+// A lane is readied once per block — block and lane ids set, registers and
+// counters zero, in block 0 its coalescing sample attached — and keeps its
+// state through the block's later calls, the barriers of a phased kernel
+// included; what it meters is added to the block's counters when the block
+// ends. Lanes never asked for cost the host nothing.
+func (b *Block) Lane(l int) *Thread {
+	rt := b.rt
+	t := &rt.lanes[l]
+	if !rt.isReady[l] {
+		*t = Thread{Dev: b.Dev, Block: b.Index, Lane: l, BlockDim: b.Dim, GridDim: b.GridDim, block: rt}
+		if b.samples != nil {
+			t.sample = &b.samples[l]
+		}
+		rt.isReady[l] = true
+		rt.ready = append(rt.ready, int32(l))
+	}
+	return t
+}
+
+// sumLanes adds what the readied lanes of a finished block metered to what
+// the block-wide primitives charged — each lane's instruction count to its
+// entry of the block's array, the sum-only counters to the block's — and
+// leaves no lane readied for the next block.
+func (b *Block) sumLanes() {
+	rt := b.rt
+	for _, l := range rt.ready {
+		t := &rt.lanes[l]
+		b.instr[l] += t.instr
+		b.addCounters(t)
+		rt.isReady[l] = false
+	}
+	rt.ready = rt.ready[:0]
+}
+
+// Retire is for k := range n { lane l0+k: Thread.Retire() } in a phased
+// launch: the lanes leave after their work of the current phase, each lane
+// not yet retired charged for the barriers it reached, one per earlier
+// phase — in one update for the range while no lane of the block has
+// retired. Retiring a retired lane is a no-op; Retire outside a phased
+// launch panics.
+func (b *Block) Retire(l0, n int) {
+	rt := b.rt
+	if rt.phases == 0 {
+		panic("gpu: Retire called outside a phased launch")
+	}
+	if rt.live == 0 {
+		return
+	}
+	cost := syncCost * rt.phase
+	if rt.live == b.Dim {
+		b.Exec(l0, n, cost)
+		if rt.live -= n; rt.live > 0 {
+			for k := range rt.retired[l0 : l0+n] {
+				rt.retired[l0+k] = true
+			}
+		}
+		return
+	}
+	for l := l0; l < l0+n; l++ {
+		if !rt.retired[l] {
+			rt.retired[l] = true
+			b.instr[l] += int64(cost)
+			rt.live--
+		}
+	}
 }
 
 // addCounters adds a Thread's sum-only counters to the block's.
@@ -186,14 +253,14 @@ func (b *Block) SharedU32Bcast(l0, n, i int) uint32 {
 //
 // The call passes the barriers between its steps — the block is at the
 // phase of the last step when it returns, so the kernel's next call comes
-// at the phase after it, and Thread.Retire charges every lane live through
-// the steps for their barriers. size is a power of two from 2 to 256 and n
+// at the phase after it, and Retire charges every lane live through the
+// steps for their barriers. size is a power of two from 2 to 256 and n
 // a multiple of it.
 func BitonicNetworkU32(b *Block, n, size int) {
 	if size < 2 || size > 256 || size&(size-1) != 0 || n%size != 0 {
 		panic("gpu: BitonicNetworkU32: size must be a power of two in [2, 256] dividing n")
 	}
-	if b.rt.live == 0 {
+	if b.rt.phases == 0 {
 		panic("gpu: BitonicNetworkU32 called outside a phased launch")
 	}
 	net := &networks[bits.Len(uint(size))-1]

@@ -93,14 +93,11 @@ func (c *networkCase) run(t *testing.T, d *Device, fused bool) (LaunchStats, []u
 	}
 	phases := len(steps) + 2
 	cfg := LaunchConfig{Name: "network", Grid: c.grid(), Block: c.block, SharedU32: c.block}
-	ls := d.MustLaunchPhased(cfg, phases, func(lanes []Thread, p int) {
-		b := lanes[0].Wide()
+	ls := d.MustLaunchPhased(cfg, phases, func(b *Block, p int) {
 		off, size, pad, live := c.bounds(b.Index)
 		switch {
 		case p == 0:
-			for l := live; l < len(lanes); l++ {
-				lanes[l].Retire()
-			}
+			b.Retire(live, b.Dim-live)
 			if fused {
 				b.SetSharedU32Wide(0, 0, LdWide(b, buf, 0, off, size))
 				for l := size; l < live; l++ {
@@ -108,6 +105,7 @@ func (c *networkCase) run(t *testing.T, d *Device, fused bool) (LaunchStats, []u
 				}
 				return
 			}
+			lanes := b.Lanes()
 			for l := range lanes[:live] {
 				v := ^uint32(0)
 				if l < size {
@@ -119,13 +117,12 @@ func (c *networkCase) run(t *testing.T, d *Device, fused bool) (LaunchStats, []u
 			if fused {
 				StWide(b, buf, 0, off, b.SharedU32Wide(0, 0, size))
 			} else {
+				lanes := b.Lanes()
 				for l := range lanes[:size] {
 					St(&lanes[l], buf, off+l, lanes[l].SharedU32(l))
 				}
 			}
-			for l := range lanes[:live] {
-				lanes[l].Retire()
-			}
+			b.Retire(0, live)
 		case fused:
 			if p == 1 {
 				BitonicNetworkU32(b, live, pad)
@@ -134,7 +131,7 @@ func (c *networkCase) run(t *testing.T, d *Device, fused bool) (LaunchStats, []u
 			}
 		default:
 			kj := steps[p-1]
-			CompareExchangeU32(lanes[:live], kj[0], kj[1], pad)
+			CompareExchangeU32(b.Lanes()[:live], kj[0], kj[1], pad)
 		}
 	})
 	return ls, append([]uint32(nil), buf.Host()...)
@@ -188,10 +185,13 @@ func FuzzBitonicNetwork(f *testing.F) {
 
 // wideCase is one kernel written twice: a block at a time through the
 // block-wide primitives, and as the per-lane loops those primitives
-// document, run through the lane cursor.
+// document, run through the lane cursor. A case with phases runs both
+// forms phased instead: wide once per block and phase, lane on every live
+// lane of b.Lanes().
 type wideCase struct {
 	name               string
 	grid, block, share int
+	phases             int
 	wide               func(b *Block, e *oracleEnv)
 	lane               func(t *Thread, e *oracleEnv)
 }
@@ -301,16 +301,62 @@ var wideCases = []wideCase{
 			St(t, e.out, t.GlobalID(), Ld(t, e.in, t.GlobalID()))
 		},
 	},
+	{
+		// Block.Retire against Thread.Retire lane by lane: the top lanes
+		// retire at the load, before any barrier, except in block 1; at
+		// phase 1 the bottom lanes retire (in block 1 the first lanes of
+		// the block to go), and again a range partly retired; block 2
+		// retires every lane left at phase 1, the others store from the
+		// lanes still live at phase 2, which pay for the last barrier.
+		name: "retire", grid: 3, block: 64, share: 64, phases: 3,
+		wide: func(b *Block, e *oracleEnv) {
+			i0 := b.Index * b.Dim
+			switch b.rt.phase {
+			case 0:
+				b.SetSharedU32Wide(0, 0, LdWide(b, e.in, 0, i0, b.Dim))
+				if b.Index != 1 {
+					b.Retire(48, 16)
+				}
+			case 1:
+				b.Retire(0, 16)
+				b.Retire(56, 8)
+				if b.Index == 2 {
+					b.Retire(0, b.Dim)
+				}
+			default:
+				n := 32
+				if b.Index == 1 {
+					n = 40
+				}
+				StWide(b, e.out, 16, i0+16, b.SharedU32Wide(16, 16, n))
+			}
+		},
+		lane: func(t *Thread, e *oracleEnv) {
+			switch t.block.phase {
+			case 0:
+				t.SetSharedU32(t.Lane, Ld(t, e.in, t.GlobalID()))
+				if t.Lane >= 48 && t.Block != 1 {
+					t.Retire()
+				}
+			case 1:
+				if t.Lane < 16 || t.Lane >= 56 || t.Block == 2 {
+					t.Retire()
+				}
+			default:
+				St(t, e.out, t.GlobalID(), t.SharedU32(t.Lane))
+			}
+		},
+	},
 }
 
 // TestBlockPrimitivesMatchPerLane holds each block-wide primitive to the
 // per-lane loop it documents: the same kernel written with the primitives
 // (LaunchWide, inline and over three host goroutines) and lane by lane
-// (Launch) must give the same LaunchStats — every counter, the warp
-// instructions, the coalescing factor — the same device totals and memory,
-// and, inline, the same coalescing sample of block 0, lane by lane and
-// access by access. BitonicNetworkU32 is held to its per-step form by
-// FuzzBitonicNetwork.
+// (Launch; Block.Retire's case runs both forms phased) must give the same
+// LaunchStats — every counter, the warp instructions, the coalescing
+// factor — the same device totals and memory, and, inline, the same
+// coalescing sample of block 0, lane by lane and access by access.
+// BitonicNetworkU32 is held to its per-step form by FuzzBitonicNetwork.
 func TestBlockPrimitivesMatchPerLane(t *testing.T) {
 	type result struct {
 		launch  LaunchStats
@@ -327,9 +373,21 @@ func TestBlockPrimitivesMatchPerLane(t *testing.T) {
 				defer e.free()
 				cfg := LaunchConfig{Name: c.name, Grid: c.grid, Block: c.block, SharedU32: c.share}
 				var r result
-				if wide {
+				switch {
+				case c.phases > 0 && wide:
+					r.launch = d.MustLaunchPhased(cfg, c.phases, func(b *Block, _ int) { c.wide(b, e) })
+				case c.phases > 0:
+					r.launch = d.MustLaunchPhased(cfg, c.phases, func(b *Block, _ int) {
+						lanes := b.Lanes()
+						for l := range lanes {
+							if !lanes[l].Retired() {
+								c.lane(&lanes[l], e)
+							}
+						}
+					})
+				case wide:
 					r.launch = d.MustLaunchWide(cfg, func(b *Block) { c.wide(b, e) })
-				} else {
+				default:
 					r.launch = d.MustLaunch(cfg, func(t *Thread) { c.lane(t, e) })
 				}
 				r.totals = d.Stats()

@@ -26,13 +26,14 @@
 //     (a WideKernel) charging ranges of lanes through the block-wide
 //     primitives of Block — barrier-free kernels whose lanes make one access
 //     or a few each, such as the RLE and DICT codec kernels;
-//   - LaunchPhased: a Thread per lane and one kernel call per phase, in which
-//     the kernel (a BlockKernel) does every live lane's work of the phase,
-//     each access metered on its own lane or a range of lanes at once
-//     (Thread.Wide); the barrier is the call boundary, and a lane leaves
-//     early through Thread.Retire — kernels whose barriers are static, such
-//     as every bitonic sort, scan and reduce here, a whole sorting network
-//     in one call (BitonicNetworkU32);
+//   - LaunchPhased: one kernel call per block and phase, in which the kernel
+//     (a BlockKernel) does every live lane's work of the phase, charging
+//     ranges of lanes through the block-wide primitives and, where a lane
+//     needs its own context, the Thread the block readies for it on demand
+//     (Block.Lane, Block.Lanes); the barrier is the call boundary, and lanes
+//     leave early through Block.Retire — kernels whose barriers are static,
+//     such as every bitonic sort, scan and reduce here, a whole sorting
+//     network in one call (BitonicNetworkU32);
 //   - Launch with LaunchConfig.Sync: a goroutine per lane meeting at a cyclic
 //     barrier on Thread.Sync — the accounting oracle the other two are
 //     tested against, with no production kernel.

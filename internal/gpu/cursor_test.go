@@ -151,7 +151,8 @@ func (k *oracleKernel) runSync(d *Device, e *oracleEnv) LaunchStats {
 }
 
 func (k *oracleKernel) runPhased(d *Device, e *oracleEnv) LaunchStats {
-	return d.MustLaunchPhased(k.cfg(false), len(k.steps), func(lanes []Thread, p int) {
+	return d.MustLaunchPhased(k.cfg(false), len(k.steps), func(b *Block, p int) {
+		lanes := b.Lanes()
 		for l := range lanes {
 			if t := &lanes[l]; !t.Retired() && !k.steps[p](t, e) {
 				t.Retire()
@@ -166,9 +167,9 @@ func (k *oracleKernel) runAsync(d *Device, e *oracleEnv) LaunchStats {
 
 // TestLaneCursorMatchesSyncOracle pins the accounting of the three block
 // runners: the async runner steps one Thread, the lane cursor, through a
-// block; the phased runner hands the kernel a Thread per lane once per
-// phase, reset block to block rather than rebuilt; the Sync runner gives every lane a
-// goroutine. The same kernel must meter identically through all of them —
+// block; the phased runner readies a Thread for each lane the kernel asks
+// for (here every lane, through Block.Lanes) once per block, in storage
+// reused block to block; the Sync runner gives every lane a goroutine. The same kernel must meter identically through all of them —
 // every counter, the warp issue slots, the sampled coalescing factor and
 // the transactions derived from it — whether the blocks run inline or on
 // forced helper goroutines.
@@ -214,14 +215,15 @@ func TestLaneCursorMatchesSyncOracle(t *testing.T) {
 // TestRegZeroAtBlockEntry pins what the recycled lane contexts must not
 // leak: the register file a lane sees on entry is zero, and a phased lane is
 // live, in every block and every launch, although the async runner serves
-// all lanes from one Thread and the phased runner carries its Threads over
-// from the previous block.
+// all lanes from one Thread and the phased runner readies its Threads in
+// the storage the previous block's used.
 func TestRegZeroAtBlockEntry(t *testing.T) {
 	d := testDevice()
 	d.forceWorkers = 1 // one scratch, reused by every block
 	var dirty atomic.Int64
 	for launch := 0; launch < 2; launch++ {
-		d.MustLaunchPhased(LaunchConfig{Name: "reg_phased", Grid: 4, Block: 64}, 2, func(lanes []Thread, p int) {
+		d.MustLaunchPhased(LaunchConfig{Name: "reg_phased", Grid: 4, Block: 64}, 2, func(b *Block, p int) {
+			lanes := b.Lanes()
 			for l := range lanes {
 				t := &lanes[l]
 				if p == 0 && (t.Reg != [2]uint64{} || t.Retired()) {

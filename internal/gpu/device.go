@@ -150,23 +150,27 @@ type LaunchConfig struct {
 type Kernel func(t *Thread)
 
 // BlockKernel is the body of a barrier-structured kernel run by
-// LaunchPhased: it is called once per block per phase with the block's
-// lanes, one Thread each (lanes[l].Lane == l), and does every live lane's
-// work of that phase itself, metering each access on the lane that makes
-// it. An implicit block-wide barrier separates consecutive calls. A lane
-// that is still live when the call returns reaches that barrier and is
-// charged for it exactly like a Thread.Sync call; a lane the body retires
-// (Thread.Retire) leaves after the phase's work, with no barrier charges
-// from then on — the analogue of returning from a Kernel body before the
-// next __syncthreads — and the body must not run it again. Per-lane state
-// that must survive a barrier lives in Thread.Reg, the simulated register
-// file. A call may do the work of several consecutive phases at once when
-// a primitive passes the barriers between them (BitonicNetworkU32 runs a
-// whole network, a phase per step); the block's next call then comes at
-// the phase after the last of them, so phase counts barriers passed, not
-// calls. A phased launch spawns no per-thread goroutines and allocates
-// nothing in steady state.
-type BlockKernel func(lanes []Thread, phase int)
+// LaunchPhased: it is called once per block per phase and does every live
+// lane's work of that phase itself. An implicit block-wide barrier
+// separates consecutive calls. The block-wide primitives of b charge ranges
+// of lanes at once; b.Lanes() and b.Lane(l) hand out the per-lane Thread
+// form, metering each access on the lane that makes it. A lane's Thread is
+// readied the first time the block asks for it — zero registers and
+// counters — and keeps its state through the block's later calls, so
+// per-lane state that must survive a barrier lives in Thread.Reg, the
+// simulated register file; a kernel that never asks for a Thread costs the
+// host none. A lane that is still live when the call returns reaches that
+// barrier and is charged for it exactly like a Thread.Sync call; a lane
+// the body retires (b.Retire, Thread.Retire) leaves after the phase's
+// work, with no barrier charges from then on — the analogue of returning
+// from a Kernel body before the next __syncthreads — and the body must not
+// run it again. A call may do the work of several consecutive phases at
+// once when a primitive passes the barriers between them
+// (BitonicNetworkU32 runs a whole network, a phase per step); the block's
+// next call then comes at the phase after the last of them, so phase
+// counts barriers passed, not calls. A phased launch spawns no per-thread
+// goroutines and allocates nothing in steady state.
+type BlockKernel func(b *Block, phase int)
 
 // WideKernel is the body of a barrier-free kernel charged a block at a
 // time, run by LaunchWide: it is called once per block and does every lane's
@@ -252,18 +256,18 @@ type launchSpec struct {
 // lane cursor (~15 ns a lane) 16 K lanes 253-280 against 169-243 us, 64 K
 // 0.83-1.06 against 0.57-0.68 ms; the same kernel a block at a time (~11 ns
 // a lane) 16 K 200-210 against 174-199 us, 64 K 0.72-0.78 against
-// 0.46-0.54 ms; the fused bitonic network of batch_bitonic (~3.5 ns a
-// lane-phase) 19 K lane-phases 65-66 against 84-88 us, 76 K 249-315
-// against 210-217 us, 304 K 0.96-1.21 against 0.70-0.84 ms. Every form
-// breaks even between 20 K and 60 K lane invocations, a launch of about
-// 200 us: waking a parked core and joining the helper costs tens of
-// microseconds, and when the host has taken the second core away the
-// helper waits a millisecond or more. One constant in lane invocations
-// serves every form, at or above the break-even. At the bench's window
-// size the output codec's launches over run values and run lengths (and
-// every bitonic_global pass, when a column is sorted) fall below it; its
-// launches over the window's sites and every kernel of the window pipeline
-// are above it.
+// 0.46-0.54 ms; the fused bitonic network of batch_bitonic, which readies
+// no lane's Thread (~2.3 ns a lane-phase), 19 K lane-phases 38-46 against
+// 52-62 us, 76 K 184-188 against 135-182 us, 304 K 0.60-0.68 against
+// 0.51 ms. Every form breaks even between 20 K and 80 K lane invocations,
+// a launch of 100-200 us: waking a parked core and joining the helper
+// costs tens of microseconds, and when the host has taken the second core
+// away the helper waits a millisecond or more. One constant in lane
+// invocations serves every form, at or above the break-even. At the
+// bench's window size the output codec's launches over run values and run
+// lengths (and every bitonic_global pass, when a column is sorted) fall
+// below it; its launches over the window's sites and every kernel of the
+// window pipeline are above it.
 const minFanoutLanes = 1 << 16
 
 // fanout decides how many host goroutines run the blocks of a launch. A
@@ -348,27 +352,22 @@ func (a *launchAccumulator) merge(o *launchAccumulator) {
 // lanes of the block, where only the issued-instruction count (instr, for
 // the warp accounting) and the coalescing-sample stream of block 0 are kept
 // per lane, and one lane's local memory (rt.local) serves every lane in
-// turn. A wide kernel needs no Thread at all: the block-wide primitives
-// charge the same per-lane arrays through rt.blk. Kernels with barriers
-// suspend every lane at every barrier, so they get a Thread per lane
-// (lanes): the phased runner hands them all to the kernel once per phase,
-// the Sync runner gives each its goroutine. One scratch serves one host
-// goroutine at a time and returns to the device free-list after the
-// launch, so steady-state launches allocate nothing. Everything a scratch
-// owns — the Thread or Block a kernel is handed included — is valid only
-// while its block runs; nothing may escape the launch.
+// turn. A wide or phased kernel is handed the block, rt.blk: the block-wide
+// primitives charge the same per-lane arrays, and the lanes a kernel asks
+// for as Threads (Block.Lanes, Block.Lane) are readied in rt.lanes and
+// summed back when the block ends. The Sync runner readies every lane and
+// gives each its goroutine. One scratch serves one host goroutine at a time
+// and returns to the device free-list after the launch, so steady-state
+// launches allocate nothing. Everything a scratch owns — the Thread or
+// Block a kernel is handed included — is valid only while its block runs;
+// nothing may escape the launch.
 type blockScratch struct {
 	rt      blockRT
 	cur     Thread
 	instr   []int64
 	samples [][]int64
 	segs    []int64 // coalesce's distinct segments of one warp instruction
-
-	lanes []Thread
-	// lanesSet reports that the block-invariant fields of lanes hold this
-	// launch's values; runRange clears it when it takes the scratch.
-	lanesSet bool
-	bar      *barrier
+	bar     *barrier
 }
 
 // getScratch pops a recycled block scratch, or makes an empty one.
@@ -404,9 +403,11 @@ func grow[T any](s []T, n int) []T {
 func (d *Device) runRange(sp *launchSpec, lo, hi int, acc *launchAccumulator) {
 	sc := d.getScratch()
 	defer d.putScratch(sc)
-	sc.lanesSet = false
-	sc.rt.live = 0 // Thread.Retire panics unless the phased runner set it
+	sc.rt.phases = 0 // Retire panics unless the phased runner set it
 	sc.rt.sizeLocal(sp.LocalU32)
+	if sp.kernel == nil || sp.Sync {
+		sc.rt.sizeLanes(sp.Block) // the cursor's blocks ready no lanes
+	}
 	for bid := lo; bid < hi; bid++ {
 		d.runBlock(sp, bid, acc, sc)
 	}
@@ -443,14 +444,13 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 	switch {
 	case sp.wide != nil:
 		sp.wide(b)
+		b.sumLanes()
 	case sp.phased != nil:
-		d.resetLanes(sp, bid, sc, sampling)
-		runBlockPhased(sp, sc)
-		sumLanes(sc, b)
+		runBlockPhased(sp, b)
+		b.sumLanes()
 	case sp.Sync:
-		d.resetLanes(sp, bid, sc, sampling)
-		runLanesSync(sp.kernel, sc)
-		sumLanes(sc, b)
+		runLanesSync(sp.kernel, b.Lanes(), sc)
+		b.sumLanes()
 	default:
 		sc.cur = Thread{Dev: d, Block: bid, BlockDim: n, GridDim: sp.Grid, block: rt}
 		runLanesAsync(sp.kernel, sc, n, sampling)
@@ -505,79 +505,39 @@ func runLanesAsync(kernel Kernel, sc *blockScratch, n int, sampling bool) {
 	}
 }
 
-// resetLanes readies one Thread per lane for a block of a kernel with
-// barriers. The block-invariant fields are written once per range; a block
-// then costs a dozen stores a lane, not a copy of the whole context.
-func (d *Device) resetLanes(sp *launchSpec, bid int, sc *blockScratch, sampling bool) {
-	if !sc.lanesSet {
-		sc.lanes = grow(sc.lanes, sp.Block)
-		for l := range sc.lanes {
-			sc.lanes[l] = Thread{Dev: d, Lane: l, BlockDim: sp.Block, GridDim: sp.Grid, block: &sc.rt}
-		}
-		sc.lanesSet = true
-	}
-	for l := range sc.lanes {
-		t := &sc.lanes[l]
-		t.Block = bid
-		t.Reg = [2]uint64{}
-		t.retired = false
-		t.instr, t.gld, t.gst, t.gldB, t.gstB, t.sld, t.sst, t.cld = 0, 0, 0, 0, 0, 0, 0, 0
-		t.sample = nil
-		if sampling {
-			t.sample = &sc.samples[l]
-		}
-	}
-}
-
-// sumLanes adds what the lanes of a finished block metered to what the
-// block-wide primitives charged: each lane's instruction count to its entry
-// of the block's array, the sum-only counters to the block's.
-func sumLanes(sc *blockScratch, b *Block) {
-	for l := range sc.lanes {
-		t := &sc.lanes[l]
-		sc.instr[l] += t.instr
-		b.addCounters(t)
-	}
-}
-
 // runBlockPhased runs a phased kernel over one block: one kernel call per
-// phase with all the block's lanes, until the phases run out or every lane
-// has retired — the barrier is the call boundary. A call that passes
-// barriers itself (BitonicNetworkU32) advances rt.phase past them. The
-// barrier charges are settled per lane rather than per phase:
-// Thread.Retire charges a lane retiring in phase p for the p barriers it
-// reached, and a lane still live after the last phase is charged here for
-// one barrier per phase.
-func runBlockPhased(sp *launchSpec, sc *blockScratch) {
-	rt := &sc.rt
-	rt.live = len(sc.lanes)
+// phase, until the phases run out or every lane has retired — the barrier
+// is the call boundary. A call that passes barriers itself
+// (BitonicNetworkU32) advances rt.phase past them. The barrier charges are
+// settled per lane rather than per phase: Retire charges a lane retiring in
+// phase p for the p barriers it reached, and the lanes still live after the
+// last phase retire here, at one barrier per phase.
+func runBlockPhased(sp *launchSpec, b *Block) {
+	rt := b.rt
+	rt.phases, rt.live = sp.phases, b.Dim
+	clear(rt.retired)
 	for rt.phase = 0; rt.phase < sp.phases && rt.live > 0; rt.phase++ {
-		sp.phased(sc.lanes, rt.phase)
+		sp.phased(b, rt.phase)
 	}
-	if rt.live > 0 {
-		for l := range sc.lanes {
-			if t := &sc.lanes[l]; !t.retired {
-				t.instr += syncCost * int64(sp.phases)
-			}
-		}
-	}
+	rt.phase = sp.phases
+	b.Retire(0, b.Dim)
 }
 
 // runLanesSync runs a Thread.Sync kernel with one goroutine per lane (par.Do
 // runs its shards concurrently), meeting at a cyclic barrier. No production
 // kernel uses it; it stays as the accounting oracle the other two runners
 // are tested against.
-func runLanesSync(kernel Kernel, sc *blockScratch) {
+func runLanesSync(kernel Kernel, lanes []Thread, sc *blockScratch) {
 	if sc.bar == nil {
-		sc.bar = newBarrier(len(sc.lanes))
+		sc.bar = newBarrier(len(lanes))
 	} else {
-		sc.bar.reset(len(sc.lanes))
+		sc.bar.reset(len(lanes))
 	}
 	sc.rt.bar = sc.bar
 	defer func() { sc.rt.bar = nil }()
-	par.Do(len(sc.lanes), func(l int) {
+	par.Do(len(lanes), func(l int) {
 		defer sc.bar.leave()
-		kernel(&sc.lanes[l])
+		kernel(&lanes[l])
 	})
 }
 
@@ -687,21 +647,32 @@ func (d *Device) advanceCopy(n int64, toDevice bool) {
 }
 
 // blockRT is the per-block runtime state: shared memory, the barrier, the
-// phased runner's position, and the local memory of the lane the cursor is
-// running.
+// phased runner's position, the lanes readied as Threads, and the local
+// memory of the lane the cursor is running.
 type blockRT struct {
 	dev       *Device
 	sharedF64 []float64
 	sharedU32 []uint32
 	bar       *barrier
 
-	// phase is the phase a phased block is running, live the number of
-	// its lanes not yet retired (zero outside the phased runner).
-	phase, live int
+	// phases is a phased launch's phase count (zero outside the phased
+	// runner), phase the phase its block is running and live the number of
+	// the block's lanes not yet retired. retired marks the lanes that have
+	// retired while others are still live: a block whose lanes all retire
+	// at once marks none.
+	phases, phase, live int
+	retired             []bool
 
-	// blk is the block-wide context of the block running: the wide
-	// kernel's argument, and a phased kernel's through Thread.Wide.
+	// blk is the block-wide context of the block running, the argument of
+	// a wide or phased kernel.
 	blk Block
+
+	// lanes holds the Thread of every lane the block running has readied
+	// (Block.Lane), isReady marks them and ready lists them: sumLanes
+	// visits only those.
+	lanes   []Thread
+	isReady []bool
+	ready   []int32
 
 	// local is LaunchConfig.LocalU32 words; localSet lists the words the
 	// running lane has stored, so that the next lane finds them zero at the
@@ -718,6 +689,16 @@ func (rt *blockRT) clearLocal() {
 		rt.local[i] = 0
 	}
 	rt.localSet = rt.localSet[:0]
+}
+
+// sizeLanes readies the lane arrays for blocks of n lanes, none of them
+// readied: a block that panicked may have left marks behind.
+func (rt *blockRT) sizeLanes(n int) {
+	rt.lanes = grow(rt.lanes, n)
+	rt.retired = grow(rt.retired, n)
+	rt.isReady = grow(rt.isReady, n)
+	clear(rt.isReady)
+	rt.ready = rt.ready[:0]
 }
 
 // sizeLocal readies n zero words of local memory for a launch. Every word

@@ -63,7 +63,7 @@ func TestLocalZeroAtThreadStart(t *testing.T) {
 // negative size.
 func TestLocalNeedsBarrierFreeLaunch(t *testing.T) {
 	d := testDevice()
-	if _, err := d.LaunchPhased(LaunchConfig{Name: "phased", Grid: 1, Block: 32, LocalU32: 4}, 2, func([]Thread, int) {}); err == nil {
+	if _, err := d.LaunchPhased(LaunchConfig{Name: "phased", Grid: 1, Block: 32, LocalU32: 4}, 2, func(*Block, int) {}); err == nil {
 		t.Error("a phased launch with local memory was accepted")
 	}
 	if _, err := d.Launch(LaunchConfig{Name: "sync", Grid: 1, Block: 32, LocalU32: 4, Sync: true}, func(*Thread) {}); err == nil {

@@ -129,19 +129,30 @@ func (b *Buffer[T]) Len() int { return len(b.data) }
 func (b *Buffer[T]) Host() []T { return b.data }
 
 // CopyIn copies src into the buffer (host-to-device), advancing the
-// simulated clock at PCIe bandwidth. Passing the buffer's own Host slice
-// is allowed: it meters the transfer a real upload of staged data would
-// cost without needing a second host array.
+// simulated clock at PCIe bandwidth. Passing the buffer's own Host slice,
+// or a prefix of it, is allowed: it meters the transfer a real upload of
+// data staged in place would cost, min(len(src), Len()) elements, without
+// a second host array and without moving a byte.
 func (b *Buffer[T]) CopyIn(src []T) {
-	n := copy(b.data, src)
-	b.dev.advanceCopy(int64(n)*b.elemSize, true)
+	b.dev.advanceCopy(int64(copyUnlessSelf(b.data, src))*b.elemSize, true)
 }
 
 // CopyOut copies the buffer into dst (device-to-host), advancing the
-// simulated clock at PCIe bandwidth.
+// simulated clock at PCIe bandwidth. Passing the buffer's own Host slice,
+// or a prefix of it, is the mirror of CopyIn's: it meters the readback of
+// min(len(dst), Len()) elements, which the host then reads through Host,
+// without a second host array.
 func (b *Buffer[T]) CopyOut(dst []T) {
-	n := copy(dst, b.data)
-	b.dev.advanceCopy(int64(n)*b.elemSize, false)
+	b.dev.advanceCopy(int64(copyUnlessSelf(dst, b.data))*b.elemSize, false)
+}
+
+// copyUnlessSelf is copy(dst, src), except that it moves nothing when the
+// two start at the same element.
+func copyUnlessSelf[T any](dst, src []T) int {
+	if len(dst) > 0 && len(src) > 0 && &dst[0] == &src[0] {
+		return min(len(dst), len(src))
+	}
+	return copy(dst, src)
 }
 
 // addr returns the logical global-memory address of element i, unique

@@ -51,24 +51,26 @@ func blockReduceU32(d *Device, in *Buffer[uint32], name string, op func(a, b uin
 	const tile = primBlock * reduceLoads
 	grid := (n + tile - 1) / tile
 	partial := Alloc[uint32](d, grid)
-	d.MustLaunchPhased(LaunchConfig{Name: name, Grid: grid, Block: primBlock, SharedU32: primBlock}, primLog+2, func(lanes []Thread, p int) {
+	d.MustLaunchPhased(LaunchConfig{Name: name, Grid: grid, Block: primBlock, SharedU32: primBlock}, primLog+2, func(b *Block, p int) {
 		switch {
 		case p == 0:
-			end := min(n, (lanes[0].Block+1)*tile)
-			for l := range lanes {
-				t := &lanes[l]
-				v := uint32(0)
-				for i := t.Block*tile + l; i < end; i += primBlock {
-					t.Exec(1)
-					v = op(v, Ld(t, in, i))
+			// Lane l: v := 0; for i := block·tile + l; i < end; i +=
+			// primBlock { t.Exec(1); v = op(v, Ld(t, in, i)) };
+			// t.SetSharedU32(l, v). Round r's loads are one LdWide over
+			// the lanes it reaches.
+			var v [primBlock]uint32
+			for i0 := b.Index * tile; i0 < min(n, (b.Index+1)*tile); i0 += primBlock {
+				m := min(primBlock, n-i0)
+				b.Exec(0, m, 1)
+				for k, x := range LdWide(b, in, 0, i0, m) {
+					v[k] = op(v[k], x)
 				}
-				t.SetSharedU32(l, v)
 			}
+			b.SetSharedU32Wide(0, 0, v[:])
 		case p <= primLog:
 			// Lane l < stride: Exec(1), two shared loads and a store,
 			// charged to its instr once and to the block's shared sums.
 			stride := primBlock >> p
-			b := lanes[0].Wide()
 			sh := b.rt.sharedU32
 			for l := range stride {
 				sh[l] = op(sh[l], sh[l+stride])
@@ -77,11 +79,9 @@ func blockReduceU32(d *Device, in *Buffer[uint32], name string, op func(a, b uin
 			b.sld += 2 * int64(stride)
 			b.sst += int64(stride)
 		default:
-			t := &lanes[0]
-			St(t, partial, t.Block, t.SharedU32(0))
-			for l := range lanes {
-				lanes[l].Retire()
-			}
+			// Lane 0: St(t, partial, block, t.SharedU32(0)).
+			StLane(b, partial, 0, b.Index, b.SharedU32Wide(0, 0, 1)[0])
+			b.Retire(0, primBlock)
 		}
 	})
 	return partial
@@ -103,14 +103,48 @@ func ExclusiveScanU32(d *Device, in, out *Buffer[uint32]) uint64 {
 	grid := (n + primBlock - 1) / primBlock
 	blockTotals := Alloc[uint32](d, grid)
 	defer blockTotals.Free()
+	scanBlocks(d, in, out, blockTotals)
 
-	// Double-buffered inclusive Hillis-Steele scan, phased: one load
-	// round, primLog doubling strides, one store round. Lane l keeps its
-	// input in a register, so the exclusive result, inclusive − self,
-	// costs no extra shared-memory traffic; that difference is the
-	// inclusive value of lane l−1, which the store phase reads instead.
-	d.MustLaunchPhased(LaunchConfig{Name: "scan_u32", Grid: grid, Block: primBlock, SharedU32: 2 * primBlock}, primLog+2, func(lanes []Thread, p int) {
-		b := lanes[0].Wide()
+	// Host carry propagation across blocks (cheap: one value per block).
+	// The carries are staged directly in the device buffer's backing
+	// storage; the self-CopyIn meters the upload without a second host
+	// array.
+	carryBuf := Alloc[uint32](d, grid)
+	defer carryBuf.Free()
+	totals := blockTotals.Host()
+	carries := carryBuf.Host()
+	var carry uint64
+	for b := 0; b < grid; b++ {
+		carries[b] = uint32(carry)
+		carry += uint64(totals[b])
+	}
+	carryBuf.CopyIn(carries)
+	d.MustLaunchWide(LaunchConfig{Name: "scan_carry", Grid: grid, Block: primBlock}, func(b *Block) {
+		// Lane l: if i < n { c := Ld(t, carryBuf, block); t.Exec(1);
+		// St(t, out, i, Ld(t, out, i)+c) }.
+		i0 := b.Index * primBlock
+		m := min(primBlock, n-i0)
+		c := LdBcast(b, carryBuf, 0, m, b.Index)
+		b.Exec(0, m, 1)
+		var sum [primBlock]uint32
+		for k, x := range LdWide(b, out, 0, i0, m) {
+			sum[k] = x + c
+		}
+		StWide(b, out, 0, i0, sum[:m])
+	})
+	return carry
+}
+
+// scanBlocks is the block half of ExclusiveScanU32: a double-buffered
+// inclusive Hillis-Steele scan of each primBlock elements of in, phased —
+// one load round, primLog doubling strides, one store round — that stores
+// the block's exclusive scan to out and its total to blockTotals. Lane l
+// keeps its input in a register, so the exclusive result, inclusive −
+// self, costs no extra shared-memory traffic; that difference is the
+// inclusive value of lane l−1, which the store phase reads instead.
+func scanBlocks(d *Device, in, out, blockTotals *Buffer[uint32]) {
+	n := in.Len()
+	d.MustLaunchPhased(LaunchConfig{Name: "scan_u32", Grid: blockTotals.Len(), Block: primBlock, SharedU32: 2 * primBlock}, primLog+2, func(b *Block, p int) {
 		i0 := b.Index * primBlock
 		m := min(primBlock, n-i0)
 		switch {
@@ -144,40 +178,9 @@ func ExclusiveScanU32(d *Device, in, out *Buffer[uint32]) uint64 {
 			copy(excl[1:m], incl)
 			StWide(b, out, 0, i0, excl[:m])
 			StLane(b, blockTotals, primBlock-1, b.Index, incl[primBlock-1])
-			for l := range lanes {
-				lanes[l].Retire()
-			}
+			b.Retire(0, primBlock)
 		}
 	})
-
-	// Host carry propagation across blocks (cheap: one value per block).
-	// The carries are staged directly in the device buffer's backing
-	// storage; the self-CopyIn meters the upload without a second host
-	// array.
-	carryBuf := Alloc[uint32](d, grid)
-	defer carryBuf.Free()
-	totals := blockTotals.Host()
-	carries := carryBuf.Host()
-	var carry uint64
-	for b := 0; b < grid; b++ {
-		carries[b] = uint32(carry)
-		carry += uint64(totals[b])
-	}
-	carryBuf.CopyIn(carries)
-	d.MustLaunchWide(LaunchConfig{Name: "scan_carry", Grid: grid, Block: primBlock}, func(b *Block) {
-		// Lane l: if i < n { c := Ld(t, carryBuf, block); t.Exec(1);
-		// St(t, out, i, Ld(t, out, i)+c) }.
-		i0 := b.Index * primBlock
-		m := min(primBlock, n-i0)
-		c := LdBcast(b, carryBuf, 0, m, b.Index)
-		b.Exec(0, m, 1)
-		var sum [primBlock]uint32
-		for k, x := range LdWide(b, out, 0, i0, m) {
-			sum[k] = x + c
-		}
-		StWide(b, out, 0, i0, sum[:m])
-	})
-	return carry
 }
 
 // SortU32 sorts the device buffer in place with a device-wide iterative

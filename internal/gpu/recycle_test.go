@@ -108,7 +108,8 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	phased := func() {
-		d.MustLaunchPhased(LaunchConfig{Name: "warm_phased", Grid: 16, Block: 256, SharedU32: 256}, 3, func(lanes []Thread, p int) {
+		d.MustLaunchPhased(LaunchConfig{Name: "warm_phased", Grid: 16, Block: 256, SharedU32: 256}, 3, func(b *Block, p int) {
+			lanes := b.Lanes()
 			for l := range lanes {
 				t := &lanes[l]
 				switch p {
@@ -140,7 +141,8 @@ func TestLaunchSteadyStateAllocs(t *testing.T) {
 // barrier, which pay for the barriers they reached and nothing more.
 func TestPhasedMatchesSyncAccounting(t *testing.T) {
 	run := func(d *Device) (phased, legacy LaunchStats) {
-		phased = d.MustLaunchPhased(LaunchConfig{Name: "p", Grid: 2, Block: 64, SharedU32: 64}, 3, func(lanes []Thread, p int) {
+		phased = d.MustLaunchPhased(LaunchConfig{Name: "p", Grid: 2, Block: 64, SharedU32: 64}, 3, func(b *Block, p int) {
+			lanes := b.Lanes()
 			for l := range lanes {
 				t := &lanes[l]
 				if t.Retired() {
@@ -196,10 +198,10 @@ func TestPhasedMatchesSyncAccounting(t *testing.T) {
 // TestLaunchPhasedValidation covers the phased-specific error paths.
 func TestLaunchPhasedValidation(t *testing.T) {
 	d := testDevice()
-	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 0, func([]Thread, int) {}); err == nil {
+	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 0, func(*Block, int) {}); err == nil {
 		t.Error("LaunchPhased with 0 phases did not error")
 	}
-	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 0, Block: 32}, 1, func([]Thread, int) {}); err == nil {
+	if _, err := d.LaunchPhased(LaunchConfig{Name: "bad", Grid: 0, Block: 32}, 1, func(*Block, int) {}); err == nil {
 		t.Error("LaunchPhased with bad geometry did not error")
 	}
 	// Retire belongs to the phased runner: a barrier-free kernel returns
@@ -219,7 +221,8 @@ func TestLaunchPhasedValidation(t *testing.T) {
 			t.Error("Thread.Sync inside a phased kernel did not panic")
 		}
 	}()
-	d.MustLaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 1, func(lanes []Thread, p int) {
+	d.MustLaunchPhased(LaunchConfig{Name: "bad", Grid: 1, Block: 32}, 1, func(b *Block, p int) {
+		lanes := b.Lanes()
 		lanes[0].Sync()
 	})
 }

@@ -24,9 +24,8 @@ type Thread struct {
 	// are free, like register traffic.
 	Reg [2]uint64
 
-	block   *blockRT
-	sample  *[]int64 // the lane's coalescing sample (block 0 only, else nil)
-	retired bool     // the lane has left a phased kernel (Retire)
+	block  *blockRT
+	sample *[]int64 // the lane's coalescing sample (block 0 only, else nil)
 
 	instr, gld, gst, gldB, gstB, sld, sst, cld int64
 }
@@ -60,22 +59,15 @@ func (t *Thread) Sync() {
 // if its Kernel body had returned before the next __syncthreads. The lane
 // is charged here for the barriers it did reach, one per earlier phase.
 // The BlockKernel must not run a retired lane again (Retired). Retiring a
-// lane twice is a no-op; Retire outside a phased launch panics.
-func (t *Thread) Retire() {
-	if t.retired {
-		return
-	}
-	rt := t.block
-	if rt.live == 0 {
-		panic("gpu: Thread.Retire called outside a phased launch")
-	}
-	t.retired = true
-	t.instr += syncCost * int64(rt.phase)
-	rt.live--
-}
+// lane twice is a no-op; Retire outside a phased launch panics. It is
+// Block.Retire of the one lane.
+func (t *Thread) Retire() { t.block.blk.Retire(t.Lane, 1) }
 
 // Retired reports whether the lane has retired from its phased launch.
-func (t *Thread) Retired() bool { return t.retired }
+func (t *Thread) Retired() bool {
+	rt := t.block
+	return rt.phases > 0 && (rt.live == 0 || rt.retired[t.Lane])
+}
 
 // SharedF64 reads element i of the block's shared float64 array.
 func (t *Thread) SharedF64(i int) float64 {

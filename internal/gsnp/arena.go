@@ -7,11 +7,15 @@ import (
 
 // Arena is the reusable per-window working set — the storage side of the
 // paper's recycle component (Figure 2, component 7). Every slice a window
-// needs (observation arrays, base_word Batches, counts, likelihoods,
-// rank/quality arrays, result rows, GPU host staging) lives here and is
+// needs on the host (observation arrays, base_word Batches, counts,
+// likelihoods, rank/quality arrays, result rows) lives here and is
 // grow-only: a window resets lengths, never releases capacity, so
 // steady-state windows allocate nothing. The score tables (p_matrix and
-// new_p_matrix, 7.3 MB that each run rebuilds in place) live here too.
+// new_p_matrix, 7.3 MB that each run rebuilds in place) live here too,
+// except the GPU engine's new_p_matrix: it is built in its device buffer,
+// and the arena drops its view when the run frees the buffer. What the GPU
+// engine reads back or uploads in bulk lives in device buffers, whose
+// storage the device recycles.
 //
 // The zero value is ready. An Arena serves one engine run at a time but may
 // be handed from run to run, across modes — which is how a whole-genome

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -283,7 +284,9 @@ func TestRunWindowSteadyStateAllocsGPU(t *testing.T) {
 // TestRunWindowSteadyStateStagingGPU gates pointer stability of the GPU
 // window's host staging: after a warm-up pass, re-running the same windows
 // must leave every staging buffer's backing array in place — reuse, not
-// equal-sized reallocation.
+// equal-sized reallocation. The device's readbacks (bounds, summaries,
+// ranks) are read in place from device storage and have no host twin, and
+// neither do type_likely and the packed observations.
 func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 	ds := testDataset(t, 2400, 10, 322)
 	eng, wins := newDirectEngine(t, ds, 800, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
@@ -299,17 +302,74 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 	runAll()
 
 	w := &eng.cfg.Arena.w
-	before := [][]uint32{w.hostBounds[:1], w.hostStats[:1], w.hostBest[:1], w.hostSecond[:1], w.hostQual[:1], w.words.Data[:1]}
+	staging := func() []any {
+		return []any{&w.runs[:1][0], &w.words.Data[:1][0], &w.words.Bounds[:1][0], &w.counts[:1][0], &w.priorRow[:1][0],
+			&w.priorTable[:1][0], &w.bestRank[:1][0], &w.secondRank[:1][0], &w.quality[:1][0], &w.rows[:1][0]}
+	}
+	names := []string{"runs", "words.Data", "words.Bounds", "counts", "priorRow", "priorTable", "bestRank", "secondRank", "quality", "rows"}
+	before := staging()
 	runAll()
-	after := [][]uint32{w.hostBounds[:1], w.hostStats[:1], w.hostBest[:1], w.hostSecond[:1], w.hostQual[:1], w.words.Data[:1]}
-	names := []string{"hostBounds", "hostStats", "hostBest", "hostSecond", "hostQual", "words.Data"}
-	for i := range before {
-		if &before[i][0] != &after[i][0] {
+	for i, p := range staging() {
+		if p != before[i] {
 			t.Errorf("GPU staging buffer %s was reallocated in steady state", names[i])
 		}
 	}
 	if w.typeLikely != nil {
 		t.Error("the GPU window staged type_likely on the host")
+	}
+	if w.obsWord != nil {
+		t.Error("the GPU window packed its observations on the host")
+	}
+}
+
+// TestColdGPUWindowHostBytes gates the host heap a cold GPU window
+// allocates per site, on a fresh arena and device free-list: the storage of
+// every device buffer, the host arrays the later components read, the
+// rows. The device's readbacks are read in place from device storage and
+// the observations are packed straight into it, so a host twin of one of
+// them — the twelve summary words a site of a staged copy of count_fill's
+// output, 48 B — breaks the bound.
+func TestColdGPUWindowHostBytes(t *testing.T) {
+	const sites, bound = 20000, 430.0
+	// One host thread: the launches and the output codec's column
+	// encoders then run inline, so which recycled scratch and storage each
+	// takes, and so the bytes measured, do not depend on the schedule.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds := testDataset(t, sites, 10, 91)
+	eng, wins := newDirectEngine(t, ds, sites, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(allocs)
+	before := allocs[0].Value.Uint64()
+	if err := eng.Window(wins[0].rs, wins[0].start, wins[0].end); err != nil {
+		t.Fatal(err)
+	}
+	metrics.Read(allocs)
+	perSite := float64(allocs[0].Value.Uint64()-before) / sites
+	if perSite > bound {
+		t.Errorf("a cold GPU window allocated %.1f host bytes a site, gate %.0f", perSite, bound)
+	}
+	t.Logf("cold GPU window: %.1f host bytes a site", perSite)
+}
+
+// TestGPURunKeepsNoViewOfFreedStorage: the GPU engine builds new_p_matrix
+// in its device buffer and packs the observations into theirs. Once a run
+// has freed those buffers the device's free-list hands their storage to
+// the next allocation — here the next run's, on the same device and arena
+// — so the arena must hold no slice of it, and the next run's bytes must
+// not change.
+func TestGPURunKeepsNoViewOfFreedStorage(t *testing.T) {
+	ds := testDataset(t, 2000, 8, 73)
+	cfg := Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Arena: new(Arena)}
+	var outs [2][]byte
+	for i := range outs {
+		_, outs[i] = runGSNP(t, ds, pipeline.Config{Window: 700}, cfg)
+		if cfg.Arena.tables.NewP != nil || cfg.Arena.w.obsWord != nil {
+			t.Errorf("run %d: the arena keeps a view of device storage: new_p_matrix %t, observations %t",
+				i, cfg.Arena.tables.NewP != nil, cfg.Arena.w.obsWord != nil)
+		}
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Error("a second run on the same device and arena wrote different bytes")
 	}
 }
 

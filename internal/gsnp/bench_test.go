@@ -107,7 +107,7 @@ func BenchmarkCountGPU(b *testing.B) {
 			defer bounds.Free()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.countGPU(w, bounds)
+				eng.countGPUHost(w, bounds)
 			}
 			b.ReportMetric(d.Stats().SimSeconds*1e6/float64(b.N), "sim_us/op")
 		})

@@ -78,9 +78,10 @@ func TestCountGPUMatchesCountCPU(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			words, bounds, stats := eng.countAtomic(w)
-			if !slices.Equal(words, w.words.Data) || !slices.Equal(bounds, w.hostBounds) || !slices.Equal(stats, w.hostStats) {
+			gatherBounds, gatherStats := boundsOf(w), summariesOf(w)
+			if !slices.Equal(words, w.words.Data) || !slices.Equal(bounds, gatherBounds) || !slices.Equal(stats, gatherStats) {
 				t.Errorf("%s: the atomic program disagrees at GOMAXPROCS=1: words %t, bounds %t, summaries %t", c.name,
-					slices.Equal(words, w.words.Data), slices.Equal(bounds, w.hostBounds), slices.Equal(stats, w.hostStats))
+					slices.Equal(words, w.words.Data), slices.Equal(bounds, gatherBounds), slices.Equal(stats, gatherStats))
 			}
 		}()
 	}
@@ -224,7 +225,7 @@ func countsAgree(eng *Engine, w *window) error {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			d.ResetStats()
-			eng.countGPU(w, gBounds)
+			eng.countGPUHost(w, gBounds)
 		}()
 		if i := firstDiff(w.words.Data, words); i >= 0 {
 			return fmt.Errorf("GOMAXPROCS=%d: word %d of %d is %#x on the device, %#x on the host", procs, i, len(words), w.words.Data[i], words[i])
@@ -244,6 +245,41 @@ func countsAgree(eng *Engine, w *window) error {
 		}
 	}
 	return nil
+}
+
+// countGPUHost runs countGPU over the host obsWord w.flatten left, packed
+// into a device buffer as flattenInto packs it on the GPU engine.
+func (e *Engine) countGPUHost(w *window, bounds *gpu.Buffer[uint32]) {
+	obsWord := gpu.Alloc[uint32](e.cfg.Device, len(w.obsWord))
+	defer obsWord.Free()
+	copy(obsWord.Host(), w.obsWord)
+	e.countGPU(w, obsWord, bounds)
+}
+
+// boundsOf returns the first n segment bounds of w's sort batches, and
+// summariesOf its per-site summaries, in count_fill's layout: counts,
+// quality sums and uniq counts of the four bases. Both hold what countGPU
+// read back (the summaries unless one saturated).
+func boundsOf(w *window) []uint32 {
+	out := make([]uint32, w.n)
+	for i, b := range w.words.Bounds[:w.n] {
+		out[i] = uint32(b)
+	}
+	return out
+}
+
+func summariesOf(w *window) []uint32 {
+	var out []uint32
+	for _, c := range w.counts[:w.n] {
+		for _, col := range [][4]uint32{
+			{uint32(c.Count[0]), uint32(c.Count[1]), uint32(c.Count[2]), uint32(c.Count[3])},
+			c.QualSum,
+			{uint32(c.Uniq[0]), uint32(c.Uniq[1]), uint32(c.Uniq[2]), uint32(c.Uniq[3])},
+		} {
+			out = append(out, col[:]...)
+		}
+	}
+	return out
 }
 
 // firstDiff returns the first index at which a and b differ, or -1.

@@ -63,7 +63,9 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Tables exposes the calibrated tables after a run. They live in the
-// engine's Arena and are rebuilt in place by that arena's next run.
+// engine's Arena and are rebuilt in place by that arena's next run. The GPU
+// engine builds new_p_matrix in device memory and frees it with the run, so
+// after a GPU run NewP is nil.
 func (e *Engine) Tables() *bayes.Tables { return e.tables }
 
 // Report returns the device-side measurements of the engine's latest run.
@@ -125,18 +127,23 @@ func (e *Engine) simSpan(f func()) time.Duration {
 
 // Prepare implements pipeline.Kernel: build the log table, the adjust table
 // and the new score table on the CPU (Section IV-G), in the arena, and load
-// them into device memory.
+// them into device memory. On the GPU engine the new score table is built
+// in the storage of its device buffer, so its upload copies nothing.
 func (e *Engine) Prepare(st *pipeline.RunState) error {
 	e.run = st
 	e.sortStats, e.likeliStats, e.peakDeviceBytes = sortnet.Stats{}, gpu.Stats{}, 0
 	ar := e.cfg.Arena
+	if e.cfg.Mode == ModeGPU {
+		e.cfg.Device.ResetPeak()
+		e.gNewP = gpu.Alloc[float64](e.cfg.Device, bayes.NewPMatrixSize)
+		ar.tables.NewP = e.gNewP.Host()
+	}
 	ar.tables.Build(st.Cal.BuildInto(ar.tables.P))
 	e.tables = &ar.tables
 	for b := dna.Base(0); b < dna.NBases; b++ {
 		e.novelPriors[b] = st.Priors.LogPriors(b, nil)
 	}
 	if e.cfg.Mode == ModeGPU {
-		e.cfg.Device.ResetPeak()
 		return e.loadTables()
 	}
 	return nil
@@ -166,14 +173,19 @@ func (e *Engine) BlockWriter(w io.Writer) *snpio.BlockWriter {
 }
 
 // loadTables uploads the precomputed tables (load_table in Figure 2). The
-// small adjust table lives in constant memory; new_p_matrix (tens of MB)
-// and p_matrix go to global memory.
+// small adjust table lives in constant memory; new_p_matrix goes to global
+// memory — into the buffer Prepare built it in, if it did — and so does
+// p_matrix for the two likelihood variants that read it (Algorithm 2).
 func (e *Engine) loadTables() error {
 	d := e.cfg.Device
-	e.gNewP = gpu.Alloc[float64](d, len(e.tables.NewP))
+	if e.gNewP == nil {
+		e.gNewP = gpu.Alloc[float64](d, len(e.tables.NewP))
+	}
 	e.gNewP.CopyIn(e.tables.NewP)
-	e.gP = gpu.Alloc[float64](d, len(e.tables.P))
-	e.gP.CopyIn(e.tables.P)
+	if v := e.cfg.Variant; v == VariantBaseline || v == VariantShared {
+		e.gP = gpu.Alloc[float64](d, len(e.tables.P))
+		e.gP.CopyIn(e.tables.P)
+	}
 	var err error
 	e.cAdj, err = gpu.NewConst(d, e.tables.Adjust[:])
 	if err != nil {
@@ -183,9 +195,12 @@ func (e *Engine) loadTables() error {
 }
 
 // unloadTables releases device table memory — whatever part of it a
-// failed loadTables got to allocate, too.
+// failed loadTables got to allocate, too. Prepare built the arena's
+// new_p_matrix in gNewP's storage, which the device free-list hands to the
+// next allocation once freed, so the arena drops its view of it.
 func (e *Engine) unloadTables() {
 	if e.gNewP != nil {
+		e.cfg.Arena.tables.NewP = nil
 		e.gNewP.Free()
 		e.gNewP = nil
 	}
@@ -208,8 +223,10 @@ type window struct {
 
 	// Flattened observations (read_site output): one run per read with a
 	// kept observation, sorted by first kept site, and the runs' packed
-	// base_words back to back. The base_word carries quality and the uniq
-	// flag (bit 18), so runs and obsWord are the complete counting input.
+	// base_words back to back (obsWord on the CPU engine; the GPU engine
+	// packs them into device memory). The base_word carries quality and
+	// the uniq flag (bit 18), so runs and words are the complete counting
+	// input.
 	// maxExtent is the widest run's end-first, at most bayes.MaxReadLen: a
 	// site is covered only by runs whose first site lies less than
 	// maxExtent sites before it.
@@ -242,13 +259,6 @@ type window struct {
 	// Output-assembly buffers.
 	rows        []snpio.Row
 	alleleQuals [dna.NBases][]float64
-
-	// GPU host staging (readback targets of the device kernels).
-	hostBounds []uint32
-	hostStats  []uint32
-	hostBest   []uint32
-	hostSecond []uint32
-	hostQual   []uint32
 }
 
 // Window implements pipeline.Kernel: components 3-7 for one window whose
@@ -258,17 +268,17 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	w := &e.cfg.Arena.w
 	w.reset(start, end)
 
-	// Counting, host leg: flatten the observations into parallel arrays
-	// (the per-aligned-base extraction the counting component performs).
-	t0 := time.Now()
-	w.flatten(rs)
-	rep.Times.Count += time.Since(t0)
-
-	// Components 3-7.
+	// Components 3-7. Counting starts with a host leg: flatten the
+	// observations into parallel arrays (the per-aligned-base extraction
+	// the counting component performs) — on the GPU engine straight into
+	// the device buffer counting reads them from.
 	var err error
 	if e.cfg.Mode == ModeGPU {
-		err = e.runWindowGPU(w)
+		err = e.runWindowGPU(w, rs)
 	} else {
+		t0 := time.Now()
+		w.flatten(rs)
+		rep.Times.Count += time.Since(t0)
 		err = e.runWindowCPU(w)
 	}
 	if err != nil {
@@ -291,53 +301,76 @@ type obsRun struct {
 	first, end, off uint32
 }
 
-// flatten records the window's observations — what pipeline.ObsOf yields
-// over each read's span of [start, end), packed as PackWord packs it — as
-// runs over obsWord. It walks the kept range and packs from the read's own
-// fields instead of building an Obs per base: this loop runs once per
-// aligned base, and an Obs result materialised on the stack made its speed
-// depend on the stack alignment the callers' frames happened to leave
-// (TestFlattenMatchesObsOf ties the two). Both arrays are sized first, from
-// the read count and the clamped spans, so a cold window allocates each
-// once instead of growing it by doubling. Both counting engines walk the
-// runs in order of first site. pipeline.Run's reads arrive in position
-// order, which leaves the table in that order unless a − strand read is
-// longer than bayes.MaxReadLen (its first kept site lies past later reads'
-// starts); a table out of order is stable-sorted.
+// flatten records the window's observations in the arena's obsWord, the
+// CPU engine's counting input (flattenInto).
 func (w *window) flatten(rs []reads.AlignedRead) {
-	span := 0
-	for i := range rs {
-		r := &rs[i]
-		span += max(0, min(w.end, r.Pos+len(r.Bases))-max(w.start, r.Pos))
+	w.obsWord = grow(w.obsWord, w.obsCount(rs))
+	w.flattenInto(rs, w.obsWord)
+}
+
+// kept returns the sites [first, end) at which read r has a kept
+// observation in the window: its span of [start, end) less its cycles at or
+// past bayes.MaxReadLen, a suffix on the + strand and a prefix on the −
+// strand. The range is empty when first >= end.
+func (w *window) kept(r *reads.AlignedRead) (first, end int) {
+	first, end = max(w.start, r.Pos), min(w.end, r.Pos+len(r.Bases))
+	if r.Strand == 1 {
+		first = max(first, r.Pos+len(r.Bases)-bayes.MaxReadLen)
+	} else {
+		end = min(end, r.Pos+bayes.MaxReadLen)
 	}
+	return first, end
+}
+
+// obsCount returns the number of observations flattenInto records for rs.
+func (w *window) obsCount(rs []reads.AlignedRead) int {
+	m := 0
+	for i := range rs {
+		first, end := w.kept(&rs[i])
+		m += max(0, end-first)
+	}
+	return m
+}
+
+// flattenInto records the window's observations — what pipeline.ObsOf
+// yields over each read's span of [start, end), packed as PackWord packs it
+// — as runs over obsWord, which holds exactly obsCount(rs) words. It walks
+// the kept range and packs from the read's own fields instead of building
+// an Obs per base: this loop runs once per aligned base, and an Obs result
+// materialised on the stack made its speed depend on the stack alignment
+// the callers' frames happened to leave (TestFlattenMatchesObsOf ties the
+// two). The run table is sized first, from the read count, so a cold
+// window allocates it once instead of growing it by doubling. Both counting
+// engines walk the runs in order of first site. pipeline.Run's reads arrive
+// in position order, which leaves the table in that order unless a −
+// strand read is longer than bayes.MaxReadLen (its first kept site lies
+// past later reads' starts); a table out of order is stable-sorted.
+func (w *window) flattenInto(rs []reads.AlignedRead, obsWord []uint32) {
 	w.runs = slices.Grow(w.runs, len(rs))
-	w.obsWord = slices.Grow(w.obsWord, span)
+	k := 0
 	sorted := true
 	for i := range rs {
 		r := &rs[i]
+		first, end := w.kept(r)
+		if first >= end {
+			continue
+		}
 		flags := uint32(r.Strand)
 		if r.Hits == 1 {
 			flags |= wordUniqBit
 		}
-		first, end := max(w.start, r.Pos), min(w.end, r.Pos+len(r.Bases))
-		if r.Strand == 1 {
-			first = max(first, r.Pos+len(r.Bases)-bayes.MaxReadLen)
-		} else {
-			end = min(end, r.Pos+bayes.MaxReadLen)
-		}
-		if first >= end {
-			continue
-		}
-		run := obsRun{uint32(first - w.start), uint32(end - w.start), uint32(len(w.obsWord))}
-		if k := len(w.runs); k > 0 && w.runs[k-1].first > run.first {
+		run := obsRun{uint32(first - w.start), uint32(end - w.start), uint32(k)}
+		if n := len(w.runs); n > 0 && w.runs[n-1].first > run.first {
 			sorted = false
 		}
 		w.runs = append(w.runs, run)
 		w.maxExtent = max(w.maxExtent, end-first)
-		for pos := first; pos < end; pos++ {
-			off := pos - r.Pos
-			w.obsWord = append(w.obsWord, packWord(r.Bases[off], r.Quals[off], r.Cycle(off), flags))
+		dst := obsWord[k : k+end-first]
+		for j := range dst {
+			off := first - r.Pos + j
+			dst[j] = packWord(r.Bases[off], r.Quals[off], r.Cycle(off), flags)
 		}
+		k += len(dst)
 	}
 	if !sorted {
 		slices.SortStableFunc(w.runs, func(a, b obsRun) int { return cmp.Compare(a.first, b.first) })

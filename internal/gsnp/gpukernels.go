@@ -7,6 +7,7 @@ import (
 	"gsnp/internal/dna"
 	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
+	"gsnp/internal/reads"
 	"gsnp/internal/sortnet"
 )
 
@@ -24,17 +25,16 @@ const likeliBlock = 256
 // likelihood_comp, type_likely from likelihood_comp into posterior. The
 // priors go up as a table of the window's distinct prior rows and a row
 // index per site (buildPriors), not as ten values a site.
-func (e *Engine) runWindowGPU(w *window) error {
+func (e *Engine) runWindowGPU(w *window, rs []reads.AlignedRead) error {
 	rep := e.run.Report
 	d := e.cfg.Device
 
-	// Component 3: counting — one thread per site gathers its base_word
-	// segment and per-base summaries from the window's read runs. (The
-	// host flattening leg was already charged by Window.)
+	// Component 3: counting — the host leg packs the window's
+	// observations, then one thread per site gathers its base_word
+	// segment and per-base summaries from the read runs.
 	bounds := gpu.Alloc[uint32](d, w.n+1)
 	defer bounds.Free()
-	sim := e.simSpan(func() { e.countGPU(w, bounds) })
-	rep.Times.Count += sim
+	e.countDevice(w, rs, bounds)
 
 	// Component 4a: likelihood_sort — multipass batch bitonic by default.
 	var st sortnet.Stats
@@ -55,7 +55,7 @@ func (e *Engine) runWindowGPU(w *window) error {
 	gTL := gpu.Alloc[float64](d, w.n*dna.NGenotypes)
 	defer gTL.Free()
 	before := d.Stats()
-	sim = e.simSpan(func() { e.likelihoodCompDevice(w, bounds, gTL) })
+	sim := e.simSpan(func() { e.likelihoodCompDevice(w, bounds, gTL) })
 	delta := d.Stats().Sub(before)
 	delta.SimSeconds = 0
 	e.likeliStats.Add(delta)
@@ -87,9 +87,23 @@ func (e *Engine) runWindowGPU(w *window) error {
 	// finishes (bounds and type_likely as the window returns), and the
 	// per-window host arrays return to the arena with lengths reset.
 	t0 = time.Now()
-	w.runs, w.obsWord = w.runs[:0], w.obsWord[:0]
+	w.runs = w.runs[:0]
 	rep.Times.Recycle += time.Since(t0)
 	return nil
+}
+
+// countDevice runs component 3 on the device: the host leg packs the
+// window's observations straight into the storage of the device buffer
+// countGPU reads them from, with no host copy of them, and the buffer is
+// freed as soon as counting is done.
+func (e *Engine) countDevice(w *window, rs []reads.AlignedRead, bounds *gpu.Buffer[uint32]) {
+	rep := e.run.Report
+	t0 := time.Now()
+	obsWord := gpu.Alloc[uint32](e.cfg.Device, w.obsCount(rs))
+	defer obsWord.Free()
+	w.flattenInto(rs, obsWord.Host())
+	rep.Times.Count += time.Since(t0)
+	rep.Times.Count += e.simSpan(func() { e.countGPU(w, obsWord, bounds) })
 }
 
 // countGPU runs the counting component's kernels. One thread per site
@@ -107,19 +121,18 @@ func (e *Engine) runWindowGPU(w *window) error {
 //	             run's word stored at the site's next slot and its count,
 //	             quality sum and uniq flag summed per base in registers.
 //
-// bounds (n+1 entries) stays on the device for likelihood_comp; the words,
-// the bounds and the per-site summaries are read back for the host sort and
-// the rows (readCounts).
-func (e *Engine) countGPU(w *window, bounds *gpu.Buffer[uint32]) {
+// obsWord holds the runs' words, packed in place by flattenInto; its
+// self-CopyIn meters their upload. bounds (n+1 entries) stays on the device
+// for likelihood_comp; the words, the bounds and the per-site summaries are
+// read back for the host sort and the rows (readCounts).
+func (e *Engine) countGPU(w *window, obsWord, bounds *gpu.Buffer[uint32]) {
 	d := e.cfg.Device
-	n, m, nr, ext := w.n, len(w.obsWord), len(w.runs), w.maxExtent
+	n, m, nr, ext := w.n, obsWord.Len(), len(w.runs), w.maxExtent
 
 	runs := gpu.Alloc[obsRun](d, nr)
 	defer runs.Free()
 	runs.CopyIn(w.runs)
-	obsWord := gpu.Alloc[uint32](d, m)
-	defer obsWord.Free()
-	obsWord.CopyIn(w.obsWord)
+	obsWord.CopyIn(obsWord.Host())
 
 	index := gpu.Alloc[uint32](d, n+1)
 	defer index.Free()
@@ -180,23 +193,23 @@ func (e *Engine) countGPU(w *window, bounds *gpu.Buffer[uint32]) {
 	w.readCounts(bounds, words, stats)
 }
 
-// readCounts reads counting's output back into the window's recycled
-// staging buffers and assembles the host-side structures the later
-// components use: the segments with their bounds, and the per-site
-// summaries.
+// readCounts reads counting's output back and assembles the host-side
+// structures the later components use: the segments with their bounds, and
+// the per-site summaries. The bounds' first n entries and the summaries are
+// read back in place (self-CopyOut) and read through Host; the words go to
+// the window's sort batches.
 func (w *window) readCounts(bounds, words, stats *gpu.Buffer[uint32]) {
 	n, m := w.n, words.Len()
-	w.hostBounds = grow(w.hostBounds, n)
-	bounds.CopyOut(w.hostBounds)
-	w.hostStats = grow(w.hostStats, siteStats*n)
-	stats.CopyOut(w.hostStats)
-	hostStats := w.hostStats
+	hostBounds := bounds.Host()[:n]
+	bounds.CopyOut(hostBounds)
+	hostStats := stats.Host()
+	stats.CopyOut(hostStats)
 
 	w.words.Reset(n, m)
 	words.CopyOut(w.words.Data)
 	b := w.words.Bounds
-	for i := 0; i < n; i++ {
-		b[i] = int32(w.hostBounds[i])
+	for i, x := range hostBounds {
+		b[i] = int32(x)
 	}
 	b[n] = int32(m)
 	w.counts = grow(w.counts, n)
@@ -436,18 +449,18 @@ func (e *Engine) posteriorGPU(w *window, gTL *gpu.Buffer[float64]) {
 		gpu.St(t, gQual, site, uint32(q))
 	})
 
-	w.hostBest = grow(w.hostBest, n)
-	w.hostSecond = grow(w.hostSecond, n)
-	w.hostQual = grow(w.hostQual, n)
-	gBest.CopyOut(w.hostBest)
-	gSecond.CopyOut(w.hostSecond)
-	gQual.CopyOut(w.hostQual)
+	// Read back in place (self-CopyOut), then narrowed to the window's
+	// rank and quality arrays.
+	best, second, qual := gBest.Host(), gSecond.Host(), gQual.Host()
+	gBest.CopyOut(best)
+	gSecond.CopyOut(second)
+	gQual.CopyOut(qual)
 	w.bestRank = grow(w.bestRank, n)
 	w.secondRank = grow(w.secondRank, n)
 	w.quality = grow(w.quality, n)
 	for i := 0; i < n; i++ {
-		w.bestRank[i] = uint8(w.hostBest[i])
-		w.secondRank[i] = uint8(w.hostSecond[i])
-		w.quality[i] = uint8(w.hostQual[i])
+		w.bestRank[i] = uint8(best[i])
+		w.secondRank[i] = uint8(second[i])
+		w.quality[i] = uint8(qual[i])
 	}
 }

@@ -364,7 +364,9 @@ func TestDenseGPULikelihoodMatchesSparse(t *testing.T) {
 	ds := testDataset(t, 300, 9, 108)
 	d := gpu.NewDevice(gpu.M2050())
 	cfg := Config{Mode: ModeGPU, Device: d}
-	eng, err := New(cfg)
+	// The tables come from a CPU run: a GPU run releases new_p_matrix with
+	// its device memory.
+	eng, err := New(Config{Mode: ModeCPU})
 	if err != nil {
 		t.Fatal(err)
 	}

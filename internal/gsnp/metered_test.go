@@ -25,7 +25,9 @@ import (
 // GOMAXPROCS=3 the per-site kernels fan out over three host goroutines;
 // counting has no atomic, so its words land in the same slots either way.
 func TestMeteredRunsMatchPerAccess(t *testing.T) {
-	eng, err := New(Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+	// Loaded for the baseline variant, the tables include p_matrix, which
+	// two of the four likelihood variants below read.
+	eng, err := New(Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050()), Variant: VariantBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +74,13 @@ func TestMeteredRunsMatchPerAccess(t *testing.T) {
 	bounds := gpu.Alloc[uint32](d, w.n+1)
 	defer bounds.Free()
 	countOut := func() []uint64 {
-		return words64(w.words.Data, w.hostBounds, w.hostStats, bounds.Host())
+		return words64(w.words.Data, summariesOf(w), bounds.Host())
 	}
-	check("count", []int{1, 3}, func() []uint64 { eng.countGPU(w, bounds); return countOut() }, func() []uint64 {
+	check("count", []int{1, 3}, func() []uint64 { eng.countGPUHost(w, bounds); return countOut() }, func() []uint64 {
 		eng.countPerAccess(w, bounds)
 		return countOut()
 	})
-	eng.countGPU(w, bounds)
+	eng.countGPUHost(w, bounds)
 	sortnet.ParallelQuicksort(&w.words, 1)
 
 	for _, v := range []Variant{VariantOptimized, VariantBaseline, VariantShared, VariantNewTable} {
@@ -108,7 +110,7 @@ func TestMeteredRunsMatchPerAccess(t *testing.T) {
 	}
 	check("posterior", []int{1, 3}, func() []uint64 {
 		eng.posteriorGPU(w, gTL)
-		return words64(w.hostBest, w.hostSecond, w.hostQual)
+		return words64(widen(w.bestRank), widen(w.secondRank), widen(w.quality))
 	}, func() []uint64 { return words64(eng.posteriorPerAccess(w, gTL)) })
 }
 
@@ -143,13 +145,21 @@ func meteredWindow(readLen int) *window {
 	return w
 }
 
-// words64 and floats64 flatten kernel outputs for comparison.
+// words64, widen and floats64 flatten kernel outputs for comparison.
 func words64(cols ...[]uint32) []uint64 {
 	var out []uint64
 	for _, c := range cols {
 		for _, v := range c {
 			out = append(out, uint64(v))
 		}
+	}
+	return out
+}
+
+func widen(v []uint8) []uint32 {
+	out := make([]uint32, len(v))
+	for i, x := range v {
+		out[i] = uint32(x)
 	}
 	return out
 }
@@ -165,7 +175,7 @@ func floats64(v []float64) []uint64 {
 // countPerAccess is countGPU's device program with every access metered on
 // its own: a thread's runs loaded one by one, each Exec where its
 // instructions sit, the twelve summaries stored one by one. It leaves the
-// segments, bounds and summaries in w's staging as countGPU does.
+// segments, bounds and summaries in w as countGPU does.
 func (e *Engine) countPerAccess(w *window, bounds *gpu.Buffer[uint32]) {
 	d := e.cfg.Device
 	n, m, nr, ext := w.n, len(w.obsWord), len(w.runs), w.maxExtent

@@ -179,13 +179,12 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 	d.MustLaunchPhased(gpu.LaunchConfig{
 		Name: "bitonic_noneq", Grid: n, Block: maxClassSize,
 		SharedU32: maxClassSize + 2,
-	}, gpu.NetworkSteps(maxClassSize)+3, func(lanes []gpu.Thread, p int) {
-		b := lanes[0].Wide()
+	}, gpu.NetworkSteps(maxClassSize)+3, func(b *gpu.Block, p int) {
 		switch p {
 		case 0:
 			// Lane 0 stages the block's array descriptor through shared
 			// memory; a naive per-lane load would multiply global traffic.
-			t := &lanes[0]
+			t := b.Lane(0)
 			t.SetSharedU32(maxClassSize, gpu.Ld(t, bounds, 2*t.Block))
 			t.SetSharedU32(maxClassSize+1, gpu.Ld(t, bounds, 2*t.Block+1))
 		case 1:
@@ -196,23 +195,20 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 			off := int(b.SharedU32Bcast(0, maxClassSize, maxClassSize))
 			size := int(b.SharedU32Bcast(0, maxClassSize, maxClassSize+1))
 			pad := ceilPow2(size)
-			lanes[0].Reg = [2]uint64{uint64(off), uint64(size)}
-			for l := pad; l < maxClassSize; l++ {
-				lanes[l].Retire()
-			}
+			b.Lane(0).Reg = [2]uint64{uint64(off), uint64(size)}
+			b.Retire(pad, maxClassSize-pad)
 			b.SetSharedU32Wide(0, 0, gpu.LdWide(b, data, 0, off, size))
 			b.SetSharedU32Wide(size, size, padRow[:pad-size])
 		case 2:
-			pad := ceilPow2(int(lanes[0].Reg[1]))
+			pad := ceilPow2(int(b.Lane(0).Reg[1]))
 			gpu.BitonicNetworkU32(b, pad, pad)
 		default:
 			// Lane l below the pad: if l < size { St(data, off+l,
 			// t.SharedU32(l)) }; then it retires.
-			off, size := int(lanes[0].Reg[0]), int(lanes[0].Reg[1])
+			reg := b.Lane(0).Reg
+			off, size := int(reg[0]), int(reg[1])
 			gpu.StWide(b, data, 0, off, b.SharedU32Wide(0, 0, size))
-			for l := range lanes[:ceilPow2(size)] {
-				lanes[l].Retire()
-			}
+			b.Retire(0, ceilPow2(size))
 		}
 	})
 	st.Launches++
@@ -286,8 +282,7 @@ func batchBitonicEqual(d *gpu.Device, batch *gpu.Buffer[uint32], class int) int 
 	d.MustLaunchPhased(gpu.LaunchConfig{
 		Name: "batch_bitonic", Grid: grid, Block: block,
 		SharedU32: block,
-	}, gpu.NetworkSteps(class)+2, func(lanes []gpu.Thread, p int) {
-		b := lanes[0].Wide()
+	}, gpu.NetworkSteps(class)+2, func(b *gpu.Block, p int) {
 		i0 := b.Index * block
 		m := min(block, total-i0)
 		switch p {
@@ -302,9 +297,7 @@ func batchBitonicEqual(d *gpu.Device, batch *gpu.Buffer[uint32], class int) int 
 			// Lane l: if i < total { St(batch, i, t.SharedU32(l)) }; then
 			// it retires.
 			gpu.StWide(b, batch, 0, i0, b.SharedU32Wide(0, 0, m))
-			for l := range lanes {
-				lanes[l].Retire()
-			}
+			b.Retire(0, block)
 		}
 	})
 	return 1
