@@ -188,7 +188,7 @@ loc:
 # A change that removes lines lowers the ceiling to its new total. A change
 # that must raise it explains why in CHANGES.md, package by package, with
 # the lines it added to each (`make loc` before and after).
-LOC_CEILING = 19263
+LOC_CEILING = 19336
 
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \

@@ -708,6 +708,47 @@ func TestCLIDenseGenomeMemory(t *testing.T) {
 	t.Logf("dense genome-dir run over 3 chromosomes: peak RSS %d MiB", peak>>20)
 }
 
+// TestCLIDenseWindowFaultsOnce pins the page faults of a cold dense run: the
+// engine writes each page of base_occ its chromosome uses before the
+// likelihood's sweep reads it, so the page is mapped by one fault. Read
+// first, it took two: one mapping the shared zero page, one copy-on-write at
+// window 1's recycle. The bound is 1.25 faults a page of the chromosome's
+// share of the window, which leaves a quarter of a fault a page for
+// everything else the process maps.
+func TestCLIDenseWindowFaultsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("page faults are read from Linux's rusage")
+	}
+	dir := t.TempDir()
+	gen, _ := run(t, "gsnp-gen", "-out", dir, "-chr", "chr21", "-scale", "60", "-seed", "3")
+	var sites int
+	if i := strings.Index(gen, "sites="); i < 0 {
+		t.Fatalf("gsnp-gen printed no site count: %q", gen)
+	} else if _, err := fmt.Sscanf(gen[i:], "sites=%d", &sites); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := buildTools()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(bin, "gsnp"), "-ref", filepath.Join(dir, "chr21.fa"),
+		"-aln", filepath.Join(dir, "chr21.soap"), "-engine", "soapsnp", "-out", filepath.Join(dir, "chr21.result"))
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("gsnp: %v\n%s", err, out)
+	}
+	// Read by name like Maxrss above: only the Unix rusage has Minflt.
+	faults := reflect.ValueOf(cmd.ProcessState.SysUsage()).Elem().FieldByName("Minflt").Int()
+	pages := float64(sites) * (128 << 10) / 4096
+	if perPage := float64(faults) / pages; perPage >= 1.25 {
+		t.Errorf("a cold dense run over %d sites took %d minor faults, %.2f a base_occ page, want < 1.25", sites, faults, perPage)
+	} else {
+		t.Logf("cold dense run over %d sites: %d minor faults, %.2f a base_occ page", sites, faults, perPage)
+	}
+}
+
 // TestCLIExperimentsList checks the experiment runner's surface.
 func TestCLIExperimentsList(t *testing.T) {
 	if testing.Short() {

@@ -393,7 +393,7 @@ func TestBlockPrimitivesMatchPerLane(t *testing.T) {
 				r.totals = d.Stats()
 				r.mem = append(append([]uint32(nil), e.out.Host()...), e.hist.Host()...)
 				if workers == 1 {
-					for _, s := range d.scratch[0].samples[:c.block] {
+					for _, s := range d.samples[0][:c.block] {
 						r.samples = append(r.samples, append([]int64(nil), s...))
 					}
 				}

@@ -40,13 +40,16 @@ type Device struct {
 	// below minFanoutLanes.
 	forceWorkers int
 
-	// scratch and bufFree are the device-side arena of the recycle
-	// component: scratch recycles per-block execution state (the lane
-	// cursor, shared memory, per-lane side arrays) across launches, and
-	// bufFree recycles buffer backing storage keyed by element size.
+	// scratch, samples and bufFree are the device-side arena of the
+	// recycle component: scratch recycles per-block execution state (the
+	// lane cursor, shared memory, per-lane side arrays) across launches,
+	// samples the per-lane coalescing-sample streams of block 0 — one set
+	// per launch whose block 0 is running, whichever goroutine and scratch
+	// run it — and bufFree buffer backing storage keyed by element size.
 	// Steady-state launches and allocations touch neither the Go heap
 	// nor the garbage collector.
 	scratch []*blockScratch
+	samples [][][]int64
 	bufFree map[int64][]any
 }
 
@@ -350,9 +353,9 @@ func (a *launchAccumulator) merge(o *launchAccumulator) {
 // blockScratch is the recycled per-block execution state. A barrier-free
 // kernel runs through cur, the lane cursor: one Thread stepped through all
 // lanes of the block, where only the issued-instruction count (instr, for
-// the warp accounting) and the coalescing-sample stream of block 0 are kept
-// per lane, and one lane's local memory (rt.local) serves every lane in
-// turn. A wide or phased kernel is handed the block, rt.blk: the block-wide
+// the warp accounting) and, in block 0, the coalescing-sample stream the
+// device lends (getSamples) are kept per lane, and one lane's local memory
+// (rt.local) serves every lane in turn. A wide or phased kernel is handed the block, rt.blk: the block-wide
 // primitives charge the same per-lane arrays, and the lanes a kernel asks
 // for as Threads (Block.Lanes, Block.Lane) are readied in rt.lanes and
 // summed back when the block ends. The Sync runner readies every lane and
@@ -362,12 +365,11 @@ func (a *launchAccumulator) merge(o *launchAccumulator) {
 // Block a kernel is handed included — is valid only while its block runs;
 // nothing may escape the launch.
 type blockScratch struct {
-	rt      blockRT
-	cur     Thread
-	instr   []int64
-	samples [][]int64
-	segs    []int64 // coalesce's distinct segments of one warp instruction
-	bar     *barrier
+	rt    blockRT
+	cur   Thread
+	instr []int64
+	segs  []int64 // coalesce's distinct segments of one warp instruction
+	bar   *barrier
 }
 
 // getScratch pops a recycled block scratch, or makes an empty one.
@@ -387,6 +389,33 @@ func (d *Device) getScratch() *blockScratch {
 func (d *Device) putScratch(sc *blockScratch) {
 	d.mu.Lock()
 	d.scratch = append(d.scratch, sc)
+	d.mu.Unlock()
+}
+
+// getSamples pops a recycled set of coalescing-sample streams, or makes an
+// empty one, with n empty lane streams at its head.
+func (d *Device) getSamples(n int) [][]int64 {
+	d.mu.Lock()
+	var set [][]int64
+	if k := len(d.samples); k > 0 {
+		set = d.samples[k-1]
+		d.samples[k-1] = nil
+		d.samples = d.samples[:k-1]
+	}
+	d.mu.Unlock()
+	for len(set) < n {
+		set = append(set, make([]int64, 0, 256))
+	}
+	for l := range set[:n] {
+		set[l] = set[l][:0]
+	}
+	return set
+}
+
+// putSamples returns a set of sample streams for the next launch's block 0.
+func (d *Device) putSamples(set [][]int64) {
+	d.mu.Lock()
+	d.samples = append(d.samples, set)
 	d.mu.Unlock()
 }
 
@@ -428,17 +457,12 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 	sc.instr = grow(sc.instr, n)
 	clear(sc.instr)
 	// Block 0 is the coalescing sample, as in a sampling profiler.
-	sampling := bid == 0
+	var set [][]int64
 	b := &rt.blk
 	*b = Block{Dev: d, Index: bid, Dim: n, GridDim: sp.Grid, rt: rt, instr: sc.instr}
-	if sampling {
-		for len(sc.samples) < n {
-			sc.samples = append(sc.samples, make([]int64, 0, 256))
-		}
-		for l := range sc.samples[:n] {
-			sc.samples[l] = sc.samples[l][:0]
-		}
-		b.samples = sc.samples[:n]
+	if bid == 0 {
+		set = d.getSamples(n)
+		b.samples = set[:n]
 	}
 
 	switch {
@@ -453,7 +477,7 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 		b.sumLanes()
 	default:
 		sc.cur = Thread{Dev: d, Block: bid, BlockDim: n, GridDim: sp.Grid, block: rt}
-		runLanesAsync(sp.kernel, sc, n, sampling)
+		runLanesAsync(sp.kernel, sc, n, b.samples)
 		b.addCounters(&sc.cur)
 	}
 	s := Stats{
@@ -478,27 +502,29 @@ func (d *Device) runBlock(sp *launchSpec, bid int, acc *launchAccumulator, sc *b
 	}
 	s.Instructions, s.WarpInstructions = instr, warpInstr
 	acc.stats.Add(s)
-	if sampling {
+	if set != nil {
 		sc.segs = grow(sc.segs, ws)
-		trans, warpMI := d.coalesce(sc.samples[:n], sc.segs)
+		trans, warpMI := d.coalesce(b.samples, sc.segs)
 		acc.sampleTrans += trans
 		acc.sampleWarpMI += warpMI
+		d.putSamples(set)
 	}
 }
 
 // runLanesAsync runs a barrier-free kernel over the lanes of one block, in
 // lane order, through the cursor: the block-invariant fields were set by
 // the caller, Lane is stepped here, and the sum-only counters simply keep
-// counting across lanes.
-func runLanesAsync(kernel Kernel, sc *blockScratch, n int, sampling bool) {
+// counting across lanes. samples holds block 0's per-lane sample streams;
+// it is nil in every other block.
+func runLanesAsync(kernel Kernel, sc *blockScratch, n int, samples [][]int64) {
 	t := &sc.cur
 	for l := 0; l < n; l++ {
 		t.Lane = l
 		t.Reg = [2]uint64{}
 		sc.rt.clearLocal()
 		t.instr = 0
-		if sampling {
-			t.sample = &sc.samples[l]
+		if samples != nil {
+			t.sample = &samples[l]
 		}
 		kernel(t)
 		sc.instr[l] = t.instr

@@ -268,7 +268,7 @@ func TestLazyLanesMatchPerLane(t *testing.T) {
 				r := result{mem: slices.Clone(form(d))}
 				r.launches, r.totals = d.Launches(), d.Stats()
 				if workers == 1 {
-					for _, s := range d.scratch[0].samples[:primBlock] {
+					for _, s := range d.samples[0][:primBlock] {
 						r.samples = append(r.samples, slices.Clone(s))
 					}
 				}

@@ -329,26 +329,30 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 // the observations are packed straight into it, so a host twin of one of
 // them — the twelve summary words a site of a staged copy of count_fill's
 // output, 48 B — breaks the bound.
+//
+// It runs on one host thread and on two, where the launches fan out: which
+// recycled scratch runs a launch's block 0 then depends on the schedule, so
+// block 0's coalescing-sample streams come from the device, not the scratch.
 func TestColdGPUWindowHostBytes(t *testing.T) {
 	const sites, bound = 20000, 430.0
-	// One host thread: the launches and the output codec's column
-	// encoders then run inline, so which recycled scratch and storage each
-	// takes, and so the bytes measured, do not depend on the schedule.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds := testDataset(t, sites, 10, 91)
-	eng, wins := newDirectEngine(t, ds, sites, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
-	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(allocs)
-	before := allocs[0].Value.Uint64()
-	if err := eng.Window(wins[0].rs, wins[0].start, wins[0].end); err != nil {
-		t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		eng, wins := newDirectEngine(t, ds, sites, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
+		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocs)
+		before := allocs[0].Value.Uint64()
+		if err := eng.Window(wins[0].rs, wins[0].start, wins[0].end); err != nil {
+			t.Fatal(err)
+		}
+		metrics.Read(allocs)
+		perSite := float64(allocs[0].Value.Uint64()-before) / sites
+		if perSite > bound {
+			t.Errorf("GOMAXPROCS=%d: a cold GPU window allocated %.1f host bytes a site, gate %.0f", procs, perSite, bound)
+		}
+		t.Logf("GOMAXPROCS=%d: cold GPU window: %.1f host bytes a site", procs, perSite)
 	}
-	metrics.Read(allocs)
-	perSite := float64(allocs[0].Value.Uint64()-before) / sites
-	if perSite > bound {
-		t.Errorf("a cold GPU window allocated %.1f host bytes a site, gate %.0f", perSite, bound)
-	}
-	t.Logf("cold GPU window: %.1f host bytes a site", perSite)
 }
 
 // TestGPURunKeepsNoViewOfFreedStorage: the GPU engine builds new_p_matrix

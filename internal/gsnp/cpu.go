@@ -147,10 +147,10 @@ func (e *Engine) likelihoodRange(w *window, lo, hi, worker int) {
 
 	for site := lo; site < hi; site++ {
 		seg := w.words.Array(site)
-		tl := w.typeLikely[site*dna.NGenotypes : (site+1)*dna.NGenotypes]
-		for r := range tl {
-			tl[r] = 0
-		}
+		// The ten genotype sums are locals for the whole site and reach
+		// type_likely once at its end; each adds its terms in word order,
+		// as a sum kept in memory would, so the bits do not change.
+		var l0, l1, l2, l3, l4, l5, l6, l7, l8, l9 float64
 		lastBase := -1
 		for _, word := range seg {
 			base := int(word >> 15 & 3)
@@ -176,10 +176,20 @@ func (e *Engine) likelihoodRange(w *window, lo, hi, worker int) {
 			wk.dep[slot] = tag | cnt
 			qadj := adj.Adjust(dna.Quality(score), uint16(cnt))
 			idx := bayes.NewPMatrixIndex(qadj, coord, dna.Base(base), 0)
-			for r := 0; r < dna.NGenotypes; r++ {
-				tl[r] += newP[idx+r]
-			}
+			p := newP[idx : idx+dna.NGenotypes : idx+dna.NGenotypes]
+			l0 += p[0]
+			l1 += p[1]
+			l2 += p[2]
+			l3 += p[3]
+			l4 += p[4]
+			l5 += p[5]
+			l6 += p[6]
+			l7 += p[7]
+			l8 += p[8]
+			l9 += p[9]
 		}
+		tl := w.typeLikely[site*dna.NGenotypes : (site+1)*dna.NGenotypes : (site+1)*dna.NGenotypes]
+		tl[0], tl[1], tl[2], tl[3], tl[4], tl[5], tl[6], tl[7], tl[8], tl[9] = l0, l1, l2, l3, l4, l5, l6, l7, l8, l9
 	}
 }
 

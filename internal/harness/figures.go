@@ -56,7 +56,8 @@ func (s *Session) Fig4a() *Result {
 	r.Notef("paper: estimate covers 65-70%% of likelihood and 89-92%% of recycle; here the sweep does" +
 		" nothing for an empty 64-byte group but load it, so likelihood lands at the estimate, while" +
 		" recycle is a memset at a multiple of the read rate plus the one-off first touch of the" +
-		" fresh 512 MB window, which a run of few windows (chr21) does not amortise")
+		" fresh 512 MB window (one page fault a page: recycle writes each page before the sweep reads it)," +
+		" which a run of few windows (chr21) does not amortise")
 	return r
 }
 

@@ -52,7 +52,9 @@ type Engine struct {
 	run *pipeline.RunState
 
 	// Window state, sized in Prepare; live is the size of a window counted
-	// and not yet recycled, which a run that failed leaves for Prepare.
+	// and not yet recycled, which a run that failed leaves for Prepare, and
+	// touched the length of the base_occ prefix some window has written
+	// (touchWindow), which only a new allocation resets.
 	baseOcc []uint8
 	counts  []pipeline.SiteCounts
 	quals   [][dna.NBases][]float64
@@ -60,6 +62,7 @@ type Engine struct {
 	calls   []bayes.Call
 	rows    []snpio.Row
 	live    int
+	touched int
 
 	// Likelihood scratch, one per thread (one for the single-threaded
 	// baseline), the fork-join the threads run through and their pass,
@@ -102,6 +105,7 @@ func (e *Engine) Prepare(st *pipeline.RunState) error {
 func (e *Engine) allocWindow(n, stride int) {
 	if len(e.baseOcc) != n*bayes.BaseOccSize {
 		e.baseOcc = make([]uint8, n*bayes.BaseOccSize)
+		e.touched = 0
 		e.counts = make([]pipeline.SiteCounts, n)
 		e.quals = make([][dna.NBases][]float64, n)
 		e.likely = make([][bayes.TypeLikelySize]float64, n)
@@ -123,9 +127,16 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	rep := e.run.Report
 	n := end - start
 
+	// Component 7, ahead of the window: initialising base_occ is recycle's
+	// job, and the first window to use a page of it pays for mapping it.
+	t0 := time.Now()
+	e.touchWindow(n)
+	t1 := time.Now()
+	rep.Times.Recycle += t1.Sub(t0)
+
 	// Component 3: counting — scatter every aligned base into the dense
 	// base_occ matrix and the per-site summaries.
-	t0 := time.Now()
+	t0 = t1
 	e.live = n
 	e.count(rs, start, end)
 	rep.Times.Count += time.Since(t0)
@@ -212,6 +223,28 @@ func (e *Engine) count(rs []reads.AlignedRead, start, end int) {
 			e.quals[site][base] = append(e.quals[site][base], float64(qual))
 		}
 	}
+}
+
+// pageBytes is the smallest page size of the platforms Go runs on; on a
+// larger page touchWindow writes a page more than once, which costs a store,
+// not a fault.
+const pageBytes = 4 << 10
+
+// touchWindow writes a zero byte on each page of the first n sites' base_occ
+// that no earlier window has written. Fresh from the heap those pages are
+// unmapped: were the likelihood's sweep the first to reach one, the read
+// would map the shared zero page, and recycle's clear would then take a
+// second, copy-on-write fault to give the page its own frame. Written first,
+// each page faults once. The high-water mark keeps the cost where it
+// belongs: a chromosome shorter than the window touches only its own sites,
+// and a kept engine touches nothing on a chromosome no longer than one it
+// has run.
+func (e *Engine) touchWindow(n int) {
+	end := n * bayes.BaseOccSize
+	for i := e.touched; i < end; i += pageBytes {
+		e.baseOcc[i] = 0
+	}
+	e.touched = max(e.touched, end)
 }
 
 // Abandon implements pipeline.Kernel: recycle after a quarantined window

@@ -364,3 +364,55 @@ func TestRunContextWarmScratch(t *testing.T) {
 		t.Logf("warm run: %d bytes in %d allocations", got, after.Mallocs-before.Mallocs)
 	}
 }
+
+// TestTouchWindowWritesOnlyNewPages: the engine write-touches a page of
+// base_occ once in its life. A chromosome shorter than the window touches
+// its own sites' pages, a longer one on the same engine only the pages past
+// them — written, so a sentinel there is cleared, while one in the pages
+// already touched survives — a shorter one after it none, and only a window
+// of another size, a new allocation, starts over. The reused engine's rows
+// are a fresh engine's.
+func TestTouchWindowWritesOnlyNewPages(t *testing.T) {
+	const window = 64
+	short, long := testDataset(t, 20, 8, 31), testDataset(t, 50, 8, 32)
+	eng := New(Config{})
+	run := func(eng *Engine, ds *seqsim.Dataset, window int) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := startRun(context.Background(), eng, ds, pipeline.Config{Window: window}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wantTouched := func(step string, sites int) {
+		t.Helper()
+		if eng.touched != sites*bayes.BaseOccSize {
+			t.Errorf("%s: %d bytes of base_occ touched, want %d sites' (%d)", step, eng.touched, sites, sites*bayes.BaseOccSize)
+		}
+	}
+
+	run(eng, short, window)
+	wantTouched("short chromosome", 20)
+
+	for i := 0; i < 50*bayes.BaseOccSize; i += pageBytes {
+		eng.baseOcc[i] = 1
+	}
+	eng.touchWindow(50)
+	for i := 0; i < 50*bayes.BaseOccSize; i += pageBytes {
+		head := i < 20*bayes.BaseOccSize
+		if written := eng.baseOcc[i] == 0; written == head {
+			t.Fatalf("page at byte %d: written %t, want %t (the short chromosome touched it: %t)", i, written, !head, head)
+		}
+	}
+	clear(eng.baseOcc)
+	wantTouched("touching 50 sites", 50)
+
+	if got, want := run(eng, long, window), run(New(Config{}), long, window); !bytes.Equal(got, want) {
+		t.Error("rows of the reused engine differ from a fresh engine's")
+	}
+	wantTouched("long chromosome", 50)
+	run(eng, short, window)
+	wantTouched("short chromosome again", 50)
+	run(eng, long, 40)
+	wantTouched("long chromosome in a smaller window", 40)
+}

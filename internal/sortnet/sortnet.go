@@ -392,10 +392,13 @@ func quicksort(a []uint32) {
 			a = a[:j+1]
 		}
 	}
-	// Insertion sort for the remainder.
+	// Insertion sort for the remainder: each element is held while the
+	// larger ones before it shift up a place, one store a step.
 	for i := 1; i < len(a); i++ {
-		for k := i; k > 0 && a[k-1] > a[k]; k-- {
-			a[k-1], a[k] = a[k], a[k-1]
+		v, k := a[i], i
+		for ; k > 0 && a[k-1] > v; k-- {
+			a[k] = a[k-1]
 		}
+		a[k] = v
 	}
 }
