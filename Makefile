@@ -130,6 +130,8 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTempReader$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzTempRoundTrip$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzAppendFixed$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
+	$(GO) test -fuzz 'FuzzSOAPParseOracle$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
+	$(GO) test -fuzz 'FuzzRowTextOracle$$' -fuzztime $(FUZZ_TIME) ./internal/snpio
 	$(GO) test -fuzz 'FuzzJobSpec$$' -fuzztime $(FUZZ_TIME) ./internal/service
 	$(GO) test -fuzz 'FuzzStreamLine$$' -fuzztime $(FUZZ_TIME) ./internal/service
 	$(GO) test -fuzz 'FuzzJournalReplay$$' -fuzztime $(FUZZ_TIME) ./internal/journal
@@ -188,7 +190,7 @@ loc:
 # A change that removes lines lowers the ceiling to its new total. A change
 # that must raise it explains why in CHANGES.md, package by package, with
 # the lines it added to each (`make loc` before and after).
-LOC_CEILING = 19336
+LOC_CEILING = 19615
 
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \

@@ -761,3 +761,32 @@ func TestCLIExperimentsList(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIManifestDigestsMatchFiles: a genome run hashes each result while
+// writing it and records that digest in the manifest instead of reading
+// the file back. Every entry must still be checkpoint.FileDigest of its
+// file — rows and the packed container, at -workers 1 and 4 — or -resume
+// would recompute every chromosome.
+func TestCLIManifestDigestsMatchFiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration in -short mode")
+	}
+	for _, workers := range []string{"1", "4"} {
+		for _, engine := range [][]string{{"-engine", "gsnp-cpu"}, {"-engine", "gsnp-gpu", "-compress"}} {
+			dir := t.TempDir()
+			run(t, "gsnp-gen", "-out", dir, "-genome", "-scale", "4", "-seed", "11")
+			run(t, "gsnp", append([]string{"-genome-dir", dir, "-workers", workers}, engine...)...)
+			m, err := checkpoint.Load(checkpoint.Path(dir))
+			if err != nil || m == nil || len(m.Done) != 24 {
+				t.Fatalf("%v -workers %s: manifest %v (%v), want 24 entries", engine, workers, m, err)
+			}
+			for name, e := range m.Done {
+				got, err := checkpoint.FileDigest(filepath.Join(dir, e.Output))
+				if err != nil || got != e.SHA256 {
+					t.Errorf("%v -workers %s: %s: manifest digest %s, file digest %s (%v)",
+						engine, workers, name, e.SHA256, got, err)
+				}
+			}
+		}
+	}
+}

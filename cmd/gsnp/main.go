@@ -57,6 +57,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -246,16 +248,17 @@ func runUnits(dir string, units []genomejob.Unit, opts options) error {
 				if opts.stats {
 					diagW = &diag
 				}
+				var digest string
 				if unit.OutPath == "-" {
 					out.rep, err = wk.Call(ctx, opts.call, unit, &printed, diagW)
 				} else {
-					out.rep, err = callToFile(ctx, wk, opts.call, unit, diagW)
+					out.rep, digest, err = callToFile(ctx, wk, opts.call, unit, diagW)
 				}
 				out.diag = diag.String()
 				// Degraded completions stay on disk but are never
 				// checkpointed, so -resume recomputes them.
 				if err == nil && cp != nil && !out.rep.Partial() {
-					err = cp.Complete(name, unit.OutPath, out.rep.Sites)
+					err = cp.CompleteDigest(name, unit.OutPath, digest, out.rep.Sites)
 				}
 				return out, err
 			},
@@ -332,13 +335,16 @@ func runUnits(dir string, units []genomejob.Unit, opts options) error {
 	return runErr
 }
 
-// callToFile runs one attempt of a unit into its output file. A failed or
-// panicking attempt leaves no half-written file behind: a retry or a later
-// -resume recomputes the chromosome from scratch.
-func callToFile(ctx context.Context, wk *genomejob.Worker, o genomejob.Options, u genomejob.Unit, diag io.Writer) (rep *pipeline.Report, err error) {
+// callToFile runs one attempt of a unit into its output file and returns,
+// with the report, the file's checkpoint digest: the bytes are hashed as
+// they are written, inside the output stage, so the manifest need not read
+// the file back. A failed or panicking attempt leaves no half-written file
+// behind: a retry or a later -resume recomputes the chromosome from
+// scratch.
+func callToFile(ctx context.Context, wk *genomejob.Worker, o genomejob.Options, u genomejob.Unit, diag io.Writer) (rep *pipeline.Report, digest string, err error) {
 	f, err := os.Create(u.OutPath)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer func() {
 		if cerr := f.Close(); err == nil {
@@ -348,7 +354,11 @@ func callToFile(ctx context.Context, wk *genomejob.Worker, o genomejob.Options, 
 			os.Remove(u.OutPath)
 		}
 	}()
-	return wk.Call(ctx, o, u, f, diag)
+	h := sha256.New()
+	if rep, err = wk.Call(ctx, o, u, io.MultiWriter(f, h), diag); err != nil {
+		return nil, "", err
+	}
+	return rep, hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // stdout counts the bytes a unit writes to standard output.

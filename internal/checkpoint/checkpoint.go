@@ -183,12 +183,20 @@ func (w *Writer) Done(name string) (Entry, bool) {
 }
 
 // Complete records a cleanly finished chromosome and persists the
-// manifest. outPath must live in the manifest's directory.
+// manifest, reading the output file back for its digest. outPath must live
+// in the manifest's directory.
 func (w *Writer) Complete(name, outPath string, sites int) error {
 	digest, err := FileDigest(outPath)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %s: %w", name, err)
 	}
+	return w.CompleteDigest(name, outPath, digest, sites)
+}
+
+// CompleteDigest is Complete for a caller that hashed the output while
+// writing it: digest is the hex SHA-256 FileDigest would return for
+// outPath.
+func (w *Writer) CompleteDigest(name, outPath, digest string, sites int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.m.Done[name] = Entry{Output: filepath.Base(outPath), SHA256: digest, Sites: sites}

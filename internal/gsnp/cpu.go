@@ -74,7 +74,7 @@ func (e *Engine) runWindowCPU(w *window) error {
 	// capacity persists, and the tagged dep_count arrays invalidate by
 	// epoch.
 	t0 = time.Now()
-	w.runs, w.obsWord = w.runs[:0], w.obsWord[:0]
+	w.recycle()
 	rep.Times.Recycle += time.Since(t0)
 	return nil
 }
@@ -195,15 +195,18 @@ func (e *Engine) likelihoodRange(w *window, lo, hi, worker int) {
 
 // posteriorRange runs component 5 over sites [lo, hi): combine the ten
 // genotype log-likelihoods with the log priors — computed here per site,
-// fused into the pass — and select the best and second-best genotypes.
+// fused into the pass, from the known sites of the range walked beside
+// the sites — and select the best and second-best genotypes.
 func (e *Engine) posteriorRange(w *window, lo, hi int) {
 	cfg := &e.run.Config
+	known := e.run.KnownIn(w.start+lo, w.start+hi)
 	for site := lo; site < hi; site++ {
 		pos := w.start + site
 		ref := cfg.Ref[pos]
 		var pri [dna.NGenotypes]float64
-		if known := cfg.Known[pos]; known != nil {
-			pri = cfg.Priors.LogPriors(ref, known)
+		if len(known) > 0 && known[0].Pos == pos {
+			pri = cfg.Priors.LogPriors(ref, known[0].SNP)
+			known = known[1:]
 		} else {
 			pri = e.novelPriors[ref]
 		}

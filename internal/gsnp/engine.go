@@ -261,6 +261,14 @@ type window struct {
 	alleleQuals [dna.NBases][]float64
 }
 
+// recycle is component 7 on both engines: the sparse window returns its
+// storage to the arena by resetting the read-run table and the CPU path's
+// observation words, and touches no per-site array — the next window's
+// components overwrite every entry they read.
+func (w *window) recycle() {
+	w.runs, w.obsWord = w.runs[:0], w.obsWord[:0]
+}
+
 // Window implements pipeline.Kernel: components 3-7 for one window whose
 // reads the driver's read_site has already fetched.
 func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
@@ -389,15 +397,13 @@ func (e *Engine) buildPriors(w *window) {
 	for _, row := range e.novelPriors {
 		w.priorTable = append(w.priorTable, row[:]...)
 	}
-	for site := range w.priorRow {
-		ref := cfg.Ref[w.start+site]
-		if known := cfg.Known[w.start+site]; known != nil {
-			lp := cfg.Priors.LogPriors(ref, known)
-			w.priorRow[site] = uint32(len(w.priorTable) / dna.NGenotypes)
-			w.priorTable = append(w.priorTable, lp[:]...)
-		} else {
-			w.priorRow[site] = uint32(ref)
-		}
+	for site, ref := range cfg.Ref[w.start:w.end] {
+		w.priorRow[site] = uint32(ref)
+	}
+	for _, k := range e.run.KnownIn(w.start, w.end) {
+		lp := cfg.Priors.LogPriors(cfg.Ref[k.Pos], k.SNP)
+		w.priorRow[k.Pos-w.start] = uint32(len(w.priorTable) / dna.NGenotypes)
+		w.priorTable = append(w.priorTable, lp[:]...)
 	}
 }
 
@@ -406,23 +412,28 @@ func (e *Engine) output(w *window) error {
 	return e.writeRows(e.buildRows(w))
 }
 
-// buildRows assembles the window's result rows (host work): rank-sum
-// quality lists are rebuilt from the sorted base_word segments, whose
-// canonical order matches the dense engine's iteration order.
+// buildRows assembles the window's result rows (host work) in place:
+// rank-sum quality lists are rebuilt from the sorted base_word segments,
+// whose canonical order matches the dense engine's iteration order, and
+// the window's known sites are walked beside its sites.
 func (e *Engine) buildRows(w *window) []snpio.Row {
 	cfg := &e.run.Config
 	rep := e.run.Report
 
 	w.rows = grow(w.rows, w.n)
-	rows := w.rows
-	for site := 0; site < w.n; site++ {
-		call := bayes.Call{
+	known := e.run.KnownIn(w.start, w.end)
+	in := pipeline.RowInputs{Chr: cfg.Chr, MeanDepth: rep.MeanDepth}
+	for site := range w.rows {
+		in.Pos = w.start + site
+		in.Ref = cfg.Ref[in.Pos]
+		in.Call = bayes.Call{
 			Genotype: dna.GenotypeByRank(int(w.bestRank[site])),
 			Second:   dna.GenotypeByRank(int(w.secondRank[site])),
 			Quality:  int(w.quality[site]),
 		}
-		var aq *[dna.NBases][]float64
-		if !call.Genotype.IsHomozygous() {
+		in.Counts = &w.counts[site]
+		in.AlleleQuals = nil
+		if !in.Call.Genotype.IsHomozygous() {
 			for b := range w.alleleQuals {
 				w.alleleQuals[b] = w.alleleQuals[b][:0]
 			}
@@ -430,23 +441,17 @@ func (e *Engine) buildRows(w *window) []snpio.Row {
 				o := UnpackWord(word)
 				w.alleleQuals[o.Base] = append(w.alleleQuals[o.Base], float64(o.Qual))
 			}
-			aq = &w.alleleQuals
+			in.AlleleQuals = &w.alleleQuals
 		}
-		rows[site] = pipeline.BuildRow(&pipeline.RowInputs{
-			Chr:         cfg.Chr,
-			Pos:         w.start + site,
-			Ref:         cfg.Ref[w.start+site],
-			Call:        call,
-			Counts:      &w.counts[site],
-			AlleleQuals: aq,
-			MeanDepth:   rep.MeanDepth,
-			Known:       cfg.Known[w.start+site],
-		})
-		if rows[site].IsSNP() {
+		in.Known = nil
+		if len(known) > 0 && known[0].Pos == in.Pos {
+			in.Known, known = known[0].SNP, known[1:]
+		}
+		if pipeline.BuildRow(&w.rows[site], &in) {
 			rep.SNPs++
 		}
 	}
-	return rows
+	return w.rows
 }
 
 // writeRows pushes assembled rows to the run's sink; with compressed

@@ -87,7 +87,7 @@ func (e *Engine) runWindowGPU(w *window, rs []reads.AlignedRead) error {
 	// finishes (bounds and type_likely as the window returns), and the
 	// per-window host arrays return to the arena with lengths reset.
 	t0 = time.Now()
-	w.runs = w.runs[:0]
+	w.recycle()
 	rep.Times.Recycle += time.Since(t0)
 	return nil
 }

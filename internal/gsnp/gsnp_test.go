@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -441,13 +443,80 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestRecycleIsNegligible: the sparse representation makes recycle orders
+// of magnitude cheaper than likelihood (Table IV: 3 s against 60 s on the
+// GPU; SOAPsnp's dense recycle: 8,214 s), because it sweeps nothing. That
+// is checked as what recycle does, not as a host time against a simulated
+// one: after a window on either engine, with every entry of every per-site
+// array — counts, segments, likelihoods, priors, calls, rows — moved off
+// whatever the window left in it, recycle empties the read-run table and
+// the observation words and leaves the per-site arrays exactly as they
+// were, so its work does not grow with the window's sites.
 func TestRecycleIsNegligible(t *testing.T) {
-	// The sparse representation makes recycle orders of magnitude cheaper
-	// than likelihood (Table IV: 3s vs 60s on the GPU; SOAPsnp: 8214s).
-	ds := testDataset(t, 5000, 9, 109)
-	rep, _ := runGSNP(t, ds, pipeline.Config{Window: 1000}, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
-	if rep.Times.Recycle*10 > rep.Times.Likeli() {
-		t.Errorf("recycle %v not negligible vs likelihood %v", rep.Times.Recycle, rep.Times.Likeli())
+	ds := testDataset(t, 3000, 9, 109)
+	for _, cfg := range []Config{{Mode: ModeCPU}, {Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())}} {
+		eng, wins := newDirectEngine(t, ds, 1000, cfg)
+		w := &eng.cfg.Arena.w
+		for _, dw := range wins {
+			if err := eng.Window(dw.rs, dw.start, dw.end); err != nil {
+				t.Fatal(err)
+			}
+			w.runs = append(w.runs, obsRun{0, 1, 0})
+			w.obsWord = append(w.obsWord, 1)
+			runsCap := cap(w.runs)
+			before := markPerSite(w)
+			w.recycle()
+			if len(w.runs) != 0 || len(w.obsWord) != 0 || cap(w.runs) != runsCap {
+				t.Errorf("mode %v: recycle left %d runs and %d words (run capacity %d, was %d)",
+					cfg.Mode, len(w.runs), len(w.obsWord), cap(w.runs), runsCap)
+			}
+			if after := perSiteState(w); !reflect.DeepEqual(after, before) {
+				t.Fatalf("mode %v, window [%d,%d): recycle changed the per-site state", cfg.Mode, dw.start, dw.end)
+			}
+		}
+	}
+}
+
+// markPerSite adds one to an element of every entry of every per-site
+// array of w, so no entry holds its zero value, and returns a copy of them
+// (perSiteState).
+func markPerSite(w *window) []any {
+	for i := range w.counts {
+		w.counts[i].Depth++
+	}
+	for _, s := range [][]uint32{w.words.Data, w.priorRow} {
+		for i := range s {
+			s[i]++
+		}
+	}
+	for _, s := range [][]int32{w.words.Bounds, w.sizes, w.cursor} {
+		for i := range s {
+			s[i]++
+		}
+	}
+	for _, s := range [][]float64{w.typeLikely, w.priorTable} {
+		for i := range s {
+			s[i]++
+		}
+	}
+	for _, s := range [][]uint8{w.bestRank, w.secondRank, w.quality} {
+		for i := range s {
+			s[i]++
+		}
+	}
+	for i := range w.rows {
+		w.rows[i].Pos++
+	}
+	return perSiteState(w)
+}
+
+// perSiteState copies every per-site array of w.
+func perSiteState(w *window) []any {
+	return []any{
+		slices.Clone(w.counts), slices.Clone(w.words.Data), slices.Clone(w.words.Bounds),
+		slices.Clone(w.sizes), slices.Clone(w.cursor), slices.Clone(w.typeLikely),
+		slices.Clone(w.priorRow), slices.Clone(w.priorTable), slices.Clone(w.bestRank),
+		slices.Clone(w.secondRank), slices.Clone(w.quality), slices.Clone(w.rows),
 	}
 }
 

@@ -107,6 +107,9 @@ func (s *Session) Fig4b() *Result {
 // representation/processor combinations.
 func (s *Session) Fig5() *Result {
 	r := &Result{Headers: []string{"dataset", "SOAPsnp (CPU dense)", "GPU dense", "GSNP_CPU (sparse)", "GSNP (GPU sparse)"}}
+	// Milliseconds to two decimals: GSNP_CPU's likelihood is a few ms at
+	// these scales, and the notes' ratios must be checkable from the table.
+	ms := func(s float64) string { return fmt.Sprintf("%.2f ms", s*1e3) }
 	for _, name := range []string{"chr1", "chr21"} {
 		base, _ := s.RunSOAPsnp(name)
 		ds := s.Dataset(name)
@@ -117,11 +120,7 @@ func (s *Session) Fig5() *Result {
 		soap := base.Times.Likeli().Seconds()
 		cpuS := cpuRep.Times.Likeli().Seconds()
 		gpuS := gpuRep.Times.Likeli().Seconds()
-		r.AddRow(name,
-			fmt.Sprintf("%.2f s", soap),
-			fmt.Sprintf("%.2f s", denseSec),
-			fmt.Sprintf("%.2f s", cpuS),
-			fmt.Sprintf("%.3f s", gpuS))
+		r.AddRow(name, ms(soap), ms(denseSec), ms(cpuS), ms(gpuS))
 		r.Notef("%s: GSNP_CPU vs SOAPsnp %s (paper ~4-5x); GSNP vs GSNP_CPU %s (paper ~30x); GPU dense vs GSNP %s slower (paper 14-17x)",
 			name, ratio(soap, cpuS), ratio(cpuS, gpuS), ratio(denseSec, gpuS))
 	}

@@ -9,6 +9,7 @@ import (
 	"gsnp/internal/dna"
 	"gsnp/internal/reads"
 	"gsnp/internal/seqsim"
+	"gsnp/internal/snpio"
 )
 
 func TestMemSource(t *testing.T) {
@@ -125,7 +126,8 @@ func TestBuildRowHomRef(t *testing.T) {
 	lp := pr.LogPriors(dna.A, nil)
 	call := bayes.Posterior(&tl, &lp)
 
-	row := BuildRow(&RowInputs{
+	var row snpio.Row
+	snp := BuildRow(&row, &RowInputs{
 		Chr: "c", Pos: 41, Ref: dna.A, Call: call, Counts: &c,
 		AlleleQuals: &aq, MeanDepth: 8,
 	})
@@ -147,7 +149,7 @@ func TestBuildRowHomRef(t *testing.T) {
 	if row.IsDbSNP != 0 {
 		t.Error("dbSNP flag set without known record")
 	}
-	if row.IsSNP() {
+	if row.IsSNP() || snp {
 		t.Error("hom-ref row reported as SNP")
 	}
 }
@@ -173,7 +175,8 @@ func TestBuildRowHet(t *testing.T) {
 	call := bayes.Posterior(&tl, &lp)
 
 	known := &bayes.KnownSNP{Validated: true}
-	row := BuildRow(&RowInputs{
+	var row snpio.Row
+	snp := BuildRow(&row, &RowInputs{
 		Chr: "c", Pos: 0, Ref: dna.A, Call: call, Counts: &c,
 		AlleleQuals: &aq, MeanDepth: 9, Known: known,
 	})
@@ -192,7 +195,7 @@ func TestBuildRowHet(t *testing.T) {
 	if row.IsDbSNP != 1 {
 		t.Error("dbSNP flag missing")
 	}
-	if !row.IsSNP() {
+	if !row.IsSNP() || !snp {
 		t.Error("het row not reported as SNP")
 	}
 }
@@ -203,12 +206,20 @@ func TestBuildRowNoCoverage(t *testing.T) {
 	pr := bayes.DefaultPriors()
 	lp := pr.LogPriors(dna.T, nil)
 	call := bayes.Posterior(&tl, &lp)
-	row := BuildRow(&RowInputs{Chr: "c", Pos: 7, Ref: dna.T, Call: call, Counts: &c, MeanDepth: 10})
+	// Written over a stale row: every column is rebuilt.
+	row := snpio.Row{Chr: "old", Pos: 1, BestBase: 'A', AvgQualBest: 9, CountBest: 3, SecondBase: 'C',
+		CountSecond: 2, RankSumP: 0.5, CopyNum: 2, IsDbSNP: 1}
+	snp := BuildRow(&row, &RowInputs{Chr: "c", Pos: 7, Ref: dna.T, Call: call, Counts: &c, MeanDepth: 10})
+	want := snpio.Row{Chr: "c", Pos: 8, Ref: 'T', Genotype: 'T', Quality: row.Quality, BestBase: 'T',
+		SecondBase: 'N', RankSumP: 1}
+	if row != want {
+		t.Errorf("row over a stale one = %+v, want %+v", row, want)
+	}
 	if row.BestBase != 'T' || row.Depth != 0 || row.Genotype != 'T' {
 		t.Errorf("zero-coverage row wrong: %+v", row)
 	}
 	// With no evidence the prior dominates: hom-ref call.
-	if row.IsSNP() {
+	if row.IsSNP() || snp {
 		t.Error("zero-coverage site called as SNP")
 	}
 }
@@ -373,5 +384,37 @@ func TestCalibrateMatchesObsOf(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(ref2[i]) {
 			t.Fatalf("p_matrix[%d] = %v, ObsOf rule gives %v", i, got[i], ref2[i])
 		}
+	}
+}
+
+// TestKnownInMatchesMap holds the run's list of known sites to the map it
+// is built from: for every window [start, end) — empty, one site, across
+// the ends of the chromosome — KnownIn yields exactly the positions a
+// probe of each site finds, in order, with the same records; a nil record
+// is no record, as it is to a probe.
+func TestKnownInMatchesMap(t *testing.T) {
+	known := snpio.KnownSNPs{0: {}, 1: {}, 7: {Validated: true}, 8: nil, 40: {}, 41: {}, 99: {}}
+	st := &RunState{KnownSites: listKnown(nil, known)}
+	for start := -2; start <= 102; start++ {
+		for end := start; end <= 102; end += 1 + (end-start)/4 {
+			var want []KnownSite
+			for pos := start; pos < end; pos++ {
+				if snp := known[pos]; snp != nil {
+					want = append(want, KnownSite{pos, snp})
+				}
+			}
+			got := st.KnownIn(start, end)
+			if len(got) != len(want) {
+				t.Fatalf("KnownIn(%d, %d) = %v, want %v", start, end, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("KnownIn(%d, %d) = %v, want %v", start, end, got, want)
+				}
+			}
+		}
+	}
+	if got := (&RunState{}).KnownIn(0, 10); len(got) != 0 {
+		t.Errorf("no prior file: KnownIn = %v", got)
 	}
 }

@@ -31,20 +31,19 @@ type RowInputs struct {
 	Known *bayes.KnownSNP
 }
 
-// BuildRow assembles the 17-column result row for one site. Both engines
-// call this with identical inputs, making their outputs byte-identical.
-func BuildRow(in *RowInputs) snpio.Row {
+// BuildRow assembles the 17-column result row for one site in row,
+// writing every field, and reports whether the call is a SNP — a genotype
+// other than the reference homozygote, what row.IsSNP reports — without
+// parsing the row's letters back. Both engines call this with identical
+// inputs, making their outputs byte-identical.
+func BuildRow(row *snpio.Row, in *RowInputs) (snp bool) {
 	c := in.Counts
-	row := snpio.Row{
-		Chr:      in.Chr,
-		Pos:      int64(in.Pos) + 1,
-		Ref:      in.Ref.Byte(),
-		Genotype: in.Call.Genotype.IUPAC(),
-		Quality:  uint8(in.Call.Quality),
-		Depth:    c.Depth,
-		RankSumP: 1,
-		CopyNum:  0,
-	}
+	row.Chr = in.Chr
+	row.Pos = int64(in.Pos) + 1
+	row.Ref = in.Ref.Byte()
+	row.Genotype = in.Call.Genotype.IUPAC()
+	row.Quality = uint8(in.Call.Quality)
+	row.Depth = c.Depth
 
 	best, second, hasBest, hasSecond := c.BestSecond()
 	if hasBest {
@@ -54,7 +53,7 @@ func BuildRow(in *RowInputs) snpio.Row {
 		row.CountUniqBest = c.Uniq[best]
 	} else {
 		// No coverage: the best base defaults to the reference.
-		row.BestBase = in.Ref.Byte()
+		row.BestBase, row.AvgQualBest, row.CountBest, row.CountUniqBest = row.Ref, 0, 0, 0
 	}
 	if hasSecond {
 		row.SecondBase = second.Byte()
@@ -62,24 +61,27 @@ func BuildRow(in *RowInputs) snpio.Row {
 		row.CountSecond = c.Count[second]
 		row.CountUniqSecond = c.Uniq[second]
 	} else {
-		row.SecondBase = 'N'
+		row.SecondBase, row.AvgQualSecond, row.CountSecond, row.CountUniqSecond = 'N', 0, 0, 0
 	}
 
 	// Rank-sum strand/quality bias test for heterozygous calls: compare
 	// the quality distributions supporting the two alleles.
+	row.RankSumP = 1
 	if !in.Call.Genotype.IsHomozygous() && in.AlleleQuals != nil {
 		a1, a2 := in.Call.Genotype.Alleles()
 		row.RankSumP = bayes.RankSum(in.AlleleQuals[a1], in.AlleleQuals[a2])
 	}
 
+	row.CopyNum = 0
 	if in.MeanDepth > 0 {
 		row.CopyNum = float64(c.Depth) / in.MeanDepth
 	}
+	row.IsDbSNP = 0
 	if in.Known != nil {
 		row.IsDbSNP = 1
 	}
-	snpio.QuantizeRow(&row)
-	return row
+	snpio.QuantizeRow(row)
+	return in.Call.Genotype != dna.HomozygousGenotype(in.Ref)
 }
 
 // CalibrationPass is the shared pass-one logic of cal_p_matrix over a

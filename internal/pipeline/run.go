@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"gsnp/internal/bayes"
@@ -113,11 +115,45 @@ type RunState struct {
 	// bayes.MaxReadLen. Every coordinate pass two hands a kernel is below
 	// it.
 	Stride int
+	// KnownSites holds Config.Known's records in position order, listed
+	// once per run; a kernel takes a window's part with KnownIn and walks
+	// it beside the sites instead of probing the map once per site.
+	KnownSites []KnownSite
 	// Report is the run's report; MeanDepth and Observations are set
 	// before Prepare.
 	Report *Report
 	// Out receives each window's rows.
 	Out Sink
+}
+
+// KnownSite is a prior-file record at its zero-based position.
+type KnownSite struct {
+	Pos int
+	SNP *bayes.KnownSNP
+}
+
+// KnownIn returns the known sites in [start, end), in position order: a
+// sub-slice of KnownSites.
+func (st *RunState) KnownIn(start, end int) []KnownSite {
+	ks := st.KnownSites
+	lo, _ := slices.BinarySearchFunc(ks, start, knownAt)
+	n, _ := slices.BinarySearchFunc(ks[lo:], end, knownAt)
+	return ks[lo : lo+n]
+}
+
+func knownAt(k KnownSite, pos int) int { return cmp.Compare(k.Pos, pos) }
+
+// listKnown refills dst with the records of known in position order. A
+// nil record is no record, as it is to a map probe.
+func listKnown(dst []KnownSite, known snpio.KnownSNPs) []KnownSite {
+	dst = dst[:0]
+	for pos, snp := range known {
+		if snp != nil {
+			dst = append(dst, KnownSite{pos, snp})
+		}
+	}
+	slices.SortFunc(dst, func(a, b KnownSite) int { return cmp.Compare(a.Pos, b.Pos) })
+	return dst
 }
 
 // MinStride is SOAPsnp's historical read-length constant, the dep_count
@@ -171,14 +207,16 @@ func newSink(cfg *Config, w io.Writer, k Kernel) Sink {
 }
 
 // Scratch is the driver's recycled per-run storage: the calibration
-// counters (2 MB, reset and refilled by every run), read_site's read buffer
-// and the output buffer. A Scratch serves one Run at a time but may be
-// handed from run to run, across engines — a whole-genome worker
-// (genomejob.Worker) keeps one for every chromosome it processes.
+// counters (2 MB, reset and refilled by every run), read_site's read
+// buffer, the output buffer and the list of known sites. A Scratch serves
+// one Run at a time but may be handed from run to run, across engines — a
+// whole-genome worker (genomejob.Worker) keeps one for every chromosome it
+// processes.
 type Scratch struct {
 	cal     *bayes.Calibration
 	readBuf []reads.AlignedRead
 	out     *bufio.Writer
+	known   []KnownSite
 }
 
 // outBufBytes is the buffer size the snpio result codecs ask bufio for.
@@ -199,9 +237,11 @@ func (s *Scratch) output(w io.Writer) *bufio.Writer {
 
 // Times is the per-component breakdown of Tables I and IV. The driver owns
 // CalP (the calibration pass plus Kernel.Prepare) and Read (read_site) and
-// adds the final flush to Output; the kernel owns the rest. GPU components
-// combine the simulated device time of their kernels and copies with the
-// host time of their host-side work.
+// adds the final flush to Output; the kernel owns the rest. Output covers
+// the writes to the run's writer too: gsnp hashes a result file for its
+// checkpoint manifest as the bytes go out, so that digest is output time.
+// GPU components combine the simulated device time of their kernels and
+// copies with the host time of their host-side work.
 type Times struct {
 	CalP       time.Duration
 	Read       time.Duration
@@ -318,12 +358,14 @@ func Run(ctx context.Context, cfg Config, src Source, w io.Writer, k Kernel) (*R
 	cw := &countingWriter{w: w}
 	buf := sc.output(cw)
 	defer buf.Reset(io.Discard)
+	sc.known = listKnown(sc.known, cfg.Known)
 	st := &RunState{
-		Config: cfg,
-		Cal:    sc.cal,
-		Stride: min(max(MinStride, longest), bayes.MaxReadLen),
-		Report: rep,
-		Out:    newSink(&cfg, buf, k),
+		Config:     cfg,
+		Cal:        sc.cal,
+		Stride:     min(max(MinStride, longest), bayes.MaxReadLen),
+		KnownSites: sc.known,
+		Report:     rep,
+		Out:        newSink(&cfg, buf, k),
 	}
 	if err := k.Prepare(st); err != nil {
 		return nil, err

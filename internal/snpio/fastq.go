@@ -93,14 +93,18 @@ func ReadFASTQ(r io.Reader) ([]align.RawRead, error) {
 }
 
 // parseReadID reads a FASTQ header's ID: its first whitespace-separated
-// field, less a "read_" prefix, as strconv.ParseInt(field, 10, 64) would
-// (an optional sign, then decimal digits that fit an int64).
+// field, less a "read_" prefix, as a decimal int64 (parseDecimal).
 func parseReadID(head []byte) (int64, bool) {
 	f := bytes.TrimLeftFunc(head, unicode.IsSpace)
 	if end := bytes.IndexFunc(f, unicode.IsSpace); end >= 0 {
 		f = f[:end]
 	}
-	f = bytes.TrimPrefix(f, []byte("read_"))
+	return parseDecimal(bytes.TrimPrefix(f, []byte("read_")))
+}
+
+// parseDecimal reads f as strconv.ParseInt(string(f), 10, 64) would: an
+// optional sign, then decimal digits that fit an int64.
+func parseDecimal(f []byte) (int64, bool) {
 	neg := false
 	if len(f) > 0 && (f[0] == '+' || f[0] == '-') {
 		neg, f = f[0] == '-', f[1:]

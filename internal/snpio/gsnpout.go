@@ -43,15 +43,19 @@ const maxBlockBytes = 1 << 28
 // rankSumScale and copyNumScale quantize the two fixed-point columns,
 // matching the 5- and 3-decimal text output.
 const (
-	rankSumScale = 100000
-	copyNumScale = 1000
+	rankSumScale    = 100000
+	copyNumScale    = 1000
+	rankSumDecimals = 5
+	copyNumDecimals = 3
 )
 
 // QuantizeRow rounds the fixed-point columns of r to their output
 // precision (five decimals for RankSumP, three for CopyNum) so that the
 // text and compressed binary encodings of a row are exactly equivalent.
 func QuantizeRow(r *Row) {
-	r.RankSumP = math.Round(r.RankSumP*rankSumScale) / rankSumScale
+	if r.RankSumP != 1 { // every homozygous call's p-value, already on the grid
+		r.RankSumP = math.Round(r.RankSumP*rankSumScale) / rankSumScale
+	}
 	r.CopyNum = math.Round(r.CopyNum*copyNumScale) / copyNumScale
 }
 

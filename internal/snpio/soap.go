@@ -5,10 +5,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strconv"
+	"math"
 
 	"gsnp/internal/dna"
 	"gsnp/internal/reads"
+	"gsnp/internal/slab"
 )
 
 // The SOAP alignment text format: one read per line, tab-separated —
@@ -24,6 +25,21 @@ import (
 
 // qualOffset is the Phred ASCII offset.
 const qualOffset = 33
+
+// noQual marks a character below qualOffset in qualCode.
+const noQual = 0xFF
+
+// qualCode is the SOAP parser's quality-decode table: the clamped quality
+// of every Phred+33 character, or noQual.
+var qualCode = func() (t [256]uint8) {
+	for c := range t {
+		t[c] = noQual
+		if c >= qualOffset {
+			t[c] = uint8(dna.ClampQuality(c - qualOffset))
+		}
+	}
+	return t
+}()
 
 // SOAPWriter streams alignment records to text.
 type SOAPWriter struct {
@@ -80,10 +96,15 @@ func WriteSOAP(w io.Writer, chr string, rs []reads.AlignedRead) error {
 	return sw.Flush()
 }
 
-// SOAPReader streams alignment records from text.
+// SOAPReader streams alignment records from text. A record's Bases and
+// Quals are capacity-capped pieces of two slabs the reader carves them
+// from, as ReadFASTQ's are: a record costs no allocation of its own, and a
+// piece keeps its slab chunk alive for as long as the record is held.
 type SOAPReader struct {
-	ls  *lineScanner
-	chr string
+	ls    *lineScanner
+	chr   string
+	bases slab.Slab[dna.Base]
+	quals slab.Slab[dna.Quality]
 }
 
 // NewSOAPReader wraps r.
@@ -117,36 +138,39 @@ func (sr *SOAPReader) errf(field, format string, args ...any) *ParseError {
 const soapFields = 8
 
 // parse decodes one record from the scanner's line buffer. The record is
-// the hot loop of both input passes, so it allocates only what it returns:
-// the fields are sub-slices of line, the numeric columns convert through
-// string(field) arguments that never leave strconv (no copy), and bases
-// and qualities are decoded straight into reference orientation.
+// the hot loop of both input passes: one scan finds the tabs, the fields
+// are sub-slices of line, the numeric columns convert in place
+// (parseDecimal), and bases and qualities are decoded straight into
+// reference orientation, with one loop per strand.
 func (sr *SOAPReader) parse(line []byte) (reads.AlignedRead, error) {
-	if n := bytes.Count(line, []byte{'\t'}) + 1; n != soapFields {
-		return reads.AlignedRead{}, sr.errf("", "%d fields, want 8", n)
-	}
 	var f [soapFields][]byte
 	rest := line
 	for i := 0; i < soapFields-1; i++ {
 		tab := bytes.IndexByte(rest, '\t')
+		if tab < 0 {
+			return reads.AlignedRead{}, sr.fieldCountErr(line)
+		}
 		f[i], rest = rest[:tab], rest[tab+1:]
+	}
+	if bytes.IndexByte(rest, '\t') >= 0 {
+		return reads.AlignedRead{}, sr.fieldCountErr(line)
 	}
 	f[soapFields-1] = rest
 
 	var r reads.AlignedRead
-	id, err := strconv.ParseInt(string(bytes.TrimPrefix(f[0], []byte("read_"))), 10, 64)
-	if err != nil {
+	id, ok := parseDecimal(bytes.TrimPrefix(f[0], []byte("read_")))
+	if !ok {
 		return r, sr.errf("id", "bad read id %q", f[0])
 	}
 	r.ID = id
 	seq, qual := f[1], f[2]
-	hits, err := strconv.Atoi(string(f[3]))
-	if err != nil || hits < 1 || hits > 255 {
+	hits, ok := parseDecimal(f[3])
+	if !ok || hits < 1 || hits > 255 {
 		return r, sr.errf("hits", "bad hit count %q", f[3])
 	}
 	r.Hits = uint8(hits)
-	length, err := strconv.Atoi(string(f[4]))
-	if err != nil || length != len(seq) || length != len(qual) {
+	length, ok := parseDecimal(f[4])
+	if !ok || length != int64(len(seq)) || length != int64(len(qual)) {
 		return r, sr.errf("length", "length %q inconsistent with sequence", f[4])
 	}
 	switch {
@@ -160,31 +184,44 @@ func (sr *SOAPReader) parse(line []byte) (reads.AlignedRead, error) {
 	if sr.chr != string(f[6]) {
 		sr.chr = string(f[6])
 	}
-	pos, err := strconv.Atoi(string(f[7]))
-	if err != nil || pos < 1 {
+	pos, ok := parseDecimal(f[7])
+	if !ok || pos < 1 || pos > math.MaxInt {
 		return r, sr.errf("position", "bad position %q", f[7])
 	}
-	r.Pos = pos - 1
+	r.Pos = int(pos - 1)
 
 	// The file holds sequencing orientation; a '-' strand read is stored
 	// reverse-complemented, its qualities reversed.
-	bases := make(dna.Sequence, length)
-	quals := make([]dna.Quality, length)
-	for i := 0; i < length; i++ {
-		c := qual[i]
-		if c < qualOffset {
-			return r, sr.errf("quality", "bad quality character %q", c)
+	bases, quals := sr.bases.Carve(len(qual)), sr.quals.Carve(len(qual))
+	seq = seq[:len(qual)]
+	if r.Strand == 0 {
+		for i, c := range qual {
+			q := qualCode[c]
+			if q == noQual {
+				return r, sr.errf("quality", "bad quality character %q", c)
+			}
+			bases[i], _ = dna.ParseBase(seq[i]) // Ns tolerated as A
+			quals[i] = dna.Quality(q)
 		}
-		b, _ := dna.ParseBase(seq[i]) // Ns tolerated as A
-		at := i
-		if r.Strand == 1 {
-			at, b = length-1-i, b.Complement()
+	} else {
+		last := len(qual) - 1
+		for i, c := range qual {
+			q := qualCode[c]
+			if q == noQual {
+				return r, sr.errf("quality", "bad quality character %q", c)
+			}
+			b, _ := dna.ParseBase(seq[i])
+			bases[last-i], quals[last-i] = b.Complement(), dna.Quality(q)
 		}
-		bases[at], quals[at] = b, dna.ClampQuality(int(c)-qualOffset)
 	}
 	r.Bases = bases
 	r.Quals = quals
 	return r, nil
+}
+
+// fieldCountErr reports a line without exactly soapFields fields.
+func (sr *SOAPReader) fieldCountErr(line []byte) *ParseError {
+	return sr.errf("", "%d fields, want 8", bytes.Count(line, []byte{'\t'})+1)
 }
 
 // ReadSOAP reads a whole alignment stream, returning the records and the

@@ -152,31 +152,36 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 	}
 	rep.Times.LikeliComp += time.Since(t0)
 
-	// Component 5: posterior.
+	// Component 5: posterior, walking the window's known sites beside its
+	// sites.
 	t0 = time.Now()
+	known := e.run.KnownIn(start, end)
 	for site := 0; site < n; site++ {
-		ref := cfg.Ref[start+site]
-		known := cfg.Known[start+site]
-		lp := cfg.Priors.LogPriors(ref, known)
+		var snp *bayes.KnownSNP
+		if len(known) > 0 && known[0].Pos == start+site {
+			snp, known = known[0].SNP, known[1:]
+		}
+		lp := cfg.Priors.LogPriors(cfg.Ref[start+site], snp)
 		e.calls[site] = bayes.Posterior(&e.likely[site], &lp)
 	}
 	rep.Times.Post += time.Since(t0)
 
-	// Component 6: output.
+	// Component 6: output, each row built in place.
 	t0 = time.Now()
 	rows := e.rows[:n]
+	known = e.run.KnownIn(start, end)
+	in := pipeline.RowInputs{Chr: cfg.Chr, MeanDepth: rep.MeanDepth}
 	for site := range rows {
-		rows[site] = pipeline.BuildRow(&pipeline.RowInputs{
-			Chr:         cfg.Chr,
-			Pos:         start + site,
-			Ref:         cfg.Ref[start+site],
-			Call:        e.calls[site],
-			Counts:      &e.counts[site],
-			AlleleQuals: &e.quals[site],
-			MeanDepth:   rep.MeanDepth,
-			Known:       cfg.Known[start+site],
-		})
-		if rows[site].IsSNP() {
+		in.Pos = start + site
+		in.Ref = cfg.Ref[in.Pos]
+		in.Call = e.calls[site]
+		in.Counts = &e.counts[site]
+		in.AlleleQuals = &e.quals[site]
+		in.Known = nil
+		if len(known) > 0 && known[0].Pos == in.Pos {
+			in.Known, known = known[0].SNP, known[1:]
+		}
+		if pipeline.BuildRow(&rows[site], &in) {
 			rep.SNPs++
 		}
 	}
