@@ -141,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDictDecode$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzUnpack2Bit$$' -fuzztime $(FUZZ_TIME) ./internal/compress
 	$(GO) test -fuzz 'FuzzBitonicNetwork$$' -fuzztime $(FUZZ_TIME) ./internal/gpu
+	$(GO) test -fuzz 'FuzzMultipassResident$$' -fuzztime $(FUZZ_TIME) ./internal/sortnet
 	$(GO) test -fuzz 'FuzzStepTable$$' -fuzztime $(FUZZ_TIME) ./internal/gpu
 	$(GO) test -run '^$$' -fuzz 'FuzzSparseLikelihoodGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
 	$(GO) test -run '^$$' -fuzz 'FuzzCountGPU$$' -fuzztime $(FUZZ_TIME) ./internal/gsnp
@@ -190,7 +191,7 @@ loc:
 # A change that removes lines lowers the ceiling to its new total. A change
 # that must raise it explains why in CHANGES.md, package by package, with
 # the lines it added to each (`make loc` before and after).
-LOC_CEILING = 19615
+LOC_CEILING = 19698
 
 loc-check:
 	@total=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "total" { print $$1 }'); \

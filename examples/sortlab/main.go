@@ -48,10 +48,17 @@ func main() {
 		return &sortnet.Batches{Data: append([]uint32(nil), orig.Data...), Bounds: orig.Bounds}
 	}
 
+	// Each scheme sorts its own upload of the window, as the GPU engine
+	// sorts the words counting left on the device.
 	d := gpu.NewDevice(gpu.M2050())
-	mp := sortnet.MultipassBitonic(d, clone())
-	sp := sortnet.SinglePassBitonic(d, clone())
-	ne := sortnet.NonEqBitonic(d, clone())
+	sortOn := func(sort func(sortnet.Resident, *gpu.Device) sortnet.Stats) sortnet.Stats {
+		r := orig.Upload(d)
+		defer r.Words.Free()
+		return sort(r, d)
+	}
+	mp := sortOn(sortnet.Resident.MultipassBitonic)
+	sp := sortOn(sortnet.Resident.SinglePassBitonic)
+	ne := sortOn(sortnet.Resident.NonEqBitonic)
 
 	fmt.Printf("%-28s %12s %14s %10s\n", "scheme", "sim time", "elements", "vs MP")
 	show := func(name string, st sortnet.Stats) {

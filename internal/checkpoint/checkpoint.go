@@ -125,7 +125,7 @@ func FileDigest(path string) (string, error) {
 }
 
 // Writer maintains the manifest across a run. It is safe for concurrent
-// use from the scheduler's worker pool; every Complete persists the
+// use from the scheduler's worker pool; every CompleteDigest persists the
 // manifest with AtomicWrite, so a killed run loses at most the chromosome
 // in flight.
 type Writer struct {
@@ -182,25 +182,15 @@ func (w *Writer) Done(name string) (Entry, bool) {
 	return e, true
 }
 
-// Complete records a cleanly finished chromosome and persists the
-// manifest, reading the output file back for its digest. outPath must live
-// in the manifest's directory.
-func (w *Writer) Complete(name, outPath string, sites int) error {
-	digest, err := FileDigest(outPath)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %w", name, err)
-	}
-	return w.CompleteDigest(name, outPath, digest, sites)
-}
-
-// CompleteDigest is Complete for a caller that hashed the output while
-// writing it: digest is the hex SHA-256 FileDigest would return for
-// outPath.
+// CompleteDigest records a cleanly finished chromosome and persists the
+// manifest. The caller hashed the output while writing it: digest is the
+// hex SHA-256 FileDigest would return for outPath, which must live in the
+// manifest's directory.
 func (w *Writer) CompleteDigest(name, outPath, digest string, sites int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.m.Done[name] = Entry{Output: filepath.Base(outPath), SHA256: digest, Sites: sites}
-	//gsnplint:ignore lockhold w.mu exists to serialize manifest read-modify-write saves; the atomic rewrite must stay inside it, and Complete runs once per chromosome, not per record
+	//gsnplint:ignore lockhold w.mu exists to serialize manifest read-modify-write saves; the atomic rewrite must stay inside it, and CompleteDigest runs once per chromosome, not per record
 	return w.saveLocked()
 }
 

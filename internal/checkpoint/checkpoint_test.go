@@ -27,7 +27,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	if _, ok := w.Done("chr1"); ok {
 		t.Fatal("empty manifest claims chr1 done")
 	}
-	if err := w.Complete("chr1", out, 1234); err != nil {
+	if err := w.CompleteDigest("chr1", out, digestOf(t, out), 1234); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,7 +51,7 @@ func TestDigestMismatchInvalidatesEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Complete("chr1", out, 10); err != nil {
+	if err := w.CompleteDigest("chr1", out, digestOf(t, out), 10); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,7 +78,7 @@ func TestFingerprintMismatchRefusesResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Complete("chr1", out, 10); err != nil {
+	if err := w.CompleteDigest("chr1", out, digestOf(t, out), 10); err != nil {
 		t.Fatal(err)
 	}
 	_, err = NewWriter(Path(dir), Fingerprint("soapsnp", "soap", 0, false, false), true)
@@ -130,4 +130,15 @@ func TestFailureReportSave(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, data)
 		}
 	}
+}
+
+// digestOf returns the SHA-256 of path, as a caller of CompleteDigest
+// hashes the output it wrote.
+func digestOf(t *testing.T, path string) string {
+	t.Helper()
+	sum, err := FileDigest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
 }

@@ -62,15 +62,14 @@ func BenchmarkDictBuild(b *testing.B) {
 		}
 		vals[0] = uint32(limit - 1)
 		d := gpu.NewDevice(gpu.M2050())
+		keys := gpu.Alloc[uint32](d, n)
+		keys.CopyIn(vals)
 		builds := []struct {
 			name  string
 			build func() *gpu.Buffer[uint32]
 		}{
-			{"sort_unique", func() *gpu.Buffer[uint32] { return sortUniqueGPU(d, vals) }},
+			{"sort_unique", func() *gpu.Buffer[uint32] { return sortUniqueGPU(d, keys) }},
 			{"presence", func() *gpu.Buffer[uint32] {
-				keys := gpu.Alloc[uint32](d, n)
-				defer keys.Free()
-				keys.CopyIn(vals)
 				return gpu.DistinctU32(d, keys, int(gpu.ReduceMaxU32(d, keys))+1)
 			}},
 		}

@@ -286,7 +286,10 @@ func TestGPUMatchesCPURLE(t *testing.T) {
 	d := gpu.NewDevice(gpu.M2050())
 	vals := qualityColumn(5000, 7)
 	cv, cl := RLEEncode(vals)
-	gv, gl := RLEEncodeGPU(d, vals)
+	values, lengths := RLEEncodeGPU(d, vals)
+	defer values.Free()
+	defer lengths.Free()
+	gv, gl := values.Host(), lengths.Host()
 	if len(gv) != len(cv) {
 		t.Fatalf("GPU runs = %d, CPU runs = %d", len(gv), len(cv))
 	}
@@ -392,12 +395,16 @@ func TestDictBuildPathsAgree(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			want := buildDict(c.vals)
 			d := gpu.NewDevice(gpu.M2050())
-			dict, indexes := dictEncodeGPU(d, c.vals)
+			keys := gpu.Alloc[uint32](d, len(c.vals))
+			defer keys.Free()
+			keys.CopyIn(c.vals)
+			dict, idx := dictEncodeGPU(d, keys)
+			defer idx.Free()
 			if !slices.Equal(dict, want) {
 				t.Fatalf("dictionary %v, want %v", dict, want)
 			}
 			for i, v := range c.vals {
-				if dict[indexes[i]] != v {
+				if indexes := idx.Host(); dict[indexes[i]] != v {
 					t.Fatalf("key %d (%d) indexed as %d", i, v, dict[indexes[i]])
 				}
 			}
@@ -410,15 +417,12 @@ func TestDictBuildPathsAgree(t *testing.T) {
 			}
 
 			// Both builds on this column, whichever the rule picked.
-			sorted := sortUniqueGPU(d, c.vals)
+			sorted := sortUniqueGPU(d, keys)
 			defer sorted.Free()
 			if !slices.Equal(sorted.Host(), want) {
 				t.Errorf("sort + unique found %v, want %v", sorted.Host(), want)
 			}
 			if maxV := slices.Max(c.vals); maxV < 1<<20 {
-				keys := gpu.Alloc[uint32](d, len(c.vals))
-				defer keys.Free()
-				keys.CopyIn(c.vals)
 				marked := gpu.DistinctU32(d, keys, int(maxV)+1)
 				defer marked.Free()
 				if !slices.Equal(marked.Host(), want) {

@@ -14,8 +14,10 @@ import "gsnp/internal/gpu"
 // rleBlock is the thread-block size of the RLE kernels.
 const rleBlock = 256
 
-// RLEEncodeGPU computes the run decomposition on the device.
-func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
+// RLEEncodeGPU computes the run decomposition on the device and leaves it
+// there: the runs' values and lengths, one entry a run, in two device
+// buffers the caller frees (both nil for an empty column).
+func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths *gpu.Buffer[uint32]) {
 	n := len(vals)
 	if n == 0 {
 		return nil, nil
@@ -57,7 +59,6 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 	defer dst.Free()
 	runs := int(gpu.ExclusiveScanU32(d, flags, dst))
 	outVals := gpu.Alloc[uint32](d, runs)
-	defer outVals.Free()
 	starts := gpu.Alloc[uint32](d, runs+1)
 	defer starts.Free()
 	d.MustLaunchWide(gpu.LaunchConfig{Name: "rle_scatter", Grid: grid, Block: rleBlock}, func(b *gpu.Block) {
@@ -77,7 +78,6 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 
 	// Run lengths from adjacent start positions.
 	outLens := gpu.Alloc[uint32](d, runs)
-	defer outLens.Free()
 	lgrid := (runs + rleBlock - 1) / rleBlock
 	d.MustLaunchWide(gpu.LaunchConfig{Name: "rle_lengths", Grid: lgrid, Block: rleBlock}, func(b *gpu.Block) {
 		// Lane l: t.Exec(1); St(outLens, i, Ld(starts, i+1)-Ld(starts, i)).
@@ -91,12 +91,7 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 		}
 		gpu.StWide(b, outLens, 0, i0, lens[:m])
 	})
-
-	values = make([]uint32, runs)
-	lengths = make([]uint32, runs)
-	outVals.CopyOut(values)
-	outLens.CopyOut(lengths)
-	return values, lengths
+	return outVals, outLens
 }
 
 // dictPresenceRangePerKey decides how dictEncodeGPU finds the distinct
@@ -117,50 +112,49 @@ func RLEEncodeGPU(d *gpu.Device, vals []uint32) (values, lengths []uint32) {
 // in a handful of launches either way.
 const dictPresenceRangePerKey = 4
 
-// dictEncodeGPU builds the sorted dictionary on the device and indexes vals
-// against it with the batched binary search, returning the dictionary and
-// the per-element indexes. The dictionary is the same whichever way it is
-// built, and so are the serialised bytes.
-func dictEncodeGPU(d *gpu.Device, vals []uint32) (dict []uint32, indexes []uint32) {
-	n := len(vals)
-	keys := gpu.Alloc[uint32](d, n)
-	defer keys.Free()
-	keys.CopyIn(vals)
-
+// dictEncodeGPU builds the sorted dictionary of the device-resident keys
+// and indexes them against it with the batched binary search. It returns
+// the dictionary, copied to the host, and the per-key indexes, read back
+// in place: a device buffer the caller reads through Host and frees. The
+// dictionary is the same whichever way it is built, and so are the
+// serialised bytes.
+func dictEncodeGPU(d *gpu.Device, keys *gpu.Buffer[uint32]) (dict []uint32, indexes *gpu.Buffer[uint32]) {
+	n := keys.Len()
 	var uniq *gpu.Buffer[uint32]
 	if maxV := gpu.ReduceMaxU32(d, keys); uint64(maxV) < dictPresenceRangePerKey*uint64(n) {
 		uniq = gpu.DistinctU32(d, keys, int(maxV)+1)
 	} else {
-		uniq = sortUniqueGPU(d, vals)
+		uniq = sortUniqueGPU(d, keys)
 	}
 	defer uniq.Free()
 	dict = make([]uint32, uniq.Len())
 	uniq.CopyOut(dict)
 
-	idx := gpu.Alloc[uint32](d, n)
-	defer idx.Free()
-	gpu.BatchBinarySearchU32(d, keys, dict, idx)
-	indexes = make([]uint32, n)
-	idx.CopyOut(indexes)
+	indexes = gpu.Alloc[uint32](d, n)
+	gpu.BatchBinarySearchU32(d, keys, dict, indexes)
+	indexes.CopyOut(indexes.Host())
 	return dict, indexes
 }
 
 // sortUniqueGPU is the dictionary build of Section V-B, for any column:
 // device-wide sort, then unique (caller frees the result). The sort is in
-// place and the search needs the keys in column order, so it sorts an
-// upload of its own.
-func sortUniqueGPU(d *gpu.Device, vals []uint32) *gpu.Buffer[uint32] {
-	work := gpu.Alloc[uint32](d, len(vals))
+// place and the search needs the keys in column order, so it sorts a
+// device-side copy of them, which crosses no PCIe (as SortU32's padded
+// copy does not).
+func sortUniqueGPU(d *gpu.Device, keys *gpu.Buffer[uint32]) *gpu.Buffer[uint32] {
+	work := gpu.Alloc[uint32](d, keys.Len())
 	defer work.Free()
-	work.CopyIn(vals)
+	copy(work.Host(), keys.Host())
 	gpu.SortU32(d, work)
 	return gpu.UniqueU32(d, work)
 }
 
-// appendDictBlockGPU serialises a dictionary block using device-computed
-// dictionary and indexes; the byte layout matches appendDictBlock.
-func appendDictBlockGPU(buf []byte, d *gpu.Device, vals []uint32) []byte {
-	dict, indexes := dictEncodeGPU(d, vals)
+// appendDictBlockGPU serialises a dictionary block of the device-resident
+// keys using the device-computed dictionary and indexes; the byte layout
+// matches appendDictBlock.
+func appendDictBlockGPU(buf []byte, d *gpu.Device, keys *gpu.Buffer[uint32]) []byte {
+	dict, indexes := dictEncodeGPU(d, keys)
+	defer indexes.Free()
 	buf = putUvarint(buf, uint64(len(dict)))
 	prev := uint32(0)
 	for i, v := range dict {
@@ -177,7 +171,7 @@ func appendDictBlockGPU(buf []byte, d *gpu.Device, vals []uint32) []byte {
 	}
 	buf = append(buf, byte(width))
 	var bw BitWriter
-	for _, ix := range indexes {
+	for _, ix := range indexes.Host() {
 		bw.WriteBits(ix, width)
 	}
 	packed := bw.Bytes()
@@ -186,15 +180,17 @@ func appendDictBlockGPU(buf []byte, d *gpu.Device, vals []uint32) []byte {
 }
 
 // RLEDictEncodeGPU is the device implementation of RLEDictEncode. Its
-// output is byte-identical to the CPU encoder's.
+// output is byte-identical to the CPU encoder's. The run values and
+// lengths stay on the device from RLE into DICT.
 func RLEDictEncodeGPU(d *gpu.Device, vals []uint32) []byte {
-	values, lengths := RLEEncodeGPU(d, vals)
 	buf := putUvarint(nil, uint64(len(vals)))
-	buf = putUvarint(buf, uint64(len(values)))
-	if len(values) == 0 {
-		return buf
+	values, lengths := RLEEncodeGPU(d, vals)
+	if values == nil {
+		return putUvarint(buf, 0)
 	}
+	defer values.Free()
+	defer lengths.Free()
+	buf = putUvarint(buf, uint64(values.Len()))
 	buf = appendDictBlockGPU(buf, d, values)
-	buf = appendDictBlockGPU(buf, d, lengths)
-	return buf
+	return appendDictBlockGPU(buf, d, lengths)
 }

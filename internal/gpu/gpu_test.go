@@ -325,6 +325,34 @@ func TestCopyAccounting(t *testing.T) {
 	}
 }
 
+// TestSelfCopyMetersInPlace: a copy whose host side is a part of the
+// buffer's own storage meters that part and moves nothing, wherever in the
+// buffer it starts; any other host slice is copied from element 0.
+func TestSelfCopyMetersInPlace(t *testing.T) {
+	d := testDevice()
+	b := Alloc[uint32](d, 100)
+	h := b.Host()
+	for i := range h {
+		h[i] = uint32(i)
+	}
+	b.CopyOut(h[40:50])
+	b.CopyIn(h[95:])
+	b.CopyOut(h[90:])
+	if s := d.Stats(); s.D2HBytes != 4*20 || s.H2DBytes != 4*5 {
+		t.Errorf("self copies metered %d/%d B, want 80/20", s.H2DBytes, s.D2HBytes)
+	}
+	for i, x := range h {
+		if x != uint32(i) {
+			t.Fatalf("a self copy moved element %d to %d", i, x)
+		}
+	}
+	other := make([]uint32, 10)
+	b.CopyOut(other)
+	if other[3] != 3 {
+		t.Errorf("a foreign slice was not copied from element 0: %v", other)
+	}
+}
+
 func TestFastMathDiffers(t *testing.T) {
 	exact := NewDevice(M2050())
 	cfgFast := M2050()

@@ -17,7 +17,9 @@ import (
 // entry point, inline and fanned out over three host goroutines, and must
 // give the twin's LaunchStats for every launch, its device totals and its
 // memory. The sortnet kernels are tested here, beside the simulator, because
-// only a test of this directory can force the fan-out.
+// only a test of this directory can force the fan-out; the single-pass twin
+// spells out the block-at-a-time batch_gather and batch_scatter per lane
+// too.
 func TestPhasedKernelsMatchSyncOracle(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -97,17 +99,21 @@ func oracleBatches(sizes []int) *sortnet.Batches {
 }
 
 func singlePass(sizes ...int) func(*gpu.Device) []uint32 {
-	return func(d *gpu.Device) []uint32 {
-		b := oracleBatches(sizes)
-		sortnet.SinglePassBitonic(d, b)
-		return b.Data
-	}
+	return onDevice(sizes, sortnet.Resident.SinglePassBitonic)
 }
 
 func nonEq(sizes ...int) func(*gpu.Device) []uint32 {
+	return onDevice(sizes, sortnet.Resident.NonEqBitonic)
+}
+
+// onDevice uploads the oracle batches of sizes, sorts them on the device
+// and reads them back.
+func onDevice(sizes []int, sort func(sortnet.Resident, *gpu.Device) sortnet.Stats) func(*gpu.Device) []uint32 {
 	return func(d *gpu.Device) []uint32 {
 		b := oracleBatches(sizes)
-		sortnet.NonEqBitonic(d, b)
+		r := b.Upload(d)
+		sort(r, d)
+		r.Download(b)
 		return b.Data
 	}
 }
@@ -175,26 +181,53 @@ func syncNetwork(t *gpu.Thread, size int) {
 
 func ceilPow2(n int) int { return max(2, 1<<bits.Len(uint(n-1))) }
 
+// syncSinglePass is the single-pass sort of arrays resident on the device:
+// the words uploaded, the member list uploaded, batch_gather, batch_bitonic
+// and batch_scatter over one class, the oversized arrays read back, sorted
+// and written back, and the words read back.
 func syncSinglePass(sizes ...int) func(*gpu.Device) []uint32 {
 	return func(d *gpu.Device) []uint32 {
 		b := oracleBatches(sizes)
-		class := ceilPow2(b.MaxSize())
-		var members []int
+		data := gpu.Alloc[uint32](d, len(b.Data))
+		defer data.Free()
+		data.CopyIn(b.Data)
+		largest := 0
+		var desc []uint32
 		for i := 0; i < b.NumArrays(); i++ {
-			if b.SizeOf(i) >= 2 {
-				members = append(members, i)
+			largest = max(largest, b.SizeOf(i))
+		}
+		class := min(ceilPow2(largest), 256)
+		for i := 0; i < b.NumArrays(); i++ {
+			if s := b.SizeOf(i); s >= 2 && s <= class {
+				desc = append(desc, uint32(b.Bounds[i]), uint32(s))
 			}
 		}
-		batch := gpu.Alloc[uint32](d, len(members)*class)
+		members := gpu.Alloc[uint32](d, len(desc))
+		defer members.Free()
+		members.CopyIn(desc)
+		total := len(desc) / 2 * class
+		batch := gpu.Alloc[uint32](d, total)
 		defer batch.Free()
-		host := batch.Host()
-		for k, i := range members {
-			copy(host[k*class:], b.Array(i))
-			for j := b.SizeOf(i); j < class; j++ {
-				host[k*class+j] = oraclePad
-			}
+		stage := func(name string) {
+			d.MustLaunch(gpu.LaunchConfig{Name: name, Grid: (total + 255) / 256, Block: 256}, func(t *gpu.Thread) {
+				i := t.GlobalID()
+				if i >= total {
+					return
+				}
+				k, j := i/class, i%class
+				off, size := int(gpu.Ld(t, members, 2*k)), int(gpu.Ld(t, members, 2*k+1))
+				if name == "batch_gather" {
+					v := oraclePad
+					if j < size {
+						v = gpu.Ld(t, data, off+j)
+					}
+					gpu.St(t, batch, i, v)
+				} else if j < size {
+					gpu.St(t, data, off+j, gpu.Ld(t, batch, i))
+				}
+			})
 		}
-		total := len(host)
+		stage("batch_gather")
 		block := 256
 		if total < block {
 			block = max(32, ceilPow2(total))
@@ -212,16 +245,32 @@ func syncSinglePass(sizes ...int) func(*gpu.Device) []uint32 {
 				gpu.St(t, batch, i, t.SharedU32(t.Lane))
 			}
 		})
-		for k, i := range members {
-			copy(b.Array(i), host[k*class:])
-		}
+		stage("batch_scatter")
+		oversized(data, b)
+		data.CopyOut(b.Data)
 		return b.Data
+	}
+}
+
+// oversized reads back, sorts and writes back each array of b longer than
+// 256 in data, its words on the device.
+func oversized(data *gpu.Buffer[uint32], b *sortnet.Batches) {
+	for i := 0; i < b.NumArrays(); i++ {
+		if b.SizeOf(i) > 256 {
+			a := data.Host()[b.Bounds[i]:b.Bounds[i+1]]
+			data.CopyOut(a)
+			slices.Sort(a)
+			data.CopyIn(a)
+		}
 	}
 }
 
 func syncNonEq(sizes ...int) func(*gpu.Device) []uint32 {
 	return func(d *gpu.Device) []uint32 {
 		b := oracleBatches(sizes)
+		data := gpu.Alloc[uint32](d, len(b.Data))
+		defer data.Free()
+		data.CopyIn(b.Data)
 		var desc []uint32
 		for i := 0; i < b.NumArrays(); i++ {
 			if s := b.SizeOf(i); s > 1 && s <= 256 {
@@ -230,10 +279,7 @@ func syncNonEq(sizes ...int) func(*gpu.Device) []uint32 {
 		}
 		bounds := gpu.Alloc[uint32](d, len(desc))
 		defer bounds.Free()
-		copy(bounds.Host(), desc)
-		data := gpu.Alloc[uint32](d, len(b.Data))
-		defer data.Free()
-		data.CopyIn(b.Data)
+		bounds.CopyIn(desc)
 		d.MustLaunch(gpu.LaunchConfig{Name: "bitonic_noneq", Grid: len(desc) / 2, Block: 256, SharedU32: 258, Sync: true}, func(t *gpu.Thread) {
 			if t.Lane == 0 {
 				t.SetSharedU32(256, gpu.Ld(t, bounds, 2*t.Block))
@@ -256,12 +302,8 @@ func syncNonEq(sizes ...int) func(*gpu.Device) []uint32 {
 				gpu.St(t, data, off+t.Lane, t.SharedU32(t.Lane))
 			}
 		})
+		oversized(data, b)
 		data.CopyOut(b.Data)
-		for i := 0; i < b.NumArrays(); i++ {
-			if b.SizeOf(i) > 256 {
-				slices.Sort(b.Array(i))
-			}
-		}
 		return b.Data
 	}
 }

@@ -130,27 +130,31 @@ func (b *Buffer[T]) Host() []T { return b.data }
 
 // CopyIn copies src into the buffer (host-to-device), advancing the
 // simulated clock at PCIe bandwidth. Passing the buffer's own Host slice,
-// or a prefix of it, is allowed: it meters the transfer a real upload of
-// data staged in place would cost, min(len(src), Len()) elements, without
-// a second host array and without moving a byte.
+// or a sub-slice of it, is allowed: it meters the transfer a real upload
+// of data staged in place would cost, the sub-slice's elements (up to the
+// buffer's end), without a second host array and without moving a byte.
 func (b *Buffer[T]) CopyIn(src []T) {
-	b.dev.advanceCopy(int64(copyUnlessSelf(b.data, src))*b.elemSize, true)
+	b.dev.advanceCopy(int64(b.transfer(b.data, src, src))*b.elemSize, true)
 }
 
 // CopyOut copies the buffer into dst (device-to-host), advancing the
 // simulated clock at PCIe bandwidth. Passing the buffer's own Host slice,
-// or a prefix of it, is the mirror of CopyIn's: it meters the readback of
-// min(len(dst), Len()) elements, which the host then reads through Host,
+// or a sub-slice of it, is the mirror of CopyIn's: it meters the readback
+// of those elements, which the host then reads in place through Host,
 // without a second host array.
 func (b *Buffer[T]) CopyOut(dst []T) {
-	b.dev.advanceCopy(int64(copyUnlessSelf(dst, b.data))*b.elemSize, false)
+	b.dev.advanceCopy(int64(b.transfer(dst, b.data, dst))*b.elemSize, false)
 }
 
-// copyUnlessSelf is copy(dst, src), except that it moves nothing when the
-// two start at the same element.
-func copyUnlessSelf[T any](dst, src []T) int {
-	if len(dst) > 0 && len(src) > 0 && &dst[0] == &src[0] {
-		return min(len(dst), len(src))
+// transfer is copy(dst, src), except that it moves nothing when host, the
+// host side of the copy, lies in the buffer's own storage: it then counts
+// host's elements, up to the buffer's end.
+func (b *Buffer[T]) transfer(dst, src, host []T) int {
+	if len(host) > 0 && len(b.data) > 0 {
+		at := uintptr(unsafe.Pointer(&host[0])) - uintptr(unsafe.Pointer(&b.data[0]))
+		if at < uintptr(len(b.data))*uintptr(b.elemSize) {
+			return min(len(host), len(b.data)-int(at/uintptr(b.elemSize)))
+		}
 	}
 	return copy(dst, src)
 }

@@ -285,8 +285,9 @@ func TestRunWindowSteadyStateAllocsGPU(t *testing.T) {
 // window's host staging: after a warm-up pass, re-running the same windows
 // must leave every staging buffer's backing array in place — reuse, not
 // equal-sized reallocation. The device's readbacks (bounds, summaries,
-// ranks) are read in place from device storage and have no host twin, and
-// neither do type_likely and the packed observations.
+// ranks, the rank-sum words) are read in place from device storage and
+// have no host twin, and neither do type_likely, the packed observations
+// and the sorted words.
 func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 	ds := testDataset(t, 2400, 10, 322)
 	eng, wins := newDirectEngine(t, ds, 800, Config{Mode: ModeGPU, Device: gpu.NewDevice(gpu.M2050())})
@@ -303,10 +304,10 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 
 	w := &eng.cfg.Arena.w
 	staging := func() []any {
-		return []any{&w.runs[:1][0], &w.words.Data[:1][0], &w.words.Bounds[:1][0], &w.counts[:1][0], &w.priorRow[:1][0],
+		return []any{&w.runs[:1][0], &w.counts[:1][0], &w.priorRow[:1][0],
 			&w.priorTable[:1][0], &w.bestRank[:1][0], &w.secondRank[:1][0], &w.quality[:1][0], &w.rows[:1][0]}
 	}
-	names := []string{"runs", "words.Data", "words.Bounds", "counts", "priorRow", "priorTable", "bestRank", "secondRank", "quality", "rows"}
+	names := []string{"runs", "counts", "priorRow", "priorTable", "bestRank", "secondRank", "quality", "rows"}
 	before := staging()
 	runAll()
 	for i, p := range staging() {
@@ -320,21 +321,25 @@ func TestRunWindowSteadyStateStagingGPU(t *testing.T) {
 	if w.obsWord != nil {
 		t.Error("the GPU window packed its observations on the host")
 	}
+	if cap(w.words.Data) != 0 || cap(w.words.Bounds) != 0 || w.dWords != nil || w.dBounds != nil {
+		t.Error("the GPU window kept its words on the host, or a view of their freed storage")
+	}
 }
 
 // TestColdGPUWindowHostBytes gates the host heap a cold GPU window
 // allocates per site, on a fresh arena and device free-list: the storage of
 // every device buffer, the host arrays the later components read, the
-// rows. The device's readbacks are read in place from device storage and
-// the observations are packed straight into it, so a host twin of one of
-// them — the twelve summary words a site of a staged copy of count_fill's
-// output, 48 B — breaks the bound.
+// rows. The device's readbacks are read in place from device storage, the
+// observations are packed straight into it and the words never leave it,
+// so a host twin of one of them — the twelve summary words a site of a
+// staged copy of count_fill's output, 48 B, or a host copy of the words
+// and their bounds, 44 B a site at depth 10 — breaks the bound.
 //
 // It runs on one host thread and on two, where the launches fan out: which
 // recycled scratch runs a launch's block 0 then depends on the schedule, so
 // block 0's coalescing-sample streams come from the device, not the scratch.
 func TestColdGPUWindowHostBytes(t *testing.T) {
-	const sites, bound = 20000, 430.0
+	const sites, bound = 20000, 382.0
 	ds := testDataset(t, sites, 10, 91)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
@@ -353,6 +358,43 @@ func TestColdGPUWindowHostBytes(t *testing.T) {
 		}
 		t.Logf("GOMAXPROCS=%d: cold GPU window: %.1f host bytes a site", procs, perSite)
 	}
+}
+
+// TestGPUWindowKeepsWordsOnDevice: count_fill's words stay on the device
+// through the sort and likelihood_comp, and the window reads back only the
+// segments of its non-homozygous calls, the words the rows' rank sums
+// read. The window's device-to-host bytes are the bounds (n+1 words), the
+// twelve summaries and three posterior words a site, and 4 B a word of
+// those segments, exactly; w.words holds no storage afterwards, and the
+// window keeps no view of the freed words.
+func TestGPUWindowKeepsWordsOnDevice(t *testing.T) {
+	const sites = 20000
+	ds := testDataset(t, sites, 10, 91)
+	dev := gpu.NewDevice(gpu.M2050())
+	eng, wins := newDirectEngine(t, ds, sites, Config{Mode: ModeGPU, Device: dev})
+	before := dev.Stats().D2HBytes
+	if err := eng.Window(wins[0].rs, wins[0].start, wins[0].end); err != nil {
+		t.Fatal(err)
+	}
+	w := &eng.cfg.Arena.w
+	calls, rankWords := 0, 0
+	for site := range w.n {
+		if !dna.GenotypeByRank(int(w.bestRank[site])).IsHomozygous() {
+			calls++
+			rankWords += int(w.counts[site].Depth)
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no non-homozygous call; the check is vacuous")
+	}
+	others := int64(4 * (w.n + 1 + siteStats*w.n + 3*w.n))
+	if got := dev.Stats().D2HBytes - before - others; got != int64(4*rankWords) {
+		t.Errorf("the window read back %d B of words, want %d: 4 B a word of its %d non-homozygous calls", got, 4*rankWords, calls)
+	}
+	if cap(w.words.Data) != 0 || cap(w.words.Bounds) != 0 || w.dWords != nil || w.dBounds != nil {
+		t.Error("the GPU window kept its words on the host, or a view of their freed storage")
+	}
+	t.Logf("%d non-homozygous calls, %d words read back of %d sites", calls, rankWords, w.n)
 }
 
 // TestGPURunKeepsNoViewOfFreedStorage: the GPU engine builds new_p_matrix

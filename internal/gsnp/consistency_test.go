@@ -25,20 +25,20 @@ func buildTestWindow(ds *seqsim.Dataset, n int) *window {
 }
 
 // likelihoodCompGPU runs likelihood_comp on the window's host segments the
-// way a test compares it with likelihoodCompCPU: the bounds go up, and
-// type_likely comes back into w.typeLikely. (runWindowGPU does neither: its
-// bounds come from counting and its type_likely stays for posterior.)
+// way a test compares it with likelihoodCompCPU: the words and their bounds
+// go up, and type_likely comes back into w.typeLikely. (runWindowGPU does
+// none of it: its words and bounds come from counting and the sort, and
+// its type_likely stays for posterior.)
 func (e *Engine) likelihoodCompGPU(w *window) {
 	d := e.cfg.Device
+	segs := w.words.Upload(d)
+	defer segs.Words.Free()
 	bounds := gpu.Alloc[uint32](d, w.n+1)
 	defer bounds.Free()
-	for i, b := range w.words.Bounds {
-		bounds.Host()[i] = uint32(b)
-	}
-	bounds.CopyIn(bounds.Host())
+	bounds.CopyIn(segs.Bounds)
 	gTL := gpu.Alloc[float64](d, w.n*dna.NGenotypes)
 	defer gTL.Free()
-	e.likelihoodCompDevice(w, bounds, gTL)
+	e.likelihoodCompDevice(w, bounds, segs.Words, gTL)
 	w.typeLikely = grow(w.typeLikely, gTL.Len())
 	gTL.CopyOut(w.typeLikely)
 }

@@ -248,12 +248,26 @@ func countsAgree(eng *Engine, w *window) error {
 }
 
 // countGPUHost runs countGPU over the host obsWord w.flatten left, packed
-// into a device buffer as flattenInto packs it on the GPU engine.
+// into a device buffer as flattenInto packs it on the GPU engine, and
+// leaves the segments it counted in w.words for the test to read, as
+// countCPU does: a host copy of device storage the GPU engine never makes.
 func (e *Engine) countGPUHost(w *window, bounds *gpu.Buffer[uint32]) {
 	obsWord := gpu.Alloc[uint32](e.cfg.Device, len(w.obsWord))
 	defer obsWord.Free()
 	copy(obsWord.Host(), w.obsWord)
-	e.countGPU(w, obsWord, bounds)
+	words := e.countGPU(w, obsWord, bounds)
+	defer words.Free()
+	w.copySegments(words, bounds)
+}
+
+// copySegments copies counting's words and bounds from device storage into
+// w.words.
+func (w *window) copySegments(words, bounds *gpu.Buffer[uint32]) {
+	w.words.Reset(w.n, words.Len())
+	copy(w.words.Data, words.Host())
+	for i, b := range bounds.Host() {
+		w.words.Bounds[i] = int32(b)
+	}
 }
 
 // boundsOf returns the first n segment bounds of w's sort batches, and

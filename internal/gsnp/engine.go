@@ -235,11 +235,15 @@ type window struct {
 	maxExtent int
 
 	// Counting output: per-site base_word segments and summaries, plus
-	// the depth/cursor scratch of the host's scatter pass.
-	words  sortnet.Batches
-	counts []pipeline.SiteCounts
-	sizes  []int32
-	cursor []int32
+	// the depth/cursor scratch of the host's scatter pass. The GPU path
+	// keeps its segments on the device and leaves words empty: while it
+	// builds its rows, dWords and dBounds view the device storage of the
+	// sorted words and of their bounds (segment).
+	words           sortnet.Batches
+	dWords, dBounds []uint32
+	counts          []pipeline.SiteCounts
+	sizes           []int32
+	cursor          []int32
 
 	// Likelihood output of the CPU path: ten genotype log-likelihoods per
 	// site. The GPU path keeps its type_likely on the device.
@@ -293,11 +297,22 @@ func (e *Engine) Window(rs []reads.AlignedRead, start, end int) error {
 		return err
 	}
 
-	// Sparsity histogram (Figure 4(b)): base_word length per site.
+	// Sparsity histogram (Figure 4(b)): base_word length per site, the
+	// site's depth (it saturates far above the histogram's last bin).
 	for site := 0; site < w.n; site++ {
-		rep.NonZeroHist[min(w.words.SizeOf(site), pipeline.SparsityHistSize-1)]++
+		rep.NonZeroHist[min(int(w.counts[site].Depth), pipeline.SparsityHistSize-1)]++
 	}
 	return nil
+}
+
+// segment returns site's sorted base_word segment: from the CPU path's
+// sort batches, or on the GPU path from the view of device storage the
+// window holds while it builds its rows.
+func (w *window) segment(site int) []uint32 {
+	if w.dBounds == nil {
+		return w.words.Array(site)
+	}
+	return w.dWords[w.dBounds[site]:w.dBounds[site+1]]
 }
 
 // obsRun is one read's kept observations in a window, window-relative:
@@ -437,7 +452,7 @@ func (e *Engine) buildRows(w *window) []snpio.Row {
 			for b := range w.alleleQuals {
 				w.alleleQuals[b] = w.alleleQuals[b][:0]
 			}
-			for _, word := range w.words.Array(site) {
+			for _, word := range w.segment(site) {
 				o := UnpackWord(word)
 				w.alleleQuals[o.Base] = append(w.alleleQuals[o.Base], float64(o.Qual))
 			}

@@ -8,6 +8,7 @@ import (
 	"gsnp/internal/gpu"
 	"gsnp/internal/pipeline"
 	"gsnp/internal/reads"
+	"gsnp/internal/snpio"
 	"gsnp/internal/sortnet"
 )
 
@@ -21,11 +22,42 @@ const likeliBlock = 256
 
 // runWindowGPU executes components 3-7 of one window on the simulated
 // device. Between kernels the window's data stays on the device where the
-// next component reads it: the segment bounds from counting into
-// likelihood_comp, type_likely from likelihood_comp into posterior. The
-// priors go up as a table of the window's distinct prior rows and a row
-// index per site (buildPriors), not as ten values a site.
+// next component reads it: the base_words and their segment bounds from
+// counting through the sort into likelihood_comp, type_likely from
+// likelihood_comp into posterior. The priors go up as a table of the
+// window's distinct prior rows and a row index per site (buildPriors), not
+// as ten values a site. Every window buffer is freed before the rows go to
+// the output codec.
 func (e *Engine) runWindowGPU(w *window, rs []reads.AlignedRead) error {
+	rep := e.run.Report
+	rows := e.computeGPU(w, rs)
+
+	// Component 6: output — column compression on the device (simulated
+	// time; the simulator's own host cost of emulating the kernels is
+	// excluded). computeGPU timed the row assembly.
+	var outErr error
+	sim := e.simSpan(func() { outErr = e.writeRows(rows) })
+	if outErr != nil {
+		return outErr
+	}
+	rep.Times.Output += sim
+
+	// Component 7: recycle — the sparse representation leaves nothing to
+	// sweep: dep_count lived in each likelihood thread's local memory, the
+	// device buffers went back to the device free-list as each component
+	// finished, and the per-window host arrays return to the arena with
+	// lengths reset.
+	t0 := time.Now()
+	w.recycle()
+	rep.Times.Recycle += time.Since(t0)
+	return nil
+}
+
+// computeGPU runs components 3-5 of the window on the device and assembles
+// its rows (component 6's host leg), reading back only what the rows read:
+// the summaries, the calls, and the words of the non-homozygous calls for
+// their rank sums. It frees every device buffer it allocated.
+func (e *Engine) computeGPU(w *window, rs []reads.AlignedRead) []snpio.Row {
 	rep := e.run.Report
 	d := e.cfg.Device
 
@@ -34,17 +66,20 @@ func (e *Engine) runWindowGPU(w *window, rs []reads.AlignedRead) error {
 	// segment and per-base summaries from the read runs.
 	bounds := gpu.Alloc[uint32](d, w.n+1)
 	defer bounds.Free()
-	e.countDevice(w, rs, bounds)
+	words := e.countDevice(w, rs, bounds)
+	defer words.Free()
 
-	// Component 4a: likelihood_sort — multipass batch bitonic by default.
+	// Component 4a: likelihood_sort — multipass batch bitonic by default,
+	// in place in count_fill's words.
 	var st sortnet.Stats
+	segs := sortnet.Resident{Words: words, Bounds: bounds.Host()}
 	switch e.cfg.Sort {
 	case SortSinglePass:
-		st = sortnet.SinglePassBitonic(d, &w.words)
+		st = segs.SinglePassBitonic(d)
 	case SortNonEq:
-		st = sortnet.NonEqBitonic(d, &w.words)
+		st = segs.NonEqBitonic(d)
 	default:
-		st = sortnet.MultipassBitonic(d, &w.words)
+		st = segs.MultipassBitonic(d)
 	}
 	e.sortStats.Launches += st.Launches
 	e.sortStats.SimSeconds += st.SimSeconds
@@ -55,7 +90,7 @@ func (e *Engine) runWindowGPU(w *window, rs []reads.AlignedRead) error {
 	gTL := gpu.Alloc[float64](d, w.n*dna.NGenotypes)
 	defer gTL.Free()
 	before := d.Stats()
-	sim := e.simSpan(func() { e.likelihoodCompDevice(w, bounds, gTL) })
+	sim := e.simSpan(func() { e.likelihoodCompDevice(w, bounds, words, gTL) })
 	delta := d.Stats().Sub(before)
 	delta.SimSeconds = 0
 	e.likeliStats.Add(delta)
@@ -68,42 +103,39 @@ func (e *Engine) runWindowGPU(w *window, rs []reads.AlignedRead) error {
 	sim = e.simSpan(func() { e.posteriorGPU(w, gTL) })
 	rep.Times.Post += sim + hostPrep
 
-	// Component 6: output — row assembly on the host (wall time), column
-	// compression on the device (simulated time; the simulator's own host
-	// cost of emulating the kernels is excluded).
+	// Component 6, host leg: the rank sums read the sorted words of the
+	// non-homozygous calls, read back in place; the rows are built from
+	// views of device storage, dropped before the buffers are freed.
+	sim = e.simSpan(func() {
+		for site, b := range w.bestRank {
+			if !dna.GenotypeByRank(int(b)).IsHomozygous() {
+				words.CopyOut(words.Host()[segs.Bounds[site]:segs.Bounds[site+1]])
+			}
+		}
+	})
 	t0 = time.Now()
+	w.dWords, w.dBounds = words.Host(), segs.Bounds
 	rows := e.buildRows(w)
-	rowWall := time.Since(t0)
-	var outErr error
-	sim = e.simSpan(func() { outErr = e.writeRows(rows) })
-	if outErr != nil {
-		return outErr
-	}
-	rep.Times.Output += rowWall + sim
-
-	// Component 7: recycle — the sparse representation leaves nothing to
-	// sweep: dep_count lived in each likelihood thread's local memory, the
-	// device buffers go back to the device free-list as each component
-	// finishes (bounds and type_likely as the window returns), and the
-	// per-window host arrays return to the arena with lengths reset.
-	t0 = time.Now()
-	w.recycle()
-	rep.Times.Recycle += time.Since(t0)
-	return nil
+	w.dWords, w.dBounds = nil, nil
+	rep.Times.Output += time.Since(t0) + sim
+	return rows
 }
 
 // countDevice runs component 3 on the device: the host leg packs the
 // window's observations straight into the storage of the device buffer
 // countGPU reads them from, with no host copy of them, and the buffer is
-// freed as soon as counting is done.
-func (e *Engine) countDevice(w *window, rs []reads.AlignedRead, bounds *gpu.Buffer[uint32]) {
+// freed as soon as counting is done. It returns count_fill's words, which
+// the caller frees.
+func (e *Engine) countDevice(w *window, rs []reads.AlignedRead, bounds *gpu.Buffer[uint32]) *gpu.Buffer[uint32] {
 	rep := e.run.Report
 	t0 := time.Now()
 	obsWord := gpu.Alloc[uint32](e.cfg.Device, w.obsCount(rs))
 	defer obsWord.Free()
 	w.flattenInto(rs, obsWord.Host())
 	rep.Times.Count += time.Since(t0)
-	rep.Times.Count += e.simSpan(func() { e.countGPU(w, obsWord, bounds) })
+	var words *gpu.Buffer[uint32]
+	rep.Times.Count += e.simSpan(func() { words = e.countGPU(w, obsWord, bounds) })
+	return words
 }
 
 // countGPU runs the counting component's kernels. One thread per site
@@ -122,10 +154,11 @@ func (e *Engine) countDevice(w *window, rs []reads.AlignedRead, bounds *gpu.Buff
 //	             quality sum and uniq flag summed per base in registers.
 //
 // obsWord holds the runs' words, packed in place by flattenInto; its
-// self-CopyIn meters their upload. bounds (n+1 entries) stays on the device
-// for likelihood_comp; the words, the bounds and the per-site summaries are
-// read back for the host sort and the rows (readCounts).
-func (e *Engine) countGPU(w *window, obsWord, bounds *gpu.Buffer[uint32]) {
+// self-CopyIn meters their upload. The words (returned, for the caller to
+// free) and bounds (n+1 entries) stay on the device for the sort and
+// likelihood_comp; the bounds and the per-site summaries are read back for
+// the sort's size classes and the rows (readCounts).
+func (e *Engine) countGPU(w *window, obsWord, bounds *gpu.Buffer[uint32]) *gpu.Buffer[uint32] {
 	d := e.cfg.Device
 	n, m, nr, ext := w.n, obsWord.Len(), len(w.runs), w.maxExtent
 
@@ -160,7 +193,6 @@ func (e *Engine) countGPU(w *window, obsWord, bounds *gpu.Buffer[uint32]) {
 	gpu.ExclusiveScanU32(d, depth, bounds)
 
 	words := gpu.Alloc[uint32](d, m)
-	defer words.Free()
 	stats := gpu.Alloc[uint32](d, siteStats*n)
 	defer stats.Free()
 	d.MustLaunch(gpu.LaunchConfig{Name: "count_fill", Grid: siteGrid, Block: likeliBlock}, func(t *gpu.Thread) {
@@ -190,28 +222,19 @@ func (e *Engine) countGPU(w *window, obsWord, bounds *gpu.Buffer[uint32]) {
 		gpu.StRun(t, stats, siteStats*s, sum[:])
 	})
 
-	w.readCounts(bounds, words, stats)
+	w.readCounts(bounds, stats)
+	return words
 }
 
-// readCounts reads counting's output back and assembles the host-side
-// structures the later components use: the segments with their bounds, and
-// the per-site summaries. The bounds' first n entries and the summaries are
-// read back in place (self-CopyOut) and read through Host; the words go to
-// the window's sort batches.
-func (w *window) readCounts(bounds, words, stats *gpu.Buffer[uint32]) {
-	n, m := w.n, words.Len()
-	hostBounds := bounds.Host()[:n]
-	bounds.CopyOut(hostBounds)
+// readCounts reads counting's bounds and per-site summaries back in place
+// (self-CopyOut) and assembles the per-site counts the later components
+// use; the host reads the bounds through Host from then on.
+func (w *window) readCounts(bounds, stats *gpu.Buffer[uint32]) {
+	n := w.n
+	b := bounds.Host()
+	bounds.CopyOut(b)
 	hostStats := stats.Host()
 	stats.CopyOut(hostStats)
-
-	w.words.Reset(n, m)
-	words.CopyOut(w.words.Data)
-	b := w.words.Bounds
-	for i, x := range hostBounds {
-		b[i] = int32(x)
-	}
-	b[n] = int32(m)
 	w.counts = grow(w.counts, n)
 	// The device accumulates in uint32; clamping on readback matches the
 	// CPU path's saturating counters (pipeline.SiteCounts.Add).
@@ -270,16 +293,12 @@ func covers(r obsRun, s int) bool { return int(r.first) <= s && s < int(r.end) }
 
 // likelihoodCompDevice launches the likelihood_comp kernel variant
 // configured for the engine: one thread per site over the sorted base_word
-// segments (Algorithm 4), uploaded from the host sort, whose bounds counting
-// left on the device. It writes type_likely to gTL.
-func (e *Engine) likelihoodCompDevice(w *window, bounds *gpu.Buffer[uint32], gTL *gpu.Buffer[float64]) {
+// segments (Algorithm 4), which counting and the sort left on the device
+// with their bounds. It writes type_likely to gTL.
+func (e *Engine) likelihoodCompDevice(w *window, bounds, words *gpu.Buffer[uint32], gTL *gpu.Buffer[float64]) {
 	d := e.cfg.Device
 	n := w.n
 	readLen := e.run.Stride
-
-	words := gpu.Alloc[uint32](d, len(w.words.Data))
-	defer words.Free()
-	words.CopyIn(w.words.Data)
 
 	variant := e.cfg.Variant
 	useShared := variant == VariantOptimized || variant == VariantShared

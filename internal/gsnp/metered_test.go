@@ -247,7 +247,8 @@ func (e *Engine) countPerAccess(w *window, bounds *gpu.Buffer[uint32]) {
 			gpu.St(t, stats, siteStats*s+i, v)
 		}
 	})
-	w.readCounts(bounds, words, stats)
+	w.readCounts(bounds, stats)
+	w.copySegments(words, bounds)
 }
 
 // likelihoodPerAccess is likelihoodCompGPU's device program, every access

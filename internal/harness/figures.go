@@ -229,9 +229,10 @@ func (s *Session) Fig7a() *Result {
 		cpuThr := float64(len(cpuB.Data)) / time.Since(start).Seconds() / 1e6
 
 		d := gpu.NewDevice(gpu.M2050())
-		gpuB := mk(numArrays)
-		st := sortnet.SinglePassBitonic(d, gpuB) // equal sizes: one class
-		gpuThr := float64(len(gpuB.Data)) / st.SimSeconds / 1e6
+		gpuB := mk(numArrays).Upload(d)
+		st := gpuB.SinglePassBitonic(d) // equal sizes: one class
+		gpuThr := float64(gpuB.Words.Len()) / st.SimSeconds / 1e6
+		gpuB.Words.Free()
 
 		radixB := mk(64) // per-array radix is slow; throughput is per element anyway
 		sr := sortnet.SequentialRadixGPU(d, radixB, 17)
@@ -254,16 +255,17 @@ func (s *Session) Fig7b() *Result {
 		limit = 131072
 	}
 	orig := buildWindowWords(ds, limit)
-	clone := func() *sortnet.Batches {
-		return &sortnet.Batches{
-			Data:   append([]uint32(nil), orig.Data...),
-			Bounds: orig.Bounds,
-		}
-	}
+	// Each scheme sorts its own upload of the window in place, the upload
+	// outside the sort's span, as the GPU engine sorts count_fill's words.
 	d := gpu.NewDevice(gpu.M2050())
-	mp := sortnet.MultipassBitonic(d, clone())
-	sp := sortnet.SinglePassBitonic(d, clone())
-	ne := sortnet.NonEqBitonic(d, clone())
+	sortOn := func(sort func(sortnet.Resident, *gpu.Device) sortnet.Stats) sortnet.Stats {
+		r := orig.Upload(d)
+		defer r.Words.Free()
+		return sort(r, d)
+	}
+	mp := sortOn(sortnet.Resident.MultipassBitonic)
+	sp := sortOn(sortnet.Resident.SinglePassBitonic)
+	ne := sortOn(sortnet.Resident.NonEqBitonic)
 	add := func(name string, st sortnet.Stats) {
 		r.AddRow(name, fmt.Sprintf("%.5f", st.SimSeconds),
 			fmt.Sprintf("%d", st.ElementsSorted), ratio(st.SimSeconds, mp.SimSeconds))

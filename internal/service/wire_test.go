@@ -185,14 +185,14 @@ func TestWireDocumentsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cp.Complete("chr3.fa", out, 4321); err != nil {
-			t.Fatal(err)
-		}
-		doc, err := os.ReadFile(checkpoint.Path(dir))
+		sum, err := checkpoint.FileDigest(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := checkpoint.FileDigest(out)
+		if err := cp.CompleteDigest("chr3.fa", out, sum, 4321); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := os.ReadFile(checkpoint.Path(dir))
 		if err != nil {
 			t.Fatal(err)
 		}

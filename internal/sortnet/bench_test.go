@@ -24,7 +24,7 @@ func BenchmarkSinglePassBitonic(b *testing.B) {
 	orig := benchBatches(5000, 12)
 	b.SetBytes(int64(len(orig.Data) * 4))
 	for i := 0; i < b.N; i++ {
-		SinglePassBitonic(d, clone(orig))
+		onDevice(d, clone(orig), Resident.SinglePassBitonic)
 	}
 }
 

@@ -49,22 +49,46 @@ func (b *Batches) Reset(nArrays, nData int) {
 	}
 }
 
-// MaxSize returns the largest sub-array length.
-func (b *Batches) MaxSize() int {
-	m := 0
-	for i := 0; i < b.NumArrays(); i++ {
-		if s := b.SizeOf(i); s > m {
-			m = s
-		}
+// Resident is a Batches on the simulated device: array i occupies elements
+// [Bounds[i], Bounds[i+1]) of Words, and the host holds the bounds. It is
+// the layout of a GPU window's base_words from counting on, and what the
+// GPU sorts take.
+type Resident struct {
+	Words  *gpu.Buffer[uint32]
+	Bounds []uint32
+}
+
+// NumArrays returns the number of sub-arrays.
+func (r Resident) NumArrays() int { return len(r.Bounds) - 1 }
+
+// SizeOf returns the length of sub-array i.
+func (r Resident) SizeOf(i int) int { return int(r.Bounds[i+1] - r.Bounds[i]) }
+
+// Upload copies b's arrays into a new device buffer, a charged transfer,
+// and returns them resident; the caller frees r.Words (Download does).
+func (b *Batches) Upload(d *gpu.Device) Resident {
+	r := Resident{Words: gpu.Alloc[uint32](d, len(b.Data)), Bounds: make([]uint32, len(b.Bounds))}
+	r.Words.CopyIn(b.Data)
+	for i, x := range b.Bounds {
+		r.Bounds[i] = uint32(x)
 	}
-	return m
+	return r
+}
+
+// Download copies r's arrays back into b, the Batches they were uploaded
+// from, a charged transfer, and frees them.
+func (r Resident) Download(b *Batches) {
+	r.Words.CopyOut(b.Data)
+	r.Words.Free()
 }
 
 // Stats describes one batch-sorting operation on the simulated device.
 type Stats struct {
-	// Launches is the number of kernel launches issued.
+	// Launches is the number of sorting-network launches issued; the
+	// gathers and scatters that stage a size class are not counted.
 	Launches int64
-	// SimSeconds is the simulated device time consumed.
+	// SimSeconds is the simulated device time consumed, the staging
+	// included.
 	SimSeconds float64
 	// ElementsSorted counts elements pushed through sorting networks,
 	// including padding (the single-pass waste of Figure 7(b) shows up
@@ -84,11 +108,20 @@ const maxClassSize = 256
 // six-pass scheme: [0,1], (1,8], (8,16], (16,32], (32,64], >64.
 var multipassClasses = []int{1, 8, 16, 32, 64, maxClassSize}
 
-// MultipassBitonic sorts every sub-array ascending using the paper's
-// multipass scheme: arrays are bucketed by size class and each class is
-// sorted with the equal-size batch bitonic primitive, so threads within a
-// pass do balanced work.
+// MultipassBitonic sorts host batches with Resident.MultipassBitonic,
+// staging them through the device: uploaded, sorted, read back. The
+// returned Stats cover the sort alone.
 func MultipassBitonic(d *gpu.Device, b *Batches) Stats {
+	r := b.Upload(d)
+	defer r.Download(b)
+	return r.MultipassBitonic(d)
+}
+
+// MultipassBitonic sorts every sub-array ascending in place using the
+// paper's multipass scheme: arrays are bucketed by size class and each
+// class is sorted with the equal-size batch bitonic primitive, so threads
+// within a pass do balanced work.
+func (r Resident) MultipassBitonic(d *gpu.Device) Stats {
 	var st Stats
 	start := d.Stats()
 	for ci, class := range multipassClasses {
@@ -99,75 +132,57 @@ func MultipassBitonic(d *gpu.Device, b *Batches) Stats {
 		if ci > 0 {
 			lo = multipassClasses[ci-1] + 1
 		}
-		sortClass(d, b, lo, class, class, &st)
+		sortClass(d, r, lo, class, class, &st)
 	}
-	sortOversized(b)
+	sortOversized(r)
 	st.SimSeconds = d.Stats().Sub(start).SimSeconds
 	return st
 }
 
-// SinglePassBitonic sorts every sub-array using one batch size: the
-// largest array length rounded up to a power of two. Small arrays are
+// SinglePassBitonic sorts every sub-array in place using one batch size:
+// the largest array length rounded up to a power of two. Small arrays are
 // padded all the way up, the wasted work the multipass scheme eliminates
 // (Figure 7(b) measures bitonic SP at ~5x slower).
-func SinglePassBitonic(d *gpu.Device, b *Batches) Stats {
+func (r Resident) SinglePassBitonic(d *gpu.Device) Stats {
 	var st Stats
 	start := d.Stats()
-	max := b.MaxSize()
-	if max <= 1 {
+	largest := 0
+	for i := range r.NumArrays() {
+		largest = max(largest, r.SizeOf(i))
+	}
+	if largest <= 1 {
 		return st
 	}
-	class := ceilPow2(max)
-	if class > maxClassSize {
-		class = maxClassSize
-	}
-	sortClass(d, b, 2, class, class, &st)
-	sortOversized(b)
+	class := min(ceilPow2(largest), maxClassSize)
+	sortClass(d, r, 2, class, class, &st)
+	sortOversized(r)
 	st.SimSeconds = d.Stats().Sub(start).SimSeconds
 	return st
 }
 
-// NonEqBitonic sorts arrays of different sizes directly in one launch:
+// NonEqBitonic sorts arrays of different sizes in place in one launch:
 // each block handles one array padded to its own power of two. Workloads
 // are imbalanced across blocks (the bitonic noneq baseline of Figure
 // 7(b)).
-func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
+func (r Resident) NonEqBitonic(d *gpu.Device) Stats {
 	var st Stats
 	start := d.Stats()
-	n := 0
-	for i := 0; i < b.NumArrays(); i++ {
-		if s := b.SizeOf(i); s > 1 && s <= maxClassSize {
-			n++
-		}
-	}
-	if n == 0 {
-		sortOversized(b)
+	desc := r.descriptors(d, 2, maxClassSize)
+	if desc == nil {
+		sortOversized(r)
 		return st
 	}
+	defer desc.Free()
 
 	// One launch; every block sorts one array padded to its own power of
 	// two inside a fixed 256-slot shared buffer. Threads beyond the
 	// array's padded size idle through the barriers — the imbalance.
-	// Membership is recomputed per pass rather than materialised, so the
-	// window loop stays allocation-free.
-	bounds := gpu.Alloc[uint32](d, 2*n)
-	defer bounds.Free()
-	hostBounds := bounds.Host()
+	n := desc.Len() / 2
 	var maxPadTotal int64
-	k := 0
-	for i := 0; i < b.NumArrays(); i++ {
-		s := b.SizeOf(i)
-		if s <= 1 || s > maxClassSize {
-			continue
-		}
-		hostBounds[2*k] = uint32(b.Bounds[i])
-		hostBounds[2*k+1] = uint32(s)
-		maxPadTotal += int64(ceilPow2(s))
-		k++
+	for k := 1; k < 2*n; k += 2 {
+		maxPadTotal += int64(ceilPow2(int(desc.Host()[k])))
 	}
-	data := gpu.Alloc[uint32](d, len(b.Data))
-	defer data.Free()
-	data.CopyIn(b.Data)
+	data := r.Words
 
 	// Phase 0 stages the descriptor, phase 1 loads the array, then one
 	// phase per step of its pad's network — one BitonicNetworkU32 call
@@ -185,8 +200,8 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 			// Lane 0 stages the block's array descriptor through shared
 			// memory; a naive per-lane load would multiply global traffic.
 			t := b.Lane(0)
-			t.SetSharedU32(maxClassSize, gpu.Ld(t, bounds, 2*t.Block))
-			t.SetSharedU32(maxClassSize+1, gpu.Ld(t, bounds, 2*t.Block+1))
+			t.SetSharedU32(maxClassSize, gpu.Ld(t, desc, 2*t.Block))
+			t.SetSharedU32(maxClassSize+1, gpu.Ld(t, desc, 2*t.Block+1))
 		case 1:
 			// Lane l: off, size := t.SharedU32(256), t.SharedU32(257); past
 			// the pad it retires, below it loads element l (padding past
@@ -213,53 +228,89 @@ func NonEqBitonic(d *gpu.Device, b *Batches) Stats {
 	})
 	st.Launches++
 	st.ElementsSorted += maxPadTotal
-	data.CopyOut(b.Data)
-	sortOversized(b)
+	sortOversized(r)
 	st.SimSeconds = d.Stats().Sub(start).SimSeconds
 	return st
 }
 
-// sortClass pads every array whose size falls in [lo, hi] to class size,
-// sorts the batch with the equal-size bitonic kernel and writes the
-// results back. Membership is recomputed per pass instead of materialising
-// a member list, keeping the window loop allocation-free.
-func sortClass(d *gpu.Device, b *Batches, lo, hi, class int, st *Stats) {
+// sortClass sorts, in place, every array whose size falls in [lo, hi]:
+// batch_gather copies the members into a batch of class-size slots,
+// padding each past its length, the equal-size bitonic kernel sorts the
+// batch, and batch_scatter copies each member's slots back.
+func sortClass(d *gpu.Device, r Resident, lo, hi, class int, st *Stats) {
+	members := r.descriptors(d, lo, hi)
+	if members == nil {
+		return
+	}
+	defer members.Free()
+	n, class := members.Len()/2, ceilPow2(class)
+	batch := gpu.Alloc[uint32](d, n*class)
+	defer batch.Free()
+	stageClass(d, "batch_gather", r.Words, batch, members, class)
+	st.Launches += int64(batchBitonicEqual(d, batch, class))
+	st.ElementsSorted += int64(n * class)
+	stageClass(d, "batch_scatter", r.Words, batch, members, class)
+}
+
+// descriptors lists the offset and size of every array whose size is in
+// [lo, hi], in array order, built from the host's bounds in the storage
+// of a device buffer and uploaded as one transfer. The caller frees it;
+// it is nil when no array qualifies.
+func (r Resident) descriptors(d *gpu.Device, lo, hi int) *gpu.Buffer[uint32] {
 	n := 0
-	for i := 0; i < b.NumArrays(); i++ {
-		if s := b.SizeOf(i); s >= lo && s <= hi {
+	for i := range r.NumArrays() {
+		if s := r.SizeOf(i); s >= lo && s <= hi {
 			n++
 		}
 	}
 	if n == 0 {
-		return
+		return nil
 	}
-	class = ceilPow2(class)
-	batch := gpu.Alloc[uint32](d, n*class)
-	defer batch.Free()
-	host := batch.Host()
+	desc := gpu.Alloc[uint32](d, 2*n)
+	h := desc.Host()
 	k := 0
-	for i := 0; i < b.NumArrays(); i++ {
-		s := b.SizeOf(i)
-		if s < lo || s > hi {
-			continue
+	for i := range r.NumArrays() {
+		if s := r.SizeOf(i); s >= lo && s <= hi {
+			h[k], h[k+1] = r.Bounds[i], uint32(s)
+			k += 2
 		}
-		copy(host[k*class:], b.Array(i))
-		for j := s; j < class; j++ {
-			host[k*class+j] = padValue
-		}
-		k++
 	}
-	st.Launches += int64(batchBitonicEqual(d, batch, class))
-	st.ElementsSorted += int64(n * class)
-	k = 0
-	for i := 0; i < b.NumArrays(); i++ {
-		s := b.SizeOf(i)
-		if s < lo || s > hi {
-			continue
+	desc.CopyIn(h)
+	return desc
+}
+
+// stageClass launches batch_gather or batch_scatter over the batch of a
+// size class, one lane per slot. A block's slots are whole members (class
+// divides maxClassSize), and the lanes of a member share its descriptor:
+//
+//	lane l, slot i, member k := i/class, j := i%class:
+//	off, size := Ld(members, 2k), Ld(members, 2k+1)
+//	gather:  v := padValue; if j < size { v = Ld(words, off+j) }; St(batch, i, v)
+//	scatter: if j < size { St(words, off+j, Ld(batch, i)) }
+func stageClass(d *gpu.Device, name string, words, batch, members *gpu.Buffer[uint32], class int) {
+	total := batch.Len()
+	gather := name == "batch_gather"
+	d.MustLaunchWide(gpu.LaunchConfig{
+		Name: name, Grid: (total + maxClassSize - 1) / maxClassSize, Block: maxClassSize,
+	}, func(b *gpu.Block) {
+		i0 := b.Index * maxClassSize
+		m := min(maxClassSize, total-i0)
+		var row [maxClassSize]uint32
+		for l0 := 0; l0 < m; l0 += class {
+			k := (i0 + l0) / class
+			off := int(gpu.LdBcast(b, members, l0, class, 2*k))
+			size := int(gpu.LdBcast(b, members, l0, class, 2*k+1))
+			if gather {
+				copy(row[l0:], gpu.LdWide(b, words, l0, off, size))
+				copy(row[l0+size:l0+class], padRow[:class-size])
+			} else {
+				gpu.StWide(b, words, l0, off, gpu.LdWide(b, batch, l0, i0+l0, size))
+			}
 		}
-		copy(b.Array(i), host[k*class:k*class+s])
-		k++
-	}
+		if gather {
+			gpu.StWide(b, batch, 0, i0, row[:m])
+		}
+	})
 }
 
 // batchBitonicEqual sorts contiguous equal-sized arrays (class must be a
@@ -311,11 +362,16 @@ var padRow = func() (r [maxClassSize]uint32) {
 	return r
 }()
 
-// sortOversized host-sorts the rare arrays larger than maxClassSize.
-func sortOversized(b *Batches) {
-	for i := 0; i < b.NumArrays(); i++ {
-		if b.SizeOf(i) > maxClassSize {
-			quicksort(b.Array(i))
+// sortOversized sorts the rare arrays larger than maxClassSize on the host:
+// each is read back, sorted and written back, charged transfers of its
+// words in place.
+func sortOversized(r Resident) {
+	for i := range r.NumArrays() {
+		if r.SizeOf(i) > maxClassSize {
+			a := r.Words.Host()[r.Bounds[i]:r.Bounds[i+1]]
+			r.Words.CopyOut(a)
+			quicksort(a)
+			r.Words.CopyIn(a)
 		}
 	}
 }
